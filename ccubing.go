@@ -175,11 +175,9 @@ type Options struct {
 	// order.
 	Order OrderStrategy
 	// Measure attaches a complex measure, aggregated over Dataset.Aux during
-	// the cubing pass itself. Supported natively by AlgBUC, AlgQCDFS, AlgMM,
-	// AlgStar and AlgStarArray (and hence by every engine AlgAuto selects);
-	// the remaining baselines (AlgQCTree, AlgOBBUC) return an error — use
-	// AttachMeasure as a post-pass there. Compute presents MeasureAvg cells
-	// as the mean; Materialize stores the algebraic (sum, count) pair.
+	// the cubing pass itself by every engine (paper Sec. 6.1). Compute
+	// presents MeasureAvg cells as the mean; Materialize stores the algebraic
+	// (sum, count) pair.
 	Measure MeasureKind
 	// DenseBudget overrides the MM-Cubing dense array budget, in cells.
 	DenseBudget int
@@ -375,23 +373,7 @@ func newVisitSink(visit func(Cell), perm []int, nd int, opt Options, st *Stats) 
 	}
 }
 
-func (v *visitSink) Emit(vals []core.Value, count int64) { v.emit(vals, count, 0) }
-
-func (v *visitSink) EmitAux(vals []core.Value, count int64, aux float64) {
-	v.emit(vals, count, aux)
-}
-
-// EmitBatch satisfies sink.BatchSink so batched flushes from the parallel
-// merger reach the callback without falling back to per-cell emission
-// upstream; each batched cell still pays the remap, but the flush lock is
-// taken once per batch.
-func (v *visitSink) EmitBatch(arena []core.Value, cells []sink.BatchCell) {
-	for _, c := range cells {
-		v.emit(arena[c.Off:c.Off+c.Width], c.Count, c.Aux)
-	}
-}
-
-func (v *visitSink) emit(vals []core.Value, count int64, aux float64) {
+func (v *visitSink) Emit(vals []core.Value, count int64, aux float64) {
 	v.stats.Cells++
 	v.stats.Bytes += v.cellBytes
 	for i, val := range vals {
@@ -402,10 +384,7 @@ func (v *visitSink) emit(vals []core.Value, count int64, aux float64) {
 	}
 	v.cell.Values = v.scratch
 	v.cell.Count = count
-	if v.kind != MeasureNone {
-		aux = core.Present(v.kind, aux, count)
-	}
-	v.cell.Aux = aux
+	v.cell.Aux = core.Present(v.kind, aux, count)
 	v.visit(v.cell)
 }
 

@@ -1,25 +1,17 @@
 package ccubing
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"sort"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"ccubing/internal/core"
 	"ccubing/internal/cubestore"
-	"ccubing/internal/engine"
 	"ccubing/internal/qcache"
 	"ccubing/internal/refresh"
-	"ccubing/internal/sink"
 	"ccubing/internal/table"
 )
 
@@ -38,15 +30,13 @@ import (
 // store; each answer is always consistent with exactly one generation of the
 // relation. Snapshot-loaded cubes are static (Refreshable reports false).
 type Cube struct {
-	names   []string
-	minSup  int64
-	alg     Algorithm
+	names  []string
+	minSup int64
+	alg    Algorithm
+	// measure is the kind of the cells' aux values, held at rest as stored
+	// aggregates (avg as the running sum) and presented at query egress.
 	measure MeasureKind
-	// auxStored reports that cell aux values are stored aggregates (avg as
-	// the running sum, divided at query egress). False only for legacy
-	// snapshots (version <= 3), whose avg cells hold the presented mean.
-	auxStored bool
-	stats     Stats
+	stats   Stats
 	mgr     *refresh.Manager                 // live cubes: owns the serving snapshot
 	static  atomic.Pointer[refresh.Snapshot] // snapshot-loaded cubes
 	// cache memoizes query results keyed by (generation, normalized query);
@@ -89,76 +79,46 @@ func (c *Cube) snap() *refresh.Snapshot {
 // Materialize computes the closed iceberg cube of ds and freezes it into a
 // queryable Cube. Options are interpreted as in Compute, except that Closed
 // is implied (the closed cube is the lossless serving form; Options.Closed
-// is ignored). A complex Measure is supported for every engine: the native
-// engines (every Algorithm AlgAuto selects) aggregate it during the cubing
-// pass itself — one scan, avg stored as the algebraic (sum, count) pair —
-// and the remaining baselines fall back to the AttachMeasure post-pass,
-// which fills the identical stored aggregates.
+// is ignored). A complex Measure is aggregated during the cubing pass itself
+// — one scan, avg stored as the algebraic (sum, count) pair — whichever
+// engine runs.
 //
 // A cube materialized with MinSup > 1 additionally carries the residual
 // summary of the pruned mass (one scan of the relation), so Aggregate
 // answers exactly — not as a lower bound — at any threshold.
 func Materialize(ds *Dataset, opt Options) (*Cube, error) {
-	if ds == nil || ds.t == nil {
-		return nil, fmt.Errorf("ccubing: nil dataset")
-	}
 	opt.Closed = true
 	opt = opt.withDefaults()
-	hasAux := opt.Measure != MeasureNone
-	native := hasAux && nativeMeasureAlg(ds, opt)
-	b := cubestore.NewBuilder(ds.NumDims(), hasAux)
-	var st Stats
-	if hasAux && !native {
-		// Fallback for engines without native measure aggregation: count-only
-		// compute, then the AttachMeasure post-pass (which fills the same
-		// stored aggregates the native path emits).
-		kind := opt.Measure
-		copt := opt
-		copt.Measure = MeasureNone
-		cells, cst, err := ComputeCollect(ds, copt)
-		if err != nil {
-			return nil, err
-		}
-		if err := AttachMeasure(ds, cells, kind); err != nil {
-			return nil, err
-		}
-		for _, c := range cells {
-			b.Add(c.Values, c.Count, c.Aux)
-		}
-		st = cst
-	} else {
-		plan, err := planCompute(ds, opt)
-		if err != nil {
-			return nil, err
-		}
-		st.Algorithm = plan.alg
-		cellBytes := int64(4*ds.NumDims()) + 8
-		if hasAux {
-			cellBytes += 8
-		}
-		start := time.Now()
-		if plan.identity() {
-			// Zero-copy path: cells arrive in dataset dimension order, so the
-			// engine (and, under Workers>1, the merger's batched flushes) feed
-			// the store builder directly — no per-cell callback or remap.
-			// Native measure aggregates ride along in stored form.
-			bs := &cubestore.BuilderSink{B: b}
-			if err := plan.run(bs); err != nil {
-				return nil, err
-			}
-			st.Cells = bs.Cells
-		} else {
-			// Reordered dimensions: remap positions, still keeping measure
-			// aggregates in stored form (presentation happens at query egress).
-			ss := &storeSink{b: b, perm: plan.perm, scratch: make([]core.Value, ds.NumDims())}
-			if err := plan.run(ss); err != nil {
-				return nil, err
-			}
-			st.Cells = ss.cells
-		}
-		st.Bytes = st.Cells * cellBytes
-		st.Elapsed = time.Since(start)
+	plan, err := planCompute(ds, opt)
+	if err != nil {
+		return nil, err
 	}
+	hasAux := opt.Measure != MeasureNone
+	b := cubestore.NewBuilder(ds.NumDims(), hasAux)
+	st := Stats{Algorithm: plan.alg}
+	cellBytes := int64(4*ds.NumDims()) + 8
+	if hasAux {
+		cellBytes += 8
+	}
+	start := time.Now()
+	if plan.identity() {
+		// Zero-copy path: cells arrive in dataset dimension order, so the
+		// engine (and, under Workers>1, the merger's batched flushes) feed
+		// the store builder directly — no per-cell callback or remap.
+		bs := &cubestore.BuilderSink{B: b}
+		if err := plan.run(bs); err != nil {
+			return nil, err
+		}
+		st.Cells = bs.Cells
+	} else {
+		ss := &storeSink{b: b, perm: plan.perm, scratch: make([]core.Value, ds.NumDims())}
+		if err := plan.run(ss); err != nil {
+			return nil, err
+		}
+		st.Cells = ss.cells
+	}
+	st.Bytes = st.Cells * cellBytes
+	st.Elapsed = time.Since(start)
 	if opt.MinSup > 1 {
 		// The residual summary of the iceberg-pruned mass: what Aggregate
 		// needs to answer exactly below the threshold.
@@ -175,12 +135,11 @@ func Materialize(ds *Dataset, opt Options) (*Cube, error) {
 		return nil, fmt.Errorf("ccubing: materialize: %w", err)
 	}
 	cube := &Cube{
-		names:     append([]string(nil), ds.t.Names...),
-		minSup:    opt.MinSup,
-		alg:       st.Algorithm,
-		measure:   opt.Measure,
-		auxStored: true,
-		stats:     st,
+		names:   append([]string(nil), ds.t.Names...),
+		minSup:  opt.MinSup,
+		alg:     st.Algorithm,
+		measure: opt.Measure,
+		stats:   st,
 	}
 	cube.cache.Store(qcache.New(DefaultQueryCacheEntries))
 	var dicts []*table.Dict
@@ -191,50 +150,18 @@ func Materialize(ds *Dataset, opt Options) (*Cube, error) {
 		}
 	}
 	// Attach the live-refresh manager: the cube keeps the relation so appends
-	// can fold in incrementally. The refresh recompute reuses the engine the
-	// build resolved to, with measures aggregated natively when the engine
-	// supports it (the AttachMeasure post-pass remains the fallback), so a
-	// refreshed store is byte-identical to a from-scratch rebuild.
-	ropt := opt
-	if !native {
-		ropt.Measure = MeasureNone
-	}
-	eng, ecfg, err := resolveEngine(ds, ropt, st.Algorithm)
-	if err != nil {
-		return nil, err
-	}
-	mcfg := refresh.Config{
-		Eng:     eng,
-		ECfg:    ecfg,
-		Workers: resolveWorkers(opt.Workers),
-		Measure: opt.Measure,
-	}
-	if hasAux && !native {
-		kind := opt.Measure
-		mcfg.AttachAux = func(t *table.Table, cells []core.Cell) error {
-			return attachMeasureCore(t, cells, kind)
-		}
-	}
-	cube.mgr, err = refresh.NewManager(ds.t, store, dicts, mcfg)
+	// can fold in incrementally. The refresh recompute reuses the engine and
+	// config the build resolved to, so a refreshed store is byte-identical to
+	// a from-scratch rebuild.
+	cube.mgr, err = refresh.NewManager(ds.t, store, dicts, refresh.Config{
+		Eng:     plan.eng,
+		ECfg:    plan.ecfg,
+		Workers: plan.workers,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("ccubing: materialize: %w", err)
 	}
 	return cube, nil
-}
-
-// nativeMeasureAlg reports whether the engine opt resolves to aggregates the
-// measure natively (during the cubing pass, via sink.AuxSink) — the condition
-// for Materialize to skip the AttachMeasure post-pass.
-func nativeMeasureAlg(ds *Dataset, opt Options) bool {
-	if ds.t.Aux == nil {
-		return false
-	}
-	alg := opt.Algorithm
-	if alg == AlgAuto {
-		alg = Advise(ds, opt.MinSup, opt.Closed)
-	}
-	eng, ok := engine.Lookup(alg.String())
-	return ok && eng.Capabilities().NativeMeasure
 }
 
 // storeSink feeds engine output into a store builder, remapping reordered
@@ -247,22 +174,12 @@ type storeSink struct {
 	cells   int64
 }
 
-func (s *storeSink) Emit(vals []core.Value, count int64) { s.EmitAux(vals, count, 0) }
-
-func (s *storeSink) EmitAux(vals []core.Value, count int64, aux float64) {
+func (s *storeSink) Emit(vals []core.Value, count int64, aux float64) {
 	for i, v := range vals {
 		s.scratch[s.perm[i]] = v
 	}
 	s.b.Add(s.scratch, count, aux)
 	s.cells++
-}
-
-// EmitBatch keeps the parallel merger's batched flushes on the batch
-// interface; each cell still pays the remap.
-func (s *storeSink) EmitBatch(arena []core.Value, cells []sink.BatchCell) {
-	for _, c := range cells {
-		s.EmitAux(arena[c.Off:c.Off+c.Width], c.Count, c.Aux)
-	}
 }
 
 // NumDims returns the cube's dimensionality.
@@ -282,25 +199,17 @@ func (c *Cube) NumCuboids() int { return c.snap().Store.NumCuboids() }
 // for cells below it miss.
 func (c *Cube) MinSup() int64 { return c.minSup }
 
-// Algorithm returns the engine that computed the cube (zero for loaded
-// snapshots saved before computation metadata existed).
+// Algorithm returns the engine that computed the cube.
 func (c *Cube) Algorithm() Algorithm { return c.alg }
 
 // HasMeasure reports whether cells carry a complex-measure value.
 func (c *Cube) HasMeasure() bool { return c.snap().Store.HasAux() }
 
 // Measure returns the kind of the complex measure the cube was materialized
-// with (MeasureNone when the cube has none, or for snapshots saved before
-// the measure kind was recorded). Distributed serving needs it: a router can
-// only merge per-shard measure values when it knows how they combine.
+// with (MeasureNone when the cube has none). Distributed serving needs it: a
+// router can only merge per-shard measure values when it knows how they
+// combine.
 func (c *Cube) Measure() MeasureKind { return c.measure }
-
-// AuxStored reports whether the cube's measure values are held in stored
-// (mergeable) form — running sums on avg cubes — and presented only at query
-// egress. False only for legacy snapshots (format < 4) whose avg cells hold
-// the already-presented mean; those values cannot be recombined across
-// shards, so a router falls back to routing instead of merging them.
-func (c *Cube) AuxStored() bool { return c.auxStored }
 
 // Labeled reports whether the cube carries dictionaries, i.e. was built from
 // a labeled dataset (CSV or NewDataset) and answers queries by label.
@@ -340,7 +249,7 @@ func (c *Cube) Query(vals []int32) (int64, bool) {
 func (c *Cube) Lookup(vals []int32) (Cell, bool) {
 	cell, ok := c.LookupStored(vals)
 	if ok {
-		cell.Aux = c.presentAux(cell.Aux, cell.Count)
+		cell.Aux = c.PresentAux(cell.Aux, cell.Count)
 	}
 	return cell, ok
 }
@@ -372,17 +281,10 @@ func (c *Cube) LookupStored(vals []int32) (Cell, bool) {
 
 // PresentAux converts a stored measure aggregate — a LookupStored result, or
 // an AuxAgg-sum aggregate over an avg cube — to the user-facing value: the
-// mean on avg cubes with stored aggregates, the value itself otherwise.
+// mean on avg cubes (the stored sum divided by the count), the value itself
+// otherwise.
 func (c *Cube) PresentAux(aux float64, count int64) float64 {
-	return c.presentAux(aux, count)
-}
-
-// presentAux converts a stored measure aggregate to the user-facing value at
-// query egress: avg divides the stored sum by the count; every other kind is
-// already presented. Legacy snapshots (auxStored false) hold presented values
-// at rest and pass through.
-func (c *Cube) presentAux(aux float64, count int64) float64 {
-	if c.auxStored && c.measure == MeasureAvg {
+	if c.measure == MeasureAvg {
 		return core.Present(core.MeasureAvg, aux, count)
 	}
 	return aux
@@ -442,7 +344,7 @@ func cachedLookup(qc *qcache.Cache, st *refresh.Snapshot, vals []int32) lookupEn
 // vals, like Query.
 func (c *Cube) Slice(vals []int32, visit func(Cell) bool) {
 	c.snap().Store.Slice(vals, func(cc core.Cell) bool {
-		return visit(Cell{Values: cc.Values, Count: cc.Count, Aux: c.presentAux(cc.Aux, cc.Count)})
+		return visit(Cell{Values: cc.Values, Count: cc.Count, Aux: c.PresentAux(cc.Aux, cc.Count)})
 	})
 }
 
@@ -450,7 +352,7 @@ func (c *Cube) Slice(vals []int32, visit func(Cell) bool) {
 // ascending within a cuboid).
 func (c *Cube) Cells(visit func(Cell) bool) {
 	c.snap().Store.Walk(func(cc core.Cell) bool {
-		return visit(Cell{Values: cc.Values, Count: cc.Count, Aux: c.presentAux(cc.Aux, cc.Count)})
+		return visit(Cell{Values: cc.Values, Count: cc.Count, Aux: c.PresentAux(cc.Aux, cc.Count)})
 	})
 }
 
@@ -527,672 +429,6 @@ func (c *Cube) QueryLabels(labels []string) (int64, bool, error) {
 	}
 	count, ok := st.Store.Query(vals)
 	return count, ok, nil
-}
-
-// Cube snapshot format: a metadata header (length-prefixed, CRC-protected)
-// followed by the cell-store payload (internal/cubestore's versioned,
-// checksummed snapshot, which carries the iceberg residual when the store
-// has one). The header holds the iceberg threshold, computing algorithm, the
-// measure kind and aux form (version 4 — whether avg cells hold the stored
-// running sum or, in legacy snapshots, the presented mean; version 3
-// recorded only the kind, needed by routers to merge scatter-gather
-// answers), the refresh generation and source-row count (version 2 — used
-// to validate warm snapshot reloads), dimension names and, when present,
-// the per-dimension dictionaries, so CSV-built cubes answer label queries
-// after a round trip.
-const cubeMagic = "CCUBE\x00\x00"
-
-// CubeSnapshotVersion is the current Cube snapshot format version. Version 1
-// (no generation / source-row metadata), version 2 (no measure kind) and
-// version 3 (no aux-form flag, no store residual) snapshots still load.
-const CubeSnapshotVersion = 4
-
-// Save writes a snapshot of the cube to w. Output is deterministic: saving,
-// loading and saving again produces identical bytes. The snapshot captures
-// the current serving state — a cube saved after a refresh records the
-// refreshed cells, generation and row count.
-func (c *Cube) Save(w io.Writer) error {
-	st := c.snap()
-	var head bytes.Buffer
-	putUvarint := func(v uint64) {
-		var b [binary.MaxVarintLen64]byte
-		head.Write(b[:binary.PutUvarint(b[:], v)])
-	}
-	putString := func(s string) {
-		putUvarint(uint64(len(s)))
-		head.WriteString(s)
-	}
-	putUvarint(uint64(c.minSup))
-	head.WriteByte(byte(c.alg))
-	head.WriteByte(byte(c.measure))
-	if c.auxStored {
-		head.WriteByte(1)
-	} else {
-		head.WriteByte(0)
-	}
-	putUvarint(st.Generation)
-	putUvarint(uint64(st.Rows))
-	putUvarint(uint64(len(c.names)))
-	for _, n := range c.names {
-		putString(n)
-	}
-	if st.Dicts == nil {
-		head.WriteByte(0)
-	} else {
-		head.WriteByte(1)
-		for _, d := range st.Dicts {
-			names := d.Names()
-			putUvarint(uint64(len(names)))
-			for _, n := range names {
-				putString(n)
-			}
-		}
-	}
-
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(cubeMagic); err != nil {
-		return fmt.Errorf("ccubing: save: %w", err)
-	}
-	if err := bw.WriteByte(CubeSnapshotVersion); err != nil {
-		return fmt.Errorf("ccubing: save: %w", err)
-	}
-	var b [binary.MaxVarintLen64]byte
-	if _, err := bw.Write(b[:binary.PutUvarint(b[:], uint64(head.Len()))]); err != nil {
-		return fmt.Errorf("ccubing: save: %w", err)
-	}
-	if _, err := bw.Write(head.Bytes()); err != nil {
-		return fmt.Errorf("ccubing: save: %w", err)
-	}
-	binary.LittleEndian.PutUint32(b[:4], crc32.ChecksumIEEE(head.Bytes()))
-	if _, err := bw.Write(b[:4]); err != nil {
-		return fmt.Errorf("ccubing: save: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("ccubing: save: %w", err)
-	}
-	return st.Store.Save(w)
-}
-
-// LoadCube reads a snapshot written by Cube.Save, validating versions and
-// checksums. The loaded cube answers queries identically to the saved one.
-func LoadCube(r io.Reader) (*Cube, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, len(cubeMagic)+1)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("ccubing: load: %w", err)
-	}
-	if string(head[:len(cubeMagic)]) != cubeMagic {
-		return nil, fmt.Errorf("ccubing: load: not a cube snapshot (magic %q)", head[:len(cubeMagic)])
-	}
-	version := head[len(cubeMagic)]
-	if version < 1 || version > CubeSnapshotVersion {
-		return nil, fmt.Errorf("ccubing: load: unsupported snapshot version %d (want 1..%d)", version, CubeSnapshotVersion)
-	}
-	hlen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("ccubing: load: %w", err)
-	}
-	if hlen > 1<<30 {
-		return nil, fmt.Errorf("ccubing: load: implausible header size %d", hlen)
-	}
-	// Chunked read: a corrupt length prefix fails on EOF instead of
-	// pre-allocating the declared size.
-	hbuf, err := cubestore.ReadAllChunked(br, int(hlen))
-	if err != nil {
-		return nil, fmt.Errorf("ccubing: load: header: %w", err)
-	}
-	var crcBytes [4]byte
-	if _, err := io.ReadFull(br, crcBytes[:]); err != nil {
-		return nil, fmt.Errorf("ccubing: load: header checksum: %w", err)
-	}
-	if got, want := binary.LittleEndian.Uint32(crcBytes[:]), crc32.ChecksumIEEE(hbuf); got != want {
-		return nil, fmt.Errorf("ccubing: load: header checksum mismatch (%#x != %#x)", got, want)
-	}
-
-	hr := bytes.NewReader(hbuf)
-	readString := func() (string, error) {
-		n, err := binary.ReadUvarint(hr)
-		if err != nil {
-			return "", err
-		}
-		if n > uint64(hr.Len()) {
-			return "", fmt.Errorf("string length %d exceeds header", n)
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(hr, b); err != nil {
-			return "", err
-		}
-		return string(b), nil
-	}
-	minSup, err := binary.ReadUvarint(hr)
-	if err != nil {
-		return nil, fmt.Errorf("ccubing: load: header: %w", err)
-	}
-	algByte, err := hr.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("ccubing: load: header: %w", err)
-	}
-	// Version 3 adds the measure kind; older snapshots load as MeasureNone
-	// (their cells still carry aux values — only the combining rule is
-	// unknown, which matters to scatter-gather merging, not local serving).
-	var measure MeasureKind
-	var auxStored bool
-	if version >= 3 {
-		mb, err := hr.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("ccubing: load: header: %w", err)
-		}
-		if MeasureKind(mb) > MeasureAvg {
-			return nil, fmt.Errorf("ccubing: load: unknown measure kind %d", mb)
-		}
-		measure = MeasureKind(mb)
-	}
-	// Version 4 adds the aux form. Older avg snapshots hold the presented
-	// mean at rest, so egress must not divide again — auxStored stays false.
-	if version >= 4 {
-		fb, err := hr.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("ccubing: load: header: %w", err)
-		}
-		if fb > 1 {
-			return nil, fmt.Errorf("ccubing: load: bad aux-form flag %d", fb)
-		}
-		auxStored = fb == 1
-	}
-	// Version 2 adds the refresh generation and the source relation's row
-	// count (warm-reload validation metadata); version 1 predates both.
-	var generation, rows uint64
-	if version >= 2 {
-		if generation, err = binary.ReadUvarint(hr); err != nil {
-			return nil, fmt.Errorf("ccubing: load: header: %w", err)
-		}
-		if rows, err = binary.ReadUvarint(hr); err != nil {
-			return nil, fmt.Errorf("ccubing: load: header: %w", err)
-		}
-	}
-	nd, err := binary.ReadUvarint(hr)
-	if err != nil {
-		return nil, fmt.Errorf("ccubing: load: header: %w", err)
-	}
-	if nd == 0 || nd > uint64(MaxDims) {
-		return nil, fmt.Errorf("ccubing: load: %d dimensions out of range", nd)
-	}
-	cube := &Cube{minSup: int64(minSup), alg: Algorithm(algByte), measure: measure, auxStored: auxStored}
-	cube.cache.Store(qcache.New(DefaultQueryCacheEntries))
-	cube.names = make([]string, nd)
-	for d := range cube.names {
-		if cube.names[d], err = readString(); err != nil {
-			return nil, fmt.Errorf("ccubing: load: names: %w", err)
-		}
-	}
-	hasDicts, err := hr.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("ccubing: load: header: %w", err)
-	}
-	var dicts []*table.Dict
-	switch hasDicts {
-	case 0:
-	case 1:
-		dicts = make([]*table.Dict, nd)
-		for d := range dicts {
-			n, err := binary.ReadUvarint(hr)
-			if err != nil {
-				return nil, fmt.Errorf("ccubing: load: dictionaries: %w", err)
-			}
-			// Each label costs at least one length byte, so a count beyond
-			// the remaining header is corruption — reject before allocating.
-			if n > uint64(hr.Len()) {
-				return nil, fmt.Errorf("ccubing: load: dictionary %d: implausible label count %d", d, n)
-			}
-			names := make([]string, n)
-			for i := range names {
-				if names[i], err = readString(); err != nil {
-					return nil, fmt.Errorf("ccubing: load: dictionaries: %w", err)
-				}
-			}
-			dicts[d] = table.DictFromNames(names)
-		}
-	default:
-		return nil, fmt.Errorf("ccubing: load: bad dictionary flag %d", hasDicts)
-	}
-	store, err := cubestore.Load(br)
-	if err != nil {
-		return nil, fmt.Errorf("ccubing: load: %w", err)
-	}
-	if store.NumDims() != int(nd) {
-		return nil, fmt.Errorf("ccubing: load: store has %d dimensions, header %d", store.NumDims(), nd)
-	}
-	cube.static.Store(&refresh.Snapshot{
-		Store:      store,
-		Dicts:      dicts,
-		Generation: generation,
-		Rows:       int64(rows),
-	})
-	cube.stats = Stats{Algorithm: cube.alg, Cells: store.NumCells()}
-	return cube, nil
-}
-
-// PredOp discriminates the per-dimension predicate forms of a QuerySpec.
-type PredOp int
-
-const (
-	// PredAny matches every value (wildcard dimension).
-	PredAny PredOp = iota
-	// PredEq matches exactly Value.
-	PredEq
-	// PredRange matches coded values in the inclusive interval [Lo, Hi].
-	PredRange
-	// PredIn matches any coded value in Set; an empty set matches nothing.
-	PredIn
-)
-
-// Predicate constrains one dimension of a sub-cube selection.
-type Predicate struct {
-	Op     PredOp
-	Value  int32   // PredEq
-	Lo, Hi int32   // PredRange, inclusive
-	Set    []int32 // PredIn
-}
-
-// QuerySpec is a conjunctive sub-cube selection: one predicate per dimension,
-// the cube algebra's sub-cube operation (predicates over dimensions) rather
-// than a single cell. Build one directly or parse it with Cube.ParseSpec.
-type QuerySpec []Predicate
-
-// OrderBy ranks aggregate rows for top-k truncation.
-type OrderBy int
-
-const (
-	// ByCount ranks by aggregated count, descending.
-	ByCount OrderBy = iota
-	// ByAux ranks by the aggregated measure value, descending.
-	ByAux
-)
-
-// AggregateOptions configures Cube.Aggregate.
-type AggregateOptions struct {
-	// GroupBy lists dimensions (by name, or decimal index for nameless data)
-	// whose value combinations form the result rows; empty computes one
-	// grand-total row under the predicates.
-	GroupBy []string
-	// TopK keeps only the k best rows by By; 0 keeps every group.
-	TopK int
-	// By picks the top-k ranking measure.
-	By OrderBy
-	// AuxAgg picks how measure values combine across a group: MeasureSum,
-	// MeasureMin, MeasureMax, or MeasureAvg — the last only on cubes
-	// materialized with MeasureAvg, whose cells store the algebraic
-	// (sum, count) pair: group sums are added and divided by the group count.
-	// MeasureNone defaults to the combiner matching the cube's own measure
-	// (avg for avg cubes, sum otherwise). It must match the measure the cube
-	// was materialized with for the aggregated Aux to be meaningful.
-	AuxAgg MeasureKind
-}
-
-// ParseOrderBy resolves the ranking names shared by the serving surfaces
-// (ccserve's order_by, ccube's -by): "count" (or empty) and "aux" (alias
-// "measure").
-func ParseOrderBy(s string) (OrderBy, error) {
-	switch s {
-	case "", "count":
-		return ByCount, nil
-	case "aux", "measure":
-		return ByAux, nil
-	}
-	return ByCount, fmt.Errorf("ccubing: unknown order-by %q (want count or aux)", s)
-}
-
-// ParseAuxAgg resolves the measure-combiner names shared by the serving
-// surfaces: "sum", "min", "max" and "avg" (empty defaults to the cube's own
-// measure combiner — see AggregateOptions.AuxAgg).
-func ParseAuxAgg(s string) (MeasureKind, error) {
-	switch s {
-	case "":
-		return MeasureNone, nil
-	case "sum":
-		return MeasureSum, nil
-	case "min":
-		return MeasureMin, nil
-	case "max":
-		return MeasureMax, nil
-	case "avg":
-		return MeasureAvg, nil
-	}
-	return MeasureNone, fmt.Errorf("ccubing: unknown aux-agg %q (want sum, min, max or avg)", s)
-}
-
-// ParseSpec builds a QuerySpec from one component per dimension, label-aware
-// for cubes with dictionaries and coded otherwise:
-//
-//	"*" or ""       wildcard
-//	"v"             exact value
-//	"lo..hi"        inclusive range — numeric on coded cubes, lexicographic
-//	                over dictionary labels on labeled cubes
-//	"a|b|c"         value set
-//
-// Unknown labels are honest misses, not errors: they resolve to predicates
-// matching nothing (the cell set is provably empty), mirroring QueryLabels.
-// Labels containing "|" or ".." cannot be expressed in this syntax; build the
-// QuerySpec directly for those.
-func (c *Cube) ParseSpec(components []string) (QuerySpec, error) {
-	if len(components) != c.NumDims() {
-		return nil, fmt.Errorf("ccubing: spec has %d components, want %d", len(components), c.NumDims())
-	}
-	st := c.snap()
-	spec := make(QuerySpec, len(components))
-	for d, comp := range components {
-		p, err := c.parsePred(st, d, comp)
-		if err != nil {
-			return nil, err
-		}
-		spec[d] = p
-	}
-	return spec, nil
-}
-
-func (c *Cube) parsePred(st *refresh.Snapshot, d int, comp string) (Predicate, error) {
-	switch {
-	case comp == "*" || comp == "":
-		return Predicate{Op: PredAny}, nil
-	case strings.Contains(comp, ".."):
-		parts := strings.SplitN(comp, "..", 2)
-		lo, hi := parts[0], parts[1]
-		if st.Dicts == nil {
-			l, err1 := parseCode(lo)
-			h, err2 := parseCode(hi)
-			if err1 != nil || err2 != nil {
-				return Predicate{}, fmt.Errorf("ccubing: bad range %q on dimension %s", comp, c.names[d])
-			}
-			return Predicate{Op: PredRange, Lo: l, Hi: h}, nil
-		}
-		// Labeled: a lexicographic label interval resolves to the set of
-		// dictionary codes whose label falls inside it (dictionary codes are
-		// assigned in first-occurrence order, so a code range is meaningless).
-		var set []int32
-		for code, name := range st.Dicts[d].Names() {
-			if name >= lo && name <= hi {
-				set = append(set, int32(code))
-			}
-		}
-		return Predicate{Op: PredIn, Set: set}, nil
-	case strings.Contains(comp, "|"):
-		var set []int32
-		for _, part := range strings.Split(comp, "|") {
-			if st.Dicts == nil {
-				v, err := parseCode(part)
-				if err != nil {
-					return Predicate{}, fmt.Errorf("ccubing: bad value %q on dimension %s", part, c.names[d])
-				}
-				set = append(set, v)
-			} else if code, ok := st.Dicts[d].Lookup(part); ok {
-				set = append(set, code) // unknown labels match nothing: drop
-			}
-		}
-		return Predicate{Op: PredIn, Set: set}, nil
-	default:
-		if st.Dicts == nil {
-			v, err := parseCode(comp)
-			if err != nil {
-				return Predicate{}, fmt.Errorf("ccubing: bad value %q on dimension %s", comp, c.names[d])
-			}
-			return Predicate{Op: PredEq, Value: v}, nil
-		}
-		code, ok := st.Dicts[d].Lookup(comp)
-		if !ok {
-			return Predicate{Op: PredIn}, nil // empty set: provably empty
-		}
-		return Predicate{Op: PredEq, Value: code}, nil
-	}
-}
-
-// parseCode parses a non-negative coded dimension value.
-func parseCode(s string) (int32, error) {
-	v, err := strconv.ParseInt(s, 10, 32)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("bad coded value %q", s)
-	}
-	return int32(v), nil
-}
-
-// storeSpec validates a QuerySpec and lowers it to the store's form.
-func (c *Cube) storeSpec(spec QuerySpec) (cubestore.Spec, error) {
-	if len(spec) != c.NumDims() {
-		return cubestore.Spec{}, fmt.Errorf("ccubing: spec has %d predicates, want %d", len(spec), c.NumDims())
-	}
-	out := cubestore.Spec{Preds: make([]cubestore.Pred, len(spec))}
-	for d, p := range spec {
-		sp := cubestore.Pred{Val: p.Value, Lo: p.Lo, Hi: p.Hi, Set: p.Set}
-		switch p.Op {
-		case PredAny:
-			sp.Kind = cubestore.PredAny
-		case PredEq:
-			sp.Kind = cubestore.PredEq
-		case PredRange:
-			sp.Kind = cubestore.PredRange
-		case PredIn:
-			sp.Kind = cubestore.PredIn
-		default:
-			return cubestore.Spec{}, fmt.Errorf("ccubing: unknown predicate op %d on dimension %s", p.Op, c.names[d])
-		}
-		out.Preds[d] = sp
-	}
-	return out, nil
-}
-
-// Select visits every stored closed cell matching the spec — the predicate
-// generalization of Slice: each constrained dimension must be fixed by the
-// cell to a satisfying value. Exact at any iceberg threshold. Return false
-// from visit to stop early.
-func (c *Cube) Select(spec QuerySpec, visit func(Cell) bool) error {
-	ss, err := c.storeSpec(spec)
-	if err != nil {
-		return err
-	}
-	c.snap().Store.Select(ss, func(cc core.Cell) bool {
-		return visit(Cell{Values: cc.Values, Count: cc.Count, Aux: c.presentAux(cc.Aux, cc.Count)})
-	})
-	return nil
-}
-
-// Aggregate answers a group-by query under per-dimension predicates: one row
-// per distinct value combination on the GroupBy dimensions among matching
-// tuples, carrying the aggregated count (and measure, combined per AuxAgg).
-// Rows fix exactly the GroupBy dimensions and arrive ranked best first (ties
-// by value, so results are deterministic); TopK truncates.
-//
-// The exact result reports whether the aggregates are exact. It is true for
-// cubes materialized at MinSup 1 and for iceberg cubes whose store carries
-// the residual summary of the pruned mass (every cube Materialize builds at
-// MinSup > 1): the residual folds the sub-threshold combinations back in, so
-// the aggregates equal a MinSup-1 recomputation. Only legacy snapshots
-// without a residual degrade to exact=false, where every aggregate is a
-// lower bound. Serving surfaces forward the flag so clients never mistake a
-// bound for a total. See the cubestore documentation for the closure-dedup
-// execution.
-func (c *Cube) Aggregate(spec QuerySpec, opt AggregateOptions) (rows []Cell, exact bool, err error) {
-	ss, err := c.storeSpec(spec)
-	if err != nil {
-		return nil, false, err
-	}
-	if opt.TopK < 0 {
-		return nil, false, fmt.Errorf("ccubing: negative top-k %d", opt.TopK)
-	}
-	st := c.snap()
-	sopt := cubestore.AggOptions{TopK: opt.TopK}
-	switch opt.By {
-	case ByCount:
-		sopt.By = cubestore.ByCount
-	case ByAux:
-		if !st.Store.HasAux() {
-			return nil, false, fmt.Errorf("ccubing: cube has no measure to rank by")
-		}
-		sopt.By = cubestore.ByAux
-	default:
-		return nil, false, fmt.Errorf("ccubing: unknown order-by %d", opt.By)
-	}
-	auxAgg := opt.AuxAgg
-	if auxAgg == MeasureNone && c.measure == MeasureAvg && c.auxStored {
-		// Default the combiner to the cube's own measure: avg cubes average.
-		auxAgg = MeasureAvg
-	}
-	avgAux := false
-	switch auxAgg {
-	case MeasureNone, MeasureSum:
-		sopt.AuxAgg = cubestore.AuxSum
-	case MeasureMin:
-		sopt.AuxAgg = cubestore.AuxMin
-	case MeasureMax:
-		sopt.AuxAgg = cubestore.AuxMax
-	case MeasureAvg:
-		if c.measure != MeasureAvg || !c.auxStored {
-			return nil, false, fmt.Errorf("ccubing: aux-agg avg needs a cube materialized with MeasureAvg (this cube carries %v)", c.measure)
-		}
-		// Algebraic: sum the stored per-cell sums, divide by the group count
-		// once the groups are final.
-		avgAux = true
-		sopt.AuxAgg = cubestore.AuxSum
-	default:
-		return nil, false, fmt.Errorf("ccubing: measure kind %v cannot aggregate over closed cells", opt.AuxAgg)
-	}
-	if avgAux && sopt.By == cubestore.ByAux {
-		// The store would rank raw sums; the caller asked for means. Fetch
-		// every group, divide, then rank and truncate here.
-		sopt.TopK = 0
-	}
-	seen := make(map[int]bool, len(opt.GroupBy))
-	for _, name := range opt.GroupBy {
-		d, err := c.resolveDim(name)
-		if err != nil {
-			return nil, false, err
-		}
-		if !seen[d] {
-			seen[d] = true
-			sopt.GroupBy = append(sopt.GroupBy, d)
-		}
-	}
-	exact = c.minSup <= 1 || st.Store.HasResidual()
-	qc := c.cache.Load()
-	var key []byte
-	if qc != nil {
-		key = appendAggKey(cacheKey(st.Generation, cacheKindAgg, 8*c.NumDims()), ss, sopt)
-		if avgAux {
-			// The avg presentation changes the rows (and possibly the
-			// truncation), so it must not share entries with plain sum.
-			key = append(key, 1)
-			key = binary.BigEndian.AppendUint32(key, uint32(opt.TopK))
-		}
-		if v, hit := qc.Get(key); hit {
-			e := v.(aggEntry)
-			return copyCells(e.rows), e.exact, nil
-		}
-	}
-	srows := st.Store.Aggregate(ss, sopt)
-	out := make([]Cell, len(srows))
-	for i, r := range srows {
-		out[i] = Cell{Values: r.Values, Count: r.Count, Aux: r.Aux}
-	}
-	if avgAux {
-		for i := range out {
-			out[i].Aux = core.Present(core.MeasureAvg, out[i].Aux, out[i].Count)
-		}
-		if sopt.By == cubestore.ByAux {
-			sortAggRows(out, opt.By)
-			if opt.TopK > 0 && len(out) > opt.TopK {
-				out = out[:opt.TopK]
-			}
-		}
-	}
-	if qc != nil {
-		// The cached rows become shared; hand the caller a copy, like the hit
-		// path does.
-		qc.Put(key, aggEntry{rows: out, exact: exact})
-		return copyCells(out), exact, nil
-	}
-	return out, exact, nil
-}
-
-// sortAggRows ranks aggregate rows best first, mirroring the store's order:
-// rank descending, ties by values ascending (Star sorts last, matching the
-// packed-key comparison).
-func sortAggRows(rows []Cell, by OrderBy) {
-	rank := func(c Cell) float64 {
-		if by == ByAux {
-			return c.Aux
-		}
-		return float64(c.Count)
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		ri, rj := rank(rows[i]), rank(rows[j])
-		if ri != rj {
-			return ri > rj
-		}
-		for d := range rows[i].Values {
-			if rows[i].Values[d] != rows[j].Values[d] {
-				return uint32(rows[i].Values[d]) < uint32(rows[j].Values[d])
-			}
-		}
-		return false
-	})
-}
-
-// aggEntry is one cached aggregate result.
-type aggEntry struct {
-	rows  []Cell
-	exact bool
-}
-
-// copyCells deep-copies result rows so cached entries stay immutable.
-func copyCells(rows []Cell) []Cell {
-	out := make([]Cell, len(rows))
-	for i, r := range rows {
-		out[i] = Cell{Values: append([]int32(nil), r.Values...), Count: r.Count, Aux: r.Aux}
-	}
-	return out
-}
-
-// appendAggKey serializes a lowered aggregate query in normalized form:
-// predicate sets and group-by dimensions are order-insensitive in the result,
-// so both are sorted before packing — equivalent queries share one entry.
-func appendAggKey(key []byte, ss cubestore.Spec, sopt cubestore.AggOptions) []byte {
-	for _, p := range ss.Preds {
-		key = append(key, byte(p.Kind))
-		switch p.Kind {
-		case cubestore.PredEq:
-			key = binary.BigEndian.AppendUint32(key, uint32(p.Val))
-		case cubestore.PredRange:
-			key = binary.BigEndian.AppendUint32(key, uint32(p.Lo))
-			key = binary.BigEndian.AppendUint32(key, uint32(p.Hi))
-		case cubestore.PredIn:
-			set := append([]int32(nil), p.Set...)
-			sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
-			key = binary.BigEndian.AppendUint32(key, uint32(len(set)))
-			for _, v := range set {
-				key = binary.BigEndian.AppendUint32(key, uint32(v))
-			}
-		}
-	}
-	key = append(key, byte(sopt.By), byte(sopt.AuxAgg))
-	key = binary.BigEndian.AppendUint32(key, uint32(sopt.TopK))
-	gb := append([]int(nil), sopt.GroupBy...)
-	sort.Ints(gb)
-	key = binary.BigEndian.AppendUint32(key, uint32(len(gb)))
-	for _, d := range gb {
-		key = binary.BigEndian.AppendUint32(key, uint32(d))
-	}
-	return key
-}
-
-// resolveDim maps a dimension name (or decimal index) to its position.
-func (c *Cube) resolveDim(name string) (int, error) {
-	for d, n := range c.names {
-		if n == name {
-			return d, nil
-		}
-	}
-	if d, err := strconv.Atoi(name); err == nil && d >= 0 && d < c.NumDims() {
-		return d, nil
-	}
-	return 0, fmt.Errorf("ccubing: unknown dimension %q", name)
 }
 
 // FormatCell renders a cell with the cube's dictionaries, mirroring

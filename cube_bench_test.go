@@ -15,7 +15,6 @@ import (
 
 	"ccubing/internal/core"
 	"ccubing/internal/cubestore"
-	"ccubing/internal/qctree"
 )
 
 // benchSeed pins the dataset seed of every facade benchmark so runs are
@@ -142,12 +141,10 @@ func BenchmarkCubeQueryCached(b *testing.B) {
 	})
 }
 
-// BenchmarkStoreBuild compares freezing an already-computed closed cell set
-// into the cubestore against qctree.FromCells from the same cells. Note the
-// qctree arm builds tree + its cubestore query index (what Tree.Query needs
-// since this release): it is the queryable-to-queryable comparison. For the
-// bare tree structure the original Quotient Cube system built, see
-// internal/qctree's BenchmarkBuildComparison.
+// BenchmarkStoreBuild times freezing an already-computed closed cell set
+// into the cubestore. For the bare QC-tree the original Quotient Cube system
+// built from the same kind of cell set, see internal/qctree's
+// BenchmarkBuildComparison.
 func BenchmarkStoreBuild(b *testing.B) {
 	ds := benchCubeDataset(b)
 	for _, minsup := range []int64{32, 8} {
@@ -171,14 +168,6 @@ func BenchmarkStoreBuild(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("qctree/cells=%d", len(cells)), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := qctree.FromCells(ds.NumDims(), ccells); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -197,12 +186,12 @@ func BenchmarkMaterialize(b *testing.B) {
 	}
 }
 
-// BenchmarkMaterializeNativeMeasure compares the two ways a measure cube can
-// be built: the native path (engines fold the stored aggregate during
-// aggregation-based checking, one scan) against the legacy AttachMeasure
-// post-pass (count-only compute, then a second cuboid-grouped scan, then the
-// freeze). Both produce bit-identical stores; native should win by roughly
-// the cost of the second scan.
+// BenchmarkMaterializeNativeMeasure compares Materialize's measure path
+// (engines fold the stored aggregate during aggregation-based checking, one
+// scan) against the AttachMeasure oracle the equivalence suite checks it
+// with (count-only compute, then a second cuboid-grouped scan, then the
+// freeze). Both produce bit-identical stores; native wins by roughly the
+// cost of the second scan.
 func BenchmarkMaterializeNativeMeasure(b *testing.B) {
 	ds := benchCubeDataset(b)
 	aux := make([]float64, ds.NumTuples())

@@ -255,9 +255,6 @@ func TestRefreshMeasureResidualExact(t *testing.T) {
 	if !cube.snap().Store.HasResidual() {
 		t.Fatal("refresh dropped the residual")
 	}
-	if !cube.AuxStored() {
-		t.Fatal("refresh dropped the stored aux form")
-	}
 
 	fullRows := append(append([][]int32{}, base...), delta...)
 	fullAux := append(append([]float64{}, baseAux...), deltaAux...)

@@ -3,15 +3,17 @@ package ccubing
 // Seeded randomized cross-engine equivalence: beyond parallel_test.go's two
 // fixed datasets, this sweeps engines × dimension orders × worker counts ×
 // min_sup × closed/iceberg × measures over small random relations, asserting
-// every configuration emits the identical sorted cell set (and, for native-
-// measure engines, measure values matching the AttachMeasure post-pass).
+// every configuration emits the identical sorted cell set (and measure values
+// matching the AttachMeasure post-pass oracle).
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"ccubing/internal/core"
+	"ccubing/internal/cubestore"
 )
 
 // randomEquivalenceDataset draws a small relation with random shape.
@@ -99,12 +101,24 @@ func TestCrossEngineEquivalenceRandomized(t *testing.T) {
 }
 
 // TestCrossEngineMeasuresRandomized checks the measure dimension of the
-// sweep: native aggregation (BUC iceberg, QC-DFS closed) must agree with the
-// AttachMeasure post-pass every other engine relies on, across random
-// relations and measure kinds.
+// sweep: every engine aggregates the measure during its cubing pass, and for
+// all seven engines × sum/min/max/avg the result must agree with the
+// AttachMeasure post-pass oracle (count-only compute, then a rescan) —
+// sequentially, sharded across workers, and through the out-of-core partition
+// driver. For the closed-capable engines, Materialize must additionally
+// freeze a store byte-identical to one built from the oracle's cells.
 func TestCrossEngineMeasuresRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(774))
 	kinds := []MeasureKind{MeasureSum, MeasureMin, MeasureMax, MeasureAvg}
+	modes := []struct {
+		alg    Algorithm
+		closed bool
+	}{
+		{AlgMM, true}, {AlgStar, true}, {AlgStarArray, true},
+		{AlgQCDFS, true}, {AlgQCTree, true}, {AlgOBBUC, true},
+		{AlgBUC, false},
+	}
+	const minsup = 2
 	for trial := 0; trial < 3; trial++ {
 		ds := randomEquivalenceDataset(t, rng)
 		aux := make([]float64, ds.NumTuples())
@@ -114,38 +128,97 @@ func TestCrossEngineMeasuresRandomized(t *testing.T) {
 		if err := ds.SetMeasure(aux); err != nil {
 			t.Fatal(err)
 		}
-		kind := kinds[rng.Intn(len(kinds))]
-		for _, mode := range []struct {
-			alg    Algorithm
-			closed bool
-		}{{AlgBUC, false}, {AlgQCDFS, true}} {
-			opt := Options{MinSup: 2, Closed: mode.closed, Algorithm: mode.alg, Measure: kind}
-			native, _, err := ComputeCollect(ds, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opt.Measure = MeasureNone
-			post, _, err := ComputeCollect(ds, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := AttachMeasure(ds, post, kind); err != nil {
-				t.Fatal(err)
-			}
-			// AttachMeasure fills stored aggregates (avg as the running sum);
-			// Compute presents at egress, so present the oracle the same way.
-			for i := range post {
-				post[i].Aux = core.Present(kind, post[i].Aux, post[i].Count)
-			}
-			native, post = sortedCells(native), sortedCells(post)
-			if len(native) != len(post) {
-				t.Fatalf("trial %d %v: %d native cells vs %d post cells", trial, mode.alg, len(native), len(post))
-			}
-			for i := range native {
-				if native[i].Count != post[i].Count || native[i].Aux != post[i].Aux {
-					t.Fatalf("trial %d %v %v: cell %v native (%d,%g), post-pass (%d,%g)",
-						trial, mode.alg, kind, native[i].Values,
-						native[i].Count, native[i].Aux, post[i].Count, post[i].Aux)
+		for _, kind := range kinds {
+			for _, mode := range modes {
+				name := fmt.Sprintf("trial%d/%v/%v", trial, mode.alg, kind)
+				opt := Options{MinSup: minsup, Closed: mode.closed, Algorithm: mode.alg}
+				stored, _, err := ComputeCollect(ds, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if err := AttachMeasure(ds, stored, kind); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				// AttachMeasure fills stored aggregates (avg as the running
+				// sum); Compute presents at egress, so present the oracle the
+				// same way.
+				post := make([]Cell, len(stored))
+				for i, c := range stored {
+					post[i] = Cell{Values: c.Values, Count: c.Count, Aux: core.Present(kind, c.Aux, c.Count)}
+				}
+				post = sortedCells(post)
+
+				opt.Measure = kind
+				runs := map[string]func() ([]Cell, error){
+					"sequential": func() ([]Cell, error) {
+						cells, _, err := ComputeCollect(ds, opt)
+						return cells, err
+					},
+					"workers=3": func() ([]Cell, error) {
+						wopt := opt
+						wopt.Workers = 3
+						cells, _, err := ComputeCollect(ds, wopt)
+						return cells, err
+					},
+					"partitioned": func() ([]Cell, error) {
+						var cells []Cell
+						_, err := ComputePartitioned(ds, opt, PartitionOptions{Buckets: 3, TempDir: t.TempDir()}, func(c Cell) {
+							cells = append(cells, Cell{Values: append([]int32(nil), c.Values...), Count: c.Count, Aux: c.Aux})
+						})
+						return cells, err
+					},
+				}
+				for run, compute := range runs {
+					native, err := compute()
+					if err != nil {
+						t.Fatalf("%s/%s: %v", name, run, err)
+					}
+					native = sortedCells(native)
+					if len(native) != len(post) {
+						t.Fatalf("%s/%s: %d native cells vs %d post cells", name, run, len(native), len(post))
+					}
+					for i := range native {
+						if native[i].Count != post[i].Count || native[i].Aux != post[i].Aux {
+							t.Fatalf("%s/%s: cell %v native (%d,%g), post-pass (%d,%g)",
+								name, run, native[i].Values,
+								native[i].Count, native[i].Aux, post[i].Count, post[i].Aux)
+						}
+					}
+				}
+
+				if !mode.closed {
+					continue
+				}
+				ob := cubestore.NewBuilder(ds.NumDims(), true)
+				for _, c := range stored {
+					ob.Add(c.Values, c.Count, c.Aux)
+				}
+				if err := ob.SetResidual(cubestore.ComputeResidual(ds.t.Cols, ds.t.Aux, minsup, kind)); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				oracle, err := ob.Build()
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				var want bytes.Buffer
+				if err := oracle.Save(&want); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for _, w := range []int{0, 3} {
+					mopt := opt
+					mopt.Workers = w
+					cube, err := Materialize(ds, mopt)
+					if err != nil {
+						t.Fatalf("%s/materialize workers=%d: %v", name, w, err)
+					}
+					var got bytes.Buffer
+					if err := cube.snap().Store.Save(&got); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if !bytes.Equal(got.Bytes(), want.Bytes()) {
+						t.Fatalf("%s/materialize workers=%d: store differs from the AttachMeasure oracle's (%d vs %d bytes)",
+							name, w, got.Len(), want.Len())
+					}
 				}
 			}
 		}

@@ -11,16 +11,18 @@ import (
 	"ccubing/internal/table"
 )
 
-// AttachMeasure computes a complex measure (paper Sec. 6.1) for
-// already-collected cells, filling each cell's Aux in place with the stored
-// aggregate: the sum for MeasureSum and MeasureAvg (avg is the algebraic pair
-// (Aux, Count); divide to present), the extremum for MeasureMin/MeasureMax.
-// This matches what native-measure engines emit, so attached and native
-// aggregates are bit-identical. Lemma 1 guarantees the closed cube on count
-// loses no closed cells of any measure, so attaching measures after closed
-// cubing is sound. All cells aggregate in one scan per distinct
-// fixed-dimension pattern (cuboid) rather than one scan per cell: cost is
-// O(T × cuboids + cells), so even full closed-cube outputs are practical.
+// AttachMeasure computes a complex measure (paper Sec. 6.1) for an arbitrary
+// list of cells — collected from any run, or written by hand — filling each
+// cell's Aux in place with the stored aggregate: the sum for MeasureSum and
+// MeasureAvg (avg is the algebraic pair (Aux, Count); divide to present), the
+// extremum for MeasureMin/MeasureMax. Every engine aggregates Options.Measure
+// during its own pass; this independent rescan is bit-identical to what they
+// emit, which makes it the oracle the equivalence suite checks them against.
+// Lemma 1 guarantees the closed cube on count loses no closed cells of any
+// measure, so attaching measures after closed cubing is sound. All cells
+// aggregate in one scan per distinct fixed-dimension pattern (cuboid) rather
+// than one scan per cell: cost is O(T × cuboids + cells), so even full
+// closed-cube outputs are practical.
 func AttachMeasure(ds *Dataset, cells []Cell, kind MeasureKind) error {
 	if kind == MeasureNone {
 		return nil
@@ -178,9 +180,9 @@ func (popt PartitionOptions) resolveDim(ds *Dataset) (int, error) {
 // files on one dimension, partitions are cubed one at a time, and the cells
 // collapsing the partition dimension come from one final pass with that
 // dimension moved last. The emitted cell set equals Compute's, including
-// native measures: partition files carry the aux column, so per-cell
-// aggregates survive the spill (cells fixing the partition dimension keep all
-// their tuples inside one partition; the final pass sees every tuple). With
+// measures: partition files carry the aux column, so per-cell aggregates
+// survive the spill (cells fixing the partition dimension keep all their
+// tuples inside one partition; the final pass sees every tuple). With
 // Options.Workers > 1 up to that many partitions are loaded and cubed
 // concurrently, trading the one-partition memory bound for a Workers-
 // partition bound.

@@ -6,14 +6,16 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ccubing/internal/cubestore"
+	"ccubing/internal/refresh"
 )
 
 // measureDataset builds a synthetic dataset with an integer-valued measure
 // column (so float sums are exact and comparisons can be byte-strict).
-func measureDataset(t *testing.T, seed int64) *Dataset {
+func measureDataset(t testing.TB, seed int64) *Dataset {
 	t.Helper()
 	ds, err := Synthetic(SyntheticConfig{T: 600, Cards: []int{7, 6, 5, 4}, Skew: 1.0, Seed: seed})
 	if err != nil {
@@ -99,9 +101,6 @@ func TestCubeSnapshotIcebergMeasureRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cube.AuxStored() {
-		t.Fatal("materialized avg cube must hold stored aggregates")
-	}
 	var buf1 bytes.Buffer
 	if err := cube.Save(&buf1); err != nil {
 		t.Fatal(err)
@@ -120,8 +119,8 @@ func TestCubeSnapshotIcebergMeasureRoundTrip(t *testing.T) {
 	if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
 		t.Fatalf("snapshot not byte-identical after round trip (%d vs %d bytes)", buf1.Len(), buf2.Len())
 	}
-	if !loaded.AuxStored() || loaded.Measure() != MeasureAvg {
-		t.Fatalf("loaded cube lost its aux form (stored=%v, measure=%v)", loaded.AuxStored(), loaded.Measure())
+	if loaded.Measure() != MeasureAvg {
+		t.Fatalf("loaded cube lost its measure kind (%v)", loaded.Measure())
 	}
 	spec := make(QuerySpec, ds.NumDims())
 	groupBy := []string{ds.Names()[0], ds.Names()[2]}
@@ -146,76 +145,72 @@ func TestCubeSnapshotIcebergMeasureRoundTrip(t *testing.T) {
 	}
 }
 
-// legacyV3Snapshot hand-writes a version-3 cube snapshot — the pre-residual,
-// pre-aux-form format — around a residual-free version-1 store payload, the
-// way a pre-upgrade writer would have produced it.
-func legacyV3Snapshot(t *testing.T, minSup int64, measure MeasureKind, names []string, store *cubestore.Store) []byte {
+// rewriteCubeHeader applies edit to the metadata header of a cube snapshot
+// and recomputes the header CRC, so the mutation reaches the field checks
+// instead of tripping the checksum.
+func rewriteCubeHeader(t *testing.T, raw []byte, edit func(head []byte)) []byte {
 	t.Helper()
-	var head bytes.Buffer
-	putUvarint := func(v uint64) {
-		var b [binary.MaxVarintLen64]byte
-		head.Write(b[:binary.PutUvarint(b[:], v)])
+	off := len(cubeMagic) + 1
+	hlen, n := binary.Uvarint(raw[off:])
+	if n <= 0 {
+		t.Fatal("bad header length prefix")
 	}
-	putUvarint(uint64(minSup))
-	head.WriteByte(0) // algorithm
-	head.WriteByte(byte(measure))
-	putUvarint(0) // generation
-	putUvarint(5) // source rows
-	putUvarint(uint64(len(names)))
-	for _, n := range names {
-		putUvarint(uint64(len(n)))
-		head.WriteString(n)
-	}
-	head.WriteByte(0) // no dictionaries
-
-	var buf bytes.Buffer
-	buf.WriteString("CCUBE\x00\x00")
-	buf.WriteByte(3)
-	var b [binary.MaxVarintLen64]byte
-	buf.Write(b[:binary.PutUvarint(b[:], uint64(head.Len()))])
-	buf.Write(head.Bytes())
-	binary.LittleEndian.PutUint32(b[:4], crc32.ChecksumIEEE(head.Bytes()))
-	buf.Write(b[:4])
-	if err := store.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	off += n
+	out := append([]byte(nil), raw...)
+	head := out[off : off+int(hlen)]
+	edit(head)
+	binary.LittleEndian.PutUint32(out[off+int(hlen):], crc32.ChecksumIEEE(head))
+	return out
 }
 
-// TestCubeSnapshotLegacyV3Load pins the honest-degrade contract for old
-// snapshots: a version-3 avg cube (cells hold presented means, store carries
-// no residual) loads, keeps its mean values undivided at egress, and reports
-// exact=false on aggregates instead of passing bounds off as totals.
-func TestCubeSnapshotLegacyV3Load(t *testing.T) {
-	// Relation: (0,0) x2 with aux 2.0 each, (1,1) x3 with aux 3.0 each.
-	// Closed iceberg cube at min_sup 3: the apex (mean 13/5) and (1,1)
-	// (mean 3.0), stored in PRESENTED form as a legacy writer did.
+// residualFreeAvgCube wraps a hand-built iceberg store — cells at min_sup 3,
+// built through cubestore.Builder WITHOUT SetResidual — in a static avg cube.
+// Relation: (0,0) x2 with aux 2.0 each, (1,1) x3 with aux 3.0 each; the
+// closed iceberg cells are the apex (sum 13) and (1,1) (sum 9), in stored
+// form.
+func residualFreeAvgCube(t testing.TB) *Cube {
+	t.Helper()
 	b := cubestore.NewBuilder(2, true)
-	b.Add([]int32{Star, Star}, 5, 13.0/5)
-	b.Add([]int32{1, 1}, 3, 3.0)
+	b.Add([]int32{Star, Star}, 5, 13)
+	b.Add([]int32{1, 1}, 3, 9)
 	store, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := legacyV3Snapshot(t, 3, MeasureAvg, []string{"a", "b"}, store)
-	cube, err := LoadCube(bytes.NewReader(raw))
+	cube := &Cube{names: []string{"a", "b"}, minSup: 3, measure: MeasureAvg}
+	cube.static.Store(&refresh.Snapshot{Store: store, Rows: 5})
+	return cube
+}
+
+// TestCubeSnapshotResidualFree pins the honest-degrade contract: a
+// current-version iceberg snapshot whose store carries no residual loads,
+// presents its stored avg sums at egress, round-trips byte-identically, and
+// reports exact=false on aggregates instead of passing bounds off as totals.
+func TestCubeSnapshotResidualFree(t *testing.T) {
+	var raw bytes.Buffer
+	if err := residualFreeAvgCube(t).Save(&raw); err != nil {
+		t.Fatal(err)
+	}
+	cube, err := LoadCube(bytes.NewReader(raw.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cube.MinSup() != 3 || cube.Measure() != MeasureAvg {
 		t.Fatalf("loaded metadata: minsup %d, measure %v", cube.MinSup(), cube.Measure())
 	}
-	if cube.AuxStored() {
-		t.Fatal("version-3 snapshot must load with auxStored=false")
+	var again bytes.Buffer
+	if err := cube.Save(&again); err != nil {
+		t.Fatal(err)
 	}
-	// Egress must NOT divide again: the cells already hold means.
+	if !bytes.Equal(raw.Bytes(), again.Bytes()) {
+		t.Fatalf("residual-free snapshot not byte-identical after round trip (%d vs %d bytes)", raw.Len(), again.Len())
+	}
 	cell, ok := cube.Lookup([]int32{1, 1})
 	if !ok || cell.Aux != 3.0 {
-		t.Fatalf("legacy avg cell = (%+v, %v), want aux 3.0 undivided", cell, ok)
+		t.Fatalf("avg cell = (%+v, %v), want the stored sum 9 presented as 3.0", cell, ok)
 	}
-	stored, ok := cube.LookupStored([]int32{1, 1})
-	if !ok || stored.Aux != cell.Aux {
-		t.Fatal("legacy cells have no separate stored form")
+	if stored, ok := cube.LookupStored([]int32{1, 1}); !ok || stored.Aux != 9 {
+		t.Fatalf("stored cell = (%+v, %v), want aux 9", stored, ok)
 	}
 	// No residual in the store: iceberg aggregates are lower bounds.
 	rows, exact, err := cube.Aggregate(make(QuerySpec, 2), AggregateOptions{GroupBy: []string{"a"}})
@@ -223,13 +218,63 @@ func TestCubeSnapshotLegacyV3Load(t *testing.T) {
 		t.Fatal(err)
 	}
 	if exact {
-		t.Fatal("legacy residual-free iceberg cube must report exact=false")
+		t.Fatal("residual-free iceberg cube must report exact=false")
 	}
 	if len(rows) == 0 {
-		t.Fatal("legacy cube must still answer aggregates")
+		t.Fatal("residual-free cube must still answer aggregates")
 	}
-	// Explicit avg combination needs stored aggregates; legacy cubes refuse.
-	if _, _, err := cube.Aggregate(make(QuerySpec, 2), AggregateOptions{AuxAgg: MeasureAvg}); err == nil {
-		t.Fatal("aux-agg avg on a legacy presented-mean cube must error")
+}
+
+// TestCubeSnapshotLegacyV3Load pins the single-version contract: snapshots
+// of the three older layouts (1: no generation/row metadata, 2: no measure
+// kind, 3: no aux-form byte, no store residual) are rejected by version with
+// a descriptive error — never parsed as the current layout, never a panic.
+func TestCubeSnapshotLegacyV3Load(t *testing.T) {
+	var raw bytes.Buffer
+	if err := residualFreeAvgCube(t).Save(&raw); err != nil {
+		t.Fatal(err)
+	}
+	for v := byte(1); v < CubeSnapshotVersion; v++ {
+		old := append([]byte(nil), raw.Bytes()...)
+		old[len(cubeMagic)] = v
+		_, err := LoadCube(bytes.NewReader(old))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported snapshot version %d", v)) {
+			t.Fatalf("version %d: err %v, want an unsupported-version error", v, err)
+		}
+	}
+}
+
+// TestLoadCubeRejectsBadHeaderBytes is the regression test for the unchecked
+// algorithm byte: a CRC-valid header naming an engine that does not exist
+// used to load and surface as "Algorithm(200)" through /v1/meta. The aux-form
+// byte gets the same treatment — only the stored form exists.
+func TestLoadCubeRejectsBadHeaderBytes(t *testing.T) {
+	var raw bytes.Buffer
+	if err := residualFreeAvgCube(t).Save(&raw); err != nil {
+		t.Fatal(err)
+	}
+	// Header layout: minsup uvarint (3: one byte), algorithm, measure kind,
+	// aux form.
+	cases := []struct {
+		name    string
+		off     int
+		val     byte
+		wantErr string
+	}{
+		{"algorithm", 1, 200, "unknown algorithm 200"},
+		{"algorithm just past the last engine", 1, byte(AlgOBBUC) + 1, "unknown algorithm"},
+		{"aux form", 3, 0, "unsupported aux form 0"},
+	}
+	for _, c := range cases {
+		mut := rewriteCubeHeader(t, raw.Bytes(), func(head []byte) { head[c.off] = c.val })
+		_, err := LoadCube(bytes.NewReader(mut))
+		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Fatalf("%s: err %v, want %q", c.name, err, c.wantErr)
+		}
+	}
+	ok := rewriteCubeHeader(t, raw.Bytes(), func(head []byte) { head[1] = byte(AlgOBBUC) })
+	cube, err := LoadCube(bytes.NewReader(ok))
+	if err != nil || cube.Algorithm() != AlgOBBUC {
+		t.Fatalf("last valid algorithm byte: cube %v, err %v", cube, err)
 	}
 }

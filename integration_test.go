@@ -85,13 +85,14 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatal("no cells")
 	}
 
-	ix, err := NewCubeIndex(ds, cells)
+	cube, err := Materialize(ds, Options{MinSup: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer cube.Close()
 	for _, c := range cells[:min(20, len(cells))] {
-		if got, ok := ix.Query(c.Values); !ok || got != c.Count {
-			t.Fatalf("index query %v = %d,%v want %d", c.Values, got, ok, c.Count)
+		if got, ok := cube.Query(c.Values); !ok || got != c.Count {
+			t.Fatalf("cube query %v = %d,%v want %d", c.Values, got, ok, c.Count)
 		}
 	}
 

@@ -18,19 +18,18 @@ type Config struct {
 	// MinSup is the iceberg threshold on count; cells below it are pruned.
 	MinSup int64
 	// Measure optionally aggregates the table's Aux column per output cell
-	// into stored aggregates delivered through sink.AuxSink (paper Sec. 6.1).
-	// Avg is delivered as its algebraic pair: (stored sum, count).
+	// into the stored aggregate every emission carries (paper Sec. 6.1). Avg
+	// is delivered as its algebraic pair: (stored sum, count).
 	Measure core.MeasureKind
 }
 
 type runner struct {
-	t      *table.Table
-	cfg    Config
-	out    sink.Sink
-	auxOut sink.AuxSink
-	parts  []psort.Partitioner // one per dimension: no reentrant reuse
-	tids   []core.TID
-	vals   []core.Value
+	t     *table.Table
+	cfg   Config
+	out   sink.Sink
+	parts []psort.Partitioner // one per dimension: no reentrant reuse
+	tids  []core.TID
+	vals  []core.Value
 }
 
 // Run computes the iceberg cube of t and emits every cell with
@@ -57,9 +56,6 @@ func Run(t *table.Table, cfg Config, out sink.Sink) error {
 		parts: make([]psort.Partitioner, t.NumDims()),
 		tids:  make([]core.TID, n),
 		vals:  make([]core.Value, t.NumDims()),
-	}
-	if a, ok := out.(sink.AuxSink); ok && cfg.Measure != core.MeasureNone {
-		r.auxOut = a
 	}
 	for i := range r.tids {
 		r.tids[i] = core.TID(i)
@@ -91,14 +87,5 @@ func (r *runner) recurse(lo, hi, dim int) {
 }
 
 func (r *runner) emit(lo, hi int) {
-	count := int64(hi - lo)
-	if r.auxOut != nil {
-		agg := core.NewMeasureAgg(r.cfg.Measure)
-		for _, tid := range r.tids[lo:hi] {
-			agg.Add(r.t.Aux[tid])
-		}
-		r.auxOut.EmitAux(r.vals, count, agg.Stored())
-		return
-	}
-	r.out.Emit(r.vals, count)
+	r.out.Emit(r.vals, int64(hi-lo), core.FoldStored(r.cfg.Measure, r.t.Aux, r.tids[lo:hi]))
 }

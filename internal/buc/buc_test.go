@@ -115,7 +115,7 @@ func TestAuxMeasureSum(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb.Aux = []float64{10, 20, 40}
-	var c sink.AuxCollector
+	var c sink.Collector
 	if err := Run(tb, Config{MinSup: 1, Measure: core.MeasureSum}, &c); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -142,7 +142,7 @@ func TestAuxMeasureAvg(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb.Aux = []float64{1, 3, 5}
-	var c sink.AuxCollector
+	var c sink.Collector
 	if err := Run(tb, Config{MinSup: 1, Measure: core.MeasureAvg}, &c); err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -7,14 +7,13 @@ import (
 )
 
 // bucEngine adapts this package to the engine registry. BUC prunes bottom-up
-// on min_sup and has no closedness checking, so it is iceberg-only; it is
-// one of the two engines aggregating complex measures natively.
+// on min_sup and has no closedness checking, so it is iceberg-only.
 type bucEngine struct{}
 
 func (bucEngine) Name() string { return "BUC" }
 
 func (bucEngine) Capabilities() engine.Capabilities {
-	return engine.Capabilities{Iceberg: true, NativeMeasure: true}
+	return engine.Capabilities{Iceberg: true}
 }
 
 func (bucEngine) Run(t *table.Table, cfg engine.Config, out sink.Sink) error {

@@ -131,6 +131,20 @@ func CombineStored(k MeasureKind, a, b float64) float64 {
 	}
 }
 
+// FoldStored aggregates the measure column aux over the tuples tids into the
+// stored aggregate of kind — what a cell covering exactly those tuples emits.
+// MeasureNone folds to 0, the aux of a run without a measure.
+func FoldStored(k MeasureKind, aux []float64, tids []TID) float64 {
+	if k == MeasureNone {
+		return 0
+	}
+	acc := StoredIdentity(k)
+	for _, tid := range tids {
+		acc = CombineStored(k, acc, aux[tid])
+	}
+	return acc
+}
+
 // Present converts a stored aggregate plus its cell count to the user-facing
 // measure value: the mean for Avg, the stored value otherwise. An empty
 // (count 0) min/max/avg presents as NaN, matching MeasureAgg.Value.

@@ -71,22 +71,16 @@ func (b *Builder) AddBatch(arena []core.Value, cells []sink.BatchCell) {
 	}
 }
 
-// BuilderSink adapts a Builder to the sink interfaces (Sink, AuxSink and the
-// BatchSink bulk path), counting the cells it forwards. It is the terminal
-// sink of Materialize-style builds whose dimension order needs no remapping.
+// BuilderSink adapts a Builder to the sink interfaces (Sink and the BatchSink
+// bulk path), counting the cells it forwards. It is the terminal sink of
+// Materialize-style builds whose dimension order needs no remapping.
 type BuilderSink struct {
 	B     *Builder
 	Cells int64
 }
 
 // Emit implements sink.Sink.
-func (s *BuilderSink) Emit(vals []core.Value, count int64) {
-	s.B.Add(vals, count, 0)
-	s.Cells++
-}
-
-// EmitAux implements sink.AuxSink.
-func (s *BuilderSink) EmitAux(vals []core.Value, count int64, aux float64) {
+func (s *BuilderSink) Emit(vals []core.Value, count int64, aux float64) {
 	s.B.Add(vals, count, aux)
 	s.Cells++
 }

@@ -2,7 +2,9 @@ package cubestore
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ccubing/internal/core"
@@ -279,9 +281,12 @@ func TestResidualSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestResidualSnapshotLegacyByteIdentity pins the compatibility contract:
-// a store without a residual still writes the legacy version-1 format, so
-// pre-residual readers keep working and pre-residual snapshots stay valid.
+// TestResidualSnapshotLegacyByteIdentity pins the single-version contract from
+// both sides. A store built without a residual is written in the current
+// version — its residual section says "absent" — loads without one, and
+// round-trips byte-identically. The legacy version bytes (1: no residual
+// section; 2: residual section without the presence byte) are rejected with a
+// descriptive error rather than parsed.
 func TestResidualSnapshotLegacyByteIdentity(t *testing.T) {
 	tbl := testTable(t, 300, []int{5, 4, 3}, 0.6, 13)
 	s := buildFromClosed(t, tbl, 3)
@@ -289,23 +294,39 @@ func TestResidualSnapshotLegacyByteIdentity(t *testing.T) {
 	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if got := buf.Bytes()[7]; got != snapshotVersionLegacy {
-		t.Fatalf("residual-free snapshot has version byte %d, want legacy %d", got, snapshotVersionLegacy)
+	if got := buf.Bytes()[7]; got != SnapshotVersion {
+		t.Fatalf("residual-free snapshot has version byte %d, want %d", got, SnapshotVersion)
 	}
 	loaded, err := Load(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loaded.HasResidual() {
-		t.Fatal("legacy snapshot must load without a residual")
+		t.Fatal("residual-free snapshot must load without a residual")
 	}
 	if loaded.ResidualRows() != 0 || loaded.Residual() != nil {
-		t.Fatal("residual accessors must report absence on legacy stores")
+		t.Fatal("residual accessors must report absence")
+	}
+	var again bytes.Buffer
+	if err := loaded.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+		t.Fatalf("residual-free snapshot not byte-identical after round trip (%d vs %d bytes)", buf.Len(), again.Len())
+	}
+	for _, v := range []byte{1, 2} {
+		old := append([]byte(nil), buf.Bytes()...)
+		old[7] = v
+		_, err := Load(bytes.NewReader(old))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported snapshot version %d", v)) {
+			t.Fatalf("version %d: err %v, want an unsupported-version error", v, err)
+		}
 	}
 }
 
 // TestResidualSnapshotEveryByteFlip extends the single-byte-flip guarantee to
-// the residual section: every mutation of a version-2 snapshot must fail Load.
+// the residual section: every mutation of a residual-carrying snapshot must
+// fail Load.
 func TestResidualSnapshotEveryByteFlip(t *testing.T) {
 	tbl := testTable(t, 150, []int{5, 4, 3}, 0.8, 19)
 	s := buildWithResidual(t, tbl, 3, core.MeasureSum)

@@ -29,7 +29,9 @@ import (
 //	  keys   rows*width raw bytes (width = 4 * popcount(mask))
 //	  counts rows uvarints
 //	  aux    rows float64 bit patterns (8 bytes LE each), only when hasAux
-//	residual section, version >= 2 only:
+//	residual section:
+//	  present 1 byte (0/1); 0 ends the section — a store built without a
+//	         residual, whose iceberg aggregates are lower bounds
 //	  rows   uvarint (0 is valid: nothing fell below the threshold)
 //	  keys   rows*nd*4 raw bytes (full-width packed keys, strictly sorted)
 //	  counts rows uvarints (each >= 1)
@@ -38,26 +40,23 @@ import (
 //
 // Groups and rows are written in the store's canonical order (masks
 // ascending, keys lexicographic), so Save is deterministic: Save → Load →
-// Save reproduces identical bytes. Stores without a residual are written as
-// version 1 — byte-identical to pre-residual snapshots — so only
-// residual-carrying stores need the newer reader.
+// Save reproduces identical bytes, with or without a residual.
 
 const snapshotMagic = "CCSTOR\x00"
 
-// SnapshotVersion is the current snapshot format version: version 2 appends
-// the residual section of iceberg-pruned mass. Version 1 snapshots (no
-// residual) still load, and Save emits version 1 when no residual is
-// attached.
-const SnapshotVersion = 2
-
-// snapshotVersionLegacy is the residual-free format every snapshot used
-// before version 2 and residual-free stores still use.
-const snapshotVersionLegacy = 1
+// SnapshotVersion is the one snapshot format version Save writes and Load
+// accepts; files of any other version are rejected (git history is the
+// archive of the older layouts).
+const SnapshotVersion = 3
 
 // maxSnapshotRows bounds one cuboid group's declared row count during Load:
 // far above any real cube, and small enough that the count fits int (and
 // row counts times ValueWidth fit int64) on every platform.
 const maxSnapshotRows = 1<<31 - 1
+
+// maxGroupPrealloc caps how many cuboid groups Load pre-allocates from the
+// declared count before any of them has been read.
+const maxGroupPrealloc = 1 << 12
 
 // ReadAllChunked reads exactly n bytes, growing the buffer as data actually
 // arrives so a corrupt length prefix fails on EOF instead of pre-allocating
@@ -93,11 +92,7 @@ func (s *Store) Save(w io.Writer) error {
 	if _, err := cw.Write([]byte(snapshotMagic)); err != nil {
 		return fmt.Errorf("cubestore: save: %w", err)
 	}
-	version := byte(snapshotVersionLegacy)
-	if s.res != nil {
-		version = SnapshotVersion
-	}
-	if _, err := cw.Write([]byte{version}); err != nil {
+	if _, err := cw.Write([]byte{SnapshotVersion}); err != nil {
 		return fmt.Errorf("cubestore: save: %w", err)
 	}
 	var scratch [binary.MaxVarintLen64]byte
@@ -142,6 +137,13 @@ func (s *Store) Save(w io.Writer) error {
 				}
 			}
 		}
+	}
+	hasRes := byte(0)
+	if s.res != nil {
+		hasRes = 1
+	}
+	if _, err := cw.Write([]byte{hasRes}); err != nil {
+		return fmt.Errorf("cubestore: save: residual: %w", err)
 	}
 	if s.res != nil {
 		if err := putUvarint(uint64(s.res.NumRows())); err != nil {
@@ -205,9 +207,8 @@ func load(cr *crcReader) (*Store, error) {
 	if string(head[:7]) != snapshotMagic {
 		return nil, fmt.Errorf("cubestore: load: bad magic %q", head[:7])
 	}
-	version := head[7]
-	if version < snapshotVersionLegacy || version > SnapshotVersion {
-		return nil, fmt.Errorf("cubestore: load: unsupported snapshot version %d (want %d..%d)", version, snapshotVersionLegacy, SnapshotVersion)
+	if version := head[7]; version != SnapshotVersion {
+		return nil, fmt.Errorf("cubestore: load: unsupported snapshot version %d (want %d)", version, SnapshotVersion)
 	}
 	nd64, err := binary.ReadUvarint(rd)
 	if err != nil {
@@ -232,11 +233,15 @@ func load(cr *crcReader) (*Store, error) {
 	if ngroups > 1<<uint(min(nd, 62)) {
 		return nil, fmt.Errorf("cubestore: load: %d cuboid groups exceed 2^%d", ngroups, nd)
 	}
+	// The declared group count only sizes a hint: 2^nd is a legal count for
+	// large nd, so pre-allocating it verbatim would let a 20-byte file demand
+	// terabytes. Groups beyond the hint grow as they actually arrive.
+	hint := int(min(ngroups, maxGroupPrealloc))
 	s := &Store{
 		nd:     nd,
 		hasAux: hasAux,
-		groups: make([]*group, 0, ngroups),
-		byMask: make(map[core.Mask]*group, ngroups),
+		groups: make([]*group, 0, hint),
+		byMask: make(map[core.Mask]*group, hint),
 	}
 	var prevMask uint64
 	for gi := uint64(0); gi < ngroups; gi++ {
@@ -307,12 +312,8 @@ func load(cr *crcReader) (*Store, error) {
 		s.byMask[g.mask] = g
 		s.cells += int64(rows)
 	}
-	if version >= SnapshotVersion {
-		res, err := loadResidual(rd, nd, hasAux)
-		if err != nil {
-			return nil, err
-		}
-		s.res = res
+	if s.res, err = loadResidual(rd, nd, hasAux); err != nil {
+		return nil, err
 	}
 	want := cr.crc
 	var tail [4]byte
@@ -328,10 +329,21 @@ func load(cr *crcReader) (*Store, error) {
 	return s, nil
 }
 
-// loadResidual parses the version-2 residual section, validating the same
-// structural invariants group loading enforces: bounded row counts, bounds
-// checked before allocation, strictly sorted keys, positive counts.
+// loadResidual parses the residual section (nil when the presence byte says
+// the store has none), validating the same structural invariants group
+// loading enforces: bounded row counts, bounds checked before allocation,
+// strictly sorted keys, positive counts.
 func loadResidual(rd *byteReader, nd int, hasAux bool) (*Residual, error) {
+	present, err := rd.ReadByte()
+	if err != nil {
+		return nil, fmt.Errorf("cubestore: load: residual: %w", err)
+	}
+	if present > 1 {
+		return nil, fmt.Errorf("cubestore: load: bad residual flag %d", present)
+	}
+	if present == 0 {
+		return nil, nil
+	}
 	rows64, err := binary.ReadUvarint(rd)
 	if err != nil {
 		return nil, fmt.Errorf("cubestore: load: residual: %w", err)

@@ -23,8 +23,9 @@ type Config struct {
 	// Closed computes the closed (iceberg) cube instead of the plain
 	// iceberg cube.
 	Closed bool
-	// Measure optionally aggregates the table's Aux column natively
-	// (engines with Capabilities.NativeMeasure only).
+	// Measure optionally aggregates the table's Aux column during the cubing
+	// pass (paper Sec. 6.1); every engine delivers the stored aggregate with
+	// each emitted cell.
 	Measure core.MeasureKind
 	// DenseBudget overrides the MM-Cubing dense array budget, in cells.
 	DenseBudget int
@@ -43,10 +44,6 @@ type Capabilities struct {
 	Closed bool
 	// Iceberg: the engine can compute plain (non-closed) iceberg cubes.
 	Iceberg bool
-	// NativeMeasure: the engine aggregates a complex measure over the
-	// table's Aux column during the cube computation (paper Sec. 6.1),
-	// delivering values through sink.AuxSink.
-	NativeMeasure bool
 	// OrderSensitive: the engine's cost depends on dimension order, so
 	// dimension-ordering strategies (paper Sec. 5.5) should be applied
 	// before it runs. MM-Cubing is order-free; the tree engines are not.
@@ -78,13 +75,8 @@ func Validate(e Engine, hasAux bool, cfg Config) error {
 	if !cfg.Closed && !caps.Iceberg {
 		return fmt.Errorf("%s computes closed cubes only", e.Name())
 	}
-	if cfg.Measure != core.MeasureNone {
-		if !caps.NativeMeasure {
-			return fmt.Errorf("measure %v is not aggregated natively by %s; use AttachMeasure", cfg.Measure, e.Name())
-		}
-		if !hasAux {
-			return fmt.Errorf("measure %v requested but dataset has no measure column", cfg.Measure)
-		}
+	if cfg.Measure != core.MeasureNone && !hasAux {
+		return fmt.Errorf("measure %v requested but dataset has no measure column", cfg.Measure)
 	}
 	return nil
 }

@@ -69,9 +69,8 @@ func TestValidate(t *testing.T) {
 		{"iceberg ok", Capabilities{Iceberg: true}, false, Config{}, ""},
 		{"closed unsupported", Capabilities{Iceberg: true}, false, Config{Closed: true}, "iceberg cubes only"},
 		{"iceberg unsupported", Capabilities{Closed: true}, false, Config{}, "closed cubes only"},
-		{"measure unsupported", Capabilities{Iceberg: true}, true, Config{Measure: core.MeasureSum}, "not aggregated natively"},
-		{"measure without column", Capabilities{Iceberg: true, NativeMeasure: true}, false, Config{Measure: core.MeasureSum}, "no measure column"},
-		{"measure ok", Capabilities{Iceberg: true, NativeMeasure: true}, true, Config{Measure: core.MeasureSum}, ""},
+		{"measure without column", Capabilities{Iceberg: true}, false, Config{Measure: core.MeasureSum}, "no measure column"},
+		{"measure ok", Capabilities{Iceberg: true}, true, Config{Measure: core.MeasureSum}, ""},
 	}
 	for _, c := range cases {
 		err := Validate(fake{name: "E", caps: c.caps}, c.hasAux, c.cfg)

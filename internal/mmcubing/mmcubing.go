@@ -48,9 +48,8 @@ type Config struct {
 	// shortcut (ablation; Closed mode only).
 	DisableShortcut bool
 	// Measure optionally aggregates the table's Aux column per output cell
-	// during the dense-array and shortcut aggregation (paper Sec. 6.1),
-	// delivering stored aggregates (core.MeasureAgg.Stored) through
-	// sink.AuxSink.
+	// during the dense-array and shortcut aggregation (paper Sec. 6.1); every
+	// emission carries the stored aggregate (core.MeasureAgg.Stored).
 	Measure core.MeasureKind
 }
 
@@ -58,7 +57,6 @@ type runner struct {
 	t      *table.Table
 	cfg    Config
 	out    sink.Sink
-	auxOut sink.AuxSink // set when cfg.Measure is active and out accepts aux
 	nd     int
 	cols   core.Columns
 	full   core.Mask
@@ -103,9 +101,6 @@ func Run(t *table.Table, cfg Config, out sink.Sink) error {
 		vals:   make([]core.Value, t.NumDims()),
 		masked: make([][]bool, t.NumDims()),
 		freq:   make([][]int64, t.NumDims()),
-	}
-	if a, ok := out.(sink.AuxSink); ok && cfg.Measure != core.MeasureNone {
-		r.auxOut = a
 	}
 	if r.budget <= 0 {
 		r.budget = DefaultDenseBudget
@@ -293,7 +288,7 @@ func (r *runner) densePhase(tids []core.TID, active []int, denseVals [][]core.Va
 		// programming error.
 		panic(err)
 	}
-	if r.auxOut != nil {
+	if r.cfg.Measure != core.MeasureNone {
 		space.SetMeasure(r.cfg.Measure, r.t.Aux)
 	}
 	for _, tid := range tids {
@@ -310,11 +305,7 @@ func (r *runner) densePhase(tids []core.TID, active []int, denseVals [][]core.Va
 			allMask = allMask.Without(members[i].D)
 		}
 		if !r.cfg.Closed || cls.Closed(allMask) {
-			if r.auxOut != nil {
-				r.auxOut.EmitAux(r.vals, count, aux)
-			} else {
-				r.out.Emit(r.vals, count)
-			}
+			r.out.Emit(r.vals, count, aux)
 		}
 		for i := range members {
 			r.vals[members[i].D] = core.Star
@@ -340,15 +331,7 @@ func (r *runner) shortcut(tids []core.TID, active []int) {
 			fixed++
 		}
 	}
-	if r.auxOut != nil {
-		aux := core.StoredIdentity(r.cfg.Measure)
-		for _, tid := range tids {
-			aux = core.CombineStored(r.cfg.Measure, aux, r.t.Aux[tid])
-		}
-		r.auxOut.EmitAux(r.vals, int64(len(tids)), aux)
-	} else {
-		r.out.Emit(r.vals, int64(len(tids)))
-	}
+	r.out.Emit(r.vals, int64(len(tids)), core.FoldStored(r.cfg.Measure, r.t.Aux, tids))
 	for _, d := range active {
 		if c.Mask.Has(d) {
 			r.vals[d] = core.Star

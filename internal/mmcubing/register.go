@@ -14,9 +14,9 @@ func (ccMM) Name() string { return "CC(MM)" }
 
 func (ccMM) Capabilities() engine.Capabilities {
 	// MM-Cubing factorizes the lattice space and is insensitive to
-	// dimension order. Measures aggregate natively through the dense arrays
-	// and the shortcut (paper Sec. 6.1).
-	return engine.Capabilities{Closed: true, Iceberg: true, NativeMeasure: true}
+	// dimension order. Measures aggregate through the dense arrays and the
+	// shortcut (paper Sec. 6.1).
+	return engine.Capabilities{Closed: true, Iceberg: true}
 }
 
 func (ccMM) Run(t *table.Table, cfg engine.Config, out sink.Sink) error {

@@ -34,6 +34,9 @@ import (
 type Config struct {
 	// MinSup is the iceberg threshold on count.
 	MinSup int64
+	// Measure optionally aggregates the table's Aux column per closed cell,
+	// folded over the partition the candidate already holds at emission.
+	Measure core.MeasureKind
 }
 
 // indexKey is the two-level probe key of CLOSET+-style subsumption indices:
@@ -87,6 +90,9 @@ func RunStats(t *table.Table, cfg Config, out sink.Sink) (Stats, error) {
 	}
 	if err := t.Validate(); err != nil {
 		return Stats{}, fmt.Errorf("obcheck: %w", err)
+	}
+	if cfg.Measure != core.MeasureNone && t.Aux == nil {
+		return Stats{}, fmt.Errorf("obcheck: measure %v requested but table has no aux column", cfg.Measure)
 	}
 	n := t.NumTuples()
 	if int64(n) < cfg.MinSup {
@@ -179,7 +185,7 @@ func (r *runner) check(lo, hi, dim int) {
 			}
 		}
 	}
-	r.out.Emit(r.vals, count)
+	r.out.Emit(r.vals, count, core.FoldStored(r.cfg.Measure, r.t.Aux, part))
 	for d := 0; d < nd; d++ {
 		if r.vals[d] != core.Star {
 			k := indexKey{count: count, dim: int32(d), val: r.vals[d]}

@@ -17,7 +17,7 @@ func (obbucEngine) Capabilities() engine.Capabilities {
 }
 
 func (obbucEngine) Run(t *table.Table, cfg engine.Config, out sink.Sink) error {
-	return Run(t, Config{MinSup: cfg.MinSup}, out)
+	return Run(t, Config{MinSup: cfg.MinSup, Measure: cfg.Measure}, out)
 }
 
 func init() { engine.Register(obbucEngine{}) }

@@ -113,7 +113,7 @@ func Run(t *table.Table, eng engine.Engine, ecfg engine.Config, cfg Config, out 
 			// Closed mode: collect the projection cube's closed candidates and
 			// hand the agreement scan's chunk jobs straight back to the pool,
 			// so the scan overlaps the shard jobs still running.
-			col := &sink.AuxCollector{}
+			col := &sink.Collector{}
 			if err := eng.Run(pt, ecfg, col); err != nil {
 				return fmt.Errorf("parallel: final pass: %w", err)
 			}
@@ -341,37 +341,31 @@ func putValsScratch(s []core.Value) {
 
 // fixedFilter keeps cells fixing the partition dimension (shard runs).
 type fixedFilter struct {
-	next sink.AuxSink
+	next sink.Sink
 	dim  int
 }
 
 //ccubing:hotpath
-func (f *fixedFilter) Emit(vals []core.Value, count int64) { f.EmitAux(vals, count, 0) }
-
-//ccubing:hotpath
-func (f *fixedFilter) EmitAux(vals []core.Value, count int64, aux float64) {
+func (f *fixedFilter) Emit(vals []core.Value, count int64, aux float64) {
 	if vals[f.dim] != core.Star {
-		f.next.EmitAux(vals, count, aux)
+		f.next.Emit(vals, count, aux)
 	}
 }
 
 // starInsert widens projected cells back to the full dimensionality, placing
 // Star at the removed partition dimension (final pass, iceberg mode).
 type starInsert struct {
-	next    sink.AuxSink
+	next    sink.Sink
 	dim     int
 	scratch []core.Value
 }
 
 //ccubing:hotpath
-func (s *starInsert) Emit(vals []core.Value, count int64) { s.EmitAux(vals, count, 0) }
-
-//ccubing:hotpath
-func (s *starInsert) EmitAux(vals []core.Value, count int64, aux float64) {
+func (s *starInsert) Emit(vals []core.Value, count int64, aux float64) {
 	copy(s.scratch[:s.dim], vals[:s.dim])
 	s.scratch[s.dim] = core.Star
 	copy(s.scratch[s.dim+1:], vals[s.dim:])
-	s.next.EmitAux(s.scratch, count, aux)
+	s.next.Emit(s.scratch, count, aux)
 }
 
 // maskGroup indexes the closed-mode candidates of one cuboid (one pattern of
@@ -449,7 +443,7 @@ func (a *AgreementScan) Jobs() []func() error {
 // and emits each surviving candidate widened back to t's dimensionality with
 // a wildcard at dim. The emitted value slice is scratch, valid only during
 // the call, matching the sink contract.
-func (a *AgreementScan) EmitSurvivors(out sink.AuxSink) {
+func (a *AgreementScan) EmitSurvivors(out sink.Sink) {
 	vals := getValsScratch(a.t.NumDims())
 	defer putValsScratch(vals)
 	for ci, cand := range a.candidates {
@@ -471,7 +465,7 @@ func (a *AgreementScan) EmitSurvivors(out sink.AuxSink) {
 		copy(vals[:a.dim], cand.Values[:a.dim])
 		vals[a.dim] = core.Star
 		copy(vals[a.dim+1:], cand.Values[a.dim:])
-		out.EmitAux(vals, cand.Count, cand.Aux)
+		out.Emit(vals, cand.Count, cand.Aux)
 	}
 }
 
@@ -489,7 +483,7 @@ func ClosedSurvivors(t *table.Table, dim int, projDims []int, candidates []core.
 	if err := RunPool(workers, scan.Jobs()); err != nil {
 		panic(err) // unreachable: scan jobs never fail
 	}
-	col := &sink.AuxCollector{}
+	col := &sink.Collector{}
 	scan.EmitSurvivors(col)
 	return col.Cells
 }

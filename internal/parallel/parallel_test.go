@@ -109,11 +109,11 @@ func TestRunNativeMeasure(t *testing.T) {
 	for _, c := range cases {
 		t.Run(fmt.Sprintf("%s/%v", c.engName, c.ecfg.Measure), func(t *testing.T) {
 			eng := engine.MustLookup(c.engName)
-			var want sink.AuxCollector
+			var want sink.Collector
 			if err := eng.Run(tbl, c.ecfg, &want); err != nil {
 				t.Fatal(err)
 			}
-			var got sink.AuxCollector
+			var got sink.Collector
 			if err := Run(tbl, eng, c.ecfg, Config{Workers: 4}, &got); err != nil {
 				t.Fatal(err)
 			}

@@ -98,9 +98,7 @@ func Run(t *table.Table, cfg Config, engine Engine, out sink.Sink) error {
 	if err != nil {
 		return err
 	}
-	rs := &remapSink{next: out, perm: perm, dim: t.NumDims() - 1, scratch: make([]core.Value, t.NumDims())}
-	rs.nextAux, _ = out.(sink.AuxSink)
-	return engine(rt, rs)
+	return engine(rt, &remapSink{next: out, perm: perm, dim: t.NumDims() - 1, scratch: make([]core.Value, t.NumDims())})
 }
 
 // cubeBucket loads one partition file and cubes it, keeping the cells that
@@ -113,8 +111,7 @@ func cubeBucket(dir string, b int, t *table.Table, dim int, engine Engine, out s
 	if pt.NumTuples() == 0 {
 		return nil
 	}
-	f := newFilterSink(out, dim, true)
-	if err := engine(pt, f); err != nil {
+	if err := engine(pt, &filterSink{next: out, dim: dim}); err != nil {
 		return fmt.Errorf("partition: bucket %d: %w", b, err)
 	}
 	return nil
@@ -160,76 +157,38 @@ func cubeBucketsParallel(dir string, nb, workers int, t *table.Table, dim int, e
 	return firstErr
 }
 
-// filterSink keeps cells whose partition dimension is fixed (pass 1).
+// filterSink keeps cells whose partition dimension is fixed (pass 1). Such
+// cells have all their tuples in one partition, so the count and measure
+// aggregate computed there are globally correct.
 type filterSink struct {
-	next      sink.Sink
-	nextAux   sink.AuxSink // next, when it also accepts measures
-	dim       int
-	keepFixed bool
+	next sink.Sink
+	dim  int
 }
 
-func newFilterSink(next sink.Sink, dim int, keepFixed bool) *filterSink {
-	f := &filterSink{next: next, dim: dim, keepFixed: keepFixed}
-	f.nextAux, _ = next.(sink.AuxSink)
-	return f
-}
-
-func (f *filterSink) Emit(vals []core.Value, count int64) {
-	fixed := vals[f.dim] != core.Star
-	if fixed == f.keepFixed {
-		f.next.Emit(vals, count)
+func (f *filterSink) Emit(vals []core.Value, count int64, aux float64) {
+	if vals[f.dim] != core.Star {
+		f.next.Emit(vals, count, aux)
 	}
-}
-
-// EmitAux forwards native-measure emissions; cells fixing the partition
-// dimension have all their tuples in one partition, so the aggregate computed
-// there is globally correct, same as count.
-func (f *filterSink) EmitAux(vals []core.Value, count int64, aux float64) {
-	fixed := vals[f.dim] != core.Star
-	if fixed != f.keepFixed {
-		return
-	}
-	if f.nextAux != nil {
-		f.nextAux.EmitAux(vals, count, aux)
-		return
-	}
-	f.next.Emit(vals, count)
 }
 
 // remapSink maps cells from the reordered table back to original dimension
-// positions and keeps only cells collapsing the moved-last dimension.
+// positions and keeps only cells collapsing the moved-last dimension. The
+// final pass sees every tuple, so its aggregates are globally correct.
 type remapSink struct {
 	next    sink.Sink
-	nextAux sink.AuxSink
 	perm    []int // new position -> original dimension
 	dim     int   // position of the partition dimension in the reordered table
 	scratch []core.Value
 }
 
-func (r *remapSink) Emit(vals []core.Value, count int64) {
+func (r *remapSink) Emit(vals []core.Value, count int64, aux float64) {
 	if vals[r.dim] != core.Star {
 		return
 	}
 	for i, v := range vals {
 		r.scratch[r.perm[i]] = v
 	}
-	r.next.Emit(r.scratch, count)
-}
-
-// EmitAux is Emit for native-measure cells; the final pass sees every tuple,
-// so its aggregates are globally correct.
-func (r *remapSink) EmitAux(vals []core.Value, count int64, aux float64) {
-	if vals[r.dim] != core.Star {
-		return
-	}
-	for i, v := range vals {
-		r.scratch[r.perm[i]] = v
-	}
-	if r.nextAux != nil {
-		r.nextAux.EmitAux(r.scratch, count, aux)
-		return
-	}
-	r.next.Emit(r.scratch, count)
+	r.next.Emit(r.scratch, count, aux)
 }
 
 func bucketName(b int) string { return fmt.Sprintf("bucket-%03d.bin", b) }

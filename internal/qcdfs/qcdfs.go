@@ -29,20 +29,19 @@ type Config struct {
 	// iceberg cubes for comparison at equal semantics.
 	MinSup int64
 	// Measure optionally aggregates the table's Aux column per closed cell
-	// into stored aggregates (delivered through sink.AuxSink; avg arrives as
-	// its algebraic pair (stored sum, count)).
+	// into the stored aggregate every emission carries (avg arrives as its
+	// algebraic pair (stored sum, count)).
 	Measure core.MeasureKind
 }
 
 type runner struct {
-	t      *table.Table
-	cfg    Config
-	out    sink.Sink
-	auxOut sink.AuxSink
-	parts  []psort.Partitioner
-	tids   []core.TID
-	vals   []core.Value
-	ext    []int // scratch: dimensions fixed by closure extension
+	t     *table.Table
+	cfg   Config
+	out   sink.Sink
+	parts []psort.Partitioner
+	tids  []core.TID
+	vals  []core.Value
+	ext   []int // scratch: dimensions fixed by closure extension
 }
 
 // Run computes the closed iceberg cube of t, emitting every closed cell with
@@ -68,9 +67,6 @@ func Run(t *table.Table, cfg Config, out sink.Sink) error {
 		parts: make([]psort.Partitioner, t.NumDims()),
 		tids:  make([]core.TID, n),
 		vals:  make([]core.Value, t.NumDims()),
-	}
-	if a, ok := out.(sink.AuxSink); ok && cfg.Measure != core.MeasureNone {
-		r.auxOut = a
 	}
 	for i := range r.tids {
 		r.tids[i] = core.TID(i)
@@ -141,14 +137,5 @@ func (r *runner) recurse(lo, hi, dim int) {
 }
 
 func (r *runner) emit(lo, hi int) {
-	count := int64(hi - lo)
-	if r.auxOut != nil {
-		agg := core.NewMeasureAgg(r.cfg.Measure)
-		for _, tid := range r.tids[lo:hi] {
-			agg.Add(r.t.Aux[tid])
-		}
-		r.auxOut.EmitAux(r.vals, count, agg.Stored())
-		return
-	}
-	r.out.Emit(r.vals, count)
+	r.out.Emit(r.vals, int64(hi-lo), core.FoldStored(r.cfg.Measure, r.t.Aux, r.tids[lo:hi]))
 }

@@ -159,7 +159,7 @@ func TestErrors(t *testing.T) {
 func TestAuxMeasure(t *testing.T) {
 	tb := paperTable(t)
 	tb.Aux = []float64{2, 4, 8}
-	var c sink.AuxCollector
+	var c sink.Collector
 	if err := Run(tb, Config{MinSup: 2, Measure: core.MeasureSum}, &c); err != nil {
 		t.Fatal(err)
 	}

@@ -7,13 +7,13 @@ import (
 )
 
 // qcdfsEngine adapts this package to the engine registry. QC-DFS computes
-// closed (quotient) cubes only; it aggregates complex measures natively.
+// closed (quotient) cubes only.
 type qcdfsEngine struct{}
 
 func (qcdfsEngine) Name() string { return "QC-DFS" }
 
 func (qcdfsEngine) Capabilities() engine.Capabilities {
-	return engine.Capabilities{Closed: true, NativeMeasure: true}
+	return engine.Capabilities{Closed: true}
 }
 
 func (qcdfsEngine) Run(t *table.Table, cfg engine.Config, out sink.Sink) error {

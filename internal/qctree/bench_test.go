@@ -1,10 +1,9 @@
 package qctree
 
-// Build-cost comparison between the two queryable materializations of a
-// closed cube, with the QC-tree measured in isolation: FromCells now
-// constructs a cubestore index alongside the node structure, so timing it
-// would fold a full store build into the "QC-tree" number. treeOnly
-// reproduces the bare structure the original Quotient Cube system built.
+// Build-cost comparison, from the same closed cell set, between the bare
+// QC-tree the original Quotient Cube system built and the cubestore that
+// serves queries here — the measurement behind keeping one closure-lookup
+// structure.
 
 import (
 	"fmt"
@@ -17,9 +16,9 @@ import (
 	"ccubing/internal/sink"
 )
 
-// treeOnly inserts cells without the cubestore side-index (sb nil).
-func treeOnly(nd int, cells []core.Cell) *Tree {
-	t := &Tree{root: &node{dim: -1}, nd: nd}
+// treeOnly inserts already-computed closed cells into a fresh tree.
+func treeOnly(cells []core.Cell) *Tree {
+	t := &Tree{root: &node{dim: -1}}
 	for _, c := range cells {
 		t.insert(c.Values, c.Count)
 	}
@@ -27,8 +26,8 @@ func treeOnly(nd int, cells []core.Cell) *Tree {
 }
 
 // BenchmarkBuildComparison times, from the same closed cell set: the bare
-// QC-tree (the paper baseline's structure), the cubestore (the serving
-// index), and FromCells (tree + index, what Tree.Query needs today).
+// QC-tree (the paper baseline's structure) and the cubestore (the serving
+// index).
 func BenchmarkBuildComparison(b *testing.B) {
 	tbl := gen.MustSynthetic(gen.Config{T: 30000, D: 6, C: 20, S: 1.1, Seed: 13})
 	for _, minsup := range []int64{32, 8} {
@@ -40,7 +39,7 @@ func BenchmarkBuildComparison(b *testing.B) {
 		b.Run(fmt.Sprintf("qctree-only/cells=%d", len(cells)), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if tr := treeOnly(tbl.NumDims(), cells); tr.Nodes() == 0 {
+				if tr := treeOnly(cells); tr.Nodes() == 0 {
 					b.Fatal("empty tree")
 				}
 			}
@@ -53,14 +52,6 @@ func BenchmarkBuildComparison(b *testing.B) {
 					sb.Add(c.Values, c.Count, 0)
 				}
 				if _, err := sb.Build(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("qctree-with-index/cells=%d", len(cells)), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := FromCells(tbl.NumDims(), cells); err != nil {
 					b.Fatal(err)
 				}
 			}

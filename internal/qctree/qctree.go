@@ -3,17 +3,13 @@
 // The paper's baseline measurements used the QC-tree authors' implementation
 // (Sec. 5: "the QC-DFS was provided by the author of [10]"), which builds
 // this structure rather than merely listing closed cells — the cost the
-// C-Cubing algorithms avoid. This package provides both the structure (with
-// point-query support, demonstrating the lossless-compression semantics) and
-// a builder that can be timed against the cubing engines.
+// C-Cubing algorithms avoid. This package is that baseline engine: QC-DFS
+// plus tree insertion, timed against the cubing engines. Serving queries is
+// internal/cubestore's job, not the tree's.
 //
 // A QC-tree stores every temporary class of the quotient cube: each closed
 // (upper-bound) cell contributes the prefix paths of its class, and each
-// tree node is annotated with the class measure. Point queries for ANY cell
-// (closed or not) walk the tree following the queried values, taking
-// documented "drill-down jumps" when a dimension is absent — returning the
-// measure of the cell's class, which equals the cell's own measure because
-// the quotient partition is measure-preserving.
+// tree node is annotated with the class measure.
 package qctree
 
 import (
@@ -21,7 +17,6 @@ import (
 	"sort"
 
 	"ccubing/internal/core"
-	"ccubing/internal/cubestore"
 	"ccubing/internal/qcdfs"
 	"ccubing/internal/sink"
 	"ccubing/internal/table"
@@ -36,83 +31,24 @@ type node struct {
 	sons  []*node // sorted by (dim, val)
 }
 
-// Tree is a materialized QC-tree. Alongside the node structure (whose size
-// is the baseline's cost metric) it materializes a cubestore index over the
-// same closed cells: point queries probe the index with binary searches
-// instead of the historical drill-down recursion, whose worst case visits
-// every node of a tree that grows exponentially with dimensionality.
+// Tree is a materialized QC-tree; its node count is the baseline's
+// structure-size metric.
 type Tree struct {
 	root  *node
-	nd    int
 	nodes int64
-	sb    *cubestore.Builder
-	store *cubestore.Store
-}
-
-func newTree(nd int) *Tree {
-	return &Tree{root: &node{dim: -1}, nd: nd, sb: cubestore.NewBuilder(nd, false)}
-}
-
-// finalize freezes the query index once every class is inserted.
-func (t *Tree) finalize() error {
-	store, err := t.sb.Build()
-	if err != nil {
-		return fmt.Errorf("qctree: %w", err)
-	}
-	t.store, t.sb = store, nil
-	return nil
 }
 
 // Nodes returns the number of tree nodes, the structure-size metric.
 func (t *Tree) Nodes() int64 { return t.nodes }
 
-// NumDims returns the dimensionality of the underlying relation.
-func (t *Tree) NumDims() int { return t.nd }
-
-// Build computes the closed iceberg cube of tbl with QC-DFS and inserts
-// every class into a QC-tree, mirroring what the original Quotient Cube
-// system constructs. minsup of 1 gives the full quotient cube of the paper's
-// Figs. 3-7 baseline.
-func Build(tbl *table.Table, minsup int64) (*Tree, error) {
-	t := newTree(tbl.NumDims())
-	ins := &inserter{t: t}
-	if err := qcdfs.Run(tbl, qcdfs.Config{MinSup: minsup}, ins); err != nil {
-		return nil, fmt.Errorf("qctree: %w", err)
-	}
-	if err := t.finalize(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// FromCells builds a QC-tree directly from an already-computed set of closed
-// cells (from any engine), turning a closed cube into a queryable summary.
-// nd is the relation's dimensionality.
-func FromCells(nd int, cells []core.Cell) (*Tree, error) {
-	t := newTree(nd)
-	for _, c := range cells {
-		if len(c.Values) != nd {
-			return nil, fmt.Errorf("qctree: cell has %d dimensions, want %d", len(c.Values), nd)
-		}
-		t.insert(c.Values, c.Count)
-	}
-	if err := t.finalize(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // Run computes the closed iceberg cube via QC-DFS while also materializing
 // the QC-tree — the full work the original Quotient Cube system performs —
-// forwarding every upper-bound cell to out. This is the baseline variant
-// labeled "QC-Tree" in the experiment harness.
-func Run(tbl *table.Table, minsup int64, out sink.Sink) error {
-	// No query index here: Run exists to time exactly the work the original
-	// Quotient Cube system performs (QC-DFS + tree insertion), so the tree
-	// is built without the cubestore side-index Build/FromCells add.
-	t := &Tree{root: &node{dim: -1}, nd: tbl.NumDims()}
-	ins := &inserter{t: t, next: out}
-	if err := qcdfs.Run(tbl, qcdfs.Config{MinSup: minsup}, ins); err != nil {
+// forwarding every upper-bound cell (with the measure aggregate QC-DFS
+// computed for it) to out. This is the baseline variant labeled "QC-Tree" in
+// the experiment harness.
+func Run(tbl *table.Table, cfg qcdfs.Config, out sink.Sink) error {
+	ins := &inserter{t: &Tree{root: &node{dim: -1}}, next: out}
+	if err := qcdfs.Run(tbl, cfg, ins); err != nil {
 		return fmt.Errorf("qctree: %w", err)
 	}
 	return nil
@@ -127,17 +63,12 @@ type inserter struct {
 // Emit inserts one upper-bound cell. Per the QC-tree construction, the
 // node path of a class is the sequence of its bound (dim, value) pairs in
 // dimension order; shared prefixes are shared in the tree.
-func (ins *inserter) Emit(vals []core.Value, count int64) {
+func (ins *inserter) Emit(vals []core.Value, count int64, aux float64) {
 	ins.t.insert(vals, count)
-	if ins.next != nil {
-		ins.next.Emit(vals, count)
-	}
+	ins.next.Emit(vals, count, aux)
 }
 
 func (t *Tree) insert(vals []core.Value, count int64) {
-	if t.sb != nil {
-		t.sb.Add(vals, count, 0)
-	}
 	cur := t.root
 	if cur.count < count {
 		cur.count = count // the root class is the apex upper bound's class
@@ -169,73 +100,4 @@ func (n *node) findOrAdd(dim int, val core.Value, nodes *int64) *node {
 	n.sons[i] = s
 	*nodes++
 	return s
-}
-
-// Query returns the count of an arbitrary cell (Star marks wildcards), or
-// false if the cell is empty or below the iceberg threshold the tree was
-// built with.
-//
-// The cell's class is the one whose upper bound is the cell's closure: the
-// covering stored cell with the largest count (a covering upper bound binds
-// a superset of the query pairs, so its count is at most the cell's, with
-// equality exactly for the closure). Queries resolve through the cubestore
-// probe — binary searches over the covering cuboids — rather than the
-// historical drill-down walk (kept as walkQuery for reference), whose worst
-// case visits every node of an exponentially sized tree when the query
-// leaves dimensions free.
-func (t *Tree) Query(vals []core.Value) (int64, bool) {
-	if t.store != nil {
-		return t.store.Query(vals)
-	}
-	return t.walkQuery(vals)
-}
-
-// walkQuery is the original QC-tree drill-down recursion: follow bound
-// values in dimension order, descend through drill-down edges on dimensions
-// the query leaves free, and maximize over complete matches. Exponentially
-// slow on adversarial tree shapes; retained as the semantic reference the
-// probe is tested against (and as the fallback for index-less trees).
-func (t *Tree) walkQuery(vals []core.Value) (int64, bool) {
-	bound := make([]core.Value, 0, t.nd)
-	dims := make([]int, 0, t.nd)
-	for d, v := range vals {
-		if v != core.Star {
-			dims = append(dims, d)
-			bound = append(bound, v)
-		}
-	}
-	count, ok := t.query(t.root, dims, bound)
-	return count, ok
-}
-
-func (t *Tree) query(n *node, dims []int, vals []core.Value) (int64, bool) {
-	if len(dims) == 0 {
-		return n.count, true
-	}
-	best := int64(-1)
-	d, v := dims[0], vals[0]
-	// Exact edge.
-	i := sort.Search(len(n.sons), func(i int) bool {
-		s := n.sons[i]
-		return s.dim > d || (s.dim == d && s.val >= v)
-	})
-	if i < len(n.sons) && n.sons[i].dim == d && n.sons[i].val == v {
-		if c, ok := t.query(n.sons[i], dims[1:], vals[1:]); ok && c > best {
-			best = c
-		}
-	}
-	// Drill-down edges: dimensions before d bound by the class but free in
-	// the query.
-	for _, s := range n.sons {
-		if s.dim >= d {
-			break
-		}
-		if c, ok := t.query(s, dims, vals); ok && c > best {
-			best = c
-		}
-	}
-	if best < 0 {
-		return 0, false
-	}
-	return best, true
 }

@@ -2,10 +2,10 @@ package qctree
 
 import (
 	"testing"
-	"time"
 
 	"ccubing/internal/core"
 	"ccubing/internal/gen"
+	"ccubing/internal/qcdfs"
 	"ccubing/internal/refcube"
 	"ccubing/internal/sink"
 	"ccubing/internal/table"
@@ -24,65 +24,22 @@ func paperTable(t *testing.T) *table.Table {
 	return tb
 }
 
-func TestBuildAndQueryPaperTable(t *testing.T) {
-	tb := paperTable(t)
-	tree, err := Build(tb, 1)
-	if err != nil {
+// buildTree runs the engine (QC-DFS + tree insertion) over tb and returns the
+// materialized tree, which Run itself discards once the cells are forwarded.
+func buildTree(t *testing.T, tb *table.Table, minsup int64) *Tree {
+	t.Helper()
+	ins := &inserter{t: &Tree{root: &node{dim: -1}}, next: &sink.Null{}}
+	if err := qcdfs.Run(tb, qcdfs.Config{MinSup: minsup}, ins); err != nil {
 		t.Fatal(err)
 	}
-	if tree.Nodes() == 0 {
-		t.Fatal("empty tree")
-	}
-	// Query closed cells.
-	if c, ok := tree.Query([]core.Value{0, 0, 0, core.Star}); !ok || c != 2 {
-		t.Fatalf("(a1,b1,c1,*) = %d,%v", c, ok)
-	}
-	// Query a NON-closed cell: (a1,*,c1,*) belongs to the class of
-	// (a1,b1,c1,*) and must answer 2.
-	if c, ok := tree.Query([]core.Value{0, core.Star, 0, core.Star}); !ok || c != 2 {
-		t.Fatalf("(a1,*,c1,*) = %d,%v", c, ok)
-	}
-	// The apex answers the total.
-	if c, ok := tree.Query([]core.Value{core.Star, core.Star, core.Star, core.Star}); !ok || c != 3 {
-		t.Fatalf("apex = %d,%v", c, ok)
-	}
-	// An empty cell answers false.
-	if _, ok := tree.Query([]core.Value{0, 0, 1, core.Star}); ok {
-		t.Fatal("empty cell must answer false")
-	}
-}
-
-// TestQueryAnswersWholeIcebergCube is the lossless-compression property: the
-// QC-tree must answer the exact count for EVERY iceberg cell, closed or not.
-func TestQueryAnswersWholeIcebergCube(t *testing.T) {
-	tb := gen.MustSynthetic(gen.Config{T: 150, D: 4, C: 4, S: 1, Seed: 5})
-	for _, minsup := range []int64{1, 3} {
-		tree, err := Build(tb, minsup)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ice, err := refcube.Iceberg(tb, minsup)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, cell := range ice {
-			got, ok := tree.Query(cell.Values)
-			if !ok || got != cell.Count {
-				t.Fatalf("min_sup %d: query %v = %d,%v want %d",
-					minsup, cell, got, ok, cell.Count)
-			}
-		}
-	}
+	return ins.t
 }
 
 func TestTreeSmallerThanClosedCells(t *testing.T) {
 	// Prefix sharing must make node count at most the total of bound values
 	// over closed cells.
 	tb := gen.MustSynthetic(gen.Config{T: 200, D: 4, C: 5, S: 1, Seed: 6})
-	tree, err := Build(tb, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := buildTree(t, tb, 1)
 	closed, err := refcube.Closed(tb, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -94,15 +51,12 @@ func TestTreeSmallerThanClosedCells(t *testing.T) {
 	if tree.Nodes() > bound {
 		t.Fatalf("nodes %d exceeds total bound values %d", tree.Nodes(), bound)
 	}
-	if tree.NumDims() != 4 {
-		t.Fatalf("dims = %d", tree.NumDims())
-	}
 }
 
 func TestRunForwardsCells(t *testing.T) {
 	tb := paperTable(t)
 	var c sink.Collector
-	if err := Run(tb, 2, &c); err != nil {
+	if err := Run(tb, qcdfs.Config{MinSup: 2}, &c); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.Cells) != 2 {
@@ -112,110 +66,26 @@ func TestRunForwardsCells(t *testing.T) {
 
 func TestBuildErrors(t *testing.T) {
 	tb := paperTable(t)
-	if _, err := Build(tb, 0); err == nil {
+	if err := Run(tb, qcdfs.Config{MinSup: 0}, &sink.Null{}); err == nil {
 		t.Fatal("min_sup 0 must error")
 	}
 }
 
-// TestQueryMatchesWalk cross-checks the cubestore-backed Query against the
-// original drill-down walk on a dataset small enough for the walk.
-func TestQueryMatchesWalk(t *testing.T) {
-	tb := gen.MustSynthetic(gen.Config{T: 300, D: 5, C: 4, S: 1.2, Seed: 9})
-	tree, err := Build(tb, 2)
-	if err != nil {
+// TestRunForwardsMeasure checks the engine is native: the aggregate QC-DFS
+// folds for each upper-bound cell reaches the downstream sink unchanged.
+func TestRunForwardsMeasure(t *testing.T) {
+	tb := paperTable(t)
+	tb.Aux = []float64{1, 2, 4}
+	var c sink.Collector
+	if err := Run(tb, qcdfs.Config{MinSup: 1, Measure: core.MeasureSum}, &c); err != nil {
 		t.Fatal(err)
 	}
-	vals := make([]core.Value, tb.NumDims())
-	var sweep func(d int)
-	sweep = func(d int) {
-		if d == len(vals) {
-			wc, wok := tree.walkQuery(vals)
-			gc, gok := tree.Query(vals)
-			if wok != gok || wc != gc {
-				t.Fatalf("query %v: probe (%d,%v), walk (%d,%v)", vals, gc, gok, wc, wok)
-			}
-			return
+	for _, cell := range c.Cells {
+		if cell.Dims() == 0 && cell.Aux != 7 {
+			t.Fatalf("apex sum = %v, want 7", cell.Aux)
 		}
-		for v := core.Value(-1); v < core.Value(tb.Cards[d]); v++ {
-			if v == -1 {
-				vals[d] = core.Star
-			} else {
-				vals[d] = v
-			}
-			sweep(d + 1)
+		if cell.Aux == 0 {
+			t.Fatalf("cell %v forwarded without its measure", cell)
 		}
-	}
-	sweep(0)
-}
-
-// TestQueryPathologicalShape is the drill-down regression test: the full
-// cross product over D binary dimensions makes EVERY cell closed, so the
-// tree holds 3^D nodes and the historical walk visits essentially all of
-// them whenever a query leaves leading dimensions free (a 1-bound-dimension
-// query explored ~3^D nodes; at D=12 that is >500k node visits per query).
-// The cubestore-backed Query resolves each probe with binary searches; the
-// whole battery must finish in interactive time and return exact counts,
-// which have the closed form 2^(D - bound dims) here.
-func TestQueryPathologicalShape(t *testing.T) {
-	const D = 12
-	// Materialize all 3^D closed cells directly (count = 2^free) instead of
-	// running an engine over the 2^D-tuple relation.
-	var cells []core.Cell
-	vals := make([]core.Value, D)
-	var emit func(d, free int)
-	emit = func(d, free int) {
-		if d == D {
-			v := make([]core.Value, D)
-			copy(v, vals)
-			cells = append(cells, core.Cell{Values: v, Count: 1 << uint(free)})
-			return
-		}
-		vals[d] = core.Star
-		emit(d+1, free+1)
-		for v := core.Value(0); v < 2; v++ {
-			vals[d] = v
-			emit(d+1, free)
-		}
-	}
-	emit(0, 0)
-	tree, err := FromCells(D, cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every nonempty bound-pair path is a node (the apex lives at the root):
-	// 3^D - 1 of them.
-	if want := int64(len(cells)) - 1; tree.Nodes() != want {
-		t.Fatalf("tree has %d nodes, want %d", tree.Nodes(), want)
-	}
-
-	start := time.Now()
-	queries := 0
-	q := make([]core.Value, D)
-	for last := 0; last < D; last++ {
-		for v := core.Value(0); v < 2; v++ {
-			for i := range q {
-				q[i] = core.Star
-			}
-			q[last] = v // one bound dimension: worst case for the walk
-			got, ok := tree.Query(q)
-			if !ok || got != 1<<uint(D-1) {
-				t.Fatalf("query bound dim %d: (%d,%v), want (%d,true)", last, got, ok, 1<<uint(D-1))
-			}
-			queries++
-			// A couple of bound dimensions, still leaving leading ones free.
-			if last >= 2 {
-				q[last/2] = v
-				got, ok = tree.Query(q)
-				if !ok || got != 1<<uint(D-2) {
-					t.Fatalf("two-dim query: (%d,%v), want (%d,true)", got, ok, 1<<uint(D-2))
-				}
-				queries++
-			}
-		}
-	}
-	// Generous bound: the old walk needed hundreds of millions of node
-	// visits for this battery; the probe needs a few thousand comparisons.
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("%d pathological queries took %s; drill-down blowup is back", queries, elapsed)
 	}
 }

@@ -2,6 +2,7 @@ package qctree
 
 import (
 	"ccubing/internal/engine"
+	"ccubing/internal/qcdfs"
 	"ccubing/internal/sink"
 	"ccubing/internal/table"
 )
@@ -17,7 +18,7 @@ func (qctreeEngine) Capabilities() engine.Capabilities {
 }
 
 func (qctreeEngine) Run(t *table.Table, cfg engine.Config, out sink.Sink) error {
-	return Run(t, cfg.MinSup, out)
+	return Run(t, qcdfs.Config{MinSup: cfg.MinSup, Measure: cfg.Measure}, out)
 }
 
 func init() { engine.Register(qctreeEngine{}) }

@@ -17,19 +17,20 @@ import (
 // (not yet refreshed) operations survive a process restart: a new Manager
 // over the same base relation replays them into the buffer.
 //
-// File format v2: "CCWAL\x00" magic, version byte, nd byte, hasAux byte,
-// then CRC-framed typed records. Each record is a type byte (recAppend,
-// recDelete, recUpdate), a payload of one tuple (nd little-endian uint32
-// values plus a float64 bit pattern when hasAux) — two tuples for recUpdate,
-// old then new, so an update pair is crash-atomic — and a little-endian
-// CRC32 (IEEE) of the type byte and payload. Replay stops at the first
-// record that is truncated, fails its checksum, or carries an unknown type,
-// and truncates the file there: the usual write-ahead-log recovery contract,
-// extended from "drop the torn tail" to "drop the corrupt tail".
+// File format (version 2, the only one replayed): "CCWAL\x00" magic, version
+// byte, nd byte, hasAux byte, then CRC-framed typed records. Each record is a
+// type byte (recAppend, recDelete, recUpdate), a payload of one tuple (nd
+// little-endian uint32 values plus a float64 bit pattern when hasAux) — two
+// tuples for recUpdate, old then new, so an update pair is crash-atomic — and
+// a little-endian CRC32 (IEEE) of the type byte and payload. Replay stops at
+// the first record that is truncated, fails its checksum, or carries an
+// unknown type, and truncates the file there: the usual write-ahead-log
+// recovery contract, extended from "drop the torn tail" to "drop the corrupt
+// tail".
 //
-// Version-1 files (fixed-size append-only records, no CRC) still replay;
-// the Manager rewrites them in the v2 format immediately after attach. A
-// Log is not goroutine-safe; the Manager serializes access.
+// A file of any other version is rejected before a byte of it is touched —
+// its records would otherwise look like a corrupt tail and be truncated
+// away. A Log is not goroutine-safe; the Manager serializes access.
 //
 // The log does not touch storage directly: it frames, checksums and replays
 // records over a WAL (raw byte storage), so the same recovery machinery
@@ -54,7 +55,7 @@ const (
 	opUpdateNew
 )
 
-// WAL v2 record types.
+// WAL record types.
 const (
 	recAppend byte = 1
 	recDelete byte = 2
@@ -63,11 +64,8 @@ const (
 
 const walMagic = "CCWAL\x00"
 
-// walVersion is the current WAL file format version.
+// walVersion is the one WAL file format version written and replayed.
 const walVersion = 2
-
-// walVersionV1 is the legacy append-only format, still replayable.
-const walVersionV1 = 1
 
 func newDeltaLog(nd int, hasAux bool) *deltaLog {
 	return &deltaLog{nd: nd, hasAux: hasAux}
@@ -115,9 +113,8 @@ func (l *deltaLog) attach(w WAL) (int, error) {
 	if string(head[:len(walMagic)]) != walMagic {
 		return 0, fmt.Errorf("refresh: wal: bad magic %q", head[:len(walMagic)])
 	}
-	version := head[len(walMagic)]
-	if version != walVersion && version != walVersionV1 {
-		return 0, fmt.Errorf("refresh: wal: unsupported version %d (want %d or %d)", version, walVersionV1, walVersion)
+	if version := head[len(walMagic)]; version != walVersion {
+		return 0, fmt.Errorf("refresh: wal: unsupported version %d (want %d)", version, walVersion)
 	}
 	if int(head[len(walMagic)+1]) != l.nd {
 		return 0, fmt.Errorf("refresh: wal: %d dimensions, relation has %d", head[len(walMagic)+1], l.nd)
@@ -126,13 +123,7 @@ func (l *deltaLog) attach(w WAL) (int, error) {
 		return 0, fmt.Errorf("refresh: wal: measure flag mismatch")
 	}
 	body := contents[headLen:]
-	var good int // bytes of body holding fully valid records
-	var rows int
-	if version == walVersionV1 {
-		good, rows = l.replayV1(body)
-	} else {
-		good, rows = l.replayV2(body)
-	}
+	good, rows := l.replay(body) // good: bytes of body holding fully valid records
 	if good < len(body) {
 		// Truncate the torn/corrupt tail so subsequent appends extend a valid
 		// log.
@@ -143,22 +134,10 @@ func (l *deltaLog) attach(w WAL) (int, error) {
 	return rows, nil
 }
 
-// replayV1 decodes the legacy fixed-size append-only record stream,
-// returning the length of the valid prefix and the rows buffered.
-func (l *deltaLog) replayV1(body []byte) (good, rows int) {
-	rec := l.tupleSize()
-	n := len(body) / rec // partial tail (crash mid-append) is dropped
-	for i := 0; i < n; i++ {
-		l.decodeTuple(body[i*rec:])
-		l.kinds = append(l.kinds, opAppend)
-	}
-	return n * rec, n
-}
-
-// replayV2 decodes the CRC-framed typed record stream, returning the length
+// replay decodes the CRC-framed typed record stream, returning the length
 // of the valid prefix and the rows buffered. Decoding stops at the first
 // truncated record, checksum mismatch, or unknown record type.
-func (l *deltaLog) replayV2(body []byte) (good, rows int) {
+func (l *deltaLog) replay(body []byte) (good, rows int) {
 	ts := l.tupleSize()
 	off := 0
 	for off < len(body) {
@@ -234,7 +213,7 @@ func (l *deltaLog) encodeTuple(buf []byte, row int, vals []core.Value, aux []flo
 	return buf
 }
 
-// encodeRecords frames the given rows as v2 records: one recAppend or
+// encodeRecords frames the given rows as records: one recAppend or
 // recDelete per row, with adjacent (opUpdateOld, opUpdateNew) pairs fused
 // into a single crash-atomic recUpdate.
 func (l *deltaLog) encodeRecords(rows []core.Value, aux []float64, kinds []byte) []byte {

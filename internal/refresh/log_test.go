@@ -1,10 +1,12 @@
 package refresh
 
 import (
+	"bytes"
 	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ccubing/internal/core"
@@ -19,7 +21,7 @@ type logRow struct {
 
 // appendOps buffers rows into l, fusing adjacent update pairs exactly as the
 // Manager does.
-func appendOps(t *testing.T, l *deltaLog, rows []logRow) {
+func appendOps(t testing.TB, l *deltaLog, rows []logRow) {
 	t.Helper()
 	var flat []core.Value
 	var aux []float64
@@ -212,66 +214,37 @@ func TestWALv2UnknownRecordType(t *testing.T) {
 	}
 }
 
-// writeV1WAL crafts a legacy version-1 file: fixed-size append records, no
-// CRC framing.
-func writeV1WAL(t *testing.T, path string, nd int, rows [][]core.Value, tornTail bool) {
-	t.Helper()
-	buf := append([]byte(walMagic), walVersionV1, byte(nd), 0)
-	for _, r := range rows {
-		for _, v := range r {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
-		}
-	}
-	if tornTail {
-		buf = append(buf, 0xde, 0xad) // crash mid-append
-	}
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestWALv1Replay pins backward compatibility: version-1 logs replay as
-// appends (torn tail dropped), and a rewrite upgrades the file to v2.
+// TestWALv1Replay pins the single-version contract: a version-1 log (fixed
+// size append records, no CRC framing) is rejected with a descriptive error
+// and left byte-for-byte untouched — never "recovered" by truncating its
+// records away as a corrupt tail.
 func TestWALv1Replay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v1.wal")
-	rows := [][]core.Value{{1, 2}, {3, 4}, {0, 5}}
-	writeV1WAL(t, path, 2, rows, true)
-
+	img := append([]byte(walMagic), 1, 2, 0) // version 1, nd 2, no aux
+	for _, v := range []uint32{1, 2, 3, 4, 0, 5} {
+		img = binary.LittleEndian.AppendUint32(img, v)
+	}
+	img = append(img, 0xde, 0xad) // crash mid-append
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	l := newDeltaLog(2, false)
 	n, err := l.openWAL(path)
-	if err != nil {
-		t.Fatal(err)
+	if err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("v1 attach: rows %d, err %v; want an unsupported-version error", n, err)
 	}
-	if n != len(rows) {
-		t.Fatalf("replayed %d rows, want %d", n, len(rows))
-	}
-	for _, k := range l.kinds {
-		if k != opAppend {
-			t.Fatalf("v1 replay produced kind %d, want opAppend", k)
-		}
-	}
-	// The attach path rewrites immediately; the file becomes v2.
-	if err := l.rewrite(); err != nil {
-		t.Fatal(err)
+	if n != 0 || l.rows() != 0 {
+		t.Fatalf("rejected log buffered %d rows (returned %d)", l.rows(), n)
 	}
 	if err := l.close(); err != nil {
 		t.Fatal(err)
 	}
-	img, err := os.ReadFile(path)
+	after, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if img[len(walMagic)] != walVersion {
-		t.Fatalf("rewritten version = %d, want %d", img[len(walMagic)], walVersion)
-	}
-	r := newDeltaLog(2, false)
-	n2, err := r.openWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.close()
-	if n2 != len(rows) {
-		t.Fatalf("v2 reopen replayed %d rows, want %d", n2, len(rows))
+	if !bytes.Equal(after, img) {
+		t.Fatalf("rejected v1 log was modified: %d bytes, was %d", len(after), len(img))
 	}
 }
 

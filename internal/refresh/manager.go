@@ -48,7 +48,8 @@ type Config struct {
 	// leading dimension.
 	Dim int
 	// Eng and ECfg run the recomputation; ECfg.Closed must be set (the
-	// serving store holds the closed cube).
+	// serving store holds the closed cube). ECfg.Measure is the kind the
+	// store's aux values (cells and residual rows alike) aggregate with.
 	Eng  engine.Engine
 	ECfg engine.Config
 	// Workers bounds the recompute goroutines; values below 1 run
@@ -57,17 +58,6 @@ type Config struct {
 	// Shards bounds how many shards the touched partitions split into;
 	// defaults to 4×Workers, capped by the number of touched partitions.
 	Shards int
-	// AttachAux, when set, fills the Aux of freshly recomputed cells from the
-	// relation (the facade's complex-measure post-pass for engines without
-	// native measures; native runs set ECfg.Measure instead and leave this
-	// nil).
-	AttachAux func(*table.Table, []core.Cell) error
-	// Measure is the measure kind the store's aux values were aggregated with,
-	// used to aggregate residual rows during partition-scoped recompute. It
-	// matters only for stores carrying a residual and defaults to
-	// ECfg.Measure, so native-measure runs need not set it; AttachAux-based
-	// runs on measure-bearing stores must.
-	Measure core.MeasureKind
 	// Generation seeds the published snapshot's generation counter.
 	Generation uint64
 	// WAL, when non-empty, persists pending (unrefreshed) appends to this
@@ -931,8 +921,8 @@ func (m *Manager) finishFlush(st Stats, werr error) (Stats, error) {
 // The iceberg residual follows the store: when the old store carries one, the
 // replacement partitions' residual is recomputed from their tuples and merged
 // group-style (full rebuild paths recompute it over the whole relation). When
-// the old store lacks one — a legacy snapshot — the refreshed store stays
-// residual-free, so it never claims an exactness it cannot prove.
+// the old store lacks one — it was built without SetResidual — the refreshed
+// store stays residual-free, so it never claims an exactness it cannot prove.
 func (m *Manager) rebuild(old *cubestore.Store, t *table.Table, affected map[core.Value]bool) (*cubestore.Store, int64, error) {
 	carry := old.HasResidual()
 	if t.NumTuples() == 0 || m.nd < 2 {
@@ -945,7 +935,7 @@ func (m *Manager) rebuild(old *cubestore.Store, t *table.Table, affected map[cor
 		}
 		var res *cubestore.Residual
 		if carry {
-			res = cubestore.ComputeResidual(t.Cols, t.Aux, m.cfg.ECfg.MinSup, m.measureKind())
+			res = cubestore.ComputeResidual(t.Cols, t.Aux, m.cfg.ECfg.MinSup, m.cfg.ECfg.Measure)
 		}
 		s, err := buildStore(m.nd, old.HasAux(), fresh, res)
 		return s, int64(len(fresh)), err
@@ -958,19 +948,10 @@ func (m *Manager) rebuild(old *cubestore.Store, t *table.Table, affected map[cor
 	if carry {
 		// Residual rows fix every dimension, so their multiplicities within the
 		// touched partitions' tuples are already globally correct.
-		freshRes = cubestore.ComputeResidual(sub.Cols, sub.Aux, m.cfg.ECfg.MinSup, m.measureKind())
+		freshRes = cubestore.ComputeResidual(sub.Cols, sub.Aux, m.cfg.ECfg.MinSup, m.cfg.ECfg.Measure)
 	}
 	s, err := old.MergePartitions(m.cfg.Dim, func(v core.Value) bool { return affected[v] }, fresh, freshRes)
 	return s, int64(len(fresh)), err
-}
-
-// measureKind resolves the measure kind residual aggregates are combined
-// with: Config.Measure when set, else the engine's native measure.
-func (m *Manager) measureKind() core.MeasureKind {
-	if m.cfg.Measure != core.MeasureNone {
-		return m.cfg.Measure
-	}
-	return m.cfg.ECfg.Measure
 }
 
 // recompute produces the replacement cells of a refresh: the closed cells
@@ -1029,7 +1010,7 @@ func (m *Manager) recompute(t *table.Table, affected map[core.Value]bool) ([]cor
 	// the closedness check with shard jobs still running.
 	pool := parallel.NewPool(workers)
 	pool.Submit(func() error {
-		c := &sink.AuxCollector{}
+		c := &sink.Collector{}
 		if err := m.cfg.Eng.Run(proj, m.cfg.ECfg, c); err != nil {
 			return fmt.Errorf("refresh: projection pass: %w", err)
 		}
@@ -1044,7 +1025,7 @@ func (m *Manager) recompute(t *table.Table, affected map[core.Value]bool) ([]cor
 	for _, st := range shards {
 		st := st
 		pool.Submit(func() error {
-			c := &sink.AuxCollector{}
+			c := &sink.Collector{}
 			if err := m.cfg.Eng.Run(st, m.cfg.ECfg, &fixedOnly{next: c, dim: dim}); err != nil {
 				return fmt.Errorf("refresh: partition shard: %w", err)
 			}
@@ -1058,28 +1039,18 @@ func (m *Manager) recompute(t *table.Table, affected map[core.Value]bool) ([]cor
 		return nil, nil, err
 	}
 	if scan != nil {
-		col := &sink.AuxCollector{Cells: fresh}
+		col := &sink.Collector{Cells: fresh}
 		scan.EmitSurvivors(col)
 		fresh = col.Cells
-	}
-	if m.cfg.AttachAux != nil {
-		if err := m.cfg.AttachAux(t, fresh); err != nil {
-			return nil, nil, err
-		}
 	}
 	return fresh, sub, nil
 }
 
 // computeAll cubes the whole relation (the non-decomposable fallback).
 func (m *Manager) computeAll(t *table.Table) ([]core.Cell, error) {
-	c := &sink.AuxCollector{}
+	c := &sink.Collector{}
 	if err := m.cfg.Eng.Run(t, m.cfg.ECfg, c); err != nil {
 		return nil, fmt.Errorf("refresh: %w", err)
-	}
-	if m.cfg.AttachAux != nil {
-		if err := m.cfg.AttachAux(t, c.Cells); err != nil {
-			return nil, err
-		}
 	}
 	return c.Cells, nil
 }
@@ -1087,17 +1058,14 @@ func (m *Manager) computeAll(t *table.Table) ([]core.Cell, error) {
 // fixedOnly keeps cells fixing the partition dimension (shard runs), the
 // filter of internal/parallel's shard jobs.
 type fixedOnly struct {
-	next sink.AuxSink
+	next sink.Sink
 	dim  int
 }
 
 //ccubing:hotpath
-func (f *fixedOnly) Emit(vals []core.Value, count int64) { f.EmitAux(vals, count, 0) }
-
-//ccubing:hotpath
-func (f *fixedOnly) EmitAux(vals []core.Value, count int64, aux float64) {
+func (f *fixedOnly) Emit(vals []core.Value, count int64, aux float64) {
 	if vals[f.dim] != core.Star {
-		f.next.EmitAux(vals, count, aux)
+		f.next.Emit(vals, count, aux)
 	}
 }
 

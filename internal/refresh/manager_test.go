@@ -31,7 +31,7 @@ func testEngine(t testing.TB) engine.Engine {
 func buildStoreFor(t testing.TB, tbl *table.Table, minsup int64) *cubestore.Store {
 	t.Helper()
 	eng := testEngine(t)
-	col := &sink.AuxCollector{}
+	col := &sink.Collector{}
 	if err := eng.Run(tbl, engine.Config{MinSup: minsup, Closed: true}, col); err != nil {
 		t.Fatal(err)
 	}

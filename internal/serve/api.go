@@ -208,8 +208,8 @@ type aggregateResponse struct {
 	Rows []aggregateRow `json:"rows"`
 	// Exact reports that the answer equals the minsup-1 ground truth. It is
 	// true on minsup-1 cubes and on iceberg cubes whose store carries the
-	// residual summary of below-threshold mass; it is false only for legacy
-	// snapshots saved without residuals, where absent combinations make every
+	// residual summary of below-threshold mass; it is false only for an
+	// iceberg store built without one, where absent combinations make every
 	// aggregate a lower bound. A router reports the AND of its shards' flags.
 	Exact bool `json:"exact"`
 }

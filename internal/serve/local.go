@@ -187,19 +187,14 @@ func (l *Local) Query(req queryRequest) (queryResponse, error) {
 	if cube.HasMeasure() {
 		aux := cube.PresentAux(cell.Aux, cell.Count)
 		resp.Aux = &aux
-		if avgStored(cube) {
+		if cube.Measure() == ccubing.MeasureAvg {
+			// Presented means cannot be recombined across shards, so avg
+			// answers carry the raw stored sum alongside the mean.
 			raw := cell.Aux
 			resp.AuxRaw = &raw
 		}
 	}
 	return resp, nil
-}
-
-// avgStored reports an avg cube holding stored (mergeable) sums — the one
-// measure configuration whose presented values cannot be recombined across
-// shards, so shard answers carry the raw sum alongside the mean.
-func avgStored(cube *ccubing.Cube) bool {
-	return cube.Measure() == ccubing.MeasureAvg && cube.AuxStored()
 }
 
 const defaultSliceLimit = 1000
@@ -259,7 +254,7 @@ func (l *Local) Aggregate(req aggregateRequest) (aggregateResponse, error) {
 	}
 	// Avg aggregations fetch the raw group sums and present (divide) here, so
 	// the wire carries both the mergeable sum and the client-facing mean.
-	avgMode := avgStored(cube) &&
+	avgMode := cube.Measure() == ccubing.MeasureAvg &&
 		(opt.AuxAgg == ccubing.MeasureNone || opt.AuxAgg == ccubing.MeasureAvg)
 	if avgMode {
 		opt.AuxAgg = ccubing.MeasureSum

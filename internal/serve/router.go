@@ -219,15 +219,15 @@ func (rt *Router) ownerIndex(component string) int {
 
 // avgKind reports an avg-measure topology. Presented means do not combine
 // across shards, so avg merges go through the wire rows' AuxRaw stored sums;
-// legacyAvgErr is the answer when a worker (serving a legacy snapshot without
-// stored aggregates) cannot supply them.
+// errNoAuxRaw is the answer when a worker's avg row arrives without one.
 func (rt *Router) avgKind() bool {
 	return rt.kind == ccubing.MeasureAvg.String()
 }
 
-func (rt *Router) legacyAvgErr() *StatusError {
-	return statusErrorf(http.StatusNotImplemented,
-		"avg measure from a legacy snapshot (no stored aggregates) cannot be merged across shards; bind dimension %s to route to one shard", rt.names[0])
+// errNoAuxRaw reports a malformed worker answer: an avg row that cannot be
+// merged because it lacks the stored sum every avg answer carries.
+func errNoAuxRaw() *StatusError {
+	return statusErrorf(http.StatusBadGateway, "shard answered an avg query without aux_raw")
 }
 
 // routeQuery decides where a query/slice request goes: the dimension-0
@@ -332,7 +332,7 @@ func (rt *Router) Query(req queryRequest) (queryResponse, error) {
 			case rt.avgKind():
 				// Merge the stored sums, not the presented means.
 				if r.AuxRaw == nil {
-					return queryResponse{}, rt.legacyAvgErr()
+					return queryResponse{}, errNoAuxRaw()
 				}
 				v = *r.AuxRaw
 			case r.Aux != nil:
@@ -435,7 +435,7 @@ func (rt *Router) Aggregate(req aggregateRequest) (aggregateResponse, error) {
 		exact = exact && r.Exact
 		for _, row := range r.Rows {
 			if avgAgg && row.Aux != nil && row.AuxRaw == nil {
-				return aggregateResponse{}, rt.legacyAvgErr()
+				return aggregateResponse{}, errNoAuxRaw()
 			}
 			key := strings.Join(row.Cell, "\x00")
 			m, ok := merged[key]

@@ -336,6 +336,65 @@ func TestRouterPartialFailure(t *testing.T) {
 	}
 }
 
+// noAuxRaw wraps a worker and strips aux_raw from its read answers — the
+// malformed avg answer a router must refuse to merge.
+type noAuxRaw struct{ Shard }
+
+func (s noAuxRaw) Query(req queryRequest) (queryResponse, error) {
+	resp, err := s.Shard.Query(req)
+	resp.AuxRaw = nil
+	return resp, err
+}
+
+func (s noAuxRaw) Aggregate(req aggregateRequest) (aggregateResponse, error) {
+	resp, err := s.Shard.Aggregate(req)
+	for i := range resp.Rows {
+		resp.Rows[i].AuxRaw = nil
+	}
+	return resp, err
+}
+
+// TestRouterAvgWithoutAuxRaw pins the nil check on worker answers: avg rows
+// merge through their stored sums, so a scattered avg read whose worker
+// answer lacks aux_raw is a bad-gateway error, never a mean of means.
+func TestRouterAvgWithoutAuxRaw(t *testing.T) {
+	ds := routerDataset(t)
+	aux := make([]float64, ds.NumTuples())
+	for i := range aux {
+		aux[i] = float64(i % 5)
+	}
+	if err := ds.SetMeasure(aux); err != nil {
+		t.Fatal(err)
+	}
+	shards := make([]Shard, 2)
+	for i := range shards {
+		sub, err := ds.Shard(0, i, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cube, err := ccubing.Materialize(sub, ccubing.Options{Measure: ccubing.MeasureAvg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := NewLocal(cube)
+		l.SetShard(i, 2)
+		shards[i] = l
+	}
+	shards[1] = noAuxRaw{shards[1]}
+	rt, err := NewRouter(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = rt.Query(queryRequest{Cell: []string{"*", "pen", "*"}})
+	if err == nil || httpStatus(err) != http.StatusBadGateway || !strings.Contains(err.Error(), "aux_raw") {
+		t.Fatalf("scattered avg query: %v (status %d), want 502 naming aux_raw", err, httpStatus(err))
+	}
+	_, err = rt.Aggregate(aggregateRequest{GroupBy: []string{"product"}})
+	if err == nil || httpStatus(err) != http.StatusBadGateway {
+		t.Fatalf("scattered avg aggregate: %v (status %d), want 502", err, httpStatus(err))
+	}
+}
+
 // TestRouterNDJSON pins the router's all-or-nothing stream contract: any bad
 // line rejects the whole stream before a single row is forwarded.
 func TestRouterNDJSON(t *testing.T) {

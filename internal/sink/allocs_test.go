@@ -11,20 +11,20 @@ import (
 	"ccubing/internal/core"
 )
 
-func TestMergeWorkerEmitAuxSteadyStateAllocs(t *testing.T) {
+func TestMergeWorkerEmitSteadyStateAllocs(t *testing.T) {
 	m := NewMerger(&Null{})
 	w := m.Worker()
 	defer w.Close()
 	vals := []core.Value{1, 2, 3, 4, 5, 6}
 	// Warm past several flush cycles so vals/cells reach steady capacity.
 	for i := 0; i < 4*flushBatch; i++ {
-		w.EmitAux(vals, 1, 0.5)
+		w.Emit(vals, 1, 0.5)
 	}
 	n := testing.AllocsPerRun(2000, func() {
-		w.EmitAux(vals, 1, 0.5)
+		w.Emit(vals, 1, 0.5)
 	})
 	if n > 0.01 {
-		t.Fatalf("MergeWorker.EmitAux allocates %v per op at steady state; want 0", n)
+		t.Fatalf("MergeWorker.Emit allocates %v per op at steady state; want 0", n)
 	}
 }
 
@@ -34,12 +34,12 @@ func TestMergerWorkerReuse(t *testing.T) {
 	// flushed, buffers reset).
 	m1 := NewMerger(&Null{})
 	w := m1.Worker()
-	w.EmitAux([]core.Value{1, 2}, 3, 0)
+	w.Emit([]core.Value{1, 2}, 3, 0)
 	w.Close()
 	next := &Collector{}
 	m2 := NewMerger(next)
 	w2 := m2.Worker()
-	w2.EmitAux([]core.Value{7, 8}, 9, 0)
+	w2.Emit([]core.Value{7, 8}, 9, 0)
 	w2.Close()
 	if len(next.Cells) != 1 || next.Cells[0].Count != 9 {
 		t.Fatalf("pooled worker leaked state: %v", next.Cells)

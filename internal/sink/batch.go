@@ -4,7 +4,7 @@ import "ccubing/internal/core"
 
 // BatchCell describes one cell inside a batch emission: Width values starting
 // at Off in the batch's shared value arena, with the cell's count and
-// optional measure value. Aux carries the measure's stored aggregate
+// measure value. Aux carries the measure's stored aggregate
 // (core.MeasureAgg.Stored): the running sum for sum/avg — avg is the
 // algebraic pair (Aux, Count) — and the extremum for min/max, so two
 // BatchCells describing the same group-by combine exactly.
@@ -28,6 +28,9 @@ func (c *BatchCell) Combine(src BatchCell, kind core.MeasureKind) {
 // BatchSink is the bulk-transfer fast path of the merge pipeline: a sink that
 // accepts a whole flush batch in one call instead of one Emit per cell, so
 // per-cell interface dispatch moves out of the merger's critical section.
+// It exists for the merger → cubestore.BuilderSink hand-off of parallel
+// Materialize builds; a sink that would only loop over the batch calling its
+// own Emit should not implement it — the merger does that loop itself.
 // Like Emit, the arena and cells slices are only valid for the duration of
 // the call; implementations that retain cells must copy.
 type BatchSink interface {

@@ -15,20 +15,14 @@ import (
 type Merger struct {
 	mu    sync.Mutex
 	next  Sink
-	aux   AuxSink   // non-nil when next also accepts measure values
 	batch BatchSink // non-nil when next accepts whole batches
 }
 
-// NewMerger wraps next (which may implement AuxSink to receive measure
-// values, and BatchSink to receive whole flush batches in one call).
+// NewMerger wraps next (which may implement BatchSink to receive whole flush
+// batches in one call).
 func NewMerger(next Sink) *Merger {
 	m := &Merger{next: next}
-	if a, ok := next.(AuxSink); ok {
-		m.aux = a
-	}
-	if b, ok := next.(BatchSink); ok {
-		m.batch = b
-	}
+	m.batch, _ = next.(BatchSink)
 	return m
 }
 
@@ -61,12 +55,7 @@ type MergeWorker struct {
 // Emit implements Sink.
 //
 //ccubing:hotpath
-func (w *MergeWorker) Emit(vals []core.Value, count int64) { w.EmitAux(vals, count, 0) }
-
-// EmitAux implements AuxSink.
-//
-//ccubing:hotpath
-func (w *MergeWorker) EmitAux(vals []core.Value, count int64, aux float64) {
+func (w *MergeWorker) Emit(vals []core.Value, count int64, aux float64) {
 	w.cells = append(w.cells, BatchCell{
 		Off:   int32(len(w.vals)),
 		Width: int32(len(vals)),
@@ -89,16 +78,11 @@ func (w *MergeWorker) Flush() {
 	}
 	m := w.m
 	m.mu.Lock()
-	switch {
-	case m.batch != nil:
+	if m.batch != nil {
 		m.batch.EmitBatch(w.vals, w.cells)
-	case m.aux != nil:
+	} else {
 		for _, c := range w.cells {
-			m.aux.EmitAux(w.vals[c.Off:c.Off+c.Width], c.Count, c.Aux)
-		}
-	default:
-		for _, c := range w.cells {
-			m.next.Emit(w.vals[c.Off:c.Off+c.Width], c.Count)
+			m.next.Emit(w.vals[c.Off:c.Off+c.Width], c.Count, c.Aux)
 		}
 	}
 	m.mu.Unlock()

@@ -26,7 +26,7 @@ func TestMergerConcurrent(t *testing.T) {
 				vals[0] = core.Value(g)
 				vals[1] = core.Value(i)
 				vals[2] = core.Star
-				w.Emit(vals, int64(g*perWorker+i))
+				w.Emit(vals, int64(g*perWorker+i), 0)
 			}
 			w.Flush()
 		}(g)
@@ -47,13 +47,13 @@ func TestMergerConcurrent(t *testing.T) {
 	}
 }
 
-// TestMergerAux checks measure values pass through to an AuxSink downstream.
+// TestMergerAux checks measure values pass through to the downstream sink.
 func TestMergerAux(t *testing.T) {
-	var col AuxCollector
+	var col Collector
 	m := NewMerger(&col)
 	w := m.Worker()
-	w.EmitAux([]core.Value{1, core.Star}, 5, 2.5)
-	w.Emit([]core.Value{2, core.Star}, 7)
+	w.Emit([]core.Value{1, core.Star}, 5, 2.5)
+	w.Emit([]core.Value{2, core.Star}, 7, 0)
 	w.Flush()
 	if len(col.Cells) != 2 {
 		t.Fatalf("collected %d cells, want 2", len(col.Cells))

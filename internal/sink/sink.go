@@ -1,6 +1,11 @@
 // Package sink collects or accounts for the cells a cubing engine outputs.
 // Engines call Emit with a scratch value slice that is only valid during the
 // call; sinks that retain cells must copy.
+//
+// The complex measure rides in every cell (paper Sec. 6.1: it is aggregated
+// in the same pass and by the same mechanism as count): aux is the stored
+// aggregate (core.MeasureAgg.Stored) of the run's measure kind, and 0 when
+// the run has none.
 package sink
 
 import (
@@ -13,9 +18,10 @@ import (
 )
 
 // Sink receives output cells. vals is valid only for the duration of the
-// call; count is the cell's count measure.
+// call; count is the cell's count measure and aux its stored complex-measure
+// aggregate (0 when no measure was requested).
 type Sink interface {
-	Emit(vals []core.Value, count int64)
+	Emit(vals []core.Value, count int64, aux float64)
 }
 
 // Null counts cells and bytes without retaining anything: the "output
@@ -29,7 +35,7 @@ type Null struct {
 }
 
 // Emit implements Sink.
-func (n *Null) Emit(vals []core.Value, count int64) {
+func (n *Null) Emit(vals []core.Value, count int64, aux float64) {
 	n.Cells++
 	n.Bytes += int64(4*len(vals)) + 8
 }
@@ -37,16 +43,17 @@ func (n *Null) Emit(vals []core.Value, count int64) {
 // MB returns the accumulated size in binary megabytes.
 func (n *Null) MB() float64 { return float64(n.Bytes) / (1 << 20) }
 
-// Collector retains every emitted cell; used by tests and small computations.
+// Collector retains every emitted cell (values copied) with its count and
+// measure aggregate.
 type Collector struct {
 	Cells []core.Cell
 }
 
 // Emit implements Sink, copying vals.
-func (c *Collector) Emit(vals []core.Value, count int64) {
+func (c *Collector) Emit(vals []core.Value, count int64, aux float64) {
 	v := make([]core.Value, len(vals))
 	copy(v, vals)
-	c.Cells = append(c.Cells, core.Cell{Values: v, Count: count})
+	c.Cells = append(c.Cells, core.Cell{Values: v, Count: count, Aux: aux})
 }
 
 // Sorted returns the collected cells in canonical order.
@@ -78,8 +85,8 @@ type Writer struct {
 	buf []byte
 }
 
-// Emit implements Sink.
-func (w *Writer) Emit(vals []core.Value, count int64) {
+// Emit implements Sink; the text rows carry the count only.
+func (w *Writer) Emit(vals []core.Value, count int64, aux float64) {
 	if w.err != nil {
 		return
 	}
@@ -105,9 +112,9 @@ func (w *Writer) Err() error { return w.err }
 type Tee []Sink
 
 // Emit implements Sink.
-func (t Tee) Emit(vals []core.Value, count int64) {
+func (t Tee) Emit(vals []core.Value, count int64, aux float64) {
 	for _, s := range t {
-		s.Emit(vals, count)
+		s.Emit(vals, count, aux)
 	}
 }
 
@@ -120,7 +127,7 @@ type Dedup struct {
 }
 
 // Emit implements Sink.
-func (d *Dedup) Emit(vals []core.Value, count int64) {
+func (d *Dedup) Emit(vals []core.Value, count int64, aux float64) {
 	if d.Seen == nil {
 		d.Seen = make(map[string]bool)
 	}
@@ -130,7 +137,7 @@ func (d *Dedup) Emit(vals []core.Value, count int64) {
 	}
 	d.Seen[k] = true
 	if d.Next != nil {
-		d.Next.Emit(vals, count)
+		d.Next.Emit(vals, count, aux)
 	}
 }
 

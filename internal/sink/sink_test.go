@@ -9,8 +9,8 @@ import (
 
 func TestNullAccounting(t *testing.T) {
 	var n Null
-	n.Emit([]core.Value{1, core.Star}, 5)
-	n.Emit([]core.Value{1, 2}, 3)
+	n.Emit([]core.Value{1, core.Star}, 5, 0)
+	n.Emit([]core.Value{1, 2}, 3, 0)
 	if n.Cells != 2 {
 		t.Fatalf("cells = %d", n.Cells)
 	}
@@ -26,7 +26,7 @@ func TestNullAccounting(t *testing.T) {
 func TestCollectorCopiesScratch(t *testing.T) {
 	var c Collector
 	scratch := []core.Value{1, 2}
-	c.Emit(scratch, 7)
+	c.Emit(scratch, 7, 0)
 	scratch[0] = 99
 	if c.Cells[0].Values[0] != 1 {
 		t.Fatal("Collector must copy the scratch slice")
@@ -38,13 +38,13 @@ func TestCollectorCopiesScratch(t *testing.T) {
 
 func TestCollectorByKey(t *testing.T) {
 	var c Collector
-	c.Emit([]core.Value{1, core.Star}, 2)
-	c.Emit([]core.Value{core.Star, 1}, 3)
+	c.Emit([]core.Value{1, core.Star}, 2, 0)
+	c.Emit([]core.Value{core.Star, 1}, 3, 0)
 	m, ok := c.ByKey()
 	if !ok || len(m) != 2 {
 		t.Fatalf("ByKey = %v, %v", m, ok)
 	}
-	c.Emit([]core.Value{1, core.Star}, 2)
+	c.Emit([]core.Value{1, core.Star}, 2, 0)
 	if _, ok := c.ByKey(); ok {
 		t.Fatal("duplicate cells must be reported")
 	}
@@ -53,8 +53,8 @@ func TestCollectorByKey(t *testing.T) {
 func TestWriter(t *testing.T) {
 	var b strings.Builder
 	w := &Writer{W: &b}
-	w.Emit([]core.Value{3, core.Star}, 9)
-	w.Emit([]core.Value{0, 1}, 2)
+	w.Emit([]core.Value{3, core.Star}, 9, 0)
+	w.Emit([]core.Value{0, 1}, 2, 0)
 	if w.Err() != nil {
 		t.Fatalf("Err = %v", w.Err())
 	}
@@ -76,17 +76,17 @@ func (*failErr) Error() string { return "fail" }
 
 func TestWriterError(t *testing.T) {
 	w := &Writer{W: failWriter{}}
-	w.Emit([]core.Value{1}, 1)
+	w.Emit([]core.Value{1}, 1, 0)
 	if w.Err() == nil {
 		t.Fatal("write error must be surfaced")
 	}
-	w.Emit([]core.Value{2}, 2) // must not panic after error
+	w.Emit([]core.Value{2}, 2, 0) // must not panic after error
 }
 
 func TestTee(t *testing.T) {
 	var a, b Null
 	tee := Tee{&a, &b}
-	tee.Emit([]core.Value{1}, 1)
+	tee.Emit([]core.Value{1}, 1, 0)
 	if a.Cells != 1 || b.Cells != 1 {
 		t.Fatalf("tee did not fan out: %d, %d", a.Cells, b.Cells)
 	}
@@ -95,9 +95,9 @@ func TestTee(t *testing.T) {
 func TestDedup(t *testing.T) {
 	var c Collector
 	d := &Dedup{Next: &c}
-	d.Emit([]core.Value{1}, 1)
-	d.Emit([]core.Value{2}, 1)
-	d.Emit([]core.Value{1}, 1)
+	d.Emit([]core.Value{1}, 1, 0)
+	d.Emit([]core.Value{2}, 1, 0)
+	d.Emit([]core.Value{1}, 1, 0)
 	if d.Dup != 1 {
 		t.Fatalf("dup = %d", d.Dup)
 	}

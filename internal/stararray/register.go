@@ -15,7 +15,7 @@ func (ccStarArray) Name() string { return "CC(StarArray)" }
 func (ccStarArray) Capabilities() engine.Capabilities {
 	// Measures ride the multiway traversal: merged nodes and pool folds
 	// carry the stored aggregate exactly like count.
-	return engine.Capabilities{Closed: true, Iceberg: true, NativeMeasure: true, OrderSensitive: true}
+	return engine.Capabilities{Closed: true, Iceberg: true, OrderSensitive: true}
 }
 
 func (ccStarArray) Run(t *table.Table, cfg engine.Config, out sink.Sink) error {

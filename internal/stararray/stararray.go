@@ -38,8 +38,8 @@ type Config struct {
 	DisableLemma6 bool
 	// Measure optionally aggregates the table's Aux column per output cell
 	// through the multiway traversal itself (paper Sec. 6.1): nodes and pool
-	// merges carry the stored aggregate (core.MeasureAgg.Stored). Delivered
-	// through sink.AuxSink.
+	// merges carry the stored aggregate (core.MeasureAgg.Stored), which
+	// every emission delivers.
 	Measure core.MeasureKind
 }
 
@@ -47,21 +47,15 @@ type runner struct {
 	t        *table.Table
 	cfg      Config
 	out      sink.Sink
-	auxOut   sink.AuxSink // set when cfg.Measure is active and out accepts aux
-	measure  core.MeasureKind
 	cols     core.Columns
 	vals     []core.Value
 	slabPool [][]saNode
 }
 
-// emit delivers one cell, with the node's stored measure aggregate when a
-// native measure is active.
+// emit delivers one cell with the node's stored measure aggregate (0 when no
+// measure is active: nodes then never touch aux).
 func (r *runner) emit(n *saNode) {
-	if r.auxOut != nil {
-		r.auxOut.EmitAux(r.vals, n.count, n.aux)
-		return
-	}
-	r.out.Emit(r.vals, n.count)
+	r.out.Emit(r.vals, n.count, n.aux)
 }
 
 // Run computes the (closed) iceberg cube of t and emits cells into out.
@@ -88,14 +82,10 @@ func Run(t *table.Table, cfg Config, out sink.Sink) error {
 		cols: t.Cols,
 		vals: make([]core.Value, t.NumDims()),
 	}
-	if a, ok := out.(sink.AuxSink); ok && cfg.Measure != core.MeasureNone {
-		r.auxOut = a
-		r.measure = cfg.Measure
-	}
 	for d := range r.vals {
 		r.vals[d] = core.Star
 	}
-	base := buildBase(t, cfg.MinSup, cfg.Closed, r.measure, &r.slabPool)
+	base := buildBase(t, cfg.MinSup, cfg.Closed, cfg.Measure, &r.slabPool)
 	r.process(base)
 	base.ar.release()
 	return nil
@@ -210,11 +200,7 @@ func (mb member) aux(kind core.MeasureKind, auxIn []float64) float64 {
 	if mb.node != nil {
 		return mb.node.aux
 	}
-	acc := core.StoredIdentity(kind)
-	for _, tid := range mb.run {
-		acc = core.CombineStored(kind, acc, auxIn[tid])
-	}
-	return acc
+	return core.FoldStored(kind, auxIn, mb.run)
 }
 
 func (mb member) closedness(cols core.Columns) core.Closedness {
@@ -334,14 +320,14 @@ func (r *runner) mergeChildren(tr *saTree, curs []cursor, d int) (*saNode, int32
 		vmin := h.keys[0]
 		members = members[:0]
 		var cnt int64
-		aux := core.StoredIdentity(r.measure)
+		aux := core.StoredIdentity(r.cfg.Measure)
 		for len(h.s) > 0 && h.keys[0] == vmin {
 			st := h.pop()
 			mb := st.take(col)
 			members = append(members, mb)
 			cnt += mb.count()
-			if r.auxOut != nil {
-				aux = core.CombineStored(r.measure, aux, mb.aux(r.measure, r.t.Aux))
+			if r.cfg.Measure != core.MeasureNone {
+				aux = core.CombineStored(r.cfg.Measure, aux, mb.aux(r.cfg.Measure, r.t.Aux))
 			}
 			if v, ok := st.head(col); ok {
 				h.push(st, v)

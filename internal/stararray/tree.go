@@ -23,7 +23,7 @@ const rootVal core.Value = -99
 type saNode struct {
 	val    core.Value
 	count  int64
-	aux    float64 // stored measure aggregate (native measures only)
+	aux    float64 // stored measure aggregate (0 without a measure)
 	cls    core.Closedness
 	child  *saNode
 	sib    *saNode
@@ -132,24 +132,13 @@ type baseBuilder struct {
 	structMask []core.Mask
 }
 
-// auxRange aggregates the stored measure of the sorted-TID range [lo,hi).
-func (b *baseBuilder) auxRange(lo, hi int) float64 {
-	acc := core.StoredIdentity(b.measure)
-	for _, tid := range b.tids[lo:hi] {
-		acc = core.CombineStored(b.measure, acc, b.t.Aux[tid])
-	}
-	return acc
-}
-
 // build creates the node covering the sorted TID range [lo,hi) at level l
 // (values fixed on dims[0..l-1], the node's own value being val).
 func (b *baseBuilder) build(lo, hi, l int, val core.Value) *saNode {
 	x := b.tr.ar.alloc()
 	x.val = val
 	x.count = int64(hi - lo)
-	if b.measure != core.MeasureNone {
-		x.aux = b.auxRange(lo, hi)
-	}
+	x.aux = core.FoldStored(b.measure, b.t.Aux, b.tids[lo:hi])
 	m := b.tr.depth()
 	switch {
 	case l == m: // full-depth leaf: a group of identical tuples

@@ -11,7 +11,7 @@ const rootVal core.Value = -99
 type node struct {
 	val     core.Value // dimension value, or core.StarNode for a star node
 	count   int64
-	aux     float64 // stored measure aggregate (native measures only)
+	aux     float64 // stored measure aggregate (0 without a measure)
 	cls     core.Closedness
 	child   *node // first son
 	sib     *node // next sibling

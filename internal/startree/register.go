@@ -15,7 +15,7 @@ func (ccStar) Name() string { return "CC(Star)" }
 func (ccStar) Capabilities() engine.Capabilities {
 	// Measures ride the tree aggregation itself: nodes carry the stored
 	// aggregate and child-tree merges combine it exactly like count.
-	return engine.Capabilities{Closed: true, Iceberg: true, NativeMeasure: true, OrderSensitive: true}
+	return engine.Capabilities{Closed: true, Iceberg: true, OrderSensitive: true}
 }
 
 func (ccStar) Run(t *table.Table, cfg engine.Config, out sink.Sink) error {

@@ -45,7 +45,7 @@ type Config struct {
 	// Measure optionally aggregates the table's Aux column per output cell
 	// through the tree aggregation itself (paper Sec. 6.1): nodes carry the
 	// stored aggregate (core.MeasureAgg.Stored) and child-tree merges combine
-	// it exactly like count. Delivered through sink.AuxSink.
+	// it exactly like count; every emission delivers it.
 	Measure core.MeasureKind
 }
 
@@ -53,21 +53,16 @@ type runner struct {
 	t        *table.Table
 	cfg      Config
 	out      sink.Sink
-	auxOut   sink.AuxSink // set when cfg.Measure is active and out accepts aux
 	cols     core.Columns
 	vals     []core.Value
 	slabPool [][]node   // recycled node slabs
 	ctFree   []*ctBuild // recycled child-tree builders
 }
 
-// emit delivers one cell, with the node's stored measure aggregate when a
-// native measure is active.
+// emit delivers one cell with the node's stored measure aggregate (0 when no
+// measure is active: nodes then never touch aux).
 func (r *runner) emit(n *node) {
-	if r.auxOut != nil {
-		r.auxOut.EmitAux(r.vals, n.count, n.aux)
-		return
-	}
-	r.out.Emit(r.vals, n.count)
+	r.out.Emit(r.vals, n.count, n.aux)
 }
 
 // ctBuild tracks one child tree under simultaneous construction during its
@@ -136,17 +131,10 @@ func Run(t *table.Table, cfg Config, out sink.Sink) error {
 		cols: t.Cols,
 		vals: make([]core.Value, t.NumDims()),
 	}
-	if a, ok := out.(sink.AuxSink); ok && cfg.Measure != core.MeasureNone {
-		r.auxOut = a
-	}
 	for d := range r.vals {
 		r.vals[d] = core.Star
 	}
-	measure := core.MeasureNone
-	if r.auxOut != nil {
-		measure = cfg.Measure
-	}
-	base := buildBase(t, cfg.MinSup, cfg.Closed, cfg.NoStarReduction, measure, &r.slabPool)
+	base := buildBase(t, cfg.MinSup, cfg.Closed, cfg.NoStarReduction, cfg.Measure, &r.slabPool)
 	r.process(base)
 	base.ar.release()
 	return nil
@@ -176,7 +164,7 @@ func (r *runner) dfs(tr *tree, n *node, l int, acts []*ctBuild, stars, prune boo
 				if r.cfg.Closed {
 					root.cls.Merge(n.cls, ct.tr.tm, r.cols)
 				}
-				if r.auxOut != nil {
+				if r.cfg.Measure != core.MeasureNone {
 					root.aux = core.CombineStored(r.cfg.Measure, root.aux, n.aux)
 				}
 				ct.cursors[0] = root
@@ -197,7 +185,7 @@ func (r *runner) dfs(tr *tree, n *node, l int, acts []*ctBuild, stars, prune boo
 					if r.cfg.Closed {
 						x.cls.Merge(n.cls, ct.tr.tm|psm, r.cols)
 					}
-					if r.auxOut != nil {
+					if r.cfg.Measure != core.MeasureNone {
 						x.aux = core.CombineStored(r.cfg.Measure, x.aux, n.aux)
 					}
 				}

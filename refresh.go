@@ -18,7 +18,6 @@ import (
 
 	"ccubing/internal/core"
 	"ccubing/internal/refresh"
-	"ccubing/internal/table"
 )
 
 // RefreshStats describes one refresh; see Cube.Refresh.
@@ -388,23 +387,4 @@ func (c *Cube) RefreshMetrics() RefreshMetrics {
 		return RefreshMetrics{Generation: st.Generation, Rows: st.Rows}
 	}
 	return c.mgr.Metrics()
-}
-
-// attachMeasureCore adapts AttachMeasure to the refresh manager's hook: it
-// fills the Aux of recomputed cells from the relation's measure column.
-func attachMeasureCore(t *table.Table, cells []core.Cell, kind MeasureKind) error {
-	if len(cells) == 0 {
-		return nil
-	}
-	fcells := make([]Cell, len(cells))
-	for i := range cells {
-		fcells[i] = Cell{Values: cells[i].Values, Count: cells[i].Count}
-	}
-	if err := AttachMeasure(&Dataset{t: t}, fcells, kind); err != nil {
-		return err
-	}
-	for i := range cells {
-		cells[i].Aux = fcells[i].Aux
-	}
-	return nil
 }
