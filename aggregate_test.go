@@ -379,3 +379,64 @@ func TestCubeParseSpec(t *testing.T) {
 		t.Fatal("unknown group-by dimension must error")
 	}
 }
+
+// TestCubeAggregateWideLabelRange covers a labeled lo..hi range that lowers
+// to a large value set: 250 of a dimension's 500 labels, whose dictionary
+// codes are scattered (first-occurrence order is not label order). Aggregate
+// — through stored cells and, at min_sup 2, the residual — and Select must
+// agree with a scan of the rows.
+func TestCubeAggregateWideLabelRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	regions := []string{"north", "south", "east", "west"}
+	var rows [][]string
+	for _, i := range rng.Perm(500) {
+		for n := 1 + i%3; n > 0; n-- {
+			rows = append(rows, []string{fmt.Sprintf("sku%03d", i), regions[rng.Intn(len(regions))]})
+		}
+	}
+	ds, err := NewDataset([]string{"sku", "region"}, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lo, hi = "sku100", "sku349"
+	want := map[string]int64{}
+	for _, r := range rows {
+		if r[0] >= lo && r[0] <= hi {
+			want[r[1]]++
+		}
+	}
+	for _, minsup := range []int64{1, 2} {
+		cube, err := Materialize(ds, Options{MinSup: minsup})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := cube.ParseSpec([]string{lo + ".." + hi, "*"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec[0].Op != PredIn || len(spec[0].Set) != 250 {
+			t.Fatalf("label range lowered to %v with %d codes, want a 250-code set", spec[0].Op, len(spec[0].Set))
+		}
+		got, exact, err := cube.Aggregate(spec, AggregateOptions{GroupBy: []string{"region"}})
+		if err != nil || !exact {
+			t.Fatalf("minsup %d: aggregate exact=%v err=%v", minsup, exact, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("minsup %d: %d regions, want %d", minsup, len(got), len(want))
+		}
+		for _, r := range got {
+			if region := cube.Labels(r.Values)[1]; want[region] != r.Count {
+				t.Fatalf("minsup %d: region %s counts %d, the rows say %d", minsup, region, r.Count, want[region])
+			}
+		}
+		// Select keeps exactly the stored cells fixing sku inside the range.
+		if err := cube.Select(spec, func(c Cell) bool {
+			if sku := cube.Labels(c.Values)[0]; sku < lo || sku > hi {
+				t.Fatalf("minsup %d: Select visited %v outside the range", minsup, cube.Labels(c.Values))
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -79,7 +79,8 @@ func main() {
 	newPath := flag.String("new", "", "freshly recorded bench JSON (required)")
 	tolerance := flag.Float64("tolerance", 0.20, "allowed relative regression on critical benchmarks")
 	critical := flag.String("critical",
-		"BenchmarkCubeQuery/sequential,BenchmarkLookupLattice,BenchmarkRefreshAppend",
+		"BenchmarkCubeQuery/sequential,BenchmarkLookupLattice,BenchmarkRefreshAppend,"+
+			"BenchmarkAggregateIcebergResidual/range,BenchmarkAggregateIcebergResidual/set",
 		"comma-separated benchmarks whose regression fails the run")
 	minIters := flag.Int64("min-iters", 5,
 		"iteration floor: gated regressions measured from fewer fresh-run iterations downgrade to a warning (0 disables)")

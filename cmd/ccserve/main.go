@@ -78,6 +78,24 @@ import (
 	"ccubing/internal/serve"
 )
 
+// serveProcs gives a single-node server confined to one CPU a second P. With
+// a single P the runtime's monitor thread retakes the P from every network
+// syscall the kernel preempts — on a loopback connection the peer runs on the
+// same CPU, inside the server's write — and hands it to another thread, so
+// each request pays thread hand-offs; that state lasts until a CPU-bound
+// request of ten milliseconds or more lets the monitor back off, which made
+// point latency depend on how slow the neighbouring aggregates were. With an
+// idle P around, the monitor leaves short syscalls alone. The processes of a
+// sharded topology keep the default: there the extra threads of every worker
+// and the router cost more on a shared CPU than the hand-offs do (ccload's
+// routed point tracks lose 4-6 % with it, serve and live gain 8-30 %). An
+// explicit GOMAXPROCS is respected.
+func serveProcs() {
+	if os.Getenv("GOMAXPROCS") == "" && runtime.GOMAXPROCS(0) < 2 {
+		runtime.GOMAXPROCS(2)
+	}
+}
+
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
@@ -172,6 +190,9 @@ func main() {
 		shard = local
 	}
 
+	if *routerTo == "" && *shardSpec == "" {
+		serveProcs() // once the cube is built or loaded: the boot itself is CPU-bound
+	}
 	server := serve.NewServer(shard, serve.Config{Rate: *rate, SlowQuery: *slowQuery})
 	if *pprofOn {
 		server.EnablePprof()

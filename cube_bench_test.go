@@ -233,6 +233,13 @@ func BenchmarkMaterializeNativeMeasure(b *testing.B) {
 // price of exactness — against the same queries on a lossless minsup-1 cube
 // (no residual to fold, but far more stored cells to enumerate). The result
 // cache is disabled; every op pays the full enumeration + residual pass.
+//
+// The minsup arms draw exact predicates and a one-dimension group-by, which
+// keep a sliver of the residual. The range and set arms are the load
+// harness's aggregate shape on the iceberg cube — one range or value-set
+// predicate keeping about a tenth of the tuples, two group-by dimensions,
+// residual ≈ relation — where the residual fold and the per-group work
+// dominate.
 func BenchmarkAggregateIcebergResidual(b *testing.B) {
 	ds := benchCubeDataset(b)
 	aux := make([]float64, ds.NumTuples())
@@ -257,6 +264,18 @@ func BenchmarkAggregateIcebergResidual(b *testing.B) {
 		specs[i] = spec
 		groups[i] = []string{names[rng.Intn(len(names))]}
 	}
+	run := func(b *testing.B, cube *Cube, specs []QuerySpec, groups [][]string) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rows, exact, err := cube.Aggregate(specs[i%len(specs)], AggregateOptions{GroupBy: groups[i%len(specs)]})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !exact || rows == nil && i == 0 {
+				b.Fatal("iceberg aggregate must stay exact")
+			}
+		}
+	}
 	for _, minsup := range []int64{1, 8} {
 		cube, err := Materialize(ds, Options{MinSup: minsup, Measure: MeasureSum, Workers: -1})
 		if err != nil {
@@ -267,19 +286,62 @@ func BenchmarkAggregateIcebergResidual(b *testing.B) {
 		if minsup > 1 {
 			label += fmt.Sprintf("/residual=%d", cube.snap().Store.ResidualRows())
 		}
-		b.Run(label, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rows, exact, err := cube.Aggregate(specs[i%nspec], AggregateOptions{GroupBy: groups[i%nspec]})
-				if err != nil {
-					b.Fatal(err)
+		b.Run(label, func(b *testing.B) { run(b, cube, specs, groups) })
+		if minsup > 1 {
+			for _, shape := range []string{"range", "set"} {
+				sspecs, sgroups := benchSelectiveSpecs(ds, rng, 64, shape == "set")
+				b.Run(shape, func(b *testing.B) { run(b, cube, sspecs, sgroups) })
+			}
+		}
+	}
+}
+
+// benchSelectiveSpecs draws n aggregates of the load harness's shape: one
+// predicate — a code range, or a value set when set — whose values carry
+// 8-13% of the tuples, and two other dimensions to group by.
+func benchSelectiveSpecs(ds *Dataset, rng *rand.Rand, n int, set bool) ([]QuerySpec, [][]string) {
+	tb, cards, names := ds.Table(), ds.Cardinalities(), ds.Names()
+	share := make([][]float64, len(cards))
+	for d, col := range tb.Cols {
+		share[d] = make([]float64, cards[d])
+		for _, v := range col {
+			share[d][v] += 1 / float64(len(col))
+		}
+	}
+	specs := make([]QuerySpec, 0, n)
+	groups := make([][]string, 0, n)
+	for len(specs) < n {
+		perm := rng.Perm(len(cards))
+		pd := perm[0]
+		var p Predicate
+		var mass float64
+		if set {
+			p.Op = PredIn
+			for _, v := range rng.Perm(cards[pd]) {
+				if mass >= 0.08 {
+					break
 				}
-				if !exact || rows == nil && i == 0 {
-					b.Fatal("iceberg aggregate must stay exact")
+				p.Set = append(p.Set, int32(v))
+				mass += share[pd][v]
+			}
+		} else {
+			p.Op, p.Lo = PredRange, int32(rng.Intn(cards[pd]))
+			for p.Hi = p.Lo; ; p.Hi++ {
+				mass += share[pd][p.Hi]
+				if mass >= 0.08 || int(p.Hi) == cards[pd]-1 {
+					break
 				}
 			}
-		})
+		}
+		if mass < 0.08 || mass > 0.13 {
+			continue
+		}
+		spec := make(QuerySpec, len(cards))
+		spec[pd] = p
+		specs = append(specs, spec)
+		groups = append(groups, []string{names[perm[1]], names[perm[2]]})
 	}
+	return specs, groups
 }
 
 // BenchmarkCubeSnapshot measures Save and Load of a materialized cube.

@@ -1,14 +1,17 @@
 package ccubing
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	"ccubing/internal/core"
 	"ccubing/internal/cubestore"
+	"ccubing/internal/psort"
 	"ccubing/internal/refresh"
 )
 
@@ -336,10 +339,7 @@ func (c *Cube) Aggregate(spec QuerySpec, opt AggregateOptions) (rows []Cell, exa
 			out[i].Aux = core.Present(core.MeasureAvg, out[i].Aux, out[i].Count)
 		}
 		if sopt.By == cubestore.ByAux {
-			sortAggRows(out, opt.By)
-			if opt.TopK > 0 && len(out) > opt.TopK {
-				out = out[:opt.TopK]
-			}
+			out = topAggRows(out, opt.TopK)
 		}
 	}
 	if qc != nil {
@@ -351,27 +351,20 @@ func (c *Cube) Aggregate(spec QuerySpec, opt AggregateOptions) (rows []Cell, exa
 	return out, exact, nil
 }
 
-// sortAggRows ranks aggregate rows best first, mirroring the store's order:
-// rank descending, ties by values ascending (Star sorts last, matching the
-// packed-key comparison).
-func sortAggRows(rows []Cell, by OrderBy) {
-	rank := func(c Cell) float64 {
-		if by == ByAux {
-			return c.Aux
-		}
-		return float64(c.Count)
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		ri, rj := rank(rows[i]), rank(rows[j])
-		if ri != rj {
-			return ri > rj
-		}
-		for d := range rows[i].Values {
-			if rows[i].Values[d] != rows[j].Values[d] {
-				return uint32(rows[i].Values[d]) < uint32(rows[j].Values[d])
+// topAggRows ranks aggregate rows by measure, best first, and keeps the k
+// best (every row when k is 0), mirroring the store's order: rank descending,
+// ties by values ascending (Star sorts last).
+func topAggRows(rows []Cell, k int) []Cell {
+	return psort.TopK(rows, k, func(a, b Cell) int {
+		if a.Aux != b.Aux {
+			if a.Aux > b.Aux {
+				return -1
 			}
+			return 1
 		}
-		return false
+		return slices.CompareFunc(a.Values, b.Values, func(x, y int32) int {
+			return cmp.Compare(uint32(x), uint32(y))
+		})
 	})
 }
 
@@ -381,11 +374,18 @@ type aggEntry struct {
 	exact bool
 }
 
-// copyCells deep-copies result rows so cached entries stay immutable.
+// copyCells deep-copies result rows so cached entries stay immutable. The
+// copies' values share one allocation.
 func copyCells(rows []Cell) []Cell {
 	out := make([]Cell, len(rows))
+	var slab []int32
+	if len(rows) > 0 {
+		slab = make([]int32, 0, len(rows)*len(rows[0].Values))
+	}
 	for i, r := range rows {
-		out[i] = Cell{Values: append([]int32(nil), r.Values...), Count: r.Count, Aux: r.Aux}
+		n := len(slab)
+		slab = append(slab, r.Values...)
+		out[i] = Cell{Values: slab[n:len(slab):len(slab)], Count: r.Count, Aux: r.Aux}
 	}
 	return out
 }

@@ -1,14 +1,17 @@
 package cubestore
 
-// Steady-state allocation regression tests for the probe path: Query and the
-// covering scan behind Lookup must not allocate per operation (scratch is
-// pooled per store). Bounds allow a fraction of an alloc per op because a GC
-// pass can empty the sync.Pool mid-measurement.
+// Steady-state allocation regression tests for the probe path and the
+// aggregate engine: Query and the covering scan behind Lookup must not
+// allocate per operation, Aggregate not per row (scratch is pooled per
+// store). Bounds allow a fraction of an alloc per op because a GC pass can
+// empty the sync.Pool mid-measurement.
 
 import (
 	"testing"
 
 	"ccubing/internal/core"
+	"ccubing/internal/qcdfs"
+	"ccubing/internal/sink"
 )
 
 func TestQueryAllocsSteadyState(t *testing.T) {
@@ -56,5 +59,47 @@ func TestLookupAllocsSteadyState(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, func() { s.Lookup(hit) }); n > 2.5 {
 		t.Fatalf("Lookup(hit) allocates %v per op; want <= 2 (the returned cell)", n)
+	}
+}
+
+// TestAggregateAllocs bounds Aggregate's steady-state allocations at a
+// constant: the tables, selection vector and keys live in pooled scratch, and
+// the result — however many rows — is one cell slice over one value slab. The
+// query has the load harness's shape on an iceberg store whose residual is
+// about the relation: a range keeping a slice of the tuples, two group-by
+// dimensions, hundreds of result rows.
+func TestAggregateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on the probe path; counts are not meaningful")
+	}
+	cards := []int{40, 30, 30, 20, 10}
+	tbl := testTable(t, 20000, cards, 1.0, 29)
+	col := &sink.Collector{}
+	if err := qcdfs.Run(tbl, qcdfs.Config{MinSup: 4}, col); err != nil {
+		t.Fatal(err)
+	}
+	b := NewBuilder(tbl.NumDims(), false)
+	for _, c := range col.Cells {
+		b.Add(c.Values, c.Count, 0)
+	}
+	if err := b.SetResidual(ComputeResidual(tbl.Cols, nil, 4, core.MeasureNone)); err != nil {
+		t.Fatal(err)
+	}
+	s, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []Spec{
+		{Preds: []Pred{{Kind: PredRange, Lo: 2, Hi: 6}, {}, {}, {}, {}}},
+		{Preds: []Pred{{Kind: PredIn, Set: []core.Value{1, 5, 9, 30}}, {}, {}, {}, {}}},
+	} {
+		opt := AggOptions{GroupBy: []int{1, 2}}
+		rows := len(s.Aggregate(spec, opt))
+		if rows < 300 {
+			t.Fatalf("only %d result rows; the bound below would not notice per-row allocations", rows)
+		}
+		if n := testing.AllocsPerRun(50, func() { s.Aggregate(spec, opt) }); n > 16 {
+			t.Fatalf("Aggregate allocates %v per op for %d rows; want a constant (<= 16)", n, rows)
+		}
 	}
 }

@@ -10,6 +10,7 @@ package cubestore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -17,14 +18,28 @@ import (
 	"ccubing/internal/sink"
 )
 
-// buildIndex derives the cuboid-lattice index from the sorted group list;
-// called by Build and Load.
+// buildIndex derives the cuboid-lattice index from the sorted group list and
+// the per-dimension value bounds from every stored key and residual row;
+// called by Build, Load and MergePartitions once groups and res are final.
 func (s *Store) buildIndex() {
 	s.byDim = make([][]*group, s.nd)
+	s.maxVal = make([]uint32, s.nd)
+	var rowMax [core.MaxDims]uint32
 	for _, g := range s.groups {
-		for _, d := range g.dims {
-			s.byDim[d] = append(s.byDim[d], g)
+		mx := rowMax[:len(g.dims)]
+		clear(mx)
+		for row := 0; row < len(g.keys); row += g.width {
+			for j := range mx {
+				mx[j] = max(mx[j], binary.LittleEndian.Uint32(g.keys[row+j*core.ValueWidth:]))
+			}
 		}
+		for j, d := range g.dims {
+			s.byDim[d] = append(s.byDim[d], g)
+			s.maxVal[d] = max(s.maxVal[d], mx[j])
+		}
+	}
+	if s.res != nil {
+		s.res.maxValues(s.maxVal)
 	}
 }
 

@@ -121,29 +121,12 @@ func (s *Store) mergeResidual(dim int, replaced func(core.Value) bool, freshRes 
 	if freshRes.nd != s.nd {
 		return nil, fmt.Errorf("cubestore: merge: fresh residual has %d dimensions, store has %d", freshRes.nd, s.nd)
 	}
-	off := dim * core.ValueWidth
-	for i := 0; i < freshRes.NumRows(); i++ {
-		if v := core.DecodeValue(freshRes.row(i)[off:]); !replaced(v) {
-			return nil, fmt.Errorf("cubestore: merge: fresh residual row fixes dimension %d to unreplaced value %d", dim, v)
-		}
+	if v, bad := freshRes.firstFailing(dim, replaced); bad {
+		return nil, fmt.Errorf("cubestore: merge: fresh residual row fixes dimension %d to unreplaced value %d", dim, v)
 	}
-	kept := &Residual{nd: s.nd, hasAux: s.hasAux}
+	var kept *Residual
 	if s.res != nil {
-		for i := 0; i < s.res.NumRows(); i++ {
-			row := s.res.row(i)
-			if replaced(core.DecodeValue(row[off:])) {
-				continue
-			}
-			kept.keys = append(kept.keys, row...)
-			kept.counts = append(kept.counts, s.res.counts[i])
-			if s.hasAux {
-				var a float64
-				if s.res.aux != nil {
-					a = s.res.aux[i]
-				}
-				kept.aux = append(kept.aux, a)
-			}
-		}
+		kept = s.res.retain(dim, s.hasAux, func(v core.Value) bool { return !replaced(v) })
 	}
 	return mergeResiduals(s.nd, s.hasAux, kept, freshRes)
 }

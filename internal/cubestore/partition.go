@@ -118,24 +118,9 @@ func Split(s *Store, dim, n int, owner func(core.Value) int, generation uint64) 
 	// sorted order (a subsequence of a sorted sequence), so owner residuals
 	// are canonical without re-sorting.
 	if s.res != nil {
-		resParts := make([]*Residual, n)
-		for i := range resParts {
-			resParts[i] = &Residual{nd: s.nd, hasAux: s.res.hasAux}
-		}
-		off := dim * core.ValueWidth
-		for i := 0; i < s.res.NumRows(); i++ {
-			row := s.res.row(i)
-			v := core.DecodeValue(row[off:])
-			o := owner(v)
-			if o < 0 || o >= n {
-				return nil, fmt.Errorf("cubestore: split: owner(%d) = %d out of range [0, %d)", v, o, n)
-			}
-			p := resParts[o]
-			p.keys = append(p.keys, row...)
-			p.counts = append(p.counts, s.res.counts[i])
-			if p.hasAux {
-				p.aux = append(p.aux, s.res.aux[i])
-			}
+		resParts, err := s.res.partitionBy(dim, n, owner)
+		if err != nil {
+			return nil, fmt.Errorf("cubestore: split: %w", err)
 		}
 		for i, b := range builders[:n] {
 			if err := b.SetResidual(resParts[i]); err != nil {

@@ -1,20 +1,32 @@
 package cubestore
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
+	"sync/atomic"
 
 	"ccubing/internal/core"
+	"ccubing/internal/psort"
 )
 
 // This file implements the aggregate query engine over the closed-cube store:
 // per-dimension predicates (exact, range, value set, wildcard), predicate
-// slices (Select) and group-by / top-k aggregation (Aggregate). The engine
-// exploits the quotient-cube property twice: candidate cells are enumerated
-// from the stored closed cells via the cuboid-lattice index, and every
-// distinct group-by combination is resolved to its exact count through one
-// closure lookup — deduplicated by combination, so a cell covered by closed
-// cells in several cuboids is never double-counted.
+// slices (Select) and group-by / top-k aggregation (Aggregate).
+//
+// Aggregate is one accumulate pass over fixed-width integer keys. Each
+// distinct value combination on the group-by plus constrained dimensions is
+// packed into an integer sized from the store's per-dimension value bounds;
+// the scan of the covering cuboids (lattice candidates only) keeps, per
+// combination, the covering cell with the maximum count — its closure, by the
+// quotient-cube property — so a combination covered by closed cells in
+// several cuboids counts once and no per-combination lookup runs afterwards.
+// Combinations fold into their groups by masking the key; the residual of an
+// iceberg store is filtered predicate-first over its columns and folds the
+// rows of combinations no stored cell covers; groups are ranked on (rank,
+// integer key). Predicates are normalised once per call (matcher), so no row
+// pays for a linear value-set search.
 
 // PredKind discriminates the per-dimension predicate forms.
 type PredKind uint8
@@ -41,7 +53,8 @@ type Pred struct {
 // Bound reports whether the predicate constrains its dimension.
 func (p Pred) Bound() bool { return p.Kind != PredAny }
 
-// Match reports whether v satisfies the predicate.
+// Match reports whether v satisfies the predicate. It is the reference
+// semantics; Select and Aggregate evaluate the normalised matcher instead.
 func (p Pred) Match(v core.Value) bool {
 	switch p.Kind {
 	case PredAny:
@@ -51,13 +64,137 @@ func (p Pred) Match(v core.Value) bool {
 	case PredRange:
 		return v >= p.Lo && v <= p.Hi
 	default:
-		for _, sv := range p.Set {
-			if v == sv {
-				return true
+		return slices.Contains(p.Set, v)
+	}
+}
+
+// matchKind discriminates the normalised predicate forms.
+type matchKind uint8
+
+const (
+	matchAny    matchKind = iota
+	matchRange            // lo <= v <= hi; PredEq is lo == hi, "nothing" is lo > hi
+	matchBits             // membership bitmap over the dimension's value bound
+	matchSorted           // sorted value set, binary search
+)
+
+// maxBitmapValues caps the value bound a PredIn set is expanded into a bitmap
+// for (16 KiB of words); wider dimensions search the sorted set instead.
+const maxBitmapValues = 1 << 17
+
+// matcher is one predicate normalised for evaluation against many rows:
+// constant time per row whatever the size of a value set.
+type matcher struct {
+	kind   matchKind
+	lo, hi core.Value
+	bits   []uint64     // matchBits: bit v set iff v is in the set
+	set    []core.Value // matchSorted
+}
+
+// newMatcher normalises p for a dimension whose stored values do not exceed
+// maxVal (as unsigned codes). Set members beyond the bound match no stored
+// value and are dropped.
+func newMatcher(p Pred, maxVal uint32) matcher {
+	switch p.Kind {
+	case PredAny:
+		return matcher{kind: matchAny}
+	case PredEq:
+		return matcher{kind: matchRange, lo: p.Val, hi: p.Val}
+	case PredRange:
+		return matcher{kind: matchRange, lo: p.Lo, hi: p.Hi}
+	}
+	if maxVal >= maxBitmapValues {
+		set := slices.Clone(p.Set)
+		slices.Sort(set)
+		return matcher{kind: matchSorted, set: slices.Compact(set)}
+	}
+	var m matcher
+	for _, v := range p.Set {
+		if u := uint32(v); u <= maxVal {
+			if m.bits == nil {
+				m.bits = make([]uint64, maxVal>>6+1)
+			}
+			m.bits[u>>6] |= 1 << (u & 63)
+		}
+	}
+	if m.bits == nil {
+		return matcher{kind: matchRange, lo: 1, hi: 0}
+	}
+	m.kind = matchBits
+	return m
+}
+
+// match reports whether v satisfies the predicate.
+//
+//ccubing:hotpath
+func (m *matcher) match(v core.Value) bool {
+	switch m.kind {
+	case matchAny:
+		return true
+	case matchRange:
+		return v >= m.lo && v <= m.hi
+	case matchBits:
+		u := uint32(v)
+		return u>>6 < uint32(len(m.bits)) && m.bits[u>>6]>>(u&63)&1 != 0
+	default:
+		_, ok := slices.BinarySearch(m.set, v)
+		return ok
+	}
+}
+
+// selectRows writes the indices of col's values satisfying the predicate into
+// buf, which must hold len(col) entries, and returns the filled prefix: the
+// full-column scan that seeds a selection vector. The range and bitmap loops
+// store every index and advance past the kept ones, so a selective predicate
+// costs no mispredicted branches.
+//
+//ccubing:hotpath
+func (m *matcher) selectRows(col []core.Value, buf []int32) []int32 {
+	n := 0
+	switch m.kind {
+	case matchRange:
+		if m.lo > m.hi {
+			break
+		}
+		lo, span := m.lo, uint32(m.hi-m.lo)
+		for i, v := range col {
+			buf[n] = int32(i)
+			if uint32(v-lo) <= span {
+				n++
 			}
 		}
-		return false
+	case matchBits:
+		words := m.bits
+		for i, v := range col {
+			buf[n] = int32(i)
+			u := uint32(v)
+			if w := u >> 6; w < uint32(len(words)) {
+				n += int(words[w] >> (u & 63) & 1)
+			}
+		}
+	default:
+		for i, v := range col {
+			if m.match(v) {
+				buf[n] = int32(i)
+				n++
+			}
+		}
 	}
+	return buf[:n]
+}
+
+// filterRows keeps, in place, the selected rows whose col value satisfies the
+// predicate.
+//
+//ccubing:hotpath
+func (m *matcher) filterRows(col []core.Value, sel []int32) []int32 {
+	kept := sel[:0]
+	for _, i := range sel {
+		if m.match(col[i]) {
+			kept = append(kept, i)
+		}
+	}
+	return kept
 }
 
 // Spec is a conjunctive sub-cube selection: one predicate per dimension.
@@ -80,6 +217,30 @@ func (s *Store) boundMask(spec Spec) core.Mask {
 	return m
 }
 
+// matchers normalises every predicate of the spec once, for one Select or
+// Aggregate call.
+func (s *Store) matchers(spec Spec) []matcher {
+	ms := make([]matcher, s.nd)
+	for d, p := range spec.Preds {
+		ms[d] = newMatcher(p, s.maxVal[d])
+	}
+	return ms
+}
+
+// eqPrefix packs the leading run of exact predicates over g's dimensions into
+// the scratch key — a key prefix narrowing the row range by binary search —
+// and returns the range with the length of the run.
+func (g *group) eqPrefix(spec Spec, sc *probeScratch) (lo, hi, p int) {
+	prefix := sc.key[:0]
+	for p < len(g.dims) && spec.Preds[g.dims[p]].Kind == PredEq {
+		prefix = core.AppendValue(prefix, spec.Preds[g.dims[p]].Val)
+		p++
+	}
+	sc.key = prefix
+	lo, hi = g.prefixRange(prefix)
+	return lo, hi, p
+}
+
 // Select visits every stored closed cell matching the spec: cells that fix
 // each constrained dimension with a value satisfying its predicate (the
 // predicate generalization of Slice). Visiting order is cuboid mask
@@ -88,6 +249,7 @@ func (s *Store) boundMask(spec Spec) core.Mask {
 // Panics when the spec does not have exactly NumDims predicates.
 func (s *Store) Select(spec Spec, visit func(core.Cell) bool) {
 	q := s.boundMask(spec)
+	ms := s.matchers(spec)
 	sc := s.getScratch()
 	defer s.putScratch(sc)
 	cands := s.candidates(q, &sc.cands)
@@ -97,25 +259,12 @@ func (s *Store) Select(spec Spec, visit func(core.Cell) bool) {
 			continue
 		}
 		sc.probes++
-		// A leading run of exact predicates forms a key prefix, narrowing the
-		// row range by binary search as in Slice.
-		p := 0
-		prefix := sc.key[:0]
-		for p < len(g.dims) && spec.Preds[g.dims[p]].Kind == PredEq {
-			prefix = core.AppendValue(prefix, spec.Preds[g.dims[p]].Val)
-			p++
-		}
-		sc.key = prefix
-		lo, hi := g.prefixRange(prefix)
+		lo, hi, p := g.eqPrefix(spec, sc)
 	rows:
 		for i := lo; i < hi; i++ {
 			row := g.row(i)
 			for j := p; j < len(g.dims); j++ {
-				pred := spec.Preds[g.dims[j]]
-				if !pred.Bound() {
-					continue
-				}
-				if !pred.Match(core.DecodeValue(row[j*core.ValueWidth:])) {
+				if !ms[g.dims[j]].match(core.DecodeValue(row[j*core.ValueWidth:])) {
 					continue rows
 				}
 			}
@@ -167,25 +316,29 @@ type AggOptions struct {
 // satisfying the spec, the aggregated count (and measure). Result rows fix
 // exactly the GroupBy dimensions, Star elsewhere.
 //
-// Execution enumerates the distinct value combinations over the union of
-// GroupBy and constrained dimensions from the stored closed cells (lattice
-// candidates only), deduplicates them — a combination covered by closed cells
-// in several cuboids counts once — and resolves each combination to its exact
-// count via its closure. Combinations partition the matching tuples, so the
-// per-group sums are exact for cubes computed at min_sup 1. On iceberg cubes
-// the stored cells alone make the aggregates lower bounds — combinations
-// whose count fell below the threshold are absent — but a store carrying a
-// residual (HasResidual) recovers exactness: a combination missing from the
-// enumeration has count < min_sup, so every base tuple it covers is a
-// residual row, and folding the residual rows of exactly those combinations
-// back in reconstructs the true aggregates (enumerated combinations already
-// carry true counts through their closures, so their residual tuples are
-// skipped — no double counting).
+// Execution is a single accumulate pass. The stored closed cells fixing every
+// group-by and constrained dimension (lattice candidates only) are scanned
+// once; each predicate-satisfying row packs its values on those dimensions
+// into an integer key, and per key the scan keeps the covering cell Lookup
+// would resolve the combination to — a hit in the combination's own cuboid,
+// else the maximum count, ties to the most specific cell — so every
+// combination carries its closure's exact count however many cuboids cover
+// it. Combinations partition the matching tuples, so folding them into their
+// groups (the key masked to the group-by fields) gives sums that are exact
+// for cubes computed at min_sup 1. On iceberg cubes the stored cells alone
+// make the aggregates lower bounds — combinations whose count fell below the
+// threshold are absent — but a store carrying a residual (HasResidual)
+// recovers exactness: a combination missing from the scan has count <
+// min_sup, so every base tuple it covers is a residual row. The residual's
+// columns are filtered by the predicates, most selective first, and the
+// surviving rows of exactly those combinations fold in (scanned combinations
+// already carry true counts, so their residual tuples are skipped — no double
+// counting).
 //
 // Rows are ordered by descending rank (count or measure per opt.By) with ties
-// broken by packed group key ascending, so results are deterministic; without
-// TopK the same order is used. Panics when the spec's arity or a GroupBy
-// dimension is out of range.
+// broken by packed group key ascending, so results are deterministic; TopK
+// selects the k best under the same order. Panics when the spec's arity or a
+// GroupBy dimension is out of range.
 func (s *Store) Aggregate(spec Spec, opt AggOptions) []core.Cell {
 	q := s.boundMask(spec)
 	var gm core.Mask
@@ -195,217 +348,430 @@ func (s *Store) Aggregate(spec Spec, opt AggOptions) []core.Cell {
 		}
 		gm = gm.With(d)
 	}
-	gc := gm | q // enumeration cuboid: group-by plus constrained dimensions
-	gcDims := gc.Dims(nil)
-	gmDims := gm.Dims(nil)
-
-	// Grand total without predicates: the apex cell, one closure lookup. The
-	// apex aggregates every tuple — pruned mass included — so no residual
-	// fold-in is needed on a hit; on a miss (the whole relation fell below
-	// the threshold) the residual IS the relation.
-	vals := make([]core.Value, s.nd)
-	if gc == 0 {
+	if gm|q == 0 {
+		// Grand total without predicates: the apex cell's closure, one lookup.
+		// It aggregates every tuple — pruned mass included — so no residual
+		// fold-in is needed on a hit. A miss means the store holds no cell at
+		// all (any cell covers the apex); the single pass below then folds the
+		// residual, which IS the relation, into the one group.
+		vals := make([]core.Value, s.nd)
 		for d := range vals {
 			vals[d] = core.Star
 		}
-		c, ok := s.Lookup(vals)
-		if ok {
-			return []core.Cell{{Values: valuesAt(s.nd, nil, nil), Count: c.Count, Aux: c.Aux}}
+		if c, ok := s.Lookup(vals); ok {
+			return []core.Cell{{Values: vals, Count: c.Count, Aux: c.Aux}}
 		}
-		if s.res == nil || s.res.NumRows() == 0 {
+	}
+	a := aggCall{s: s, spec: spec, ms: s.matchers(spec), opt: opt, gm: gm, gc: gm | q}
+	a.plan(s.maxVal)
+	switch {
+	case a.words <= 1:
+		return aggregate[[1]uint64](&a)
+	case a.words <= 4:
+		return aggregate[[4]uint64](&a)
+	default:
+		return aggregate[[core.MaxDims / 2]uint64](&a)
+	}
+}
+
+// Package-wide aggregate-engine work counters, striped like the probe totals
+// and surviving store swaps the same way.
+var totalAgg [probeStripes]struct {
+	runs, combos, examined, folded atomic.Int64
+	_                              [32]byte
+}
+
+// AggTotals is the cumulative work of the aggregate engine: Aggregate calls
+// that ran the accumulate pass, combinations resolved from stored cells,
+// residual rows examined (rows surviving the predicates, whose key columns
+// were read) and residual rows folded into a group.
+type AggTotals struct {
+	Aggregates, Combinations, ResidualExamined, ResidualFolded int64
+}
+
+// AggregateTotals reports the aggregate-engine work counters across every
+// store that has served in this process. ResidualExamined per aggregate
+// tracks the predicates' selectivity times the residual size, not the
+// residual size.
+func AggregateTotals() AggTotals {
+	var t AggTotals
+	for i := range totalAgg {
+		s := &totalAgg[i]
+		t.Aggregates += s.runs.Load()
+		t.Combinations += s.combos.Load()
+		t.ResidualExamined += s.examined.Load()
+		t.ResidualFolded += s.folded.Load()
+	}
+	return t
+}
+
+// aggKey is a packed combination key: the values of the enumeration cuboid's
+// dimensions as fixed-width fields of an unsigned integer one or more words
+// wide, most significant word first. A field holds its value's packed-key
+// bytes (core.AppendValue order), truncated to the bytes the dimension's
+// value bound needs, so keys compare like the packed byte keys they replace.
+type aggKey interface {
+	[1]uint64 | [4]uint64 | [core.MaxDims / 2]uint64
+}
+
+// compareKeys orders two keys as unsigned integers.
+func compareKeys[K aggKey](a, b K) int {
+	for w := 0; w < len(a); w++ {
+		if a[w] != b[w] {
+			if a[w] < b[w] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
+// keyField places one dimension inside a key.
+type keyField struct {
+	dim   int
+	word  uint8 // key word holding the field
+	shift uint8 // bit offset of the field in that word
+	trim  uint8 // 32 minus the field's width in bits
+}
+
+// putField ors a value, given as the big-endian reading of its packed bytes
+// (see keyOrder), into the key.
+func putField[K aggKey](k *K, f keyField, be uint32) {
+	(*k)[f.word] |= uint64(be>>f.trim) << f.shift
+}
+
+// get extracts the field's value from its key word.
+func (f keyField) get(word uint64) core.Value {
+	return core.Value(bits.ReverseBytes32(uint32(word>>f.shift) << f.trim))
+}
+
+// mask returns the field's bits within its word.
+func (f keyField) mask() uint64 { return uint64(^uint32(0)>>f.trim) << f.shift }
+
+// aggCall is the state of one Aggregate call that does not depend on the key
+// width.
+type aggCall struct {
+	s      *Store
+	spec   Spec
+	ms     []matcher
+	opt    AggOptions
+	gm, gc core.Mask
+	fields []keyField // one per gc dimension, ascending
+	words  int        // key words the fields occupy
+}
+
+// plan lays out one field per enumeration dimension, ascending from the most
+// significant end, each as wide as its dimension's value bound needs in whole
+// bytes; a field never straddles words.
+func (a *aggCall) plan(maxVal []uint32) {
+	a.fields = make([]keyField, 0, a.gc.OnesCount())
+	word, free := 0, 64
+	for m := uint64(a.gc); m != 0; m &= m - 1 {
+		d := bits.TrailingZeros64(m)
+		width := max(8, (bits.Len32(maxVal[d])+7)&^7)
+		if width > free {
+			word, free = word+1, 64
+		}
+		free -= width
+		a.fields = append(a.fields, keyField{dim: d, word: uint8(word), shift: uint8(free), trim: uint8(32 - width)})
+	}
+	a.words = word + 1
+}
+
+// aggEntry is one accumulator: a combination's resolved closure or a group's
+// running aggregate.
+type aggEntry[K aggKey] struct {
+	key   K
+	count int64
+	aux   float64
+	spec  uint8 // combinations: dimensions the covering cell fixes, ownCuboid for an exact hit
+}
+
+// ownCuboid marks a combination resolved by a cell of its own cuboid: the
+// cell itself, which no covering cell can displace.
+const ownCuboid = ^uint8(0)
+
+// aggTable is an insertion-ordered hash table from keys to accumulators:
+// dense entries plus an open-addressing index, both reused across calls.
+type aggTable[K aggKey] struct {
+	ents []aggEntry[K]
+	idx  []int32 // 0 = empty, else entry position + 1; len is a power of two
+}
+
+const minAggIndex = 1 << 10
+
+// reset empties the table, halving the index after a call that left it
+// mostly empty so one large aggregate does not tax every later one.
+func (t *aggTable[K]) reset() {
+	switch {
+	case len(t.idx) == 0:
+		t.idx = make([]int32, minAggIndex)
+	case len(t.ents)*8 < len(t.idx) && len(t.idx) > minAggIndex:
+		t.idx = t.idx[:len(t.idx)/2]
+	}
+	clear(t.idx)
+	t.ents = t.ents[:0]
+}
+
+// slot returns the index slot a key's probe sequence starts at.
+//
+//ccubing:hotpath
+func (t *aggTable[K]) slot(k K) int {
+	// Fields fill words from the top, so a narrow key's low bits are zero:
+	// fold the halves together before the multiplicative mix.
+	var h uint64
+	for w := 0; w < len(k); w++ {
+		h = (h ^ k[w] ^ k[w]>>32) * 0x9E3779B97F4A7C15
+	}
+	return int(h >> (64 - uint(bits.TrailingZeros(uint(len(t.idx))))))
+}
+
+// find returns the key's entry, or nil.
+//
+//ccubing:hotpath
+func (t *aggTable[K]) find(k K) *aggEntry[K] {
+	for i := t.slot(k); ; i = (i + 1) & (len(t.idx) - 1) {
+		p := t.idx[i]
+		if p == 0 {
 			return nil
 		}
-		total := core.Cell{Values: valuesAt(s.nd, nil, nil)}
-		first := true
-		s.res.Walk(func(_ []core.Value, count int64, aux float64) bool {
-			total.Count += count
-			switch {
-			case first:
-				total.Aux = aux
-				first = false
-			case opt.AuxAgg == AuxMin:
-				if aux < total.Aux {
-					total.Aux = aux
-				}
-			case opt.AuxAgg == AuxMax:
-				if aux > total.Aux {
-					total.Aux = aux
-				}
-			default:
-				total.Aux += aux
-			}
-			return true
-		})
-		return []core.Cell{total}
+		if e := &t.ents[p-1]; e.key == k {
+			return e
+		}
 	}
+}
 
-	// Pass 1: enumerate the distinct pred-satisfying value combinations on
-	// the gc dimensions from the stored cells fixing all of them. Every
-	// above-threshold combination appears (its closure fixes a superset of gc
-	// with the combination's values), and the map deduplicates combinations
-	// covered by cells from several cuboids.
-	combos := map[string]struct{}{}
-	keyBuf := make([]byte, 0, len(gcDims)*core.ValueWidth)
-	pos := make([]int, 0, core.MaxDims)
-	sc := s.getScratch()
-	gcands := s.candidates(gc, &sc.cands)
-	sc.nCand += int64(len(gcands))
-	for _, g := range gcands {
-		if g.mask&gc != gc {
-			continue
-		}
-		sc.probes++
-		// A leading run of exact predicates narrows the row range by binary
-		// search, as in Select.
-		p := 0
-		prefix := sc.key[:0]
-		for p < len(g.dims) && spec.Preds[g.dims[p]].Kind == PredEq {
-			prefix = core.AppendValue(prefix, spec.Preds[g.dims[p]].Val)
-			p++
-		}
-		sc.key = prefix
-		lo, hi := g.prefixRange(prefix)
-		// Positions of the gc dimensions inside this group's key layout.
-		pos = pos[:0]
-		for j, d := range g.dims {
-			if gc.Has(d) {
-				pos = append(pos, j)
-			}
-		}
-	rows:
-		for i := lo; i < hi; i++ {
-			row := g.row(i)
-			key := keyBuf[:0]
-			for _, j := range pos {
-				v := core.DecodeValue(row[j*core.ValueWidth:])
-				if j >= p && !spec.Preds[g.dims[j]].Match(v) {
-					continue rows
-				}
-				key = append(key, row[j*core.ValueWidth:(j+1)*core.ValueWidth]...)
-			}
-			combos[string(key)] = struct{}{}
+// findOrAdd returns the key's entry, adding a zero one when absent. The
+// pointer is valid until the next findOrAdd.
+//
+//ccubing:hotpath
+func (t *aggTable[K]) findOrAdd(k K) (e *aggEntry[K], added bool) {
+	i := t.slot(k)
+	for ; t.idx[i] != 0; i = (i + 1) & (len(t.idx) - 1) {
+		if e := &t.ents[t.idx[i]-1]; e.key == k {
+			return e, false
 		}
 	}
-	// Release before the per-combination lookups of pass 2, so they reuse the
-	// same scratch instead of growing the pool.
-	s.putScratch(sc)
+	t.ents = append(t.ents, aggEntry[K]{key: k})
+	t.idx[i] = int32(len(t.ents))
+	if 2*len(t.ents) > len(t.idx) {
+		t.grow()
+	}
+	return &t.ents[len(t.ents)-1], true
+}
 
-	// Pass 2: resolve each combination through its closure (exact count and
-	// measure) and fold it into its group.
-	type agg struct {
-		count int64
-		aux   float64
-		n     int64 // combinations folded in, for min/max seeding
+// grow doubles the index and re-inserts every entry.
+func (t *aggTable[K]) grow() {
+	n := 2 * len(t.idx)
+	if cap(t.idx) >= n {
+		t.idx = t.idx[:n]
+		clear(t.idx)
+	} else {
+		t.idx = make([]int32, n)
 	}
-	groupRows := map[string]*agg{}
-	fold := func(gkey string, count int64, aux float64) {
-		a := groupRows[gkey]
-		if a == nil {
-			a = &agg{}
-			groupRows[gkey] = a
+	for p := range t.ents {
+		i := t.slot(t.ents[p].key)
+		for t.idx[i] != 0 {
+			i = (i + 1) & (n - 1)
 		}
-		a.count += count
-		switch {
-		case a.n == 0:
-			a.aux = aux
-		case opt.AuxAgg == AuxMin:
-			if aux < a.aux {
-				a.aux = aux
-			}
-		case opt.AuxAgg == AuxMax:
-			if aux > a.aux {
-				a.aux = aux
-			}
-		default:
-			a.aux += aux
-		}
-		a.n++
+		t.idx[i] = int32(p + 1)
 	}
-	for key := range combos {
-		for d := range vals {
-			vals[d] = core.Star
-		}
-		for k, d := range gcDims {
-			vals[d] = core.DecodeValue([]byte(key)[k*core.ValueWidth:])
-		}
-		c, ok := s.Lookup(vals)
-		if !ok {
-			// Unreachable for combinations sourced from stored cells (their
-			// closure is stored); guard anyway so a corrupt store degrades to
-			// an undercount rather than a panic.
-			continue
-		}
-		gkey := string(core.AppendValues(make([]byte, 0, len(gmDims)*core.ValueWidth), vals, gmDims))
-		fold(gkey, c.Count, c.Aux)
-	}
+}
 
-	// Residual pass: recover the iceberg-pruned mass. Residual rows whose
-	// gc-combination was enumerated above are already counted through that
-	// combination's closure and are skipped; the rest belong to combinations
-	// entirely below the threshold, whose tuples are all residual rows, so
-	// folding them tuple-by-tuple reconstructs the exact aggregates.
+// fold accumulates one (count, measure) contribution into the key's entry.
+//
+//ccubing:hotpath
+func (t *aggTable[K]) fold(k K, count int64, aux float64, agg AuxAgg) {
+	e, added := t.findOrAdd(k)
+	e.count += count
+	switch {
+	case added:
+		e.aux = aux
+	case agg == AuxMin:
+		e.aux = min(e.aux, aux)
+	case agg == AuxMax:
+		e.aux = max(e.aux, aux)
+	default:
+		e.aux += aux
+	}
+}
+
+// aggScratch holds the per-call tables and selection vector of Aggregate for
+// one key width, pooled per store.
+type aggScratch[K aggKey] struct {
+	combos, groups aggTable[K]
+	sel            []int32
+}
+
+// getAggScratch takes a scratch of this key width from the store's pool. The
+// pool is shared by every width — a store's aggregates are overwhelmingly of
+// one — and a scratch of another width is simply dropped.
+func getAggScratch[K aggKey](s *Store) *aggScratch[K] {
+	if sc, ok := s.aggs.Get().(*aggScratch[K]); ok {
+		return sc
+	}
+	return &aggScratch[K]{}
+}
+
+// aggregate runs the accumulate pass of one Aggregate call over keys of
+// width K.
+func aggregate[K aggKey](a *aggCall) []core.Cell {
+	s := a.s
+	sc := getAggScratch[K](s)
+	sc.combos.reset()
+	sc.groups.reset()
+
+	psc := s.getScratch()
+	enumerate(a, &sc.combos, psc)
+	stripe := psc.stripe
+	s.putScratch(psc)
+
+	var gmask K
+	for _, f := range a.fields {
+		if a.gm.Has(f.dim) {
+			gmask[f.word] |= f.mask()
+		}
+	}
+	for i := range sc.combos.ents {
+		e := &sc.combos.ents[i]
+		gkey := e.key
+		for w := 0; w < len(gkey); w++ {
+			gkey[w] &= gmask[w]
+		}
+		sc.groups.fold(gkey, e.count, e.aux, a.opt.AuxAgg)
+	}
+	var examined, folded int
 	if s.res != nil && s.res.NumRows() > 0 {
-		comboBuf := make([]byte, 0, len(gcDims)*core.ValueWidth)
-		gkeyBuf := make([]byte, 0, len(gmDims)*core.ValueWidth)
-		s.res.Walk(func(rvals []core.Value, count int64, aux float64) bool {
-			for d, p := range spec.Preds {
-				if p.Bound() && !p.Match(rvals[d]) {
-					return true
-				}
-			}
-			comboBuf = core.AppendValues(comboBuf[:0], rvals, gcDims)
-			if _, stored := combos[string(comboBuf)]; stored {
-				return true
-			}
-			gkeyBuf = core.AppendValues(gkeyBuf[:0], rvals, gmDims)
-			fold(string(gkeyBuf), count, aux)
-			return true
-		})
+		sc.sel = s.res.selectRows(a.ms, sc.sel)
+		examined = len(sc.sel)
+		folded = foldResidual(s.res, sc.sel, a.fields, gmask, &sc.combos, &sc.groups, a.opt.AuxAgg)
 	}
+	t := &totalAgg[stripe]
+	t.runs.Add(1)
+	t.combos.Add(int64(len(sc.combos.ents)))
+	t.examined.Add(int64(examined))
+	t.folded.Add(int64(folded))
 
-	type outRow struct {
-		cell core.Cell
-		key  string // packed group key, reused as the sort tie-break
-	}
-	rows := make([]outRow, 0, len(groupRows))
-	for gkey, a := range groupRows {
-		rows = append(rows, outRow{
-			cell: core.Cell{Values: valuesAt(s.nd, gmDims, []byte(gkey)), Count: a.count, Aux: a.aux},
-			key:  gkey,
-		})
-	}
-	rank := func(c core.Cell) float64 {
-		if opt.By == ByAux {
-			return c.Aux
-		}
-		return float64(c.Count)
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		ri, rj := rank(rows[i].cell), rank(rows[j].cell)
-		if ri != rj {
-			return ri > rj
-		}
-		return rows[i].key < rows[j].key
-	})
-	if opt.TopK > 0 && len(rows) > opt.TopK {
-		rows = rows[:opt.TopK]
-	}
-	out := make([]core.Cell, len(rows))
-	for i, r := range rows {
-		out[i] = r.cell
-	}
+	out := resultRows(a, sc.groups.ents)
+	s.aggs.Put(sc)
 	return out
 }
 
-// valuesAt builds a full-width value vector fixing dims with the packed key's
-// values and Star elsewhere.
-func valuesAt(nd int, dims []int, key []byte) []core.Value {
-	vals := make([]core.Value, nd)
-	for d := range vals {
-		vals[d] = core.Star
+// rowScan describes how one covering cuboid's rows map to keys: which packed
+// values to test against which predicate, and where each key field's bytes
+// sit in a row.
+type rowScan struct {
+	test []rowField // constrained dimensions past the binary-searched prefix
+	pack []rowField // every key field
+}
+
+type rowField struct {
+	off int // byte offset of the dimension's value in the cuboid's rows
+	m   *matcher
+	f   keyField
+}
+
+// enumerate scans the cuboids covering the enumeration cuboid and resolves
+// every distinct predicate-satisfying combination to the cell Lookup would
+// return for it (see lookupRow for the tie-break): groups ascend by mask, so
+// the combination's own cuboid — an exact hit — comes first and is final;
+// otherwise a cell from a more specific cuboid replaces an equal count, any
+// other only a smaller one.
+func enumerate[K aggKey](a *aggCall, combos *aggTable[K], sc *probeScratch) {
+	cands := a.s.candidates(a.gc, &sc.cands)
+	sc.nCand += int64(len(cands))
+	var scan rowScan
+	for _, g := range cands {
+		if g.mask&a.gc != a.gc {
+			continue
+		}
+		sc.probes++
+		lo, hi, p := g.eqPrefix(a.spec, sc)
+		scan.test, scan.pack = scan.test[:0], scan.pack[:0]
+		k := 0
+		for j, d := range g.dims {
+			if !a.gc.Has(d) {
+				continue
+			}
+			rf := rowField{off: j * core.ValueWidth, m: &a.ms[d], f: a.fields[k]}
+			k++
+			scan.pack = append(scan.pack, rf)
+			if j >= p && rf.m.kind != matchAny {
+				scan.test = append(scan.test, rf)
+			}
+		}
+		spec := uint8(len(g.dims))
+		if g.mask == a.gc {
+			spec = ownCuboid
+		}
+		scanRows(g, lo, hi, &scan, spec, combos)
 	}
-	for k, d := range dims {
-		vals[d] = core.DecodeValue(key[k*core.ValueWidth:])
+}
+
+// scanRows is the row loop of enumerate over one cuboid.
+//
+//ccubing:hotpath
+func scanRows[K aggKey](g *group, lo, hi int, scan *rowScan, spec uint8, combos *aggTable[K]) {
+rows:
+	for i := lo; i < hi; i++ {
+		row := g.row(i)
+		for _, t := range scan.test {
+			if !t.m.match(core.DecodeValue(row[t.off:])) {
+				continue rows
+			}
+		}
+		var key K
+		for _, t := range scan.pack {
+			putField(&key, t.f, binary.BigEndian.Uint32(row[t.off:]))
+		}
+		count := g.counts[i]
+		e, added := combos.findOrAdd(key)
+		if !added && (e.spec == ownCuboid || count < e.count || count == e.count && spec <= e.spec) {
+			continue
+		}
+		e.count, e.spec, e.aux = count, spec, 0
+		if g.aux != nil {
+			e.aux = g.aux[i]
+		}
 	}
-	return vals
+}
+
+// resultRows ranks the groups and materializes the result cells: rank
+// descending, key ascending, the TopK best when asked. ents is reordered in
+// place; the cells share one freshly allocated value slab.
+func resultRows[K aggKey](a *aggCall, ents []aggEntry[K]) []core.Cell {
+	byAux := a.opt.By == ByAux
+	ents = psort.TopK(ents, a.opt.TopK, func(x, y aggEntry[K]) int {
+		switch {
+		case byAux && x.aux != y.aux:
+			if x.aux > y.aux {
+				return -1
+			}
+			return 1
+		case !byAux && x.count != y.count:
+			if x.count > y.count {
+				return -1
+			}
+			return 1
+		}
+		return compareKeys(x.key, y.key)
+	})
+	nd := a.s.nd
+	out := make([]core.Cell, len(ents))
+	slab := make([]core.Value, len(ents)*nd)
+	for i := range slab {
+		slab[i] = core.Star
+	}
+	for i := range ents {
+		e := &ents[i]
+		vals := slab[i*nd : (i+1)*nd : (i+1)*nd]
+		for _, f := range a.fields {
+			if a.gm.Has(f.dim) {
+				vals[f.dim] = f.get(e.key[f.word])
+			}
+		}
+		out[i] = core.Cell{Values: vals, Count: e.count, Aux: e.aux}
+	}
+	return out
 }

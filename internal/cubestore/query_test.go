@@ -1,11 +1,17 @@
 package cubestore
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"ccubing/internal/core"
+	"ccubing/internal/qcdfs"
+	"ccubing/internal/sink"
+	"ccubing/internal/table"
 )
 
 // randomPred draws one predicate over a dimension of cardinality card.
@@ -150,6 +156,398 @@ func TestAggregateAgainstBruteForce(t *testing.T) {
 				t.Fatalf("spec %d groupBy %v: group %v = %d, want %d", i, groupBy, r.Values, r.Count, want[string(key)])
 			}
 		}
+	}
+}
+
+// scanStore builds the closed iceberg cube of tbl at minsup as a store with
+// stored aggregates of kind and the matching residual, every value on
+// dimension d relabelled through remap — closedness and counts do not depend
+// on the labels, so one engine run serves any value range. It returns the
+// store with the relabelled relation and its measure column.
+func scanStore(t *testing.T, tbl *table.Table, minsup int64, kind core.MeasureKind, remap func(d int, v core.Value) core.Value) (*Store, *tableLike, []float64) {
+	t.Helper()
+	nd, n := tbl.NumDims(), tbl.NumTuples()
+	aux := auxColumn(tbl)
+	rel := &tableLike{cols: make([][]core.Value, nd), n: n}
+	for d := range rel.cols {
+		rel.cols[d] = make([]core.Value, n)
+		for tid, v := range tbl.Cols[d] {
+			rel.cols[d][tid] = remap(d, v)
+		}
+	}
+	// Every cell's stored aggregate, by one pass over tuples x cuboids.
+	cellAux := map[string]float64{}
+	vals := make([]core.Value, nd)
+	for tid := 0; tid < n; tid++ {
+		for mask := 0; mask < 1<<nd; mask++ {
+			for d := range vals {
+				vals[d] = core.Star
+				if mask>>d&1 == 1 {
+					vals[d] = tbl.Cols[d][tid]
+				}
+			}
+			k := core.CellKey(vals)
+			a, ok := cellAux[k]
+			if !ok {
+				a = core.StoredIdentity(kind)
+			}
+			cellAux[k] = core.CombineStored(kind, a, aux[tid])
+		}
+	}
+	col := &sink.Collector{}
+	if err := qcdfs.Run(tbl, qcdfs.Config{MinSup: minsup}, col); err != nil {
+		t.Fatal(err)
+	}
+	b := NewBuilder(nd, true)
+	for _, c := range col.Cells {
+		for d, v := range c.Values {
+			vals[d] = v
+			if v != core.Star {
+				vals[d] = remap(d, v)
+			}
+		}
+		b.Add(vals, c.Count, cellAux[core.CellKey(c.Values)])
+	}
+	if err := b.SetResidual(ComputeResidual(rel.cols, aux, minsup, kind)); err != nil {
+		t.Fatal(err)
+	}
+	s, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, rel, aux
+}
+
+// shippedCopy sends a store through every layout-sensitive path of the
+// residual — Split on dimension 0, the partition-set wire format,
+// MergePartitions, a snapshot save and load — and returns the reassembled
+// store, whose snapshot must equal the original's byte for byte.
+func shippedCopy(t *testing.T, s *Store) *Store {
+	t.Helper()
+	ps, err := Split(s, 0, 3, func(v core.Value) int { return int(uint32(v) % 3) }, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire bytes.Buffer
+	if err := ps.Encode(&wire); err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodePartitionSet(&wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := back.Merge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got bytes.Buffer
+	if err := s.Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := merged.Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		t.Fatal("split + merge changed the snapshot bytes")
+	}
+	loaded, err := Load(&got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loaded
+}
+
+// TestAggregateMatchesRelationScan is the property test of the aggregate
+// engine: over predicate kind x bound dimensions x group-by overlap x
+// iceberg threshold x measure combiner, Aggregate must equal a scan of the
+// relation — groups, counts, measures, rank order and the TopK prefix. It
+// runs on a store whose keys fit one word and on one whose value bounds
+// overflow 64 bits (three dimensions with values >= 2^22), each also after a
+// Split / MergePartitions / snapshot round trip of the columnar residual.
+func TestAggregateMatchesRelationScan(t *testing.T) {
+	cards := []int{9, 7, 6, 5, 4}
+	tbl := testTable(t, 1200, cards, 1.0, 77)
+	nd := len(cards)
+	remaps := map[string]func(d int, v core.Value) core.Value{
+		"narrow": func(_ int, v core.Value) core.Value { return v },
+		"wide": func(d int, v core.Value) core.Value {
+			if d < 3 {
+				return v*3 + 1<<22
+			}
+			return v
+		},
+	}
+	kinds := []struct {
+		kind core.MeasureKind
+		agg  AuxAgg
+	}{{core.MeasureSum, AuxSum}, {core.MeasureMin, AuxMin}, {core.MeasureMax, AuxMax}}
+	predKinds := []string{"eq", "range", "in", "empty set", "lo>hi"}
+	boundSets := [][]int{{0}, {2}, {nd - 1}, {1, 3}, {}}
+	for name, remap := range remaps {
+		for _, minsup := range []int64{1, 4, 64} {
+			for _, k := range kinds {
+				s, rel, aux := scanStore(t, tbl, minsup, k.kind, remap)
+				stores := []*Store{s, shippedCopy(t, s)}
+				rng := rand.New(rand.NewSource(minsup*31 + int64(k.kind)))
+				for _, pk := range predKinds {
+					for _, bound := range boundSets {
+						for _, overlap := range []bool{false, true} {
+							spec := Spec{Preds: make([]Pred, nd)}
+							for _, d := range bound {
+								spec.Preds[d] = drawPred(rng, pk, d, cards[d], remap)
+							}
+							groupBy := drawGroupBy(rng, nd, bound, overlap)
+							opt := AggOptions{GroupBy: groupBy, AuxAgg: k.agg}
+							if rng.Intn(2) == 0 {
+								opt.By = ByAux
+							}
+							want := scanAggregate(rel, aux, spec, groupBy, k.agg)
+							for i, st := range stores {
+								label := fmt.Sprintf("%s minsup=%d %v store %d: %s on %v group-by %v", name, minsup, k.kind, i, pk, bound, groupBy)
+								got := st.Aggregate(spec, opt)
+								checkAggregate(t, label, got, want, opt)
+								if len(got) > 1 {
+									opt.TopK = 1 + rng.Intn(len(got)-1)
+									top := st.Aggregate(spec, opt)
+									if fmt.Sprint(top) != fmt.Sprint(got[:opt.TopK]) {
+										t.Fatalf("%s: TopK %d = %v, want the prefix %v", label, opt.TopK, top, got[:opt.TopK])
+									}
+									opt.TopK = 0
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAggregateResolvesLikeLookup pins the closure resolution fused into the
+// enumeration to Lookup's: on stores of arbitrary (not closed-cube
+// consistent) cells, where covering cells tie on count but differ in
+// measure, every row of an unfiltered group-by must carry exactly the count
+// and measure Lookup resolves its cell to — own-cuboid hit first, then
+// maximum count, ties to the most specific cell.
+func TestAggregateResolvesLikeLookup(t *testing.T) {
+	const nd, card = 4, 3
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 40; round++ {
+		b := NewBuilder(nd, true)
+		seen := map[string]bool{}
+		for i := 0; i < 50; i++ {
+			vals := make([]core.Value, nd)
+			for d := range vals {
+				vals[d] = core.Star
+				if rng.Intn(2) == 0 {
+					vals[d] = core.Value(rng.Intn(card))
+				}
+			}
+			if k := core.CellKey(vals); !seen[k] {
+				seen[k] = true
+				b.Add(vals, int64(1+rng.Intn(3)), float64(rng.Intn(100)))
+			}
+		}
+		s, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := Spec{Preds: make([]Pred, nd)}
+		for gm := 1; gm < 1<<nd; gm++ {
+			rows := s.Aggregate(spec, AggOptions{GroupBy: core.Mask(gm).Dims(nil)})
+			for _, r := range rows {
+				c, ok := s.Lookup(r.Values)
+				if !ok || c.Count != r.Count || c.Aux != r.Aux {
+					t.Fatalf("round %d group-by %v: row %v = (%d, %v), Lookup resolves it to (%d, %v, %v)",
+						round, core.Mask(gm).Dims(nil), r.Values, r.Count, r.Aux, c.Count, c.Aux, ok)
+				}
+			}
+		}
+	}
+}
+
+// TestConcurrentAggregates runs aggregates of mixed key widths from many
+// goroutines against one store: the pooled per-call scratch must never be
+// shared, so every concurrent answer equals the sequential one. Meaningful
+// under -race.
+func TestConcurrentAggregates(t *testing.T) {
+	cards := []int{9, 7, 6, 5}
+	tbl := testTable(t, 800, cards, 1.0, 19)
+	s, _, _ := scanStore(t, tbl, 3, core.MeasureSum, func(d int, v core.Value) core.Value { return v + 1<<22 })
+	rng := rand.New(rand.NewSource(23))
+	type query struct {
+		spec Spec
+		opt  AggOptions
+		want string
+	}
+	queries := make([]query, 60)
+	for i := range queries {
+		q := query{spec: Spec{Preds: make([]Pred, len(cards))}}
+		d := rng.Intn(len(cards))
+		q.spec.Preds[d] = drawPred(rng, "range", d, cards[d], func(_ int, v core.Value) core.Value { return v + 1<<22 })
+		q.opt.GroupBy = drawGroupBy(rng, len(cards), []int{d}, false) // 2-3 key fields: one word or two
+		q.want = fmt.Sprint(s.Aggregate(q.spec, q.opt))
+		queries[i] = q
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range queries {
+				q := queries[(i+w*7)%len(queries)]
+				if got := fmt.Sprint(s.Aggregate(q.spec, q.opt)); got != q.want {
+					t.Errorf("concurrent aggregate %v group-by %v = %s, sequentially %s", q.spec.Preds, q.opt.GroupBy, got, q.want)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestAggregateKeyWidths pins the three key widths to the stores that need
+// them — value bounds of one byte per dimension, of three bytes on three
+// dimensions (72 bits), and of four bytes on ten (320 bits) — and checks
+// each against the relation scan when grouping by every dimension.
+func TestAggregateKeyWidths(t *testing.T) {
+	for _, tc := range []struct {
+		cards []int
+		shift core.Value // added to every value
+		words int
+	}{
+		{cards: []int{9, 7, 6}, shift: 0, words: 1},
+		{cards: []int{9, 7, 6}, shift: 1 << 22, words: 2},
+		{cards: []int{3, 2, 2, 2, 2, 2, 2, 2, 2, 2}, shift: 1 << 24, words: 5},
+	} {
+		tbl := testTable(t, 400, tc.cards, 0.8, 5)
+		remap := func(_ int, v core.Value) core.Value { return v + tc.shift }
+		s, rel, aux := scanStore(t, tbl, 2, core.MeasureSum, remap)
+		spec := Spec{Preds: make([]Pred, len(tc.cards))}
+		spec.Preds[1] = Pred{Kind: PredRange, Lo: tc.shift, Hi: tc.shift + 1}
+		opt := AggOptions{}
+		for d := range tc.cards {
+			opt.GroupBy = append(opt.GroupBy, d)
+		}
+		a := aggCall{gc: core.LowBits(len(tc.cards))}
+		a.plan(s.maxVal)
+		if a.words != tc.words {
+			t.Fatalf("cards %v shift %d: key plan takes %d words, want %d", tc.cards, tc.shift, a.words, tc.words)
+		}
+		label := fmt.Sprintf("cards %v shift %d", tc.cards, tc.shift)
+		checkAggregate(t, label, s.Aggregate(spec, opt), scanAggregate(rel, aux, spec, opt.GroupBy, AuxSum), opt)
+	}
+}
+
+// drawPred draws one predicate of the named kind over dimension d, in the
+// relabelled value space.
+func drawPred(rng *rand.Rand, kind string, d, card int, remap func(int, core.Value) core.Value) Pred {
+	v := func() core.Value { return remap(d, core.Value(rng.Intn(card))) }
+	switch kind {
+	case "eq":
+		return Pred{Kind: PredEq, Val: v()}
+	case "range":
+		lo := core.Value(rng.Intn(card))
+		return Pred{Kind: PredRange, Lo: remap(d, lo), Hi: remap(d, lo+core.Value(rng.Intn(card)))}
+	case "in":
+		return Pred{Kind: PredIn, Set: []core.Value{v(), v(), v() + 1, v()}}
+	case "empty set":
+		return Pred{Kind: PredIn}
+	default:
+		return Pred{Kind: PredRange, Lo: remap(d, 3), Hi: remap(d, 1)}
+	}
+}
+
+// drawGroupBy draws one or two group-by dimensions that avoid the bound
+// dimensions, or include one of them when overlap is set (and any is bound).
+func drawGroupBy(rng *rand.Rand, nd int, bound []int, overlap bool) []int {
+	var free []int
+	for d := 0; d < nd; d++ {
+		if !slices.Contains(bound, d) {
+			free = append(free, d)
+		}
+	}
+	rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
+	groupBy := free[:1+rng.Intn(2)]
+	if overlap && len(bound) > 0 {
+		groupBy = append(groupBy[:1:1], bound[rng.Intn(len(bound))])
+	}
+	return groupBy
+}
+
+// scanGroup is one group of a relation scan.
+type scanGroup struct {
+	count int64
+	aux   float64
+}
+
+// scanAggregate answers an aggregate from the relation itself, groups keyed
+// by their packed values on the group-by dimensions, ascending.
+func scanAggregate(rel *tableLike, aux []float64, spec Spec, groupBy []int, agg AuxAgg) map[string]scanGroup {
+	groupBy = slices.Clone(groupBy)
+	slices.Sort(groupBy)
+	out := map[string]scanGroup{}
+tuples:
+	for tid := 0; tid < rel.n; tid++ {
+		for d, p := range spec.Preds {
+			if !p.Match(rel.cols[d][tid]) {
+				continue tuples
+			}
+		}
+		var key []byte
+		for _, d := range groupBy {
+			key = core.AppendValue(key, rel.cols[d][tid])
+		}
+		g, seen := out[string(key)]
+		g.count++
+		switch {
+		case !seen:
+			g.aux = aux[tid]
+		case agg == AuxMin:
+			g.aux = min(g.aux, aux[tid])
+		case agg == AuxMax:
+			g.aux = max(g.aux, aux[tid])
+		default:
+			g.aux += aux[tid]
+		}
+		out[string(key)] = g
+	}
+	return out
+}
+
+// checkAggregate compares an Aggregate result with the relation scan: the
+// same groups with the same count and measure, wildcards off the group-by,
+// ranked best first with packed-key ties ascending.
+func checkAggregate(t *testing.T, label string, got []core.Cell, want map[string]scanGroup, opt AggOptions) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, the relation has %d groups", label, len(got), len(want))
+	}
+	dims := slices.Clone(opt.GroupBy)
+	slices.Sort(dims)
+	rank := func(c core.Cell) float64 {
+		if opt.By == ByAux {
+			return c.Aux
+		}
+		return float64(c.Count)
+	}
+	var prevKey []byte
+	for i, r := range got {
+		key := core.AppendValues(nil, r.Values, dims)
+		for d, v := range r.Values {
+			if (v == core.Star) == slices.Contains(dims, d) {
+				t.Fatalf("%s: row %v fixes the wrong dimensions", label, r.Values)
+			}
+		}
+		if g := want[string(key)]; g.count != r.Count || g.aux != r.Aux {
+			t.Fatalf("%s: group %v = (%d, %v), the relation says (%d, %v)", label, r.Values, r.Count, r.Aux, g.count, g.aux)
+		}
+		if i > 0 {
+			if rank(got[i-1]) < rank(r) || rank(got[i-1]) == rank(r) && bytes.Compare(prevKey, key) >= 0 {
+				t.Fatalf("%s: rows %d and %d out of order: %v then %v", label, i-1, i, got[i-1], r)
+			}
+		}
+		prevKey = key
 	}
 }
 

@@ -8,7 +8,12 @@ package cubestore
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"io"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"ccubing/internal/core"
@@ -24,15 +29,34 @@ import (
 // stored already carry their true counts, so their residual tuples are
 // skipped (no double counting).
 //
-// Rows are packed full-width keys (every dimension fixed, core.AppendValue
-// codec), strictly sorted, with parallel count and optional stored-aggregate
-// arrays. Immutable after construction.
+// Rows are stored column-major: one value slice per dimension, with parallel
+// count and optional stored-aggregate arrays, so an aggregate reads only the
+// predicate and group-by columns of the rows it keeps (see foldResidual).
+// Row order is the lexicographic order of the packed full-width keys (every
+// dimension fixed, core.AppendValue codec), strictly ascending — the order
+// and the bytes the snapshot's residual section holds row-major. Only the
+// methods in this file know the layout. Immutable after construction.
 type Residual struct {
 	nd     int
 	hasAux bool
-	keys   []byte // rows * nd * core.ValueWidth bytes, strictly ascending
+	cols   [][]core.Value // nd columns of NumRows values each
 	counts []int64
 	aux    []float64 // nil when !hasAux
+}
+
+// newResidual returns an empty residual with room for rows rows.
+func newResidual(nd int, hasAux bool, rows int) *Residual {
+	r := &Residual{nd: nd, hasAux: hasAux, cols: make([][]core.Value, nd)}
+	if rows > 0 {
+		for d := range r.cols {
+			r.cols[d] = make([]core.Value, 0, rows)
+		}
+		r.counts = make([]int64, 0, rows)
+		if hasAux {
+			r.aux = make([]float64, 0, rows)
+		}
+	}
+	return r
 }
 
 // ResidualRow is one materialized sub-threshold base cell.
@@ -48,48 +72,42 @@ func (r *Residual) NumRows() int { return len(r.counts) }
 // HasAux reports whether rows carry a stored measure aggregate.
 func (r *Residual) HasAux() bool { return r.hasAux }
 
-func (r *Residual) width() int { return r.nd * core.ValueWidth }
-
-func (r *Residual) row(i int) []byte {
-	w := r.width()
-	return r.keys[i*w : (i+1)*w]
+// auxAt returns row i's stored aggregate, 0 on a residual without one.
+func (r *Residual) auxAt(i int) float64 {
+	if r.aux == nil {
+		return 0
+	}
+	return r.aux[i]
 }
 
-// rowValues decodes row i into vals (which must have nd entries).
-func (r *Residual) rowValues(i int, vals []core.Value) {
-	row := r.row(i)
-	for d := 0; d < r.nd; d++ {
-		vals[d] = core.DecodeValue(row[d*core.ValueWidth:])
-	}
-}
+// keyOrder maps a value to an integer that compares like the value's packed
+// (little-endian) key bytes.
+func keyOrder(v core.Value) uint32 { return bits.ReverseBytes32(uint32(v)) }
 
-// Walk visits every residual row in key order. The vals slice passed to visit
-// is reused between calls; copy to retain. Return false to stop early.
-func (r *Residual) Walk(visit func(vals []core.Value, count int64, aux float64) bool) {
-	vals := make([]core.Value, r.nd)
-	for i := range r.counts {
-		r.rowValues(i, vals)
-		var a float64
-		if r.hasAux {
-			a = r.aux[i]
-		}
-		if !visit(vals, r.counts[i], a) {
-			return
+// compareRows orders row i of a against row j of b by packed key.
+func compareRows(a *Residual, i int, b *Residual, j int) int {
+	for d := range a.cols {
+		if x, y := a.cols[d][i], b.cols[d][j]; x != y {
+			if keyOrder(x) < keyOrder(y) {
+				return -1
+			}
+			return 1
 		}
 	}
+	return 0
 }
 
 // Rows materializes every residual row (key order, freshly allocated).
 func (r *Residual) Rows() []ResidualRow {
-	out := make([]ResidualRow, 0, r.NumRows())
-	r.Walk(func(vals []core.Value, count int64, aux float64) bool {
-		out = append(out, ResidualRow{
-			Values: append([]core.Value(nil), vals...),
-			Count:  count,
-			Aux:    aux,
-		})
-		return true
-	})
+	out := make([]ResidualRow, r.NumRows())
+	vals := make([]core.Value, r.NumRows()*r.nd)
+	for i := range out {
+		row := vals[i*r.nd : (i+1)*r.nd : (i+1)*r.nd]
+		for d, col := range r.cols {
+			row[d] = col[i]
+		}
+		out[i] = ResidualRow{Values: row, Count: r.counts[i], Aux: r.auxAt(i)}
+	}
 	return out
 }
 
@@ -98,7 +116,90 @@ func (r *Residual) Bytes() int64 {
 	if r == nil {
 		return 0
 	}
-	return int64(len(r.keys)) + 8*int64(len(r.counts)) + 8*int64(len(r.aux))
+	return int64(len(r.counts))*int64(r.nd)*core.ValueWidth + 8*int64(len(r.counts)) + 8*int64(len(r.aux))
+}
+
+// maxValues raises maxVal[d] to the largest unsigned value code on each
+// dimension d.
+func (r *Residual) maxValues(maxVal []uint32) {
+	for d, col := range r.cols {
+		m := maxVal[d]
+		for _, v := range col {
+			m = max(m, uint32(v))
+		}
+		maxVal[d] = m
+	}
+}
+
+// residualChunkRows is how many rows the snapshot codec moves between the
+// row-major file layout and the columns per buffer.
+const residualChunkRows = 4096
+
+// maxResidualPrealloc bounds the column bytes readKeys allocates on the
+// strength of the declared row count alone.
+const maxResidualPrealloc = 16 << 20
+
+// writeKeys writes the rows' packed keys row-major — the snapshot's residual
+// key block — through a bounded transposition buffer.
+func (r *Residual) writeKeys(w io.Writer) error {
+	width := r.nd * core.ValueWidth
+	buf := make([]byte, 0, min(r.NumRows(), residualChunkRows)*width)
+	for lo := 0; lo < r.NumRows(); lo += residualChunkRows {
+		hi := min(lo+residualChunkRows, r.NumRows())
+		buf = buf[:(hi-lo)*width]
+		for d, col := range r.cols {
+			off := d * core.ValueWidth
+			for _, v := range col[lo:hi] {
+				binary.LittleEndian.PutUint32(buf[off:], uint32(v))
+				off += width
+			}
+		}
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readKeys decodes rows packed keys from the snapshot's row-major key block
+// straight into the columns, a chunk at a time, so no row-major copy stays
+// resident. Columns are sized from the declared row count up to
+// maxResidualPrealloc and grow as bytes actually arrive beyond it (a corrupt
+// row count fails on EOF, not on allocation). Keys must be strictly
+// ascending.
+func (r *Residual) readKeys(rd io.Reader, rows int) error {
+	width := r.nd * core.ValueWidth
+	for d := range r.cols {
+		r.cols[d] = make([]core.Value, 0, min(rows, maxResidualPrealloc/width))
+	}
+	buf := make([]byte, min(rows, residualChunkRows)*width)
+	last := make([]byte, width) // previous key, kept across the buffer's reuse
+	for lo := 0; lo < rows; lo += residualChunkRows {
+		n := min(residualChunkRows, rows-lo)
+		chunk := buf[:n*width]
+		if _, err := io.ReadFull(rd, chunk); err != nil {
+			return err
+		}
+		prev := last
+		for i := 0; i < n; i++ {
+			key := chunk[i*width : (i+1)*width]
+			if lo+i > 0 && bytes.Compare(prev, key) >= 0 {
+				return fmt.Errorf("keys not strictly sorted at row %d", lo+i)
+			}
+			prev = key
+		}
+		copy(last, prev)
+		for d := range r.cols {
+			col := slices.Grow(r.cols[d], n)[:lo+n]
+			off := d * core.ValueWidth
+			for i := lo; i < lo+n; i++ {
+				col[i] = core.DecodeValue(chunk[off:])
+				off += width
+			}
+			r.cols[d] = col
+		}
+	}
+	return nil
 }
 
 // ComputeResidual scans a relation once and returns the residual of an
@@ -109,9 +210,8 @@ func (r *Residual) Bytes() int64 {
 // zero rows (nothing is pruned).
 func ComputeResidual(cols core.Columns, aux []float64, minSup int64, kind core.MeasureKind) *Residual {
 	nd := len(cols)
-	res := &Residual{nd: nd, hasAux: aux != nil}
 	if nd == 0 || len(cols[0]) == 0 || minSup <= 1 {
-		return res
+		return newResidual(nd, aux != nil, 0)
 	}
 	n := len(cols[0])
 	type acc struct {
@@ -142,65 +242,58 @@ func ComputeResidual(cols core.Columns, aux []float64, minSup int64, kind core.M
 		}
 	}
 	sort.Strings(keys)
-	res.counts = make([]int64, 0, len(keys))
-	if aux != nil {
-		res.aux = make([]float64, 0, len(keys))
-	}
+	res := newResidual(nd, aux != nil, len(keys))
 	for _, k := range keys {
 		a := groups[k]
-		res.keys = append(res.keys, k...)
-		res.counts = append(res.counts, a.count)
-		if aux != nil {
-			res.aux = append(res.aux, a.aux)
-		}
+		res.appendPacked(k, a.count, a.aux)
 	}
 	return res
+}
+
+// appendPacked appends one row given as a packed full-width key.
+func (r *Residual) appendPacked(key string, count int64, aux float64) {
+	for d := range r.cols {
+		r.cols[d] = append(r.cols[d], core.DecodeValue([]byte(key[d*core.ValueWidth:(d+1)*core.ValueWidth])))
+	}
+	r.counts = append(r.counts, count)
+	if r.hasAux {
+		r.aux = append(r.aux, aux)
+	}
 }
 
 // residualFromRows canonicalizes materialized rows into a Residual: sorted by
 // packed key, duplicates rejected. hasAux selects whether aggregates are
 // kept.
 func residualFromRows(nd int, hasAux bool, rows []ResidualRow) (*Residual, error) {
-	res := &Residual{nd: nd, hasAux: hasAux}
-	if len(rows) == 0 {
-		return res, nil
-	}
-	type packed struct {
-		key   string
-		count int64
-		aux   float64
-	}
-	ps := make([]packed, len(rows))
-	buf := make([]byte, 0, nd*core.ValueWidth)
-	for i, row := range rows {
+	for _, row := range rows {
 		if len(row.Values) != nd {
 			return nil, fmt.Errorf("cubestore: residual row has %d dimensions, want %d", len(row.Values), nd)
 		}
-		buf = buf[:0]
-		for _, v := range row.Values {
-			if v == core.Star {
-				return nil, fmt.Errorf("cubestore: residual row leaves a dimension wildcard")
-			}
-			buf = core.AppendValue(buf, v)
+		if slices.Contains(row.Values, core.Star) {
+			return nil, fmt.Errorf("cubestore: residual row leaves a dimension wildcard")
 		}
 		if row.Count < 1 {
 			return nil, fmt.Errorf("cubestore: residual row has count %d < 1", row.Count)
 		}
-		ps[i] = packed{key: string(buf), count: row.Count, aux: row.Aux}
 	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].key < ps[j].key })
-	res.counts = make([]int64, 0, len(ps))
-	if hasAux {
-		res.aux = make([]float64, 0, len(ps))
+	byKey := func(a, b ResidualRow) int {
+		return slices.CompareFunc(a.Values, b.Values, func(x, y core.Value) int {
+			return cmp.Compare(keyOrder(x), keyOrder(y))
+		})
 	}
-	for i, p := range ps {
-		if i > 0 && p.key == ps[i-1].key {
+	sorted := slices.Clone(rows)
+	slices.SortFunc(sorted, byKey)
+	res := newResidual(nd, hasAux, len(sorted))
+	for i, row := range sorted {
+		if i > 0 && byKey(sorted[i-1], row) == 0 {
 			return nil, fmt.Errorf("cubestore: duplicate residual row")
 		}
-		res.keys = append(res.keys, p.key...)
-		res.counts = append(res.counts, p.count)
+		for d, v := range row.Values {
+			res.cols[d] = append(res.cols[d], v)
+		}
+		res.counts = append(res.counts, row.Count)
 		if hasAux {
-			res.aux = append(res.aux, p.aux)
+			res.aux = append(res.aux, row.Aux)
 		}
 	}
 	return res, nil
@@ -210,7 +303,6 @@ func residualFromRows(nd int, hasAux bool, rows []ResidualRow) (*Residual, error
 // keys. Either side may be nil or empty; hasAux of the result follows the
 // arguments (they must agree when both carry rows).
 func mergeResiduals(nd int, hasAux bool, a, b *Residual) (*Residual, error) {
-	out := &Residual{nd: nd, hasAux: hasAux}
 	an, bn := 0, 0
 	if a != nil {
 		an = a.NumRows()
@@ -218,13 +310,10 @@ func mergeResiduals(nd int, hasAux bool, a, b *Residual) (*Residual, error) {
 	if b != nil {
 		bn = b.NumRows()
 	}
-	out.counts = make([]int64, 0, an+bn)
-	if hasAux {
-		out.aux = make([]float64, 0, an+bn)
-	}
+	out := newResidual(nd, hasAux, an+bn)
 	i, j := 0, 0
 	for i < an && j < bn {
-		switch bytes.Compare(a.row(i), b.row(j)) {
+		switch compareRows(a, i, b, j) {
 		case -1:
 			out.takeRow(a, i)
 			i++
@@ -245,20 +334,131 @@ func mergeResiduals(nd int, hasAux bool, a, b *Residual) (*Residual, error) {
 }
 
 // takeRow appends row i of src to out, the per-row step of the residual
-// merge. Growth is amortized self-append into capacity mergeResiduals sized
-// up front, so the merge loop stays allocation-free in steady state.
+// merge, split and retain loops. Growth is amortized self-append (into
+// capacity newResidual sized up front where the caller knows it), so the
+// loops stay allocation-free in steady state.
 //
 //ccubing:hotpath
 func (out *Residual) takeRow(src *Residual, i int) {
-	out.keys = append(out.keys, src.row(i)...)
+	for d := range out.cols {
+		out.cols[d] = append(out.cols[d], src.cols[d][i])
+	}
 	out.counts = append(out.counts, src.counts[i])
 	if out.hasAux {
-		var v float64
-		if src.hasAux {
-			v = src.aux[i]
-		}
-		out.aux = append(out.aux, v)
+		out.aux = append(out.aux, src.auxAt(i))
 	}
+}
+
+// partitionBy splits the rows on dimension dim into n residuals by
+// owner(value), which must return an index in [0, n). Rows keep their order
+// (a subsequence of a sorted sequence is sorted), so every part is canonical
+// without re-sorting.
+func (r *Residual) partitionBy(dim, n int, owner func(core.Value) int) ([]*Residual, error) {
+	parts := make([]*Residual, n)
+	for i := range parts {
+		parts[i] = newResidual(r.nd, r.hasAux, 0)
+	}
+	for i, v := range r.cols[dim] {
+		o := owner(v)
+		if o < 0 || o >= n {
+			return nil, fmt.Errorf("owner(%d) = %d out of range [0, %d)", v, o, n)
+		}
+		parts[o].takeRow(r, i)
+	}
+	return parts, nil
+}
+
+// retain returns the rows whose value on dimension dim satisfies keep, in
+// order, with aggregates kept iff hasAux.
+func (r *Residual) retain(dim int, hasAux bool, keep func(core.Value) bool) *Residual {
+	out := newResidual(r.nd, hasAux, 0)
+	for i, v := range r.cols[dim] {
+		if keep(v) {
+			out.takeRow(r, i)
+		}
+	}
+	return out
+}
+
+// firstFailing returns the first value on dimension dim failing ok, if any.
+func (r *Residual) firstFailing(dim int, ok func(core.Value) bool) (core.Value, bool) {
+	for _, v := range r.cols[dim] {
+		if !ok(v) {
+			return v, true
+		}
+	}
+	return 0, false
+}
+
+// selectivitySample is how many evenly spaced rows selectRows tests a
+// predicate on to estimate its selectivity.
+const selectivitySample = 256
+
+// selectRows returns, in buf (regrown to hold a full column), the rows
+// satisfying every bound predicate of ms (one matcher per dimension),
+// ascending. Only bound columns are read: the predicate a sample finds most
+// selective scans its whole column into the selection vector, and the others
+// filter the survivors.
+func (r *Residual) selectRows(ms []matcher, buf []int32) []int32 {
+	n := r.NumRows()
+	buf = slices.Grow(buf[:0], n)[:n]
+	first, fewest := -1, n+1
+	step := max(1, n/selectivitySample)
+	for d := range ms {
+		if ms[d].kind == matchAny {
+			continue
+		}
+		hits := 0
+		for i := 0; i < n; i += step {
+			if ms[d].match(r.cols[d][i]) {
+				hits++
+			}
+		}
+		if hits < fewest {
+			first, fewest = d, hits
+		}
+	}
+	if first < 0 {
+		for i := range buf {
+			buf[i] = int32(i)
+		}
+		return buf
+	}
+	sel := ms[first].selectRows(r.cols[first], buf)
+	for d := range ms {
+		if d != first && ms[d].kind != matchAny {
+			sel = ms[d].filterRows(r.cols[d], sel)
+		}
+	}
+	return sel
+}
+
+// foldResidual folds the selected rows into groups: a row whose combination
+// on the key fields was resolved from stored cells (present in combos) is
+// already counted through that combination's closure and is skipped; the rest
+// belong to combinations entirely below the iceberg threshold, whose tuples
+// are all residual rows, so adding them row by row reconstructs the exact
+// aggregates. Only the key fields' columns are read. It returns the number of
+// rows folded.
+//
+//ccubing:hotpath
+func foldResidual[K aggKey](r *Residual, sel []int32, fields []keyField, gmask K, combos, groups *aggTable[K], agg AuxAgg) int {
+	folded := 0
+	for _, i := range sel {
+		var key K
+		for _, f := range fields {
+			putField(&key, f, keyOrder(r.cols[f.dim][i]))
+		}
+		if combos.find(key) != nil {
+			continue
+		}
+		for w := 0; w < len(key); w++ {
+			key[w] &= gmask[w]
+		}
+		groups.fold(key, r.counts[i], r.auxAt(int(i)), agg)
+		folded++
+	}
+	return folded
 }
 
 // HasResidual reports whether the store carries the residual summary of its

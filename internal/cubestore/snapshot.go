@@ -149,7 +149,7 @@ func (s *Store) Save(w io.Writer) error {
 		if err := putUvarint(uint64(s.res.NumRows())); err != nil {
 			return fmt.Errorf("cubestore: save: residual: %w", err)
 		}
-		if _, err := cw.Write(s.res.keys); err != nil {
+		if err := s.res.writeKeys(cw); err != nil {
 			return fmt.Errorf("cubestore: save: residual: %w", err)
 		}
 		for _, c := range s.res.counts {
@@ -352,18 +352,12 @@ func loadResidual(rd *byteReader, nd int, hasAux bool) (*Residual, error) {
 		return nil, fmt.Errorf("cubestore: load: residual: implausible row count %d", rows64)
 	}
 	rows := int(rows64)
-	res := &Residual{nd: nd, hasAux: hasAux}
-	keysLen := int64(rows64) * int64(nd) * core.ValueWidth
-	if keysLen > int64(^uint(0)>>1) {
+	res := newResidual(nd, hasAux, 0)
+	if keysLen := int64(rows64) * int64(nd) * core.ValueWidth; keysLen > int64(^uint(0)>>1) {
 		return nil, fmt.Errorf("cubestore: load: residual: %d key bytes exceed this platform", keysLen)
 	}
-	if res.keys, err = ReadAllChunked(rd, int(keysLen)); err != nil {
+	if err := res.readKeys(rd, rows); err != nil {
 		return nil, fmt.Errorf("cubestore: load: residual keys: %w", err)
-	}
-	for i := 1; i < rows; i++ {
-		if bytes.Compare(res.row(i-1), res.row(i)) >= 0 {
-			return nil, fmt.Errorf("cubestore: load: residual keys not strictly sorted at row %d", i)
-		}
 	}
 	res.counts = make([]int64, rows)
 	for i := range res.counts {

@@ -146,7 +146,11 @@ type Store struct {
 	// shortest list among a query's bound dimensions instead of every group,
 	// bounding probe cost by the candidate count.
 	byDim [][]*group
-	cells int64
+	// maxVal[d] bounds the values (as their unsigned 32-bit codes) any stored
+	// cell or residual row fixes dimension d to. Aggregate sizes its packed
+	// integer keys and its value-set bitmaps from these bounds.
+	maxVal []uint32
+	cells  int64
 	// res, when non-nil, is the residual summary of the iceberg pruning the
 	// cube was computed with (sub-threshold base cells with counts and stored
 	// aggregates), making Aggregate exact at any threshold. Nil on stores
@@ -157,6 +161,7 @@ type Store struct {
 	// striped across cache lines so concurrent readers don't contend.
 	probes  [probeStripes]stripedCount
 	scratch sync.Pool // *probeScratch
+	aggs    sync.Pool // *aggScratch[K], any key width (see getAggScratch)
 	stripes atomic.Uint32
 }
 

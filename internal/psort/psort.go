@@ -5,6 +5,7 @@
 package psort
 
 import (
+	"slices"
 	"sort"
 
 	"ccubing/internal/core"
@@ -155,4 +156,45 @@ func LexSort(tids []core.TID, cols core.Columns, dims []int, cards []int, view f
 		}
 		copy(tids, tmp)
 	}
+}
+
+// TopK reorders xs so that its k first elements under cmp lead it, in order,
+// and returns that prefix; with k <= 0 or k >= len(xs) it sorts all of xs.
+// It selects through a k-element heap, O(n log k), and sorts only the
+// survivors — the result equals slices.SortFunc(xs, cmp) truncated to k when
+// cmp is a strict total order.
+func TopK[T any](xs []T, k int, cmp func(a, b T) int) []T {
+	if k <= 0 || k >= len(xs) {
+		slices.SortFunc(xs, cmp)
+		return xs
+	}
+	// h is a max-heap under cmp: its root is the last of the k kept so far.
+	h := xs[:k]
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= k {
+				return
+			}
+			if c+1 < k && cmp(h[c+1], h[c]) > 0 {
+				c++
+			}
+			if cmp(h[c], h[i]) <= 0 {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for i := k; i < len(xs); i++ {
+		if cmp(xs[i], h[0]) < 0 {
+			h[0], xs[i] = xs[i], h[0]
+			down(0)
+		}
+	}
+	slices.SortFunc(h, cmp)
+	return h
 }

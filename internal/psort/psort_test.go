@@ -2,6 +2,7 @@ package psort
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -122,4 +123,40 @@ func TestLexSortShortInput(t *testing.T) {
 		t.Fatal("single-element sort changed data")
 	}
 	LexSort(nil, core.Columns{{1}}, []int{0}, []int{2}, nil) // must not panic
+}
+
+// TestTopK checks TopK against a full sort: for every k the returned prefix
+// is the sorted slice's, the input stays a permutation of itself, and k <= 0
+// or k >= len sorts everything.
+func TestTopK(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	cmp := func(a, b [2]int) int {
+		if a[0] != b[0] {
+			return b[0] - a[0] // rank descending
+		}
+		return a[1] - b[1] // id ascending: a strict total order
+	}
+	for n := 0; n < 40; n++ {
+		xs := make([][2]int, n)
+		for i := range xs {
+			xs[i] = [2]int{rng.Intn(5), i}
+		}
+		want := slices.Clone(xs)
+		slices.SortFunc(want, cmp)
+		for _, k := range []int{-1, 0, 1, n / 2, n - 1, n, n + 3} {
+			in := slices.Clone(xs)
+			got := TopK(in, k, cmp)
+			wantLen := n
+			if k > 0 && k < n {
+				wantLen = k
+			}
+			if !slices.Equal(got, want[:wantLen]) {
+				t.Fatalf("n=%d k=%d: TopK = %v, want %v", n, k, got, want[:wantLen])
+			}
+			slices.SortFunc(in, cmp)
+			if !slices.Equal(in, want) {
+				t.Fatalf("n=%d k=%d: TopK lost elements: %v", n, k, in)
+			}
+		}
+	}
 }

@@ -4,6 +4,10 @@ package serve
 // server split into the reusable serving layer.
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -315,6 +319,56 @@ func TestCanonicalOrdering(t *testing.T) {
 	for i := range first.Cells {
 		if !equalLabels(first.Cells[i].Cell, again.Cells[i].Cell) {
 			t.Fatalf("slice order unstable: %v vs %v", first.Cells[i].Cell, again.Cells[i].Cell)
+		}
+	}
+}
+
+// TestAggregateTopKCutsLikeFullRanking pins rank-before-render: for every
+// top_k, ranking measure and measure kind, the answer must be the first
+// top_k rows of the full (top_k 0) answer, byte for byte — on data full of
+// rank ties, and with dictionary codes in an order the labels are not, so a
+// cut through a tie can only come out right if every tied row was rendered.
+func TestAggregateTopKCutsLikeFullRanking(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var rows [][]string
+	var aux []float64
+	for _, i := range rng.Perm(40) {
+		for n := 1 + i%3; n > 0; n-- {
+			rows = append(rows, []string{fmt.Sprintf("city%02d", i), []string{"pen", "ink"}[rng.Intn(2)]})
+			aux = append(aux, float64(i%4))
+		}
+	}
+	for _, kind := range []ccubing.MeasureKind{ccubing.MeasureSum, ccubing.MeasureAvg} {
+		ds, err := ccubing.NewDataset([]string{"city", "product"}, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ds.SetMeasure(aux); err != nil {
+			t.Fatal(err)
+		}
+		cube, err := ccubing.Materialize(ds, ccubing.Options{MinSup: 2, Measure: kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := NewLocal(cube)
+		for _, by := range []string{"count", "aux"} {
+			req := aggregateRequest{GroupBy: []string{"city"}, OrderBy: by}
+			full, err := l.Aggregate(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := json.Marshal(full.Rows)
+			for k := 1; k <= len(full.Rows)+1; k++ {
+				req.TopK = k
+				top, err := l.Aggregate(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _ := json.Marshal(top.Rows)
+				if cut, _ := json.Marshal(full.Rows[:min(k, len(full.Rows))]); !bytes.Equal(got, cut) {
+					t.Fatalf("%v by %s top_k %d:\n got %s\nwant %s\n(full %s)", kind, by, k, got, cut, want)
+				}
+			}
 		}
 	}
 }

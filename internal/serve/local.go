@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 
 	"ccubing"
 	"ccubing/internal/obs"
+	"ccubing/internal/psort"
 )
 
 // Local serves one in-process cube: the whole relation in single mode, or
@@ -242,8 +244,8 @@ func (l *Local) Aggregate(req aggregateRequest) (aggregateResponse, error) {
 	if req.TopK < 0 {
 		return aggregateResponse{}, fmt.Errorf("bad top_k %d", req.TopK)
 	}
-	// TopK stays out of the store call: collect every group, rank with the
-	// canonical label tie-break, then truncate (see canon.go).
+	// TopK stays out of the store call: the cut needs the canonical label
+	// tie-break (see canon.go), which the store cannot apply.
 	opt := ccubing.AggregateOptions{GroupBy: req.GroupBy}
 	var err error
 	if opt.By, err = ccubing.ParseOrderBy(req.OrderBy); err != nil {
@@ -278,25 +280,59 @@ func (l *Local) Aggregate(req aggregateRequest) (aggregateResponse, error) {
 	if err != nil {
 		return aggregateResponse{}, err
 	}
+	// Rank on numbers before rendering: only the rows that can make the cut —
+	// the top_k-th rank and everything tied with it — get labels and the
+	// canonical tie-break. A scatter (top_k 0) renders every row.
+	byAux := opt.By == ccubing.ByAux
+	if req.TopK > 0 && req.TopK < len(rows) {
+		rank := func(a, b ccubing.Cell) int {
+			if byAux {
+				if x, y := presentedAux(cube, avgMode, a), presentedAux(cube, avgMode, b); x != y {
+					if x > y {
+						return -1
+					}
+					return 1
+				}
+			}
+			return cmp.Compare(b.Count, a.Count)
+		}
+		n := req.TopK
+		last := psort.TopK(rows, n, rank)[n-1]
+		for _, c := range rows[req.TopK:] {
+			if rank(c, last) == 0 {
+				rows[n] = c
+				n++
+			}
+		}
+		rows = rows[:n]
+	}
 	resp := aggregateResponse{Rows: make([]aggregateRow, 0, len(rows)), Exact: exact}
 	for _, c := range rows {
 		row := aggregateRow{Cell: cube.Labels(c.Values), Count: c.Count}
 		if cube.HasMeasure() {
-			aux := c.Aux
+			aux := presentedAux(cube, avgMode, c)
 			if avgMode {
 				raw := c.Aux
 				row.AuxRaw = &raw
-				aux = cube.PresentAux(raw, c.Count)
 			}
 			row.Aux = &aux
 		}
 		resp.Rows = append(resp.Rows, row)
 	}
-	sortAggRows(resp.Rows, opt.By == ccubing.ByAux)
+	sortAggRows(resp.Rows, byAux)
 	if req.TopK > 0 && len(resp.Rows) > req.TopK {
 		resp.Rows = resp.Rows[:req.TopK]
 	}
 	return resp, nil
+}
+
+// presentedAux returns the measure value a row shows clients: in avg mode the
+// mean of the raw group sum the row carries.
+func presentedAux(cube *ccubing.Cube, avgMode bool, c ccubing.Cell) float64 {
+	if avgMode {
+		return cube.PresentAux(c.Aux, c.Count)
+	}
+	return c.Aux
 }
 
 // errStatic rejects mutations against a snapshot-loaded cube.

@@ -401,3 +401,92 @@ func TestStageHistogramsPopulated(t *testing.T) {
 		t.Fatalf("workers gauge = %g, want 2", v)
 	}
 }
+
+// TestAggregateWorkCounters checks the aggregate-engine work counters: every
+// role's scrape carries them, and one selective iceberg aggregate advances
+// them by what the engine did — one run, and as many residual rows examined
+// as satisfy the predicate, not as many as the residual holds.
+func TestAggregateWorkCounters(t *testing.T) {
+	var rows [][]string
+	for c := 0; c < 12; c++ {
+		for _, prod := range []string{"pen", "ink", "cap"} {
+			rows = append(rows, []string{fmt.Sprintf("city%02d", c), prod, "2025"})
+		}
+	}
+	for i := 0; i < 4; i++ {
+		rows = append(rows, []string{"city00", "pen", "2025"}) // the one tuple above the threshold
+	}
+	ds, err := ccubing.NewDataset([]string{"city", "product", "year"}, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const minsup, residualRows, penResidualRows = 3, 35, 11
+
+	var workers []Shard
+	for _, l := range shardedLocals(t, ds, minsup, 2) {
+		ws := httptest.NewServer(NewServer(l, Config{}).Handler())
+		defer ws.Close()
+		w, err := Dial(ws.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers = append(workers, w)
+		scrapeAggregateCounters(t, ws)
+	}
+	rt, err := NewRouter(workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := httptest.NewServer(NewServer(rt, Config{}).Handler())
+	defer router.Close()
+	scrapeAggregateCounters(t, router)
+
+	single := httptest.NewServer(NewServer(globalLocal(t, ds, minsup), Config{}).Handler())
+	defer single.Close()
+	before := scrapeAggregateCounters(t, single)
+	resp, err := http.Post(single.URL+"/v1/aggregate", "application/json",
+		strings.NewReader(`{"where":["*","pen","*"],"group_by":["city"],"top_k":3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var agg aggregateResponse
+	if err := json.NewDecoder(resp.Body).Decode(&agg); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if !agg.Exact || len(agg.Rows) != 3 || agg.Rows[0].Count != 5 {
+		t.Fatalf("aggregate = %+v, want 3 exact rows led by city00's 5 pens", agg)
+	}
+	after := scrapeAggregateCounters(t, single)
+	delta := func(series string) float64 { return after[series] - before[series] }
+	if got := delta("ccubing_aggregate_runs_total"); got != 1 {
+		t.Fatalf("runs advanced by %g, want 1", got)
+	}
+	if got := delta("ccubing_aggregate_combinations_total"); got != 1 {
+		t.Fatalf("combinations advanced by %g, want 1 (city00, pen)", got)
+	}
+	examined := delta("ccubing_aggregate_residual_examined_total")
+	if examined != penResidualRows {
+		t.Fatalf("examined %g residual rows, want the %d the predicate keeps of %d", examined, penResidualRows, residualRows)
+	}
+	if folded := delta("ccubing_aggregate_residual_folded_total"); folded != penResidualRows {
+		t.Fatalf("folded %g residual rows, want %d (no stored cell covers them)", folded, penResidualRows)
+	}
+}
+
+// scrapeAggregateCounters reads the aggregate-engine counters off a role's
+// /metrics, failing when one is absent.
+func scrapeAggregateCounters(t *testing.T, ts *httptest.Server) map[string]float64 {
+	t.Helper()
+	text := scrapeMetrics(t, ts)
+	out := map[string]float64{}
+	for _, series := range []string{
+		"ccubing_aggregate_runs_total",
+		"ccubing_aggregate_combinations_total",
+		"ccubing_aggregate_residual_examined_total",
+		"ccubing_aggregate_residual_folded_total",
+	} {
+		out[series] = metricValue(t, text, series)
+	}
+	return out
+}
