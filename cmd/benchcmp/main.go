@@ -14,8 +14,8 @@
 // suffix go test appends on multi-core machines, so series recorded on
 // different core counts still line up.
 //
-// Only the critical set gates (default: the serving-path benchmarks named in
-// -critical); everything else is informational, since dataset growth and
+// Only the critical set gates (default: the serving-path benchmarks and the
+// incremental refresh named in -critical); everything else is informational, since dataset growth and
 // intentional trade-offs legitimately move non-critical numbers.
 package main
 
@@ -80,7 +80,8 @@ func main() {
 	tolerance := flag.Float64("tolerance", 0.20, "allowed relative regression on critical benchmarks")
 	critical := flag.String("critical",
 		"BenchmarkCubeQuery/sequential,BenchmarkLookupLattice,BenchmarkRefreshAppend,"+
-			"BenchmarkAggregateIcebergResidual/range,BenchmarkAggregateIcebergResidual/set",
+			"BenchmarkAggregateIcebergResidual/range,BenchmarkAggregateIcebergResidual/set,"+
+			"BenchmarkRefresh/incremental/delta=2000",
 		"comma-separated benchmarks whose regression fails the run")
 	minIters := flag.Int64("min-iters", 5,
 		"iteration floor: gated regressions measured from fewer fresh-run iterations downgrade to a warning (0 disables)")

@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"ccubing/internal/core"
-	"ccubing/internal/sink"
 )
 
 // buildIndex derives the cuboid-lattice index from the sorted group list and
@@ -76,19 +75,9 @@ func (b *Builder) Add(vals []core.Value, count int64, aux float64) {
 	}
 }
 
-// AddBatch records a whole merge-flush batch of cells: each entry's values
-// live at [Off, Off+Width) of the shared arena. The sink.BatchSink fast path
-// of the parallel merge pipeline lands here, one call per flushed batch
-// instead of one Add per cell under the merger's lock.
-func (b *Builder) AddBatch(arena []core.Value, cells []sink.BatchCell) {
-	for _, c := range cells {
-		b.Add(arena[c.Off:c.Off+c.Width], c.Count, c.Aux)
-	}
-}
-
-// BuilderSink adapts a Builder to the sink interfaces (Sink and the BatchSink
-// bulk path), counting the cells it forwards. It is the terminal sink of
-// Materialize-style builds whose dimension order needs no remapping.
+// BuilderSink adapts a Builder to sink.Sink, counting the cells it forwards.
+// It is the terminal sink of Materialize-style builds whose dimension order
+// needs no remapping, and of every incremental refresh.
 type BuilderSink struct {
 	B     *Builder
 	Cells int64
@@ -98,12 +87,6 @@ type BuilderSink struct {
 func (s *BuilderSink) Emit(vals []core.Value, count int64, aux float64) {
 	s.B.Add(vals, count, aux)
 	s.Cells++
-}
-
-// EmitBatch implements sink.BatchSink.
-func (s *BuilderSink) EmitBatch(arena []core.Value, cells []sink.BatchCell) {
-	s.B.AddBatch(arena, cells)
-	s.Cells += int64(len(cells))
 }
 
 // SetResidual attaches the residual summary of the iceberg pruning the cells

@@ -31,15 +31,17 @@ import (
 //     retained (copied group-wise, keeping their sorted order — no re-sort);
 //   - cells fixing dim to a replaced value, and every cell with a wildcard
 //     on dim, are dropped;
-//   - the fresh cells are added in their place.
+//   - the cells accumulated in fresh are added in their place.
 //
-// Fresh cells must have exactly NumDims values and either leave dim wildcard
-// or fix it to a replaced value — otherwise a fresh cell could silently
-// coexist with a retained cell of the same partition, breaking the closed
-// cube's one-cell-per-group-by invariant; such cells are rejected. Duplicate
-// keys (within the fresh cells, or between fresh and retained cells) are
-// also an error. Aux values of fresh cells are stored iff s carries a
-// measure. The merged store is canonical: its snapshot is byte-identical to
+// fresh is consumed (like Build, it leaves the builder unusable): its cuboid
+// groups are sorted and merged in directly, so the replacement cells are
+// never materialized one by one. It must match s's dimensionality and
+// measure flag, and each of its cells must either leave dim wildcard or fix
+// it to a replaced value — otherwise a fresh cell could silently coexist
+// with a retained cell of the same partition, breaking the closed cube's
+// one-cell-per-group-by invariant; such cells are rejected. Duplicate keys
+// (within the fresh cells, or between fresh and retained cells) are also an
+// error. The merged store is canonical: its snapshot is byte-identical to
 // one built from scratch over the same cell set.
 //
 // freshRes carries the residual of the replaced partitions' recomputation.
@@ -49,25 +51,23 @@ import (
 // the dropped ones. Passing freshRes nil produces a store without a residual
 // — callers must do so whenever s lacks one (the retained partitions' pruned
 // mass is unknown, so claiming exactness would be dishonest).
-func (s *Store) MergePartitions(dim int, replaced func(core.Value) bool, fresh []core.Cell, freshRes *Residual) (*Store, error) {
+func (s *Store) MergePartitions(dim int, replaced func(core.Value) bool, fresh *Builder, freshRes *Residual) (*Store, error) {
 	if dim < 0 || dim >= s.nd {
 		return nil, fmt.Errorf("cubestore: merge: dimension %d out of range (store has %d)", dim, s.nd)
 	}
-	// Accumulate the fresh cells into per-cuboid groups and sort each, the
-	// same canonicalization Build performs.
-	fb := NewBuilder(s.nd, s.hasAux)
-	for _, c := range fresh {
-		if len(c.Values) != s.nd {
-			return nil, fmt.Errorf("cubestore: merge: fresh cell has %d dimensions, store has %d", len(c.Values), s.nd)
-		}
-		if v := c.Values[dim]; v != core.Star && !replaced(v) {
+	if fresh.nd != s.nd {
+		return nil, fmt.Errorf("cubestore: merge: fresh cells have %d dimensions, store has %d", fresh.nd, s.nd)
+	}
+	if fresh.hasAux != s.hasAux {
+		return nil, fmt.Errorf("cubestore: merge: fresh cells and store disagree on carrying a measure")
+	}
+	// Sort each fresh cuboid group, the same canonicalization Build performs.
+	freshGroups := fresh.groups
+	fresh.groups = nil
+	for _, g := range freshGroups {
+		if v, bad := g.firstFailing(dim, replaced); bad {
 			return nil, fmt.Errorf("cubestore: merge: fresh cell fixes dimension %d to unreplaced value %d", dim, v)
 		}
-		fb.Add(c.Values, c.Count, c.Aux)
-	}
-	freshGroups := fb.groups
-	fb.groups = nil
-	for _, g := range freshGroups {
 		if err := g.sortRows(); err != nil {
 			return nil, fmt.Errorf("cubestore: merge: %w", err)
 		}
@@ -131,18 +131,37 @@ func (s *Store) mergeResidual(dim int, replaced func(core.Value) bool, freshRes 
 	return mergeResiduals(s.nd, s.hasAux, kept, freshRes)
 }
 
+// dimOffset returns the byte offset of dimension dim's value within g's
+// packed rows, or -1 when g leaves dim wildcard.
+func (g *group) dimOffset(dim int) int {
+	for k, d := range g.dims {
+		if d == dim {
+			return k * core.ValueWidth
+		}
+	}
+	return -1
+}
+
+// firstFailing returns the first value a row of g fixes dim to that fails
+// ok, if any; a group with a wildcard on dim has none.
+func (g *group) firstFailing(dim int, ok func(core.Value) bool) (core.Value, bool) {
+	off := g.dimOffset(dim)
+	if off < 0 {
+		return 0, false
+	}
+	for i := 0; i < g.rows(); i++ {
+		if v := core.DecodeValue(g.row(i)[off:]); !ok(v) {
+			return v, true
+		}
+	}
+	return 0, false
+}
+
 // retainRows copies the rows of g whose value on dim is not replaced,
 // preserving their sorted order. g must fix dim. Returns nil when nothing
 // survives.
 func retainRows(g *group, dim int, replaced func(core.Value) bool) *group {
-	j := -1
-	for k, d := range g.dims {
-		if d == dim {
-			j = k
-			break
-		}
-	}
-	off := j * core.ValueWidth
+	off := g.dimOffset(dim)
 	kept := &group{mask: g.mask, dims: g.dims, width: g.width}
 	for i := 0; i < g.rows(); i++ {
 		row := g.row(i)

@@ -21,6 +21,16 @@ func closedCells(t testing.TB, tbl *table.Table, minsup int64) []core.Cell {
 	return col.Cells
 }
 
+// freshBuilder accumulates replacement cells the way a refresh does: straight
+// into a Builder, which MergePartitions consumes.
+func freshBuilder(nd int, hasAux bool, cells ...core.Cell) *Builder {
+	b := NewBuilder(nd, hasAux)
+	for _, c := range cells {
+		b.Add(c.Values, c.Count, c.Aux)
+	}
+	return b
+}
+
 // storeBytes canonicalizes a store as its snapshot bytes.
 func storeBytes(t testing.TB, s *Store) []byte {
 	t.Helper()
@@ -83,10 +93,10 @@ func TestMergePartitionsMatchesRebuild(t *testing.T) {
 			// Merge path: old store + the full relation's cells restricted to
 			// replaced partitions and the wildcard slice.
 			old := buildFromClosed(t, base, minsup)
-			var fresh []core.Cell
+			fresh := NewBuilder(nd, false)
 			for _, c := range fullCells {
 				if v := c.Values[dim]; v == core.Star || touched[v] {
-					fresh = append(fresh, c)
+					fresh.Add(c.Values, c.Count, 0)
 				}
 			}
 			got, err := old.MergePartitions(dim, func(v core.Value) bool { return touched[v] }, fresh, nil)
@@ -112,11 +122,11 @@ func TestMergePartitionsAux(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := []core.Cell{
-		{Values: []core.Value{1, 1}, Count: 4, Aux: 9.5},
-		{Values: []core.Value{1, 0}, Count: 1, Aux: 0.5},
-		{Values: []core.Value{core.Star, 1}, Count: 6, Aux: 11.0},
-	}
+	fresh := freshBuilder(2, true,
+		core.Cell{Values: []core.Value{1, 1}, Count: 4, Aux: 9.5},
+		core.Cell{Values: []core.Value{1, 0}, Count: 1, Aux: 0.5},
+		core.Cell{Values: []core.Value{core.Star, 1}, Count: 6, Aux: 11.0},
+	)
 	m, err := s.MergePartitions(0, func(v core.Value) bool { return v == 1 }, fresh, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +169,7 @@ func TestMergePartitionsEmptyReplacement(t *testing.T) {
 	}
 	// Partition 1 vanishes with no replacements; the wildcard slice shrinks
 	// to the surviving partition's projection.
-	fresh := []core.Cell{{Values: []core.Value{core.Star, 1}, Count: 2}}
+	fresh := freshBuilder(2, false, core.Cell{Values: []core.Value{core.Star, 1}, Count: 2})
 	m, err := s.MergePartitions(0, func(v core.Value) bool { return v == 1 }, fresh, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +186,7 @@ func TestMergePartitionsEmptyReplacement(t *testing.T) {
 
 	// Degenerate total wipe: every partition replaced, nothing fresh. The
 	// merged store is empty but fully functional.
-	empty, err := s.MergePartitions(0, func(core.Value) bool { return true }, nil, nil)
+	empty, err := s.MergePartitions(0, func(core.Value) bool { return true }, freshBuilder(2, false), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +207,9 @@ func TestMergePartitionsEmptyReplacement(t *testing.T) {
 	}
 }
 
-// TestMergePartitionsRejects pins the misuse errors: wrong arity, a fresh
-// cell fixing the partition dimension to an unreplaced value, duplicates.
+// TestMergePartitionsRejects pins the misuse errors: wrong arity, a measure
+// flag the store does not share, a fresh cell fixing the partition dimension
+// to an unreplaced value, duplicates.
 func TestMergePartitionsRejects(t *testing.T) {
 	b := NewBuilder(2, false)
 	b.Add([]core.Value{0, 1}, 2, 0)
@@ -207,19 +218,26 @@ func TestMergePartitionsRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	replaced := func(v core.Value) bool { return v == 1 }
-	if _, err := s.MergePartitions(5, replaced, nil, nil); err == nil {
+	if _, err := s.MergePartitions(5, replaced, freshBuilder(2, false), nil); err == nil {
 		t.Fatal("out-of-range dimension must fail")
 	}
-	if _, err := s.MergePartitions(0, replaced, []core.Cell{{Values: []core.Value{1}}}, nil); err == nil {
+	if _, err := s.MergePartitions(0, replaced, freshBuilder(1, false, core.Cell{Values: []core.Value{1}}), nil); err == nil {
 		t.Fatal("wrong-arity fresh cell must fail")
 	}
-	if _, err := s.MergePartitions(0, replaced, []core.Cell{{Values: []core.Value{0, 2}, Count: 1}}, nil); err == nil {
+	if _, err := s.MergePartitions(0, replaced, freshBuilder(2, true, core.Cell{Values: []core.Value{1, 2}, Count: 1, Aux: 1}), nil); err == nil {
+		t.Fatal("fresh cells carrying a measure the store lacks must fail")
+	}
+	unreplaced := freshBuilder(2, false,
+		core.Cell{Values: []core.Value{1, 2}, Count: 1},
+		core.Cell{Values: []core.Value{0, 2}, Count: 1},
+	)
+	if _, err := s.MergePartitions(0, replaced, unreplaced, nil); err == nil {
 		t.Fatal("fresh cell in an unreplaced partition must fail")
 	}
-	dup := []core.Cell{
-		{Values: []core.Value{1, 2}, Count: 1},
-		{Values: []core.Value{1, 2}, Count: 1},
-	}
+	dup := freshBuilder(2, false,
+		core.Cell{Values: []core.Value{1, 2}, Count: 1},
+		core.Cell{Values: []core.Value{1, 2}, Count: 1},
+	)
 	if _, err := s.MergePartitions(0, replaced, dup, nil); err == nil {
 		t.Fatal("duplicate fresh cells must fail")
 	}

@@ -8,7 +8,6 @@ package cubestore
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -136,8 +135,10 @@ func (r *Residual) maxValues(maxVal []uint32) {
 const residualChunkRows = 4096
 
 // maxResidualPrealloc bounds the column bytes readKeys allocates on the
-// strength of the declared row count alone.
-const maxResidualPrealloc = 16 << 20
+// strength of the declared row count alone; it sits inside the fixed slack
+// fuzzbound.Check grants a parser (a 42-byte file declaring 2^60 rows must
+// fail on EOF, not after a 16 MB make).
+const maxResidualPrealloc = 4 << 20
 
 // writeKeys writes the rows' packed keys row-major — the snapshot's residual
 // key block — through a bounded transposition buffer.
@@ -261,44 +262,6 @@ func (r *Residual) appendPacked(key string, count int64, aux float64) {
 	}
 }
 
-// residualFromRows canonicalizes materialized rows into a Residual: sorted by
-// packed key, duplicates rejected. hasAux selects whether aggregates are
-// kept.
-func residualFromRows(nd int, hasAux bool, rows []ResidualRow) (*Residual, error) {
-	for _, row := range rows {
-		if len(row.Values) != nd {
-			return nil, fmt.Errorf("cubestore: residual row has %d dimensions, want %d", len(row.Values), nd)
-		}
-		if slices.Contains(row.Values, core.Star) {
-			return nil, fmt.Errorf("cubestore: residual row leaves a dimension wildcard")
-		}
-		if row.Count < 1 {
-			return nil, fmt.Errorf("cubestore: residual row has count %d < 1", row.Count)
-		}
-	}
-	byKey := func(a, b ResidualRow) int {
-		return slices.CompareFunc(a.Values, b.Values, func(x, y core.Value) int {
-			return cmp.Compare(keyOrder(x), keyOrder(y))
-		})
-	}
-	sorted := slices.Clone(rows)
-	slices.SortFunc(sorted, byKey)
-	res := newResidual(nd, hasAux, len(sorted))
-	for i, row := range sorted {
-		if i > 0 && byKey(sorted[i-1], row) == 0 {
-			return nil, fmt.Errorf("cubestore: duplicate residual row")
-		}
-		for d, v := range row.Values {
-			res.cols[d] = append(res.cols[d], v)
-		}
-		res.counts = append(res.counts, row.Count)
-		if hasAux {
-			res.aux = append(res.aux, row.Aux)
-		}
-	}
-	return res, nil
-}
-
 // mergeResiduals merges two sorted residuals into one, rejecting duplicate
 // keys. Either side may be nil or empty; hasAux of the result follows the
 // arguments (they must agree when both carry rows).
@@ -334,7 +297,7 @@ func mergeResiduals(nd int, hasAux bool, a, b *Residual) (*Residual, error) {
 }
 
 // takeRow appends row i of src to out, the per-row step of the residual
-// merge, split and retain loops. Growth is amortized self-append (into
+// merge and retain loops. Growth is amortized self-append (into
 // capacity newResidual sized up front where the caller knows it), so the
 // loops stay allocation-free in steady state.
 //
@@ -347,25 +310,6 @@ func (out *Residual) takeRow(src *Residual, i int) {
 	if out.hasAux {
 		out.aux = append(out.aux, src.auxAt(i))
 	}
-}
-
-// partitionBy splits the rows on dimension dim into n residuals by
-// owner(value), which must return an index in [0, n). Rows keep their order
-// (a subsequence of a sorted sequence is sorted), so every part is canonical
-// without re-sorting.
-func (r *Residual) partitionBy(dim, n int, owner func(core.Value) int) ([]*Residual, error) {
-	parts := make([]*Residual, n)
-	for i := range parts {
-		parts[i] = newResidual(r.nd, r.hasAux, 0)
-	}
-	for i, v := range r.cols[dim] {
-		o := owner(v)
-		if o < 0 || o >= n {
-			return nil, fmt.Errorf("owner(%d) = %d out of range [0, %d)", v, o, n)
-		}
-		parts[o].takeRow(r, i)
-	}
-	return parts, nil
 }
 
 // retain returns the rows whose value on dimension dim satisfies keep, in

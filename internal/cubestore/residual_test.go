@@ -347,60 +347,12 @@ func TestResidualSnapshotEveryByteFlip(t *testing.T) {
 	}
 }
 
-// TestResidualFromRowsValidation pins the canonicalization errors.
-func TestResidualFromRowsValidation(t *testing.T) {
-	good := []ResidualRow{
-		{Values: []core.Value{2, 1}, Count: 2, Aux: 5},
-		{Values: []core.Value{1, 3}, Count: 1, Aux: 7},
-	}
-	res, err := residualFromRows(2, true, good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := res.Rows()
-	if len(rows) != 2 || rows[0].Values[0] != 1 || rows[1].Values[0] != 2 {
-		t.Fatalf("rows not canonicalized into key order: %v", rows)
-	}
-	cases := []struct {
-		name string
-		rows []ResidualRow
-	}{
-		{"wrong arity", []ResidualRow{{Values: []core.Value{1}, Count: 1}}},
-		{"wildcard dimension", []ResidualRow{{Values: []core.Value{1, core.Star}, Count: 1}}},
-		{"zero count", []ResidualRow{{Values: []core.Value{1, 2}, Count: 0}}},
-		{"duplicate key", []ResidualRow{
-			{Values: []core.Value{1, 2}, Count: 1},
-			{Values: []core.Value{1, 2}, Count: 2},
-		}},
-	}
-	for _, tc := range cases {
-		if _, err := residualFromRows(2, true, tc.rows); err == nil {
-			t.Fatalf("%s must be rejected", tc.name)
-		}
-	}
-	empty, err := residualFromRows(3, false, nil)
-	if err != nil || empty == nil || empty.NumRows() != 0 {
-		t.Fatalf("empty row set must build an empty residual, got (%v, %v)", empty, err)
-	}
-}
-
 // TestMergeResiduals checks the sorted-merge constructor: disjoint unions
 // merge in key order, duplicates are rejected, nil sides are fine.
 func TestMergeResiduals(t *testing.T) {
-	a, err := residualFromRows(2, true, []ResidualRow{
-		{Values: []core.Value{1, 1}, Count: 1, Aux: 2},
-		{Values: []core.Value{3, 0}, Count: 2, Aux: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := residualFromRows(2, true, []ResidualRow{
-		{Values: []core.Value{0, 5}, Count: 1, Aux: 1},
-		{Values: []core.Value{2, 2}, Count: 1, Aux: 9},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Rows (1,1)x1 sum 2 and (3,0)x2 sum 4; then (0,5)x1 sum 1 and (2,2)x1 sum 9.
+	a := ComputeResidual(core.Columns{{3, 1, 3}, {0, 1, 0}}, []float64{1, 2, 3}, 3, core.MeasureSum)
+	b := ComputeResidual(core.Columns{{2, 0}, {2, 5}}, []float64{9, 1}, 3, core.MeasureSum)
 	m, err := mergeResiduals(2, true, a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -489,7 +441,7 @@ func TestMergePartitionsResidual(t *testing.T) {
 	}
 	freshRes := ComputeResidual(sub.Cols, subAux, minsup, core.MeasureSum)
 
-	merged, err := s.MergePartitions(0, func(v core.Value) bool { return v == 1 }, fresh, freshRes)
+	merged, err := s.MergePartitions(0, func(v core.Value) bool { return v == 1 }, freshBuilder(tbl.NumDims(), true, fresh...), freshRes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +467,7 @@ func TestMergePartitionsResidual(t *testing.T) {
 		}
 	}
 	// Dropping freshRes must drop the residual — honesty over optimism.
-	bare, err := s.MergePartitions(0, func(v core.Value) bool { return v == 1 }, fresh, nil)
+	bare, err := s.MergePartitions(0, func(v core.Value) bool { return v == 1 }, freshBuilder(tbl.NumDims(), true, fresh...), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

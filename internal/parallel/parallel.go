@@ -23,6 +23,11 @@
 // scan's chunk jobs are submitted into the same worker pool as the shard
 // jobs the moment the projection pass finishes, so the check overlaps shard
 // cubing instead of serializing after it.
+//
+// The decomposition has one implementation, RunSub, and two callers: Run (a
+// Workers > 1 build: shard jobs over the whole relation) and internal/refresh
+// (shard jobs over the partitions a delta touched, the final pass and the
+// agreement scan over the whole edited relation).
 package parallel
 
 import (
@@ -57,6 +62,21 @@ type Config struct {
 // nondeterministic order. The emitted cell set is identical to
 // eng.Run(t, ecfg, out).
 func Run(t *table.Table, eng engine.Engine, ecfg engine.Config, cfg Config, out sink.Sink) error {
+	return RunSub(t, t, eng, ecfg, cfg, out)
+}
+
+// RunSub is the decomposition itself, with the shard jobs restricted to a
+// sub-relation: sub must hold, for every partition-dimension value it
+// mentions, all of t's tuples with that value (incremental refresh passes the
+// partitions a delta touched; Run passes t). The shard jobs cube sub and keep
+// the cells fixing the partition dimension, while the final pass and the
+// agreement scan see all of t, so the emitted set is the cells of t's cube
+// that fix the partition dimension to a value present in sub, plus every
+// cell with a wildcard on it. cfg.Dim must name the dimension when sub is a
+// strict subset. A relation that cannot be decomposed — fewer than two
+// dimensions, or no tuples — is cubed whole, which honours that contract
+// only for sub == t.
+func RunSub(t, sub *table.Table, eng engine.Engine, ecfg engine.Config, cfg Config, out sink.Sink) error {
 	workers := cfg.Workers
 	if workers < 1 {
 		workers = 1
@@ -89,7 +109,7 @@ func Run(t *table.Table, eng engine.Engine, ecfg engine.Config, cfg Config, out 
 		ns = 1
 	}
 
-	shards := ShardTables(t, dim, ns)
+	shards := ShardTables(sub, dim, ns)
 	projDims := make([]int, 0, nd-1)
 	for d := 0; d < nd; d++ {
 		if d != dim {
@@ -106,9 +126,9 @@ func Run(t *table.Table, eng engine.Engine, ecfg engine.Config, cfg Config, out 
 	// The final pass is usually the longest job, so it goes first; shards
 	// follow largest-first to keep the pool balanced under skew.
 	sort.Slice(shards, func(i, j int) bool { return shards[i].NumTuples() > shards[j].NumTuples() })
-	pool := NewPool(workers)
-	var scan *AgreementScan
-	pool.Submit(func() error {
+	pool := newPool(workers)
+	var scan *agreementScan
+	pool.submit(func() error {
 		if ecfg.Closed {
 			// Closed mode: collect the projection cube's closed candidates and
 			// hand the agreement scan's chunk jobs straight back to the pool,
@@ -117,10 +137,10 @@ func Run(t *table.Table, eng engine.Engine, ecfg engine.Config, cfg Config, out 
 			if err := eng.Run(pt, ecfg, col); err != nil {
 				return fmt.Errorf("parallel: final pass: %w", err)
 			}
-			scan = NewAgreementScan(t, dim, projDims, col.Cells, workers)
+			scan = newAgreementScan(t, dim, projDims, col.Cells, workers)
 			if scan != nil {
-				for _, job := range scan.Jobs() {
-					pool.Submit(job)
+				for _, job := range scan.jobs() {
+					pool.submit(job)
 				}
 			}
 			return nil
@@ -136,23 +156,22 @@ func Run(t *table.Table, eng engine.Engine, ecfg engine.Config, cfg Config, out 
 	})
 	for _, st := range shards {
 		st := st
-		pool.Submit(func() error {
+		pool.submit(func() error {
 			w := merger.Worker()
-			f := &fixedFilter{next: w, dim: dim}
-			if err := eng.Run(st, ecfg, f); err != nil {
+			if err := eng.Run(st, ecfg, &sink.FixedDim{Next: w, Dim: dim}); err != nil {
 				return fmt.Errorf("parallel: shard: %w", err)
 			}
 			w.Close()
 			return nil
 		})
 	}
-	if err := pool.Wait(); err != nil {
+	if err := pool.wait(); err != nil {
 		return err
 	}
 
 	if scan != nil {
 		w := merger.Worker()
-		scan.EmitSurvivors(w)
+		scan.emitSurvivors(w)
 		w.Close()
 	}
 	return nil
@@ -164,8 +183,7 @@ func Run(t *table.Table, eng engine.Engine, ecfg engine.Config, cfg Config, out 
 // relation into a single backing arena grouped by shard, and each shard's
 // columns are sub-slices of it — no per-shard table allocation, and the
 // schema (Names, Cards) is shared with the parent, which engines never
-// mutate. Empty shards are omitted. Shared with internal/refresh, which
-// shards only the partitions a delta touched.
+// mutate. Empty shards are omitted.
 func ShardTables(t *table.Table, dim, ns int) []*table.Table {
 	n := t.NumTuples()
 	nd := t.NumDims()
@@ -227,11 +245,11 @@ func ShardTables(t *table.Table, dim, ns int) []*table.Table {
 	return shards
 }
 
-// Pool is a fixed-size worker pool whose jobs may submit further jobs — the
+// pool is a fixed-size worker pool whose jobs may submit further jobs — the
 // property the closed-mode final pass needs to overlap its agreement scan
 // with still-running shard jobs. After a job fails, queued jobs are dropped
-// (in-flight ones finish) and Wait returns the first error.
-type Pool struct {
+// (in-flight ones finish) and wait returns the first error.
+type pool struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	queue    []func() error
@@ -241,12 +259,9 @@ type Pool struct {
 	wg       sync.WaitGroup
 }
 
-// NewPool starts workers goroutines waiting for Submit.
-func NewPool(workers int) *Pool {
-	if workers < 1 {
-		workers = 1
-	}
-	p := &Pool{}
+// newPool starts workers goroutines waiting for submit.
+func newPool(workers int) *pool {
+	p := &pool{}
 	p.cond = sync.NewCond(&p.mu)
 	p.wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -255,18 +270,18 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-// Submit enqueues a job. Safe to call from running jobs; external submissions
-// must happen before Wait.
-func (p *Pool) Submit(job func() error) {
+// submit enqueues a job. Safe to call from running jobs; external submissions
+// must happen before wait.
+func (p *pool) submit(job func() error) {
 	p.mu.Lock()
 	p.queue = append(p.queue, job)
 	p.mu.Unlock()
 	p.cond.Signal()
 }
 
-// Wait marks the external submission stream closed, waits for the queue to
+// wait marks the external submission stream closed, waits for the queue to
 // drain (including jobs submitted by jobs) and returns the first job error.
-func (p *Pool) Wait() error {
+func (p *pool) wait() error {
 	p.mu.Lock()
 	p.closed = true
 	p.mu.Unlock()
@@ -275,7 +290,7 @@ func (p *Pool) Wait() error {
 	return p.firstErr
 }
 
-func (p *Pool) worker() {
+func (p *pool) worker() {
 	defer p.wg.Done()
 	p.mu.Lock()
 	for {
@@ -307,19 +322,6 @@ func (p *Pool) worker() {
 	}
 }
 
-// RunPool executes jobs on `workers` goroutines, returning the first error.
-// After a job fails no further jobs start (in-flight ones finish).
-func RunPool(workers int, jobs []func() error) error {
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	p := NewPool(workers)
-	for _, job := range jobs {
-		p.Submit(job)
-	}
-	return p.Wait()
-}
-
 // valsScratchPool recycles the full-width value buffers of starInsert and the
 // survivor widening across jobs and refreshes.
 var valsScratchPool = sync.Pool{New: func() any { return new([]core.Value) }}
@@ -337,19 +339,6 @@ func getValsScratch(nd int) []core.Value {
 //ccubing:hotpath
 func putValsScratch(s []core.Value) {
 	valsScratchPool.Put(&s)
-}
-
-// fixedFilter keeps cells fixing the partition dimension (shard runs).
-type fixedFilter struct {
-	next sink.Sink
-	dim  int
-}
-
-//ccubing:hotpath
-func (f *fixedFilter) Emit(vals []core.Value, count int64, aux float64) {
-	if vals[f.dim] != core.Star {
-		f.next.Emit(vals, count, aux)
-	}
 }
 
 // starInsert widens projected cells back to the full dimensionality, placing
@@ -375,7 +364,7 @@ type maskGroup struct {
 	index map[string]int // packed fixed values -> candidate index
 }
 
-// AgreementScan is the closed-mode final-pass check, split into
+// agreementScan is the closed-mode final-pass check, split into
 // pool-schedulable chunk jobs: given the closed candidates computed on the
 // relation projected without dim, it decides which stay closed once dim
 // returns — a candidate all of whose tuples agree on one dim value is covered
@@ -383,7 +372,7 @@ type maskGroup struct {
 // decision aggregates a first-value/conflict pair per candidate over one scan
 // of the relation, chunked by tuple range so the chunks run concurrently with
 // other pool work.
-type AgreementScan struct {
+type agreementScan struct {
 	t          *table.Table
 	dim        int
 	candidates []core.Cell
@@ -393,10 +382,10 @@ type AgreementScan struct {
 	conflicts  [][]bool
 }
 
-// NewAgreementScan prepares the scan over t's tuples for the given
+// newAgreementScan prepares the scan over t's tuples for the given
 // candidates (values in projDims order), split into at most chunks jobs.
 // Returns nil when there are no candidates to check.
-func NewAgreementScan(t *table.Table, dim int, projDims []int, candidates []core.Cell, chunks int) *AgreementScan {
+func newAgreementScan(t *table.Table, dim int, projDims []int, candidates []core.Cell, chunks int) *agreementScan {
 	if len(candidates) == 0 {
 		return nil
 	}
@@ -406,7 +395,7 @@ func NewAgreementScan(t *table.Table, dim int, projDims []int, candidates []core
 	if n := t.NumTuples(); chunks > n {
 		chunks = n
 	}
-	return &AgreementScan{
+	return &agreementScan{
 		t:          t,
 		dim:        dim,
 		candidates: candidates,
@@ -417,9 +406,9 @@ func NewAgreementScan(t *table.Table, dim int, projDims []int, candidates []core
 	}
 }
 
-// Jobs returns the scan's chunk jobs, one per tuple range, each independent
+// jobs returns the scan's chunk jobs, one per tuple range, each independent
 // and safe to run concurrently (they write disjoint per-chunk aggregates).
-func (a *AgreementScan) Jobs() []func() error {
+func (a *agreementScan) jobs() []func() error {
 	n := a.t.NumTuples()
 	jobs := make([]func() error, a.chunks)
 	for c := 0; c < a.chunks; c++ {
@@ -439,11 +428,11 @@ func (a *AgreementScan) Jobs() []func() error {
 	return jobs
 }
 
-// EmitSurvivors merges the chunk aggregates (all Jobs must have completed)
+// emitSurvivors merges the chunk aggregates (all jobs must have completed)
 // and emits each surviving candidate widened back to t's dimensionality with
 // a wildcard at dim. The emitted value slice is scratch, valid only during
 // the call, matching the sink contract.
-func (a *AgreementScan) EmitSurvivors(out sink.Sink) {
+func (a *agreementScan) emitSurvivors(out sink.Sink) {
 	vals := getValsScratch(a.t.NumDims())
 	defer putValsScratch(vals)
 	for ci, cand := range a.candidates {
@@ -467,25 +456,6 @@ func (a *AgreementScan) EmitSurvivors(out sink.Sink) {
 		copy(vals[a.dim+1:], cand.Values[a.dim:])
 		out.Emit(vals, cand.Count, cand.Aux)
 	}
-}
-
-// ClosedSurvivors finishes the closed-mode final pass over the projection
-// cube in one call: it runs an AgreementScan on its own worker pool and
-// returns the surviving candidates, widened back to t's dimensionality with
-// a wildcard at dim. Callers that already hold a pool should use
-// NewAgreementScan directly and submit its Jobs, overlapping the scan with
-// their other work.
-func ClosedSurvivors(t *table.Table, dim int, projDims []int, candidates []core.Cell, workers int) []core.Cell {
-	scan := NewAgreementScan(t, dim, projDims, candidates, workers)
-	if scan == nil {
-		return nil
-	}
-	if err := RunPool(workers, scan.Jobs()); err != nil {
-		panic(err) // unreachable: scan jobs never fail
-	}
-	col := &sink.Collector{}
-	scan.EmitSurvivors(col)
-	return col.Cells
 }
 
 // buildMaskGroups groups candidates by their fixed-dimension pattern and

@@ -111,7 +111,7 @@ func cubeBucket(dir string, b int, t *table.Table, dim int, engine Engine, out s
 	if pt.NumTuples() == 0 {
 		return nil
 	}
-	if err := engine(pt, &filterSink{next: out, dim: dim}); err != nil {
+	if err := engine(pt, &sink.FixedDim{Next: out, Dim: dim}); err != nil {
 		return fmt.Errorf("partition: bucket %d: %w", b, err)
 	}
 	return nil
@@ -155,20 +155,6 @@ func cubeBucketsParallel(dir string, nb, workers int, t *table.Table, dim int, e
 	close(buckets)
 	wg.Wait()
 	return firstErr
-}
-
-// filterSink keeps cells whose partition dimension is fixed (pass 1). Such
-// cells have all their tuples in one partition, so the count and measure
-// aggregate computed there are globally correct.
-type filterSink struct {
-	next sink.Sink
-	dim  int
-}
-
-func (f *filterSink) Emit(vals []core.Value, count int64, aux float64) {
-	if vals[f.dim] != core.Star {
-		f.next.Emit(vals, count, aux)
-	}
 }
 
 // remapSink maps cells from the reordered table back to original dimension

@@ -323,9 +323,12 @@ func TestUpdateLabeledWALFailureNoPhantomLabels(t *testing.T) {
 	}
 	wal := filepath.Join(t.TempDir(), "fail.wal")
 	m, err := NewManager(tbl, buildStoreFor(t, tbl, 1), dicts, Config{
-		Eng: testEngine(t), ECfg: engine.Config{MinSup: 1, Closed: true}, WAL: wal,
+		Eng: testEngine(t), ECfg: engine.Config{MinSup: 1, Closed: true},
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.EnableWAL(wal); err != nil {
 		t.Fatal(err)
 	}
 	// Find a tuple that exists so availability passes and the failure comes
@@ -357,7 +360,7 @@ func TestWALReplayWithTombstones(t *testing.T) {
 	base := randomTable(t, 200, cards, 61)
 	live := tableRows(base)
 
-	m1 := testManager(t, base, 1, Config{WAL: wal})
+	m1 := walManager(t, base, 1, wal)
 	appends := [][]core.Value{{1, 1, 1}, {2, 3, 2}}
 	if _, _, err := m1.Append(appends, nil); err != nil {
 		t.Fatal(err)
@@ -378,7 +381,7 @@ func TestWALReplayWithTombstones(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2 := testManager(t, base, 1, Config{WAL: wal})
+	m2 := walManager(t, base, 1, wal)
 	defer m2.Close()
 	if got := m2.Backlog(); got != wantBacklog {
 		t.Fatalf("replayed backlog = %d, want %d", got, wantBacklog)

@@ -19,7 +19,7 @@ import (
 func FuzzWALReplay(f *testing.F) {
 	seed := &memWAL{}
 	l := newDeltaLog(2, true)
-	if _, err := l.attach(seed); err != nil {
+	if _, err := l.attach(seed, nil); err != nil {
 		f.Fatal(err)
 	}
 	appendOps(f, l, mixedOps())
@@ -34,7 +34,7 @@ func FuzzWALReplay(f *testing.F) {
 		l := newDeltaLog(int(nd), hasAux)
 		var n int
 		var err error
-		fuzzbound.Check(t, len(data), func() { n, err = l.attach(w) })
+		fuzzbound.Check(t, len(data), func() { n, err = l.attach(w, nil) })
 		if err != nil {
 			if !bytes.Equal(w.b, data) {
 				t.Fatalf("rejected log was modified (%d bytes, was %d): %v", len(w.b), len(data), err)
@@ -53,7 +53,7 @@ func FuzzWALReplay(f *testing.F) {
 		canon := append([]byte(nil), w.b...)
 		w2 := &memWAL{b: append([]byte(nil), canon...)}
 		r := newDeltaLog(int(nd), hasAux)
-		n2, err := r.attach(w2)
+		n2, err := r.attach(w2, nil)
 		if err != nil || n2 != n {
 			t.Fatalf("rewritten log replayed %d rows (err %v), want %d", n2, err, n)
 		}

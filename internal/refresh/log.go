@@ -34,8 +34,7 @@ import (
 //
 // The log does not touch storage directly: it frames, checksums and replays
 // records over a WAL (raw byte storage), so the same recovery machinery
-// runs against a local file (the default LocalBackend) or whatever a
-// Backend supplies.
+// runs against a local file or the in-memory double the tests substitute.
 type deltaLog struct {
 	nd     int
 	hasAux bool
@@ -80,30 +79,24 @@ func (l *deltaLog) tupleSize() int {
 	return n
 }
 
-// openWAL attaches a local on-disk log at path; see attach.
-func (l *deltaLog) openWAL(path string) (int, error) {
-	w, err := OpenFileWAL(path)
-	if err != nil {
-		return 0, err
-	}
-	return l.attach(w)
-}
-
-// attach takes ownership of w, replaying any pending records into the
-// in-memory buffer (dropping a torn or corrupt tail, which is truncated
-// away so subsequent appends extend a valid log). It returns the number of
-// replayed rows. A nil w leaves the log memory-only.
-func (l *deltaLog) attach(w WAL) (int, error) {
-	if w == nil {
-		return 0, nil
-	}
-	l.w = w
+// attach replays w's pending records into the in-memory buffer (dropping a
+// torn or corrupt tail, which is truncated away so subsequent appends extend
+// a valid log) and takes ownership of w. It returns the number of replayed
+// rows. Nothing is written to w, buffered, or attached until the header
+// matches this log's shape and accept (when non-nil) has vetted the replayed
+// values: a rejected WAL is left byte-for-byte untouched and still belongs to
+// the caller, who closes it.
+func (l *deltaLog) attach(w WAL, accept func(vals []core.Value) error) (int, error) {
 	contents, err := w.Load()
 	if err != nil {
 		return 0, err
 	}
 	if len(contents) == 0 {
-		return 0, l.writeHeader()
+		if err := w.Reset(l.header()); err != nil {
+			return 0, err
+		}
+		l.w = w
+		return 0, nil
 	}
 	headLen := len(walMagic) + 3
 	if len(contents) < headLen {
@@ -123,14 +116,21 @@ func (l *deltaLog) attach(w WAL) (int, error) {
 		return 0, fmt.Errorf("refresh: wal: measure flag mismatch")
 	}
 	body := contents[headLen:]
+	nv, na, nk := len(l.vals), len(l.aux), len(l.kinds)
 	good, rows := l.replay(body) // good: bytes of body holding fully valid records
-	if good < len(body) {
+	if accept != nil {
+		err = accept(l.vals[nv:])
+	}
+	if err == nil && good < len(body) {
 		// Truncate the torn/corrupt tail so subsequent appends extend a valid
 		// log.
-		if err := w.Truncate(int64(headLen + good)); err != nil {
-			return rows, err
-		}
+		err = w.Truncate(int64(headLen + good))
 	}
+	if err != nil {
+		l.vals, l.aux, l.kinds = l.vals[:nv], l.aux[:na], l.kinds[:nk]
+		return 0, err
+	}
+	l.w = w
 	return rows, nil
 }
 
@@ -196,10 +196,6 @@ func (l *deltaLog) header() []byte {
 		head[len(head)-1] = 1
 	}
 	return head
-}
-
-func (l *deltaLog) writeHeader() error {
-	return l.w.Reset(l.header())
 }
 
 // encodeTuple appends one tuple's payload bytes to buf.

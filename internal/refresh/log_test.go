@@ -38,6 +38,15 @@ func appendOps(t testing.TB, l *deltaLog, rows []logRow) {
 	}
 }
 
+// attachFile attaches the WAL file at path to l.
+func (l *deltaLog) attachFile(path string) (int, error) {
+	w, err := OpenFileWAL(path)
+	if err != nil {
+		return 0, err
+	}
+	return l.attach(w, nil)
+}
+
 func logState(l *deltaLog) ([]core.Value, []float64, []byte) {
 	return append([]core.Value(nil), l.vals...), append([]float64(nil), l.aux...), append([]byte(nil), l.kinds...)
 }
@@ -62,7 +71,7 @@ func TestWALv2RoundTrip(t *testing.T) {
 	for _, hasAux := range []bool{false, true} {
 		path := filepath.Join(t.TempDir(), "v2.wal")
 		l := newDeltaLog(2, hasAux)
-		if _, err := l.openWAL(path); err != nil {
+		if _, err := l.attachFile(path); err != nil {
 			t.Fatal(err)
 		}
 		appendOps(t, l, mixedOps())
@@ -72,7 +81,7 @@ func TestWALv2RoundTrip(t *testing.T) {
 		}
 
 		r := newDeltaLog(2, hasAux)
-		n, err := r.openWAL(path)
+		n, err := r.attachFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +107,7 @@ func TestWALv2CrashFuzz(t *testing.T) {
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full.wal")
 	l := newDeltaLog(3, true)
-	if _, err := l.openWAL(full); err != nil {
+	if _, err := l.attachFile(full); err != nil {
 		t.Fatal(err)
 	}
 	ops := []logRow{
@@ -143,7 +152,7 @@ func TestWALv2CrashFuzz(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := newDeltaLog(3, true)
-		n, err := r.openWAL(path)
+		n, err := r.attachFile(path)
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
@@ -158,7 +167,7 @@ func TestWALv2CrashFuzz(t *testing.T) {
 			t.Fatal(err)
 		}
 		r2 := newDeltaLog(3, true)
-		n2, err := r2.openWAL(path)
+		n2, err := r2.attachFile(path)
 		if err != nil {
 			t.Fatalf("cut=%d reopen: %v", cut, err)
 		}
@@ -177,7 +186,7 @@ func TestWALv2CrashFuzz(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := newDeltaLog(3, true)
-	n, err := r.openWAL(path)
+	n, err := r.attachFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +201,7 @@ func TestWALv2CrashFuzz(t *testing.T) {
 func TestWALv2UnknownRecordType(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.wal")
 	l := newDeltaLog(2, false)
-	if _, err := l.openWAL(path); err != nil {
+	if _, err := l.attachFile(path); err != nil {
 		t.Fatal(err)
 	}
 	appendOps(t, l, []logRow{{vals: []core.Value{1, 1}, kind: opAppend}})
@@ -204,7 +213,7 @@ func TestWALv2UnknownRecordType(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := newDeltaLog(2, false)
-	n, err := r.openWAL(path)
+	n, err := r.attachFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +238,7 @@ func TestWALv1Replay(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := newDeltaLog(2, false)
-	n, err := l.openWAL(path)
+	n, err := l.attachFile(path)
 	if err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
 		t.Fatalf("v1 attach: rows %d, err %v; want an unsupported-version error", n, err)
 	}
@@ -254,7 +263,7 @@ func TestWALv1Replay(t *testing.T) {
 func TestRewriteKeepsBufferOnError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fail.wal")
 	l := newDeltaLog(2, false)
-	if _, err := l.openWAL(path); err != nil {
+	if _, err := l.attachFile(path); err != nil {
 		t.Fatal(err)
 	}
 	appendOps(t, l, []logRow{

@@ -11,7 +11,6 @@ import (
 	"ccubing/internal/cubestore"
 	"ccubing/internal/engine"
 	"ccubing/internal/gen"
-	"ccubing/internal/sink"
 	"ccubing/internal/table"
 
 	_ "ccubing/internal/qcdfs" // closed-mode engine for the tests
@@ -31,11 +30,11 @@ func testEngine(t testing.TB) engine.Engine {
 func buildStoreFor(t testing.TB, tbl *table.Table, minsup int64) *cubestore.Store {
 	t.Helper()
 	eng := testEngine(t)
-	col := &sink.Collector{}
-	if err := eng.Run(tbl, engine.Config{MinSup: minsup, Closed: true}, col); err != nil {
+	b := cubestore.NewBuilder(tbl.NumDims(), false)
+	if err := eng.Run(tbl, engine.Config{MinSup: minsup, Closed: true}, &cubestore.BuilderSink{B: b}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := buildStore(tbl.NumDims(), false, col.Cells, nil)
+	s, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,6 +50,26 @@ func testManager(t testing.TB, tbl *table.Table, minsup int64, cfg Config) *Mana
 		t.Fatal(err)
 	}
 	return m
+}
+
+// walManager is testManager with the write-ahead log at path attached.
+func walManager(t testing.TB, tbl *table.Table, minsup int64, path string) *Manager {
+	t.Helper()
+	m := testManager(t, tbl, minsup, Config{})
+	if err := m.EnableWAL(path); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// appendRows builds the grown relation from an append-only delta; see
+// applyDelta for the general (tombstone-bearing) form.
+func appendRows(t *table.Table, rows []core.Value, aux []float64, dicts []*table.Dict) *table.Table {
+	nt, _, _, err := applyDelta(t, rows, aux, nil, dicts)
+	if err != nil {
+		panic(err) // unreachable: an append-only delta cannot leave unmatched tombstones
+	}
+	return nt
 }
 
 func randomTable(t testing.TB, n int, cards []int, seed int64) *table.Table {
@@ -219,7 +238,7 @@ func TestWALReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	delta := randomDelta(rng, cards, 25)
 
-	m1 := testManager(t, base, 1, Config{WAL: wal})
+	m1 := walManager(t, base, 1, wal)
 	if _, _, err := m1.Append(delta, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +246,7 @@ func TestWALReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2 := testManager(t, base, 1, Config{WAL: wal})
+	m2 := walManager(t, base, 1, wal)
 	defer m2.Close()
 	if got := m2.Backlog(); got != len(delta) {
 		t.Fatalf("replayed backlog = %d, want %d", got, len(delta))
@@ -241,7 +260,7 @@ func TestWALReplay(t *testing.T) {
 		t.Fatal("replayed refresh differs from rebuild")
 	}
 	// The WAL is drained once the delta is folded in.
-	m3 := testManager(t, full, 1, Config{WAL: wal})
+	m3 := walManager(t, full, 1, wal)
 	defer m3.Close()
 	if got := m3.Backlog(); got != 0 {
 		t.Fatalf("backlog after drain = %d, want 0", got)
@@ -270,11 +289,10 @@ func TestAppendValidation(t *testing.T) {
 
 	// A value beyond the cardinality growth bound is rejected — a hostile
 	// near-MaxInt32 value must not force cardinality-sized allocations.
-	ms := testManager(t, base, 1, Config{CardSlack: 8})
-	if _, _, err := ms.Append([][]core.Value{{4 + 8, 0}}, nil); err == nil {
+	if _, _, err := m.Append([][]core.Value{{4 + cardSlack, 0}}, nil); err == nil {
 		t.Fatal("value beyond card+slack must fail")
 	}
-	if _, _, err := ms.Append([][]core.Value{{4 + 7, 0}}, nil); err != nil {
+	if _, _, err := m.Append([][]core.Value{{4 + cardSlack - 1, 0}}, nil); err != nil {
 		t.Fatalf("value within the slack must append: %v", err)
 	}
 }

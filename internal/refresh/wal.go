@@ -6,22 +6,6 @@ import (
 	"os"
 )
 
-// Backend abstracts where a Manager's durable state lives: the write-ahead
-// delta log it replays on startup, and where freshly published snapshots
-// go. The Manager core is backend-agnostic — the same refresh machinery
-// runs against local disk (the default), an in-memory test double, or a
-// shard worker's transport that ships partition snapshots to a router.
-type Backend interface {
-	// OpenWAL opens the durable delta log, or returns (nil, nil) when the
-	// backend keeps no log (pending deltas then live in memory only and die
-	// with the process).
-	OpenWAL() (WAL, error)
-	// Publish is called after each refresh swaps in a new snapshot. The
-	// snapshot is already serving when Publish runs; an error is surfaced to
-	// the caller (and in Metrics.LastError) without unpublishing.
-	Publish(*Snapshot) error
-}
-
 // WAL is the raw storage under the delta log: an append-only byte sequence
 // with whole-log replace and prefix-truncate, enough for the log's replay /
 // append / rewrite cycle. Record framing, checksums, and corrupt-tail
@@ -43,25 +27,6 @@ type WAL interface {
 	// Close releases the log; no calls may follow.
 	Close() error
 }
-
-// LocalBackend is the default Backend: a WAL file on local disk (none when
-// Path is empty) and no snapshot publication — serving reads the snapshot
-// straight from the Manager's atomic pointer.
-type LocalBackend struct {
-	// Path names the WAL file; empty means no durable log.
-	Path string
-}
-
-// OpenWAL implements Backend.
-func (b LocalBackend) OpenWAL() (WAL, error) {
-	if b.Path == "" {
-		return nil, nil
-	}
-	return OpenFileWAL(b.Path)
-}
-
-// Publish implements Backend: local serving needs no publication step.
-func (LocalBackend) Publish(*Snapshot) error { return nil }
 
 // fileWAL is the local-disk WAL: one regular file, opened read-write and
 // created on demand.

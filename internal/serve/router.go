@@ -621,6 +621,46 @@ func (rt *Router) broadcastRefresh(tr *obs.Trace) ([]refreshResponse, error) {
 	})
 }
 
+// mutationAck is the tail every mutation response shares: the backlog left
+// buffered, the generation being served, and whether the call refreshed.
+type mutationAck struct {
+	backlog    int
+	generation uint64
+	refreshed  bool
+}
+
+// finishMutation folds the per-shard acks of one routed mutation into the
+// response tail — total backlog, whether any shard refreshed, the oldest
+// generation any of them serves — and, for a request carrying
+// "refresh": true, broadcasts the refresh and reports the oldest generation
+// it published. what names the buffered edits in the error that tells the
+// client not to resend them.
+func (rt *Router) finishMutation(acks []mutationAck, refresh bool, tr *obs.Trace, what string) (mutationAck, error) {
+	var out mutationAck
+	for i, a := range acks {
+		out.backlog += a.backlog
+		out.refreshed = out.refreshed || a.refreshed
+		if i == 0 || a.generation < out.generation {
+			out.generation = a.generation
+		}
+	}
+	if refresh {
+		rr, err := rt.broadcastRefresh(tr)
+		if err != nil {
+			return mutationAck{}, statusErrorf(http.StatusInternalServerError,
+				"%s buffered but the triggered refresh failed on a shard (do not resend the batch): %v", what, err)
+		}
+		out.backlog = 0
+		out.refreshed = true
+		for i, r := range rr {
+			if i == 0 || r.Generation < out.generation {
+				out.generation = r.Generation
+			}
+		}
+	}
+	return out, nil
+}
+
 func (rt *Router) Append(req appendRequest) (appendResponse, error) {
 	batches, err := rt.splitRows(req.Rows, req.Values, req.Aux)
 	if err != nil {
@@ -634,30 +674,17 @@ func (rt *Router) Append(req appendRequest) (appendResponse, error) {
 	if err != nil {
 		return appendResponse{}, err
 	}
-	resp := appendResponse{}
+	appended := 0
+	acks := make([]mutationAck, len(oks))
 	for i, r := range oks {
-		resp.Appended += r.Appended
-		resp.Backlog += r.Backlog
-		resp.Refreshed = resp.Refreshed || r.Refreshed
-		if i == 0 || r.Generation < resp.Generation {
-			resp.Generation = r.Generation
-		}
+		appended += r.Appended
+		acks[i] = mutationAck{r.Backlog, r.Generation, r.Refreshed}
 	}
-	if req.Refresh {
-		rr, err := rt.broadcastRefresh(req.trace)
-		if err != nil {
-			return appendResponse{}, statusErrorf(http.StatusInternalServerError,
-				"rows buffered but the triggered refresh failed on a shard (do not resend the batch): %v", err)
-		}
-		resp.Backlog = 0
-		resp.Refreshed = true
-		for i, r := range rr {
-			if i == 0 || r.Generation < resp.Generation {
-				resp.Generation = r.Generation
-			}
-		}
+	ack, err := rt.finishMutation(acks, req.Refresh, req.trace, "rows")
+	if err != nil {
+		return appendResponse{}, err
 	}
-	return resp, nil
+	return appendResponse{Appended: appended, Backlog: ack.backlog, Generation: ack.generation, Refreshed: ack.refreshed}, nil
 }
 
 func (rt *Router) Delete(req appendRequest) (deleteResponse, error) {
@@ -673,30 +700,17 @@ func (rt *Router) Delete(req appendRequest) (deleteResponse, error) {
 	if err != nil {
 		return deleteResponse{}, err
 	}
-	resp := deleteResponse{}
+	deleted := 0
+	acks := make([]mutationAck, len(oks))
 	for i, r := range oks {
-		resp.Deleted += r.Deleted
-		resp.Backlog += r.Backlog
-		resp.Refreshed = resp.Refreshed || r.Refreshed
-		if i == 0 || r.Generation < resp.Generation {
-			resp.Generation = r.Generation
-		}
+		deleted += r.Deleted
+		acks[i] = mutationAck{r.Backlog, r.Generation, r.Refreshed}
 	}
-	if req.Refresh {
-		rr, err := rt.broadcastRefresh(req.trace)
-		if err != nil {
-			return deleteResponse{}, statusErrorf(http.StatusInternalServerError,
-				"tombstones buffered but the triggered refresh failed on a shard (do not resend the batch): %v", err)
-		}
-		resp.Backlog = 0
-		resp.Refreshed = true
-		for i, r := range rr {
-			if i == 0 || r.Generation < resp.Generation {
-				resp.Generation = r.Generation
-			}
-		}
+	ack, err := rt.finishMutation(acks, req.Refresh, req.trace, "tombstones")
+	if err != nil {
+		return deleteResponse{}, err
 	}
-	return resp, nil
+	return deleteResponse{Deleted: deleted, Backlog: ack.backlog, Generation: ack.generation, Refreshed: ack.refreshed}, nil
 }
 
 // shardUpdate is one worker's share of a routed update: same-shard pairs
@@ -821,10 +835,8 @@ func (rt *Router) Update(req updateRequest) (updateResponse, error) {
 		}
 	}
 	type shardResult struct {
-		backlog    int
-		generation uint64
-		refreshed  bool
-		updated    int
+		mutationAck
+		updated int
 	}
 	oks, err := runMutation(rt, "update", req.trace, owners, func(owner int) (shardResult, error) {
 		u := shards[owner]
@@ -839,7 +851,7 @@ func (rt *Router) Update(req updateRequest) (updateResponse, error) {
 			if err != nil {
 				return res, err
 			}
-			res = shardResult{backlog: r.Backlog, generation: r.Generation, refreshed: r.Refreshed, updated: r.Updated}
+			res = shardResult{mutationAck{r.Backlog, r.Generation, r.Refreshed}, r.Updated}
 		}
 		if u.del.rows != nil || u.del.values != nil {
 			r, err := sh.Delete(appendRequest{Rows: u.del.rows, Values: u.del.values, Aux: u.del.aux})
@@ -862,30 +874,17 @@ func (rt *Router) Update(req updateRequest) (updateResponse, error) {
 	if err != nil {
 		return updateResponse{}, err
 	}
-	resp := updateResponse{Updated: splitPairs}
+	updated := splitPairs
+	acks := make([]mutationAck, len(oks))
 	for i, r := range oks {
-		resp.Updated += r.updated
-		resp.Backlog += r.backlog
-		resp.Refreshed = resp.Refreshed || r.refreshed
-		if i == 0 || r.generation < resp.Generation {
-			resp.Generation = r.generation
-		}
+		updated += r.updated
+		acks[i] = r.mutationAck
 	}
-	if req.Refresh {
-		rr, err := rt.broadcastRefresh(req.trace)
-		if err != nil {
-			return updateResponse{}, statusErrorf(http.StatusInternalServerError,
-				"updates buffered but the triggered refresh failed on a shard (do not resend the batch): %v", err)
-		}
-		resp.Backlog = 0
-		resp.Refreshed = true
-		for i, r := range rr {
-			if i == 0 || r.Generation < resp.Generation {
-				resp.Generation = r.Generation
-			}
-		}
+	ack, err := rt.finishMutation(acks, req.Refresh, req.trace, "updates")
+	if err != nil {
+		return updateResponse{}, err
 	}
-	return resp, nil
+	return updateResponse{Updated: updated, Backlog: ack.backlog, Generation: ack.generation, Refreshed: ack.refreshed}, nil
 }
 
 // parseStream reads a whole NDJSON mutation stream into a batch request.

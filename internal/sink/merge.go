@@ -13,17 +13,13 @@ import (
 // serialized calls. The parallel execution driver merges its per-worker
 // outputs through this.
 type Merger struct {
-	mu    sync.Mutex
-	next  Sink
-	batch BatchSink // non-nil when next accepts whole batches
+	mu   sync.Mutex
+	next Sink
 }
 
-// NewMerger wraps next (which may implement BatchSink to receive whole flush
-// batches in one call).
+// NewMerger wraps next.
 func NewMerger(next Sink) *Merger {
-	m := &Merger{next: next}
-	m.batch, _ = next.(BatchSink)
-	return m
+	return &Merger{next: next}
 }
 
 // flushBatch bounds how many cells a worker buffers between flushes; large
@@ -49,18 +45,27 @@ func (m *Merger) Worker() *MergeWorker {
 type MergeWorker struct {
 	m     *Merger
 	vals  []core.Value
-	cells []BatchCell
+	cells []bufferedCell
+}
+
+// bufferedCell is one cell awaiting a flush: width values starting at off in
+// the worker's value arena, with the cell's count and stored measure
+// aggregate.
+type bufferedCell struct {
+	off, width int32
+	count      int64
+	aux        float64
 }
 
 // Emit implements Sink.
 //
 //ccubing:hotpath
 func (w *MergeWorker) Emit(vals []core.Value, count int64, aux float64) {
-	w.cells = append(w.cells, BatchCell{
-		Off:   int32(len(w.vals)),
-		Width: int32(len(vals)),
-		Count: count,
-		Aux:   aux,
+	w.cells = append(w.cells, bufferedCell{
+		off:   int32(len(w.vals)),
+		width: int32(len(vals)),
+		count: count,
+		aux:   aux,
 	})
 	w.vals = append(w.vals, vals...)
 	if len(w.cells) >= flushBatch {
@@ -68,8 +73,8 @@ func (w *MergeWorker) Emit(vals []core.Value, count int64, aux float64) {
 	}
 }
 
-// Flush drains the buffer into the downstream sink under the merger's lock:
-// one EmitBatch call when the sink accepts batches, cell-by-cell otherwise.
+// Flush drains the buffer into the downstream sink, cell by cell, under the
+// merger's lock.
 //
 //ccubing:hotpath
 func (w *MergeWorker) Flush() {
@@ -78,12 +83,8 @@ func (w *MergeWorker) Flush() {
 	}
 	m := w.m
 	m.mu.Lock()
-	if m.batch != nil {
-		m.batch.EmitBatch(w.vals, w.cells)
-	} else {
-		for _, c := range w.cells {
-			m.next.Emit(w.vals[c.Off:c.Off+c.Width], c.Count, c.Aux)
-		}
+	for _, c := range w.cells {
+		m.next.Emit(w.vals[c.off:c.off+c.width], c.count, c.aux)
 	}
 	m.mu.Unlock()
 	w.cells = w.cells[:0]

@@ -118,6 +118,25 @@ func (t Tee) Emit(vals []core.Value, count int64, aux float64) {
 	}
 }
 
+// FixedDim forwards only the cells that fix dimension Dim: the filter of
+// every partition-wise run (paper Sec. 6.3). Such a cell has all of its
+// tuples inside the one partition being cubed, so the count, measure and
+// closedness computed there are globally correct; cells with a wildcard on
+// Dim come from the final pass over the whole relation instead.
+type FixedDim struct {
+	Next Sink
+	Dim  int
+}
+
+// Emit implements Sink.
+//
+//ccubing:hotpath
+func (f *FixedDim) Emit(vals []core.Value, count int64, aux float64) {
+	if vals[f.Dim] != core.Star {
+		f.Next.Emit(vals, count, aux)
+	}
+}
+
 // Dedup wraps a sink and fails loudly (via the Dup counter) when the same
 // cell is emitted twice; tests use it to assert engines never duplicate.
 type Dedup struct {
