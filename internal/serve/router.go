@@ -2,8 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"io"
-	"net/http"
 	"strconv"
 	"strings"
 	"sync"
@@ -217,19 +215,6 @@ func (rt *Router) ownerIndex(component string) int {
 	return route.Owner(component, len(rt.shards))
 }
 
-// avgKind reports an avg-measure topology. Presented means do not combine
-// across shards, so avg merges go through the wire rows' AuxRaw stored sums;
-// errNoAuxRaw is the answer when a worker's avg row arrives without one.
-func (rt *Router) avgKind() bool {
-	return rt.kind == ccubing.MeasureAvg.String()
-}
-
-// errNoAuxRaw reports a malformed worker answer: an avg row that cannot be
-// merged because it lacks the stored sum every avg answer carries.
-func errNoAuxRaw() *StatusError {
-	return statusErrorf(http.StatusBadGateway, "shard answered an avg query without aux_raw")
-}
-
 // routeQuery decides where a query/slice request goes: the dimension-0
 // component's owner when the request binds it, everywhere when it is
 // wildcard. Coded components are normalized to canonical decimal strings so
@@ -274,694 +259,6 @@ func (rt *Router) routeQuery(req queryRequest) (comp string, scatter bool, err e
 		return "", false, fmt.Errorf("bad value %q for dimension %s", c0, rt.names[0])
 	}
 	return strconv.FormatInt(v, 10), false, nil
-}
-
-func (rt *Router) Query(req queryRequest) (queryResponse, error) {
-	comp, scatter, err := rt.routeQuery(req)
-	if err != nil {
-		return queryResponse{}, err
-	}
-	if !scatter {
-		return routedCall(rt, "query", req.trace, rt.ownerIndex(comp), func(sh Shard) (queryResponse, error) {
-			return sh.Query(req)
-		})
-	}
-	resps, err := scatterCall(rt, "query", req.trace, func(sh Shard) (queryResponse, error) {
-		return sh.Query(req)
-	})
-	if err != nil {
-		return queryResponse{}, err
-	}
-	mstart := time.Now()
-	defer rt.observeMerge(req.trace, mstart)
-	var found []queryResponse
-	for _, r := range resps {
-		if r.Found {
-			found = append(found, r)
-		}
-	}
-	if len(found) == 0 {
-		return queryResponse{Found: false}, nil
-	}
-	if len(found) == 1 {
-		// One shard holds every matching tuple: its answer IS the global one
-		// (count, closure and measure alike, whatever the measure kind).
-		return found[0], nil
-	}
-	merged := queryResponse{Found: true}
-	for _, r := range found {
-		merged.Count += r.Count
-	}
-	// The closure is the component-wise meet: a dimension stays fixed only if
-	// every shard's matching tuples agree on the same label — exactly the
-	// global all-tuples-agree condition, since the shards partition them.
-	closure := append([]string(nil), found[0].Closure...)
-	for _, r := range found[1:] {
-		for d := range closure {
-			if d >= len(r.Closure) || closure[d] != r.Closure[d] {
-				closure[d] = "*"
-			}
-		}
-	}
-	merged.Closure = closure
-	if rt.measure {
-		aux := 0.0
-		for i, r := range found {
-			v := 0.0
-			switch {
-			case rt.avgKind():
-				// Merge the stored sums, not the presented means.
-				if r.AuxRaw == nil {
-					return queryResponse{}, errNoAuxRaw()
-				}
-				v = *r.AuxRaw
-			case r.Aux != nil:
-				v = *r.Aux
-			}
-			switch {
-			case i == 0:
-				aux = v
-			case rt.kind == ccubing.MeasureMin.String():
-				aux = min(aux, v)
-			case rt.kind == ccubing.MeasureMax.String():
-				aux = max(aux, v)
-			default: // sum and avg (the cube's stored measure is a per-cell sum)
-				aux += v
-			}
-		}
-		if rt.avgKind() {
-			// The same stored/count division a single worker performs, so the
-			// merged mean is byte-identical to an unsharded store's.
-			mean := aux / float64(merged.Count)
-			merged.Aux = &mean
-			merged.AuxRaw = &aux
-		} else {
-			merged.Aux = &aux
-		}
-	}
-	return merged, nil
-}
-
-func (rt *Router) Slice(req queryRequest) (sliceResponse, error) {
-	comp, scatter, err := rt.routeQuery(req)
-	if err != nil {
-		return sliceResponse{}, err
-	}
-	if scatter {
-		// A wildcard-dimension-0 slice enumerates closed cells that do not fix
-		// the routing dimension — cells whose closure depends on tuples from
-		// every shard, so the per-shard closed-cell sets do not union into the
-		// global one. /v1/aggregate answers those questions mergeably.
-		return sliceResponse{}, fmt.Errorf(
-			"slice must bind the routing dimension %s (its first component cannot be \"*\" through a router); use /v1/aggregate for cross-shard rollups", rt.names[0])
-	}
-	return routedCall(rt, "slice", req.trace, rt.ownerIndex(comp), func(sh Shard) (sliceResponse, error) {
-		return sh.Slice(req)
-	})
-}
-
-func (rt *Router) Aggregate(req aggregateRequest) (aggregateResponse, error) {
-	if req.TopK < 0 {
-		return aggregateResponse{}, fmt.Errorf("bad top_k %d", req.TopK)
-	}
-	by, err := ccubing.ParseOrderBy(req.OrderBy)
-	if err != nil {
-		return aggregateResponse{}, err
-	}
-	if _, err := ccubing.ParseAuxAgg(req.AuxAgg); err != nil {
-		return aggregateResponse{}, err
-	}
-	// An exact-value predicate on dimension 0 pins the whole selection to one
-	// shard; anything else (wildcard, set, range) can span them.
-	if len(req.Where) > 0 {
-		if c0 := req.Where[0]; c0 != "*" && c0 != "" && !strings.Contains(c0, "|") && !strings.Contains(c0, "..") {
-			comp := c0
-			if !rt.labeled {
-				v, err := strconv.ParseInt(c0, 10, 32)
-				if err != nil || v < 0 {
-					return aggregateResponse{}, fmt.Errorf("bad value %q for dimension %s", c0, rt.names[0])
-				}
-				comp = strconv.FormatInt(v, 10)
-			}
-			return routedCall(rt, "aggregate", req.trace, rt.ownerIndex(comp), func(sh Shard) (aggregateResponse, error) {
-				return sh.Aggregate(req)
-			})
-		}
-	}
-	// Scatter with top-k stripped: a shard's local top k can miss rows whose
-	// global rank only emerges after cross-shard summation. Rank and truncate
-	// here, after the merge.
-	fwd := req
-	fwd.TopK = 0
-	resps, err := scatterCall(rt, "aggregate", req.trace, func(sh Shard) (aggregateResponse, error) {
-		return sh.Aggregate(fwd)
-	})
-	if err != nil {
-		return aggregateResponse{}, err
-	}
-	mstart := time.Now()
-	defer rt.observeMerge(req.trace, mstart)
-	// Merge rows keyed by their label tuple. Shards partition the tuples, so
-	// counts sum; the measure combines per the requested aggregator (a
-	// shard-level sum of sums is the global sum, min of mins the global min).
-	// Avg rows combine through their AuxRaw stored sums and are presented —
-	// divided by the merged count — once, after every shard is folded in.
-	auxAgg, _ := ccubing.ParseAuxAgg(req.AuxAgg)
-	avgAgg := auxAgg == ccubing.MeasureAvg || (auxAgg == ccubing.MeasureNone && rt.avgKind())
-	merged := make(map[string]*aggregateRow)
-	var order []string
-	exact := true
-	for _, r := range resps {
-		exact = exact && r.Exact
-		for _, row := range r.Rows {
-			if avgAgg && row.Aux != nil && row.AuxRaw == nil {
-				return aggregateResponse{}, errNoAuxRaw()
-			}
-			key := strings.Join(row.Cell, "\x00")
-			m, ok := merged[key]
-			if !ok {
-				cp := row
-				cp.Cell = append([]string(nil), row.Cell...)
-				if row.Aux != nil {
-					aux := *row.Aux
-					cp.Aux = &aux
-				}
-				if row.AuxRaw != nil {
-					raw := *row.AuxRaw
-					cp.AuxRaw = &raw
-				}
-				merged[key] = &cp
-				order = append(order, key)
-				continue
-			}
-			m.Count += row.Count
-			switch {
-			case m.AuxRaw != nil && row.AuxRaw != nil:
-				*m.AuxRaw += *row.AuxRaw // avg: stored sums add
-			case m.Aux != nil && row.Aux != nil:
-				switch auxAgg {
-				case ccubing.MeasureMin:
-					if *row.Aux < *m.Aux {
-						*m.Aux = *row.Aux
-					}
-				case ccubing.MeasureMax:
-					if *row.Aux > *m.Aux {
-						*m.Aux = *row.Aux
-					}
-				default: // MeasureSum (and the MeasureNone default)
-					*m.Aux += *row.Aux
-				}
-			}
-		}
-	}
-	resp := aggregateResponse{Rows: make([]aggregateRow, 0, len(merged)), Exact: exact}
-	for _, key := range order {
-		m := merged[key]
-		if m.AuxRaw != nil {
-			// The same stored/count division a single worker performs, so
-			// merged rows are byte-identical to an unsharded store's.
-			mean := *m.AuxRaw / float64(m.Count)
-			m.Aux = &mean
-		}
-		resp.Rows = append(resp.Rows, *m)
-	}
-	sortAggRows(resp.Rows, by == ccubing.ByAux)
-	if req.TopK > 0 && len(resp.Rows) > req.TopK {
-		resp.Rows = resp.Rows[:req.TopK]
-	}
-	return resp, nil
-}
-
-// mutationBatch is the per-shard split of one routed mutation request.
-type mutationBatch struct {
-	rows   [][]string
-	values [][]int32
-	aux    []float64
-}
-
-// splitRows partitions a mutation batch by each row's dimension-0 owner.
-// aux may be nil (measureless cubes); rows and values are the two request
-// forms, exactly one non-nil.
-func (rt *Router) splitRows(rows [][]string, values [][]int32, aux []float64) (map[int]*mutationBatch, error) {
-	if (rows == nil) == (values == nil) {
-		return nil, fmt.Errorf(`exactly one of "rows" and "values" is required`)
-	}
-	n := len(rows) + len(values) // one of the two is empty
-	if aux != nil && len(aux) != n {
-		return nil, fmt.Errorf("aux has %d values, want %d", len(aux), n)
-	}
-	out := make(map[int]*mutationBatch)
-	add := func(owner int) *mutationBatch {
-		b := out[owner]
-		if b == nil {
-			b = &mutationBatch{}
-			out[owner] = b
-		}
-		return b
-	}
-	if rows != nil {
-		if !rt.labeled {
-			return nil, fmt.Errorf("cube has no dictionaries; send coded values")
-		}
-		for i, row := range rows {
-			if len(row) != rt.dims {
-				return nil, fmt.Errorf("row %d has %d components, want %d", i, len(row), rt.dims)
-			}
-			b := add(route.Owner(row[0], len(rt.shards)))
-			b.rows = append(b.rows, row)
-			if aux != nil {
-				b.aux = append(b.aux, aux[i])
-			}
-		}
-		return out, nil
-	}
-	if rt.labeled {
-		return nil, fmt.Errorf("coded-values mutations cannot be routed: dictionary codes are shard-local; send labeled rows")
-	}
-	for i, row := range values {
-		if len(row) != rt.dims {
-			return nil, fmt.Errorf("row %d has %d values, want %d", i, len(row), rt.dims)
-		}
-		if row[0] < 0 {
-			return nil, fmt.Errorf("row %d has negative value %d on routing dimension %s", i, row[0], rt.names[0])
-		}
-		b := add(route.Owner(strconv.Itoa(int(row[0])), len(rt.shards)))
-		b.values = append(b.values, row)
-		if aux != nil {
-			b.aux = append(b.aux, aux[i])
-		}
-	}
-	return out, nil
-}
-
-// shardsOf lists the batch owners in shard order, for deterministic
-// iteration over a split.
-func shardsOf(batches map[int]*mutationBatch, n int) []int {
-	var idx []int
-	for i := 0; i < n; i++ {
-		if batches[i] != nil {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
-// partialMutation reports a scatter where some shard batches applied and
-// others failed: the applied rows are buffered on their shards, so resending
-// the whole batch would double-apply them.
-func partialMutation(applied, total int, err error) error {
-	return statusErrorf(http.StatusInternalServerError,
-		"partial mutation: %d of %d shard batches applied and remain buffered on their shards — do not resend the whole batch: %v",
-		applied, total, err)
-}
-
-// runMutation executes one call per owned batch concurrently, with the
-// all-failed/partial-failure error contract above. ok holds the successful
-// responses in shard order.
-func runMutation[T any](rt *Router, op string, tr *obs.Trace, owners []int, call func(owner int) (T, error)) (ok []T, err error) {
-	resps := make([]T, len(owners))
-	errs := make([]error, len(owners))
-	var wg sync.WaitGroup
-	for i, owner := range owners {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := time.Now()
-			resps[i], errs[i] = call(owner)
-			rt.observeWorker(owner, tr, ws, errs[i])
-		}()
-	}
-	wg.Wait()
-	rt.met.workerCalls[op].Add(int64(len(owners)))
-	var firstErr error
-	applied := 0
-	for i := range owners {
-		if errs[i] == nil {
-			ok = append(ok, resps[i])
-			applied++
-		} else if firstErr == nil {
-			firstErr = errs[i]
-		}
-	}
-	if firstErr != nil {
-		if applied > 0 {
-			return nil, partialMutation(applied, len(owners), firstErr)
-		}
-		return nil, firstErr
-	}
-	return ok, nil
-}
-
-// broadcastRefresh folds every worker's delta in, for mutation requests
-// carrying "refresh": true: one logical refresh of the whole relation, so
-// even workers that received no rows this call publish a new generation.
-func (rt *Router) broadcastRefresh(tr *obs.Trace) ([]refreshResponse, error) {
-	return scatterCall(rt, "refresh", tr, func(sh Shard) (refreshResponse, error) {
-		return sh.Refresh()
-	})
-}
-
-// mutationAck is the tail every mutation response shares: the backlog left
-// buffered, the generation being served, and whether the call refreshed.
-type mutationAck struct {
-	backlog    int
-	generation uint64
-	refreshed  bool
-}
-
-// finishMutation folds the per-shard acks of one routed mutation into the
-// response tail — total backlog, whether any shard refreshed, the oldest
-// generation any of them serves — and, for a request carrying
-// "refresh": true, broadcasts the refresh and reports the oldest generation
-// it published. what names the buffered edits in the error that tells the
-// client not to resend them.
-func (rt *Router) finishMutation(acks []mutationAck, refresh bool, tr *obs.Trace, what string) (mutationAck, error) {
-	var out mutationAck
-	for i, a := range acks {
-		out.backlog += a.backlog
-		out.refreshed = out.refreshed || a.refreshed
-		if i == 0 || a.generation < out.generation {
-			out.generation = a.generation
-		}
-	}
-	if refresh {
-		rr, err := rt.broadcastRefresh(tr)
-		if err != nil {
-			return mutationAck{}, statusErrorf(http.StatusInternalServerError,
-				"%s buffered but the triggered refresh failed on a shard (do not resend the batch): %v", what, err)
-		}
-		out.backlog = 0
-		out.refreshed = true
-		for i, r := range rr {
-			if i == 0 || r.Generation < out.generation {
-				out.generation = r.Generation
-			}
-		}
-	}
-	return out, nil
-}
-
-func (rt *Router) Append(req appendRequest) (appendResponse, error) {
-	batches, err := rt.splitRows(req.Rows, req.Values, req.Aux)
-	if err != nil {
-		return appendResponse{}, err
-	}
-	owners := shardsOf(batches, len(rt.shards))
-	oks, err := runMutation(rt, "append", req.trace, owners, func(owner int) (appendResponse, error) {
-		b := batches[owner]
-		return rt.shards[owner].Append(appendRequest{Rows: b.rows, Values: b.values, Aux: b.aux})
-	})
-	if err != nil {
-		return appendResponse{}, err
-	}
-	appended := 0
-	acks := make([]mutationAck, len(oks))
-	for i, r := range oks {
-		appended += r.Appended
-		acks[i] = mutationAck{r.Backlog, r.Generation, r.Refreshed}
-	}
-	ack, err := rt.finishMutation(acks, req.Refresh, req.trace, "rows")
-	if err != nil {
-		return appendResponse{}, err
-	}
-	return appendResponse{Appended: appended, Backlog: ack.backlog, Generation: ack.generation, Refreshed: ack.refreshed}, nil
-}
-
-func (rt *Router) Delete(req appendRequest) (deleteResponse, error) {
-	batches, err := rt.splitRows(req.Rows, req.Values, req.Aux)
-	if err != nil {
-		return deleteResponse{}, err
-	}
-	owners := shardsOf(batches, len(rt.shards))
-	oks, err := runMutation(rt, "delete", req.trace, owners, func(owner int) (deleteResponse, error) {
-		b := batches[owner]
-		return rt.shards[owner].Delete(appendRequest{Rows: b.rows, Values: b.values, Aux: b.aux})
-	})
-	if err != nil {
-		return deleteResponse{}, err
-	}
-	deleted := 0
-	acks := make([]mutationAck, len(oks))
-	for i, r := range oks {
-		deleted += r.Deleted
-		acks[i] = mutationAck{r.Backlog, r.Generation, r.Refreshed}
-	}
-	ack, err := rt.finishMutation(acks, req.Refresh, req.trace, "tombstones")
-	if err != nil {
-		return deleteResponse{}, err
-	}
-	return deleteResponse{Deleted: deleted, Backlog: ack.backlog, Generation: ack.generation, Refreshed: ack.refreshed}, nil
-}
-
-// shardUpdate is one worker's share of a routed update: same-shard pairs
-// stay atomic update pairs; a pair whose old and new tuples hash apart is
-// split into a tombstone on the old owner and an append on the new one —
-// applied atomically within each worker's delta, but not across the two
-// (a refresh racing between them can briefly serve neither tuple or both).
-type shardUpdate struct {
-	oldRows, newRows     [][]string
-	oldValues, newValues [][]int32
-	oldAux, newAux       []float64
-	del, app             mutationBatch
-}
-
-func (rt *Router) Update(req updateRequest) (updateResponse, error) {
-	labeled := req.OldRows != nil || req.NewRows != nil
-	coded := req.OldValues != nil || req.NewValues != nil
-	if labeled == coded {
-		return updateResponse{}, fmt.Errorf(`exactly one of "old_rows"/"new_rows" and "old_values"/"new_values" is required`)
-	}
-	if labeled && !rt.labeled {
-		return updateResponse{}, fmt.Errorf("cube has no dictionaries; send coded values")
-	}
-	if coded && rt.labeled {
-		return updateResponse{}, fmt.Errorf("coded-values mutations cannot be routed: dictionary codes are shard-local; send labeled rows")
-	}
-	nPairs := len(req.OldRows) + len(req.OldValues)
-	if len(req.NewRows)+len(req.NewValues) != nPairs {
-		return updateResponse{}, fmt.Errorf("update wants matching old/new batches (%d old, %d new)",
-			nPairs, len(req.NewRows)+len(req.NewValues))
-	}
-	if req.OldAux != nil && len(req.OldAux) != nPairs {
-		return updateResponse{}, fmt.Errorf("old_aux has %d values, want %d", len(req.OldAux), nPairs)
-	}
-	if req.NewAux != nil && len(req.NewAux) != nPairs {
-		return updateResponse{}, fmt.Errorf("new_aux has %d values, want %d", len(req.NewAux), nPairs)
-	}
-
-	// Component of a pair side, for routing.
-	comp := func(row []string, vals []int32, i int) (string, error) {
-		if labeled {
-			if len(row) != rt.dims {
-				return "", fmt.Errorf("row %d has %d components, want %d", i, len(row), rt.dims)
-			}
-			return row[0], nil
-		}
-		if len(vals) != rt.dims {
-			return "", fmt.Errorf("row %d has %d values, want %d", i, len(vals), rt.dims)
-		}
-		if vals[0] < 0 {
-			return "", fmt.Errorf("row %d has negative value %d on routing dimension %s", i, vals[0], rt.names[0])
-		}
-		return strconv.Itoa(int(vals[0])), nil
-	}
-	side := func(rows [][]string, vals [][]int32, i int) ([]string, []int32) {
-		if labeled {
-			return rows[i], nil
-		}
-		return nil, vals[i]
-	}
-
-	shards := make(map[int]*shardUpdate)
-	at := func(owner int) *shardUpdate {
-		u := shards[owner]
-		if u == nil {
-			u = &shardUpdate{}
-			shards[owner] = u
-		}
-		return u
-	}
-	splitPairs := 0
-	for i := 0; i < nPairs; i++ {
-		oldRow, oldVals := side(req.OldRows, req.OldValues, i)
-		newRow, newVals := side(req.NewRows, req.NewValues, i)
-		oc, err := comp(oldRow, oldVals, i)
-		if err != nil {
-			return updateResponse{}, fmt.Errorf("old %w", err)
-		}
-		nc, err := comp(newRow, newVals, i)
-		if err != nil {
-			return updateResponse{}, fmt.Errorf("new %w", err)
-		}
-		oOwn, nOwn := route.Owner(oc, len(rt.shards)), route.Owner(nc, len(rt.shards))
-		if oOwn == nOwn {
-			u := at(oOwn)
-			if labeled {
-				u.oldRows = append(u.oldRows, oldRow)
-				u.newRows = append(u.newRows, newRow)
-			} else {
-				u.oldValues = append(u.oldValues, oldVals)
-				u.newValues = append(u.newValues, newVals)
-			}
-			if req.OldAux != nil {
-				u.oldAux = append(u.oldAux, req.OldAux[i])
-			}
-			if req.NewAux != nil {
-				u.newAux = append(u.newAux, req.NewAux[i])
-			}
-			continue
-		}
-		splitPairs++
-		del, app := &at(oOwn).del, &at(nOwn).app
-		if labeled {
-			del.rows = append(del.rows, oldRow)
-			app.rows = append(app.rows, newRow)
-		} else {
-			del.values = append(del.values, oldVals)
-			app.values = append(app.values, newVals)
-		}
-		if req.OldAux != nil {
-			del.aux = append(del.aux, req.OldAux[i])
-		}
-		if req.NewAux != nil {
-			app.aux = append(app.aux, req.NewAux[i])
-		}
-	}
-
-	owners := make([]int, 0, len(shards))
-	for i := 0; i < len(rt.shards); i++ {
-		if shards[i] != nil {
-			owners = append(owners, i)
-		}
-	}
-	type shardResult struct {
-		mutationAck
-		updated int
-	}
-	oks, err := runMutation(rt, "update", req.trace, owners, func(owner int) (shardResult, error) {
-		u := shards[owner]
-		sh := rt.shards[owner]
-		var res shardResult
-		if u.oldRows != nil || u.oldValues != nil {
-			r, err := sh.Update(updateRequest{
-				OldRows: u.oldRows, NewRows: u.newRows,
-				OldValues: u.oldValues, NewValues: u.newValues,
-				OldAux: u.oldAux, NewAux: u.newAux,
-			})
-			if err != nil {
-				return res, err
-			}
-			res = shardResult{mutationAck{r.Backlog, r.Generation, r.Refreshed}, r.Updated}
-		}
-		if u.del.rows != nil || u.del.values != nil {
-			r, err := sh.Delete(appendRequest{Rows: u.del.rows, Values: u.del.values, Aux: u.del.aux})
-			if err != nil {
-				return res, err
-			}
-			res.backlog, res.generation = r.Backlog, r.Generation
-			res.refreshed = res.refreshed || r.Refreshed
-		}
-		if u.app.rows != nil || u.app.values != nil {
-			r, err := sh.Append(appendRequest{Rows: u.app.rows, Values: u.app.values, Aux: u.app.aux})
-			if err != nil {
-				return res, err
-			}
-			res.backlog, res.generation = r.Backlog, r.Generation
-			res.refreshed = res.refreshed || r.Refreshed
-		}
-		return res, nil
-	})
-	if err != nil {
-		return updateResponse{}, err
-	}
-	updated := splitPairs
-	acks := make([]mutationAck, len(oks))
-	for i, r := range oks {
-		updated += r.updated
-		acks[i] = r.mutationAck
-	}
-	ack, err := rt.finishMutation(acks, req.Refresh, req.trace, "updates")
-	if err != nil {
-		return updateResponse{}, err
-	}
-	return updateResponse{Updated: updated, Backlog: ack.backlog, Generation: ack.generation, Refreshed: ack.refreshed}, nil
-}
-
-// parseStream reads a whole NDJSON mutation stream into a batch request.
-// Routing needs every line parsed before anything is forwarded, so — unlike
-// a single server, which buffers rows as it streams and keeps the prefix on
-// a malformed line — a router rejects the entire stream if any line is bad.
-func (rt *Router) parseStream(r io.Reader) (appendRequest, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return appendRequest{}, err
-	}
-	var req appendRequest
-	lineNo := 0
-	for _, line := range strings.Split(string(data), "\n") {
-		lineNo++
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		labels, values, aux, err := ccubing.ParseNDJSONRow([]byte(line), rt.labeled)
-		if err != nil {
-			return appendRequest{}, fmt.Errorf("line %d: %w", lineNo, err)
-		}
-		if rt.labeled {
-			req.Rows = append(req.Rows, labels)
-		} else {
-			req.Values = append(req.Values, values)
-		}
-		if rt.measure {
-			req.Aux = append(req.Aux, aux)
-		}
-	}
-	return req, nil
-}
-
-func (rt *Router) AppendStream(r io.Reader) (appendResponse, error) {
-	req, err := rt.parseStream(r)
-	if err != nil {
-		return appendResponse{}, err
-	}
-	if len(req.Rows) == 0 && len(req.Values) == 0 {
-		return appendResponse{}, fmt.Errorf("empty NDJSON stream")
-	}
-	return rt.Append(req)
-}
-
-func (rt *Router) DeleteStream(r io.Reader) (deleteResponse, error) {
-	req, err := rt.parseStream(r)
-	if err != nil {
-		return deleteResponse{}, err
-	}
-	if len(req.Rows) == 0 && len(req.Values) == 0 {
-		return deleteResponse{}, fmt.Errorf("empty NDJSON stream")
-	}
-	return rt.Delete(req)
-}
-
-func (rt *Router) Refresh() (refreshResponse, error) {
-	rr, err := rt.broadcastRefresh(nil)
-	if err != nil {
-		return refreshResponse{}, err
-	}
-	resp := refreshResponse{}
-	for i, r := range rr {
-		if i == 0 || r.Generation < resp.Generation {
-			resp.Generation = r.Generation
-		}
-		resp.Appended += r.Appended
-		resp.Deleted += r.Deleted
-		resp.PartitionsRecomputed += r.PartitionsRecomputed
-		resp.PartitionsTotal += r.PartitionsTotal
-		resp.CellsRetained += r.CellsRetained
-		resp.CellsRebuilt += r.CellsRebuilt
-		if r.ElapsedMs > resp.ElapsedMs { // workers refresh in parallel
-			resp.ElapsedMs = r.ElapsedMs
-		}
-	}
-	return resp, nil
 }
 
 func (rt *Router) Meta() (cubeResponse, error) {
