@@ -18,6 +18,9 @@ type compareConfig struct {
 	minIters int64
 	// gate names the critical benchmarks whose regressions fail the run.
 	gate map[string]bool
+	// memOnly names the gated benchmarks judged on allocs/op and B/op alone:
+	// their wall clock crosses a socket, their allocation does not flutter.
+	memOnly map[string]bool
 	// newPath labels the fresh file in missing-benchmark messages.
 	newPath string
 }
@@ -51,7 +54,7 @@ func compare(w io.Writer, fresh, ref map[string]bench, cfg compareConfig) compar
 		mark := " "
 		if cfg.gate[name] {
 			mark = "*"
-			if delta > cfg.tolerance {
+			if delta > cfg.tolerance && !cfg.memOnly[name] {
 				res.add(name, now, cfg, fmt.Sprintf("%s: ns/op %.0f -> %.0f (%+.1f%%, tolerance %.0f%%)",
 					name, old.NsPerOp, now.NsPerOp, 100*delta, 100*cfg.tolerance))
 			}
@@ -62,6 +65,10 @@ func compare(w io.Writer, fresh, ref map[string]bench, cfg compareConfig) compar
 			if adelta > cfg.tolerance && now.AllocsPerOp > old.AllocsPerOp+2 {
 				res.add(name, now, cfg, fmt.Sprintf("%s: allocs/op %.0f -> %.0f (%+.1f%%, tolerance %.0f%%)",
 					name, old.AllocsPerOp, now.AllocsPerOp, 100*adelta, 100*cfg.tolerance))
+			}
+			if bdelta := rel(old.BytesPerOp, now.BytesPerOp); cfg.memOnly[name] && bdelta > cfg.tolerance {
+				res.add(name, now, cfg, fmt.Sprintf("%s: B/op %.0f -> %.0f (%+.1f%%, tolerance %.0f%%)",
+					name, old.BytesPerOp, now.BytesPerOp, 100*bdelta, 100*cfg.tolerance))
 			}
 		}
 		fmt.Fprintf(w, "%s%-54s %14.0f %14.0f %+7.1f%% %4.0f→%-4.0f\n",

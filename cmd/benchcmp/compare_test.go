@@ -99,3 +99,23 @@ func TestRerunHintEscapesRegexpMeta(t *testing.T) {
 		t.Fatalf("hint mangled the name: %q", res.warnings[0])
 	}
 }
+
+// TestMemOnlyGateIgnoresWallClock pins the ":mem" gate: a socket benchmark's
+// ns/op may move freely, its allocs/op and B/op may not.
+func TestMemOnlyGateIgnoresWallClock(t *testing.T) {
+	c := cfg(5)
+	c.memOnly = map[string]bool{"BenchmarkHot": true}
+	ref := map[string]bench{"BenchmarkHot": {Name: "BenchmarkHot", NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: 4096}}
+	fresh := func(ns, allocs, bytes float64) map[string]bench {
+		return map[string]bench{"BenchmarkHot": {Name: "BenchmarkHot-8", NsPerOp: ns, AllocsPerOp: allocs, BytesPerOp: bytes, Iterations: 100}}
+	}
+	if res := compare(io.Discard, fresh(5000, 100, 4096), ref, c); len(res.failures) != 0 {
+		t.Fatalf("a wall-clock move must not fail a :mem gate; got %v", res.failures)
+	}
+	if res := compare(io.Discard, fresh(1000, 100, 8192), ref, c); len(res.failures) != 1 || !strings.Contains(res.failures[0], "B/op 4096 -> 8192") {
+		t.Fatalf("want the B/op regression named; got %v", res.failures)
+	}
+	if res := compare(io.Discard, fresh(1000, 150, 4096), ref, c); len(res.failures) != 1 || !strings.Contains(res.failures[0], "allocs/op") {
+		t.Fatalf("want the allocs/op regression named; got %v", res.failures)
+	}
+}

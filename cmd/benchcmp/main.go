@@ -16,7 +16,9 @@
 //
 // Only the critical set gates (default: the serving-path benchmarks and the
 // incremental refresh named in -critical); everything else is informational, since dataset growth and
-// intentional trade-offs legitimately move non-critical numbers.
+// intentional trade-offs legitimately move non-critical numbers. A critical
+// name suffixed ":mem" gates on allocs/op and B/op alone — the deterministic
+// half of a benchmark whose wall clock crosses a socket.
 package main
 
 import (
@@ -81,8 +83,9 @@ func main() {
 	critical := flag.String("critical",
 		"BenchmarkCubeQuery/sequential,BenchmarkLookupLattice,BenchmarkRefreshAppend,"+
 			"BenchmarkAggregateIcebergResidual/range,BenchmarkAggregateIcebergResidual/set,"+
-			"BenchmarkRefresh/incremental/delta=2000",
-		"comma-separated benchmarks whose regression fails the run")
+			"BenchmarkRefresh/incremental/delta=2000,"+
+			"BenchmarkRouterAggregate/tcp/dim0:mem,BenchmarkRouterAggregate/tcp/spread:mem",
+		"comma-separated benchmarks whose regression fails the run (name:mem gates allocs/op and B/op only)")
 	minIters := flag.Int64("min-iters", 5,
 		"iteration floor: gated regressions measured from fewer fresh-run iterations downgrade to a warning (0 disables)")
 	flag.Parse()
@@ -112,14 +115,17 @@ func main() {
 		ref[name] = bench{
 			Name:        name,
 			NsPerOp:     median(runs, func(b bench) float64 { return b.NsPerOp }),
+			BytesPerOp:  median(runs, func(b bench) float64 { return b.BytesPerOp }),
 			AllocsPerOp: median(runs, func(b bench) float64 { return b.AllocsPerOp }),
 		}
 	}
 
-	gate := map[string]bool{}
+	gate, memOnly := map[string]bool{}, map[string]bool{}
 	for _, name := range strings.Split(*critical, ",") {
 		if name = strings.TrimSpace(name); name != "" {
+			name, mem := strings.CutSuffix(name, ":mem")
 			gate[name] = true
+			memOnly[name] = mem
 		}
 	}
 
@@ -127,6 +133,7 @@ func main() {
 		tolerance: *tolerance,
 		minIters:  *minIters,
 		gate:      gate,
+		memOnly:   memOnly,
 		newPath:   *newPath,
 	})
 	if len(res.warnings) > 0 {

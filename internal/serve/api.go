@@ -36,6 +36,9 @@ type Shard interface {
 	Query(queryRequest) (queryResponse, error)
 	Slice(queryRequest) (sliceResponse, error)
 	Aggregate(aggregateRequest) (aggregateResponse, error)
+	// AggregatePartial is Aggregate in mergeable form (see aggPartial): what a
+	// Router gathers from its workers, cut to the request's top_k when set.
+	AggregatePartial(aggregateRequest) (*aggPartial, error)
 	Append(appendRequest) (appendResponse, error)
 	Delete(appendRequest) (deleteResponse, error)
 	Update(updateRequest) (updateResponse, error)
@@ -200,7 +203,6 @@ type aggregateRow struct {
 	Aux   *float64 `json:"aux,omitempty"`
 	// AuxRaw is the stored mergeable form of Aux, set only on avg
 	// aggregations: the group's running sum, whose presented mean is Aux.
-	// Routers merge shard rows through AuxRaw and re-present after the merge.
 	AuxRaw *float64 `json:"aux_raw,omitempty"`
 }
 

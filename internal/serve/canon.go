@@ -7,9 +7,10 @@ import "sort"
 // labeled cubes (each worker assigns codes in its own first-occurrence
 // order). For a router's merged answer to be byte-identical to a single
 // store's, ties must break on something every node agrees on: the rendered
-// label strings. Both Local and Router therefore re-sort results with the
-// comparators here before truncating, in single-shard and scatter mode
-// alike.
+// label strings. Slices are therefore re-sorted with the comparator here
+// before truncating, and aggregates are ranked by aggPartial.top (partial.go):
+// descending by the requested measure, ties by label tuple ascending, the
+// same order on a single node, on every worker and on the router.
 
 // lessLabels orders label tuples ascending, element-wise string compare.
 func lessLabels(a, b []string) bool {
@@ -19,28 +20,6 @@ func lessLabels(a, b []string) bool {
 		}
 	}
 	return false
-}
-
-// sortAggRows ranks aggregate rows best-first: descending by the requested
-// measure (aux when byAux, count otherwise), ties by label tuple ascending.
-func sortAggRows(rows []aggregateRow, byAux bool) {
-	auxOf := func(r aggregateRow) float64 {
-		if r.Aux == nil {
-			return 0
-		}
-		return *r.Aux
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if byAux {
-			if ai, aj := auxOf(rows[i]), auxOf(rows[j]); ai != aj {
-				return ai > aj
-			}
-		}
-		if rows[i].Count != rows[j].Count {
-			return rows[i].Count > rows[j].Count
-		}
-		return lessLabels(rows[i].Cell, rows[j].Cell)
-	})
 }
 
 // cellMask packs which dimensions a cell fixes (non-"*") into a bitmask, the

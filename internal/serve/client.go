@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -58,14 +59,14 @@ func traceID(tr *obs.Trace) string {
 	return tr.ID
 }
 
-// do runs one request against the worker and decodes the answer into out. A
+// do runs one request against the worker and hands a 200 answer to decode. A
 // non-empty rid rides the X-CCubing-Request-ID header, so the worker joins
 // the router's trace instead of minting a fresh ID. A transport failure is a
 // 502 (the worker is unreachable, not wrong); a non-200 worker answer
 // decodes back into a StatusError carrying the worker's status and message,
 // so shard-side validation and conflicts surface to the router's caller
 // unchanged.
-func (h *httpShard) do(method, path string, body io.Reader, contentType, rid string, out any) error {
+func (h *httpShard) do(method, path string, body io.Reader, contentType, rid string, decode func(io.Reader) error) error {
 	req, err := http.NewRequest(method, h.base+path, body)
 	if err != nil {
 		return err
@@ -80,7 +81,7 @@ func (h *httpShard) do(method, path string, body io.Reader, contentType, rid str
 	if err != nil {
 		return statusErrorf(http.StatusBadGateway, "shard %s: %v", h.base, err)
 	}
-	defer resp.Body.Close()
+	defer closeDrained(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		var e errorResponse
 		if json.NewDecoder(resp.Body).Decode(&e) != nil || e.Error == "" {
@@ -88,23 +89,44 @@ func (h *httpShard) do(method, path string, body io.Reader, contentType, rid str
 		}
 		return &StatusError{Code: resp.StatusCode, Msg: e.Error}
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := decode(resp.Body); err != nil {
 		return statusErrorf(http.StatusBadGateway, "shard %s: bad response: %v", h.base, err)
 	}
 	return nil
 }
 
-func (h *httpShard) postJSON(path, rid string, in, out any) error {
+// closeDrained reads a response body to EOF before closing it. A JSON
+// decoder stops at the value's closing brace; the transport reuses a
+// connection only once it has seen the end of the body (the newline and the
+// final chunk of anything sent chunked), and otherwise drops it — one TCP
+// connection per large answer. The read is bounded: a body with more left
+// than this is cheaper to abandon than to finish.
+func closeDrained(body io.ReadCloser) {
+	_, _ = io.CopyN(io.Discard, body, 256<<10)
+	body.Close()
+}
+
+// intoJSON decodes a worker's JSON answer into out.
+func intoJSON(out any) func(io.Reader) error {
+	return func(r io.Reader) error { return json.NewDecoder(r).Decode(out) }
+}
+
+// post sends in as a JSON body and hands the answer to decode.
+func (h *httpShard) post(path, rid string, in any, decode func(io.Reader) error) error {
 	b, err := json.Marshal(in)
 	if err != nil {
 		return err
 	}
-	return h.do(http.MethodPost, path, bytes.NewReader(b), "application/json", rid, out)
+	return h.do(http.MethodPost, path, bytes.NewReader(b), "application/json", rid, decode)
+}
+
+func (h *httpShard) postJSON(path, rid string, in, out any) error {
+	return h.post(path, rid, in, intoJSON(out))
 }
 
 func (h *httpShard) Meta() (cubeResponse, error) {
 	var out cubeResponse
-	err := h.do(http.MethodGet, "/v1/cube", nil, "", "", &out)
+	err := h.do(http.MethodGet, "/v1/cube", nil, "", "", intoJSON(&out))
 	return out, err
 }
 
@@ -121,9 +143,32 @@ func (h *httpShard) Slice(req queryRequest) (sliceResponse, error) {
 }
 
 func (h *httpShard) Aggregate(req aggregateRequest) (aggregateResponse, error) {
-	var out aggregateResponse
-	err := h.postJSON("/v1/aggregate", traceID(req.trace), req, &out)
-	return out, err
+	return finishAggregate(h.AggregatePartial, req)
+}
+
+// AggregatePartial fetches the worker's partial frame. There is no JSON
+// fallback: a worker that does not know the endpoint is another build, and
+// router and workers must be the same one.
+func (h *httpShard) AggregatePartial(req aggregateRequest) (*aggPartial, error) {
+	var p *aggPartial
+	err := h.post(partialPath, traceID(req.trace), req, func(r io.Reader) error {
+		var frame bytes.Buffer
+		if _, err := frame.ReadFrom(io.LimitReader(r, maxFrameBytes+1)); err != nil {
+			return err
+		}
+		if frame.Len() > maxFrameBytes {
+			return fmt.Errorf("partial frame exceeds %d bytes", maxFrameBytes)
+		}
+		var err error
+		p, err = decodeFrame(frame.Bytes())
+		return err
+	})
+	var se *StatusError
+	if errors.As(err, &se) && (se.Code == http.StatusNotFound || se.Code == http.StatusMethodNotAllowed) {
+		return nil, statusErrorf(http.StatusBadGateway,
+			"shard %s has no %s endpoint: router and workers must run the same build", h.base, partialPath)
+	}
+	return p, err
 }
 
 func (h *httpShard) Append(req appendRequest) (appendResponse, error) {
@@ -146,24 +191,24 @@ func (h *httpShard) Update(req updateRequest) (updateResponse, error) {
 
 func (h *httpShard) AppendStream(r io.Reader) (appendResponse, error) {
 	var out appendResponse
-	err := h.do(http.MethodPost, "/v1/append", r, "application/x-ndjson", "", &out)
+	err := h.do(http.MethodPost, "/v1/append", r, "application/x-ndjson", "", intoJSON(&out))
 	return out, err
 }
 
 func (h *httpShard) DeleteStream(r io.Reader) (deleteResponse, error) {
 	var out deleteResponse
-	err := h.do(http.MethodPost, "/v1/delete", r, "application/x-ndjson", "", &out)
+	err := h.do(http.MethodPost, "/v1/delete", r, "application/x-ndjson", "", intoJSON(&out))
 	return out, err
 }
 
 func (h *httpShard) Refresh() (refreshResponse, error) {
 	var out refreshResponse
-	err := h.do(http.MethodPost, "/v1/refresh", nil, "", "", &out)
+	err := h.do(http.MethodPost, "/v1/refresh", nil, "", "", intoJSON(&out))
 	return out, err
 }
 
 func (h *httpShard) Stats() (statsResponse, error) {
 	var out statsResponse
-	err := h.do(http.MethodGet, "/v1/stats", nil, "", "", &out)
+	err := h.do(http.MethodGet, "/v1/stats", nil, "", "", intoJSON(&out))
 	return out, err
 }

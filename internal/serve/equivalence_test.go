@@ -95,6 +95,9 @@ func rawDo(t *testing.T, ts *httptest.Server, method, path, contentType, body st
 
 func fuzzEquivalence(t *testing.T, n int, minsup int64, kind ccubing.MeasureKind) {
 	rng := rand.New(rand.NewSource(int64(1000+n) + 100*minsup + 10000*int64(kind)))
+	// tieRng draws the worker-side-cut reads, apart from rng so the sequence
+	// of everything else stays what it was before they existed.
+	tieRng := rand.New(rand.NewSource(int64(7000+n) + 100*minsup + 10000*int64(kind)))
 
 	// Aux combiners whose scatter merge is well-defined for this measure
 	// kind: the cube's own combiner (explicitly and as the "" default), plus
@@ -166,8 +169,10 @@ func fuzzEquivalence(t *testing.T, n int, minsup int64, kind ccubing.MeasureKind
 		defer oracle.Close()
 	}
 
-	// N shard workers behind real HTTP, Dial'd like production.
+	// N shard workers behind real HTTP, Dial'd like production. Each worker
+	// builds its dictionaries from its own tuples, in first-occurrence order.
 	workers := make([]Shard, n)
+	cubes := make([]*ccubing.Cube, n)
 	for i := 0; i < n; i++ {
 		sub, err := ds.Shard(0, i, n)
 		if err != nil {
@@ -177,6 +182,7 @@ func fuzzEquivalence(t *testing.T, n int, minsup int64, kind ccubing.MeasureKind
 		if err != nil {
 			t.Fatal(err)
 		}
+		cubes[i] = cube
 		l := NewLocal(cube)
 		l.SetShard(i, n)
 		ws := httptest.NewServer(NewServer(l, Config{}).Handler())
@@ -193,6 +199,24 @@ func fuzzEquivalence(t *testing.T, n int, minsup int64, kind ccubing.MeasureKind
 	}
 	routed := httptest.NewServer(NewServer(router, Config{}).Handler())
 	defer routed.Close()
+
+	// The merge must go through labels: the same product or year carries
+	// different dictionary codes on different workers, so a router that merged
+	// partials on worker ids instead of interning their tables would mix
+	// groups up.
+	if n > 1 {
+		differ := false
+		for d, pool := range [][]string{nil, fuzzProds, fuzzYears} {
+			for _, label := range pool {
+				if mustCode(t, cubes[0], d, label) != mustCode(t, cubes[1], d, label) {
+					differ = true
+				}
+			}
+		}
+		if !differ {
+			t.Fatal("fixture: shards 0 and 1 code every product and year alike; table interning is not exercised")
+		}
+	}
 
 	// compare issues the same read to both servers and requires byte-equal
 	// bodies: the sharded deployment must be indistinguishable.
@@ -269,6 +293,26 @@ func fuzzEquivalence(t *testing.T, n int, minsup int64, kind ccubing.MeasureKind
 	}
 	groupBys := []string{"", "city", "product", "year", "city,year", "product,year", "city,product,year"}
 
+	// compareAggregate is compare for aggregates, which on an iceberg topology
+	// must also equal the minsup-1 answer entirely: rows, measures, ranking
+	// and the exact flag.
+	compareAggregate := func(path string) {
+		t.Helper()
+		compare(http.MethodGet, path, "")
+		if oracle == nil {
+			return
+		}
+		sc, sb := rawDo(t, single, http.MethodGet, path, "", "")
+		oc, ob := rawDo(t, oracle, http.MethodGet, path, "", "")
+		if sc != oc || !bytes.Equal(sb, ob) {
+			t.Fatalf("iceberg aggregate diverges from minsup-1 oracle on %s:\n iceberg: %d %s\n  oracle: %d %s",
+				path, sc, sb, oc, ob)
+		}
+		if !strings.Contains(string(sb), `"exact":true`) {
+			t.Fatalf("iceberg aggregate not exact on %s: %s", path, sb)
+		}
+	}
+
 	checkReads := func() {
 		t.Helper()
 		for q := 0; q < 8; q++ {
@@ -307,20 +351,22 @@ func fuzzEquivalence(t *testing.T, n int, minsup int64, kind ccubing.MeasureKind
 			if agg := aggs[rng.Intn(len(aggs))]; agg != "" {
 				v.Set("aux_agg", agg)
 			}
-			path := "/v1/aggregate?" + v.Encode()
-			compare(http.MethodGet, path, "")
-			if oracle != nil {
-				// Residual-backed iceberg aggregates equal the minsup-1 answer
-				// entirely: rows, measures, ranking and the exact flag.
-				sc, sb := rawDo(t, single, http.MethodGet, path, "", "")
-				oc, ob := rawDo(t, oracle, http.MethodGet, path, "", "")
-				if sc != oc || !bytes.Equal(sb, ob) {
-					t.Fatalf("iceberg aggregate diverges from minsup-1 oracle on %s:\n iceberg: %d %s\n  oracle: %d %s",
-						path, sc, sb, oc, ob)
+			compareAggregate("/v1/aggregate?" + v.Encode())
+		}
+		// The worker-side cut: a group-by naming dimension 0 forwards top_k, and
+		// here top_k is below the group count while most groups tie on their
+		// rank (150 tuples over up to 128 groups: counts of 1, 2 and 3), so
+		// every worker has to keep the very tied rows the single server keeps.
+		for _, gb := range []string{"city,year", "city,product", "city,product,year"} {
+			for _, by := range []string{"count", "aux"} {
+				v := url.Values{"group_by": {gb}, "order_by": {by}, "top_k": {fmt.Sprint(1 + tieRng.Intn(12))}}
+				if tieRng.Intn(3) == 0 {
+					v.Set("where", "*,"+fuzzProds[tieRng.Intn(len(fuzzProds))]+"|"+fuzzProds[tieRng.Intn(len(fuzzProds))]+",*")
 				}
-				if !strings.Contains(string(sb), `"exact":true`) {
-					t.Fatalf("iceberg aggregate not exact on %s: %s", path, sb)
+				if agg := aggs[tieRng.Intn(len(aggs))]; agg != "" {
+					v.Set("aux_agg", agg)
 				}
+				compareAggregate("/v1/aggregate?" + v.Encode())
 			}
 		}
 	}

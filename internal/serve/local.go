@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bufio"
-	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -15,7 +14,6 @@ import (
 
 	"ccubing"
 	"ccubing/internal/obs"
-	"ccubing/internal/psort"
 )
 
 // Local serves one in-process cube: the whole relation in single mode, or
@@ -27,6 +25,8 @@ type Local struct {
 	cube     atomic.Pointer[ccubing.Cube]
 	snapshot string // default Reload source; set before serving starts
 	shard    string // "index/count" on a shard worker; set before serving starts
+
+	labels atomic.Pointer[labelCache] // rendered labels of the serving cube
 
 	// reg exposes the serving cube's state as gauges and counters, read at
 	// scrape time through the atomic pointer — so a Reload swaps what the
@@ -240,99 +240,87 @@ func (l *Local) Slice(req queryRequest) (sliceResponse, error) {
 }
 
 func (l *Local) Aggregate(req aggregateRequest) (aggregateResponse, error) {
+	return finishAggregate(l.partial, req)
+}
+
+func (l *Local) AggregatePartial(req aggregateRequest) (*aggPartial, error) {
+	return cutAggregate(l.partial, req)
+}
+
+// labelsOf returns the label cache of the serving cube, starting a fresh one
+// when a reload has swapped the cube (and its dictionaries) out.
+func (l *Local) labelsOf(cube *ccubing.Cube) *labelCache {
+	lc := l.labels.Load()
+	if lc == nil || lc.cube != cube {
+		lc = &labelCache{cube: cube, dims: make([][]string, cube.NumDims())}
+		l.labels.Store(lc)
+	}
+	return lc
+}
+
+// partial answers an aggregate with every group, uncut: the cube's coded rows
+// as they are, a row's ids being its dictionary codes.
+func (l *Local) partial(req aggregateRequest) (*aggPartial, error) {
 	cube := l.cube.Load()
 	if req.TopK < 0 {
-		return aggregateResponse{}, fmt.Errorf("bad top_k %d", req.TopK)
+		return nil, fmt.Errorf("bad top_k %d", req.TopK)
 	}
 	// TopK stays out of the store call: the cut needs the canonical label
 	// tie-break (see canon.go), which the store cannot apply.
 	opt := ccubing.AggregateOptions{GroupBy: req.GroupBy}
 	var err error
 	if opt.By, err = ccubing.ParseOrderBy(req.OrderBy); err != nil {
-		return aggregateResponse{}, err
+		return nil, err
 	}
 	if opt.AuxAgg, err = ccubing.ParseAuxAgg(req.AuxAgg); err != nil {
-		return aggregateResponse{}, err
+		return nil, err
 	}
-	// Avg aggregations fetch the raw group sums and present (divide) here, so
-	// the wire carries both the mergeable sum and the client-facing mean.
-	avgMode := cube.Measure() == ccubing.MeasureAvg &&
+	p := &aggPartial{width: cube.NumDims(), dict: l.labelsOf(cube)}
+	switch opt.AuxAgg {
+	case ccubing.MeasureMin:
+		p.agg = combineMin
+	case ccubing.MeasureMax:
+		p.agg = combineMax
+	}
+	// Avg aggregations fetch the raw group sums: the sum is what merges, and
+	// the mean is presented (divided) once, by whoever renders the answer.
+	p.avg = cube.Measure() == ccubing.MeasureAvg &&
 		(opt.AuxAgg == ccubing.MeasureNone || opt.AuxAgg == ccubing.MeasureAvg)
-	if avgMode {
+	if p.avg {
 		opt.AuxAgg = ccubing.MeasureSum
 	}
-	where := req.Where
-	if where == nil {
-		where = make([]string, cube.NumDims())
-		for d := range where {
-			where[d] = "*"
-		}
-	}
 	start := time.Now()
-	spec, err := cube.ParseSpec(where)
-	req.trace.Observe("resolve", time.Since(start))
-	if err != nil {
-		return aggregateResponse{}, err
+	var spec ccubing.QuerySpec
+	if req.Where == nil {
+		// Select everything: the zero Predicate is the wildcard.
+		spec = make(ccubing.QuerySpec, cube.NumDims())
+	} else if spec, err = cube.ParseSpec(req.Where); err != nil {
+		return nil, err
 	}
+	req.trace.Observe("resolve", time.Since(start))
 	start = time.Now()
 	rows, exact, err := cube.Aggregate(spec, opt)
 	req.trace.Observe("aggregate", time.Since(start))
 	if err != nil {
-		return aggregateResponse{}, err
+		return nil, err
 	}
-	// Rank on numbers before rendering: only the rows that can make the cut —
-	// the top_k-th rank and everything tied with it — get labels and the
-	// canonical tie-break. A scatter (top_k 0) renders every row.
-	byAux := opt.By == ccubing.ByAux
-	if req.TopK > 0 && req.TopK < len(rows) {
-		rank := func(a, b ccubing.Cell) int {
-			if byAux {
-				if x, y := presentedAux(cube, avgMode, a), presentedAux(cube, avgMode, b); x != y {
-					if x > y {
-						return -1
-					}
-					return 1
-				}
-			}
-			return cmp.Compare(b.Count, a.Count)
+	p.exact = exact
+	p.dims = groupDims(cube.Names(), req.GroupBy)
+	p.ids = make([]uint32, 0, len(p.dims)*len(rows))
+	p.counts = make([]int64, len(rows))
+	if cube.HasMeasure() {
+		p.aux = make([]float64, len(rows))
+	}
+	for r, c := range rows {
+		for _, d := range p.dims {
+			p.ids = append(p.ids, uint32(c.Values[d]))
 		}
-		n := req.TopK
-		last := psort.TopK(rows, n, rank)[n-1]
-		for _, c := range rows[req.TopK:] {
-			if rank(c, last) == 0 {
-				rows[n] = c
-				n++
-			}
+		p.counts[r] = c.Count
+		if p.aux != nil {
+			p.aux[r] = c.Aux
 		}
-		rows = rows[:n]
 	}
-	resp := aggregateResponse{Rows: make([]aggregateRow, 0, len(rows)), Exact: exact}
-	for _, c := range rows {
-		row := aggregateRow{Cell: cube.Labels(c.Values), Count: c.Count}
-		if cube.HasMeasure() {
-			aux := presentedAux(cube, avgMode, c)
-			if avgMode {
-				raw := c.Aux
-				row.AuxRaw = &raw
-			}
-			row.Aux = &aux
-		}
-		resp.Rows = append(resp.Rows, row)
-	}
-	sortAggRows(resp.Rows, byAux)
-	if req.TopK > 0 && len(resp.Rows) > req.TopK {
-		resp.Rows = resp.Rows[:req.TopK]
-	}
-	return resp, nil
-}
-
-// presentedAux returns the measure value a row shows clients: in avg mode the
-// mean of the raw group sum the row carries.
-func presentedAux(cube *ccubing.Cube, avgMode bool, c ccubing.Cell) float64 {
-	if avgMode {
-		return cube.PresentAux(c.Aux, c.Count)
-	}
-	return c.Aux
+	return p, nil
 }
 
 // errStatic rejects mutations against a snapshot-loaded cube.

@@ -260,6 +260,96 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 }
 
+// TestPartialEndpointObservability follows two scattered aggregates — one
+// grouping by dimension 0, so the workers cut, one not — from the outside: the
+// request ID reaches the workers' internal endpoint, which has its own latency
+// series and slow-query lines; the router counts the rows and bytes it
+// gathered and the scatter whose cut ran at the workers; and its own
+// slow-query line names every stage, render included.
+func TestPartialEndpointObservability(t *testing.T) {
+	var mu sync.Mutex
+	var buf bytes.Buffer
+	logged := func() string { mu.Lock(); defer mu.Unlock(); return buf.String() }
+	slow := Config{SlowQuery: time.Nanosecond, SlowLog: log.New(lockedWriter{&mu, &buf}, "", 0)}
+
+	var workers []Shard
+	var workerServers []*httptest.Server
+	for _, l := range shardedLocals(t, routerDataset(t), 1, 2) {
+		ws := httptest.NewServer(NewServer(l, slow).Handler())
+		defer ws.Close()
+		w, err := Dial(ws.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers, workerServers = append(workers, w), append(workerServers, ws)
+	}
+	rt, err := NewRouter(workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := httptest.NewServer(NewServer(rt, slow).Handler())
+	defer router.Close()
+
+	// Pre-created, like the worker-call counters: present before any traffic.
+	fresh := scrapeMetrics(t, router)
+	for _, series := range []string{"ccubing_router_partial_rows_total", "ccubing_router_partial_bytes_total", "ccubing_router_pushdown_total"} {
+		if v := metricValue(t, fresh, series); v != 0 {
+			t.Fatalf("%s = %g before any aggregate, want 0", series, v)
+		}
+	}
+
+	for i, path := range []string{"/v1/aggregate?group_by=city,product&top_k=3", "/v1/aggregate?group_by=product"} {
+		req, err := http.NewRequest(http.MethodGet, router.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(obs.RequestIDHeader, fmt.Sprintf("agg-%d", i))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if body := readBody(t, resp); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s", path, resp.StatusCode, body)
+		}
+	}
+
+	text := scrapeMetrics(t, router)
+	if v := metricValue(t, text, "ccubing_router_pushdown_total"); v != 1 {
+		t.Fatalf("pushdown scatters = %g, want 1 of the 2", v)
+	}
+	// 3 rows from each worker's cut, then 2 products from each worker.
+	if v := metricValue(t, text, "ccubing_router_partial_rows_total"); v != 3+3+2+2 {
+		t.Fatalf("partial rows gathered = %g, want 10", v)
+	}
+	if v := metricValue(t, text, "ccubing_router_partial_bytes_total"); v < 4*frameHeaderLen {
+		t.Fatalf("partial bytes gathered = %g, want four frames' worth", v)
+	}
+	if v := metricValue(t, text, `ccubing_router_worker_calls_total{endpoint="aggregate"}`); v != 4 {
+		t.Fatalf("aggregate worker calls = %g, want 4", v)
+	}
+	for _, ws := range workerServers {
+		wtext := scrapeMetrics(t, ws)
+		if v := metricValue(t, wtext, `ccubing_http_request_seconds_count{endpoint="partial"}`); v != 2 {
+			t.Fatalf("worker partial requests = %g, want 2", v)
+		}
+		if v := metricValue(t, wtext, `ccubing_http_request_seconds_count{endpoint="aggregate"}`); v != 0 {
+			t.Fatalf("worker public aggregate requests = %g, want 0", v)
+		}
+	}
+	lines := logged()
+	for _, want := range []string{
+		"id=agg-0 endpoint=partial", "id=agg-1 endpoint=partial", // the workers, under the router's IDs
+		"id=agg-0 endpoint=aggregate", "id=agg-1 endpoint=aggregate", // the router
+		`spec="where= group_by=city,product"`,
+		"aggregate=", "encode=", // worker stages
+		"scatter=", "worker0=", "worker1=", "merge=", "render=", // router stages
+	} {
+		if !strings.Contains(lines, want) {
+			t.Fatalf("slow-query log missing %q:\n%s", want, lines)
+		}
+	}
+}
+
 // lockedWriter serializes log writes against the test's reader.
 type lockedWriter struct {
 	mu *sync.Mutex

@@ -50,6 +50,9 @@ type routerMetrics struct {
 	scatters       *obs.Counter   // calls fanned out to every worker
 	fanout         *obs.Counter   // worker calls issued by scatters
 	routed         *obs.Counter   // calls routed whole to one owning worker
+	partialRows    *obs.Counter   // aggregate partial rows gathered from workers
+	partialBytes   *obs.Counter   // aggregate partial frame bytes gathered from workers
+	pushdown       *obs.Counter   // aggregate scatters whose top_k cut ran at the workers
 	workerSeconds  []*obs.Histogram
 	workerErrors   []*obs.Counter
 	// workerCalls counts worker calls by originating endpoint, pre-created so
@@ -109,6 +112,12 @@ func NewRouter(shards []Shard) (*Router, error) {
 		"Worker calls issued by scatters; divided by scatters_total this is the fan-out width.")
 	rt.met.routed = rt.reg.Counter("ccubing_router_routed_total",
 		"Calls routed whole to the one worker owning the bound routing component.")
+	rt.met.partialRows = rt.reg.Counter("ccubing_router_partial_rows_total",
+		"Aggregate partial rows gathered from workers.")
+	rt.met.partialBytes = rt.reg.Counter("ccubing_router_partial_bytes_total",
+		"Aggregate partial frame bytes gathered from workers over the wire.")
+	rt.met.pushdown = rt.reg.Counter("ccubing_router_pushdown_total",
+		"Aggregate scatters that group by the routing dimension, so each worker cut to top_k itself.")
 	for i := range shards {
 		w := strconv.Itoa(i)
 		rt.met.workerSeconds = append(rt.met.workerSeconds, rt.reg.Histogram(

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -11,13 +12,13 @@ import (
 )
 
 // avgKind reports an avg-measure topology. Presented means do not combine
-// across shards, so avg merges go through the wire rows' AuxRaw stored sums;
-// errNoAuxRaw is the answer when a worker's avg row arrives without one.
+// across shards, so scattered point reads merge through the answers' AuxRaw
+// stored sums; errNoAuxRaw is the answer when one arrives without it.
 func (rt *Router) avgKind() bool {
 	return rt.kind == ccubing.MeasureAvg.String()
 }
 
-// errNoAuxRaw reports a malformed worker answer: an avg row that cannot be
+// errNoAuxRaw reports a malformed worker answer: an avg cell that cannot be
 // merged because it lacks the stored sum every avg answer carries.
 func errNoAuxRaw() *StatusError {
 	return statusErrorf(http.StatusBadGateway, "shard answered an avg query without aux_raw")
@@ -128,15 +129,34 @@ func (rt *Router) Slice(req queryRequest) (sliceResponse, error) {
 }
 
 func (rt *Router) Aggregate(req aggregateRequest) (aggregateResponse, error) {
+	return finishAggregate(rt.gather, req)
+}
+
+func (rt *Router) AggregatePartial(req aggregateRequest) (*aggPartial, error) {
+	return cutAggregate(rt.gather, req)
+}
+
+// gather validates the request, then either routes it whole to the worker
+// owning an exact dimension-0 predicate or scatters it and merges the
+// workers' partials into one. The result holds every row that can still rank:
+// all groups, or the workers' own top_k rows when they could cut.
+//
+// The scatter forwards top_k exactly when the group-by names dimension 0:
+// every group then fixes its routing component, so it lives whole on one
+// worker (the Sec. 6.3 partition invariant) and carries its global count and
+// measure there; rank-then-labels is the same total order on every node; so
+// each worker's k best contain every row of the global k best, and the merge
+// sees at most k rows per worker. Any other group-by can split a group
+// across workers — its rank exists only after the sums — so top_k stays here.
+func (rt *Router) gather(req aggregateRequest) (*aggPartial, error) {
 	if req.TopK < 0 {
-		return aggregateResponse{}, fmt.Errorf("bad top_k %d", req.TopK)
+		return nil, fmt.Errorf("bad top_k %d", req.TopK)
 	}
-	by, err := ccubing.ParseOrderBy(req.OrderBy)
-	if err != nil {
-		return aggregateResponse{}, err
+	if _, err := ccubing.ParseOrderBy(req.OrderBy); err != nil {
+		return nil, err
 	}
 	if _, err := ccubing.ParseAuxAgg(req.AuxAgg); err != nil {
-		return aggregateResponse{}, err
+		return nil, err
 	}
 	// An exact-value predicate on dimension 0 pins the whole selection to one
 	// shard; anything else (wildcard, set, range) can span them.
@@ -146,95 +166,202 @@ func (rt *Router) Aggregate(req aggregateRequest) (aggregateResponse, error) {
 			if !rt.labeled {
 				v, err := strconv.ParseInt(c0, 10, 32)
 				if err != nil || v < 0 {
-					return aggregateResponse{}, fmt.Errorf("bad value %q for dimension %s", c0, rt.names[0])
+					return nil, fmt.Errorf("bad value %q for dimension %s", c0, rt.names[0])
 				}
 				comp = strconv.FormatInt(v, 10)
 			}
-			return routedCall(rt, "aggregate", req.trace, rt.ownerIndex(comp), func(sh Shard) (aggregateResponse, error) {
-				return sh.Aggregate(req)
+			p, err := routedCall(rt, "aggregate", req.trace, rt.ownerIndex(comp), func(sh Shard) (*aggPartial, error) {
+				return sh.AggregatePartial(req)
 			})
+			if err == nil {
+				err = rt.admit(p)
+			}
+			if err != nil {
+				return nil, err
+			}
+			return p, nil
 		}
 	}
-	// Scatter with top-k stripped: a shard's local top k can miss rows whose
-	// global rank only emerges after cross-shard summation. Rank and truncate
-	// here, after the merge.
 	fwd := req
-	fwd.TopK = 0
-	resps, err := scatterCall(rt, "aggregate", req.trace, func(sh Shard) (aggregateResponse, error) {
-		return sh.Aggregate(fwd)
+	if req.TopK > 0 && slices.Contains(groupDims(rt.names, req.GroupBy), 0) {
+		rt.met.pushdown.Inc()
+	} else {
+		fwd.TopK = 0
+	}
+	parts, err := scatterCall(rt, "aggregate", req.trace, func(sh Shard) (*aggPartial, error) {
+		return sh.AggregatePartial(fwd)
 	})
 	if err != nil {
-		return aggregateResponse{}, err
+		return nil, err
 	}
 	mstart := time.Now()
 	defer rt.observeMerge(req.trace, mstart)
-	// Merge rows keyed by their label tuple. Shards partition the tuples, so
-	// counts sum; the measure combines per the requested aggregator (a
-	// shard-level sum of sums is the global sum, min of mins the global min).
-	// Avg rows combine through their AuxRaw stored sums and are presented —
-	// divided by the merged count — once, after every shard is folded in.
-	auxAgg, _ := ccubing.ParseAuxAgg(req.AuxAgg)
-	avgAgg := auxAgg == ccubing.MeasureAvg || (auxAgg == ccubing.MeasureNone && rt.avgKind())
-	merged := make(map[string]*aggregateRow)
-	var order []string
-	exact := true
-	for _, r := range resps {
-		exact = exact && r.Exact
-		for _, row := range r.Rows {
-			if avgAgg && row.Aux != nil && row.AuxRaw == nil {
-				return aggregateResponse{}, errNoAuxRaw()
+	return rt.mergePartials(parts)
+}
+
+// admit counts a worker's partial and checks it against the topology: a
+// partial of another shape is a malformed worker answer, not mergeable state.
+func (rt *Router) admit(p *aggPartial) error {
+	rt.met.partialRows.Add(int64(p.rows()))
+	rt.met.partialBytes.Add(int64(p.wireBytes))
+	if p.width != rt.dims || (p.aux != nil) != rt.measure {
+		return statusErrorf(http.StatusBadGateway,
+			"shard answered with a partial over %d dimensions (measure %v), topology has %d (measure %v)",
+			p.width, p.aux != nil, rt.dims, rt.measure)
+	}
+	return nil
+}
+
+// mergePartials folds the workers' partials, in shard order, into one: shards
+// partition the tuples, so counts add, and raw measures combine per the
+// partial's own combiner (a sum of sums is the global sum, a min of mins the
+// global min; avg travels as its sum). Workers that disagree on the group-by
+// dimensions or the measure flags did not answer the same question: 502.
+func (rt *Router) mergePartials(parts []*aggPartial) (*aggPartial, error) {
+	first := parts[0]
+	total, most := 0, 0
+	for i, p := range parts {
+		if err := rt.admit(p); err != nil {
+			return nil, err
+		}
+		if !slices.Equal(p.dims, first.dims) || p.agg != first.agg || p.avg != first.avg {
+			return nil, statusErrorf(http.StatusBadGateway,
+				"shard %d answered a different aggregate than shard 0 (group-by dimensions %v vs %v, combiner %d/%v vs %d/%v)",
+				i, p.dims, first.dims, p.agg, p.avg, first.agg, first.avg)
+		}
+		total += p.rows()
+		most = max(most, p.rows())
+	}
+	m := newPartialMerger(first, total, most)
+	for _, p := range parts {
+		m.out.exact = m.out.exact && p.exact
+		m.fold(p)
+	}
+	return &m.out, nil
+}
+
+// partialMerger accumulates partials into out. Labels are the only identity
+// workers share (dictionary codes are shard-local), so each worker id is
+// interned once into out's id space; rows then meet on their interned id
+// tuples in an open-addressing table, and no per-row string is ever built.
+type partialMerger struct {
+	out   aggPartial          // out.tables[j] lists the labels interned on dims[j]
+	index []map[string]uint32 // per group-by dimension: label → interned id
+	remap [][]uint32          // per group-by dimension: the folding partial's id → interned id + 1, 0 = not yet
+	keys  []uint32            // the folding partial's ids, translated into out's
+	slots []int32             // hash table over out's rows: row+1, 0 = free
+}
+
+// newPartialMerger sizes a merger for rows incoming rows, at least most of
+// them distinct groups.
+func newPartialMerger(like *aggPartial, rows, most int) *partialMerger {
+	nd := len(like.dims)
+	m := &partialMerger{
+		index: make([]map[string]uint32, nd),
+		remap: make([][]uint32, nd),
+	}
+	for j := range m.index {
+		m.index[j] = make(map[string]uint32)
+	}
+	size := 8
+	for size < 2*rows {
+		size *= 2
+	}
+	m.slots = make([]int32, size)
+	tables := make([][]string, nd)
+	for j := range tables {
+		tables[j] = make([]string, 0, 16)
+	}
+	m.out = aggPartial{
+		width:  like.width,
+		dims:   like.dims,
+		ids:    make([]uint32, 0, most*nd),
+		tables: tables,
+		counts: make([]int64, 0, most),
+		agg:    like.agg,
+		avg:    like.avg,
+		exact:  true,
+	}
+	if like.aux != nil {
+		m.out.aux = make([]float64, 0, most)
+	}
+	return m
+}
+
+// intern maps a label on group-by dimension j to its id in out.
+func (m *partialMerger) intern(j int, label string) uint32 {
+	id, ok := m.index[j][label]
+	if !ok {
+		id = uint32(len(m.out.tables[j]))
+		m.index[j][label] = id
+		m.out.tables[j] = append(m.out.tables[j], label)
+	}
+	return id
+}
+
+// fold adds every row of p to out. It first translates a copy of p's ids
+// into out's id space through remap — a label is resolved and hashed once per
+// distinct id, not once per row — and then lets the rows meet out's groups.
+func (m *partialMerger) fold(p *aggPartial) {
+	nd := len(p.dims)
+	m.keys = append(m.keys[:0], p.ids...)
+	for j := 0; j < nd; j++ {
+		remap := append(m.remap[j][:0], make([]uint32, p.idBound(j))...)
+		for at := j; at < len(m.keys); at += nd {
+			id := m.keys[at]
+			if remap[id] == 0 {
+				remap[id] = m.intern(j, p.label(j, id)) + 1
 			}
-			key := strings.Join(row.Cell, "\x00")
-			m, ok := merged[key]
-			if !ok {
-				cp := row
-				cp.Cell = append([]string(nil), row.Cell...)
-				if row.Aux != nil {
-					aux := *row.Aux
-					cp.Aux = &aux
-				}
-				if row.AuxRaw != nil {
-					raw := *row.AuxRaw
-					cp.AuxRaw = &raw
-				}
-				merged[key] = &cp
-				order = append(order, key)
-				continue
+			m.keys[at] = remap[id] - 1
+		}
+		m.remap[j] = remap
+	}
+	m.meet(p)
+}
+
+// meet folds p's rows, keyed by m.keys, into the groups of out: a key seen
+// before combines into its row, a new one becomes the next row.
+//
+//ccubing:hotpath
+func (m *partialMerger) meet(p *aggPartial) {
+	out := &m.out
+	nd := len(p.dims)
+	mask := uint32(len(m.slots) - 1)
+	for r, count := range p.counts {
+		key := m.keys[r*nd : (r+1)*nd]
+		h := uint32(2166136261)
+		for _, id := range key {
+			h = (h ^ id) * 16777619
+		}
+		slot := (h ^ h>>15) & mask
+		g := m.slots[slot]
+		for g != 0 && !slices.Equal(out.key(g-1), key) {
+			slot = (slot + 1) & mask
+			g = m.slots[slot]
+		}
+		if g == 0 {
+			m.slots[slot] = int32(len(out.counts)) + 1
+			out.ids = append(out.ids, key...)
+			out.counts = append(out.counts, count)
+			if out.aux != nil {
+				out.aux = append(out.aux, p.aux[r])
 			}
-			m.Count += row.Count
-			switch {
-			case m.AuxRaw != nil && row.AuxRaw != nil:
-				*m.AuxRaw += *row.AuxRaw // avg: stored sums add
-			case m.Aux != nil && row.Aux != nil:
-				switch auxAgg {
-				case ccubing.MeasureMin:
-					if *row.Aux < *m.Aux {
-						*m.Aux = *row.Aux
-					}
-				case ccubing.MeasureMax:
-					if *row.Aux > *m.Aux {
-						*m.Aux = *row.Aux
-					}
-				default: // MeasureSum (and the MeasureNone default)
-					*m.Aux += *row.Aux
+			continue
+		}
+		out.counts[g-1] += count
+		if out.aux != nil {
+			switch a := p.aux[r]; out.agg {
+			case combineMin:
+				if a < out.aux[g-1] {
+					out.aux[g-1] = a
 				}
+			case combineMax:
+				if a > out.aux[g-1] {
+					out.aux[g-1] = a
+				}
+			default:
+				out.aux[g-1] += a
 			}
 		}
 	}
-	resp := aggregateResponse{Rows: make([]aggregateRow, 0, len(merged)), Exact: exact}
-	for _, key := range order {
-		m := merged[key]
-		if m.AuxRaw != nil {
-			// The same stored/count division a single worker performs, so
-			// merged rows are byte-identical to an unsharded store's.
-			mean := *m.AuxRaw / float64(m.Count)
-			m.Aux = &mean
-		}
-		resp.Rows = append(resp.Rows, *m)
-	}
-	sortAggRows(resp.Rows, by == ccubing.ByAux)
-	if req.TopK > 0 && len(resp.Rows) > req.TopK {
-		resp.Rows = resp.Rows[:req.TopK]
-	}
-	return resp, nil
 }

@@ -6,6 +6,7 @@ package serve
 
 import (
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -336,7 +337,7 @@ func TestRouterPartialFailure(t *testing.T) {
 	}
 }
 
-// noAuxRaw wraps a worker and strips aux_raw from its read answers — the
+// noAuxRaw wraps a worker and strips aux_raw from its point answers — the
 // malformed avg answer a router must refuse to merge.
 type noAuxRaw struct{ Shard }
 
@@ -346,17 +347,11 @@ func (s noAuxRaw) Query(req queryRequest) (queryResponse, error) {
 	return resp, err
 }
 
-func (s noAuxRaw) Aggregate(req aggregateRequest) (aggregateResponse, error) {
-	resp, err := s.Shard.Aggregate(req)
-	for i := range resp.Rows {
-		resp.Rows[i].AuxRaw = nil
-	}
-	return resp, err
-}
-
-// TestRouterAvgWithoutAuxRaw pins the nil check on worker answers: avg rows
-// merge through their stored sums, so a scattered avg read whose worker
-// answer lacks aux_raw is a bad-gateway error, never a mean of means.
+// TestRouterAvgWithoutAuxRaw pins the checks on avg worker answers: means do
+// not merge, so a scattered avg point read whose worker answer lacks aux_raw
+// is a bad-gateway error, never a mean of means — and on the aggregate side,
+// where the raw sum is the only measure a partial frame carries, a frame
+// whose flags claim avg without an aux column is refused the same way.
 func TestRouterAvgWithoutAuxRaw(t *testing.T) {
 	ds := routerDataset(t)
 	aux := make([]float64, ds.NumTuples())
@@ -380,8 +375,7 @@ func TestRouterAvgWithoutAuxRaw(t *testing.T) {
 		l.SetShard(i, 2)
 		shards[i] = l
 	}
-	shards[1] = noAuxRaw{shards[1]}
-	rt, err := NewRouter(shards)
+	rt, err := NewRouter([]Shard{shards[0], noAuxRaw{shards[1]}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,11 +383,92 @@ func TestRouterAvgWithoutAuxRaw(t *testing.T) {
 	if err == nil || httpStatus(err) != http.StatusBadGateway || !strings.Contains(err.Error(), "aux_raw") {
 		t.Fatalf("scattered avg query: %v (status %d), want 502 naming aux_raw", err, httpStatus(err))
 	}
+
+	// Worker 1 again, answering the partial endpoint with an empty frame that
+	// claims avg (and exact) but has no aux column.
+	inner := NewServer(shards[1], Config{}).Handler()
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != partialPath {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		frame := encodeFrame(nil, &aggPartial{width: 3, exact: true})
+		frame[5] |= flagAvg
+		w.Write(frame)
+	}))
+	defer bad.Close()
+	worker, err := Dial(bad.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt, err = NewRouter([]Shard{shards[0], worker}); err != nil {
+		t.Fatal(err)
+	}
 	_, err = rt.Aggregate(aggregateRequest{GroupBy: []string{"product"}})
-	if err == nil || httpStatus(err) != http.StatusBadGateway {
-		t.Fatalf("scattered avg aggregate: %v (status %d), want 502", err, httpStatus(err))
+	if err == nil || httpStatus(err) != http.StatusBadGateway || !strings.Contains(err.Error(), "avg") {
+		t.Fatalf("scattered avg aggregate: %v (status %d), want 502 naming the avg flag", err, httpStatus(err))
 	}
 }
+
+// TestRouterRefusesMismatchedPartials pins what survives from the JSON
+// merge's checks: workers whose partials do not describe the same aggregate —
+// other group-by dimensions, other measure flags, another cube width — are a
+// 502, never a silent merge; so is a worker without the partial endpoint.
+func TestRouterRefusesMismatchedPartials(t *testing.T) {
+	ds := routerDataset(t)
+	locals := shardedLocals(t, ds, 1, 2)
+	req := aggregateRequest{GroupBy: []string{"product"}}
+	honest, err := locals[1].AggregatePartial(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tamper := range map[string]func(p *aggPartial){
+		"group-by dimensions": func(p *aggPartial) { p.dims = []int{2} },
+		"combiner":            func(p *aggPartial) { p.agg = combineMax },
+		"measure":             func(p *aggPartial) { p.aux = make([]float64, p.rows()) },
+		"width":               func(p *aggPartial) { p.width = 4 },
+	} {
+		forged := *honest
+		tamper(&forged)
+		rt, err := NewRouter([]Shard{locals[0], fixedPartial{locals[1], &forged}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.Aggregate(req); err == nil || httpStatus(err) != http.StatusBadGateway {
+			t.Fatalf("%s mismatch: %v (status %d), want 502", name, err, httpStatus(err))
+		}
+	}
+
+	// A worker of another build: everything but the partial endpoint.
+	inner := NewServer(locals[1], Config{}).Handler()
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == partialPath {
+			http.NotFound(w, r)
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer old.Close()
+	worker, err := Dial(old.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewRouter([]Shard{locals[0], worker})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Aggregate(req); err == nil || httpStatus(err) != http.StatusBadGateway || !strings.Contains(err.Error(), "same build") {
+		t.Fatalf("worker without the endpoint: %v (status %d), want 502", err, httpStatus(err))
+	}
+}
+
+// fixedPartial answers every AggregatePartial with p.
+type fixedPartial struct {
+	Shard
+	p *aggPartial
+}
+
+func (s fixedPartial) AggregatePartial(aggregateRequest) (*aggPartial, error) { return s.p, nil }
 
 // TestRouterNDJSON pins the router's all-or-nothing stream contract: any bad
 // line rejects the whole stream before a single row is forwarded.
@@ -478,47 +553,104 @@ func TestRouterMetaStats(t *testing.T) {
 	}
 }
 
-// BenchmarkRouterAggregate measures the scatter-merge path: a group-by over
-// 4 in-process shards, merged and re-ranked by the router.
+// BenchmarkRouterAggregate measures the scatter-merge path. inproc is a
+// group-by over 4 in-process shards, merged and ranked by the router with no
+// socket anywhere; the tcp cases put 2 httptest workers of 1250+ groups each
+// behind Dial, so the partial frame is encoded, sent, read and decoded — once
+// grouping by dimension 0 (each worker cuts to top_k itself) and once not
+// (every group crosses the wire and the router merges them).
 func BenchmarkRouterAggregate(b *testing.B) {
-	cities := []string{"oslo", "paris", "rome", "lima", "cairo", "tokyo", "sydney", "quito"}
-	prods := []string{"pen", "ink", "clip", "tape"}
-	years := []string{"2022", "2023", "2024", "2025"}
-	var rows [][]string
-	for i := 0; i < 4096; i++ {
-		rows = append(rows, []string{cities[i%len(cities)], prods[(i/3)%len(prods)], years[(i/7)%len(years)]})
+	run := func(b *testing.B, rt *Router, req aggregateRequest) {
+		// One answer first: connections, label caches and scratch pools are
+		// set up once per process, not once per request.
+		if _, err := rt.Aggregate(req); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			resp, err := rt.Aggregate(req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(resp.Rows) != 10 {
+				b.Fatalf("rows = %d", len(resp.Rows))
+			}
+		}
 	}
-	ds, err := ccubing.NewDataset([]string{"city", "product", "year"}, rows)
-	if err != nil {
-		b.Fatal(err)
+	shardsOf := func(ds *ccubing.Dataset, n int) []*Local {
+		locals := make([]*Local, n)
+		for i := range locals {
+			sub, err := ds.Shard(0, i, n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cube, err := ccubing.Materialize(sub, ccubing.Options{MinSup: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			locals[i] = NewLocal(cube)
+		}
+		return locals
 	}
-	const n = 4
-	shards := make([]Shard, n)
-	for i := range shards {
-		sub, err := ds.Shard(0, i, n)
+
+	b.Run("inproc", func(b *testing.B) {
+		cities := []string{"oslo", "paris", "rome", "lima", "cairo", "tokyo", "sydney", "quito"}
+		prods := []string{"pen", "ink", "clip", "tape"}
+		years := []string{"2022", "2023", "2024", "2025"}
+		var rows [][]string
+		for i := 0; i < 4096; i++ {
+			rows = append(rows, []string{cities[i%len(cities)], prods[(i/3)%len(prods)], years[(i/7)%len(years)]})
+		}
+		ds, err := ccubing.NewDataset([]string{"city", "product", "year"}, rows)
 		if err != nil {
 			b.Fatal(err)
 		}
-		cube, err := ccubing.Materialize(sub, ccubing.Options{MinSup: 1})
+		var shards []Shard
+		for _, l := range shardsOf(ds, 4) {
+			shards = append(shards, l)
+		}
+		rt, err := NewRouter(shards)
 		if err != nil {
 			b.Fatal(err)
 		}
-		shards[i] = NewLocal(cube)
-	}
-	rt, err := NewRouter(shards)
-	if err != nil {
-		b.Fatal(err)
-	}
-	req := aggregateRequest{GroupBy: []string{"city", "product"}, TopK: 10}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, err := rt.Aggregate(req)
+		run(b, rt, aggregateRequest{GroupBy: []string{"city", "product"}, TopK: 10})
+	})
+
+	b.Run("tcp", func(b *testing.B) {
+		ds, err := ccubing.Synthetic(ccubing.SyntheticConfig{T: 30000, D: 4, C: 50, Skew: 0.5, Seed: 23})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(resp.Rows) != 10 {
-			b.Fatalf("rows = %d", len(resp.Rows))
+		var shards []Shard
+		for _, l := range shardsOf(ds, 2) {
+			ws := httptest.NewServer(NewServer(l, Config{}).Handler())
+			defer ws.Close()
+			worker, err := Dial(ws.URL)
+			if err != nil {
+				b.Fatal(err)
+			}
+			shards = append(shards, worker)
 		}
-	}
+		rt, err := NewRouter(shards)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range []struct {
+			name    string
+			groupBy []string
+		}{
+			{"dim0", []string{"dim0", "dim1"}},
+			{"spread", []string{"dim1", "dim2"}},
+		} {
+			b.Run(c.name, func(b *testing.B) {
+				for _, sh := range shards {
+					if p, err := sh.AggregatePartial(aggregateRequest{GroupBy: c.groupBy}); err != nil || p.rows() < 1000 {
+						b.Fatalf("worker answers %d groups (%v), want 1000+", p.rows(), err)
+					}
+				}
+				run(b, rt, aggregateRequest{GroupBy: c.groupBy, TopK: 10})
+			})
+		}
+	})
 }

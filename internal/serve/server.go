@@ -39,8 +39,8 @@ type Server struct {
 	slowLog *log.Logger
 
 	// Per-endpoint request counters, exposed by /v1/stats.
-	nCube, nQuery, nSlice, nAggregate, nAppend, nDelete, nUpdate, nRefresh, nReload, nStats atomic.Int64
-	nRateLimited                                                                            atomic.Int64
+	nCube, nQuery, nSlice, nAggregate, nPartial, nAppend, nDelete, nUpdate, nRefresh, nReload, nStats atomic.Int64
+	nRateLimited                                                                                      atomic.Int64
 }
 
 // Config carries the transport-level knobs.
@@ -149,6 +149,10 @@ const (
 //	                    backlog, uptime — the load-balancer check
 //	GET  /metrics       Prometheus text exposition: transport, shard and
 //	                    process metrics merged into one scrape
+//	POST /internal/v1/partial
+//	                    the /v1/aggregate body in, the answer out as one binary
+//	                    partial frame: what a router's Dial asks its workers
+//	                    (see partialPath; not part of the public API)
 //
 // Every v1 endpoint echoes an X-CCubing-Request-ID header (honoring an
 // inbound one), which a router propagates to its workers — one ID follows a
@@ -186,6 +190,7 @@ func NewServer(shard Shard, cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/slice", s.wrap("slice", &s.nSlice, s.handleSlice))
 	s.mux.HandleFunc("GET /v1/aggregate", s.wrap("aggregate", &s.nAggregate, s.handleAggregate))
 	s.mux.HandleFunc("POST /v1/aggregate", s.wrap("aggregate", &s.nAggregate, s.handleAggregate))
+	s.mux.HandleFunc("POST "+partialPath, s.wrap("partial", &s.nPartial, s.handlePartial))
 	s.mux.HandleFunc("POST /v1/append", s.wrap("append", &s.nAppend, s.handleAppend))
 	s.mux.HandleFunc("POST /v1/delete", s.wrap("delete", &s.nDelete, s.handleDelete))
 	s.mux.HandleFunc("POST /v1/update", s.wrap("update", &s.nUpdate, s.handleUpdate))
@@ -360,7 +365,9 @@ func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request, tr *obs.Tra
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request, tr *obs.Trace) {
+// readAggregateRequest extracts the aggregateRequest from the GET parameters
+// or the JSON body, and notes its spec on the trace for the slow-query log.
+func (s *Server) readAggregateRequest(w http.ResponseWriter, r *http.Request, tr *obs.Trace) (aggregateRequest, error) {
 	var req aggregateRequest
 	if r.Method == http.MethodGet {
 		q := r.URL.Query()
@@ -373,8 +380,7 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request, tr *obs
 		if tk := q.Get("top_k"); tk != "" {
 			v, err := strconv.Atoi(tk)
 			if err != nil || v < 0 {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("bad top_k %q", tk))
-				return
+				return req, fmt.Errorf("bad top_k %q", tk)
 			}
 			req.TopK = v
 		}
@@ -383,19 +389,51 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request, tr *obs
 	} else {
 		r.Body = http.MaxBytesReader(w, r.Body, maxQueryBody)
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			err = fmt.Errorf("bad JSON body: %w", err)
-			writeError(w, httpStatus(err), err)
-			return
+			return req, fmt.Errorf("bad JSON body: %w", err)
 		}
 	}
 	req.trace = tr
 	tr.Note = "where=" + strings.Join(req.Where, ",") + " group_by=" + strings.Join(req.GroupBy, ",")
+	return req, nil
+}
+
+func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request, tr *obs.Trace) {
+	req, err := s.readAggregateRequest(w, r, tr)
+	if err != nil {
+		writeError(w, httpStatus(err), err)
+		return
+	}
 	resp, err := s.shard.Aggregate(req)
 	if err != nil {
 		writeError(w, httpStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// partialPath is the internal worker endpoint behind a router's Dial: the
+// /v1/aggregate request body in, the shard's answer out as one partial frame
+// (frame.go) instead of rendered JSON. Not part of the public API — the
+// frame has one version and only this build's Dial reads it.
+const partialPath = "/internal/v1/partial"
+
+func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request, tr *obs.Trace) {
+	req, err := s.readAggregateRequest(w, r, tr)
+	if err != nil {
+		writeError(w, httpStatus(err), err)
+		return
+	}
+	p, err := s.shard.AggregatePartial(req)
+	if err != nil {
+		writeError(w, httpStatus(err), err)
+		return
+	}
+	start := time.Now()
+	frame := encodeFrame(nil, p)
+	tr.Observe("encode", time.Since(start))
+	w.Header().Set("Content-Type", frameContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+	_, _ = w.Write(frame)
 }
 
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, tr *obs.Trace) {
@@ -531,6 +569,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, _ *obs.Trac
 		"query":     s.nQuery.Load(),
 		"slice":     s.nSlice.Load(),
 		"aggregate": s.nAggregate.Load(),
+		"partial":   s.nPartial.Load(),
 		"append":    s.nAppend.Load(),
 		"delete":    s.nDelete.Load(),
 		"update":    s.nUpdate.Load(),
