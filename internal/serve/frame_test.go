@@ -108,7 +108,9 @@ func FuzzPartialFrame(f *testing.F) {
 		if again := encodeFrame(nil, p); !bytes.Equal(again, data) {
 			t.Fatalf("decode → encode is not the identity:\n in  %x\n out %x", data, again)
 		}
-		p.finish(3, true)
-		p.finish(0, false)
+		if p.width <= 64 { // a rendered cell is width strings wide; keep the harness small
+			p.finish(3, true)
+			p.finish(0, false)
+		}
 	})
 }
