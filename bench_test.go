@@ -2,7 +2,8 @@ package ccubing
 
 // One benchmark family per figure of the paper's evaluation (Figs. 3-18),
 // sharing the experiment definitions in internal/expt with cmd/ccbench, plus
-// ablation benchmarks for the design choices DESIGN.md calls out.
+// ablation benchmarks for the engines' pruning devices (Lemma 5, Lemma 6,
+// the shortcut, star reduction, the dense budget).
 //
 // Scale: tuple counts are multiplied by CCUBING_BENCH_SCALE (default 0.005,
 // i.e. 1K-5K tuples per dataset) so `go test -bench=.` completes in minutes.
@@ -77,35 +78,55 @@ func BenchmarkFig18DimOrder(b *testing.B)         { benchFigure(b, "fig18") }
 
 // BenchmarkParallelWorkers records the wall-clock speedup of the sharded
 // parallel driver over the sequential path: a 200k-tuple skewed synthetic
-// relation, closed cube, per engine and worker count. Workers=1 is the
+// relation, closed cube, per engine and worker count, plus a control relation
+// of 20 000 values per dimension, where no value is heavy and a shard per
+// value would pay the engines' per-run set-up 20 000 times. Workers=1 is the
 // direct sequential engine run; higher counts go through internal/parallel.
-// The dataset is intentionally NOT scaled by CCUBING_BENCH_SCALE so the
+// The datasets are intentionally NOT scaled by CCUBING_BENCH_SCALE so the
 // numbers are comparable across machines; expect the speedup to track
-// physical cores (on a single-core machine the parallel rows regress, since
-// the decomposition does ~1.5x the sequential work).
+// physical cores. The decomposition cubes the projection plus every shard;
+// since single-value shards prune their wildcard slice and the seam is a
+// count join, that is 0.9x the sequential CPU for CC(Star) and CC(StarArray)
+// here, 1.15x for CC(MM) and 1.5x on the control (2.07x on the ccload
+// build-star relation while the seam rescanned the relation, 1.05x now) — so
+// on a single-core machine the parallel rows read level at best.
 func BenchmarkParallelWorkers(b *testing.B) {
 	if runtime.GOMAXPROCS(0) == 1 {
 		b.Skip("GOMAXPROCS=1: every worker count serializes onto one core, so the " +
-			"parallel rows only measure the ~1.5x decomposition overhead, not speedup; " +
+			"parallel rows only measure the decomposition overhead, not speedup; " +
 			"re-run with GOMAXPROCS>1 (or on a multi-core machine) for meaningful numbers")
 	}
 	ds, err := Synthetic(SyntheticConfig{T: 200_000, D: 6, C: 50, Skew: 1.2, Seed: 42})
 	if err != nil {
 		b.Fatal(err)
 	}
+	control, err := Synthetic(SyntheticConfig{T: 120_000, D: 6, C: 20_000, Skew: 1, Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
 	counts := []int{1, 2, 4, runtime.NumCPU()}
 	sort.Ints(counts)
-	for _, alg := range []Algorithm{AlgStarArray, AlgMM} {
+	for _, c := range []struct {
+		name   string
+		ds     *Dataset
+		alg    Algorithm
+		minSup int64
+	}{
+		{"CC(StarArray)", ds, AlgStarArray, 8},
+		{"CC(MM)", ds, AlgMM, 8},
+		{"CC(Star)", ds, AlgStar, 8},
+		{"control/CC(StarArray)", control, AlgStarArray, 2},
+	} {
 		prev := 0
 		for _, w := range counts {
 			if w == prev {
 				continue // dedup when NumCPU is 1, 2 or 4
 			}
 			prev = w
-			b.Run(fmt.Sprintf("%v/workers=%d", alg, w), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/workers=%d", c.name, w), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					opt := Options{MinSup: 8, Closed: true, Algorithm: alg, Workers: w}
-					if _, err := Compute(ds, opt, nil); err != nil {
+					opt := Options{MinSup: c.minSup, Closed: true, Algorithm: c.alg, Workers: w}
+					if _, err := Compute(c.ds, opt, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

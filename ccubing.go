@@ -664,8 +664,8 @@ func Synthetic(cfg SyntheticConfig) (*Dataset, error) {
 
 // Weather synthesizes the weather-like dataset standing in for the paper's
 // SEP83L relation: n tuples over the first nd of its 8 dimensions (pass
-// nd <= 0 for all 8, n <= 0 for the full 1,002,752 tuples). See DESIGN.md
-// for the substitution rationale.
+// nd <= 0 for all 8, n <= 0 for the full 1,002,752 tuples). internal/gen
+// (WeatherDims, Weather) documents the substitution.
 func Weather(seed int64, n, nd int) (*Dataset, error) {
 	t, err := gen.Weather(seed, n, nd)
 	if err != nil {

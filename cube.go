@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -100,35 +101,53 @@ func Materialize(ds *Dataset, opt Options) (*Cube, error) {
 	if hasAux {
 		cellBytes += 8
 	}
+	// The residual summary of the iceberg-pruned mass: what Aggregate needs to
+	// answer exactly below the threshold. It is one scan of the relation that
+	// shares nothing with the cubing pass, so a multi-worker build runs the
+	// two side by side; a sequential one keeps them in order.
+	var res *cubestore.Residual
+	residual := func() {
+		if opt.MinSup > 1 {
+			var auxCol []float64
+			if hasAux {
+				auxCol = ds.t.Aux
+			}
+			res = cubestore.ComputeResidual(ds.t.Cols, auxCol, opt.MinSup, opt.Measure)
+		}
+	}
+	var overlap sync.WaitGroup
+	if plan.workers > 1 {
+		overlap.Add(1)
+		go func() {
+			defer overlap.Done()
+			residual()
+		}()
+	}
 	start := time.Now()
+	var runErr error
 	if plan.identity() {
 		// Zero-copy path: cells arrive in dataset dimension order, so the
 		// engine (and, under Workers>1, the merger's batched flushes) feed
 		// the store builder directly — no per-cell callback or remap.
 		bs := &cubestore.BuilderSink{B: b}
-		if err := plan.run(bs); err != nil {
-			return nil, err
-		}
+		runErr = plan.run(bs)
 		st.Cells = bs.Cells
 	} else {
 		ss := &storeSink{b: b, perm: plan.perm, scratch: make([]core.Value, ds.NumDims())}
-		if err := plan.run(ss); err != nil {
-			return nil, err
-		}
+		runErr = plan.run(ss)
 		st.Cells = ss.cells
 	}
 	st.Bytes = st.Cells * cellBytes
 	st.Elapsed = time.Since(start)
-	if opt.MinSup > 1 {
-		// The residual summary of the iceberg-pruned mass: what Aggregate
-		// needs to answer exactly below the threshold.
-		var auxCol []float64
-		if hasAux {
-			auxCol = ds.t.Aux
-		}
-		if err := b.SetResidual(cubestore.ComputeResidual(ds.t.Cols, auxCol, opt.MinSup, opt.Measure)); err != nil {
-			return nil, fmt.Errorf("ccubing: materialize: %w", err)
-		}
+	overlap.Wait()
+	if runErr != nil {
+		return nil, runErr
+	}
+	if plan.workers <= 1 {
+		residual()
+	}
+	if err := b.SetResidual(res); err != nil {
+		return nil, fmt.Errorf("ccubing: materialize: %w", err)
 	}
 	store, err := b.Build()
 	if err != nil {

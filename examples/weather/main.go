@@ -1,6 +1,6 @@
 // Weather: the paper's real-data scenario. Materializes the closed iceberg
 // cube of the weather-like relation (high-cardinality, strongly dependent —
-// see DESIGN.md for the simulator standing in for SEP83L.DAT), then mines
+// see internal/gen/weather.go for the simulator standing in for SEP83L.DAT), then mines
 // closed rules (paper Sec. 6.2) and reports the compression the paper
 // highlights: "while there are 462k closed cells, we can get 57k closed
 // rules".

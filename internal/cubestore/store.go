@@ -32,6 +32,7 @@ package cubestore
 import (
 	"bytes"
 	"fmt"
+	"iter"
 	"math/bits"
 	"sort"
 	"sync"
@@ -473,16 +474,22 @@ func (s *Store) lookupRow(vals []core.Value, sc *probeScratch) (*group, int) {
 	return bestG, bestRow
 }
 
+// decode writes the values row i of g fixes into the full-width vals; the
+// other positions are the caller's to set to Star.
+func (g *group) decode(i int, vals []core.Value) {
+	row := g.row(i)
+	for j, d := range g.dims {
+		vals[d] = core.DecodeValue(row[j*core.ValueWidth:])
+	}
+}
+
 // cellAt materializes row i of g as a full-width cell.
 func (s *Store) cellAt(g *group, i int) core.Cell {
 	vals := make([]core.Value, s.nd)
 	for d := range vals {
 		vals[d] = core.Star
 	}
-	row := g.row(i)
-	for j, d := range g.dims {
-		vals[d] = core.DecodeValue(row[j*core.ValueWidth:])
-	}
+	g.decode(i, vals)
 	c := core.Cell{Values: vals, Count: g.counts[i]}
 	if g.aux != nil {
 		c.Aux = g.aux[i]
@@ -538,6 +545,32 @@ func (s *Store) Walk(visit func(core.Cell) bool) {
 		for i := 0; i < g.rows(); i++ {
 			if !visit(s.cellAt(g, i)) {
 				return
+			}
+		}
+	}
+}
+
+// RowsFixing yields every stored cell that fixes dim to a value keep accepts,
+// as (full-width values, count), cuboid mask ascending, key ascending. Unlike
+// Walk it materializes nothing: the values slice is one scratch buffer, valid
+// until the next cell is yielded. Incremental refresh streams the partitions
+// it retains through it.
+func (s *Store) RowsFixing(dim int, keep func(core.Value) bool) iter.Seq2[[]core.Value, int64] {
+	return func(yield func([]core.Value, int64) bool) {
+		vals := make([]core.Value, s.nd)
+		for _, g := range s.byDim[dim] {
+			for d := range vals {
+				vals[d] = core.Star
+			}
+			off := g.dimOffset(dim)
+			for i := 0; i < g.rows(); i++ {
+				if !keep(core.DecodeValue(g.row(i)[off:])) {
+					continue
+				}
+				g.decode(i, vals)
+				if !yield(vals, g.counts[i]) {
+					return
+				}
 			}
 		}
 	}

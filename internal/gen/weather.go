@@ -11,7 +11,7 @@ import (
 // (SEP83L.DAT, Hahn et al., as selected in Sec. 5): name and cardinality.
 // The real file is not redistributable/reachable offline, so Weather below
 // synthesizes a relation with the same roster and the same *dependence
-// structure* the paper relies on; see DESIGN.md §4.
+// structure* the paper relies on (listed at Weather).
 var WeatherDims = []struct {
 	Name string
 	Card int

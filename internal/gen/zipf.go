@@ -1,7 +1,7 @@
 // Package gen produces the synthetic and simulated datasets of the paper's
 // evaluation (Sec. 5): uniform and Zipf-skewed relations, relations with
 // injected dependence rules (Sec. 5.3), and a simulator standing in for the
-// SEP83L weather dataset (see DESIGN.md for the substitution rationale).
+// SEP83L weather dataset (weather.go gives the substitution rationale).
 // All generators are deterministic given a seed.
 package gen
 

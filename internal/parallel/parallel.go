@@ -1,39 +1,64 @@
 // Package parallel is the in-memory, multi-core analogue of the out-of-core
 // partition driver (paper Sec. 6.3): the relation is split on one dimension
 // into shards, each shard is cubed independently by a pool of workers, and
-// the cells that collapse the partitioning dimension come from one final
-// pass over the full relation with that dimension taken out of enumeration.
+// the cells that collapse the partitioning dimension come from one pass over
+// the projection of the relation without that dimension.
 //
-// Correctness mirrors internal/partition. A cell that fixes the partitioning
-// dimension has all of its tuples inside one shard (shards group dimension
-// values), so count, measure and closedness computed there are globally
-// correct; shard runs keep exactly those cells. Cells with a wildcard on the
-// partitioning dimension are computed by the final pass over the projection
-// of the relation without that dimension: for plain iceberg cubes the
-// projection cube is exactly the wildcard slice of the full cube (counts and
-// measures aggregate over the removed dimension). For closed cubes one more
-// check is needed — a cell closed with respect to every remaining dimension
-// is still non-closed when all of its tuples agree on the partitioning
-// dimension (the cell fixing that shared value covers it with equal count).
-// That check is performed the way the paper performs closedness checking:
-// by aggregation, not by output indices or per-cell rescans. One scan of the
-// relation (parallelized over tuple ranges) folds each tuple's partitioning-
-// dimension value into a first-value/conflict aggregate per candidate cell;
-// candidates whose aggregate never saw two distinct values are dropped. The
-// scan's chunk jobs are submitted into the same worker pool as the shard
-// jobs the moment the projection pass finishes, so the check overlaps shard
-// cubing instead of serializing after it.
+// A cell that fixes the partitioning dimension dim has all of its tuples
+// inside one shard (shards group dimension values), so count, measure and
+// closedness computed there are globally correct; shard runs keep exactly
+// those cells. For plain iceberg cubes the projection cube is exactly the
+// wildcard slice of the full cube (counts and measures aggregate over the
+// removed dimension). For closed cubes the two halves meet at a seam: a
+// candidate c, closed in the projection with count n >= minsup, is still
+// non-closed in the full cube when all of its tuples share one value v on
+// dim. The seam rule decides that from cells already computed, with no
+// second pass over the relation:
+//
+//  1. c's tuples all carry v on dim iff the cell c[dim=v] has count n.
+//  2. That cell has c's tuple set, so it is closed on every other dimension
+//     (c is), fixes dim, and clears minsup: the shard holding v emits it.
+//  3. Conversely an emitted cell fixing dim whose dim-starred image is c
+//     aggregates a subset of c's tuples; with count n it is all of them.
+//  4. So c is dropped iff some cell fixing dim projects onto c with equal
+//     count — a hash join of the shard cells against the candidates.
+//
+// This is the paper's aggregation-based test (Sec. 3) read at one dimension:
+// a cell is non-closed exactly when a one-step specialisation has the same
+// count, decided from aggregates already held rather than from the tuples.
+// Shard jobs record the projection and count of what they forward; when the
+// pool has drained each record probes the candidate index once. A refresh
+// cubes only the touched partitions, so the covering cell of a candidate
+// whose tuples all sit in an untouched partition is not re-emitted: RunSub
+// takes those cells (the old store's retained rows) as an iterator and probes
+// them the same way, so the rule has one implementation.
+//
+// Shards follow the data. A shard mixing several values of dim cubes its
+// whole wildcard-on-dim slice only for the fixed-dimension filter to drop
+// it; a shard holding one value has every tuple agreeing on dim, every such
+// cell is non-closed, and closed pruning (Lemma 5) cuts the subtree before it
+// is built — half of the shard CPU on an 8-dimension, 50-value relation
+// (1.17 s -> 0.62 s). But every engine run pays set-up proportional to the
+// cardinalities, so a shard per value loses when values are many and small
+// (2.2 s against 0.93 s hashed at 120k tuples over 20 000 values). The rule,
+// computed from the sub-relation: a value holding at least Cards[dim] tuples
+// is a shard by itself, the light tail is hashed into 4×Workers buckets.
 //
 // The decomposition has one implementation, RunSub, and two callers: Run (a
 // Workers > 1 build: shard jobs over the whole relation) and internal/refresh
-// (shard jobs over the partitions a delta touched, the final pass and the
-// agreement scan over the whole edited relation).
+// (shard jobs over the partitions a delta touched, the projection pass over
+// the whole edited relation, the old store's retained cells into the seam).
 package parallel
 
 import (
 	"fmt"
+	"iter"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"ccubing/internal/core"
 	"ccubing/internal/engine"
@@ -50,10 +75,28 @@ type Config struct {
 	// the highest cardinality (whose fixed cells — the bulk of the cube —
 	// then spread across the most shards).
 	Dim int
-	// Shards bounds how many shards the relation splits into (values are
-	// hashed into shards). Defaults to 4×Workers, capped by the partition
-	// dimension's cardinality.
-	Shards int
+}
+
+// Stats describes one decomposed run: where its time went and how much work
+// the seam did. The zero value is what a relation that cannot be decomposed
+// reports.
+type Stats struct {
+	// Split, Projection and Seam are wall times: assigning and scattering the
+	// sub-relation into shards, cubing the projection without the partition
+	// dimension (with the candidate index, in closed mode), and probing that
+	// index then emitting the survivors. ShardJobs is summed over the shard
+	// jobs — their busy time, equal to wall time at one worker.
+	Split, Projection, ShardJobs, Seam time.Duration
+	// HeavyShards holds one partition value each, BucketShards a hashed group
+	// of light ones.
+	HeavyShards, BucketShards int
+	// Candidates is the number of closed cells of the projection cube, Killed
+	// how many of them the seam dropped. Every probe is one cell fixing the
+	// partition dimension looked up among the candidates: Recorded such cells
+	// came from this run's shard jobs, Retained from the caller's iterator,
+	// and Probes == Recorded + Retained — the seam never touches a tuple.
+	Candidates, Killed         int64
+	Recorded, Retained, Probes int64
 }
 
 // Run computes the cube of t with eng under ecfg, distributing the work
@@ -62,29 +105,30 @@ type Config struct {
 // nondeterministic order. The emitted cell set is identical to
 // eng.Run(t, ecfg, out).
 func Run(t *table.Table, eng engine.Engine, ecfg engine.Config, cfg Config, out sink.Sink) error {
-	return RunSub(t, t, eng, ecfg, cfg, out)
+	_, err := RunSub(t, t, eng, ecfg, cfg, nil, out)
+	return err
 }
 
 // RunSub is the decomposition itself, with the shard jobs restricted to a
 // sub-relation: sub must hold, for every partition-dimension value it
 // mentions, all of t's tuples with that value (incremental refresh passes the
 // partitions a delta touched; Run passes t). The shard jobs cube sub and keep
-// the cells fixing the partition dimension, while the final pass and the
-// agreement scan see all of t, so the emitted set is the cells of t's cube
-// that fix the partition dimension to a value present in sub, plus every
-// cell with a wildcard on it. cfg.Dim must name the dimension when sub is a
-// strict subset. A relation that cannot be decomposed — fewer than two
-// dimensions, or no tuples — is cubed whole, which honours that contract
-// only for sub == t.
-func RunSub(t, sub *table.Table, eng engine.Engine, ecfg engine.Config, cfg Config, out sink.Sink) error {
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
+// the cells fixing the partition dimension, while the projection pass sees
+// all of t, so the emitted set is the cells of t's cube that fix the
+// partition dimension to a value present in sub, plus every cell with a
+// wildcard on it. In closed mode retained must yield the closed cells of t's
+// cube that fix the partition dimension to a value absent from sub (full
+// width, the slice valid during the call only); nil when sub is t. cfg.Dim
+// must name the dimension when sub is a strict subset. A relation that cannot
+// be decomposed — fewer than two dimensions, or no tuples — is cubed whole,
+// which honours that contract only for sub == t.
+func RunSub(t, sub *table.Table, eng engine.Engine, ecfg engine.Config, cfg Config, retained iter.Seq2[[]core.Value, int64], out sink.Sink) (Stats, error) {
+	var st Stats
+	workers := max(cfg.Workers, 1)
 	nd := t.NumDims()
 	if nd < 2 || t.NumTuples() == 0 {
 		// Nothing to decompose on; a single sequential run is the whole job.
-		return eng.Run(t, ecfg, out)
+		return st, eng.Run(t, ecfg, out)
 	}
 	dim := cfg.Dim
 	if dim < 0 {
@@ -96,20 +140,14 @@ func RunSub(t, sub *table.Table, eng engine.Engine, ecfg engine.Config, cfg Conf
 		}
 	}
 	if dim >= nd {
-		return fmt.Errorf("parallel: dimension %d out of range", dim)
-	}
-	ns := cfg.Shards
-	if ns <= 0 {
-		ns = 4 * workers
-	}
-	if ns > t.Cards[dim] {
-		ns = t.Cards[dim]
-	}
-	if ns < 1 {
-		ns = 1
+		return st, fmt.Errorf("parallel: dimension %d out of range", dim)
 	}
 
-	shards := ShardTables(sub, dim, ns)
+	start := time.Now()
+	shardOf, ns, heavy := assignShards(sub, dim, workers)
+	shards := splitShards(sub, dim, shardOf, ns)
+	st.Split = time.Since(start)
+	st.HeavyShards, st.BucketShards = heavy, len(shards)-heavy
 	projDims := make([]int, 0, nd-1)
 	for d := 0; d < nd; d++ {
 		if d != dim {
@@ -118,79 +156,139 @@ func RunSub(t, sub *table.Table, eng engine.Engine, ecfg engine.Config, cfg Conf
 	}
 	pt, err := t.Project(projDims)
 	if err != nil {
-		return err
+		return st, err
 	}
 
 	merger := sink.NewMerger(out)
+	var sm *seam
+	if ecfg.Closed {
+		sm = &seam{cellBuf: cellBuf{pw: nd - 1}, dim: dim}
+	}
 
-	// The final pass is usually the longest job, so it goes first; shards
-	// follow largest-first to keep the pool balanced under skew.
+	// The projection pass is usually the longest job, so it goes first;
+	// shards follow largest-first to keep the pool balanced under skew.
 	sort.Slice(shards, func(i, j int) bool { return shards[i].NumTuples() > shards[j].NumTuples() })
-	pool := newPool(workers)
-	var scan *agreementScan
-	pool.submit(func() error {
-		if ecfg.Closed {
-			// Closed mode: collect the projection cube's closed candidates and
-			// hand the agreement scan's chunk jobs straight back to the pool,
-			// so the scan overlaps the shard jobs still running.
-			col := &sink.Collector{}
-			if err := eng.Run(pt, ecfg, col); err != nil {
+	jobs := make([]func() error, 0, 1+len(shards))
+	jobs = append(jobs, func() error {
+		start := time.Now()
+		defer func() { st.Projection = time.Since(start) }()
+		if sm != nil {
+			if err := eng.Run(pt, ecfg, sm); err != nil {
 				return fmt.Errorf("parallel: final pass: %w", err)
 			}
-			scan = newAgreementScan(t, dim, projDims, col.Cells, workers)
-			if scan != nil {
-				for _, job := range scan.jobs() {
-					pool.submit(job)
-				}
-			}
+			sm.buildIndex()
 			return nil
 		}
 		w := merger.Worker()
-		ins := &starInsert{next: w, dim: dim, scratch: getValsScratch(nd)}
+		ins := &starInsert{next: w, dim: dim, scratch: make([]core.Value, nd)}
 		if err := eng.Run(pt, ecfg, ins); err != nil {
 			return fmt.Errorf("parallel: final pass: %w", err)
 		}
-		putValsScratch(ins.scratch)
 		w.Close()
 		return nil
 	})
-	for _, st := range shards {
-		st := st
-		pool.submit(func() error {
+	var recs []*recorder
+	var shardNanos atomic.Int64
+	for _, shard := range shards {
+		var rec *recorder
+		if sm != nil {
+			rec = &recorder{cellBuf: cellBuf{pw: nd - 1}, dim: dim}
+			recs = append(recs, rec)
+		}
+		jobs = append(jobs, func() error {
+			start := time.Now()
 			w := merger.Worker()
-			if err := eng.Run(st, ecfg, &sink.FixedDim{Next: w, Dim: dim}); err != nil {
+			var next sink.Sink = w
+			if rec != nil {
+				rec.next = w
+				next = rec
+			}
+			if err := eng.Run(shard, ecfg, &sink.FixedDim{Next: next, Dim: dim}); err != nil {
 				return fmt.Errorf("parallel: shard: %w", err)
 			}
 			w.Close()
+			shardNanos.Add(int64(time.Since(start)))
 			return nil
 		})
 	}
-	if err := pool.wait(); err != nil {
-		return err
+	err = runJobs(workers, jobs)
+	st.ShardJobs = time.Duration(shardNanos.Load())
+	if err != nil || sm == nil {
+		return st, err
 	}
 
-	if scan != nil {
-		w := merger.Worker()
-		scan.emitSurvivors(w)
-		w.Close()
+	// The seam: every cell fixing dim — recorded by this run's shard jobs or
+	// retained by the caller — probes the candidate index once.
+	start = time.Now()
+	jobs = jobs[:0]
+	for _, rec := range recs {
+		st.Recorded += int64(len(rec.counts))
+		jobs = append(jobs, func() error {
+			sm.probeAll(&rec.cellBuf)
+			return nil
+		})
 	}
-	return nil
+	if retained != nil {
+		jobs = append(jobs, func() error {
+			st.Retained = sm.probeRetained(retained)
+			return nil
+		})
+	}
+	_ = runJobs(workers, jobs) // probe jobs cannot fail
+	st.Candidates, st.Probes = int64(len(sm.counts)), sm.probes.Load()
+	st.Killed = sm.emitSurvivors(out) // every worker handle is closed: out is ours
+	st.Seam = time.Since(start)
+	return st, nil
 }
 
-// ShardTables splits t into ns sub-tables on dimension dim (value % ns picks
-// the shard, so every tuple sharing a dimension value lands in the same
-// shard). The shards are zero-copy views: one permutation pass scatters the
-// relation into a single backing arena grouped by shard, and each shard's
+// assignShards maps every value of sub's partition dimension to one of ns
+// shards, from the value counts alone: a value holding at least Cards[dim]
+// tuples is a shard by itself (the last heavy of the ns), the rest are hashed
+// into min(4×workers, Cards[dim]) buckets. See the package comment for why
+// the threshold is the cardinality.
+func assignShards(sub *table.Table, dim, workers int) (shardOf []int32, ns, heavy int) {
+	card := sub.Cards[dim]
+	counts := make([]int, card)
+	for _, v := range sub.Cols[dim] {
+		counts[v]++
+	}
+	buckets := max(min(4*workers, card), 1)
+	shardOf = make([]int32, card)
+	for v, n := range counts {
+		if n >= card {
+			shardOf[v] = int32(buckets + heavy)
+			heavy++
+		} else {
+			shardOf[v] = int32(v % buckets)
+		}
+	}
+	return shardOf, buckets + heavy, heavy
+}
+
+// ShardTables splits t into ns sub-tables on dimension dim, value % ns
+// picking the shard: the all-bucketed case of the assignment RunSub computes.
+func ShardTables(t *table.Table, dim, ns int) []*table.Table {
+	shardOf := make([]int32, t.Cards[dim])
+	for v := range shardOf {
+		shardOf[v] = int32(v % ns)
+	}
+	return splitShards(t, dim, shardOf, ns)
+}
+
+// splitShards scatters t into ns sub-tables on dimension dim, shardOf[value]
+// picking the shard, so every tuple sharing a dimension value lands in the
+// same shard. The shards are zero-copy views: one permutation pass scatters
+// the relation into a single backing arena grouped by shard, and each shard's
 // columns are sub-slices of it — no per-shard table allocation, and the
 // schema (Names, Cards) is shared with the parent, which engines never
 // mutate. Empty shards are omitted.
-func ShardTables(t *table.Table, dim, ns int) []*table.Table {
+func splitShards(t *table.Table, dim int, shardOf []int32, ns int) []*table.Table {
 	n := t.NumTuples()
 	nd := t.NumDims()
 	counts := make([]int, ns)
 	col := t.Cols[dim]
 	for tid := 0; tid < n; tid++ {
-		counts[int(col[tid])%ns]++
+		counts[shardOf[col[tid]]]++
 	}
 	offs := make([]int, ns+1)
 	for s := 0; s < ns; s++ {
@@ -202,7 +300,7 @@ func ShardTables(t *table.Table, dim, ns int) []*table.Table {
 	next := make([]int, ns)
 	copy(next, offs[:ns])
 	for tid := 0; tid < n; tid++ {
-		s := int(col[tid]) % ns
+		s := shardOf[col[tid]]
 		pos[tid] = int32(next[s])
 		next[s]++
 	}
@@ -245,104 +343,49 @@ func ShardTables(t *table.Table, dim, ns int) []*table.Table {
 	return shards
 }
 
-// pool is a fixed-size worker pool whose jobs may submit further jobs — the
-// property the closed-mode final pass needs to overlap its agreement scan
-// with still-running shard jobs. After a job fails, queued jobs are dropped
-// (in-flight ones finish) and wait returns the first error.
-type pool struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	queue    []func() error
-	inflight int
-	closed   bool
-	firstErr error
-	wg       sync.WaitGroup
-}
-
-// newPool starts workers goroutines waiting for submit.
-func newPool(workers int) *pool {
-	p := &pool{}
-	p.cond = sync.NewCond(&p.mu)
-	p.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go p.worker()
+// runJobs runs jobs in order on up to workers goroutines. After a job fails,
+// jobs not yet started are dropped (in-flight ones finish) and the first
+// error is returned.
+func runJobs(workers int, jobs []func() error) error {
+	var (
+		next     atomic.Int64
+		failed   atomic.Bool
+		once     sync.Once
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	for w := min(workers, len(jobs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(jobs) {
+					return
+				}
+				if err := jobs[i](); err != nil {
+					once.Do(func() { firstErr = err })
+					failed.Store(true)
+				}
+			}
+		}()
 	}
-	return p
+	wg.Wait()
+	return firstErr
 }
 
-// submit enqueues a job. Safe to call from running jobs; external submissions
-// must happen before wait.
-func (p *pool) submit(job func() error) {
-	p.mu.Lock()
-	p.queue = append(p.queue, job)
-	p.mu.Unlock()
-	p.cond.Signal()
-}
-
-// wait marks the external submission stream closed, waits for the queue to
-// drain (including jobs submitted by jobs) and returns the first job error.
-func (p *pool) wait() error {
-	p.mu.Lock()
-	p.closed = true
-	p.mu.Unlock()
-	p.cond.Broadcast()
-	p.wg.Wait()
-	return p.firstErr
-}
-
-func (p *pool) worker() {
-	defer p.wg.Done()
-	p.mu.Lock()
-	for {
-		if len(p.queue) > 0 {
-			job := p.queue[0]
-			p.queue = p.queue[1:]
-			if p.firstErr != nil {
-				continue // drain without running after a failure
-			}
-			p.inflight++
-			p.mu.Unlock()
-			err := job()
-			p.mu.Lock()
-			p.inflight--
-			if err != nil && p.firstErr == nil {
-				p.firstErr = err
-			}
-			if len(p.queue) == 0 && p.inflight == 0 {
-				// The pool may be idle for good: wake waiters to re-check.
-				p.cond.Broadcast()
-			}
-			continue
-		}
-		if p.closed && p.inflight == 0 {
-			p.mu.Unlock()
-			return
-		}
-		p.cond.Wait()
-	}
-}
-
-// valsScratchPool recycles the full-width value buffers of starInsert and the
-// survivor widening across jobs and refreshes.
-var valsScratchPool = sync.Pool{New: func() any { return new([]core.Value) }}
-
+// widen copies a projected cell into dst, one value wider, with Star at the
+// removed partition dimension.
+//
 //ccubing:hotpath
-func getValsScratch(nd int) []core.Value {
-	s := *valsScratchPool.Get().(*[]core.Value)
-	if cap(s) < nd {
-		//ccubing:allow pool-miss growth only; steady state reuses the pooled buffer
-		s = make([]core.Value, nd)
-	}
-	return s[:nd]
+func widen(dst, proj []core.Value, dim int) {
+	copy(dst[:dim], proj[:dim])
+	dst[dim] = core.Star
+	copy(dst[dim+1:], proj[dim:])
 }
 
-//ccubing:hotpath
-func putValsScratch(s []core.Value) {
-	valsScratchPool.Put(&s)
-}
-
-// starInsert widens projected cells back to the full dimensionality, placing
-// Star at the removed partition dimension (final pass, iceberg mode).
+// starInsert widens projected cells back to the full dimensionality
+// (projection pass, iceberg mode).
 type starInsert struct {
 	next    sink.Sink
 	dim     int
@@ -351,173 +394,163 @@ type starInsert struct {
 
 //ccubing:hotpath
 func (s *starInsert) Emit(vals []core.Value, count int64, aux float64) {
-	copy(s.scratch[:s.dim], vals[:s.dim])
-	s.scratch[s.dim] = core.Star
-	copy(s.scratch[s.dim+1:], vals[s.dim:])
+	widen(s.scratch, vals, s.dim)
 	s.next.Emit(s.scratch, count, aux)
 }
 
-// maskGroup indexes the closed-mode candidates of one cuboid (one pattern of
-// fixed projected dimensions) for the agreement scan.
-type maskGroup struct {
-	dims  []int          // fixed dimensions, as original-table indices
-	index map[string]int // packed fixed values -> candidate index
+// cellBuf is a growing column buffer of projected cells: pw values and a count
+// per cell.
+type cellBuf struct {
+	pw     int
+	vals   []core.Value
+	counts []int64
 }
 
-// agreementScan is the closed-mode final-pass check, split into
-// pool-schedulable chunk jobs: given the closed candidates computed on the
-// relation projected without dim, it decides which stay closed once dim
-// returns — a candidate all of whose tuples agree on one dim value is covered
-// (with equal count) by the cell fixing that value, hence not closed. The
-// decision aggregates a first-value/conflict pair per candidate over one scan
-// of the relation, chunked by tuple range so the chunks run concurrently with
-// other pool work.
-type agreementScan struct {
-	t          *table.Table
-	dim        int
-	candidates []core.Cell
-	groups     []*maskGroup
-	chunks     int
-	firsts     [][]core.Value
-	conflicts  [][]bool
+// grow doubles a full buffer. Left to append, a large slice grows by a
+// quarter at a time, which copies a multi-megabyte arena five times over on
+// the run's critical path.
+func (b *cellBuf) grow() {
+	b.counts = slices.Grow(b.counts, max(len(b.counts), 1024))
+	b.vals = slices.Grow(b.vals, cap(b.counts)*b.pw-len(b.vals))
 }
 
-// newAgreementScan prepares the scan over t's tuples for the given
-// candidates (values in projDims order), split into at most chunks jobs.
-// Returns nil when there are no candidates to check.
-func newAgreementScan(t *table.Table, dim int, projDims []int, candidates []core.Cell, chunks int) *agreementScan {
-	if len(candidates) == 0 {
-		return nil
-	}
-	if chunks < 1 {
-		chunks = 1
-	}
-	if n := t.NumTuples(); chunks > n {
-		chunks = n
-	}
-	return &agreementScan{
-		t:          t,
-		dim:        dim,
-		candidates: candidates,
-		groups:     buildMaskGroups(projDims, candidates),
-		chunks:     chunks,
-		firsts:     make([][]core.Value, chunks),
-		conflicts:  make([][]bool, chunks),
-	}
+// recorder sits behind a closed-mode shard job's fixed-dimension filter: it
+// forwards each cell and records the cell's projection without dim and its
+// count, which is all the seam needs of it. The buffer lives until the run
+// returns.
+type recorder struct {
+	cellBuf
+	next sink.Sink
+	dim  int
 }
 
-// jobs returns the scan's chunk jobs, one per tuple range, each independent
-// and safe to run concurrently (they write disjoint per-chunk aggregates).
-func (a *agreementScan) jobs() []func() error {
-	n := a.t.NumTuples()
-	jobs := make([]func() error, a.chunks)
-	for c := 0; c < a.chunks; c++ {
-		c := c
-		jobs[c] = func() error {
-			lo, hi := c*n/a.chunks, (c+1)*n/a.chunks
-			first := make([]core.Value, len(a.candidates))
-			for i := range first {
-				first[i] = -1
-			}
-			conflict := make([]bool, len(a.candidates))
-			scanAgreement(a.t, a.dim, a.groups, lo, hi, first, conflict)
-			a.firsts[c], a.conflicts[c] = first, conflict
-			return nil
+//ccubing:hotpath
+func (r *recorder) Emit(vals []core.Value, count int64, aux float64) {
+	r.next.Emit(vals, count, aux)
+	if len(r.counts) == cap(r.counts) {
+		r.grow()
+	}
+	r.vals = append(r.vals, vals[:r.dim]...)
+	r.vals = append(r.vals, vals[r.dim+1:]...)
+	r.counts = append(r.counts, count)
+}
+
+// seam is the closed-mode join state. As the projection pass's sink it
+// gathers the candidates — the closed cells of the cube without dim — into
+// one value arena with parallel count and measure columns; buildIndex hashes
+// them by their projected value vector (which spells out the cuboid too);
+// probes mark the candidates a cell fixing dim covers with equal count; and
+// emitSurvivors forwards the rest, widened, as the wildcard slice.
+type seam struct {
+	cellBuf
+	dim    int // the partition dimension
+	aux    []float64
+	slots  []int32 // open addressing, linear probing: candidate number + 1, 0 empty
+	shift  uint    // 64 - log2(len(slots)): the hash's top bits pick the slot
+	kill   []uint64
+	probes atomic.Int64
+}
+
+// Emit implements sink.Sink for the projection pass.
+//
+//ccubing:hotpath
+func (s *seam) Emit(vals []core.Value, count int64, aux float64) {
+	if len(s.counts) == cap(s.counts) {
+		s.grow()
+		s.aux = slices.Grow(s.aux, cap(s.counts)-len(s.aux))
+	}
+	s.vals = append(s.vals, vals...)
+	s.counts = append(s.counts, count)
+	s.aux = append(s.aux, aux)
+}
+
+// buildIndex hashes the gathered candidates at a load factor below one half.
+// The projection cube holds each cell once, so insertion never compares.
+func (s *seam) buildIndex() {
+	n := len(s.counts)
+	size := 1 << bits.Len(uint(2*n))
+	s.slots = make([]int32, size)
+	s.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	s.kill = make([]uint64, (n+63)/64)
+	for ci := 0; ci < n; ci++ {
+		i := hashVals(s.vals[ci*s.pw:(ci+1)*s.pw]) >> s.shift
+		for s.slots[i] != 0 {
+			i = (i + 1) & uint64(size-1)
 		}
-	}
-	return jobs
-}
-
-// emitSurvivors merges the chunk aggregates (all jobs must have completed)
-// and emits each surviving candidate widened back to t's dimensionality with
-// a wildcard at dim. The emitted value slice is scratch, valid only during
-// the call, matching the sink contract.
-func (a *agreementScan) emitSurvivors(out sink.Sink) {
-	vals := getValsScratch(a.t.NumDims())
-	defer putValsScratch(vals)
-	for ci, cand := range a.candidates {
-		first := core.Value(-1)
-		conflict := false
-		for c := 0; c < a.chunks && !conflict; c++ {
-			if a.conflicts[c][ci] {
-				conflict = true
-			} else if v := a.firsts[c][ci]; v >= 0 {
-				if first >= 0 && first != v {
-					conflict = true
-				}
-				first = v
-			}
-		}
-		if !conflict {
-			continue // one shared value on dim covers the candidate
-		}
-		copy(vals[:a.dim], cand.Values[:a.dim])
-		vals[a.dim] = core.Star
-		copy(vals[a.dim+1:], cand.Values[a.dim:])
-		out.Emit(vals, cand.Count, cand.Aux)
+		s.slots[i] = int32(ci + 1)
 	}
 }
 
-// buildMaskGroups groups candidates by their fixed-dimension pattern and
-// indexes each group by its packed fixed values.
-func buildMaskGroups(projDims []int, candidates []core.Cell) []*maskGroup {
-	byMask := make(map[uint64]*maskGroup)
-	var buf []byte
-	for ci, cand := range candidates {
-		var mask uint64
-		for i, v := range cand.Values {
-			if v != core.Star {
-				mask |= 1 << uint(i)
-			}
-		}
-		g := byMask[mask]
-		if g == nil {
-			g = &maskGroup{index: make(map[string]int)}
-			for i, v := range cand.Values {
-				if v != core.Star {
-					g.dims = append(g.dims, projDims[i])
-				}
-			}
-			byMask[mask] = g
-		}
-		buf = buf[:0]
-		for _, v := range cand.Values {
-			if v != core.Star {
-				buf = core.AppendValue(buf, v)
-			}
-		}
-		g.index[string(buf)] = ci
+//ccubing:hotpath
+func hashVals(vals []core.Value) uint64 {
+	h := uint64(len(vals))
+	for _, v := range vals {
+		h = (h ^ uint64(uint32(v))) * 0x9E3779B97F4A7C15
+		h ^= h >> 29
 	}
-	groups := make([]*maskGroup, 0, len(byMask))
-	for _, g := range byMask {
-		groups = append(groups, g)
-	}
-	return groups
+	return h * 0x9E3779B97F4A7C15
 }
 
-// scanAgreement folds tuples [lo, hi) into the per-candidate aggregates.
-func scanAgreement(t *table.Table, dim int, groups []*maskGroup, lo, hi int, first []core.Value, conflict []bool) {
-	dimCol := t.Cols[dim]
-	var buf []byte
-	for _, g := range groups {
-		for tid := lo; tid < hi; tid++ {
-			buf = buf[:0]
-			for _, d := range g.dims {
-				buf = core.AppendValue(buf, t.Cols[d][tid])
+// probe is the seam rule for one cell fixing dim, given as its projection
+// without dim and its count: the candidate with that value vector, if any, is
+// covered — hence not closed — iff the counts agree. Safe for concurrent use
+// once the index is built.
+//
+//ccubing:hotpath
+func (s *seam) probe(proj []core.Value, count int64) {
+	mask := uint64(len(s.slots) - 1)
+	for i := hashVals(proj) >> s.shift; ; i = (i + 1) & mask {
+		ci := int(s.slots[i]) - 1
+		if ci < 0 {
+			return
+		}
+		if slices.Equal(s.vals[ci*s.pw:(ci+1)*s.pw], proj) {
+			if s.counts[ci] == count {
+				atomic.OrUint64(&s.kill[ci>>6], 1<<(ci&63))
 			}
-			ci, ok := g.index[string(buf)]
-			if !ok {
-				continue
-			}
-			if conflict[ci] {
-				continue
-			}
-			v := dimCol[tid]
-			if first[ci] < 0 {
-				first[ci] = v
-			} else if first[ci] != v {
-				conflict[ci] = true
-			}
+			return
 		}
 	}
+}
+
+// probeAll probes one recorder's cells.
+//
+//ccubing:hotpath
+func (s *seam) probeAll(b *cellBuf) {
+	for i, count := range b.counts {
+		s.probe(b.vals[i*s.pw:(i+1)*s.pw], count)
+	}
+	s.probes.Add(int64(len(b.counts)))
+}
+
+// probeRetained probes the caller's full-width cells fixing dim and returns
+// how many it saw.
+func (s *seam) probeRetained(retained iter.Seq2[[]core.Value, int64]) int64 {
+	proj := make([]core.Value, s.pw)
+	var n int64
+	for vals, count := range retained {
+		copy(proj[:s.dim], vals[:s.dim])
+		copy(proj[s.dim:], vals[s.dim+1:])
+		s.probe(proj, count)
+		n++
+	}
+	s.probes.Add(n)
+	return n
+}
+
+// emitSurvivors emits every candidate no probe killed, widened back to the
+// full dimensionality, and returns the number killed. All probes must have
+// completed. The emitted value slice is scratch, valid only during the call,
+// matching the sink contract.
+func (s *seam) emitSurvivors(out sink.Sink) (killed int64) {
+	vals := make([]core.Value, s.pw+1)
+	for ci, count := range s.counts {
+		if s.kill[ci>>6]&(1<<(ci&63)) != 0 {
+			killed++
+			continue
+		}
+		widen(vals, s.vals[ci*s.pw:(ci+1)*s.pw], s.dim)
+		out.Emit(vals, count, s.aux[ci])
+	}
+	return killed
 }

@@ -2,7 +2,10 @@ package parallel
 
 import (
 	"fmt"
+	"iter"
+	"maps"
 	"math"
+	"math/rand"
 	"testing"
 
 	"ccubing/internal/core"
@@ -21,22 +24,46 @@ import (
 )
 
 // testTables builds the two regimes the closed-pruning machinery cares
-// about: a skewed relation and a dependent one (paper Sec. 5.3).
+// about — a skewed relation and a dependent one (paper Sec. 5.3) — and one
+// relation per shard kind of the assignment: Zipf-skewed over more values
+// than the light ones hold tuples (heavy and bucketed shards coexist), more
+// values than tuples (no heavy value), and one value holding every tuple (one
+// heavy shard, and an empty sub-relation once that value is left untouched).
 func testTables(t *testing.T) map[string]*table.Table {
 	t.Helper()
+	synth := func(cfg gen.Config) *table.Table {
+		tbl, err := gen.Synthetic(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tbl
+	}
 	cards := []int{16, 9, 7, 5, 11}
-	skewed, err := gen.Synthetic(gen.Config{T: 1200, Cards: cards, S: 1.5, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
+	onevalue := synth(gen.Config{T: 600, Cards: cards, S: 1, Seed: 5})
+	for tid := range onevalue.Cols[0] {
+		onevalue.Cols[0][tid] = 3
 	}
-	dependent, err := gen.Synthetic(gen.Config{
-		T: 1200, Cards: cards, S: 0.8, Seed: 11,
-		Rules: gen.RulesForDependence(2, cards, 12),
-	})
-	if err != nil {
-		t.Fatal(err)
+	return map[string]*table.Table{
+		"skewed": synth(gen.Config{T: 1200, Cards: cards, S: 1.5, Seed: 7}),
+		"dependent": synth(gen.Config{
+			T: 1200, Cards: cards, S: 0.8, Seed: 11,
+			Rules: gen.RulesForDependence(2, cards, 12),
+		}),
+		"zipf":     synth(gen.Config{T: 1500, Cards: []int{60, 6, 5, 7}, S: 1.3, Seed: 13}),
+		"sparse":   synth(gen.Config{T: 500, Cards: []int{2000, 5, 4, 6}, S: 0.5, Seed: 17}),
+		"onevalue": onevalue,
 	}
-	return map[string]*table.Table{"skewed": skewed, "dependent": dependent}
+}
+
+// wantShards is what the assignment must produce on each test table, whole
+// and restricted to the partition values v%3 == 1: the tables exist to force
+// each shard kind, so a drifting generator or rule fails here.
+var wantShards = map[string]struct{ heavy, buckets, subHeavy, subBuckets bool }{
+	"skewed":    {true, true, true, true},
+	"dependent": {true, true, true, true},
+	"zipf":      {true, true, true, true},
+	"sparse":    {false, true, false, true},
+	"onevalue":  {true, false, false, false},
 }
 
 // engineModes lists every registered engine with the modes it supports.
@@ -49,14 +76,65 @@ func engineModes() []engine.Config {
 	}
 }
 
+// subRelation splits a sequential cube the way an incremental refresh does:
+// the tuples of the touched partitions, the cells RunSub must then emit, and
+// the closed cells of the untouched partitions it is handed instead.
+func subRelation(tbl *table.Table, cells []core.Cell, dim int, touched func(core.Value) bool) (sub *table.Table, want []core.Cell, retained iter.Seq2[[]core.Value, int64]) {
+	var tids []core.TID
+	for tid, v := range tbl.Cols[dim] {
+		if touched(v) {
+			tids = append(tids, core.TID(tid))
+		}
+	}
+	var kept []core.Cell
+	for _, c := range cells {
+		if v := c.Values[dim]; v == core.Star || touched(v) {
+			want = append(want, c)
+		} else {
+			kept = append(kept, c)
+		}
+	}
+	return tbl.Subset(tids), want, func(yield func([]core.Value, int64) bool) {
+		for _, c := range kept {
+			if !yield(c.Values, c.Count) {
+				return
+			}
+		}
+	}
+}
+
+// checkWork asserts the machine-independent work bound of a closed run: the
+// seam probed exactly the cells fixing dim it was given, the recorded ones
+// are the emitted ones, and the survivors are the emitted wildcard slice —
+// nothing proportional to the tuple count.
+func checkWork(t *testing.T, st Stats, got []core.Cell, dim int) {
+	t.Helper()
+	var fixed, wild int64
+	for _, c := range got {
+		if c.Values[dim] == core.Star {
+			wild++
+		} else {
+			fixed++
+		}
+	}
+	if st.Probes != st.Recorded+st.Retained {
+		t.Fatalf("probes %d != recorded %d + retained %d", st.Probes, st.Recorded, st.Retained)
+	}
+	if st.Recorded != fixed || st.Candidates-st.Killed != wild {
+		t.Fatalf("stats %+v: emitted %d cells fixing dim %d and %d wildcard ones", st, fixed, dim, wild)
+	}
+}
+
 // TestRunMatchesSequential is the core equivalence property: for every
 // engine, mode and dataset, the parallel driver emits cell-for-cell the same
 // cube as a direct sequential run — and, handed a sub-relation (a third of
-// the partition values, the shape an incremental refresh passes), exactly the
-// sequential cells fixing the partition dimension to a value present in the
-// sub-relation plus every cell with a wildcard on it.
+// the partition values, the shape an incremental refresh passes) with the
+// other partitions' closed cells, exactly the sequential cells fixing the
+// partition dimension to a value present in the sub-relation plus every cell
+// with a wildcard on it.
 func TestRunMatchesSequential(t *testing.T) {
 	for name, tbl := range testTables(t) {
+		shards := wantShards[name]
 		for _, engName := range engine.Names() {
 			eng := engine.MustLookup(engName)
 			caps := eng.Capabilities()
@@ -71,46 +149,199 @@ func TestRunMatchesSequential(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, cfg := range []Config{
-						{Workers: 1},
-						{Workers: 4},
-						{Workers: 4, Dim: 2, Shards: 3},
+						{Workers: 1, Dim: -1},
+						{Workers: 4, Dim: -1},
+						{Workers: 4, Dim: 2},
 					} {
 						var got sink.Collector
-						if err := Run(tbl, eng, ecfg, cfg, &got); err != nil {
+						st, err := RunSub(tbl, tbl, eng, ecfg, cfg, nil, &got)
+						if err != nil {
 							t.Fatal(err)
 						}
 						if diff := sink.DiffCells(got.Cells, want.Cells, 10); diff != "" {
 							t.Fatalf("cfg %+v: parallel output differs from sequential:\n%s", cfg, diff)
 						}
+						if cfg.Dim < 0 && (st.HeavyShards > 0 != shards.heavy || st.BucketShards > 0 != shards.buckets) {
+							t.Fatalf("cfg %+v: %d heavy and %d bucketed shards", cfg, st.HeavyShards, st.BucketShards)
+						}
+						if ecfg.Closed {
+							checkWork(t, st, got.Cells, max(cfg.Dim, 0))
+						}
 					}
 
 					const dim = 0
-					touched := func(v core.Value) bool { return v%3 == 1 }
-					var tids []core.TID
-					for tid, v := range tbl.Cols[dim] {
-						if touched(v) {
-							tids = append(tids, core.TID(tid))
-						}
-					}
-					sub := tbl.Subset(tids)
-					var wantSub []core.Cell
-					for _, c := range want.Cells {
-						if v := c.Values[dim]; v == core.Star || touched(v) {
-							wantSub = append(wantSub, c)
-						}
-					}
+					sub, wantSub, retained := subRelation(tbl, want.Cells, dim, func(v core.Value) bool { return v%3 == 1 })
 					for _, workers := range []int{1, 4} {
 						var got sink.Collector
-						if err := RunSub(tbl, sub, eng, ecfg, Config{Workers: workers, Dim: dim}, &got); err != nil {
+						st, err := RunSub(tbl, sub, eng, ecfg, Config{Workers: workers, Dim: dim}, retained, &got)
+						if err != nil {
 							t.Fatal(err)
 						}
 						if diff := sink.DiffCells(got.Cells, wantSub, 10); diff != "" {
 							t.Fatalf("workers %d: sub-relation output differs from the sequential cells it should keep:\n%s", workers, diff)
 						}
+						if st.HeavyShards > 0 != shards.subHeavy || st.BucketShards > 0 != shards.subBuckets {
+							t.Fatalf("workers %d: %d heavy and %d bucketed shards over the sub-relation", workers, st.HeavyShards, st.BucketShards)
+						}
+						if ecfg.Closed {
+							checkWork(t, st, got.Cells, dim)
+						}
 					}
 				})
 			}
 		}
+	}
+}
+
+// TestSeamRule pins the seam rule on a hand-built relation whose second and
+// third dimensions move together, so the projection's closed cells are the
+// apex and one (*, k, k) per k. Partitions 0 and 2 are touched, 1 is not.
+func TestSeamRule(t *testing.T) {
+	rows := [][3]core.Value{
+		{0, 0, 0}, {0, 0, 0}, // (*,0,0):2 = minsup, all in touched partition 0: covered by a recomputed cell
+		{1, 1, 1}, {1, 1, 1}, {1, 1, 1}, // (*,1,1):3, all in untouched partition 1: covered by a retained cell
+		{0, 2, 2}, {0, 2, 2}, {2, 2, 2}, // (*,2,2):3, (0,2,2):2 projects onto it with a smaller count: survives
+		{0, 3, 3}, {1, 3, 3}, // (*,3,3):2 = minsup, no partition reaches minsup: survives
+	}
+	tbl := table.New(3, len(rows))
+	copy(tbl.Cards, []int{3, 4, 4})
+	for tid, r := range rows {
+		for d, v := range r {
+			tbl.Cols[d][tid] = v
+		}
+	}
+	ecfg := engine.Config{MinSup: 2, Closed: true}
+	touched := func(v core.Value) bool { return v != 1 }
+	wildcards := func(cells []core.Cell) map[string]int64 {
+		m := map[string]int64{}
+		for _, c := range cells {
+			if c.Values[0] == core.Star {
+				m[c.String()] = c.Count
+			}
+		}
+		return m
+	}
+	for _, engName := range engine.Names() {
+		eng := engine.MustLookup(engName)
+		if !eng.Capabilities().Closed {
+			continue
+		}
+		t.Run(engName, func(t *testing.T) {
+			var seq sink.Collector
+			if err := eng.Run(tbl, ecfg, &seq); err != nil {
+				t.Fatal(err)
+			}
+			sub, want, retained := subRelation(tbl, seq.Cells, 0, touched)
+			var got sink.Collector
+			st, err := RunSub(tbl, sub, eng, ecfg, Config{Workers: 2, Dim: 0}, retained, &got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := sink.DiffCells(got.Cells, want, 10); diff != "" {
+				t.Fatalf("differs from the sequential cells:\n%s", diff)
+			}
+			wantWild := map[string]int64{"(*, *, * : 10)": 10, "(*, b2, c2 : 3)": 3, "(*, b3, c3 : 2)": 2}
+			if w := wildcards(got.Cells); !maps.Equal(w, wantWild) {
+				t.Fatalf("wildcard slice %v, want %v", w, wantWild)
+			}
+			if st.Candidates != 5 || st.Killed != 2 || st.Retained == 0 {
+				t.Fatalf("stats %+v, want 5 candidates, 2 killed, some retained cells probed", st)
+			}
+			checkWork(t, st, got.Cells, 0)
+
+			// Withheld, the retained cells are missed: the candidate only an
+			// untouched partition covers comes back.
+			got = sink.Collector{}
+			if st, err = RunSub(tbl, sub, eng, ecfg, Config{Workers: 2, Dim: 0}, nil, &got); err != nil {
+				t.Fatal(err)
+			}
+			wantWild["(*, b1, c1 : 3)"] = 3
+			if w := wildcards(got.Cells); !maps.Equal(w, wantWild) || st.Killed != 1 {
+				t.Fatalf("without retained cells: wildcard slice %v (%d killed), want %v (1 killed)", w, st.Killed, wantWild)
+			}
+		})
+	}
+}
+
+// TestRunRandomized draws small relations — dimensionality, cardinalities,
+// skew, size, engine, mode, threshold, pruning ablations, workers and touched
+// set per case — and
+// checks Run against the engine and RunSub with retained cells against the
+// filtered sequential cube.
+func TestRunRandomized(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260117))
+	names := engine.Names()
+	for i := 0; i < 240; i++ {
+		cards := make([]int, 2+rng.Intn(4))
+		for d := range cards {
+			cards[d] = 1 + rng.Intn(12)
+		}
+		if rng.Intn(4) == 0 {
+			cards[0] = 50 + rng.Intn(400) // more values than most of them hold tuples
+		}
+		tbl, err := gen.Synthetic(gen.Config{T: 20 + rng.Intn(280), Cards: cards, S: 2 * rng.Float64(), Seed: rng.Int63()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := engine.MustLookup(names[i%len(names)])
+		caps := eng.Capabilities()
+		ecfg := engine.Config{MinSup: 1 + rng.Int63n(4), Closed: caps.Closed && (!caps.Iceberg || rng.Intn(2) == 0)}
+		if rng.Intn(3) == 0 {
+			// Ablated: pruning is where single-value shards get their speed,
+			// never the correctness.
+			ecfg.DisableLemma5, ecfg.DisableLemma6, ecfg.DisableShortcut = rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(2) == 0
+		}
+		label := fmt.Sprintf("case %d: %s %+v cards %v T %d", i, eng.Name(), ecfg, cards, tbl.NumTuples())
+
+		var want sink.Collector
+		if err := eng.Run(tbl, ecfg, &want); err != nil {
+			t.Fatal(label, err)
+		}
+		var got sink.Collector
+		if err := Run(tbl, eng, ecfg, Config{Workers: 1 + rng.Intn(4), Dim: -1}, &got); err != nil {
+			t.Fatal(label, err)
+		}
+		if diff := sink.DiffCells(got.Cells, want.Cells, 10); diff != "" {
+			t.Fatalf("%s: Run differs from the engine:\n%s", label, diff)
+		}
+
+		dim, mod := rng.Intn(len(cards)), core.Value(1+rng.Intn(4))
+		sub, wantSub, retained := subRelation(tbl, want.Cells, dim, func(v core.Value) bool { return v%mod == 0 })
+		got = sink.Collector{}
+		st, err := RunSub(tbl, sub, eng, ecfg, Config{Workers: 1 + rng.Intn(4), Dim: dim}, retained, &got)
+		if err != nil {
+			t.Fatal(label, err)
+		}
+		if diff := sink.DiffCells(got.Cells, wantSub, 10); diff != "" {
+			t.Fatalf("%s: RunSub on dimension %d, values %% %d == 0, differs from the filtered cube:\n%s", label, dim, mod, diff)
+		}
+		if ecfg.Closed && len(cards) > 1 {
+			checkWork(t, st, got.Cells, dim)
+		}
+	}
+}
+
+// TestSeamWorkIgnoresTupleCount is the work bound behind the speed-up: the
+// same relation with every tuple three times over, at three times the
+// threshold, has the same cells, and the seam must do exactly the same work —
+// it joins cells, it does not scan tuples.
+func TestSeamWorkIgnoresTupleCount(t *testing.T) {
+	tbl := testTables(t)["zipf"]
+	var tids []core.TID
+	for tid := 0; tid < tbl.NumTuples(); tid++ {
+		tids = append(tids, core.TID(tid), core.TID(tid), core.TID(tid))
+	}
+	eng := engine.MustLookup("CC(Star)")
+	work := func(tbl *table.Table, minsup int64) Stats {
+		st, err := RunSub(tbl, tbl, eng, engine.Config{MinSup: minsup, Closed: true}, Config{Workers: 2, Dim: -1}, nil, &sink.Null{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Stats{Candidates: st.Candidates, Killed: st.Killed, Recorded: st.Recorded, Probes: st.Probes}
+	}
+	once, thrice := work(tbl, 2), work(tbl.Subset(tids), 6)
+	if once != thrice || once.Probes == 0 || once.Killed == 0 {
+		t.Fatalf("seam work %+v on the relation, %+v on its triple", once, thrice)
 	}
 }
 

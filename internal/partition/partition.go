@@ -11,8 +11,7 @@
 // may span partitions, so partition runs filter them out and the final pass
 // (which sees every tuple, with the partitioning dimension positioned last
 // where tree engines keep it cheapest) keeps exactly those. The final pass
-// trades the paper's tree-merging sketch for a simpler full pass; see
-// DESIGN.md.
+// trades the paper's tree-merging sketch for a simpler full pass.
 package partition
 
 import (

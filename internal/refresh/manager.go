@@ -15,20 +15,23 @@
 // can be retained; cells of touched partitions are recomputed from those
 // partitions' (possibly smaller) tuple sets; and cells with a wildcard on
 // the partition dimension — which any edit may change — are rebuilt from
-// the projection cube plus the aggregation-based agreement check. All of
-// that is parallel.RunSub, the decomposition a Workers > 1 materialization
-// runs, with its shard jobs restricted to the touched partitions' tuples;
-// the cells stream into a cubestore.Builder exactly as a build's do. The
-// check is direction-agnostic: it knows nothing about whether the relation
-// grew or shrank, so the same machinery serves appends, deletes, and
-// updates, including partitions that shrink to empty (their cells simply
-// vanish from the merge). The refreshed store is canonical: byte-identical
-// to a from-scratch materialization of the edited relation.
+// the projection cube, minus the ones a cell fixing the partition dimension
+// covers with equal count. All of that is parallel.RunSub, the decomposition
+// a Workers > 1 materialization runs, with its shard jobs restricted to the
+// touched partitions' tuples and the retained cells handed to its seam in
+// place of the ones not recomputed; the cells stream into a cubestore.Builder
+// exactly as a build's do. The check is direction-agnostic: it knows nothing
+// about whether the relation grew or shrank, so the same machinery serves
+// appends, deletes, and updates, including partitions that shrink to empty
+// (their cells simply vanish from the merge). The refreshed store is
+// canonical: byte-identical to a from-scratch materialization of the edited
+// relation.
 package refresh
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -362,15 +365,23 @@ func (m *Manager) Flush() (Stats, error) {
 	}
 
 	newBase, nAppended, nDeleted, err := applyDelta(m.base, rows, aux, kinds, frozen)
+	fold := time.Since(start)
 	if err == nil {
-		affected := make(map[core.Value]bool)
+		// Dense over the partition dimension's values: it is consulted once per
+		// tuple, per retained store row, per residual row and per probed cell.
+		affected := make([]bool, newBase.Cards[partitionDim])
+		touched := 0
 		for i := 0; i < n; i++ {
-			affected[rows[i*m.nd+partitionDim]] = true
+			if v := rows[i*m.nd+partitionDim]; !affected[v] {
+				affected[v] = true
+				touched++
+			}
 		}
 		var newStore *cubestore.Store
 		var rebuilt int64
 		newStore, rebuilt, err = m.rebuild(cur.Store, newBase, affected)
 		if err == nil {
+			publish := time.Now()
 			next := &Snapshot{
 				Store:      newStore,
 				Dicts:      frozen,
@@ -390,12 +401,14 @@ func (m *Manager) Flush() (Stats, error) {
 				Generation:           next.Generation,
 				Appended:             nAppended,
 				Deleted:              nDeleted,
-				PartitionsRecomputed: len(affected),
+				PartitionsRecomputed: touched,
 				PartitionsTotal:      distinctValues(newBase, partitionDim),
 				CellsRetained:        newStore.NumCells() - rebuilt,
 				CellsRebuilt:         rebuilt,
 				Elapsed:              time.Since(start),
 			}
+			phaseFold.Observe(fold)
+			phasePublish.Observe(time.Since(publish))
 			return m.finishFlush(st, werr)
 		}
 	}
@@ -438,9 +451,13 @@ func (m *Manager) finishFlush(st Stats, werr error) (Stats, error) {
 // group-style. When the old store lacks one — it was built without
 // SetResidual — the refreshed store stays residual-free, so it never claims
 // an exactness it cannot prove.
-func (m *Manager) rebuild(old *cubestore.Store, t *table.Table, affected map[core.Value]bool) (*cubestore.Store, int64, error) {
+func (m *Manager) rebuild(old *cubestore.Store, t *table.Table, affected []bool) (*cubestore.Store, int64, error) {
+	start := time.Now()
 	replaced := func(v core.Value) bool { return affected[v] }
 	sub := t
+	// The cells the seam needs besides the ones recomputed here: the old
+	// store's rows of untouched partitions, exactly those the merge retains.
+	var retained iter.Seq2[[]core.Value, int64]
 	if t.NumTuples() == 0 || m.nd < 2 {
 		replaced = func(core.Value) bool { return true }
 	} else {
@@ -455,14 +472,19 @@ func (m *Manager) rebuild(old *cubestore.Store, t *table.Table, affected map[cor
 			}
 		}
 		sub = t.Subset(tids)
+		retained = old.RowsFixing(partitionDim, func(v core.Value) bool { return !affected[v] })
 	}
+	selected := time.Since(start)
 	fresh := &cubestore.BuilderSink{B: cubestore.NewBuilder(m.nd, old.HasAux())}
+	var pst parallel.Stats
 	if t.NumTuples() > 0 {
+		var err error
 		pcfg := parallel.Config{Workers: m.cfg.Workers, Dim: partitionDim}
-		if err := parallel.RunSub(t, sub, m.cfg.Eng, m.cfg.ECfg, pcfg, fresh); err != nil {
+		if pst, err = parallel.RunSub(t, sub, m.cfg.Eng, m.cfg.ECfg, pcfg, retained, fresh); err != nil {
 			return nil, 0, fmt.Errorf("refresh: %w", err)
 		}
 	}
+	start = time.Now()
 	var freshRes *cubestore.Residual
 	if old.HasResidual() {
 		// Residual rows fix every dimension, so their multiplicities within the
@@ -470,6 +492,15 @@ func (m *Manager) rebuild(old *cubestore.Store, t *table.Table, affected map[cor
 		freshRes = cubestore.ComputeResidual(sub.Cols, sub.Aux, m.cfg.ECfg.MinSup, m.cfg.ECfg.Measure)
 	}
 	s, err := old.MergePartitions(partitionDim, replaced, fresh.B, freshRes)
+	if err == nil {
+		// A store that merged is a store Flush publishes.
+		phaseShard.Observe(selected + pst.Split + pst.ShardJobs)
+		phaseFinalPass.Observe(pst.Projection)
+		phaseSeam.Observe(pst.Seam)
+		phaseMerge.Observe(time.Since(start))
+		seamProbes.Add(pst.Probes)
+		seamKilled.Add(pst.Killed)
+	}
 	return s, fresh.Cells, err
 }
 

@@ -132,9 +132,13 @@ func TestFlushMatchesRebuild(t *testing.T) {
 				if st.Generation != 1 || st.Appended != len(delta) {
 					t.Fatalf("stats = %+v, want generation 1 appending %d", st, len(delta))
 				}
-				if st.PartitionsRecomputed >= st.PartitionsTotal {
-					t.Fatalf("recomputed %d of %d partitions: delta was not partition-scoped",
-						st.PartitionsRecomputed, st.PartitionsTotal)
+				distinct := map[core.Value]bool{}
+				for _, row := range delta {
+					distinct[row[0]] = true
+				}
+				if st.PartitionsRecomputed != len(distinct) || st.PartitionsRecomputed >= st.PartitionsTotal {
+					t.Fatalf("recomputed %d of %d partitions: the delta names %d",
+						st.PartitionsRecomputed, st.PartitionsTotal, len(distinct))
 				}
 
 				full := appendRows(base, flatten(delta), nil, nil)

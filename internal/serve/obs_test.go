@@ -419,8 +419,8 @@ func TestRouterDeadWorkerStats(t *testing.T) {
 // TestStageHistogramsPopulated drives a WAL-backed cube through queries,
 // mutations and a refresh, and a scattered query through a router, then
 // checks every stage histogram observed at least one sample: probe and
-// cache-hit on the query path, WAL append/sync and refresh on the write
-// path, scatter and merge on the router.
+// cache-hit on the query path, WAL append/sync, refresh and each of its
+// phases on the write path, scatter and merge on the router.
 func TestStageHistogramsPopulated(t *testing.T) {
 	cube, _ := testCube(t, 1)
 	wal := filepath.Join(t.TempDir(), "delta.wal")
@@ -457,11 +457,19 @@ func TestStageHistogramsPopulated(t *testing.T) {
 		"ccubing_wal_append_seconds_count",
 		"ccubing_wal_sync_seconds_count",
 		"ccubing_refresh_seconds_count",
+		`ccubing_refresh_phase_seconds_count{phase="fold"}`,
+		`ccubing_refresh_phase_seconds_count{phase="shard"}`,
+		`ccubing_refresh_phase_seconds_count{phase="final_pass"}`,
+		`ccubing_refresh_phase_seconds_count{phase="seam"}`,
+		`ccubing_refresh_phase_seconds_count{phase="merge"}`,
+		`ccubing_refresh_phase_seconds_count{phase="publish"}`,
+		"ccubing_refresh_seam_probes_total",
 	} {
 		if v := metricValue(t, text, series); v <= 0 {
 			t.Fatalf("%s = %g, want > 0", series, v)
 		}
 	}
+	metricValue(t, text, "ccubing_refresh_seam_killed_total") // present; this delta kills nothing
 
 	// Router stages: one scattered query populates scatter, merge and the
 	// per-worker histograms on the router's own registry.

@@ -24,8 +24,8 @@ func (tr *tree) depth() int { return len(tr.dims) }
 // LexSorted (star-reduced values grouped last per dimension) and inserted
 // along shared prefixes. Per-level closedness masks are partial — structural
 // bits for the path dimensions — except at star nodes, whose merged values
-// force representative-value checks (see DESIGN.md: star reduction ×
-// closedness). When measure is active, every node additionally aggregates
+// force representative-value checks (a star node stands for several values,
+// see singleNonStarSon). When measure is active, every node additionally aggregates
 // the stored measure of its tuples (t.Aux must be set).
 func buildBase(t *table.Table, minsup int64, closed bool, noStars bool, measure core.MeasureKind, pool *[][]node) *tree {
 	nd := t.NumDims()
