@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"regexp"
 	"sort"
 )
 
@@ -21,6 +22,9 @@ type compareConfig struct {
 	// memOnly names the gated benchmarks judged on allocs/op and B/op alone:
 	// their wall clock crosses a socket, their allocation does not flutter.
 	memOnly map[string]bool
+	// allocsOnly names those judged on allocs/op alone: a snapshot load's
+	// B/op is the snapshot's size, which moves with the benchmark's dataset.
+	allocsOnly map[string]bool
 	// newPath labels the fresh file in missing-benchmark messages.
 	newPath string
 }
@@ -54,7 +58,7 @@ func compare(w io.Writer, fresh, ref map[string]bench, cfg compareConfig) compar
 		mark := " "
 		if cfg.gate[name] {
 			mark = "*"
-			if delta > cfg.tolerance && !cfg.memOnly[name] {
+			if delta > cfg.tolerance && !cfg.memOnly[name] && !cfg.allocsOnly[name] {
 				res.add(name, now, cfg, fmt.Sprintf("%s: ns/op %.0f -> %.0f (%+.1f%%, tolerance %.0f%%)",
 					name, old.NsPerOp, now.NsPerOp, 100*delta, 100*cfg.tolerance))
 			}
@@ -91,24 +95,8 @@ func (r *compareResult) add(name string, now bench, cfg compareConfig, msg strin
 	if cfg.minIters > 0 && now.Iterations < cfg.minIters {
 		r.warnings = append(r.warnings, fmt.Sprintf(
 			"%s [measured over %d iterations, below the floor of %d; rerun standalone: go test -run=^$ -bench='^%s$' -benchtime=10x]",
-			msg, now.Iterations, cfg.minIters, regexpQuote(name)))
+			msg, now.Iterations, cfg.minIters, regexp.QuoteMeta(name)))
 		return
 	}
 	r.failures = append(r.failures, msg)
-}
-
-// regexpQuote escapes a benchmark name for the -bench regexp in the rerun
-// hint (names contain '/' sub-benchmark separators, which are regexp-safe,
-// but also flag labels like "workers=-1").
-func regexpQuote(name string) string {
-	out := make([]byte, 0, len(name))
-	for i := 0; i < len(name); i++ {
-		switch c := name[i]; c {
-		case '.', '+', '*', '?', '(', ')', '[', ']', '{', '}', '^', '$', '|', '\\':
-			out = append(out, '\\', c)
-		default:
-			out = append(out, c)
-		}
-	}
-	return string(out)
 }

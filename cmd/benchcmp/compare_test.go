@@ -119,3 +119,20 @@ func TestMemOnlyGateIgnoresWallClock(t *testing.T) {
 		t.Fatalf("want the allocs/op regression named; got %v", res.failures)
 	}
 }
+
+// TestAllocsOnlyGate pins the ":allocs" gate: a snapshot load's ns/op and
+// B/op (the snapshot's size) may move freely, its allocs/op may not.
+func TestAllocsOnlyGate(t *testing.T) {
+	c := cfg(5)
+	c.allocsOnly = map[string]bool{"BenchmarkHot": true}
+	ref := map[string]bench{"BenchmarkHot": {Name: "BenchmarkHot", NsPerOp: 1000, AllocsPerOp: 100, BytesPerOp: 4096}}
+	fresh := func(ns, allocs, bytes float64) map[string]bench {
+		return map[string]bench{"BenchmarkHot": {Name: "BenchmarkHot-8", NsPerOp: ns, AllocsPerOp: allocs, BytesPerOp: bytes, Iterations: 100}}
+	}
+	if res := compare(io.Discard, fresh(5000, 100, 8192), ref, c); len(res.failures) != 0 {
+		t.Fatalf("wall clock and B/op must not fail an :allocs gate; got %v", res.failures)
+	}
+	if res := compare(io.Discard, fresh(1000, 150, 4096), ref, c); len(res.failures) != 1 || !strings.Contains(res.failures[0], "allocs/op") {
+		t.Fatalf("want the allocs/op regression named; got %v", res.failures)
+	}
+}

@@ -18,7 +18,9 @@
 // incremental refresh named in -critical); everything else is informational, since dataset growth and
 // intentional trade-offs legitimately move non-critical numbers. A critical
 // name suffixed ":mem" gates on allocs/op and B/op alone — the deterministic
-// half of a benchmark whose wall clock crosses a socket.
+// half of a benchmark whose wall clock crosses a socket; ":allocs" gates on
+// allocs/op alone (the snapshot loads: their wall clock is the box's memory
+// bandwidth and their B/op the snapshot's size).
 package main
 
 import (
@@ -84,8 +86,9 @@ func main() {
 		"BenchmarkCubeQuery/sequential,BenchmarkLookupLattice,BenchmarkRefreshAppend,"+
 			"BenchmarkAggregateIcebergResidual/range,BenchmarkAggregateIcebergResidual/set,"+
 			"BenchmarkRefresh/incremental/delta=2000,"+
-			"BenchmarkRouterAggregate/tcp/dim0:mem,BenchmarkRouterAggregate/tcp/spread:mem",
-		"comma-separated benchmarks whose regression fails the run (name:mem gates allocs/op and B/op only)")
+			"BenchmarkRouterAggregate/tcp/dim0:mem,BenchmarkRouterAggregate/tcp/spread:mem,"+
+			"BenchmarkCubeSnapshot/load:allocs,BenchmarkCubeSnapshot/loadfile:allocs",
+		"comma-separated benchmarks whose regression fails the run (name:mem gates allocs/op and B/op only, name:allocs allocs/op only)")
 	minIters := flag.Int64("min-iters", 5,
 		"iteration floor: gated regressions measured from fewer fresh-run iterations downgrade to a warning (0 disables)")
 	flag.Parse()
@@ -120,21 +123,23 @@ func main() {
 		}
 	}
 
-	gate, memOnly := map[string]bool{}, map[string]bool{}
+	gate, memOnly, allocsOnly := map[string]bool{}, map[string]bool{}, map[string]bool{}
 	for _, name := range strings.Split(*critical, ",") {
 		if name = strings.TrimSpace(name); name != "" {
 			name, mem := strings.CutSuffix(name, ":mem")
+			name, allocs := strings.CutSuffix(name, ":allocs")
 			gate[name] = true
-			memOnly[name] = mem
+			memOnly[name], allocsOnly[name] = mem, allocs
 		}
 	}
 
 	res := compare(os.Stdout, fresh, ref, compareConfig{
-		tolerance: *tolerance,
-		minIters:  *minIters,
-		gate:      gate,
-		memOnly:   memOnly,
-		newPath:   *newPath,
+		tolerance:  *tolerance,
+		minIters:   *minIters,
+		gate:       gate,
+		memOnly:    memOnly,
+		allocsOnly: allocsOnly,
+		newPath:    *newPath,
 	})
 	if len(res.warnings) > 0 {
 		fmt.Fprintln(os.Stderr, "\nbenchcmp: warnings (below iteration floor, not gating):")

@@ -298,12 +298,7 @@ func buildCube(snapshot, csvPath, synth, weather, algName string, minsup int64, 
 		return nil, fmt.Errorf("exactly one of -snapshot, -csv, -synth, -weather is required")
 	}
 	if snapshot != "" {
-		f, err := os.Open(snapshot)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return ccubing.LoadCube(bufio.NewReader(f))
+		return ccubing.LoadCubeFile(snapshot)
 	}
 
 	var ds *ccubing.Dataset

@@ -26,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -106,7 +105,7 @@ func main() {
 			}
 		}
 		if *store != "" {
-			if err := saveCube(cube, *store); err != nil {
+			if err := cube.SaveFile(*store); err != nil {
 				fatal(err)
 			}
 			fmt.Fprintf(os.Stderr, "ccube: stored %d closed cells (%d cuboids, %d bytes in memory) in %s\n",
@@ -329,38 +328,7 @@ func writeCell(w *bufio.Writer, c ccubing.Cell) {
 	w.WriteByte('\n')
 }
 
-// saveCube writes the cube snapshot atomically enough for a CLI: to a temp
-// file in the target directory, renamed into place on success.
-func saveCube(cube *ccubing.Cube, path string) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(f.Name())
-	if err := cube.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	// CreateTemp uses 0600; give the snapshot normal output-file permissions
-	// so another user (e.g. the ccserve process) can read it.
-	if err := f.Chmod(0o644); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(f.Name(), path)
-}
-
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "ccube:", err)
 	os.Exit(1)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -65,8 +65,8 @@ func TestLoadDatasetValidation(t *testing.T) {
 	}
 }
 
-// TestSaveCubeRoundTrip materializes, snapshots via the CLI helper and
-// reloads — the ccube -store → ccserve -snapshot handoff.
+// TestSaveCubeRoundTrip materializes, snapshots the way -store does and
+// reloads the way ccserve -snapshot does — the hand-off between the two.
 func TestSaveCubeRoundTrip(t *testing.T) {
 	ds, err := loadDataset("", "T=200,D=3,C=5,seed=4", "")
 	if err != nil {
@@ -77,15 +77,10 @@ func TestSaveCubeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "cube.ccube")
-	if err := saveCube(cube, path); err != nil {
+	if err := cube.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	loaded, err := ccubing.LoadCube(f)
+	loaded, err := ccubing.LoadCubeFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

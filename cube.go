@@ -40,6 +40,7 @@ type Cube struct {
 	stats   Stats
 	mgr     *refresh.Manager                 // live cubes: owns the serving snapshot
 	static  atomic.Pointer[refresh.Snapshot] // snapshot-loaded cubes
+	load    SnapshotLoad                     // snapshot-loaded cubes: what the load cost
 	// cache memoizes query results keyed by (generation, normalized query);
 	// a refresh bumps the generation, so stale answers are unreachable and
 	// age out of the LRU. Nil when caching is disabled (SetQueryCache(0)).

@@ -265,28 +265,25 @@ func TestCubeSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestCubeSnapshotEveryByteFlip mirrors the cubestore-level flip test at the
-// cube layer (header + dictionaries + store payload): every single-byte
-// mutation must produce a load error, never a panic or a silently-wrong cube.
+// cube layer (header + dictionaries + padding + store payload): every
+// single-byte mutation, every truncation and a trailing byte must produce a
+// load error, never a panic or a silently-wrong cube. Two header lengths, so
+// that one snapshot has padding before its header checksum and one has none.
 func TestCubeSnapshotEveryByteFlip(t *testing.T) {
-	ds, err := NewDataset([]string{"a", "b"},
-		[][]string{{"x", "p"}, {"x", "q"}, {"y", "p"}, {"y", "p"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cube, err := Materialize(ds, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := cube.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	for i := range raw {
-		mut := append([]byte(nil), raw...)
-		mut[i] ^= 0xff
-		if _, err := LoadCube(bytes.NewReader(mut)); err == nil {
-			t.Fatalf("flipped byte %d of %d accepted", i, len(raw))
+	for _, pad := range []int{0, 3} {
+		raw := cubeBytes(t, labeledCube(t, pad))
+		for i := range raw {
+			mut := append([]byte(nil), raw...)
+			mut[i] ^= 0xff
+			if _, err := LoadCube(bytes.NewReader(mut)); err == nil {
+				t.Fatalf("flipped byte %d of %d accepted", i, len(raw))
+			}
+			if _, err := LoadCube(bytes.NewReader(raw[:i])); err == nil {
+				t.Fatalf("truncation to %d of %d bytes accepted", i, len(raw))
+			}
+		}
+		if _, err := LoadCube(bytes.NewReader(append(raw, 0))); err == nil {
+			t.Fatal("trailing byte accepted")
 		}
 	}
 }

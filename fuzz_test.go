@@ -11,32 +11,21 @@ import (
 // a cube whose Save output loads back and re-saves byte-identically — never a
 // panic, never an allocation sized by what the input declares rather than
 // what it holds. Seeds: a labeled cube's snapshot with every single-byte flip
-// and every truncation (the corpus of TestCubeSnapshotEveryByteFlip), plus a
-// residual-carrying measure cube and a residual-free iceberg one.
+// and every truncation (the corpus of TestCubeSnapshotEveryByteFlip), its
+// checksummed declared-size lies (cubeSizeBombs), plus a residual-carrying
+// measure cube and a residual-free iceberg one.
 func FuzzLoadCube(f *testing.F) {
-	save := func(c *Cube) []byte {
-		var buf bytes.Buffer
-		if err := c.Save(&buf); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
+	labeled := cubeBytes(f, labeledCube(f, 0))
+	fuzzbound.Corpus(labeled, func(b []byte) { f.Add(b) })
+	for _, bomb := range cubeSizeBombs(f, labeled) {
+		f.Add(bomb)
 	}
-	ds, err := NewDataset([]string{"a", "b"},
-		[][]string{{"x", "p"}, {"x", "q"}, {"y", "p"}, {"y", "p"}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	labeled, err := Materialize(ds, Options{})
-	if err != nil {
-		f.Fatal(err)
-	}
-	fuzzbound.Corpus(save(labeled), func(b []byte) { f.Add(b) })
 	iceberg, err := Materialize(measureDataset(f, 67), Options{MinSup: 3, Measure: MeasureAvg})
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(save(iceberg))
-	f.Add(save(residualFreeAvgCube(f)))
+	f.Add(cubeBytes(f, iceberg))
+	f.Add(cubeBytes(f, residualFreeAvgCube(f)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var loaded *Cube

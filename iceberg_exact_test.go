@@ -148,18 +148,12 @@ func TestCubeSnapshotIcebergMeasureRoundTrip(t *testing.T) {
 // rewriteCubeHeader applies edit to the metadata header of a cube snapshot
 // and recomputes the header CRC, so the mutation reaches the field checks
 // instead of tripping the checksum.
-func rewriteCubeHeader(t *testing.T, raw []byte, edit func(head []byte)) []byte {
+func rewriteCubeHeader(t testing.TB, raw []byte, edit func(head []byte)) []byte {
 	t.Helper()
-	off := len(cubeMagic) + 1
-	hlen, n := binary.Uvarint(raw[off:])
-	if n <= 0 {
-		t.Fatal("bad header length prefix")
-	}
-	off += n
 	out := append([]byte(nil), raw...)
-	head := out[off : off+int(hlen)]
-	edit(head)
-	binary.LittleEndian.PutUint32(out[off+int(hlen):], crc32.ChecksumIEEE(head))
+	edit(out[cubeFixedLen : cubeFixedLen+int(binary.LittleEndian.Uint32(out[len(cubeMagic)+1:]))])
+	crcAt := payloadOffset(out) - 4
+	binary.LittleEndian.PutUint32(out[crcAt:], crc32.ChecksumIEEE(out[:crcAt]))
 	return out
 }
 
@@ -226,9 +220,10 @@ func TestCubeSnapshotResidualFree(t *testing.T) {
 }
 
 // TestCubeSnapshotLegacyV3Load pins the single-version contract: snapshots
-// of the three older layouts (1: no generation/row metadata, 2: no measure
-// kind, 3: no aux-form byte, no store residual) are rejected by version with
-// a descriptive error — never parsed as the current layout, never a panic.
+// of the four older layouts (1: no generation/row metadata, 2: no measure
+// kind, 3: no aux-form byte, no store residual, 4: varint store payload) are
+// rejected by version with a descriptive error — never parsed as the current
+// layout, never a panic.
 func TestCubeSnapshotLegacyV3Load(t *testing.T) {
 	var raw bytes.Buffer
 	if err := residualFreeAvgCube(t).Save(&raw); err != nil {

@@ -1,5 +1,5 @@
 // Builder-side mutation of the cubestore structures. Store and group are
-// //ccubing:freeze types: after Build (or Load, or MergePartitions) returns a
+// //ccubing:freeze types: after Build (or Open, or MergePartitions) returns a
 // Store it is published to concurrent readers and never written again. Every
 // file that legitimately writes their fields carries a //ccubing:mutates
 // comment like this one; writes anywhere else are flagged by cclint.
@@ -19,7 +19,7 @@ import (
 
 // buildIndex derives the cuboid-lattice index from the sorted group list and
 // the per-dimension value bounds from every stored key and residual row;
-// called by Build, Load and MergePartitions once groups and res are final.
+// called by Build, Open and MergePartitions once groups and res are final.
 func (s *Store) buildIndex() {
 	s.byDim = make([][]*group, s.nd)
 	s.maxVal = make([]uint32, s.nd)

@@ -2,19 +2,18 @@ package cubestore
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 
 	"ccubing/internal/core"
 	"ccubing/internal/fuzzbound"
 )
 
-// FuzzStoreLoad feeds arbitrary bytes to Load. Property: a load error, or a
-// store whose Save output loads back and re-saves byte-identically — never a
+// FuzzStoreLoad feeds arbitrary bytes to Open. Property: an error, or a store
+// whose Save output opens again and re-saves byte-identically — never a
 // panic, never an allocation sized by what the input declares rather than
-// what it holds. Seeds: valid snapshots with and without a residual, plus
-// every single-byte flip and every truncation of a small one (the corpora of
-// the EveryByteFlip tests).
+// what it holds. Seeds: valid snapshots with and without a residual, every
+// single-byte flip and every truncation of a small one (the corpora of the
+// EveryByteFlip tests), and the checksummed declared-size lies of sizeBombs.
 func FuzzStoreLoad(f *testing.F) {
 	small := NewBuilder(2, true)
 	small.Add([]core.Value{core.Star, core.Star}, 3, 6)
@@ -39,17 +38,14 @@ func FuzzStoreLoad(f *testing.F) {
 		}
 		f.Add(append([]byte(nil), buf.Bytes()...))
 	}
-	// A legal-looking header declaring 2^36 cuboid groups over 40 dimensions:
-	// the group count must size a hint, not an allocation.
-	bomb := append([]byte(snapshotMagic), SnapshotVersion)
-	bomb = binary.AppendUvarint(bomb, 40)
-	bomb = append(bomb, 0)
-	f.Add(binary.AppendUvarint(bomb, 1<<36))
+	for _, bomb := range sizeBombs() {
+		f.Add(bomb)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var loaded *Store
 		var err error
-		fuzzbound.Check(t, len(data), func() { loaded, err = Load(bytes.NewReader(data)) })
+		fuzzbound.Check(t, len(data), func() { loaded, err = openCopy(data) })
 		if err != nil {
 			return
 		}
@@ -57,15 +53,15 @@ func FuzzStoreLoad(f *testing.F) {
 		if err := loaded.Save(&first); err != nil {
 			t.Fatalf("save of a loaded store: %v", err)
 		}
-		again, err := Load(bytes.NewReader(first.Bytes()))
+		again, err := openCopy(first.Bytes())
 		if err != nil {
-			t.Fatalf("a saved store does not load: %v", err)
+			t.Fatalf("a saved store does not open: %v", err)
 		}
 		if err := again.Save(&second); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Fatalf("Save → Load → Save not byte-identical (%d vs %d bytes)", first.Len(), second.Len())
+			t.Fatalf("Save → Open → Save not byte-identical (%d vs %d bytes)", first.Len(), second.Len())
 		}
 	})
 }

@@ -198,7 +198,7 @@ func TestMergePartitionsEmptyReplacement(t *testing.T) {
 	}
 	// An empty store still snapshots and reloads.
 	img := storeBytes(t, empty)
-	re, err := Load(bytes.NewReader(img))
+	re, err := openCopy(img)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -247,7 +247,7 @@ func shippedCopy(t *testing.T, s *Store) *Store {
 	if !bytes.Equal(want.Bytes(), got.Bytes()) {
 		t.Fatal("replacing partitions with themselves changed the snapshot bytes")
 	}
-	loaded, err := Load(&got)
+	loaded, err := openCopy(got.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

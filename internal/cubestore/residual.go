@@ -1,16 +1,13 @@
 // Residual construction is builder-side mutation: a Residual is immutable
 // after build()/ComputeResidual return, and Store.res is only assigned by the
-// freeze files (Build, Load, MergePartitions).
+// freeze files (Build, Open, MergePartitions).
 //
 //ccubing:mutates Store, group
 
 package cubestore
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math/bits"
 	"slices"
 	"sort"
@@ -32,9 +29,9 @@ import (
 // count and optional stored-aggregate arrays, so an aggregate reads only the
 // predicate and group-by columns of the rows it keeps (see foldResidual).
 // Row order is the lexicographic order of the packed full-width keys (every
-// dimension fixed, core.AppendValue codec), strictly ascending — the order
-// and the bytes the snapshot's residual section holds row-major. Only the
-// methods in this file know the layout. Immutable after construction.
+// dimension fixed, core.AppendValue codec), strictly ascending. The snapshot's
+// residual section is the image of exactly these slices, and a loaded
+// residual's slices alias it (see snapshot.go). Immutable after construction.
 type Residual struct {
 	nd     int
 	hasAux bool
@@ -58,18 +55,8 @@ func newResidual(nd int, hasAux bool, rows int) *Residual {
 	return r
 }
 
-// ResidualRow is one materialized sub-threshold base cell.
-type ResidualRow struct {
-	Values []core.Value
-	Count  int64
-	Aux    float64 // stored measure aggregate (avg: the running sum)
-}
-
 // NumRows returns the number of sub-threshold base cells.
 func (r *Residual) NumRows() int { return len(r.counts) }
-
-// HasAux reports whether rows carry a stored measure aggregate.
-func (r *Residual) HasAux() bool { return r.hasAux }
 
 // auxAt returns row i's stored aggregate, 0 on a residual without one.
 func (r *Residual) auxAt(i int) float64 {
@@ -96,20 +83,6 @@ func compareRows(a *Residual, i int, b *Residual, j int) int {
 	return 0
 }
 
-// Rows materializes every residual row (key order, freshly allocated).
-func (r *Residual) Rows() []ResidualRow {
-	out := make([]ResidualRow, r.NumRows())
-	vals := make([]core.Value, r.NumRows()*r.nd)
-	for i := range out {
-		row := vals[i*r.nd : (i+1)*r.nd : (i+1)*r.nd]
-		for d, col := range r.cols {
-			row[d] = col[i]
-		}
-		out[i] = ResidualRow{Values: row, Count: r.counts[i], Aux: r.auxAt(i)}
-	}
-	return out
-}
-
 // Bytes returns the approximate in-memory payload size.
 func (r *Residual) Bytes() int64 {
 	if r == nil {
@@ -128,79 +101,6 @@ func (r *Residual) maxValues(maxVal []uint32) {
 		}
 		maxVal[d] = m
 	}
-}
-
-// residualChunkRows is how many rows the snapshot codec moves between the
-// row-major file layout and the columns per buffer.
-const residualChunkRows = 4096
-
-// maxResidualPrealloc bounds the column bytes readKeys allocates on the
-// strength of the declared row count alone; it sits inside the fixed slack
-// fuzzbound.Check grants a parser (a 42-byte file declaring 2^60 rows must
-// fail on EOF, not after a 16 MB make).
-const maxResidualPrealloc = 4 << 20
-
-// writeKeys writes the rows' packed keys row-major — the snapshot's residual
-// key block — through a bounded transposition buffer.
-func (r *Residual) writeKeys(w io.Writer) error {
-	width := r.nd * core.ValueWidth
-	buf := make([]byte, 0, min(r.NumRows(), residualChunkRows)*width)
-	for lo := 0; lo < r.NumRows(); lo += residualChunkRows {
-		hi := min(lo+residualChunkRows, r.NumRows())
-		buf = buf[:(hi-lo)*width]
-		for d, col := range r.cols {
-			off := d * core.ValueWidth
-			for _, v := range col[lo:hi] {
-				binary.LittleEndian.PutUint32(buf[off:], uint32(v))
-				off += width
-			}
-		}
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readKeys decodes rows packed keys from the snapshot's row-major key block
-// straight into the columns, a chunk at a time, so no row-major copy stays
-// resident. Columns are sized from the declared row count up to
-// maxResidualPrealloc and grow as bytes actually arrive beyond it (a corrupt
-// row count fails on EOF, not on allocation). Keys must be strictly
-// ascending.
-func (r *Residual) readKeys(rd io.Reader, rows int) error {
-	width := r.nd * core.ValueWidth
-	for d := range r.cols {
-		r.cols[d] = make([]core.Value, 0, min(rows, maxResidualPrealloc/width))
-	}
-	buf := make([]byte, min(rows, residualChunkRows)*width)
-	last := make([]byte, width) // previous key, kept across the buffer's reuse
-	for lo := 0; lo < rows; lo += residualChunkRows {
-		n := min(residualChunkRows, rows-lo)
-		chunk := buf[:n*width]
-		if _, err := io.ReadFull(rd, chunk); err != nil {
-			return err
-		}
-		prev := last
-		for i := 0; i < n; i++ {
-			key := chunk[i*width : (i+1)*width]
-			if lo+i > 0 && bytes.Compare(prev, key) >= 0 {
-				return fmt.Errorf("keys not strictly sorted at row %d", lo+i)
-			}
-			prev = key
-		}
-		copy(last, prev)
-		for d := range r.cols {
-			col := slices.Grow(r.cols[d], n)[:lo+n]
-			off := d * core.ValueWidth
-			for i := lo; i < lo+n; i++ {
-				col[i] = core.DecodeValue(chunk[off:])
-				off += width
-			}
-			r.cols[d] = col
-		}
-	}
-	return nil
 }
 
 // ComputeResidual scans a relation once and returns the residual of an
@@ -418,6 +318,3 @@ func (s *Store) ResidualRows() int64 {
 	}
 	return int64(s.res.NumRows())
 }
-
-// Residual returns the attached residual summary, or nil.
-func (s *Store) Residual() *Residual { return s.res }

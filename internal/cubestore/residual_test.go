@@ -244,7 +244,7 @@ func TestResidualSnapshotRoundTrip(t *testing.T) {
 	if got := buf1.Bytes()[7]; got != SnapshotVersion {
 		t.Fatalf("residual-carrying snapshot has version byte %d, want %d", got, SnapshotVersion)
 	}
-	loaded, err := Load(bytes.NewReader(buf1.Bytes()))
+	loaded, err := openCopy(buf1.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,8 +285,8 @@ func TestResidualSnapshotRoundTrip(t *testing.T) {
 // both sides. A store built without a residual is written in the current
 // version — its residual section says "absent" — loads without one, and
 // round-trips byte-identically. The legacy version bytes (1: no residual
-// section; 2: residual section without the presence byte) are rejected with a
-// descriptive error rather than parsed.
+// section; 2: residual section without the presence byte; 3: the varint
+// stream) are rejected with a descriptive error rather than parsed.
 func TestResidualSnapshotLegacyByteIdentity(t *testing.T) {
 	tbl := testTable(t, 300, []int{5, 4, 3}, 0.6, 13)
 	s := buildFromClosed(t, tbl, 3)
@@ -297,7 +297,7 @@ func TestResidualSnapshotLegacyByteIdentity(t *testing.T) {
 	if got := buf.Bytes()[7]; got != SnapshotVersion {
 		t.Fatalf("residual-free snapshot has version byte %d, want %d", got, SnapshotVersion)
 	}
-	loaded, err := Load(bytes.NewReader(buf.Bytes()))
+	loaded, err := openCopy(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,10 +314,10 @@ func TestResidualSnapshotLegacyByteIdentity(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
 		t.Fatalf("residual-free snapshot not byte-identical after round trip (%d vs %d bytes)", buf.Len(), again.Len())
 	}
-	for _, v := range []byte{1, 2} {
+	for _, v := range []byte{1, 2, 3} {
 		old := append([]byte(nil), buf.Bytes()...)
 		old[7] = v
-		_, err := Load(bytes.NewReader(old))
+		_, err := openCopy(old)
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported snapshot version %d", v)) {
 			t.Fatalf("version %d: err %v, want an unsupported-version error", v, err)
 		}
@@ -326,25 +326,10 @@ func TestResidualSnapshotLegacyByteIdentity(t *testing.T) {
 
 // TestResidualSnapshotEveryByteFlip extends the single-byte-flip guarantee to
 // the residual section: every mutation of a residual-carrying snapshot must
-// fail Load.
+// fail Open.
 func TestResidualSnapshotEveryByteFlip(t *testing.T) {
 	tbl := testTable(t, 150, []int{5, 4, 3}, 0.8, 19)
-	s := buildWithResidual(t, tbl, 3, core.MeasureSum)
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	for i := range raw {
-		mut := append([]byte(nil), raw...)
-		mut[i] ^= 0xff
-		if _, err := Load(bytes.NewReader(mut)); err == nil {
-			t.Fatalf("flipped byte %d of %d accepted", i, len(raw))
-		}
-	}
-	if _, err := Load(bytes.NewReader(raw[:len(raw)-3])); err == nil {
-		t.Fatal("truncated residual section must fail")
-	}
+	rejectEveryCorruption(t, storeBytes(t, buildWithResidual(t, tbl, 3, core.MeasureSum)))
 }
 
 // TestMergeResiduals checks the sorted-merge constructor: disjoint unions
@@ -492,3 +477,32 @@ func TestMergePartitionsResidual(t *testing.T) {
 		}
 	}
 }
+
+// Test-side views of a residual: production code reads the columns in place.
+
+// ResidualRow is one materialized sub-threshold base cell.
+type ResidualRow struct {
+	Values []core.Value
+	Count  int64
+	Aux    float64 // stored measure aggregate (avg: the running sum)
+}
+
+// HasAux reports whether rows carry a stored measure aggregate.
+func (r *Residual) HasAux() bool { return r.hasAux }
+
+// Rows materializes every residual row (key order, freshly allocated).
+func (r *Residual) Rows() []ResidualRow {
+	out := make([]ResidualRow, r.NumRows())
+	vals := make([]core.Value, r.NumRows()*r.nd)
+	for i := range out {
+		row := vals[i*r.nd : (i+1)*r.nd : (i+1)*r.nd]
+		for d, col := range r.cols {
+			row[d] = col[i]
+		}
+		out[i] = ResidualRow{Values: row, Count: r.counts[i], Aux: r.auxAt(i)}
+	}
+	return out
+}
+
+// Residual returns the attached residual summary, or nil.
+func (s *Store) Residual() *Residual { return s.res }

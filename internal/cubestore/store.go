@@ -26,7 +26,11 @@
 // query.go.
 //
 // A Store is immutable after Build and safe for concurrent readers (the
-// probe counter is atomic).
+// probe counter is atomic). That immutability is also what lets a store come
+// back from disk without being decoded: a snapshot is the little-endian image
+// of exactly these arrays, and Open returns a store whose keys, counts,
+// measures and residual columns are sections of the snapshot buffer (see
+// snapshot.go).
 package cubestore
 
 import (
@@ -132,7 +136,7 @@ type fieldMatch struct {
 }
 
 // Store is an immutable, concurrency-safe closed-cube query index. Frozen:
-// after Build/Load/MergePartitions publish a Store, its fields (and its
+// after Build/Open/MergePartitions publish a Store, its fields (and its
 // groups') are never written again — cclint's storemut analyzer enforces
 // this outside the //ccubing:mutates builder files.
 //
@@ -155,7 +159,7 @@ type Store struct {
 	// res, when non-nil, is the residual summary of the iceberg pruning the
 	// cube was computed with (sub-threshold base cells with counts and stored
 	// aggregates), making Aggregate exact at any threshold. Nil on stores
-	// built without one — including every pre-residual snapshot.
+	// built without one.
 	res *Residual
 	// probes counts covering-group probes performed by Lookup, Slice, Select
 	// and Aggregate since the store was built — an observability counter,

@@ -246,7 +246,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := s.Save(&buf1); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(bytes.NewReader(buf1.Bytes()))
+	loaded, err := openCopy(buf1.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestSnapshotHighDimensionMask(t *testing.T) {
 	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(bytes.NewReader(buf.Bytes()))
+	loaded, err := openCopy(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,39 +314,28 @@ func TestSnapshotCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	if _, err := Load(bytes.NewReader(raw[:len(raw)/2])); err == nil {
+	if _, err := openCopy(raw[:len(raw)/2]); err == nil {
 		t.Fatal("truncated snapshot must fail")
 	}
 	flipped := append([]byte(nil), raw...)
 	flipped[len(flipped)/2] ^= 0x40
-	if _, err := Load(bytes.NewReader(flipped)); err == nil {
+	if _, err := openCopy(flipped); err == nil {
 		t.Fatal("corrupted snapshot must fail")
 	}
 	bad := append([]byte(nil), raw...)
 	bad[7] = 99 // version byte
-	if _, err := Load(bytes.NewReader(bad)); err == nil {
+	if _, err := openCopy(bad); err == nil {
 		t.Fatal("unknown version must fail")
 	}
 }
 
 // TestSnapshotEveryByteFlip flips each snapshot byte in turn: every mutation
-// must yield a load error (CRC32 catches any single-byte change), and none
-// may panic — corrupt length prefixes must fail validation, not makeslice.
+// must yield an error (CRC32 catches any single-byte change), and none may
+// panic — corrupt sizes must fail validation, not makeslice. Every truncation
+// and a trailing byte must fail too: no byte of the file goes unchecked.
 func TestSnapshotEveryByteFlip(t *testing.T) {
 	tbl := testTable(t, 200, []int{5, 4, 3}, 0.7, 8)
-	s := buildFromClosed(t, tbl, 1)
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	for i := range raw {
-		mut := append([]byte(nil), raw...)
-		mut[i] ^= 0xff
-		if _, err := Load(bytes.NewReader(mut)); err == nil {
-			t.Fatalf("flipped byte %d of %d accepted", i, len(raw))
-		}
-	}
+	rejectEveryCorruption(t, storeBytes(t, buildFromClosed(t, tbl, 1)))
 }
 
 func TestQueryShapeMismatch(t *testing.T) {

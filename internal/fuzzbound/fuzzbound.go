@@ -1,7 +1,8 @@
 // Package fuzzbound holds what the fuzz targets of the byte-level parsers
-// (store snapshot, cube snapshot, WAL replay) share: the seed corpus shape and
-// the allocation property — a parser may allocate in proportion to the bytes
-// it was actually given, never to a size the input merely declares.
+// (store snapshot, cube snapshot, WAL replay, partial frame) share: the seed
+// corpus shape and the allocation property — a parser may allocate in
+// proportion to the bytes it was actually given, never to a size the input
+// merely declares.
 package fuzzbound
 
 import (
@@ -11,9 +12,10 @@ import (
 
 // Check runs parse and fails t when it allocated beyond the size class of an
 // inputLen-byte input: a per-byte factor generous enough for decoded
-// structures (a two-byte empty cuboid group costs a few hundred bytes of
-// bookkeeping), plus fixed slack for the chunked readers' first chunk. A
-// length prefix turned straight into a make() overshoots both by orders of
+// structures (a 16-byte directory entry for an empty cuboid group costs a
+// few hundred bytes of bookkeeping), plus fixed slack for what a parser
+// allocates whatever it is given (a loaded cube's result cache, say). A
+// declared size turned straight into a make() overshoots both by orders of
 // magnitude.
 func Check(t testing.TB, inputLen int, parse func()) {
 	t.Helper()

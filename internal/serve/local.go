@@ -1,14 +1,13 @@
 package serve
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -27,6 +26,15 @@ type Local struct {
 	shard    string // "index/count" on a shard worker; set before serving starts
 
 	labels atomic.Pointer[labelCache] // rendered labels of the serving cube
+
+	// reloadMu makes a Reload's load, validation against the serving cube and
+	// swap one step: two concurrent reloads may not both validate against the
+	// same cube and then publish in the wrong order.
+	reloadMu sync.Mutex
+	// The phases of every snapshot load this Local served from — the boot
+	// load and each Reload: reading the file, the checksums and structural
+	// checks, building the lattice index.
+	loadRead, loadVerify, loadIndex *obs.Histogram
 
 	// reg exposes the serving cube's state as gauges and counters, read at
 	// scrape time through the atomic pointer — so a Reload swaps what the
@@ -55,7 +63,24 @@ func NewLocal(cube *ccubing.Cube) *Local {
 		func() int64 { return l.cube.Load().QueryCacheEvictions() })
 	l.reg.CounterFunc("ccubing_refreshes_total", "Published refresh generations since start.",
 		func() int64 { return l.cube.Load().RefreshMetrics().Refreshes })
+	l.reg.GaugeFunc("ccubing_snapshot_bytes", "Size of the snapshot the serving cube was loaded from (0: built from data).",
+		func() float64 { return float64(l.cube.Load().SnapshotLoad().Bytes) })
+	loadPhase := func(name string) *obs.Histogram {
+		return l.reg.Histogram("ccubing_snapshot_load_seconds",
+			"Duration of one phase of loading a snapshot, at boot and on every reload.", "phase", name)
+	}
+	l.loadRead, l.loadVerify, l.loadIndex = loadPhase("read"), loadPhase("verify"), loadPhase("index")
+	l.observeLoad(cube)
 	return l
+}
+
+// observeLoad records the load phases of a cube that came from a snapshot.
+func (l *Local) observeLoad(cube *ccubing.Cube) {
+	if load := cube.SnapshotLoad(); load.Bytes > 0 {
+		l.loadRead.Observe(load.Read)
+		l.loadVerify.Observe(load.Verify)
+		l.loadIndex.Observe(load.Index)
+	}
 }
 
 // MetricsRegistry exposes the cube-state registry to the Server's /metrics.
@@ -509,7 +534,8 @@ func (l *Local) Stats() (statsResponse, error) {
 // Reload swaps the serving cube for one loaded from a snapshot — the warm
 // path for picking up an offline rebuild without a restart. The snapshot
 // must describe the same cube (dimension names) and must not regress the
-// generation; in-flight queries finish on the old cube.
+// generation; in-flight queries finish on the old cube. Reloads are
+// serialized, so the serving generation never goes backwards.
 func (l *Local) Reload(req reloadRequest) (reloadResponse, error) {
 	path := req.Path
 	if path == "" {
@@ -518,12 +544,9 @@ func (l *Local) Reload(req reloadRequest) (reloadResponse, error) {
 	if path == "" {
 		return reloadResponse{}, fmt.Errorf("no snapshot path: pass {\"path\": ...} or start with -snapshot")
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return reloadResponse{}, err
-	}
-	defer f.Close()
-	loaded, err := ccubing.LoadCube(bufio.NewReader(f))
+	l.reloadMu.Lock()
+	defer l.reloadMu.Unlock()
+	loaded, err := ccubing.LoadCubeFile(path)
 	if err != nil {
 		return reloadResponse{}, err
 	}
@@ -542,6 +565,7 @@ func (l *Local) Reload(req reloadRequest) (reloadResponse, error) {
 	}
 	old := l.cube.Swap(loaded)
 	_ = old.Close() // stop any auto-refresh timer; queries in flight finish on it
+	l.observeLoad(loaded)
 	return reloadResponse{
 		Path:       path,
 		Generation: loaded.Generation(),

@@ -12,6 +12,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -587,4 +588,61 @@ func scrapeAggregateCounters(t *testing.T, ts *httptest.Server) map[string]float
 		out[series] = metricValue(t, text, series)
 	}
 	return out
+}
+
+// TestSnapshotLoadMetrics scrapes what explains ready_s and rebuild_s from
+// the outside: a server booted from a snapshot has one observation per load
+// phase and the snapshot's size, each reload adds one observation and moves
+// the gauge to the new file, a refused reload adds none, and a cube built
+// from data reports no load at all.
+func TestSnapshotLoadMetrics(t *testing.T) {
+	cube, _ := testCube(t, 1)
+	stale := saveTo(t, cube)
+	if _, err := cube.Append([][]string{{"oslo", "pen", "2030"}, {"turin", "ink", "2031"}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cube.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	fresher := saveTo(t, cube)
+	size := func(path string) float64 {
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(st.Size())
+	}
+	if size(stale) == size(fresher) {
+		t.Fatal("the two snapshots must differ in size for the gauge to be told apart")
+	}
+
+	ts := httptest.NewServer(newMux(loadCube(t, stale), stale, 0))
+	defer ts.Close()
+	check := func(when string, loads, bytes float64) {
+		t.Helper()
+		text := scrapeMetrics(t, ts)
+		for _, phase := range []string{"read", "verify", "index"} {
+			series := `ccubing_snapshot_load_seconds_count{phase="` + phase + `"}`
+			if v := metricValue(t, text, series); v != loads {
+				t.Fatalf("%s: %s = %g, want %g", when, series, v, loads)
+			}
+		}
+		if v := metricValue(t, text, "ccubing_snapshot_bytes"); v != bytes {
+			t.Fatalf("%s: ccubing_snapshot_bytes = %g, want %g", when, v, bytes)
+		}
+	}
+	check("after boot", 1, size(stale))
+	if resp := postJSON(t, ts, "/v1/reload", reloadRequest{Path: fresher}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("reload: %d", resp.StatusCode)
+	}
+	check("after a reload", 2, size(fresher))
+	if resp := postJSON(t, ts, "/v1/reload", reloadRequest{Path: stale}, nil); resp.StatusCode != http.StatusConflict {
+		t.Fatalf("regressing reload: %d, want 409", resp.StatusCode)
+	}
+	check("after a refused reload", 2, size(fresher))
+
+	built := httptest.NewServer(newMux(cube, "", 0))
+	defer built.Close()
+	ts = built
+	check("cube built from data", 0, 0)
 }

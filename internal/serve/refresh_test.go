@@ -8,12 +8,15 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"ccubing"
@@ -146,14 +149,7 @@ func TestReloadEndpoint(t *testing.T) {
 	cube, _ := testCube(t, 1)
 	save := func(c *ccubing.Cube, path string) {
 		t.Helper()
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Save(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := c.SaveFile(path); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,6 +228,77 @@ func TestReloadEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("default-path reload: %d, want 409 (stale snapshot)", resp.StatusCode)
+	}
+}
+
+// TestConcurrentReloadsKeepGenerationOrder races a reload of generation g
+// against one of g+1 on a server at g-1. Each passes validation against the
+// serving cube on its own; unless load, validation and swap are one step, the
+// slower of the two publishes last, and when that is g the serving generation
+// goes backwards. Serialized, g+1 always ends up serving (g is either
+// replaced or refused with 409), and no reader ever sees a generation lower
+// than one it saw before. The window is a few instructions wide, hence the
+// start barrier and the round count: without the mutex the test fails within
+// the first ~1000 rounds, with or without -race.
+func TestConcurrentReloadsKeepGenerationOrder(t *testing.T) {
+	cube, _ := testCube(t, 1)
+	paths := []string{saveTo(t, cube)}
+	for year := 2030; year < 2032; year++ {
+		if _, err := cube.Append([][]string{{"oslo", "pen", strconv.Itoa(year)}}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cube.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, saveTo(t, cube))
+	}
+	for round := 0; round < 2000; round++ {
+		l := NewLocal(loadCube(t, paths[0]))
+		start, done := make(chan struct{}), make(chan struct{})
+		watched := make(chan error, 1)
+		go func() {
+			var last uint64
+			for {
+				if g := l.Cube().Generation(); g < last {
+					watched <- fmt.Errorf("serving generation went from %d back to %d", last, g)
+					return
+				} else {
+					last = g
+				}
+				select {
+				case <-done:
+					watched <- nil
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
+		}()
+		var wg sync.WaitGroup
+		errs := make([]error, 3)
+		for g := 1; g <= 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				_, errs[g] = l.Reload(reloadRequest{Path: paths[g]})
+			}()
+		}
+		close(start)
+		wg.Wait()
+		close(done)
+		if err := <-watched; err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if got := l.Cube().Generation(); got != 2 {
+			t.Fatalf("round %d: serving generation %d after reloading 1 and 2 concurrently (errors: %v, %v)", round, got, errs[1], errs[2])
+		}
+		if errs[2] != nil {
+			t.Fatalf("round %d: the reload of the newest generation failed: %v", round, errs[2])
+		}
+		if errs[1] != nil && httpStatus(errs[1]) != http.StatusConflict {
+			t.Fatalf("round %d: the reload that lost the race failed with %v, want 409 or success", round, errs[1])
+		}
 	}
 }
 

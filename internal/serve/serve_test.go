@@ -3,12 +3,11 @@ package serve
 // Shared test fixtures and HTTP helpers for the serving-layer tests.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
+	"path/filepath"
 	"testing"
 
 	"ccubing"
@@ -47,12 +46,7 @@ func testCube(t *testing.T, minsup int64) (*ccubing.Cube, *ccubing.Dataset) {
 // like ccserve -snapshot).
 func loadCube(t *testing.T, path string) *ccubing.Cube {
 	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	cube, err := ccubing.LoadCube(bufio.NewReader(f))
+	cube, err := ccubing.LoadCubeFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,17 +56,11 @@ func loadCube(t *testing.T, path string) *ccubing.Cube {
 // saveTo writes a cube snapshot into a temp file and returns the path.
 func saveTo(t *testing.T, cube *ccubing.Cube) string {
 	t.Helper()
-	f, err := os.CreateTemp(t.TempDir(), "cube*.ccube")
-	if err != nil {
+	path := filepath.Join(t.TempDir(), "cube.ccube")
+	if err := cube.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	if err := cube.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return f.Name()
+	return path
 }
 
 func getJSON(t *testing.T, ts *httptest.Server, path string, out any) *http.Response {
