@@ -7,8 +7,7 @@ package ccubing
 //
 // Scale: tuple counts are multiplied by CCUBING_BENCH_SCALE (default 0.005,
 // i.e. 1K-5K tuples per dataset) so `go test -bench=.` completes in minutes.
-// Run cmd/ccbench -scale 0.1 (or 1.0 for paper scale) for the full sweeps;
-// EXPERIMENTS.md records the shapes at larger scales.
+// Run cmd/ccbench -scale 0.1 (or 1.0 for paper scale) for the full sweeps.
 
 import (
 	"fmt"
@@ -82,6 +81,9 @@ func BenchmarkFig18DimOrder(b *testing.B)         { benchFigure(b, "fig18") }
 // of 20 000 values per dimension, where no value is heavy and a shard per
 // value would pay the engines' per-run set-up 20 000 times. Workers=1 is the
 // direct sequential engine run; higher counts go through internal/parallel.
+// The spill/ rows are ComputePartitioned over the same relation and options:
+// the same decomposition with its shards on disk, so spill/X/workers=2 against
+// X/workers=2 is what the spill costs, and workers=1 there is not a direct run.
 // The datasets are intentionally NOT scaled by CCUBING_BENCH_SCALE so the
 // numbers are comparable across machines; expect the speedup to track
 // physical cores. The decomposition cubes the projection plus every shard;
@@ -127,6 +129,20 @@ func BenchmarkParallelWorkers(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					opt := Options{MinSup: c.minSup, Closed: true, Algorithm: c.alg, Workers: w}
 					if _, err := Compute(c.ds, opt, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		if c.ds != ds {
+			continue
+		}
+		for _, w := range []int{1, 2} {
+			b.Run(fmt.Sprintf("spill/%s/workers=%d", c.name, w), func(b *testing.B) {
+				opt := Options{MinSup: c.minSup, Closed: true, Algorithm: c.alg, Workers: w}
+				popt := PartitionOptions{TempDir: b.TempDir()}
+				for i := 0; i < b.N; i++ {
+					if _, err := ComputePartitioned(c.ds, opt, popt, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -15,7 +15,8 @@
 //     the QC-DFS closed-cubing baseline, for comparison;
 //   - dataset helpers (CSV and in-memory construction, synthetic and
 //     weather-like generators), dimension-ordering strategies, closed-rule
-//     mining, an out-of-core partition driver, and an algorithm advisor.
+//     mining, an out-of-core variant of the partition decomposition, and an
+//     algorithm advisor.
 //
 // Quick start:
 //
@@ -188,10 +189,12 @@ type Options struct {
 	DisableShortcut bool
 	// Workers sets how many goroutines cube concurrently. 0 and 1 compute
 	// sequentially; larger values shard the relation on one dimension and
-	// cube the shards across that many workers (the in-memory analogue of
-	// the paper's Sec. 6.3 partitioning); negative values use
-	// runtime.NumCPU(). With Workers > 1 the visit callback still runs
-	// serialized, but on worker goroutines and in nondeterministic order.
+	// cube the shards across that many workers (the paper's Sec. 6.3
+	// partitioning); negative values use runtime.NumCPU(). With Workers > 1
+	// the visit callback still runs serialized, but on worker goroutines and
+	// in nondeterministic order. ComputePartitioned always runs the
+	// decomposition, on one goroutine for 0 and 1, and holds at most Workers
+	// spilled buckets in memory.
 	Workers int
 }
 

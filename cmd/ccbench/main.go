@@ -11,7 +11,8 @@
 // -scale multiplies tuple counts; 1.0 is paper scale (0.2M-1M tuples per
 // dataset), the default 0.1 keeps a full sweep in the minutes range.
 // Absolute seconds are not comparable to the paper's 2005 C++/P4 testbed;
-// the orderings and crossovers are the reproduction target (EXPERIMENTS.md).
+// the orderings and crossovers are the reproduction target (README,
+// "Testing and benchmarks").
 package main
 
 import (

@@ -2,13 +2,12 @@ package ccubing
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"ccubing/internal/core"
-	"ccubing/internal/partition"
+	"ccubing/internal/parallel"
 	"ccubing/internal/rules"
-	"ccubing/internal/sink"
-	"ccubing/internal/table"
 )
 
 // AttachMeasure computes a complex measure (paper Sec. 6.1) for an arbitrary
@@ -147,9 +146,14 @@ type PartitionOptions struct {
 	// value of PartitionOptions auto-picks instead of silently partitioning
 	// on dimension 0.
 	ExplicitDim bool
-	// Buckets bounds the number of partition files (default 16).
+	// Buckets bounds the number of bucket files the relation is spilled into
+	// (default 16; never more than the partition dimension has values). All
+	// of them are open during the spill, and a bucket is the unit a worker
+	// loads, so more buckets mean smaller resident copies.
 	Buckets int
-	// TempDir receives partition files (default: the system temp dir).
+	// TempDir receives the bucket files, in a directory of their own that is
+	// removed before ComputePartitioned returns (default: the system temp
+	// dir).
 	TempDir string
 }
 
@@ -175,28 +179,20 @@ func (popt PartitionOptions) resolveDim(ds *Dataset) (int, error) {
 	return dim, nil
 }
 
-// ComputePartitioned is Compute for relations whose cubing working set
-// exceeds memory (paper Sec. 6.3): the relation is spilled into partition
-// files on one dimension, partitions are cubed one at a time, and the cells
-// collapsing the partition dimension come from one final pass with that
-// dimension moved last. The emitted cell set equals Compute's, including
-// measures: partition files carry the aux column, so per-cell aggregates
-// survive the spill (cells fixing the partition dimension keep all their
-// tuples inside one partition; the final pass sees every tuple). With
-// Options.Workers > 1 up to that many partitions are loaded and cubed
-// concurrently, trading the one-partition memory bound for a Workers-
-// partition bound.
+// ComputePartitioned is Compute with the shard copies of the relation kept on
+// disk (paper Sec. 6.3). It runs the decomposition a Workers > 1 Compute
+// runs: the relation is cut on one dimension, the parts are cubed
+// independently, and the cells collapsing that dimension come from one pass
+// over the projection without it. The parts are spilled to at most
+// PartitionOptions.Buckets files and loaded one per worker, so at most
+// Options.Workers bucket copies are resident at a time. That is all the spill
+// bounds: the Dataset itself, the projection pass and, in closed mode, a
+// record of every emitted cell fixing the partition dimension stay in memory.
+// The emitted cell set equals Compute's, measures bit for bit.
 func ComputePartitioned(ds *Dataset, opt Options, popt PartitionOptions, visit func(Cell)) (Stats, error) {
 	opt = opt.withDefaults()
-	if ds == nil || ds.t == nil {
-		return Stats{}, fmt.Errorf("ccubing: nil dataset")
-	}
-	alg := opt.Algorithm
-	if alg == AlgAuto {
-		alg = Advise(ds, opt.MinSup, opt.Closed)
-	}
-	st := Stats{Algorithm: alg}
-	eng, ecfg, err := resolveEngine(ds, opt, alg)
+	plan, err := planCompute(ds, opt)
+	st := Stats{Algorithm: plan.alg}
 	if err != nil {
 		return st, err
 	}
@@ -204,23 +200,18 @@ func ComputePartitioned(ds *Dataset, opt Options, popt PartitionOptions, visit f
 	if err != nil {
 		return st, err
 	}
-	out := newVisitSink(visit, identityPerm(ds.t.NumDims()), ds.t.NumDims(), opt, &st)
-	run := func(t *table.Table, s sink.Sink) error { return eng.Run(t, ecfg, s) }
+	buckets := popt.Buckets
+	if buckets <= 0 {
+		buckets = 16
+	}
+	out := newVisitSink(visit, plan.perm, plan.t.NumDims(), opt, &st)
 	start := time.Now()
-	err = partition.Run(ds.t, partition.Config{
-		Dim:     dim,
-		Buckets: popt.Buckets,
+	err = parallel.Run(plan.t, plan.eng, plan.ecfg, parallel.Config{
+		Workers: plan.workers,
+		Dim:     slices.Index(plan.perm, dim), // where the plan's ordering put it
+		Buckets: buckets,
 		TempDir: popt.TempDir,
-		Workers: resolveWorkers(opt.Workers),
-	}, run, out)
+	}, out)
 	st.Elapsed = time.Since(start)
 	return st, err
-}
-
-func identityPerm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	return p
 }

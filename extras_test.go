@@ -230,39 +230,50 @@ func TestComputePartitionedNativeMeasure(t *testing.T) {
 	// Partition files carry the aux column, so native measures survive the
 	// spill: the partitioned run must emit the exact cells (values, counts,
 	// measures) of an in-memory run. Integer measure values keep float sums
-	// order-independent.
+	// order-independent; the second column has no short decimal form and
+	// differs below 1e-6, which only its extrema can be asked to keep.
 	ds, err := Synthetic(SyntheticConfig{T: 300, D: 3, C: 5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	aux := make([]float64, ds.NumTuples())
-	for i := range aux {
-		aux[i] = float64((i*13)%23 - 4)
+	integers := make([]float64, ds.NumTuples())
+	fractions := make([]float64, ds.NumTuples())
+	for i := range integers {
+		integers[i] = float64((i*13)%23 - 4)
+		fractions[i] = 19.99 + float64(i%7)*1e-7
 	}
-	if err := ds.SetMeasure(aux); err != nil {
-		t.Fatal(err)
-	}
-	for _, kind := range []MeasureKind{MeasureSum, MeasureMin, MeasureAvg} {
-		opt := Options{MinSup: 2, Algorithm: AlgBUC, Measure: kind}
-		want, _, err := ComputeCollect(ds, opt)
-		if err != nil {
+	for _, c := range []struct {
+		aux   []float64
+		kinds []MeasureKind
+	}{
+		{integers, []MeasureKind{MeasureSum, MeasureMin, MeasureAvg}},
+		{fractions, []MeasureKind{MeasureMin, MeasureMax}},
+	} {
+		if err := ds.SetMeasure(c.aux); err != nil {
 			t.Fatal(err)
 		}
-		var got []Cell
-		_, err = ComputePartitioned(ds, opt, PartitionOptions{TempDir: t.TempDir()}, func(c Cell) {
-			got = append(got, Cell{Values: append([]int32(nil), c.Values...), Count: c.Count, Aux: c.Aux})
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, got = sortedCells(want), sortedCells(got)
-		if len(want) != len(got) {
-			t.Fatalf("%v: partitioned emitted %d cells, in-memory %d", kind, len(got), len(want))
-		}
-		for i := range want {
-			if want[i].Count != got[i].Count || want[i].Aux != got[i].Aux {
-				t.Fatalf("%v cell %v: partitioned (%d,%g), in-memory (%d,%g)",
-					kind, want[i].Values, got[i].Count, got[i].Aux, want[i].Count, want[i].Aux)
+		for _, kind := range c.kinds {
+			opt := Options{MinSup: 2, Algorithm: AlgBUC, Measure: kind}
+			want, _, err := ComputeCollect(ds, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []Cell
+			_, err = ComputePartitioned(ds, opt, PartitionOptions{TempDir: t.TempDir()}, func(c Cell) {
+				got = append(got, Cell{Values: append([]int32(nil), c.Values...), Count: c.Count, Aux: c.Aux})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, got = sortedCells(want), sortedCells(got)
+			if len(want) != len(got) {
+				t.Fatalf("%v: partitioned emitted %d cells, in-memory %d", kind, len(got), len(want))
+			}
+			for i := range want {
+				if want[i].Count != got[i].Count || want[i].Aux != got[i].Aux {
+					t.Fatalf("%v cell %v: partitioned (%d,%v), in-memory (%d,%v)",
+						kind, want[i].Values, got[i].Count, got[i].Aux, want[i].Count, want[i].Aux)
+				}
 			}
 		}
 	}

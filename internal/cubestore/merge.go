@@ -18,7 +18,7 @@ import (
 // recomputed cells for the touched partitions.
 //
 // The partition argument mirrors the sharded-computation invariant of
-// internal/parallel and internal/partition: a closed cell fixing the
+// internal/parallel (paper Sec. 6.3): a closed cell fixing the
 // partition dimension aggregates tuples of exactly one partition, so its
 // count, measure and closedness are unaffected by appends to other
 // partitions. Cells with a wildcard on the partition dimension may aggregate

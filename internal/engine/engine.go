@@ -1,9 +1,8 @@
 // Package engine defines the interface every cubing engine implements and a
 // registry the seven engine packages register into. The facade (package
-// ccubing) and the drivers (internal/parallel, internal/partition via the
-// facade) dispatch through this registry instead of hard-coded switches, and
-// validate requests against declared capabilities instead of per-algorithm
-// special cases.
+// ccubing) and the one driver that runs engines (internal/parallel) dispatch
+// through this registry instead of hard-coded switches, and validate requests
+// against declared capabilities instead of per-algorithm special cases.
 package engine
 
 import (

@@ -3,7 +3,7 @@
 // cmd/ccbench renders them as row-printed tables; bench_test.go exposes each
 // point as a testing.B benchmark. The `scale` parameter multiplies tuple
 // counts (1.0 = paper scale: 0.2M-1M tuples); min_sup values are kept as
-// printed in the paper — see EXPERIMENTS.md for the implications.
+// printed in the paper, so a scaled-down run prunes relatively harder.
 package expt
 
 import (

@@ -1,8 +1,8 @@
-// Package parallel is the in-memory, multi-core analogue of the out-of-core
-// partition driver (paper Sec. 6.3): the relation is split on one dimension
-// into shards, each shard is cubed independently by a pool of workers, and
-// the cells that collapse the partitioning dimension come from one pass over
-// the projection of the relation without that dimension.
+// Package parallel is the partition decomposition of paper Sec. 6.3, in
+// memory and out of core: the relation is split on one dimension into shards,
+// each shard is cubed independently by a pool of workers, and the cells that
+// collapse the partitioning dimension come from one pass over the projection
+// of the relation without that dimension.
 //
 // A cell that fixes the partitioning dimension dim has all of its tuples
 // inside one shard (shards group dimension values), so count, measure and
@@ -44,16 +44,28 @@
 // computed from the sub-relation: a value holding at least Cards[dim] tuples
 // is a shard by itself, the light tail is hashed into 4×Workers buckets.
 //
-// The decomposition has one implementation, RunSub, and two callers: Run (a
-// Workers > 1 build: shard jobs over the whole relation) and internal/refresh
-// (shard jobs over the partitions a delta touched, the projection pass over
-// the whole edited relation, the old store's retained cells into the seam).
+// Where a shard's tuples sit is a property of the shard job, not a second
+// driver. In memory, one scatter groups the sub-relation by shard and each job
+// is handed its view. With Config.Buckets set the sub-relation is spilled
+// instead (internal/partition: at most Buckets files, value modulo the count,
+// since every file is open during the scan) and each job loads one file, cuts
+// it by the same rule — a heavy value hashed in with others would lose its
+// Lemma 5 pruning — cubes the pieces and lets the bucket go, so at most
+// Workers bucket copies are resident. The relation itself, the projection
+// pass and the recorded cells stay in memory either way.
+//
+// The decomposition has one implementation, RunSub, and three callers: Run (a
+// Workers > 1 build: shard jobs over the whole relation), the facade's
+// ComputePartitioned (Run with Buckets set) and internal/refresh (shard jobs
+// over the partitions a delta touched, the projection pass over the whole
+// edited relation, the old store's retained cells into the seam).
 package parallel
 
 import (
 	"fmt"
 	"iter"
 	"math/bits"
+	"os"
 	"slices"
 	"sort"
 	"sync"
@@ -62,6 +74,7 @@ import (
 
 	"ccubing/internal/core"
 	"ccubing/internal/engine"
+	"ccubing/internal/partition"
 	"ccubing/internal/sink"
 	"ccubing/internal/table"
 )
@@ -75,6 +88,13 @@ type Config struct {
 	// the highest cardinality (whose fixed cells — the bulk of the cube —
 	// then spread across the most shards).
 	Dim int
+	// Buckets above zero runs the shard jobs out of core: the sub-relation is
+	// spilled into at most that many bucket files in a directory created
+	// under TempDir (the system one when empty) and removed on return, and
+	// each shard job loads one file, so at most Workers bucket copies are
+	// resident. Zero shards an in-memory copy instead.
+	Buckets int
+	TempDir string
 }
 
 // Stats describes one decomposed run: where its time went and how much work
@@ -82,10 +102,10 @@ type Config struct {
 // reports.
 type Stats struct {
 	// Split, Projection and Seam are wall times: assigning and scattering the
-	// sub-relation into shards, cubing the projection without the partition
-	// dimension (with the candidate index, in closed mode), and probing that
-	// index then emitting the survivors. ShardJobs is summed over the shard
-	// jobs — their busy time, equal to wall time at one worker.
+	// sub-relation into shards (or spilling it), cubing the projection without
+	// the partition dimension (with the candidate index, in closed mode), and
+	// probing that index then emitting the survivors. ShardJobs is summed over
+	// the shard jobs — their busy time, equal to wall time at one worker.
 	Split, Projection, ShardJobs, Seam time.Duration
 	// HeavyShards holds one partition value each, BucketShards a hashed group
 	// of light ones.
@@ -144,10 +164,42 @@ func RunSub(t, sub *table.Table, eng engine.Engine, ecfg engine.Config, cfg Conf
 	}
 
 	start := time.Now()
-	shardOf, ns, heavy := assignShards(sub, dim, workers)
-	shards := splitShards(sub, dim, shardOf, ns)
+	var heavyShards, bucketShards atomic.Int64
+	var shardJobs []shardJob
+	if cfg.Buckets > 0 {
+		dir, err := os.MkdirTemp(cfg.TempDir, "ccubing-part-*")
+		if err != nil {
+			return st, fmt.Errorf("parallel: %w", err)
+		}
+		defer os.RemoveAll(dir)
+		nb := min(cfg.Buckets, sub.Cards[dim])
+		buckets, err := partition.Spill(sub, dim, modShards(sub.Cards[dim], nb), nb, dir)
+		if err != nil {
+			return st, err
+		}
+		for _, b := range buckets {
+			shardJobs = append(shardJobs, shardJob{b.Tuples, func() ([]*table.Table, error) {
+				bt, err := partition.Load(b, sub)
+				if err != nil {
+					return nil, err
+				}
+				shards, heavy := cut(bt, dim, workers)
+				heavyShards.Add(int64(heavy))
+				bucketShards.Add(int64(len(shards) - heavy))
+				return shards, nil
+			}})
+		}
+	} else {
+		shards, heavy := cut(sub, dim, workers)
+		heavyShards.Store(int64(heavy))
+		bucketShards.Store(int64(len(shards) - heavy))
+		for _, shard := range shards {
+			shardJobs = append(shardJobs, shardJob{shard.NumTuples(), func() ([]*table.Table, error) {
+				return []*table.Table{shard}, nil
+			}})
+		}
+	}
 	st.Split = time.Since(start)
-	st.HeavyShards, st.BucketShards = heavy, len(shards)-heavy
 	projDims := make([]int, 0, nd-1)
 	for d := 0; d < nd; d++ {
 		if d != dim {
@@ -167,8 +219,8 @@ func RunSub(t, sub *table.Table, eng engine.Engine, ecfg engine.Config, cfg Conf
 
 	// The projection pass is usually the longest job, so it goes first;
 	// shards follow largest-first to keep the pool balanced under skew.
-	sort.Slice(shards, func(i, j int) bool { return shards[i].NumTuples() > shards[j].NumTuples() })
-	jobs := make([]func() error, 0, 1+len(shards))
+	sort.Slice(shardJobs, func(i, j int) bool { return shardJobs[i].tuples > shardJobs[j].tuples })
+	jobs := make([]func() error, 0, 1+len(shardJobs))
 	jobs = append(jobs, func() error {
 		start := time.Now()
 		defer func() { st.Projection = time.Since(start) }()
@@ -189,7 +241,7 @@ func RunSub(t, sub *table.Table, eng engine.Engine, ecfg engine.Config, cfg Conf
 	})
 	var recs []*recorder
 	var shardNanos atomic.Int64
-	for _, shard := range shards {
+	for _, sj := range shardJobs {
 		var rec *recorder
 		if sm != nil {
 			rec = &recorder{cellBuf: cellBuf{pw: nd - 1}, dim: dim}
@@ -197,14 +249,20 @@ func RunSub(t, sub *table.Table, eng engine.Engine, ecfg engine.Config, cfg Conf
 		}
 		jobs = append(jobs, func() error {
 			start := time.Now()
+			shards, err := sj.load()
+			if err != nil {
+				return err
+			}
 			w := merger.Worker()
 			var next sink.Sink = w
 			if rec != nil {
 				rec.next = w
 				next = rec
 			}
-			if err := eng.Run(shard, ecfg, &sink.FixedDim{Next: next, Dim: dim}); err != nil {
-				return fmt.Errorf("parallel: shard: %w", err)
+			for _, shard := range shards {
+				if err := eng.Run(shard, ecfg, &sink.FixedDim{Next: next, Dim: dim}); err != nil {
+					return fmt.Errorf("parallel: shard: %w", err)
+				}
 			}
 			w.Close()
 			shardNanos.Add(int64(time.Since(start)))
@@ -213,6 +271,7 @@ func RunSub(t, sub *table.Table, eng engine.Engine, ecfg engine.Config, cfg Conf
 	}
 	err = runJobs(workers, jobs)
 	st.ShardJobs = time.Duration(shardNanos.Load())
+	st.HeavyShards, st.BucketShards = int(heavyShards.Load()), int(bucketShards.Load())
 	if err != nil || sm == nil {
 		return st, err
 	}
@@ -241,6 +300,20 @@ func RunSub(t, sub *table.Table, eng engine.Engine, ecfg engine.Config, cfg Conf
 	return st, nil
 }
 
+// shardJob is one shard job's input: the shards it cubes one after another,
+// produced when the job runs and dropped when it ends. tuples orders the pool.
+type shardJob struct {
+	tuples int
+	load   func() ([]*table.Table, error)
+}
+
+// cut splits sub — the sub-relation, or one loaded bucket of it — into its
+// non-empty shards by the rule of assignShards.
+func cut(sub *table.Table, dim, workers int) (shards []*table.Table, heavy int) {
+	shardOf, ns, heavy := assignShards(sub, dim, workers)
+	return splitShards(sub, dim, shardOf, ns), heavy
+}
+
 // assignShards maps every value of sub's partition dimension to one of ns
 // shards, from the value counts alone: a value holding at least Cards[dim]
 // tuples is a shard by itself (the last heavy of the ns), the rest are hashed
@@ -253,26 +326,29 @@ func assignShards(sub *table.Table, dim, workers int) (shardOf []int32, ns, heav
 		counts[v]++
 	}
 	buckets := max(min(4*workers, card), 1)
-	shardOf = make([]int32, card)
+	shardOf = modShards(card, buckets)
 	for v, n := range counts {
 		if n >= card {
 			shardOf[v] = int32(buckets + heavy)
 			heavy++
-		} else {
-			shardOf[v] = int32(v % buckets)
 		}
 	}
 	return shardOf, buckets + heavy, heavy
 }
 
-// ShardTables splits t into ns sub-tables on dimension dim, value % ns
-// picking the shard: the all-bucketed case of the assignment RunSub computes.
-func ShardTables(t *table.Table, dim, ns int) []*table.Table {
-	shardOf := make([]int32, t.Cards[dim])
+// modShards is the all-bucketed assignment of card values: value % ns.
+func modShards(card, ns int) []int32 {
+	shardOf := make([]int32, card)
 	for v := range shardOf {
 		shardOf[v] = int32(v % ns)
 	}
-	return splitShards(t, dim, shardOf, ns)
+	return shardOf
+}
+
+// ShardTables splits t into ns sub-tables on dimension dim, value % ns
+// picking the shard: the all-bucketed case of the assignment RunSub computes.
+func ShardTables(t *table.Table, dim, ns int) []*table.Table {
+	return splitShards(t, dim, modShards(t.Cards[dim], ns), ns)
 }
 
 // splitShards scatters t into ns sub-tables on dimension dim, shardOf[value]

@@ -6,6 +6,10 @@ import (
 	"maps"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"ccubing/internal/core"
@@ -65,6 +69,11 @@ var wantShards = map[string]struct{ heavy, buckets, subHeavy, subBuckets bool }{
 	"sparse":    {false, true, false, true},
 	"onevalue":  {true, false, false, false},
 }
+
+// spilledTables are the relations the suites also run out of core, one per
+// shard kind: their buckets hold heavy and light values, light ones only, and
+// a single heavy value.
+var spilledTables = map[string]bool{"zipf": true, "sparse": true, "onevalue": true}
 
 // engineModes lists every registered engine with the modes it supports.
 func engineModes() []engine.Config {
@@ -148,11 +157,19 @@ func TestRunMatchesSequential(t *testing.T) {
 					if err := eng.Run(tbl, ecfg, &want); err != nil {
 						t.Fatal(err)
 					}
-					for _, cfg := range []Config{
+					cfgs := []Config{
 						{Workers: 1, Dim: -1},
 						{Workers: 4, Dim: -1},
 						{Workers: 4, Dim: 2},
-					} {
+					}
+					if spilledTables[name] {
+						// Fewer files than values, and more asked for than zipf
+						// and onevalue have values (60 and 16).
+						cfgs = append(cfgs,
+							Config{Workers: 1, Dim: -1, Buckets: 3, TempDir: t.TempDir()},
+							Config{Workers: 2, Dim: -1, Buckets: 64, TempDir: t.TempDir()})
+					}
+					for _, cfg := range cfgs {
 						var got sink.Collector
 						st, err := RunSub(tbl, tbl, eng, ecfg, cfg, nil, &got)
 						if err != nil {
@@ -271,6 +288,7 @@ func TestSeamRule(t *testing.T) {
 func TestRunRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260117))
 	names := engine.Names()
+	tmp := t.TempDir()
 	for i := 0; i < 240; i++ {
 		cards := make([]int, 2+rng.Intn(4))
 		for d := range cards {
@@ -297,26 +315,33 @@ func TestRunRandomized(t *testing.T) {
 		if err := eng.Run(tbl, ecfg, &want); err != nil {
 			t.Fatal(label, err)
 		}
-		var got sink.Collector
-		if err := Run(tbl, eng, ecfg, Config{Workers: 1 + rng.Intn(4), Dim: -1}, &got); err != nil {
-			t.Fatal(label, err)
-		}
-		if diff := sink.DiffCells(got.Cells, want.Cells, 10); diff != "" {
-			t.Fatalf("%s: Run differs from the engine:\n%s", label, diff)
+		// Every case runs in memory and spilled, over one to five files.
+		cfg := Config{Workers: 1 + rng.Intn(4), Dim: -1, TempDir: tmp}
+		for _, cfg.Buckets = range []int{0, 1 + i%5} {
+			var got sink.Collector
+			if err := Run(tbl, eng, ecfg, cfg, &got); err != nil {
+				t.Fatal(label, err)
+			}
+			if diff := sink.DiffCells(got.Cells, want.Cells, 10); diff != "" {
+				t.Fatalf("%s: Run with %d buckets differs from the engine:\n%s", label, cfg.Buckets, diff)
+			}
 		}
 
 		dim, mod := rng.Intn(len(cards)), core.Value(1+rng.Intn(4))
 		sub, wantSub, retained := subRelation(tbl, want.Cells, dim, func(v core.Value) bool { return v%mod == 0 })
-		got = sink.Collector{}
-		st, err := RunSub(tbl, sub, eng, ecfg, Config{Workers: 1 + rng.Intn(4), Dim: dim}, retained, &got)
-		if err != nil {
-			t.Fatal(label, err)
-		}
-		if diff := sink.DiffCells(got.Cells, wantSub, 10); diff != "" {
-			t.Fatalf("%s: RunSub on dimension %d, values %% %d == 0, differs from the filtered cube:\n%s", label, dim, mod, diff)
-		}
-		if ecfg.Closed && len(cards) > 1 {
-			checkWork(t, st, got.Cells, dim)
+		cfg = Config{Workers: 1 + rng.Intn(4), Dim: dim, TempDir: tmp}
+		for _, cfg.Buckets = range []int{0, 1 + i%5} {
+			var got sink.Collector
+			st, err := RunSub(tbl, sub, eng, ecfg, cfg, retained, &got)
+			if err != nil {
+				t.Fatal(label, err)
+			}
+			if diff := sink.DiffCells(got.Cells, wantSub, 10); diff != "" {
+				t.Fatalf("%s: RunSub on dimension %d, values %% %d == 0, %d buckets, differs from the filtered cube:\n%s", label, dim, mod, cfg.Buckets, diff)
+			}
+			if ecfg.Closed && len(cards) > 1 {
+				checkWork(t, st, got.Cells, dim)
+			}
 		}
 	}
 }
@@ -342,6 +367,131 @@ func TestSeamWorkIgnoresTupleCount(t *testing.T) {
 	once, thrice := work(tbl, 2), work(tbl.Subset(tids), 6)
 	if once != thrice || once.Probes == 0 || once.Killed == 0 {
 		t.Fatalf("seam work %+v on the relation, %+v on its triple", once, thrice)
+	}
+}
+
+// watchEngine wraps an engine to see what the driver hands it: the shape of
+// every run, how many full-width runs are in flight at once, and — through
+// before, called ahead of each run with the number of runs started so far —
+// the state of the spill directory while the pool works.
+type watchEngine struct {
+	engine.Engine
+	nd     int // the relation's dimensionality: shard runs have it, the projection pass one less
+	before func(started int)
+
+	mu            sync.Mutex
+	runs          [][2]int // (NumTuples, NumDims) per run
+	inFlight, max int
+}
+
+func (w *watchEngine) Run(t *table.Table, cfg engine.Config, out sink.Sink) error {
+	w.mu.Lock()
+	started := len(w.runs)
+	w.runs = append(w.runs, [2]int{t.NumTuples(), t.NumDims()})
+	if t.NumDims() == w.nd {
+		w.inFlight++
+		w.max = max(w.max, w.inFlight)
+		defer func() {
+			w.mu.Lock()
+			w.inFlight--
+			w.mu.Unlock()
+		}()
+	}
+	w.mu.Unlock()
+	w.before(started)
+	return w.Engine.Run(t, cfg, out)
+}
+
+// bucketFiles lists the bucket files of every run in flight under tmp.
+func bucketFiles(t *testing.T, tmp string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(tmp, "*", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestSpilledWorkAndResidency is the machine-independent bound of the spilled
+// path: nothing cubes the whole relation at full width (the projection pass is
+// the one run over every tuple, a dimension narrower), the shard runs split
+// the tuples between them, no more of them are in flight — hence no more
+// buckets resident — than there are workers, the directory never holds more
+// files than asked for, and it is gone afterwards.
+func TestSpilledWorkAndResidency(t *testing.T) {
+	tbl := testTables(t)["zipf"]
+	T, D := tbl.NumTuples(), tbl.NumDims()
+	const buckets = 5
+	for _, workers := range []int{1, 3} {
+		tmp := t.TempDir()
+		var filesMu sync.Mutex
+		maxFiles := 0
+		w := &watchEngine{Engine: engine.MustLookup("CC(Star)"), nd: D, before: func(int) {
+			n := len(bucketFiles(t, tmp))
+			filesMu.Lock()
+			maxFiles = max(maxFiles, n)
+			filesMu.Unlock()
+		}}
+		cfg := Config{Workers: workers, Dim: -1, Buckets: buckets, TempDir: tmp}
+		if err := Run(tbl, w, engine.Config{MinSup: 2, Closed: true}, cfg, &sink.Null{}); err != nil {
+			t.Fatal(err)
+		}
+		whole, projections, shardTuples := 0, 0, 0
+		for _, r := range w.runs {
+			switch {
+			case r == [2]int{T, D}:
+				whole++
+			case r == [2]int{T, D - 1}:
+				projections++
+			}
+			if r[1] == D {
+				shardTuples += r[0]
+			}
+		}
+		if whole != 0 || projections != 1 || shardTuples != T {
+			t.Fatalf("workers %d: %d runs over the whole relation, %d over its projection, shard runs over %d of %d tuples: %v",
+				workers, whole, projections, shardTuples, T, w.runs)
+		}
+		if w.max > workers || maxFiles == 0 || maxFiles > buckets {
+			t.Fatalf("workers %d: %d shard runs in flight, up to %d files for %d buckets", workers, w.max, maxFiles, buckets)
+		}
+		if left := bucketFiles(t, tmp); len(left) != 0 {
+			t.Fatalf("workers %d: left behind %v", workers, left)
+		}
+	}
+}
+
+// TestSpilledLoadFailure cuts the largest bucket file short while the
+// projection pass — the first job — runs. Its load is the next job: the error
+// must surface, no shard may be cubed after it, and the directory must go.
+func TestSpilledLoadFailure(t *testing.T) {
+	tbl := testTables(t)["zipf"]
+	tmp := t.TempDir()
+	w := &watchEngine{Engine: engine.MustLookup("CC(Star)"), nd: tbl.NumDims(), before: func(started int) {
+		if started != 0 {
+			return
+		}
+		var largest string
+		var size int64
+		for _, f := range bucketFiles(t, tmp) {
+			if fi, err := os.Stat(f); err == nil && fi.Size() > size {
+				largest, size = f, fi.Size()
+			}
+		}
+		if err := os.Truncate(largest, size-1); err != nil {
+			t.Error(err)
+		}
+	}}
+	cfg := Config{Workers: 1, Dim: -1, Buckets: 5, TempDir: tmp}
+	err := Run(tbl, w, engine.Config{MinSup: 2, Closed: true}, cfg, &sink.Null{})
+	if err == nil || !strings.Contains(err.Error(), "bucket-") {
+		t.Fatalf("truncated bucket: error %v", err)
+	}
+	if len(w.runs) != 1 {
+		t.Fatalf("runs after the failed load: %v", w.runs)
+	}
+	if left := bucketFiles(t, tmp); len(left) != 0 {
+		t.Fatalf("left behind %v", left)
 	}
 }
 

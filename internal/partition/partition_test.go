@@ -1,119 +1,72 @@
 package partition
 
 import (
+	"os"
 	"testing"
 
 	"ccubing/internal/gen"
-	"ccubing/internal/mmcubing"
-	"ccubing/internal/qcdfs"
-	"ccubing/internal/sink"
-	"ccubing/internal/stararray"
-	"ccubing/internal/table"
 )
 
-func closedEngine(minsup int64) Engine {
-	return func(t *table.Table, s sink.Sink) error {
-		return stararray.Run(t, stararray.Config{MinSup: minsup, Closed: true}, s)
-	}
-}
-
-// TestPartitionedEqualsDirect is the driver's contract: identical cell sets.
-func TestPartitionedEqualsDirect(t *testing.T) {
-	tb := gen.MustSynthetic(gen.Config{T: 500, D: 4, C: 7, S: 1, Seed: 11})
-	for _, dim := range []int{0, 2} {
-		for _, minsup := range []int64{1, 3} {
-			var direct sink.Collector
-			if err := closedEngine(minsup)(tb, &direct); err != nil {
-				t.Fatal(err)
-			}
-			var parted sink.Collector
-			dd := &sink.Dedup{Next: &parted}
-			err := Run(tb, Config{Dim: dim, Buckets: 4, TempDir: t.TempDir()},
-				closedEngine(minsup), dd)
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			if dd.Dup != 0 {
-				t.Fatalf("partitioned run emitted %d duplicates", dd.Dup)
-			}
-			if diff := sink.DiffCells(parted.Cells, direct.Cells, 8); diff != "" {
-				t.Fatalf("dim %d min_sup %d mismatch:\n%s", dim, minsup, diff)
-			}
-		}
-	}
-}
-
-func TestPartitionedOtherEngines(t *testing.T) {
-	tb := gen.MustSynthetic(gen.Config{T: 300, D: 3, C: 5, S: 0.5, Seed: 12})
-	engines := map[string]Engine{
-		"qcdfs": func(t *table.Table, s sink.Sink) error {
-			return qcdfs.Run(t, qcdfs.Config{MinSup: 2}, s)
-		},
-		"mm-closed": func(t *table.Table, s sink.Sink) error {
-			return mmcubing.Run(t, mmcubing.Config{MinSup: 2, Closed: true}, s)
-		},
-	}
-	for name, eng := range engines {
-		var direct, parted sink.Collector
-		if err := eng(tb, &direct); err != nil {
-			t.Fatal(err)
-		}
-		if err := Run(tb, Config{Dim: 1, Buckets: 3, TempDir: t.TempDir()}, eng, &parted); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if diff := sink.DiffCells(parted.Cells, direct.Cells, 8); diff != "" {
-			t.Fatalf("%s mismatch:\n%s", name, diff)
-		}
-	}
-}
-
+// TestPartitionWithAux: spill + load round-trips every tuple, the measure bit
+// for bit — values with no short decimal form, below 1e-6 apart and past the
+// int64 range included.
 func TestPartitionWithAux(t *testing.T) {
 	tb := gen.MustSynthetic(gen.Config{T: 100, D: 3, C: 4, Seed: 13})
 	tb.Aux = make([]float64, 100)
 	for i := range tb.Aux {
-		tb.Aux[i] = float64(i) + 0.25
+		tb.Aux[i] = 19.99 + float64(i)*1e-7
 	}
-	// Spill + load must round-trip the aux column.
+	tb.Aux[7], tb.Aux[8] = -1e300, 0.1+0.2
+	want := map[[3]int32][]float64{}
+	for tid, aux := range tb.Aux {
+		k := [3]int32{tb.Cols[0][tid], tb.Cols[1][tid], tb.Cols[2][tid]}
+		want[k] = append(want[k], aux)
+	}
+
 	dir := t.TempDir()
-	if err := spill(tb, 0, 2, dir); err != nil {
+	buckets, err := Spill(tb, 0, []int32{0, 1, 0, 1}, 2, dir)
+	if err != nil {
 		t.Fatal(err)
 	}
 	n := 0
-	for b := 0; b < 2; b++ {
-		pt, err := load(dir+"/"+bucketName(b), tb)
+	for _, b := range buckets {
+		pt, err := Load(b, tb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n += pt.NumTuples()
-		for i := 0; i < pt.NumTuples(); i++ {
-			if pt.Aux[i] != float64(int(pt.Aux[i]))+0.25 {
-				t.Fatalf("aux corrupted: %v", pt.Aux[i])
+		if pt.NumTuples() != b.Tuples {
+			t.Fatalf("%s: loaded %d tuples, spilled %d", b.Path, pt.NumTuples(), b.Tuples)
+		}
+		n += b.Tuples
+		for i, aux := range pt.Aux {
+			k := [3]int32{pt.Cols[0][i], pt.Cols[1][i], pt.Cols[2][i]}
+			if k[0]%2 != pt.Cols[0][0]%2 {
+				t.Fatalf("%s mixes values %d and %d of the partition dimension", b.Path, pt.Cols[0][0], k[0])
 			}
+			// A bucket keeps the relation's tuple order.
+			if len(want[k]) == 0 || want[k][0] != aux {
+				t.Fatalf("tuple %v: measure %v after the round trip, want %v", k, aux, want[k])
+			}
+			want[k] = want[k][1:]
 		}
 	}
 	if n != 100 {
 		t.Fatalf("tuples after spill = %d", n)
 	}
+
+	// A file cut short, even by a whole record, is an error, not a shorter
+	// relation.
+	if err := os.Truncate(buckets[0].Path, int64(buckets[0].Tuples-1)*(3*4+8)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(buckets[0], tb); err == nil {
+		t.Fatal("truncated bucket loaded")
+	}
 }
 
 func TestBadDim(t *testing.T) {
 	tb := gen.MustSynthetic(gen.Config{T: 10, D: 2, C: 2, Seed: 1})
-	if err := Run(tb, Config{Dim: 5}, closedEngine(1), &sink.Collector{}); err == nil {
+	if _, err := Spill(tb, 5, []int32{0, 0}, 1, t.TempDir()); err == nil {
 		t.Fatal("out-of-range dim must error")
-	}
-}
-
-func TestBucketsCappedByCardinality(t *testing.T) {
-	tb := gen.MustSynthetic(gen.Config{T: 60, D: 3, C: 2, S: 0, Seed: 14})
-	var direct, parted sink.Collector
-	if err := closedEngine(1)(tb, &direct); err != nil {
-		t.Fatal(err)
-	}
-	// Ask for more buckets than dim 0 has values.
-	if err := Run(tb, Config{Dim: 0, Buckets: 64, TempDir: t.TempDir()}, closedEngine(1), &parted); err != nil {
-		t.Fatal(err)
-	}
-	if diff := sink.DiffCells(parted.Cells, direct.Cells, 8); diff != "" {
-		t.Fatalf("mismatch:\n%s", diff)
 	}
 }

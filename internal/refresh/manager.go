@@ -8,8 +8,8 @@
 // in-flight queries finish on the old store while new queries see the new
 // one.
 //
-// Correctness rests on the partition invariant shared with internal/parallel
-// and internal/partition (paper Sec. 6.3): a closed cell fixing the
+// Correctness rests on the partition invariant internal/parallel is built
+// on (paper Sec. 6.3): a closed cell fixing the
 // partition dimension aggregates tuples of exactly one partition, so cells
 // of untouched partitions are byte-identical before and after the edit and
 // can be retained; cells of touched partitions are recomputed from those

@@ -195,8 +195,8 @@ func (t *Table) SelectDims(nd int) (*Table, error) {
 	return t.Project(dims)
 }
 
-// Subset returns a new table holding only the given tuples (copied), used by
-// the out-of-core partition driver.
+// Subset returns a new table holding only the given tuples (copied):
+// internal/refresh builds the touched partitions' sub-relation with it.
 func (t *Table) Subset(tids []core.TID) *Table {
 	nt := New(t.NumDims(), len(tids))
 	copy(nt.Names, t.Names)
