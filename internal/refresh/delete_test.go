@@ -101,6 +101,30 @@ func TestFlushDeleteUpdateMatchesRebuild(t *testing.T) {
 						}
 					}
 				}
+				// One batch interleaving all three: each op draws on the relation
+				// as the ops before it left it, in-batch appends included.
+				var mixed Batch
+				for op := 0; op < 4+rng.Intn(8); op++ {
+					kind := byte(rng.Intn(3)) // OpAppend, OpDelete, or an update pair
+					if kind != OpAppend {
+						if len(live) == 0 {
+							continue
+						}
+						i := rng.Intn(len(live))
+						mixed.Values = append(mixed.Values, live[i])
+						mixed.Kinds = append(mixed.Kinds, kind)
+						live = append(live[:i], live[i+1:]...)
+					}
+					if kind != OpDelete {
+						nr := randomRow()
+						mixed.Values = append(mixed.Values, nr)
+						mixed.Kinds = append(mixed.Kinds, kind+kind/2) // OpAppend, or OpUpdateNew after its OpUpdateOld
+						live = append(live, nr)
+					}
+				}
+				if n, _, err := m.Apply(mixed); err != nil || n != mixed.Row(mixed.Len()) {
+					t.Fatalf("mixed batch %v: applied %d rows, %v", mixed.Kinds, n, err)
+				}
 				st, err := m.Flush()
 				if err != nil {
 					t.Fatal(err)
@@ -309,45 +333,61 @@ func TestDeleteLabeledValidation(t *testing.T) {
 	}
 }
 
-// TestUpdateLabeledWALFailureNoPhantomLabels pins the commit ordering: when
-// the WAL write fails, the batch is rejected AND its new labels must not
-// have reached the staging dictionaries.
+// TestUpdateLabeledWALFailureNoPhantomLabels pins the commit ordering of the
+// one coding path, by label through either verb that can introduce one: when
+// the WAL write fails, the batch is rejected AND its new labels must not have
+// reached the staging dictionaries.
 func TestUpdateLabeledWALFailureNoPhantomLabels(t *testing.T) {
 	tbl, err := gen.Synthetic(gen.Config{T: 40, Cards: []int{3, 3}, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dicts := []*table.Dict{
-		table.DictFromNames([]string{"a0", "a1", "a2"}),
-		table.DictFromNames([]string{"b0", "b1", "b2"}),
-	}
-	wal := filepath.Join(t.TempDir(), "fail.wal")
-	m, err := NewManager(tbl, buildStoreFor(t, tbl, 1), dicts, Config{
-		Eng: testEngine(t), ECfg: engine.Config{MinSup: 1, Closed: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.EnableWAL(wal); err != nil {
-		t.Fatal(err)
-	}
-	// Find a tuple that exists so availability passes and the failure comes
-	// from the WAL write alone.
+	// A tuple that exists, so availability passes and the failure comes from
+	// the WAL write alone.
 	old := []string{"a" + string('0'+byte(tbl.Cols[0][0])), "b" + string('0'+byte(tbl.Cols[1][0]))}
-	m.appendMu.Lock()
-	m.log.w.(*fileWAL).f.Close() // sabotage the descriptor; close() would nil it out
-	m.appendMu.Unlock()
-	if _, _, err := m.UpdateLabeled([][]string{old}, [][]string{{"phantom", "b0"}}, nil, nil); err == nil {
-		t.Fatal("update over a broken WAL must fail")
-	}
-	m.appendMu.Lock()
-	defer m.appendMu.Unlock()
-	m.log.w = nil
-	if got := m.dicts[0].Len(); got != 3 {
-		t.Fatalf("failed WAL write staged phantom labels: dictionary has %d entries, want 3", got)
-	}
-	if m.log.rows() != 0 {
-		t.Fatalf("failed WAL write left %d rows buffered", m.log.rows())
+	for _, c := range []struct {
+		name   string
+		mutate func(m *Manager) error
+	}{
+		{"append by label", func(m *Manager) error {
+			_, _, err := m.AppendLabeled([][]string{{"phantom", "b0"}}, nil)
+			return err
+		}},
+		{"update by label", func(m *Manager) error {
+			_, _, err := m.UpdateLabeled([][]string{old}, [][]string{{"phantom", "b0"}}, nil, nil)
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dicts := []*table.Dict{
+				table.DictFromNames([]string{"a0", "a1", "a2"}),
+				table.DictFromNames([]string{"b0", "b1", "b2"}),
+			}
+			m, err := NewManager(tbl, buildStoreFor(t, tbl, 1), dicts, Config{
+				Eng: testEngine(t), ECfg: engine.Config{MinSup: 1, Closed: true},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.EnableWAL(filepath.Join(t.TempDir(), "fail.wal")); err != nil {
+				t.Fatal(err)
+			}
+			m.appendMu.Lock()
+			m.log.w.(*fileWAL).f.Close() // sabotage the descriptor; close() would nil it out
+			m.appendMu.Unlock()
+			if err := c.mutate(m); err == nil {
+				t.Fatal("a mutation over a broken WAL must fail")
+			}
+			m.appendMu.Lock()
+			defer m.appendMu.Unlock()
+			m.log.w = nil
+			if got := m.dicts[0].Len(); got != 3 {
+				t.Fatalf("failed WAL write staged phantom labels: dictionary has %d entries, want 3", got)
+			}
+			if m.log.rows() != 0 {
+				t.Fatalf("failed WAL write left %d rows buffered", m.log.rows())
+			}
+		})
 	}
 }
 

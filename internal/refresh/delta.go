@@ -29,17 +29,13 @@ func applyDelta(t *table.Table, rows []core.Value, aux []float64, kinds []byte, 
 	nDeleted := 0
 	buf := make([]byte, 0, 4*nd+8)
 	for i := 0; i < dn; i++ {
-		if kinds == nil || (kinds[i] != opDelete && kinds[i] != opUpdateOld) {
+		if kinds == nil || !isTombstone(kinds[i]) {
 			continue
 		}
 		if dels == nil {
 			dels = make(map[string]int)
 		}
-		var a float64
-		if hasAux {
-			a = aux[i]
-		}
-		dels[rowKey(buf, rows[i*nd:(i+1)*nd], a, hasAux)]++
+		dels[flatKey(buf, nd, rows, aux, i)]++
 		nDeleted++
 	}
 
@@ -63,16 +59,11 @@ func applyDelta(t *table.Table, rows []core.Value, aux []float64, kinds []byte, 
 	}
 	keepDelta := make([]int, 0, dn)
 	for i := 0; i < dn; i++ {
-		if kinds != nil && (kinds[i] == opDelete || kinds[i] == opUpdateOld) {
+		if kinds != nil && isTombstone(kinds[i]) {
 			continue
 		}
 		if dels != nil {
-			var a float64
-			if hasAux {
-				a = aux[i]
-			}
-			k := rowKey(buf, rows[i*nd:(i+1)*nd], a, hasAux)
-			if dels[k] > 0 {
+			if k := flatKey(buf, nd, rows, aux, i); dels[k] > 0 {
 				dels[k]--
 				continue
 			}

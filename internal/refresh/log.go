@@ -40,18 +40,17 @@ type deltaLog struct {
 	hasAux bool
 	vals   []core.Value // flattened, nd per row
 	aux    []float64    // parallel to rows when hasAux
-	kinds  []byte       // parallel op kinds, one of op*
+	kinds  []byte       // parallel op kinds, one of Op*
 	w      WAL
 }
 
-// In-memory op kinds, one per buffered row. An update is buffered as an
-// adjacent (opUpdateOld, opUpdateNew) pair and journaled as one recUpdate
-// record.
+// Op kinds, one per row of a Batch and of the buffered delta. An update is an
+// adjacent (OpUpdateOld, OpUpdateNew) pair, journaled as one recUpdate record.
 const (
-	opAppend byte = iota // tuple joins the relation
-	opDelete             // tombstone: one matching occurrence leaves
-	opUpdateOld
-	opUpdateNew
+	OpAppend byte = iota // tuple joins the relation
+	OpDelete             // tombstone: one matching occurrence leaves
+	OpUpdateOld
+	OpUpdateNew
 )
 
 // WAL record types.
@@ -161,16 +160,16 @@ func (l *deltaLog) replay(body []byte) (good, rows int) {
 		switch body[off] {
 		case recAppend:
 			l.decodeTuple(body[off+1:])
-			l.kinds = append(l.kinds, opAppend)
+			l.kinds = append(l.kinds, OpAppend)
 			rows++
 		case recDelete:
 			l.decodeTuple(body[off+1:])
-			l.kinds = append(l.kinds, opDelete)
+			l.kinds = append(l.kinds, OpDelete)
 			rows++
 		case recUpdate:
 			l.decodeTuple(body[off+1:])
 			l.decodeTuple(body[off+1+ts:])
-			l.kinds = append(l.kinds, opUpdateOld, opUpdateNew)
+			l.kinds = append(l.kinds, OpUpdateOld, OpUpdateNew)
 			rows += 2
 		}
 		off = end
@@ -210,24 +209,28 @@ func (l *deltaLog) encodeTuple(buf []byte, row int, vals []core.Value, aux []flo
 }
 
 // encodeRecords frames the given rows as records: one recAppend or
-// recDelete per row, with adjacent (opUpdateOld, opUpdateNew) pairs fused
-// into a single crash-atomic recUpdate.
+// recDelete per row, with adjacent (OpUpdateOld, OpUpdateNew) pairs fused
+// into a single crash-atomic recUpdate. Nil kinds means all OpAppend.
 func (l *deltaLog) encodeRecords(rows []core.Value, aux []float64, kinds []byte) []byte {
-	ts := l.tupleSize()
-	buf := make([]byte, 0, len(kinds)*(1+ts+4))
-	for i := 0; i < len(kinds); i++ {
+	ts, n := l.tupleSize(), len(rows)/l.nd
+	buf := make([]byte, 0, n*(1+ts+4))
+	for i := 0; i < n; i++ {
 		start := len(buf)
-		switch kinds[i] {
-		case opAppend:
+		kind := OpAppend
+		if kinds != nil {
+			kind = kinds[i]
+		}
+		switch kind {
+		case OpAppend:
 			buf = append(buf, recAppend)
 			buf = l.encodeTuple(buf, i, rows, aux)
-		case opDelete:
+		case OpDelete:
 			buf = append(buf, recDelete)
 			buf = l.encodeTuple(buf, i, rows, aux)
-		case opUpdateOld:
+		case OpUpdateOld:
 			buf = append(buf, recUpdate)
 			buf = l.encodeTuple(buf, i, rows, aux)
-			i++ // the paired opUpdateNew row
+			i++ // the paired OpUpdateNew row
 			buf = l.encodeTuple(buf, i, rows, aux)
 		}
 		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
@@ -236,14 +239,10 @@ func (l *deltaLog) encodeRecords(rows []core.Value, aux []float64, kinds []byte)
 }
 
 // append buffers flattened rows (len a multiple of nd) with their op kinds
-// (one per row; nil means all opAppend), writing them through to the WAL
+// (one per row; nil means all OpAppend), writing them through to the WAL
 // first when one is attached. An update pair must arrive as adjacent
-// (opUpdateOld, opUpdateNew) rows.
+// (OpUpdateOld, OpUpdateNew) rows.
 func (l *deltaLog) append(rows []core.Value, aux []float64, kinds []byte) error {
-	n := len(rows) / l.nd
-	if kinds == nil {
-		kinds = make([]byte, n)
-	}
 	if l.w != nil {
 		start := time.Now()
 		err := l.w.Append(l.encodeRecords(rows, aux, kinds))
@@ -256,7 +255,11 @@ func (l *deltaLog) append(rows []core.Value, aux []float64, kinds []byte) error 
 	if l.hasAux {
 		l.aux = append(l.aux, aux...)
 	}
-	l.kinds = append(l.kinds, kinds...)
+	if kinds == nil {
+		l.kinds = append(l.kinds, make([]byte, len(rows)/l.nd)...) // grows in place: no temporary
+	} else {
+		l.kinds = append(l.kinds, kinds...)
+	}
 	return nil
 }
 

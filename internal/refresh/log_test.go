@@ -54,14 +54,14 @@ func logState(l *deltaLog) ([]core.Value, []float64, []byte) {
 // mixedOps is a delta exercising every record type, with update pairs.
 func mixedOps() []logRow {
 	return []logRow{
-		{vals: []core.Value{1, 2}, aux: 1.5, kind: opAppend},
-		{vals: []core.Value{3, 0}, aux: -2.25, kind: opDelete},
-		{vals: []core.Value{5, 1}, aux: 7, kind: opUpdateOld},
-		{vals: []core.Value{5, 2}, aux: 8, kind: opUpdateNew},
-		{vals: []core.Value{0, 0}, aux: 0, kind: opAppend},
-		{vals: []core.Value{9, 9}, aux: 3.125, kind: opUpdateOld},
-		{vals: []core.Value{9, 8}, aux: 3.25, kind: opUpdateNew},
-		{vals: []core.Value{4, 4}, aux: -0.5, kind: opDelete},
+		{vals: []core.Value{1, 2}, aux: 1.5, kind: OpAppend},
+		{vals: []core.Value{3, 0}, aux: -2.25, kind: OpDelete},
+		{vals: []core.Value{5, 1}, aux: 7, kind: OpUpdateOld},
+		{vals: []core.Value{5, 2}, aux: 8, kind: OpUpdateNew},
+		{vals: []core.Value{0, 0}, aux: 0, kind: OpAppend},
+		{vals: []core.Value{9, 9}, aux: 3.125, kind: OpUpdateOld},
+		{vals: []core.Value{9, 8}, aux: 3.25, kind: OpUpdateNew},
+		{vals: []core.Value{4, 4}, aux: -0.5, kind: OpDelete},
 	}
 }
 
@@ -111,11 +111,11 @@ func TestWALv2CrashFuzz(t *testing.T) {
 		t.Fatal(err)
 	}
 	ops := []logRow{
-		{vals: []core.Value{1, 2, 3}, aux: 1, kind: opAppend},
-		{vals: []core.Value{4, 5, 6}, aux: 2, kind: opDelete},
-		{vals: []core.Value{7, 8, 9}, aux: 3, kind: opUpdateOld},
-		{vals: []core.Value{7, 8, 0}, aux: 4, kind: opUpdateNew},
-		{vals: []core.Value{2, 2, 2}, aux: 5, kind: opAppend},
+		{vals: []core.Value{1, 2, 3}, aux: 1, kind: OpAppend},
+		{vals: []core.Value{4, 5, 6}, aux: 2, kind: OpDelete},
+		{vals: []core.Value{7, 8, 9}, aux: 3, kind: OpUpdateOld},
+		{vals: []core.Value{7, 8, 0}, aux: 4, kind: OpUpdateNew},
+		{vals: []core.Value{2, 2, 2}, aux: 5, kind: OpAppend},
 	}
 	appendOps(t, l, ops)
 	if err := l.close(); err != nil {
@@ -161,7 +161,7 @@ func TestWALv2CrashFuzz(t *testing.T) {
 			t.Fatalf("cut=%d: replayed %d rows, want %d", cut, n, want)
 		}
 		// The torn tail was truncated; the log must extend cleanly.
-		appendOps(t, r, []logRow{{vals: []core.Value{6, 6, 6}, aux: 9, kind: opDelete}})
+		appendOps(t, r, []logRow{{vals: []core.Value{6, 6, 6}, aux: 9, kind: OpDelete}})
 		wantRows := n + 1
 		if err := r.close(); err != nil {
 			t.Fatal(err)
@@ -204,7 +204,7 @@ func TestWALv2UnknownRecordType(t *testing.T) {
 	if _, err := l.attachFile(path); err != nil {
 		t.Fatal(err)
 	}
-	appendOps(t, l, []logRow{{vals: []core.Value{1, 1}, kind: opAppend}})
+	appendOps(t, l, []logRow{{vals: []core.Value{1, 1}, kind: OpAppend}})
 	// A record with an undefined type byte but otherwise valid framing.
 	if _, err := l.w.(*fileWAL).f.Write([]byte{0x7f, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}); err != nil {
 		t.Fatal(err)
@@ -267,8 +267,8 @@ func TestRewriteKeepsBufferOnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendOps(t, l, []logRow{
-		{vals: []core.Value{1, 2}, kind: opAppend},
-		{vals: []core.Value{3, 4}, kind: opDelete},
+		{vals: []core.Value{1, 2}, kind: OpAppend},
+		{vals: []core.Value{3, 4}, kind: OpDelete},
 	})
 	wantVals, _, wantKinds := logState(l)
 	// Sabotage the descriptor so every file operation fails.

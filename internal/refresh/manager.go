@@ -114,13 +114,14 @@ type Metrics struct {
 }
 
 // Manager owns the live-refresh state of one cube: the current relation, the
-// delta log, and the published snapshot. Appends and refreshes may run
-// concurrently with any number of snapshot readers; appends are serialized
-// with each other, refreshes with each other. A delta arriving while a
-// refresh is computing stays buffered for the next refresh.
+// delta log, and the published snapshot. Mutations (Apply) and refreshes
+// (Flush) may run concurrently with any number of snapshot readers; mutations
+// are serialized with each other, refreshes with each other. A delta arriving
+// while a refresh is computing stays buffered for the next refresh.
 //
-// Lock order: a goroutine that needs both locks takes flushMu first
-// (Fold/Flush do); appendMu is the innermost lock and nothing blocks under it.
+// Lock order: a goroutine that needs both locks takes flushMu first. Only two
+// functions do — Flush, and Apply for a batch holding a tombstone; appendMu is
+// the innermost lock and nothing blocks under it.
 //
 //ccubing:lockorder flushMu < appendMu
 type Manager struct {
@@ -134,11 +135,11 @@ type Manager struct {
 	cards    []int         // published per-dimension cardinalities (append validation)
 	autoRows int
 
-	flushMu sync.Mutex // serializes refreshes and delete validation; guards base
+	flushMu sync.Mutex // serializes refreshes and tombstone validation; guards base
 	base    *table.Table
 	// baseCounts is the lazily built tuple multiset of base (guarded by
-	// flushMu, invalidated when a refresh replaces base): delete validation
-	// checks tombstones against it plus the pending delta.
+	// flushMu, invalidated when a refresh replaces base): Apply checks
+	// tombstones against it plus the pending delta.
 	baseCounts map[string]int
 
 	snap atomic.Pointer[Snapshot]
@@ -264,7 +265,7 @@ func (m *Manager) Backlog() int {
 }
 
 // AutoRefresh configures the refresh triggers: rows > 0 flushes
-// synchronously inside the append that reaches that backlog; interval > 0
+// synchronously inside the Apply that reaches that backlog; interval > 0
 // starts a background timer flushing on that period (stop it with Close).
 // Either may be zero to disable that trigger.
 func (m *Manager) AutoRefresh(rows int, interval time.Duration) error {

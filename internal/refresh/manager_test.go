@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -298,6 +299,98 @@ func TestAppendValidation(t *testing.T) {
 	}
 	if _, _, err := m.Append([][]core.Value{{4 + cardSlack - 1, 0}}, nil); err != nil {
 		t.Fatalf("value within the slack must append: %v", err)
+	}
+}
+
+// TestAppendsFlowDuringRefresh pins the lock Apply takes: an all-append batch
+// needs appendMu alone, so it completes while flushMu is held — the state of a
+// manager whose refresh is computing. A batch holding a tombstone reads the
+// base relation and must wait.
+func TestAppendsFlowDuringRefresh(t *testing.T) {
+	base := randomTable(t, 100, []int{4, 3}, 33)
+	m := testManager(t, base, 1, Config{})
+	tuple := base.Row(0, nil)
+	apply := func(b Batch) chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := m.Apply(b)
+			done <- err
+		}()
+		return done
+	}
+	m.flushMu.Lock()
+	select {
+	case err := <-apply(Batch{Values: [][]core.Value{{1, 2}}}):
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("an append-only batch waits for flushMu: appends stall while a refresh computes")
+	}
+	tombstone := apply(Batch{Values: [][]core.Value{tuple}, Kinds: []byte{OpDelete}})
+	select {
+	case err := <-tombstone:
+		t.Fatalf("a tombstone batch did not wait for flushMu (err %v)", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	m.flushMu.Unlock()
+	if err := <-tombstone; err != nil {
+		t.Fatal(err)
+	}
+	if m.Backlog() != 2 {
+		t.Fatalf("backlog = %d, want 2", m.Backlog())
+	}
+}
+
+// TestBatchShape pins what Apply rejects before looking at the relation, and
+// the in-order reading of a batch: a label or tuple an earlier op brings in is
+// there for a later tombstone.
+func TestBatchShape(t *testing.T) {
+	tbl, err := gen.Synthetic(gen.Config{T: 50, Cards: []int{3, 3}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dicts := []*table.Dict{table.DictFromNames([]string{"a0", "a1", "a2"}), table.DictFromNames([]string{"b0", "b1", "b2"})}
+	m, err := NewManager(tbl, buildStoreFor(t, tbl, 1), dicts, Config{
+		Eng: testEngine(t), ECfg: engine.Config{MinSup: 1, Closed: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := []string{"a0", "b0"}
+	for name, b := range map[string]Batch{
+		"both forms":        {Rows: [][]string{row}, Values: [][]core.Value{{0, 0}}},
+		"short kinds":       {Rows: [][]string{row, row}, Kinds: []byte{OpAppend}},
+		"unknown kind":      {Rows: [][]string{row}, Kinds: []byte{9}},
+		"old without new":   {Rows: [][]string{row}, Kinds: []byte{OpUpdateOld}},
+		"new without old":   {Rows: [][]string{row, row}, Kinds: []byte{OpAppend, OpUpdateNew}},
+		"old then append":   {Rows: [][]string{row, row}, Kinds: []byte{OpUpdateOld, OpAppend}},
+		"aux on no measure": {Rows: [][]string{row}, Aux: []float64{1}},
+	} {
+		if n, _, err := m.Apply(b); err == nil || n != 0 {
+			t.Errorf("%s: applied %d rows, err %v", name, n, err)
+		}
+	}
+	if m.Backlog() != 0 {
+		t.Fatalf("rejected batches left %d rows buffered", m.Backlog())
+	}
+	// Row numbers count an update pair once: the bad tuple is row 1.
+	_, _, err = m.Apply(Batch{
+		Rows:  [][]string{row, {"a1", "b1"}, {"ghost", "b0"}, row},
+		Kinds: []byte{OpUpdateOld, OpUpdateNew, OpUpdateOld, OpUpdateNew},
+	})
+	if err == nil || !strings.Contains(err.Error(), "row 1 dimension 0") {
+		t.Fatalf("unknown old label in the second pair: %v", err)
+	}
+	n, _, err := m.Apply(Batch{
+		Rows:  [][]string{{"fresh", "b0"}, {"fresh", "b0"}, row, {"fresh", "b1"}},
+		Kinds: []byte{OpAppend, OpDelete, OpUpdateOld, OpUpdateNew},
+	})
+	if err != nil || n != 3 {
+		t.Fatalf("append, delete what it appended, update: %d rows, %v", n, err)
+	}
+	if got := m.dicts[0].Len(); got != 4 {
+		t.Fatalf("dimension 0 has %d labels after one new one, want 4", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package refresh
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -8,57 +9,185 @@ import (
 	"ccubing/internal/core"
 )
 
-// Append buffers coded rows. For labeled relations every value must be a
-// code the dictionaries know (append by label instead to introduce new
-// ones); for coded relations values may exceed the published cardinality by
-// at most cardSlack — new values grow the dimension's domain on refresh,
-// the bound keeps a hostile value from forcing cardinality-sized
-// allocations. aux carries one measure value per row iff the relation has a
-// measure column. It returns the number of rows appended and whether the
-// append triggered a synchronous refresh (the configured row threshold was
-// reached).
-func (m *Manager) Append(rows [][]core.Value, aux []float64) (int, bool, error) {
-	if err := m.validateAux(len(rows), aux); err != nil {
-		return 0, false, err
-	}
-	m.appendMu.Lock()
-	flat := make([]core.Value, 0, len(rows)*m.nd)
-	for i, row := range rows {
-		if err := m.validateRow(i, row, false); err != nil {
-			m.appendMu.Unlock()
-			return 0, false, err
-		}
-		flat = append(flat, row...)
-	}
-	return m.appendLocked(flat, aux)
+// Batch is one mutation of the relation, in the shape the delta log stores
+// it: rows in order, one op kind each. Rows come as labels or as coded values
+// (exactly one of the two); Aux carries one measure value per row iff the
+// relation has a measure column; Kinds is nil for an all-append batch, else
+// one Op* per row with update pairs adjacent (OpUpdateOld, then its
+// OpUpdateNew). The JSON tags are the serving layer's wire names.
+type Batch struct {
+	Rows   [][]string     `json:"rows,omitempty"`
+	Values [][]core.Value `json:"values,omitempty"`
+	Aux    []float64      `json:"aux,omitempty"`
+	Kinds  []byte         `json:"kinds,omitempty"`
 }
 
-// AppendLabeled buffers labeled rows, dictionary-coding each field; unseen
-// labels extend the staging dictionaries and are published with the next
-// refresh. The whole batch is validated before any label is coded, so a
-// rejected batch leaves no phantom labels behind.
-func (m *Manager) AppendLabeled(rows [][]string, aux []float64) (int, bool, error) {
-	if err := m.validateAux(len(rows), aux); err != nil {
+// Len returns the number of ops (an update pair counts as two).
+func (b Batch) Len() int { return len(b.Rows) + len(b.Values) }
+
+// Kind returns op i's kind.
+func (b Batch) Kind(i int) byte {
+	if b.Kinds == nil {
+		return OpAppend
+	}
+	return b.Kinds[i]
+}
+
+// Row returns the row number errors and counts use for op i: its position in
+// the batch with an update pair counted as one row.
+func (b Batch) Row(i int) int {
+	r := i
+	for _, k := range b.Kinds[:min(i, len(b.Kinds))] {
+		if k == OpUpdateNew {
+			r--
+		}
+	}
+	return r
+}
+
+// Of returns b with every row an op of the given kind.
+func (b Batch) Of(kind byte) Batch {
+	b.Kinds = nil
+	if kind != OpAppend {
+		b.Kinds = bytes.Repeat([]byte{kind}, b.Len())
+	}
+	return b
+}
+
+// Check vets what needs no relation to vet: one row form, aux and kinds as
+// long as the rows, every OpUpdateOld followed by its OpUpdateNew. It reports
+// whether the batch holds a tombstone (a delete or an update's old row).
+func (b Batch) Check() (tombstones bool, err error) {
+	n := b.Len()
+	switch {
+	case b.Rows != nil && b.Values != nil:
+		return false, fmt.Errorf("refresh: batch has both labeled rows and coded values")
+	case b.Aux != nil && len(b.Aux) != n:
+		return false, fmt.Errorf("refresh: aux has %d values, want %d", len(b.Aux), n)
+	case b.Kinds != nil && len(b.Kinds) != n:
+		return false, fmt.Errorf("refresh: %d op kinds for %d rows", len(b.Kinds), n)
+	}
+	for i, k := range b.Kinds {
+		switch {
+		case k > OpUpdateNew:
+			return false, fmt.Errorf("refresh: op %d has unknown kind %d", i, k)
+		case k == OpUpdateOld && (i+1 == n || b.Kinds[i+1] != OpUpdateNew),
+			k == OpUpdateNew && (i == 0 || b.Kinds[i-1] != OpUpdateOld):
+			return false, fmt.Errorf("refresh: op %d: an update is an adjacent (old, new) pair", i)
+		}
+		tombstones = tombstones || isTombstone(k)
+	}
+	return tombstones, nil
+}
+
+func isTombstone(kind byte) bool { return kind == OpDelete || kind == OpUpdateOld }
+
+// Updates builds the batch replacing old[i] by new[i], from parallel old/new
+// rows in exactly one of the labeled and the coded form; the aux columns are
+// both given or both nil.
+func Updates(oldRows, newRows [][]string, oldValues, newValues [][]core.Value, oldAux, newAux []float64) (Batch, error) {
+	labeled := oldRows != nil || newRows != nil
+	if coded := oldValues != nil || newValues != nil; labeled == coded {
+		return Batch{}, fmt.Errorf(`refresh: exactly one of "old_rows"/"new_rows" and "old_values"/"new_values" is required`)
+	}
+	n := len(oldRows) + len(oldValues)
+	if got := len(newRows) + len(newValues); got != n {
+		return Batch{}, fmt.Errorf("refresh: update has %d old rows and %d new rows", n, got)
+	}
+	b := Batch{Rows: interleave(oldRows, newRows), Values: interleave(oldValues, newValues), Kinds: make([]byte, 2*n)}
+	if oldAux != nil || newAux != nil {
+		if len(oldAux) != n || len(newAux) != n {
+			return Batch{}, fmt.Errorf("refresh: update has %d old and %d new aux values for %d pairs", len(oldAux), len(newAux), n)
+		}
+		b.Aux = interleave(oldAux, newAux)
+	}
+	for i := range b.Kinds {
+		b.Kinds[i] = OpUpdateOld + byte(i&1)
+	}
+	return b, nil
+}
+
+// interleave returns a[0], b[0], a[1], b[1], …; nil when both are.
+func interleave[T any](a, b []T) []T {
+	if a == nil && b == nil {
+		return nil
+	}
+	out := make([]T, 0, 2*len(a))
+	for i := range a {
+		out = append(out, a[i], b[i])
+	}
+	return out
+}
+
+// Apply validates and buffers one batch, all of it or none. Appended rows
+// follow the append contract: on a labeled relation a coded value must be a
+// code the dictionaries know, while an unseen label extends the staging
+// dictionaries (published with the next refresh); on a coded relation a value
+// may exceed the published cardinality by at most cardSlack — new values grow
+// the dimension's domain on refresh, the bound keeps a hostile value from
+// forcing cardinality-sized allocations. Tombstones name existing tuples: on
+// the next refresh each removes one occurrence matching on every dimension
+// and, on a measure relation, the measure value; one that matches nothing in
+// the base relation plus the pending delta plus the batch's earlier ops is
+// rejected, and the batch with it. An update pair is one crash-safe WAL
+// record. New labels are coded tentatively and join the dictionaries only
+// once the log has the batch, so a rejected batch — or a failed WAL write —
+// leaves no phantom labels.
+//
+// It returns the rows buffered (an update pair counts once) and whether the
+// call ran the threshold refresh. With rows > 0 an error is that refresh's:
+// the batch is buffered.
+func (m *Manager) Apply(b Batch) (rows int, refreshed bool, err error) {
+	tombstones, err := b.Check()
+	if err == nil {
+		err = m.validateAux(b.Len(), b.Aux)
+	}
+	if err != nil {
 		return 0, false, err
 	}
-	m.appendMu.Lock()
-	if m.dicts == nil {
-		m.appendMu.Unlock()
-		return 0, false, fmt.Errorf("refresh: relation has no dictionaries; append coded values")
+	// Tombstones are checked against the base relation, which flushMu guards.
+	// An all-append batch takes appendMu alone, so appends keep flowing into
+	// the next delta while a refresh computes. (Two branches, not one
+	// conditional Lock: the lockorder analyzer follows what is definitely held.)
+	var flat []core.Value
+	var fresh [][]string
+	if tombstones {
+		m.flushMu.Lock()
+		m.appendMu.Lock()
+		if flat, fresh, err = m.codeLocked(b); err == nil {
+			err = m.checkAvailable(b, flat)
+		}
+	} else {
+		m.appendMu.Lock()
+		flat, fresh, err = m.codeLocked(b)
 	}
-	for i, row := range rows {
-		if len(row) != m.nd {
-			m.appendMu.Unlock()
-			return 0, false, fmt.Errorf("refresh: row %d has %d fields, want %d", i, len(row), m.nd)
+	if err == nil {
+		err = m.log.append(flat, b.Aux, b.Kinds)
+	}
+	if err == nil {
+		for d, labels := range fresh {
+			for _, s := range labels {
+				m.dicts[d].Code(s)
+			}
 		}
 	}
-	flat := make([]core.Value, 0, len(rows)*m.nd)
-	for _, row := range rows {
-		for d, s := range row {
-			flat = append(flat, m.dicts[d].Code(s))
-		}
+	trigger := err == nil && m.autoRows > 0 && m.log.rows() >= m.autoRows
+	m.appendMu.Unlock()
+	if tombstones {
+		m.flushMu.Unlock()
 	}
-	return m.appendLocked(flat, aux)
+	if err != nil {
+		return 0, false, err
+	}
+	rows = b.Row(b.Len())
+	if !trigger {
+		return rows, false, nil
+	}
+	// The threshold refresh runs outside both locks.
+	if _, err := m.Flush(); err != nil {
+		return rows, false, fmt.Errorf("refresh: threshold refresh: %w", err)
+	}
+	return rows, true, nil
 }
 
 func (m *Manager) validateAux(rows int, aux []float64) error {
@@ -71,27 +200,79 @@ func (m *Manager) validateAux(rows int, aux []float64) error {
 	return nil
 }
 
-// appendLocked finishes an append: the caller holds appendMu, which is
-// released here. The row-threshold trigger flushes synchronously, outside
-// the append lock, so appends on other goroutines keep flowing into the next
-// delta while the refresh computes.
-//
-//ccubing:releases appendMu
-func (m *Manager) appendLocked(flat []core.Value, aux []float64) (int, bool, error) {
-	n := len(flat) / m.nd
-	if err := m.log.append(flat, aux, nil); err != nil {
-		m.appendMu.Unlock()
-		return 0, false, err
+// codeLocked flattens b into coded values, validating every row. Labels the
+// dictionaries lack get the codes they will receive (dictionaries grow densely
+// in first-occurrence order) and are returned, per dimension in that order,
+// for Apply to commit; holding appendMu from here to the commit keeps the
+// assignment stable. A tombstone's labels must be known — to the dictionaries
+// or from an earlier row of the batch. Caller holds appendMu.
+func (m *Manager) codeLocked(b Batch) (flat []core.Value, fresh [][]string, err error) {
+	if b.Rows != nil && m.dicts == nil {
+		return nil, nil, fmt.Errorf("refresh: relation has no dictionaries; send coded values")
 	}
-	trigger := m.autoRows > 0 && m.log.rows() >= m.autoRows
-	m.appendMu.Unlock()
-	if !trigger {
-		return n, false, nil
+	flat = make([]core.Value, 0, b.Len()*m.nd)
+	for i, row := range b.Values {
+		if err := m.validateRow(row, b.Kinds != nil && isTombstone(b.Kinds[i])); err != nil {
+			return nil, nil, fmt.Errorf("refresh: row %d %w", b.Row(i), err)
+		}
+		flat = append(flat, row...)
 	}
-	if _, err := m.Flush(); err != nil {
-		return n, false, fmt.Errorf("refresh: threshold refresh: %w", err)
+	var codes []map[string]core.Value // of the fresh labels
+	for i, row := range b.Rows {
+		if len(row) != m.nd {
+			return nil, nil, fmt.Errorf("refresh: row %d has %d fields, want %d", b.Row(i), len(row), m.nd)
+		}
+		for d, s := range row {
+			code, ok := m.dicts[d].Lookup(s)
+			if !ok && fresh != nil {
+				code, ok = codes[d][s]
+			}
+			if !ok {
+				if isTombstone(b.Kind(i)) {
+					return nil, nil, fmt.Errorf("refresh: row %d dimension %d: label %q never occurred; no such tuple to delete", b.Row(i), d, s)
+				}
+				if fresh == nil {
+					fresh, codes = make([][]string, m.nd), make([]map[string]core.Value, m.nd)
+				}
+				if codes[d] == nil {
+					codes[d] = make(map[string]core.Value)
+				}
+				code = core.Value(m.dicts[d].Len() + len(fresh[d]))
+				codes[d][s] = code
+				fresh[d] = append(fresh[d], s)
+			}
+			flat = append(flat, code)
+		}
 	}
-	return n, true, nil
+	return flat, fresh, nil
+}
+
+// validateRow checks one coded row's shape and values; a tombstone skips the
+// cardinality-growth bound (the tuple must already exist, so its values
+// cannot grow a domain). The error lacks the row number its caller knows.
+// Caller holds appendMu: the dictionaries and cardinalities it reads move
+// under it.
+func (m *Manager) validateRow(row []core.Value, tombstone bool) error {
+	if len(row) != m.nd {
+		return fmt.Errorf("has %d values, want %d", len(row), m.nd)
+	}
+	for d, v := range row {
+		if v < 0 {
+			return fmt.Errorf("dimension %d: negative value %d", d, v)
+		}
+		if m.dicts != nil {
+			if int(v) >= m.dicts[d].Len() {
+				if tombstone {
+					return fmt.Errorf("dimension %d: code %d unknown to the dictionary; no such tuple to delete", d, v)
+				}
+				return fmt.Errorf("dimension %d: code %d unknown to the dictionary (append by label to add it)", d, v)
+			}
+		} else if !tombstone && int64(v) >= int64(m.cards[d])+cardSlack {
+			return fmt.Errorf("dimension %d: value %d exceeds cardinality %d by more than the growth bound %d",
+				d, v, m.cards[d], cardSlack)
+		}
+	}
+	return nil
 }
 
 // rowKey packs one tuple into a multiset key. On measure relations the
@@ -107,6 +288,15 @@ func rowKey(buf []byte, vals []core.Value, aux float64, hasAux bool) string {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(aux))
 	}
 	return string(buf)
+}
+
+// flatKey is rowKey of row i of a flattened delta (nd values per row; aux is
+// nil on a relation without a measure).
+func flatKey(buf []byte, nd int, vals []core.Value, aux []float64, i int) string {
+	if aux == nil {
+		return rowKey(buf, vals[i*nd:(i+1)*nd], 0, false)
+	}
+	return rowKey(buf, vals[i*nd:(i+1)*nd], aux[i], true)
 }
 
 // baseCountsLocked returns the tuple multiset of the base relation, building
@@ -129,340 +319,47 @@ func (m *Manager) baseCountsLocked() map[string]int {
 	return counts
 }
 
-// deltaOp is one validated delta row awaiting enqueue: its flattened
-// position is implicit in order; kind discriminates tombstones from adds.
-type deltaOp struct {
-	key  string
-	kind byte
-}
-
-// checkAvailable verifies that every tombstone in ops (processed in order)
-// targets a tuple present at that point: present in the base relation, plus
+// checkAvailable verifies that every tombstone of b (coded as flat, processed
+// in order) targets a tuple present at that point: in the base relation, plus
 // the net effect of the already-buffered delta, plus earlier ops of this
-// batch. Caller holds flushMu and appendMu. Returns the index of the first
-// unsatisfiable tombstone, or -1.
-func (m *Manager) checkAvailable(ops []deltaOp) int {
+// batch. Caller holds flushMu and appendMu.
+func (m *Manager) checkAvailable(b Batch, flat []core.Value) error {
 	base := m.baseCountsLocked()
-	// Net effect of the pending log, restricted to the keys this batch
-	// touches (the log is a bounded backlog; one linear scan).
-	want := make(map[string]bool, len(ops))
-	for _, op := range ops {
-		if op.kind == opDelete || op.kind == opUpdateOld {
-			want[op.key] = true
+	buf := make([]byte, 0, 4*m.nd+8)
+	keys := make([]string, len(b.Kinds))
+	// Net effect of the pending log, restricted to the keys this batch's
+	// tombstones touch (the log is a bounded backlog; one linear scan).
+	net := make(map[string]int)
+	for i, k := range b.Kinds {
+		keys[i] = flatKey(buf, m.nd, flat, b.Aux, i)
+		if isTombstone(k) {
+			net[keys[i]] = 0
 		}
 	}
-	net := make(map[string]int, len(want))
-	buf := make([]byte, 0, 4*m.nd+8)
-	for i := 0; i < m.log.rows(); i++ {
-		var aux float64
-		if m.hasAux {
-			aux = m.log.aux[i]
-		}
-		k := rowKey(buf, m.log.vals[i*m.nd:(i+1)*m.nd], aux, m.hasAux)
-		if !want[k] {
+	for i, k := range m.log.kinds {
+		key := flatKey(buf, m.nd, m.log.vals, m.log.aux, i)
+		if _, want := net[key]; !want {
 			continue
 		}
-		switch m.log.kinds[i] {
-		case opAppend, opUpdateNew:
-			net[k]++
-		case opDelete, opUpdateOld:
-			net[k]--
+		if isTombstone(k) {
+			net[key]--
+		} else {
+			net[key]++
 		}
 	}
-	for i, op := range ops {
-		switch op.kind {
-		case opAppend, opUpdateNew:
-			if want[op.key] {
-				net[op.key]++
+	for i, k := range b.Kinds {
+		left, want := net[keys[i]]
+		switch {
+		case !isTombstone(k):
+			if want {
+				net[keys[i]]++
 			}
-		case opDelete, opUpdateOld:
-			if base[op.key]+net[op.key] <= 0 {
-				return i
-			}
-			net[op.key]--
-		}
-	}
-	return -1
-}
-
-// validateRow checks one coded row's shape and values against the append
-// contract; tombstones skip the cardinality-growth bound (the tuple must
-// already exist, so its values cannot grow a domain). Caller holds
-// appendMu: the dictionaries and cardinalities it reads move under it.
-func (m *Manager) validateRow(i int, row []core.Value, tombstone bool) error {
-	if len(row) != m.nd {
-		return fmt.Errorf("refresh: row %d has %d values, want %d", i, len(row), m.nd)
-	}
-	for d, v := range row {
-		if v < 0 {
-			return fmt.Errorf("refresh: row %d dimension %d: negative value %d", i, d, v)
-		}
-		if m.dicts != nil && int(v) >= m.dicts[d].Len() {
-			if tombstone {
-				return fmt.Errorf("refresh: row %d dimension %d: code %d unknown to the dictionary; no such tuple to delete", i, d, v)
-			}
-			return fmt.Errorf("refresh: row %d dimension %d: code %d unknown to the dictionary (append by label to add it)", i, d, v)
-		}
-		if m.dicts == nil && !tombstone && int64(v) >= int64(m.cards[d])+cardSlack {
-			return fmt.Errorf("refresh: row %d dimension %d: value %d exceeds cardinality %d by more than the growth bound %d",
-				i, d, v, m.cards[d], cardSlack)
+		case base[keys[i]]+left <= 0:
+			return fmt.Errorf("refresh: row %d: tuple %v not present in the relation plus the pending delta; nothing to delete",
+				b.Row(i), flat[i*m.nd:(i+1)*m.nd])
+		default:
+			net[keys[i]]--
 		}
 	}
 	return nil
-}
-
-// tombstoneBatch is one resolved delete/update batch awaiting enqueue:
-// parallel flat/aux/kinds (update pairs adjacent), plus an optional commit
-// hook that runs — still under the locks — once availability validation
-// passes (UpdateLabeled publishes its new labels there, so a rejected batch
-// leaves no phantom labels).
-type tombstoneBatch struct {
-	flat   []core.Value
-	aux    []float64
-	kinds  []byte
-	commit func()
-}
-
-// enqueueTombstones validates and buffers a batch that contains tombstones
-// (deletes, or update pairs). It takes flushMu (delete validation reads the
-// base relation) then appendMu, calls build to resolve the batch under both
-// locks, checks every tombstone against base + pending delta, and appends to
-// the log; the threshold-triggered refresh runs after both locks are
-// released. Returns the number of delta rows buffered (an update pair counts
-// as two).
-func (m *Manager) enqueueTombstones(build func() (tombstoneBatch, error)) (int, bool, error) {
-	m.flushMu.Lock()
-	m.appendMu.Lock()
-	batch, err := build()
-	if err != nil {
-		m.appendMu.Unlock()
-		m.flushMu.Unlock()
-		return 0, false, err
-	}
-	n := len(batch.kinds)
-	ops := make([]deltaOp, n)
-	buf := make([]byte, 0, 4*m.nd+8)
-	for i := 0; i < n; i++ {
-		var a float64
-		if m.hasAux {
-			a = batch.aux[i]
-		}
-		ops[i] = deltaOp{key: rowKey(buf, batch.flat[i*m.nd:(i+1)*m.nd], a, m.hasAux), kind: batch.kinds[i]}
-	}
-	if bad := m.checkAvailable(ops); bad >= 0 {
-		m.appendMu.Unlock()
-		m.flushMu.Unlock()
-		return 0, false, fmt.Errorf("refresh: row %d: tuple %v not present in the relation plus the pending delta; nothing to delete",
-			bad, batch.flat[bad*m.nd:(bad+1)*m.nd])
-	}
-	err = m.log.append(batch.flat, batch.aux, batch.kinds)
-	if err == nil && batch.commit != nil {
-		// Publish staged state (UpdateLabeled's new labels) only once the
-		// batch is durably buffered — a failed WAL write must leave no
-		// phantom labels.
-		batch.commit()
-	}
-	trigger := err == nil && m.autoRows > 0 && m.log.rows() >= m.autoRows
-	m.appendMu.Unlock()
-	m.flushMu.Unlock()
-	if err != nil {
-		return 0, false, err
-	}
-	if !trigger {
-		return n, false, nil
-	}
-	if _, err := m.Flush(); err != nil {
-		return n, false, fmt.Errorf("refresh: threshold refresh: %w", err)
-	}
-	return n, true, nil
-}
-
-// Delete buffers tombstones for coded tuples: on the next refresh each row
-// removes one matching occurrence from the relation (match is by the full
-// tuple — and, on measure relations, the measure value, so aux is required
-// there exactly as in Append). A tombstone for a tuple not present in the
-// base relation plus the pending delta is rejected, and the whole batch with
-// it. Returns the number of tombstones buffered and whether the call
-// triggered a synchronous refresh.
-func (m *Manager) Delete(rows [][]core.Value, aux []float64) (int, bool, error) {
-	if err := m.validateAux(len(rows), aux); err != nil {
-		return 0, false, err
-	}
-	return m.enqueueTombstones(func() (tombstoneBatch, error) {
-		flat := make([]core.Value, 0, len(rows)*m.nd)
-		for i, row := range rows {
-			if err := m.validateRow(i, row, true); err != nil {
-				return tombstoneBatch{}, err
-			}
-			flat = append(flat, row...)
-		}
-		kinds := make([]byte, len(rows))
-		for i := range kinds {
-			kinds[i] = opDelete
-		}
-		return tombstoneBatch{flat: flat, aux: aux, kinds: kinds}, nil
-	})
-}
-
-// DeleteLabeled is Delete by labels. Every label must already be in the
-// dictionaries — an unknown label names a tuple that was never in the
-// relation, a clear miss rather than a new code.
-func (m *Manager) DeleteLabeled(rows [][]string, aux []float64) (int, bool, error) {
-	if err := m.validateAux(len(rows), aux); err != nil {
-		return 0, false, err
-	}
-	return m.enqueueTombstones(func() (tombstoneBatch, error) {
-		flat, err := m.codeTombstonesLocked(rows)
-		if err != nil {
-			return tombstoneBatch{}, err
-		}
-		kinds := make([]byte, len(rows))
-		for i := range kinds {
-			kinds[i] = opDelete
-		}
-		return tombstoneBatch{flat: flat, aux: aux, kinds: kinds}, nil
-	})
-}
-
-// codeTombstonesLocked resolves labeled tombstone rows against the staging
-// dictionaries without growing them. Caller holds appendMu.
-func (m *Manager) codeTombstonesLocked(rows [][]string) ([]core.Value, error) {
-	if m.dicts == nil {
-		return nil, fmt.Errorf("refresh: relation has no dictionaries; delete coded values")
-	}
-	flat := make([]core.Value, 0, len(rows)*m.nd)
-	for i, row := range rows {
-		if len(row) != m.nd {
-			return nil, fmt.Errorf("refresh: row %d has %d fields, want %d", i, len(row), m.nd)
-		}
-		for d, s := range row {
-			code, ok := m.dicts[d].Lookup(s)
-			if !ok {
-				return nil, fmt.Errorf("refresh: row %d dimension %d: label %q never occurred; no such tuple to delete", i, d, s)
-			}
-			flat = append(flat, code)
-		}
-	}
-	return flat, nil
-}
-
-// Update buffers coded update pairs: on the next refresh each old row's
-// occurrence is removed and the paired new row added, atomically (a single
-// crash-safe WAL record). Old rows follow the Delete contract (must be
-// present), new rows the Append contract (may grow a coded dimension's
-// domain within the slack). oldAux/newAux are required iff the relation has
-// a measure column. Returns the number of update pairs buffered.
-func (m *Manager) Update(oldRows, newRows [][]core.Value, oldAux, newAux []float64) (int, bool, error) {
-	if len(oldRows) != len(newRows) {
-		return 0, false, fmt.Errorf("refresh: update has %d old rows and %d new rows", len(oldRows), len(newRows))
-	}
-	if err := m.validateAux(len(oldRows), oldAux); err != nil {
-		return 0, false, err
-	}
-	if err := m.validateAux(len(newRows), newAux); err != nil {
-		return 0, false, err
-	}
-	n, trigger, err := m.enqueueTombstones(func() (tombstoneBatch, error) {
-		batch := tombstoneBatch{
-			flat:  make([]core.Value, 0, 2*len(oldRows)*m.nd),
-			kinds: make([]byte, 0, 2*len(oldRows)),
-		}
-		if m.hasAux {
-			batch.aux = make([]float64, 0, 2*len(oldRows))
-		}
-		for i := range oldRows {
-			if err := m.validateRow(i, oldRows[i], true); err != nil {
-				return tombstoneBatch{}, err
-			}
-			if err := m.validateRow(i, newRows[i], false); err != nil {
-				return tombstoneBatch{}, err
-			}
-			batch.flat = append(batch.flat, oldRows[i]...)
-			batch.flat = append(batch.flat, newRows[i]...)
-			if m.hasAux {
-				batch.aux = append(batch.aux, oldAux[i], newAux[i])
-			}
-			batch.kinds = append(batch.kinds, opUpdateOld, opUpdateNew)
-		}
-		return batch, nil
-	})
-	return n / 2, trigger, err
-}
-
-// UpdateLabeled is Update by labels: old rows must use labels the
-// dictionaries already know (they name existing tuples); new rows may
-// introduce labels, which extend the staging dictionaries only after the
-// whole batch validates — a rejected batch leaves no phantom labels. A label
-// introduced by one pair cannot be referenced by a later pair's old row in
-// the same batch; split such chains across calls.
-func (m *Manager) UpdateLabeled(oldRows, newRows [][]string, oldAux, newAux []float64) (int, bool, error) {
-	if len(oldRows) != len(newRows) {
-		return 0, false, fmt.Errorf("refresh: update has %d old rows and %d new rows", len(oldRows), len(newRows))
-	}
-	if err := m.validateAux(len(oldRows), oldAux); err != nil {
-		return 0, false, err
-	}
-	if err := m.validateAux(len(newRows), newAux); err != nil {
-		return 0, false, err
-	}
-	n, trigger, err := m.enqueueTombstones(func() (tombstoneBatch, error) {
-		oldFlat, err := m.codeTombstonesLocked(oldRows)
-		if err != nil {
-			return tombstoneBatch{}, err
-		}
-		for i, row := range newRows {
-			if len(row) != m.nd {
-				return tombstoneBatch{}, fmt.Errorf("refresh: row %d has %d fields, want %d", i, len(row), m.nd)
-			}
-		}
-		// Code new rows tentatively: unseen labels get the codes they WILL
-		// receive (dictionaries grow densely in first-occurrence order), but
-		// the dictionaries themselves only grow in the commit hook, after the
-		// whole batch validates. Holding appendMu across tentative coding,
-		// validation and commit keeps the assignment stable.
-		fresh := make([]map[string]core.Value, m.nd)
-		freshOrder := make([][]string, m.nd)
-		newFlat := make([]core.Value, 0, len(newRows)*m.nd)
-		for _, row := range newRows {
-			for d, s := range row {
-				code, ok := m.dicts[d].Lookup(s)
-				if !ok {
-					if fresh[d] == nil {
-						fresh[d] = make(map[string]core.Value)
-					}
-					code, ok = fresh[d][s]
-					if !ok {
-						code = core.Value(m.dicts[d].Len() + len(freshOrder[d]))
-						fresh[d][s] = code
-						freshOrder[d] = append(freshOrder[d], s)
-					}
-				}
-				newFlat = append(newFlat, code)
-			}
-		}
-		batch := tombstoneBatch{
-			flat:  make([]core.Value, 0, 2*len(oldRows)*m.nd),
-			kinds: make([]byte, 0, 2*len(oldRows)),
-			commit: func() {
-				for d, labels := range freshOrder {
-					for _, s := range labels {
-						m.dicts[d].Code(s)
-					}
-				}
-			},
-		}
-		if m.hasAux {
-			batch.aux = make([]float64, 0, 2*len(oldRows))
-		}
-		for i := range oldRows {
-			batch.flat = append(batch.flat, oldFlat[i*m.nd:(i+1)*m.nd]...)
-			batch.flat = append(batch.flat, newFlat[i*m.nd:(i+1)*m.nd]...)
-			if m.hasAux {
-				batch.aux = append(batch.aux, oldAux[i], newAux[i])
-			}
-			batch.kinds = append(batch.kinds, opUpdateOld, opUpdateNew)
-		}
-		return batch, nil
-	})
-	return n / 2, trigger, err
 }

@@ -18,7 +18,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"ccubing/internal/obs"
@@ -39,13 +38,12 @@ type Shard interface {
 	// AggregatePartial is Aggregate in mergeable form (see aggPartial): what a
 	// Router gathers from its workers, cut to the request's top_k when set.
 	AggregatePartial(aggregateRequest) (*aggPartial, error)
-	Append(appendRequest) (appendResponse, error)
-	Delete(appendRequest) (deleteResponse, error)
-	Update(updateRequest) (updateResponse, error)
-	// AppendStream and DeleteStream consume the NDJSON mutation format (one
-	// tuple per line, see ccubing.AppendNDJSON).
-	AppendStream(io.Reader) (appendResponse, error)
-	DeleteStream(io.Reader) (deleteResponse, error)
+	// Mutate is the one write path: appends, deletes and updates, by label or
+	// by code, from a JSON body or an NDJSON stream, all arrive as one batch
+	// of ops, which a shard validates and buffers whole or not at all. A
+	// Router gives each owning worker its share in exactly one call, so that
+	// holds per worker.
+	Mutate(mutationRequest) (mutationResponse, error)
 	Refresh() (refreshResponse, error)
 	Stats() (statsResponse, error)
 }
@@ -110,8 +108,7 @@ func httpStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// mutateError wraps a failed JSON-batch mutation. Batch validation is
-// all-or-nothing, so n > 0 with an error means the rows ARE buffered and the
+// mutateError wraps a failed mutation. Batch validation is all-or-nothing, so n > 0 with an error means the rows ARE buffered and the
 // failure was the triggered refresh — a server-side 500 naming the buffered
 // count, so clients don't retry and double-buffer the batch. n == 0 is the
 // usual request rejection.
@@ -225,17 +222,15 @@ type appendRequest struct {
 	Values  [][]int32  `json:"values,omitempty"`
 	Aux     []float64  `json:"aux,omitempty"`
 	Refresh bool       `json:"refresh,omitempty"`
-
-	trace *obs.Trace // in-process stage accounting; see queryRequest.trace
 }
 
+// appendResponse, deleteResponse and updateResponse are a mutationResponse
+// under each endpoint's name for the count.
 type appendResponse struct {
 	Appended   int    `json:"appended"`
 	Backlog    int    `json:"backlog"`
 	Generation uint64 `json:"generation"`
-	// Refreshed reports that the call itself published a new generation
-	// (explicit "refresh": true or a crossed AutoRefresh row threshold).
-	Refreshed bool `json:"refreshed"`
+	Refreshed  bool   `json:"refreshed"`
 }
 
 type deleteResponse struct {
@@ -250,8 +245,9 @@ type deleteResponse struct {
 // (old_values/new_values) forms, with per-row measure values on measure
 // cubes. Each pair atomically replaces one occurrence of the old tuple with
 // the new one on the next refresh. Routed through a Router, a pair whose old
-// and new tuples hash to different shards is split into a delete and an
-// append — atomic within each worker's delta, but not across the two.
+// and new tuples hash to different shards becomes a delete in the old owner's
+// batch and an append in the new owner's — each batch atomic within its
+// worker's delta, but not the two across workers.
 type updateRequest struct {
 	OldRows   [][]string `json:"old_rows,omitempty"`
 	NewRows   [][]string `json:"new_rows,omitempty"`
@@ -260,8 +256,6 @@ type updateRequest struct {
 	OldAux    []float64  `json:"old_aux,omitempty"`
 	NewAux    []float64  `json:"new_aux,omitempty"`
 	Refresh   bool       `json:"refresh,omitempty"`
-
-	trace *obs.Trace // in-process stage accounting; see queryRequest.trace
 }
 
 type updateResponse struct {

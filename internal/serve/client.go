@@ -163,42 +163,24 @@ func (h *httpShard) AggregatePartial(req aggregateRequest) (*aggPartial, error) 
 		p, err = decodeFrame(frame.Bytes())
 		return err
 	})
+	return p, h.sameBuild(partialPath, err)
+}
+
+// sameBuild names what a worker's 404 or 405 on an internal endpoint means:
+// it is another build, and router and workers must be the same one.
+func (h *httpShard) sameBuild(path string, err error) error {
 	var se *StatusError
 	if errors.As(err, &se) && (se.Code == http.StatusNotFound || se.Code == http.StatusMethodNotAllowed) {
-		return nil, statusErrorf(http.StatusBadGateway,
-			"shard %s has no %s endpoint: router and workers must run the same build", h.base, partialPath)
+		return statusErrorf(http.StatusBadGateway,
+			"shard %s has no %s endpoint: router and workers must run the same build", h.base, path)
 	}
-	return p, err
+	return err
 }
 
-func (h *httpShard) Append(req appendRequest) (appendResponse, error) {
-	var out appendResponse
-	err := h.postJSON("/v1/append", traceID(req.trace), req, &out)
-	return out, err
-}
-
-func (h *httpShard) Delete(req appendRequest) (deleteResponse, error) {
-	var out deleteResponse
-	err := h.postJSON("/v1/delete", traceID(req.trace), req, &out)
-	return out, err
-}
-
-func (h *httpShard) Update(req updateRequest) (updateResponse, error) {
-	var out updateResponse
-	err := h.postJSON("/v1/update", traceID(req.trace), req, &out)
-	return out, err
-}
-
-func (h *httpShard) AppendStream(r io.Reader) (appendResponse, error) {
-	var out appendResponse
-	err := h.do(http.MethodPost, "/v1/append", r, "application/x-ndjson", "", intoJSON(&out))
-	return out, err
-}
-
-func (h *httpShard) DeleteStream(r io.Reader) (deleteResponse, error) {
-	var out deleteResponse
-	err := h.do(http.MethodPost, "/v1/delete", r, "application/x-ndjson", "", intoJSON(&out))
-	return out, err
+func (h *httpShard) Mutate(req mutationRequest) (mutationResponse, error) {
+	var out mutationResponse
+	err := h.postJSON(mutatePath, traceID(req.trace), req, &out)
+	return out, h.sameBuild(mutatePath, err)
 }
 
 func (h *httpShard) Refresh() (refreshResponse, error) {

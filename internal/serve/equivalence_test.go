@@ -1,7 +1,9 @@
 package serve
 
 // The routed-vs-single equivalence suite: a fuzzed workload of queries,
-// slices, aggregates and interleaved mutations runs against one server over
+// slices, aggregates and interleaved mutations — one verb per request through
+// the public endpoints, all three mixed in one batch through the internal one
+// — runs against one server over
 // the whole relation and against a router over N shard workers (real HTTP on
 // loopback via httptest, workers Dial'd like production), and every read
 // response must match BYTE-identically — counts, closures, measure values,
@@ -13,6 +15,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -398,7 +401,7 @@ func fuzzEquivalence(t *testing.T, n int, minsup int64, kind ccubing.MeasureKind
 	checkReads()
 	for round := 0; round < 25; round++ {
 		refresh := rng.Intn(3) > 0
-		switch rng.Intn(3) {
+		switch rng.Intn(4) {
 		case 0: // append 1–4 rows, occasionally introducing a new label
 			k := 1 + rng.Intn(4)
 			rows := make([][]string, k)
@@ -427,6 +430,29 @@ func fuzzEquivalence(t *testing.T, n int, minsup int64, kind ccubing.MeasureKind
 				continue
 			}
 			mutate("/v1/delete", rowJSON(rows, aux, refresh))
+		case 2: // one batch mixing all three, as a router's worker receives its share
+			req := mutationRequest{Refresh: refresh}
+			for op := 0; op < 3+rng.Intn(4); op++ {
+				kind := byte(rng.Intn(3)) // OpAppend, OpDelete, or an update pair
+				if kind != ccubing.OpAppend {
+					j := rng.Intn(len(live))
+					req.Rows, req.Aux, req.Kinds = append(req.Rows, live[j].row), append(req.Aux, live[j].aux), append(req.Kinds, kind)
+					live = append(live[:j], live[j+1:]...)
+				}
+				if kind != ccubing.OpDelete {
+					nw := fuzzTuple{
+						row: []string{fuzzCities[rng.Intn(len(fuzzCities))], fuzzProds[rng.Intn(len(fuzzProds))], fuzzYears[rng.Intn(len(fuzzYears))]},
+						aux: float64(1 + rng.Intn(9)),
+					}
+					req.Rows, req.Aux, req.Kinds = append(req.Rows, nw.row), append(req.Aux, nw.aux), append(req.Kinds, kind+kind/2)
+					live = append(live, nw)
+				}
+			}
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mutate(mutatePath, string(body))
 		default: // update one tuple, cross-shard moves included
 			j := rng.Intn(len(live))
 			old := live[j]

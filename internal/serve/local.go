@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -353,143 +352,26 @@ func errStatic(verb string) error {
 	return statusErrorf(http.StatusConflict, "cube is static (snapshot-loaded); serve from data to %s", verb)
 }
 
-func (l *Local) Append(req appendRequest) (appendResponse, error) {
+func (l *Local) Mutate(req mutationRequest) (mutationResponse, error) {
 	cube := l.cube.Load()
 	if !cube.Refreshable() {
-		return appendResponse{}, errStatic("mutate")
+		return mutationResponse{}, errStatic("mutate")
 	}
-	if (req.Rows == nil) == (req.Values == nil) {
-		return appendResponse{}, fmt.Errorf(`exactly one of "rows" and "values" is required`)
+	if req.auxPerLine && !cube.HasMeasure() {
+		req.Aux = nil
 	}
 	genBefore := cube.Generation()
-	var n int
-	var err error
-	if req.Rows != nil {
-		n, err = cube.Append(req.Rows, req.Aux)
-	} else {
-		n, err = cube.AppendValues(req.Values, req.Aux)
-	}
+	n, err := cube.Mutate(req.Mutation)
 	if err != nil {
-		return appendResponse{}, mutateError(n, err)
+		return mutationResponse{}, mutateError(n, err)
 	}
 	if req.Refresh {
 		if _, err := cube.Refresh(); err != nil {
-			return appendResponse{}, statusErrorf(http.StatusInternalServerError, "%v", err)
+			return mutationResponse{}, statusErrorf(http.StatusInternalServerError, "%v", err)
 		}
 	}
 	gen := cube.Generation()
-	return appendResponse{
-		Appended:   n,
-		Backlog:    cube.Backlog(),
-		Generation: gen,
-		Refreshed:  gen != genBefore,
-	}, nil
-}
-
-func (l *Local) Delete(req appendRequest) (deleteResponse, error) {
-	cube := l.cube.Load()
-	if !cube.Refreshable() {
-		return deleteResponse{}, errStatic("mutate")
-	}
-	if (req.Rows == nil) == (req.Values == nil) {
-		return deleteResponse{}, fmt.Errorf(`exactly one of "rows" and "values" is required`)
-	}
-	genBefore := cube.Generation()
-	var n int
-	var err error
-	if req.Rows != nil {
-		n, err = cube.DeleteLabels(req.Rows, req.Aux)
-	} else {
-		n, err = cube.Delete(req.Values, req.Aux)
-	}
-	if err != nil {
-		return deleteResponse{}, mutateError(n, err)
-	}
-	if req.Refresh {
-		if _, err := cube.Refresh(); err != nil {
-			return deleteResponse{}, statusErrorf(http.StatusInternalServerError, "%v", err)
-		}
-	}
-	gen := cube.Generation()
-	return deleteResponse{
-		Deleted:    n,
-		Backlog:    cube.Backlog(),
-		Generation: gen,
-		Refreshed:  gen != genBefore,
-	}, nil
-}
-
-func (l *Local) Update(req updateRequest) (updateResponse, error) {
-	cube := l.cube.Load()
-	if !cube.Refreshable() {
-		return updateResponse{}, errStatic("mutate")
-	}
-	labeled := req.OldRows != nil || req.NewRows != nil
-	coded := req.OldValues != nil || req.NewValues != nil
-	if labeled == coded {
-		return updateResponse{}, fmt.Errorf(`exactly one of "old_rows"/"new_rows" and "old_values"/"new_values" is required`)
-	}
-	genBefore := cube.Generation()
-	var n int
-	var err error
-	if labeled {
-		n, err = cube.UpdateLabels(req.OldRows, req.NewRows, req.OldAux, req.NewAux)
-	} else {
-		n, err = cube.Update(req.OldValues, req.NewValues, req.OldAux, req.NewAux)
-	}
-	if err != nil {
-		return updateResponse{}, mutateError(n, err)
-	}
-	if req.Refresh {
-		if _, err := cube.Refresh(); err != nil {
-			return updateResponse{}, statusErrorf(http.StatusInternalServerError, "%v", err)
-		}
-	}
-	gen := cube.Generation()
-	return updateResponse{
-		Updated:    n,
-		Backlog:    cube.Backlog(),
-		Generation: gen,
-		Refreshed:  gen != genBefore,
-	}, nil
-}
-
-func (l *Local) AppendStream(r io.Reader) (appendResponse, error) {
-	cube := l.cube.Load()
-	if !cube.Refreshable() {
-		return appendResponse{}, errStatic("mutate")
-	}
-	genBefore := cube.Generation()
-	n, err := cube.AppendNDJSON(r)
-	if err != nil {
-		return appendResponse{}, err
-	}
-	gen := cube.Generation()
-	return appendResponse{
-		Appended:   n,
-		Backlog:    cube.Backlog(),
-		Generation: gen,
-		Refreshed:  gen != genBefore,
-	}, nil
-}
-
-func (l *Local) DeleteStream(r io.Reader) (deleteResponse, error) {
-	cube := l.cube.Load()
-	if !cube.Refreshable() {
-		return deleteResponse{}, errStatic("mutate")
-	}
-	genBefore := cube.Generation()
-	n, err := cube.DeleteNDJSON(r)
-	if err != nil {
-		return deleteResponse{}, err
-	}
-	gen := cube.Generation()
-	return deleteResponse{
-		Deleted:    n,
-		Backlog:    cube.Backlog(),
-		Generation: gen,
-		Refreshed:  gen != genBefore,
-	}, nil
+	return mutationResponse{Applied: n, Backlog: cube.Backlog(), Generation: gen, Refreshed: gen != genBefore}, nil
 }
 
 func (l *Local) Refresh() (refreshResponse, error) {

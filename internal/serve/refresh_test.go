@@ -95,11 +95,25 @@ func TestAppendRefreshEndToEnd(t *testing.T) {
 	}
 }
 
-// TestAppendNDJSONEndpoint streams NDJSON rows through /v1/append.
+// TestAppendNDJSONEndpoint streams NDJSON rows through /v1/append. Updated for
+// ISSUE 22's one deliberate behaviour change: an NDJSON body is all-or-nothing
+// on a single server as it always was on a router — nothing before a malformed
+// line stays buffered (it used to, the body being applied as it streamed), and
+// a stream without a row is an error instead of an empty success.
 func TestAppendNDJSONEndpoint(t *testing.T) {
 	cube, _ := testCube(t, 1)
 	ts := httptest.NewServer(newMux(cube, "", 0))
 	defer ts.Close()
+	for _, bad := range []string{"[\"oslo\",\"pen\",\"2025\"]\nnot json\n", "\n\n"} {
+		resp, err := ts.Client().Post(ts.URL+"/v1/append", "application/x-ndjson", strings.NewReader(bad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || cube.Backlog() != 0 {
+			t.Fatalf("ndjson body %q: status %d with %d rows buffered, want 400 and none", bad, resp.StatusCode, cube.Backlog())
+		}
+	}
 	body := "[\"oslo\",\"pen\",\"2025\"]\n[\"oslo\",\"pen\",\"2025\"]\n"
 	resp, err := ts.Client().Post(ts.URL+"/v1/append", "application/x-ndjson", strings.NewReader(body))
 	if err != nil {

@@ -127,7 +127,7 @@ func NewRouter(shards []Shard) (*Router, error) {
 		rt.met.stageNames = append(rt.met.stageNames, "worker"+w)
 	}
 	rt.met.workerCalls = make(map[string]*obs.Counter)
-	for _, op := range []string{"query", "slice", "aggregate", "append", "delete", "update", "refresh", "meta", "stats"} {
+	for _, op := range []string{"query", "slice", "aggregate", "mutate", "refresh", "meta", "stats"} {
 		rt.met.workerCalls[op] = rt.reg.Counter("ccubing_router_worker_calls_total",
 			"Worker calls issued by this router, by originating endpoint.", "endpoint", op)
 	}

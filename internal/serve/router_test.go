@@ -5,12 +5,14 @@ package serve
 // splitting, and the partial-failure contract.
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"ccubing"
+	"ccubing/internal/obs"
 	"ccubing/internal/route"
 )
 
@@ -305,9 +307,21 @@ func TestRouterMutations(t *testing.T) {
 	check([]string{"*", "*", "*"}, 36, true)
 }
 
+// countingShard counts the Mutate calls a router makes to one worker.
+type countingShard struct {
+	Shard
+	mutations int
+}
+
+func (c *countingShard) Mutate(req mutationRequest) (mutationResponse, error) {
+	c.mutations++
+	return c.Shard.Mutate(req)
+}
+
 // TestRouterPartialFailure pins the mutation error contract: a scatter where
-// some shard batches applied is a 500 naming the partial state; a scatter
-// where every batch failed surfaces the shard's own error.
+// some shard batches applied is a 500 naming the partial state — and naming
+// it truthfully, which takes one call per worker; a scatter where every batch
+// failed surfaces the shard's own error.
 func TestRouterPartialFailure(t *testing.T) {
 	ds := routerDataset(t)
 	shards := shardedLocals(t, ds, 1, 2)
@@ -334,6 +348,66 @@ func TestRouterPartialFailure(t *testing.T) {
 	_, err = rt.Append(appendRequest{Rows: [][]string{{"cairo", "pen", "2030"}}})
 	if err == nil || httpStatus(err) != http.StatusConflict {
 		t.Fatalf("all-failed append: %v (status %d), want the shard's 409", err, httpStatus(err))
+	}
+
+	// The other half of the contract: a worker sees its whole share of a
+	// routed update in one call, so a share that is rejected leaves nothing
+	// buffered, and the "N of M applied" the client is told is what the
+	// workers' backlogs say.
+	if route.Owner("paris", 2) != 0 || route.Owner("rome", 2) != 0 || route.Owner("oslo", 2) != 0 || route.Owner("cairo", 2) != 1 {
+		t.Fatal("fixture owners moved; update test assumptions broken")
+	}
+	shards = shardedLocals(t, ds, 1, 2)
+	counted := []*countingShard{{Shard: shards[0]}, {Shard: shards[1]}}
+	if rt, err = NewRouter([]Shard{counted[0], counted[1]}); err != nil {
+		t.Fatal(err)
+	}
+	backlogs := func() (b [2]int) {
+		for i, sh := range shards {
+			b[i] = sh.(*Local).Cube().Backlog()
+		}
+		return b
+	}
+
+	// Shard 0's share is the pair paris→rome plus the tombstone of the
+	// cross-shard pair, whose old tuple is not in the relation: the share is
+	// rejected as a whole, the valid pair in it included. Shard 1's share, the
+	// cross-shard pair's append, applies.
+	_, err = rt.Update(updateRequest{
+		OldRows: [][]string{{"paris", "pen", "2025"}, {"oslo", "ink", "2025"}},
+		NewRows: [][]string{{"rome", "pen", "2025"}, {"cairo", "ink", "2025"}},
+	})
+	if err == nil || httpStatus(err) != http.StatusInternalServerError || !strings.Contains(err.Error(), "1 of 2 shard batches applied") {
+		t.Fatalf("update with a rejected share: %v", err)
+	}
+	if got := backlogs(); got != [2]int{0, 1} {
+		t.Fatalf("backlogs = %v after \"1 of 2 applied\", want the failed shard at 0 and the other at 1", got)
+	}
+	if counted[0].mutations != 1 || counted[1].mutations != 1 {
+		t.Fatalf("worker calls = %d and %d, want one per owning shard", counted[0].mutations, counted[1].mutations)
+	}
+
+	// The same request with an old tuple that exists: still one call each,
+	// every op buffered — a pair and a tombstone on shard 0, an append on 1.
+	ur, err := rt.Update(updateRequest{
+		OldRows: [][]string{{"paris", "pen", "2025"}, {"oslo", "pen", "2024"}},
+		NewRows: [][]string{{"rome", "pen", "2025"}, {"cairo", "pen", "2024"}},
+	})
+	if err != nil || ur.Updated != 2 || ur.Backlog != 5 {
+		t.Fatalf("update = %+v, %v", ur, err)
+	}
+	if got := backlogs(); got != [2]int{3, 2} {
+		t.Fatalf("backlogs = %v, want [3 2]", got)
+	}
+	if counted[0].mutations != 2 || counted[1].mutations != 2 {
+		t.Fatalf("worker calls = %d and %d, want one per owning shard and request", counted[0].mutations, counted[1].mutations)
+	}
+	var text bytes.Buffer
+	if err := obs.WriteText(&text, rt.MetricsRegistry()); err != nil {
+		t.Fatal(err)
+	}
+	if v := metricValue(t, text.String(), `ccubing_router_worker_calls_total{endpoint="mutate"}`); v != 4 {
+		t.Fatalf("worker_calls_total{mutate} = %v, want 4", v)
 	}
 }
 
@@ -538,7 +612,7 @@ func TestRouterMetaStats(t *testing.T) {
 
 	// Refresh one shard directly: the router's generation stays at the
 	// lagging shards' 0.
-	if _, err := rt.shards[0].Append(appendRequest{Rows: [][]string{{"paris", "pen", "2024"}}}); err != nil {
+	if _, err := rt.shards[0].(*Local).Append(appendRequest{Rows: [][]string{{"paris", "pen", "2024"}}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rt.shards[0].Refresh(); err != nil {

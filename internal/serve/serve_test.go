@@ -44,7 +44,7 @@ func testCube(t *testing.T, minsup int64) (*ccubing.Cube, *ccubing.Dataset) {
 
 // loadCube reads a cube snapshot back from disk (yielding a static cube,
 // like ccserve -snapshot).
-func loadCube(t *testing.T, path string) *ccubing.Cube {
+func loadCube(t testing.TB, path string) *ccubing.Cube {
 	t.Helper()
 	cube, err := ccubing.LoadCubeFile(path)
 	if err != nil {
@@ -54,7 +54,7 @@ func loadCube(t *testing.T, path string) *ccubing.Cube {
 }
 
 // saveTo writes a cube snapshot into a temp file and returns the path.
-func saveTo(t *testing.T, cube *ccubing.Cube) string {
+func saveTo(t testing.TB, cube *ccubing.Cube) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "cube.ccube")
 	if err := cube.SaveFile(path); err != nil {

@@ -39,8 +39,8 @@ type Server struct {
 	slowLog *log.Logger
 
 	// Per-endpoint request counters, exposed by /v1/stats.
-	nCube, nQuery, nSlice, nAggregate, nPartial, nAppend, nDelete, nUpdate, nRefresh, nReload, nStats atomic.Int64
-	nRateLimited                                                                                      atomic.Int64
+	nCube, nQuery, nSlice, nAggregate, nPartial, nAppend, nDelete, nUpdate, nMutate, nRefresh, nReload, nStats atomic.Int64
+	nRateLimited                                                                                               atomic.Int64
 }
 
 // Config carries the transport-level knobs.
@@ -153,6 +153,10 @@ const (
 //	                    the /v1/aggregate body in, the answer out as one binary
 //	                    partial frame: what a router's Dial asks its workers
 //	                    (see partialPath; not part of the public API)
+//	POST /internal/v1/mutate
+//	                    a worker's whole share of a routed append, delete or
+//	                    update as one batch of ops (see mutatePath; not part
+//	                    of the public API)
 //
 // Every v1 endpoint echoes an X-CCubing-Request-ID header (honoring an
 // inbound one), which a router propagates to its workers — one ID follows a
@@ -191,9 +195,10 @@ func NewServer(shard Shard, cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/aggregate", s.wrap("aggregate", &s.nAggregate, s.handleAggregate))
 	s.mux.HandleFunc("POST /v1/aggregate", s.wrap("aggregate", &s.nAggregate, s.handleAggregate))
 	s.mux.HandleFunc("POST "+partialPath, s.wrap("partial", &s.nPartial, s.handlePartial))
-	s.mux.HandleFunc("POST /v1/append", s.wrap("append", &s.nAppend, s.handleAppend))
-	s.mux.HandleFunc("POST /v1/delete", s.wrap("delete", &s.nDelete, s.handleDelete))
-	s.mux.HandleFunc("POST /v1/update", s.wrap("update", &s.nUpdate, s.handleUpdate))
+	s.mux.HandleFunc("POST /v1/append", s.wrap("append", &s.nAppend, s.handleMutation("append")))
+	s.mux.HandleFunc("POST /v1/delete", s.wrap("delete", &s.nDelete, s.handleMutation("delete")))
+	s.mux.HandleFunc("POST /v1/update", s.wrap("update", &s.nUpdate, s.handleMutation("update")))
+	s.mux.HandleFunc("POST "+mutatePath, s.wrap("mutate", &s.nMutate, s.handleMutation("mutate")))
 	s.mux.HandleFunc("POST /v1/refresh", s.wrap("refresh", &s.nRefresh, s.handleRefresh))
 	s.mux.HandleFunc("POST /v1/reload", s.wrap("reload", &s.nReload, s.handleReload))
 	s.mux.HandleFunc("GET /v1/stats", s.wrap("stats", &s.nStats, s.handleStats))
@@ -314,11 +319,7 @@ func (s *Server) readQueryRequest(w http.ResponseWriter, r *http.Request) (query
 		}
 		return req, nil
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxQueryBody)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return req, fmt.Errorf("bad JSON body: %w", err)
-	}
-	return req, nil
+	return req, decodeJSON(http.MaxBytesReader(w, r.Body, maxQueryBody), &req)
 }
 
 // cellSpec renders the point-query target for the slow-query log note.
@@ -387,9 +388,8 @@ func (s *Server) readAggregateRequest(w http.ResponseWriter, r *http.Request, tr
 		req.OrderBy = q.Get("order_by")
 		req.AuxAgg = q.Get("aux_agg")
 	} else {
-		r.Body = http.MaxBytesReader(w, r.Body, maxQueryBody)
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			return req, fmt.Errorf("bad JSON body: %w", err)
+		if err := decodeJSON(http.MaxBytesReader(w, r.Body, maxQueryBody), &req); err != nil {
+			return req, err
 		}
 	}
 	req.trace = tr
@@ -436,87 +436,6 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request, tr *obs.T
 	_, _ = w.Write(frame)
 }
 
-func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, tr *obs.Trace) {
-	if !s.allowMutation(w) {
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxAppendBody)
-	if strings.Contains(r.Header.Get("Content-Type"), "ndjson") {
-		resp, err := s.shard.AppendStream(r.Body)
-		if err != nil {
-			writeError(w, httpStatus(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	var req appendRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		err = fmt.Errorf("bad JSON body: %w", err)
-		writeError(w, httpStatus(err), err)
-		return
-	}
-	req.trace = tr
-	tr.Note = fmt.Sprintf("rows=%d", len(req.Rows)+len(req.Values))
-	resp, err := s.shard.Append(req)
-	if err != nil {
-		writeError(w, httpStatus(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, tr *obs.Trace) {
-	if !s.allowMutation(w) {
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxAppendBody)
-	if strings.Contains(r.Header.Get("Content-Type"), "ndjson") {
-		resp, err := s.shard.DeleteStream(r.Body)
-		if err != nil {
-			writeError(w, httpStatus(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	var req appendRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		err = fmt.Errorf("bad JSON body: %w", err)
-		writeError(w, httpStatus(err), err)
-		return
-	}
-	req.trace = tr
-	tr.Note = fmt.Sprintf("rows=%d", len(req.Rows)+len(req.Values))
-	resp, err := s.shard.Delete(req)
-	if err != nil {
-		writeError(w, httpStatus(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, tr *obs.Trace) {
-	if !s.allowMutation(w) {
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxAppendBody)
-	var req updateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		err = fmt.Errorf("bad JSON body: %w", err)
-		writeError(w, httpStatus(err), err)
-		return
-	}
-	req.trace = tr
-	tr.Note = fmt.Sprintf("pairs=%d", len(req.OldRows)+len(req.OldValues))
-	resp, err := s.shard.Update(req)
-	if err != nil {
-		writeError(w, httpStatus(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request, _ *obs.Trace) {
 	if !s.allowMutation(w) {
 		return
@@ -533,10 +452,8 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request, _ *obs.Tra
 	if !s.allowMutation(w) {
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxQueryBody)
 	var req reloadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		err = fmt.Errorf("bad JSON body: %w", err)
+	if err := decodeJSON(http.MaxBytesReader(w, r.Body, maxQueryBody), &req); err != nil && !errors.Is(err, io.EOF) {
 		writeError(w, httpStatus(err), err)
 		return
 	}
@@ -573,11 +490,20 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, _ *obs.Trac
 		"append":    s.nAppend.Load(),
 		"delete":    s.nDelete.Load(),
 		"update":    s.nUpdate.Load(),
+		"mutate":    s.nMutate.Load(),
 		"refresh":   s.nRefresh.Load(),
 		"reload":    s.nReload.Load(),
 		"stats":     s.nStats.Load(),
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// decodeJSON reads one JSON value from a request body into v.
+func decodeJSON(body io.Reader, v any) error {
+	if err := json.NewDecoder(body).Decode(v); err != nil {
+		return fmt.Errorf("bad JSON body: %w", err)
+	}
+	return nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

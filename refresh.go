@@ -16,7 +16,6 @@ import (
 	"io"
 	"time"
 
-	"ccubing/internal/core"
 	"ccubing/internal/refresh"
 )
 
@@ -55,241 +54,187 @@ func (c *Cube) errNotRefreshable() error {
 	return fmt.Errorf("ccubing: cube was loaded from a snapshot and carries no relation; materialize from data to append")
 }
 
-// Append buffers labeled rows for the next refresh. Unseen labels extend the
-// dictionaries (published with the refresh; until then they are honest
-// misses). aux carries one measure value per row iff the cube was
-// materialized with a measure, nil otherwise. Returns the number of rows
-// appended; if an AutoRefresh row threshold was crossed, the triggered
-// refresh completes before Append returns.
+// Mutation is one batch of edits in the shape the delta log stores it: rows
+// in order — labels or coded values, exactly one of the two — one measure
+// value per row iff the cube has a measure, and one op kind per row (nil
+// Kinds: all appends; an update is an adjacent OpUpdateOld, OpUpdateNew pair).
+type Mutation = refresh.Batch
+
+// The op kinds of a Mutation's rows.
+const (
+	OpAppend    = refresh.OpAppend
+	OpDelete    = refresh.OpDelete
+	OpUpdateOld = refresh.OpUpdateOld
+	OpUpdateNew = refresh.OpUpdateNew
+)
+
+// Mutate validates and buffers one batch for the next refresh, all of it or
+// none; every other mutating method is a Mutate. Appended rows may introduce
+// labels (published with the refresh; until then they are honest misses) and,
+// on coded cubes, values that grow a dimension's domain; on labeled cubes a
+// coded value must be a code the dictionaries know. A tombstone — a delete or
+// an update's old row — removes one occurrence matching on every dimension
+// and, on measure cubes, the measure value (two tuples agreeing on every
+// dimension but carrying different measures are distinct occurrences); one
+// that matches nothing in the relation plus the pending delta plus the
+// batch's earlier rows is rejected with the whole batch, and a rejected batch
+// leaves no phantom labels behind. An update pair is one crash-safe WAL
+// record. Returns the rows buffered, an update pair counting once; if an
+// AutoRefresh row threshold was crossed, the triggered refresh completes
+// before Mutate returns.
+func (c *Cube) Mutate(b Mutation) (int, error) {
+	if c.mgr == nil {
+		return 0, c.errNotRefreshable()
+	}
+	n, _, err := c.mgr.Apply(b)
+	return n, err
+}
+
+// mutate is Mutate of a batch whose construction may have failed.
+func (c *Cube) mutate(b Mutation, err error) (int, error) {
+	if err != nil {
+		return 0, err
+	}
+	return c.Mutate(b)
+}
+
+// Append buffers labeled rows for the next refresh. aux carries one measure
+// value per row iff the cube was materialized with a measure, nil otherwise.
 func (c *Cube) Append(rows [][]string, aux []float64) (int, error) {
-	if c.mgr == nil {
-		return 0, c.errNotRefreshable()
-	}
-	n, _, err := c.mgr.AppendLabeled(rows, aux)
-	return n, err
+	return c.Mutate(Mutation{Rows: rows, Aux: aux})
 }
 
-// AppendValues is Append by coded values. On labeled cubes every value must
-// be a code the dictionaries already know; on coded cubes any non-negative
-// value is accepted and grows the dimension's domain.
+// AppendValues is Append by coded values.
 func (c *Cube) AppendValues(rows [][]int32, aux []float64) (int, error) {
-	if c.mgr == nil {
-		return 0, c.errNotRefreshable()
-	}
-	crows := make([][]core.Value, len(rows))
-	for i, r := range rows {
-		crows[i] = r
-	}
-	n, _, err := c.mgr.Append(crows, aux)
-	return n, err
+	return c.Mutate(Mutation{Values: rows, Aux: aux})
 }
 
-// Delete buffers tombstones for coded tuples: on the next refresh each row
-// removes one matching occurrence from the relation. Matching is by the
-// full tuple — and, on measure cubes, the measure value, so aux is required
-// there exactly as in AppendValues (two tuples agreeing on every dimension
-// but carrying different measures are distinct occurrences). A tombstone
-// for a tuple not present in the relation plus the pending delta is
-// rejected with the whole batch. Returns the number of tombstones buffered;
-// a crossed AutoRefresh row threshold refreshes before Delete returns.
+// Delete buffers tombstones for coded tuples; aux is required on measure
+// cubes exactly as in AppendValues.
 func (c *Cube) Delete(rows [][]int32, aux []float64) (int, error) {
-	if c.mgr == nil {
-		return 0, c.errNotRefreshable()
-	}
-	crows := make([][]core.Value, len(rows))
-	for i, r := range rows {
-		crows[i] = r
-	}
-	n, _, err := c.mgr.Delete(crows, aux)
-	return n, err
+	return c.Mutate(Mutation{Values: rows, Aux: aux}.Of(OpDelete))
 }
 
 // DeleteLabels is Delete by labels. Every label must already be in the
 // dictionaries — an unknown label names a tuple that was never in the
 // relation, reported as an error rather than coded.
 func (c *Cube) DeleteLabels(rows [][]string, aux []float64) (int, error) {
-	if c.mgr == nil {
-		return 0, c.errNotRefreshable()
-	}
-	n, _, err := c.mgr.DeleteLabeled(rows, aux)
-	return n, err
+	return c.Mutate(Mutation{Rows: rows, Aux: aux}.Of(OpDelete))
+}
+
+// UpdateMutation builds the Mutation replacing old[i] by new[i] from parallel
+// old/new rows in exactly one of the labeled and the coded form, the two aux
+// columns both given or both nil.
+func UpdateMutation(oldRows, newRows [][]string, oldValues, newValues [][]int32, oldAux, newAux []float64) (Mutation, error) {
+	return refresh.Updates(oldRows, newRows, oldValues, newValues, oldAux, newAux)
 }
 
 // Update buffers coded update pairs: on the next refresh each old row's
-// occurrence is removed and the paired new row added, atomically (one
-// crash-safe WAL record). Old rows follow the Delete contract, new rows the
-// AppendValues contract. Returns the number of pairs buffered.
+// occurrence is removed and the paired new row added. Old rows follow the
+// Delete contract, new rows the AppendValues contract. Returns the number of
+// pairs buffered.
 func (c *Cube) Update(oldRows, newRows [][]int32, oldAux, newAux []float64) (int, error) {
-	if c.mgr == nil {
-		return 0, c.errNotRefreshable()
-	}
-	co := make([][]core.Value, len(oldRows))
-	for i, r := range oldRows {
-		co[i] = r
-	}
-	cn := make([][]core.Value, len(newRows))
-	for i, r := range newRows {
-		cn[i] = r
-	}
-	n, _, err := c.mgr.Update(co, cn, oldAux, newAux)
-	return n, err
+	return c.mutate(UpdateMutation(nil, nil, oldRows, newRows, oldAux, newAux))
 }
 
-// UpdateLabels is Update by labels: old rows must use known labels; new
-// rows may introduce labels, published with the next refresh. A rejected
-// batch leaves no phantom labels behind.
+// UpdateLabels is Update by labels: old rows must use known labels; new rows
+// may introduce labels.
 func (c *Cube) UpdateLabels(oldRows, newRows [][]string, oldAux, newAux []float64) (int, error) {
-	if c.mgr == nil {
-		return 0, c.errNotRefreshable()
-	}
-	n, _, err := c.mgr.UpdateLabeled(oldRows, newRows, oldAux, newAux)
-	return n, err
+	return c.mutate(UpdateMutation(oldRows, newRows, nil, nil, oldAux, newAux))
 }
 
 // AppendNDJSON streams newline-delimited JSON rows into the delta log, one
 // tuple per line:
 //
 //	["oslo","pen","2025"]             labels (labeled cubes)
-//	[3,0,1]                           coded values (coded cubes)
+//	[3,0,1]                           coded values
 //	{"row": [...], "aux": 12.5}       either form plus a measure value
-//	{"values": [...], "aux": 12.5}    coded synonym
+//	{"values": [...], "aux": 12.5}    synonym of "row"
 //
 // Blank lines are skipped. Rows append in batches, so AutoRefresh row
 // thresholds fire mid-stream. Returns the number of rows appended; on a
 // malformed line the rows of previous batches stay appended and the error
 // names the line.
-func (c *Cube) AppendNDJSON(r io.Reader) (int, error) {
-	if c.mgr == nil {
-		return 0, c.errNotRefreshable()
-	}
-	return c.streamNDJSON(r, func(labels [][]string, values [][]core.Value, aux []float64) (int, error) {
-		if labels != nil {
-			n, _, err := c.mgr.AppendLabeled(labels, aux)
-			return n, err
-		}
-		n, _, err := c.mgr.Append(values, aux)
-		return n, err
-	})
-}
+func (c *Cube) AppendNDJSON(r io.Reader) (int, error) { return c.streamNDJSON(r, OpAppend) }
 
 // DeleteNDJSON streams newline-delimited JSON tombstones — same line format
 // as AppendNDJSON — into the delta log: each tuple removes one matching
 // occurrence on the next refresh, under the Delete/DeleteLabels contract.
-func (c *Cube) DeleteNDJSON(r io.Reader) (int, error) {
+func (c *Cube) DeleteNDJSON(r io.Reader) (int, error) { return c.streamNDJSON(r, OpDelete) }
+
+// streamNDJSON applies an NDJSON stream of one op kind in batches. When an
+// AutoRefresh row threshold is set the batches align to it, so the refresh
+// cadence matches the threshold instead of the batch size.
+func (c *Cube) streamNDJSON(r io.Reader, kind byte) (total int, err error) {
 	if c.mgr == nil {
 		return 0, c.errNotRefreshable()
 	}
-	return c.streamNDJSON(r, func(labels [][]string, values [][]core.Value, aux []float64) (int, error) {
-		if labels != nil {
-			n, _, err := c.mgr.DeleteLabeled(labels, aux)
-			return n, err
-		}
-		n, _, err := c.mgr.Delete(values, aux)
-		return n, err
-	})
-}
-
-// streamNDJSON scans NDJSON tuples and hands them to apply in batches —
-// exactly one of labels and values is non-nil per call, matching the cube's
-// form. Shared by the append and delete streaming paths.
-func (c *Cube) streamNDJSON(r io.Reader, apply func(labels [][]string, values [][]core.Value, aux []float64) (int, error)) (int, error) {
-	labeled := c.snap().Dicts != nil
-	hasAux := c.HasMeasure()
-	// Rows batch up; when an AutoRefresh row threshold is set, the batch
-	// aligns to it so the refresh cadence matches the threshold instead of
-	// the batch size.
 	batchRows := 1024
 	if rt := c.mgr.RowThreshold(); rt > 0 && rt < batchRows {
 		batchRows = rt
 	}
-	var (
-		total   int
-		labels  [][]string
-		values  [][]core.Value
-		auxVals []float64
-	)
-	flush := func() error {
-		var n int
-		var err error
-		var aux []float64
-		if hasAux {
-			aux = auxVals
+	err = ScanNDJSON(r, batchRows, func(b Mutation) error {
+		if !c.HasMeasure() {
+			b.Aux = nil
 		}
-		if labeled {
-			n, err = apply(labels, nil, aux)
-		} else {
-			n, err = apply(nil, values, aux)
-		}
+		n, err := c.Mutate(b.Of(kind))
 		total += n
-		labels, values, auxVals = labels[:0], values[:0], auxVals[:0]
 		return err
-	}
+	})
+	return total, err
+}
+
+// ScanNDJSON reads the NDJSON mutation format (see AppendNDJSON) and hands the
+// rows to emit in batches of batchRows, or all at once when batchRows is 0.
+// A batch holds the rows in the form their lines had and, in Aux, every row's
+// "aux" (0 where a line has none): the caller drops the column for a cube
+// without a measure. It stops at the first malformed line or emit error; both
+// come back naming the line.
+func ScanNDJSON(r io.Reader, batchRows int, emit func(Mutation) error) error {
+	var b Mutation
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
 	line := 0
 	for sc.Scan() {
 		line++
-		text := sc.Bytes()
-		if len(bytes.TrimSpace(text)) == 0 {
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 {
 			continue
 		}
-		row, aux, err := parseNDJSONRow(text, labeled)
+		labels, values, aux, err := parseNDJSONRow(text)
 		if err != nil {
-			if ferr := flush(); ferr != nil {
-				return total, ferr
-			}
-			return total, fmt.Errorf("ccubing: ndjson line %d: %w", line, err)
+			return fmt.Errorf("ccubing: ndjson line %d: %w", line, err)
 		}
-		if hasAux {
-			auxVals = append(auxVals, aux)
-		}
-		if labeled {
-			labels = append(labels, row.labels)
+		if labels != nil {
+			b.Rows = append(b.Rows, labels)
 		} else {
-			values = append(values, row.values)
+			b.Values = append(b.Values, values)
 		}
-		if len(labels)+len(values) >= batchRows {
-			if err := flush(); err != nil {
-				return total, fmt.Errorf("ccubing: ndjson line %d: %w", line, err)
+		b.Aux = append(b.Aux, aux)
+		if b.Len() == batchRows {
+			if err := emit(b); err != nil {
+				return fmt.Errorf("ccubing: ndjson line %d: %w", line, err)
 			}
+			b = Mutation{}
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return total, fmt.Errorf("ccubing: ndjson: %w", err)
+		return fmt.Errorf("ccubing: ndjson: %w", err)
 	}
-	if err := flush(); err != nil {
-		return total, fmt.Errorf("ccubing: ndjson: %w", err)
+	if b.Len() > 0 {
+		if err := emit(b); err != nil {
+			return fmt.Errorf("ccubing: ndjson: %w", err)
+		}
 	}
-	return total, nil
+	return nil
 }
 
-// ParseNDJSONRow parses one line of the NDJSON mutation format (see
-// AppendNDJSON): a bare JSON array, or an object carrying "row"/"values"
-// plus an optional "aux" measure value. Exactly one of labels and values is
-// non-nil, per the labeled flag. Exported for the serving router, which must
-// parse each line to route it to the shard owning its leading-dimension
-// component.
-func ParseNDJSONRow(line []byte, labeled bool) (labels []string, values []int32, aux float64, err error) {
-	if len(bytes.TrimSpace(line)) == 0 {
-		return nil, nil, 0, fmt.Errorf("ccubing: ndjson: empty line")
-	}
-	row, aux, err := parseNDJSONRow(line, labeled)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return row.labels, row.values, aux, nil
-}
-
-// ndjsonRow is one parsed tuple in whichever form the cube takes.
-type ndjsonRow struct {
-	labels []string
-	values []core.Value
-}
-
-func parseNDJSONRow(text []byte, labeled bool) (ndjsonRow, float64, error) {
-	text = bytes.TrimSpace(text)
-	var rawRow json.RawMessage
-	var aux float64
+// parseNDJSONRow parses one non-blank line: a bare JSON array, or an object
+// carrying "row" or "values" plus an optional "aux". An array whose first
+// element is a string is a row of labels, any other a row of coded values;
+// exactly one of labels and values comes back non-nil.
+func parseNDJSONRow(text []byte) (labels []string, values []int32, aux float64, err error) {
+	row := text
 	if text[0] == '{' {
 		var obj struct {
 			Row    json.RawMessage `json:"row"`
@@ -297,32 +242,25 @@ func parseNDJSONRow(text []byte, labeled bool) (ndjsonRow, float64, error) {
 			Aux    float64         `json:"aux"`
 		}
 		if err := json.Unmarshal(text, &obj); err != nil {
-			return ndjsonRow{}, 0, err
+			return nil, nil, 0, err
 		}
-		switch {
-		case obj.Row != nil && obj.Values == nil:
-			rawRow = obj.Row
-		case obj.Values != nil && obj.Row == nil:
-			rawRow = obj.Values
-		default:
-			return ndjsonRow{}, 0, fmt.Errorf(`exactly one of "row" and "values" is required`)
+		if (obj.Row == nil) == (obj.Values == nil) {
+			return nil, nil, 0, fmt.Errorf(`exactly one of "row" and "values" is required`)
 		}
-		aux = obj.Aux
-	} else {
-		rawRow = json.RawMessage(text)
-	}
-	if labeled {
-		var labels []string
-		if err := json.Unmarshal(rawRow, &labels); err != nil {
-			return ndjsonRow{}, 0, fmt.Errorf("want a JSON array of labels: %w", err)
+		if row, aux = obj.Row, obj.Aux; row == nil {
+			row = obj.Values
 		}
-		return ndjsonRow{labels: labels}, aux, nil
 	}
-	var vals []core.Value
-	if err := json.Unmarshal(rawRow, &vals); err != nil {
-		return ndjsonRow{}, 0, fmt.Errorf("want a JSON array of coded values: %w", err)
+	if first := bytes.TrimLeft(row, "[ \t"); len(first) > 0 && first[0] == '"' {
+		if err := json.Unmarshal(row, &labels); err != nil {
+			return nil, nil, 0, fmt.Errorf("want a JSON array of labels: %w", err)
+		}
+		return labels, nil, aux, nil
 	}
-	return ndjsonRow{values: vals}, aux, nil
+	if err := json.Unmarshal(row, &values); err != nil {
+		return nil, nil, 0, fmt.Errorf("want a JSON array of labels or of coded values: %w", err)
+	}
+	return nil, values, aux, nil
 }
 
 // Refresh folds the buffered delta into the cube: only the leading-dimension
