@@ -7,8 +7,8 @@ import (
 
 // TestAppendValuesAllocs gates the hottest write call, the one behind the
 // build-* workloads' ingest_rows_per_s: a 25-row coded append is one Mutate of
-// an all-append batch — rows passed through as they are, nil kinds, appendMu
-// alone, no row keys — and allocates the flattened values, nothing per row
+// an all-append batch — rows passed through as they are, nil kinds, the staged
+// delta's lock alone, no row keys — and allocates the flattened values, nothing per row
 // (3 before ISSUE 22: a copy of the row headers and the log's kinds as well).
 // The machine-independent proxy for that throughput.
 func TestAppendValuesAllocs(t *testing.T) {

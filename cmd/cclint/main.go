@@ -1,22 +1,18 @@
 // Command cclint is the repo's multichecker: it runs the internal/lint
-// analyzers (lockorder, poolescape, storemut, hotpathalloc) over Go
-// packages. It speaks two protocols:
+// analyzers (poolescape, storemut, hotpathalloc) over Go packages. It speaks
+// the go vet -vettool protocol and nothing else:
+// `go vet -vettool=$(pwd)/cclint ./...` invokes the tool once per package,
+// test-package variants included, with a vet.cfg file describing sources,
+// import maps and export data.
 //
-//   - go vet -vettool: `go vet -vettool=$(pwd)/cclint ./...` invokes the
-//     tool once per package with a vet.cfg file describing sources, import
-//     maps and export data. This mode also analyzes test-package variants
-//     and is what CI runs.
-//   - standalone: `cclint ./...` resolves packages itself via
-//     `go list -e -deps -export -json` and analyzes every non-dependency
-//     package in the match.
-//
-// Exit status: 0 clean, 1 findings, 2 operational error. Each finding is
-// printed as file:line:col: message (analyzer).
+// Exit status: 0 clean, 1 findings, 2 operational error (a crashed analyzer
+// included). Each finding is printed as file:line:col: message (analyzer).
 package main
 
 import (
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"go/token"
 	"io"
@@ -28,13 +24,11 @@ import (
 	"ccubing/internal/lint/analysis"
 	"ccubing/internal/lint/hotpathalloc"
 	"ccubing/internal/lint/load"
-	"ccubing/internal/lint/lockorder"
 	"ccubing/internal/lint/poolescape"
 	"ccubing/internal/lint/storemut"
 )
 
 var analyzers = []*analysis.Analyzer{
-	lockorder.Analyzer,
 	poolescape.Analyzer,
 	storemut.Analyzer,
 	hotpathalloc.Analyzer,
@@ -54,18 +48,11 @@ func main() {
 			return
 		}
 	}
-	switch {
-	case len(args) == 1 && strings.HasSuffix(args[0], ".cfg"):
-		os.Exit(unitcheck(args[0]))
-	case len(args) > 0 && args[0] == "-h" || len(args) > 0 && args[0] == "--help":
-		fmt.Fprintln(os.Stderr, "usage: cclint [packages] | go vet -vettool=cclint [packages]")
+	if len(args) != 1 || !strings.HasSuffix(args[0], ".cfg") {
+		fmt.Fprintln(os.Stderr, "usage: go vet -vettool=cclint [packages]")
 		os.Exit(2)
-	default:
-		if len(args) == 0 {
-			args = []string{"."}
-		}
-		os.Exit(standalone(args))
 	}
+	os.Exit(unitcheck(args[0], analyzers))
 }
 
 // selfID hashes the tool's own binary: go vet folds the -V=full output into
@@ -102,7 +89,9 @@ type vetConfig struct {
 	SucceedOnTypecheckFailure bool
 }
 
-func unitcheck(cfgPath string) int {
+// unitcheck analyzes the one package cfgPath describes and returns the exit
+// status.
+func unitcheck(cfgPath string, analyzers []*analysis.Analyzer) int {
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {
 		return fail(err)
@@ -139,57 +128,28 @@ func unitcheck(cfgPath string) int {
 		}
 		return fail(fmt.Errorf("typecheck %s: %v", cfg.ImportPath, err))
 	}
-	if n := runAll(pkg); n > 0 {
+	n, err := runAll(pkg, analyzers)
+	if err != nil {
+		return fail(err)
+	}
+	if n > 0 {
 		return 1
 	}
 	return 0
 }
 
-func standalone(patterns []string) int {
-	pkgs, err := load.GoList("", patterns...)
-	if err != nil {
-		return fail(err)
-	}
-	exports := load.Exports(pkgs)
-	findings, status := 0, 0
-	for _, p := range pkgs {
-		if p.DepOnly || p.Standard || len(p.GoFiles) == 0 {
-			continue
-		}
-		if p.Error != nil {
-			fmt.Fprintf(os.Stderr, "cclint: %s: %s\n", p.ImportPath, p.Error.Err)
-			status = 2
-			continue
-		}
-		fset := token.NewFileSet()
-		files := make([]string, len(p.GoFiles))
-		for i, f := range p.GoFiles {
-			files[i] = filepath.Join(p.Dir, f)
-		}
-		imp := load.Importer(fset, exports, nil)
-		pkg, err := load.Check(fset, p.ImportPath, files, imp)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cclint: typecheck %s: %v\n", p.ImportPath, err)
-			status = 2
-			continue
-		}
-		findings += runAll(pkg)
-	}
-	if status == 0 && findings > 0 {
-		status = 1
-	}
-	return status
-}
-
 // runAll applies every analyzer to the package, printing deduplicated
-// diagnostics sorted by position, and returns how many were printed.
-func runAll(pkg *load.Package) int {
+// diagnostics sorted by position, and returns how many were printed. An
+// analyzer that fails to run is an error, not a clean package: what the others
+// found is still printed.
+func runAll(pkg *load.Package, analyzers []*analysis.Analyzer) (int, error) {
 	type diag struct {
 		pos      token.Position
 		msg      string
 		analyzer string
 	}
 	var diags []diag
+	var errs []error
 	seen := map[string]bool{}
 	for _, a := range analyzers {
 		pass := &analysis.Pass{
@@ -211,7 +171,7 @@ func runAll(pkg *load.Package) int {
 			},
 		}
 		if _, err := a.Run(pass); err != nil {
-			fmt.Fprintf(os.Stderr, "cclint: %s: %s: %v\n", a.Name, pkg.Path, err)
+			errs = append(errs, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err))
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool {
@@ -226,7 +186,7 @@ func runAll(pkg *load.Package) int {
 	for _, d := range diags {
 		fmt.Fprintf(os.Stderr, "%v: %s (%s)\n", d.pos, d.msg, d.analyzer)
 	}
-	return len(diags)
+	return len(diags), errors.Join(errs...)
 }
 
 func fail(err error) int {

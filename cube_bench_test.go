@@ -190,7 +190,7 @@ func BenchmarkMaterialize(b *testing.B) {
 
 // BenchmarkMaterializeNativeMeasure compares Materialize's measure path
 // (engines fold the stored aggregate during aggregation-based checking, one
-// scan) against the AttachMeasure oracle the equivalence suite checks it
+// scan) against the attachMeasure oracle the equivalence suite checks it
 // with (count-only compute, then a second cuboid-grouped scan, then the
 // freeze). Both produce bit-identical stores; native wins by roughly the
 // cost of the second scan.
@@ -216,7 +216,7 @@ func BenchmarkMaterializeNativeMeasure(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := AttachMeasure(ds, cells, MeasureSum); err != nil {
+			if err := attachMeasure(ds, cells, MeasureSum); err != nil {
 				b.Fatal(err)
 			}
 			sb := cubestore.NewBuilder(ds.NumDims(), true)

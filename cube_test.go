@@ -134,7 +134,7 @@ func TestCubeLookupClosure(t *testing.T) {
 	}
 }
 
-// TestCubeMeasure checks Materialize's measure plumbing (AttachMeasure
+// TestCubeMeasure checks Materialize's measure plumbing (attachMeasure
 // post-pass) against per-cell recomputation.
 func TestCubeMeasure(t *testing.T) {
 	ds, err := Synthetic(SyntheticConfig{T: 400, Cards: []int{6, 5, 4}, Skew: 1, Seed: 9})

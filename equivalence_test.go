@@ -4,7 +4,7 @@ package ccubing
 // fixed datasets, this sweeps engines × dimension orders × worker counts ×
 // min_sup × closed/iceberg × measures over small random relations, asserting
 // every configuration emits the identical sorted cell set (and measure values
-// matching the AttachMeasure post-pass oracle).
+// matching the attachMeasure post-pass oracle).
 
 import (
 	"bytes"
@@ -103,7 +103,7 @@ func TestCrossEngineEquivalenceRandomized(t *testing.T) {
 // TestCrossEngineMeasuresRandomized checks the measure dimension of the
 // sweep: every engine aggregates the measure during its cubing pass, and for
 // all seven engines × sum/min/max/avg the result must agree with the
-// AttachMeasure post-pass oracle (count-only compute, then a rescan) —
+// attachMeasure post-pass oracle (count-only compute, then a rescan) —
 // sequentially, sharded across workers, and through the out-of-core partition
 // driver. For the closed-capable engines, Materialize must additionally
 // freeze a store byte-identical to one built from the oracle's cells.
@@ -136,10 +136,10 @@ func TestCrossEngineMeasuresRandomized(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if err := AttachMeasure(ds, stored, kind); err != nil {
+				if err := attachMeasure(ds, stored, kind); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				// AttachMeasure fills stored aggregates (avg as the running
+				// attachMeasure fills stored aggregates (avg as the running
 				// sum); Compute presents at egress, so present the oracle the
 				// same way.
 				post := make([]Cell, len(stored))
@@ -216,7 +216,7 @@ func TestCrossEngineMeasuresRandomized(t *testing.T) {
 						t.Fatalf("%s: %v", name, err)
 					}
 					if !bytes.Equal(got.Bytes(), want.Bytes()) {
-						t.Fatalf("%s/materialize workers=%d: store differs from the AttachMeasure oracle's (%d vs %d bytes)",
+						t.Fatalf("%s/materialize workers=%d: store differs from the attachMeasure oracle's (%d vs %d bytes)",
 							name, w, got.Len(), want.Len())
 					}
 				}

@@ -11,13 +11,13 @@ func TestAttachMeasure(t *testing.T) {
 		t.Fatal(err)
 	}
 	cells, _ := collect(t, ds, Options{MinSup: 1, Closed: true, Algorithm: AlgStar})
-	if err := AttachMeasure(ds, cells, MeasureSum); err == nil {
-		t.Fatal("AttachMeasure without a measure column must error")
+	if err := attachMeasure(ds, cells, MeasureSum); err == nil {
+		t.Fatal("attachMeasure without a measure column must error")
 	}
 	if err := ds.SetMeasure([]float64{1, 2, 4}); err != nil {
 		t.Fatal(err)
 	}
-	if err := AttachMeasure(ds, cells, MeasureSum); err != nil {
+	if err := attachMeasure(ds, cells, MeasureSum); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range cells {
@@ -29,7 +29,7 @@ func TestAttachMeasure(t *testing.T) {
 		}
 	}
 	// MeasureNone is a no-op.
-	if err := AttachMeasure(ds, cells, MeasureNone); err != nil {
+	if err := attachMeasure(ds, cells, MeasureNone); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -52,7 +52,7 @@ func TestAttachMeasureBatched(t *testing.T) {
 	cells, _ := collect(t, ds, Options{MinSup: 1, Closed: true, Algorithm: AlgMM})
 	cells = append(cells, cells[0], cells[len(cells)-1]) // duplicates
 	for _, kind := range []MeasureKind{MeasureSum, MeasureMin, MeasureMax, MeasureAvg} {
-		if err := AttachMeasure(ds, cells, kind); err != nil {
+		if err := attachMeasure(ds, cells, kind); err != nil {
 			t.Fatal(err)
 		}
 		tb := ds.Table()
@@ -100,7 +100,7 @@ func (a *testAgg) add(x float64) {
 	}
 }
 
-// value returns the stored-aggregate form AttachMeasure fills: the running
+// value returns the stored-aggregate form attachMeasure fills: the running
 // sum for avg (the algebraic pair's numerator), extrema/sum otherwise.
 func (a *testAgg) value() float64 {
 	switch a.kind {

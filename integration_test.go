@@ -102,7 +102,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 	_ = rules // dependence 1 usually yields rules; zero is legal
 
-	if err := AttachMeasure(ds, cells[:min(5, len(cells))], MeasureAvg); err != nil {
+	if err := attachMeasure(ds, cells[:min(5, len(cells))], MeasureAvg); err != nil {
 		t.Fatal(err)
 	}
 }

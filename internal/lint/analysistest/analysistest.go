@@ -5,8 +5,8 @@
 // a diagnostic.
 //
 // Fixtures live under <testdata>/src/<pkg>/*.go. Their imports are resolved
-// from gc export data produced by `go list -export`, so fixtures may import
-// the standard library but nothing else.
+// from gc export data produced by `go list -export` in the test's directory,
+// so fixtures may import the standard library and this module's packages.
 package analysistest
 
 import (
@@ -38,49 +38,13 @@ type want struct {
 // every mismatch between diagnostics and // want comments as test errors.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkg string) {
 	t.Helper()
-	dir := filepath.Join(testdata, "src", pkg)
-	filenames, err := load.Dir(dir)
-	if err != nil {
-		t.Fatalf("analysistest: %v", err)
-	}
-	if len(filenames) == 0 {
-		t.Fatalf("analysistest: no fixture files in %s", dir)
-	}
-
 	fset := token.NewFileSet()
-	files, err := load.Parse(fset, filenames)
-	if err != nil {
-		t.Fatalf("analysistest: %v", err)
-	}
-
-	imp, err := fixtureImporter(fset, files)
-	if err != nil {
-		t.Fatalf("analysistest: %v", err)
-	}
-	checked, err := load.CheckFiles(fset, pkg, files, imp)
-	if err != nil {
-		t.Fatalf("analysistest: type-checking %s: %v", dir, err)
-	}
-
+	files := parseDir(t, fset, filepath.Join(testdata, "src", pkg))
 	wants, err := parseWants(fset, files)
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}
-
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      fset,
-		Files:     checked.Files,
-		Pkg:       checked.Pkg,
-		TypesInfo: checked.Info,
-		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-	}
-	if _, err := a.Run(pass); err != nil {
-		t.Fatalf("analysistest: %s: %v", a.Name, err)
-	}
-
-	for _, d := range diags {
+	for _, d := range analyze(t, fset, a, pkg, files) {
 		pos := fset.Position(d.Pos)
 		if !claim(wants, pos.Filename, pos.Line, d.Message) {
 			t.Errorf("%s:%d: unexpected diagnostic: %s", filepath.Base(pos.Filename), pos.Line, d.Message)
@@ -99,10 +63,9 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkg string) {
 	}
 }
 
-// Diagnostics type-checks one in-memory source file (standard-library
-// imports only) and returns the analyzer's raw diagnostics, for cases a
-// fixture's // want comments cannot express — e.g. findings positioned on a
-// comment line.
+// Diagnostics type-checks one in-memory source file and returns the
+// analyzer's raw diagnostics, for cases a fixture's // want comments cannot
+// express — e.g. findings positioned on a comment line.
 func Diagnostics(t *testing.T, a *analysis.Analyzer, src string) []analysis.Diagnostic {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -110,14 +73,50 @@ func Diagnostics(t *testing.T, a *analysis.Analyzer, src string) []analysis.Diag
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}
-	files := []*ast.File{f}
+	return analyze(t, fset, a, f.Name.Name, []*ast.File{f})
+}
+
+// DirDiagnostics type-checks the non-test files of dir as one package and
+// returns the analyzer's raw diagnostics with their positions resolved: the
+// entry point for running an analyzer over a copy of a real package.
+func DirDiagnostics(t *testing.T, a *analysis.Analyzer, dir string) []string {
+	t.Helper()
+	fset := token.NewFileSet()
+	var out []string
+	for _, d := range analyze(t, fset, a, filepath.Base(dir), parseDir(t, fset, dir)) {
+		pos := fset.Position(d.Pos)
+		out = append(out, fmt.Sprintf("%s:%d: %s", filepath.Base(pos.Filename), pos.Line, d.Message))
+	}
+	return out
+}
+
+// parseDir parses the non-test .go files of dir.
+func parseDir(t *testing.T, fset *token.FileSet, dir string) []*ast.File {
+	t.Helper()
+	filenames, err := load.Dir(dir)
+	if err != nil {
+		t.Fatalf("analysistest: %v", err)
+	}
+	if len(filenames) == 0 {
+		t.Fatalf("analysistest: no .go files in %s", dir)
+	}
+	files, err := load.Parse(fset, filenames)
+	if err != nil {
+		t.Fatalf("analysistest: %v", err)
+	}
+	return files
+}
+
+// analyze type-checks files as package path and returns a's diagnostics.
+func analyze(t *testing.T, fset *token.FileSet, a *analysis.Analyzer, path string, files []*ast.File) []analysis.Diagnostic {
+	t.Helper()
 	imp, err := fixtureImporter(fset, files)
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}
-	checked, err := load.CheckFiles(fset, f.Name.Name, files, imp)
+	checked, err := load.CheckFiles(fset, path, files, imp)
 	if err != nil {
-		t.Fatalf("analysistest: type-checking: %v", err)
+		t.Fatalf("analysistest: type-checking %s: %v", path, err)
 	}
 	var diags []analysis.Diagnostic
 	pass := &analysis.Pass{
@@ -146,8 +145,8 @@ func claim(wants []*want, file string, line int, msg string) bool {
 	return false
 }
 
-// fixtureImporter resolves the fixture's (standard-library) imports via go
-// list -export. A fixture with no imports needs no subprocess at all.
+// fixtureImporter resolves the fixture's imports via go list -export. A
+// fixture with no imports needs no subprocess at all.
 func fixtureImporter(fset *token.FileSet, files []*ast.File) (types.Importer, error) {
 	seen := map[string]bool{}
 	var paths []string

@@ -3,22 +3,13 @@
 //
 //	//ccubing:hotpath              function doc: steady-state allocation-free path
 //	//ccubing:allow <reason>       same line or line above a finding: suppress it
-//	//ccubing:lockorder a < b      declares a must be acquired before b
-//	//ccubing:requires mu[, mu2]   function doc: caller must hold mu at entry
-//	//ccubing:releases mu          function doc: function releases mu before returning
 //	//ccubing:freeze               struct doc: fields frozen outside mutator files
 //	//ccubing:mutates Type         file-scope: this file may mutate frozen Type
-//
-// Lock annotations also recognize the repo's prose conventions: a mutex
-// field comment containing "guards ..." marks the mutex as tracked and lists
-// the fields it protects, and a function doc line "Caller holds X [and Y]"
-// is equivalent to //ccubing:requires X[, Y].
 package annot
 
 import (
 	"go/ast"
 	"go/token"
-	"regexp"
 	"strings"
 )
 
@@ -127,32 +118,9 @@ func NonTest(fset *token.FileSet, files []*ast.File) []*ast.File {
 	return out
 }
 
-// callerHoldsRE matches the repo's prose convention for lock preconditions,
-// e.g. "Caller holds flushMu and appendMu." — but not "must not hold".
-var callerHoldsRE = regexp.MustCompile(`[Cc]aller (?:must\s+hold|holds)\s+(\w+(?:(?:,?\s+and\s+|,\s+)\w+)*)`)
-
-// CallerHolds extracts mutex names from the prose convention in a function
-// doc. Names are candidates only; callers filter them against the tracked
-// mutex fields (prose like "holds appendMu, which is released" captures
-// trailing words that are not mutexes).
-func CallerHolds(doc *ast.CommentGroup) []string {
-	if doc == nil {
-		return nil
-	}
-	var out []string
-	for _, m := range callerHoldsRE.FindAllStringSubmatch(doc.Text(), -1) {
-		for _, name := range splitNames(m[1]) {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
 // SplitNames splits a directive argument list: "a, b and c" -> a b c.
-func SplitNames(args string) []string { return splitNames(args) }
-
-func splitNames(s string) []string {
-	fields := strings.FieldsFunc(s, func(r rune) bool {
+func SplitNames(args string) []string {
+	fields := strings.FieldsFunc(args, func(r rune) bool {
 		return r == ',' || r == ' ' || r == '\t'
 	})
 	out := fields[:0]

@@ -4,10 +4,10 @@
 // Imports are resolved from compiled gc export data, the same way the
 // upstream unitchecker does: a lookup function maps an import path to an
 // export-data file and importer.ForCompiler does the decoding. The file map
-// comes either from a go vet vetConfig (PackageFile + ImportMap) or from
-// `go list -e -deps -export -json`, which also builds any missing export
-// data into the build cache — including the standard library, so it works
-// with no module downloads.
+// comes either from a go vet vetConfig (PackageFile + ImportMap) or, for the
+// analyzers' tests, from `go list -e -deps -export -json`, which also builds
+// any missing export data into the build cache — including the standard
+// library, so it works with no module downloads.
 package load
 
 import (
@@ -28,15 +28,10 @@ import (
 	"ccubing/internal/lint/analysis"
 )
 
-// ListPackage mirrors the `go list -json` fields the driver consumes.
+// ListPackage mirrors the `go list -json` fields Exports consumes.
 type ListPackage struct {
 	ImportPath string
-	Dir        string
 	Export     string
-	GoFiles    []string
-	DepOnly    bool
-	Standard   bool
-	Error      *struct{ Err string }
 }
 
 // GoList runs `go list -e -deps -export -json` on the patterns from dir

@@ -312,7 +312,7 @@ func TestDeleteLabeledValidation(t *testing.T) {
 	}
 	// A failing UpdateLabeled batch must not stage its new labels: overdraw
 	// (a0,b0) far beyond any possible multiplicity so the batch is rejected.
-	before := m.dicts[0].Len()
+	before := m.delta.dicts[0].Len()
 	many := make([][]string, 100)
 	news := make([][]string, 100)
 	for i := range many {
@@ -322,9 +322,7 @@ func TestDeleteLabeledValidation(t *testing.T) {
 	if _, _, err := m.UpdateLabeled(many, news, nil, nil); err == nil {
 		t.Fatal("overdrawn labeled update must fail")
 	}
-	m.appendMu.Lock()
-	after := m.dicts[0].Len()
-	m.appendMu.Unlock()
+	after := m.delta.dicts[0].Len()
 	if after != before {
 		t.Fatalf("rejected UpdateLabeled grew dictionary from %d to %d labels", before, after)
 	}
@@ -372,20 +370,16 @@ func TestUpdateLabeledWALFailureNoPhantomLabels(t *testing.T) {
 			if err := m.EnableWAL(filepath.Join(t.TempDir(), "fail.wal")); err != nil {
 				t.Fatal(err)
 			}
-			m.appendMu.Lock()
-			m.log.w.(*fileWAL).f.Close() // sabotage the descriptor; close() would nil it out
-			m.appendMu.Unlock()
+			m.delta.log.w.(*fileWAL).f.Close() // sabotage the descriptor; close() would nil it out
 			if err := c.mutate(m); err == nil {
 				t.Fatal("a mutation over a broken WAL must fail")
 			}
-			m.appendMu.Lock()
-			defer m.appendMu.Unlock()
-			m.log.w = nil
-			if got := m.dicts[0].Len(); got != 3 {
+			m.delta.log.w = nil
+			if got := m.delta.dicts[0].Len(); got != 3 {
 				t.Fatalf("failed WAL write staged phantom labels: dictionary has %d entries, want 3", got)
 			}
-			if m.log.rows() != 0 {
-				t.Fatalf("failed WAL write left %d rows buffered", m.log.rows())
+			if m.delta.log.rows() != 0 {
+				t.Fatalf("failed WAL write left %d rows buffered", m.delta.log.rows())
 			}
 		})
 	}

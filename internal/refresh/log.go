@@ -30,7 +30,7 @@ import (
 //
 // A file of any other version is rejected before a byte of it is touched —
 // its records would otherwise look like a corrupt tail and be truncated
-// away. A Log is not goroutine-safe; the Manager serializes access.
+// away. A Log is not goroutine-safe; the staged delta serializes access.
 //
 // The log does not touch storage directly: it frames, checksums and replays
 // records over a WAL (raw byte storage), so the same recovery machinery

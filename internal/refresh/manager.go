@@ -29,7 +29,6 @@
 package refresh
 
 import (
-	"errors"
 	"fmt"
 	"iter"
 	"sync"
@@ -119,21 +118,14 @@ type Metrics struct {
 // are serialized with each other, refreshes with each other. A delta arriving
 // while a refresh is computing stays buffered for the next refresh.
 //
-// Lock order: a goroutine that needs both locks takes flushMu first. Only two
-// functions do — Flush, and Apply for a batch holding a tombstone; appendMu is
-// the innermost lock and nothing blocks under it.
-//
-//ccubing:lockorder flushMu < appendMu
+// flushMu is the only lock held across calls; the staged delta's own lock is
+// a leaf (see staged), so the two cannot be taken in the wrong order.
 type Manager struct {
 	cfg    Config
 	nd     int
 	hasAux bool // the relation carries a measure column
 
-	appendMu sync.Mutex // guards log, dicts, cards, autoRows
-	log      *deltaLog
-	dicts    []*table.Dict // staging dictionaries, grown by labeled appends
-	cards    []int         // published per-dimension cardinalities (append validation)
-	autoRows int
+	delta *staged
 
 	flushMu sync.Mutex // serializes refreshes and tombstone validation; guards base
 	base    *table.Table
@@ -174,14 +166,7 @@ func NewManager(base *table.Table, store *cubestore.Store, dicts []*table.Dict, 
 		nd:     base.NumDims(),
 		hasAux: base.Aux != nil,
 		base:   base,
-		cards:  append([]int(nil), base.Cards...),
-	}
-	m.log = newDeltaLog(m.nd, m.hasAux)
-	if dicts != nil {
-		m.dicts = make([]*table.Dict, len(dicts))
-		for d, dict := range dicts {
-			m.dicts[d] = table.DictFromNames(dict.Names())
-		}
+		delta:  newStaged(base.NumDims(), base.Aux != nil, base.Cards, dicts),
 	}
 	m.snap.Store(&Snapshot{
 		Store: store,
@@ -194,45 +179,6 @@ func NewManager(base *table.Table, store *cubestore.Store, dicts []*table.Dict, 
 // Snapshot returns the current serving state with one atomic load.
 func (m *Manager) Snapshot() *Snapshot { return m.snap.Load() }
 
-// attach hands an opened write-ahead log to the delta log: pending records
-// are replayed, then the log is rewritten to also hold any rows buffered
-// before it existed. The delta log is staged in a copy and adopted only once
-// both steps succeed, so on error — a file of another shape or version,
-// replayed codes the dictionaries never assigned, an I/O failure — the
-// manager keeps its buffer, has no WAL attached, and w still belongs to the
-// caller. Caller must not hold appendMu.
-func (m *Manager) attach(w WAL) error {
-	m.appendMu.Lock()
-	defer m.appendMu.Unlock()
-	if m.log.w != nil {
-		return fmt.Errorf("refresh: wal already attached")
-	}
-	staged := *m.log
-	if _, err := staged.attach(w, m.knownCodes); err != nil {
-		return err
-	}
-	if err := staged.rewrite(); err != nil {
-		return err
-	}
-	*m.log = staged
-	return nil
-}
-
-// knownCodes vets replayed rows: on a labeled relation they must decode with
-// the dictionaries we have; codes the staging dictionaries have never
-// assigned would serve phantom labels. Caller holds appendMu.
-func (m *Manager) knownCodes(vals []core.Value) error {
-	if m.dicts == nil {
-		return nil
-	}
-	for i, v := range vals {
-		if d := i % m.nd; int(v) >= m.dicts[d].Len() {
-			return fmt.Errorf("refresh: wal row %d: code %d unknown to dimension %d's dictionary (replay needs the original base relation)", i/m.nd, v, d)
-		}
-	}
-	return nil
-}
-
 // EnableWAL attaches a write-ahead log file, replaying any pending rows it
 // holds, so pending (unrefreshed) edits survive a restart over the same base
 // relation. Rows a refresh has folded in leave the WAL — durability of the
@@ -243,7 +189,7 @@ func (m *Manager) EnableWAL(path string) error {
 	if err != nil {
 		return err
 	}
-	if err := m.attach(w); err != nil {
+	if err := m.delta.attach(w); err != nil {
 		w.Close() // the attach failure is the error worth reporting
 		return err
 	}
@@ -251,18 +197,10 @@ func (m *Manager) EnableWAL(path string) error {
 }
 
 // RowThreshold returns the configured auto-refresh row threshold (0 = off).
-func (m *Manager) RowThreshold() int {
-	m.appendMu.Lock()
-	defer m.appendMu.Unlock()
-	return m.autoRows
-}
+func (m *Manager) RowThreshold() int { return m.delta.threshold() }
 
 // Backlog returns the number of buffered delta rows awaiting a refresh.
-func (m *Manager) Backlog() int {
-	m.appendMu.Lock()
-	defer m.appendMu.Unlock()
-	return m.log.rows()
-}
+func (m *Manager) Backlog() int { return m.delta.backlog() }
 
 // AutoRefresh configures the refresh triggers: rows > 0 flushes
 // synchronously inside the Apply that reaches that backlog; interval > 0
@@ -272,9 +210,7 @@ func (m *Manager) AutoRefresh(rows int, interval time.Duration) error {
 	if rows < 0 {
 		return fmt.Errorf("refresh: negative row threshold %d", rows)
 	}
-	m.appendMu.Lock()
-	m.autoRows = rows
-	m.appendMu.Unlock()
+	m.delta.setThreshold(rows)
 	if interval <= 0 {
 		return nil
 	}
@@ -316,9 +252,7 @@ func (m *Manager) Close() error {
 	}
 	m.timerMu.Unlock()
 	m.wg.Wait()
-	m.appendMu.Lock()
-	defer m.appendMu.Unlock()
-	return errors.Join(m.log.sync(), m.log.close())
+	return m.delta.close()
 }
 
 // Metrics returns the cumulative refresh counters.
@@ -348,17 +282,7 @@ func (m *Manager) Flush() (Stats, error) {
 	defer m.flushMu.Unlock()
 	start := time.Now()
 
-	m.appendMu.Lock()
-	rows, aux, kinds := m.log.steal()
-	var frozen []*table.Dict
-	if m.dicts != nil {
-		frozen = make([]*table.Dict, len(m.dicts))
-		for d, dict := range m.dicts {
-			frozen[d] = table.DictFromNames(dict.Names())
-		}
-	}
-	m.appendMu.Unlock()
-
+	rows, aux, kinds, frozen := m.delta.steal()
 	cur := m.snap.Load()
 	n := len(rows) / m.nd
 	if n == 0 {
@@ -393,10 +317,7 @@ func (m *Manager) Flush() (Stats, error) {
 			m.base = newBase
 			m.baseCounts = nil // delete validation rebuilds over the new base
 
-			m.appendMu.Lock()
-			werr := m.log.rewrite()
-			copy(m.cards, newBase.Cards) // published cardinalities bound future appends
-			m.appendMu.Unlock()
+			werr := m.delta.published(newBase.Cards)
 
 			st := Stats{
 				Generation:           next.Generation,
@@ -413,9 +334,7 @@ func (m *Manager) Flush() (Stats, error) {
 			return m.finishFlush(st, werr)
 		}
 	}
-	m.appendMu.Lock()
-	m.log.unsteal(rows, aux, kinds)
-	m.appendMu.Unlock()
+	m.delta.unsteal(rows, aux, kinds)
 	return Stats{}, err
 }
 

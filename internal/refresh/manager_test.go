@@ -303,9 +303,9 @@ func TestAppendValidation(t *testing.T) {
 }
 
 // TestAppendsFlowDuringRefresh pins the lock Apply takes: an all-append batch
-// needs appendMu alone, so it completes while flushMu is held — the state of a
-// manager whose refresh is computing. A batch holding a tombstone reads the
-// base relation and must wait.
+// needs the staged delta's leaf lock alone, so it completes while flushMu is
+// held — the state of a manager whose refresh is computing. A batch holding a
+// tombstone reads the base relation and must wait.
 func TestAppendsFlowDuringRefresh(t *testing.T) {
 	base := randomTable(t, 100, []int{4, 3}, 33)
 	m := testManager(t, base, 1, Config{})
@@ -389,7 +389,7 @@ func TestBatchShape(t *testing.T) {
 	if err != nil || n != 3 {
 		t.Fatalf("append, delete what it appended, update: %d rows, %v", n, err)
 	}
-	if got := m.dicts[0].Len(); got != 4 {
+	if got := m.delta.dicts[0].Len(); got != 4 {
 		t.Fatalf("dimension 0 has %d labels after one new one, want 4", got)
 	}
 }
@@ -412,9 +412,7 @@ func TestAppendLabeledValidatesBeforeCoding(t *testing.T) {
 	if _, _, err := m.AppendLabeled([][]string{{"new-a", "b0"}, {"short"}}, nil); err == nil {
 		t.Fatal("ragged batch must fail")
 	}
-	m.appendMu.Lock()
-	defer m.appendMu.Unlock()
-	if got := m.dicts[0].Len(); got != 3 {
+	if got := m.delta.dicts[0].Len(); got != 3 {
 		t.Fatalf("rejected batch grew dimension 0's dictionary to %d labels", got)
 	}
 }

@@ -146,35 +146,15 @@ func (m *Manager) Apply(b Batch) (rows int, refreshed bool, err error) {
 		return 0, false, err
 	}
 	// Tombstones are checked against the base relation, which flushMu guards.
-	// An all-append batch takes appendMu alone, so appends keep flowing into
-	// the next delta while a refresh computes. (Two branches, not one
-	// conditional Lock: the lockorder analyzer follows what is definitely held.)
-	var flat []core.Value
-	var fresh [][]string
+	// An all-append batch never takes it, so appends keep flowing into the
+	// next delta while a refresh computes.
+	var trigger bool
 	if tombstones {
 		m.flushMu.Lock()
-		m.appendMu.Lock()
-		if flat, fresh, err = m.codeLocked(b); err == nil {
-			err = m.checkAvailable(b, flat)
-		}
-	} else {
-		m.appendMu.Lock()
-		flat, fresh, err = m.codeLocked(b)
-	}
-	if err == nil {
-		err = m.log.append(flat, b.Aux, b.Kinds)
-	}
-	if err == nil {
-		for d, labels := range fresh {
-			for _, s := range labels {
-				m.dicts[d].Code(s)
-			}
-		}
-	}
-	trigger := err == nil && m.autoRows > 0 && m.log.rows() >= m.autoRows
-	m.appendMu.Unlock()
-	if tombstones {
+		trigger, err = m.delta.apply(b, m.baseTuples())
 		m.flushMu.Unlock()
+	} else {
+		trigger, err = m.delta.apply(b, nil)
 	}
 	if err != nil {
 		return 0, false, err
@@ -183,7 +163,6 @@ func (m *Manager) Apply(b Batch) (rows int, refreshed bool, err error) {
 	if !trigger {
 		return rows, false, nil
 	}
-	// The threshold refresh runs outside both locks.
 	if _, err := m.Flush(); err != nil {
 		return rows, false, fmt.Errorf("refresh: threshold refresh: %w", err)
 	}
@@ -196,81 +175,6 @@ func (m *Manager) validateAux(rows int, aux []float64) error {
 	}
 	if !m.hasAux && aux != nil {
 		return fmt.Errorf("refresh: relation has no measure column; aux values not accepted")
-	}
-	return nil
-}
-
-// codeLocked flattens b into coded values, validating every row. Labels the
-// dictionaries lack get the codes they will receive (dictionaries grow densely
-// in first-occurrence order) and are returned, per dimension in that order,
-// for Apply to commit; holding appendMu from here to the commit keeps the
-// assignment stable. A tombstone's labels must be known — to the dictionaries
-// or from an earlier row of the batch. Caller holds appendMu.
-func (m *Manager) codeLocked(b Batch) (flat []core.Value, fresh [][]string, err error) {
-	if b.Rows != nil && m.dicts == nil {
-		return nil, nil, fmt.Errorf("refresh: relation has no dictionaries; send coded values")
-	}
-	flat = make([]core.Value, 0, b.Len()*m.nd)
-	for i, row := range b.Values {
-		if err := m.validateRow(row, b.Kinds != nil && isTombstone(b.Kinds[i])); err != nil {
-			return nil, nil, fmt.Errorf("refresh: row %d %w", b.Row(i), err)
-		}
-		flat = append(flat, row...)
-	}
-	var codes []map[string]core.Value // of the fresh labels
-	for i, row := range b.Rows {
-		if len(row) != m.nd {
-			return nil, nil, fmt.Errorf("refresh: row %d has %d fields, want %d", b.Row(i), len(row), m.nd)
-		}
-		for d, s := range row {
-			code, ok := m.dicts[d].Lookup(s)
-			if !ok && fresh != nil {
-				code, ok = codes[d][s]
-			}
-			if !ok {
-				if isTombstone(b.Kind(i)) {
-					return nil, nil, fmt.Errorf("refresh: row %d dimension %d: label %q never occurred; no such tuple to delete", b.Row(i), d, s)
-				}
-				if fresh == nil {
-					fresh, codes = make([][]string, m.nd), make([]map[string]core.Value, m.nd)
-				}
-				if codes[d] == nil {
-					codes[d] = make(map[string]core.Value)
-				}
-				code = core.Value(m.dicts[d].Len() + len(fresh[d]))
-				codes[d][s] = code
-				fresh[d] = append(fresh[d], s)
-			}
-			flat = append(flat, code)
-		}
-	}
-	return flat, fresh, nil
-}
-
-// validateRow checks one coded row's shape and values; a tombstone skips the
-// cardinality-growth bound (the tuple must already exist, so its values
-// cannot grow a domain). The error lacks the row number its caller knows.
-// Caller holds appendMu: the dictionaries and cardinalities it reads move
-// under it.
-func (m *Manager) validateRow(row []core.Value, tombstone bool) error {
-	if len(row) != m.nd {
-		return fmt.Errorf("has %d values, want %d", len(row), m.nd)
-	}
-	for d, v := range row {
-		if v < 0 {
-			return fmt.Errorf("dimension %d: negative value %d", d, v)
-		}
-		if m.dicts != nil {
-			if int(v) >= m.dicts[d].Len() {
-				if tombstone {
-					return fmt.Errorf("dimension %d: code %d unknown to the dictionary; no such tuple to delete", d, v)
-				}
-				return fmt.Errorf("dimension %d: code %d unknown to the dictionary (append by label to add it)", d, v)
-			}
-		} else if !tombstone && int64(v) >= int64(m.cards[d])+cardSlack {
-			return fmt.Errorf("dimension %d: value %d exceeds cardinality %d by more than the growth bound %d",
-				d, v, m.cards[d], cardSlack)
-		}
 	}
 	return nil
 }
@@ -299,9 +203,9 @@ func flatKey(buf []byte, nd int, vals []core.Value, aux []float64, i int) string
 	return rowKey(buf, vals[i*nd:(i+1)*nd], aux[i], true)
 }
 
-// baseCountsLocked returns the tuple multiset of the base relation, building
-// it on first use after each refresh. Caller holds flushMu.
-func (m *Manager) baseCountsLocked() map[string]int {
+// baseTuples returns the tuple multiset of the base relation, building it on
+// first use after each refresh; like base, it is read under flushMu.
+func (m *Manager) baseTuples() map[string]int {
 	if m.baseCounts != nil {
 		return m.baseCounts
 	}
@@ -317,49 +221,4 @@ func (m *Manager) baseCountsLocked() map[string]int {
 	}
 	m.baseCounts = counts
 	return counts
-}
-
-// checkAvailable verifies that every tombstone of b (coded as flat, processed
-// in order) targets a tuple present at that point: in the base relation, plus
-// the net effect of the already-buffered delta, plus earlier ops of this
-// batch. Caller holds flushMu and appendMu.
-func (m *Manager) checkAvailable(b Batch, flat []core.Value) error {
-	base := m.baseCountsLocked()
-	buf := make([]byte, 0, 4*m.nd+8)
-	keys := make([]string, len(b.Kinds))
-	// Net effect of the pending log, restricted to the keys this batch's
-	// tombstones touch (the log is a bounded backlog; one linear scan).
-	net := make(map[string]int)
-	for i, k := range b.Kinds {
-		keys[i] = flatKey(buf, m.nd, flat, b.Aux, i)
-		if isTombstone(k) {
-			net[keys[i]] = 0
-		}
-	}
-	for i, k := range m.log.kinds {
-		key := flatKey(buf, m.nd, m.log.vals, m.log.aux, i)
-		if _, want := net[key]; !want {
-			continue
-		}
-		if isTombstone(k) {
-			net[key]--
-		} else {
-			net[key]++
-		}
-	}
-	for i, k := range b.Kinds {
-		left, want := net[keys[i]]
-		switch {
-		case !isTombstone(k):
-			if want {
-				net[keys[i]]++
-			}
-		case base[keys[i]]+left <= 0:
-			return fmt.Errorf("refresh: row %d: tuple %v not present in the relation plus the pending delta; nothing to delete",
-				b.Row(i), flat[i*m.nd:(i+1)*m.nd])
-		default:
-			net[keys[i]]--
-		}
-	}
-	return nil
 }

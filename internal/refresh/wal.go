@@ -11,8 +11,8 @@ import (
 // append / rewrite cycle. Record framing, checksums, and corrupt-tail
 // recovery live in deltaLog, not here — a WAL only moves bytes.
 //
-// Implementations need not be goroutine-safe; the Manager serializes access
-// under its append lock.
+// Implementations need not be goroutine-safe — the staged delta serializes
+// access under its lock — and must not call back into the Manager.
 type WAL interface {
 	// Load returns the entire current contents.
 	Load() ([]byte, error)

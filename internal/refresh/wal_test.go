@@ -56,7 +56,7 @@ func (w *memWAL) Close() error { w.closed = true; return nil }
 func memManager(t testing.TB, tbl *table.Table, w *memWAL) *Manager {
 	t.Helper()
 	m := testManager(t, tbl, 1, Config{})
-	if err := m.attach(w); err != nil {
+	if err := m.delta.attach(w); err != nil {
 		t.Fatal(err)
 	}
 	return m

@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Runs the repo's static-analysis suite:
 #
-#   cclint       — the in-tree go/analysis suite (lockorder, poolescape,
-#                  storemut, hotpathalloc) enforcing the concurrency and
-#                  hot-path invariants; always runs, no network needed.
+#   cclint       — the in-tree go/analysis suite (poolescape, storemut,
+#                  hotpathalloc) enforcing the pool, frozen-store and
+#                  hot-path invariants, through go vet -vettool (its only
+#                  mode); always runs, no network needed. The refresh lock
+#                  order is not its business: internal/refresh/staged.go
+#                  makes it structural.
 #   staticcheck  — general Go correctness/simplification checks.
 #   govulncheck  — known-vulnerability scan of the dependency graph.
 #
