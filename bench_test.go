@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"testing"
 
+	"ccubing/internal/engine"
 	"ccubing/internal/expt"
 	"ccubing/internal/gen"
 	"ccubing/internal/mmcubing"
@@ -175,25 +176,25 @@ func BenchmarkAblationLemma5(b *testing.B) {
 	b.Run("Star/on", func(b *testing.B) {
 		run(b, func() error {
 			var ns sink.Null
-			return startree.Run(tbl, startree.Config{MinSup: 4, Closed: true}, &ns)
+			return startree.Engine.Run(tbl, engine.Config{MinSup: 4, Closed: true}, &ns)
 		})
 	})
 	b.Run("Star/off", func(b *testing.B) {
 		run(b, func() error {
 			var ns sink.Null
-			return startree.Run(tbl, startree.Config{MinSup: 4, Closed: true, DisableLemma5: true}, &ns)
+			return startree.Engine.Run(tbl, engine.Config{MinSup: 4, Closed: true, DisableLemma5: true}, &ns)
 		})
 	})
 	b.Run("StarArray/on", func(b *testing.B) {
 		run(b, func() error {
 			var ns sink.Null
-			return stararray.Run(tbl, stararray.Config{MinSup: 4, Closed: true}, &ns)
+			return stararray.Engine.Run(tbl, engine.Config{MinSup: 4, Closed: true}, &ns)
 		})
 	})
 	b.Run("StarArray/off", func(b *testing.B) {
 		run(b, func() error {
 			var ns sink.Null
-			return stararray.Run(tbl, stararray.Config{MinSup: 4, Closed: true, DisableLemma5: true}, &ns)
+			return stararray.Engine.Run(tbl, engine.Config{MinSup: 4, Closed: true, DisableLemma5: true}, &ns)
 		})
 	})
 }
@@ -209,7 +210,7 @@ func BenchmarkAblationLemma6(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var ns sink.Null
-				err := startree.Run(tbl, startree.Config{MinSup: 4, Closed: true, DisableLemma6: off}, &ns)
+				err := startree.Engine.Run(tbl, engine.Config{MinSup: 4, Closed: true, DisableLemma6: off}, &ns)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -230,7 +231,7 @@ func BenchmarkAblationShortcut(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var ns sink.Null
-				err := mmcubing.Run(tbl, mmcubing.Config{MinSup: 2, Closed: true, DisableShortcut: off}, &ns)
+				err := mmcubing.Engine.Run(tbl, engine.Config{MinSup: 2, Closed: true, DisableShortcut: off}, &ns)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -250,7 +251,7 @@ func BenchmarkAblationStarReduction(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var ns sink.Null
-				err := startree.Run(tbl, startree.Config{MinSup: 8, NoStarReduction: off}, &ns)
+				err := startree.Engine.Run(tbl, engine.Config{MinSup: 8, NoStarReduction: off}, &ns)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -266,7 +267,7 @@ func BenchmarkAblationDenseBudget(b *testing.B) {
 		b.Run(strconv.Itoa(budget), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var ns sink.Null
-				err := mmcubing.Run(tbl, mmcubing.Config{MinSup: 4, Closed: true, DenseBudget: budget}, &ns)
+				err := mmcubing.Engine.Run(tbl, engine.Config{MinSup: 4, Closed: true, DenseBudget: budget}, &ns)
 				if err != nil {
 					b.Fatal(err)
 				}

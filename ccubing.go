@@ -25,13 +25,16 @@
 package ccubing
 
 import (
+	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
+	"ccubing/internal/algs"
 	"ccubing/internal/core"
 	"ccubing/internal/engine"
 	"ccubing/internal/gen"
@@ -40,16 +43,6 @@ import (
 	"ccubing/internal/route"
 	"ccubing/internal/sink"
 	"ccubing/internal/table"
-
-	// The engine packages register themselves into internal/engine's
-	// registry; the facade dispatches through it.
-	_ "ccubing/internal/buc"
-	_ "ccubing/internal/mmcubing"
-	_ "ccubing/internal/obcheck"
-	_ "ccubing/internal/qcdfs"
-	_ "ccubing/internal/qctree"
-	_ "ccubing/internal/stararray"
-	_ "ccubing/internal/startree"
 )
 
 // Star marks a wildcard (aggregated-over) dimension in a cell's Values.
@@ -58,7 +51,8 @@ const Star int32 = -1
 // MaxDims is the largest supported dimensionality.
 const MaxDims = core.MaxDims
 
-// Algorithm selects a cubing engine.
+// Algorithm selects a cubing engine. The values index internal/algs.Table and
+// are what cube snapshots store.
 type Algorithm int
 
 const (
@@ -91,49 +85,19 @@ const (
 
 // String names the algorithm as in the paper's figures.
 func (a Algorithm) String() string {
-	switch a {
-	case AlgAuto:
-		return "Auto"
-	case AlgMM:
-		return "CC(MM)"
-	case AlgStar:
-		return "CC(Star)"
-	case AlgStarArray:
-		return "CC(StarArray)"
-	case AlgBUC:
-		return "BUC"
-	case AlgQCDFS:
-		return "QC-DFS"
-	case AlgQCTree:
-		return "QC-Tree"
-	case AlgOBBUC:
-		return "OB-BUC"
-	default:
+	if a < 0 || int(a) >= len(algs.Table) {
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
+	return algs.Table[a].Name()
 }
 
 // ParseAlgorithm resolves a command-line name to an algorithm.
 func ParseAlgorithm(s string) (Algorithm, error) {
-	switch s {
-	case "auto", "Auto":
-		return AlgAuto, nil
-	case "mm", "MM", "CC(MM)", "cc-mm":
-		return AlgMM, nil
-	case "star", "Star", "CC(Star)", "cc-star":
-		return AlgStar, nil
-	case "stararray", "StarArray", "CC(StarArray)", "cc-stararray":
-		return AlgStarArray, nil
-	case "buc", "BUC":
-		return AlgBUC, nil
-	case "qcdfs", "QC-DFS", "qc-dfs":
-		return AlgQCDFS, nil
-	case "qctree", "QC-Tree", "qc-tree":
-		return AlgQCTree, nil
-	case "obbuc", "OB-BUC", "ob-buc":
-		return AlgOBBUC, nil
+	i, ok := algs.Parse(s)
+	if !ok {
+		return AlgAuto, fmt.Errorf("ccubing: unknown algorithm %q", s)
 	}
-	return AlgAuto, fmt.Errorf("ccubing: unknown algorithm %q", s)
+	return Algorithm(i), nil
 }
 
 // OrderStrategy re-exports the dimension-ordering strategies of paper
@@ -256,7 +220,7 @@ func Compute(ds *Dataset, opt Options, visit func(Cell)) (Stats, error) {
 // positions back to dataset positions, and the worker count.
 type computePlan struct {
 	alg     Algorithm
-	eng     engine.Engine
+	eng     *engine.Engine
 	ecfg    engine.Config
 	t       *table.Table
 	perm    []int
@@ -282,7 +246,7 @@ func planCompute(ds *Dataset, opt Options) (computePlan, error) {
 	plan.eng, plan.ecfg = eng, ecfg
 	plan.t = ds.t
 	plan.perm = order.Permutation(plan.t, OrderOriginal)
-	if opt.Order != OrderOriginal && eng.Capabilities().OrderSensitive {
+	if opt.Order != OrderOriginal && eng.Caps.OrderSensitive {
 		plan.t, plan.perm, err = order.Apply(ds.t, opt.Order)
 		if err != nil {
 			return plan, err
@@ -310,13 +274,13 @@ func (p computePlan) identity() bool {
 	return true
 }
 
-// resolveEngine looks the algorithm up in the engine registry and validates
-// the requested options against its declared capabilities.
-func resolveEngine(ds *Dataset, opt Options, alg Algorithm) (engine.Engine, engine.Config, error) {
-	eng, ok := engine.Lookup(alg.String())
-	if !ok {
+// resolveEngine finds the algorithm's engine in the table and checks the
+// requested options against its declared capabilities.
+func resolveEngine(ds *Dataset, opt Options, alg Algorithm) (*engine.Engine, engine.Config, error) {
+	if alg <= AlgAuto || int(alg) >= len(algs.Table) {
 		return nil, engine.Config{}, fmt.Errorf("ccubing: unknown algorithm %v", alg)
 	}
+	eng := algs.Table[alg].Engine
 	ecfg := engine.Config{
 		MinSup:          opt.MinSup,
 		Closed:          opt.Closed,
@@ -326,7 +290,7 @@ func resolveEngine(ds *Dataset, opt Options, alg Algorithm) (engine.Engine, engi
 		DisableLemma6:   opt.DisableLemma6,
 		DisableShortcut: opt.DisableShortcut,
 	}
-	if err := engine.Validate(eng, ds.t.Aux != nil, ecfg); err != nil {
+	if err := eng.Check(ecfg, ds.t.Aux != nil); err != nil {
 		return nil, engine.Config{}, fmt.Errorf("ccubing: %w", err)
 	}
 	return eng, ecfg, nil
@@ -466,6 +430,37 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 		return nil, err
 	}
 	return &Dataset{t: t, dicts: dicts}, nil
+}
+
+// OpenDataset builds the dataset a command line names: exactly one of a CSV
+// file (header row = dimension names), a synthetic spec in ParseSyntheticSpec
+// notation, and a weather-like spec "tuples,dims". It is what the -csv,
+// -synth and -weather flags of ccube, ccserve and ccgen mean.
+func OpenDataset(csvPath, synth, weather string) (*Dataset, error) {
+	switch {
+	case csvPath != "" && synth == "" && weather == "":
+		f, err := os.Open(csvPath)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return ReadCSV(bufio.NewReader(f))
+	case synth != "" && csvPath == "" && weather == "":
+		cfg, err := ParseSyntheticSpec(synth)
+		if err != nil {
+			return nil, err
+		}
+		return Synthetic(cfg)
+	case weather != "" && csvPath == "" && synth == "":
+		tuples, dims, _ := strings.Cut(weather, ",")
+		n, err1 := strconv.Atoi(tuples)
+		nd, err2 := strconv.Atoi(dims)
+		if err1 != nil || err2 != nil {
+			return nil, fmt.Errorf("ccubing: weather spec %q: want tuples,dims", weather)
+		}
+		return Weather(1, n, nd)
+	}
+	return nil, fmt.Errorf("ccubing: exactly one dataset source is required: a CSV file, a synthetic spec or a weather spec")
 }
 
 // NewDataset builds a dataset from string-valued rows, dictionary-encoding

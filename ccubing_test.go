@@ -1,11 +1,13 @@
 package ccubing
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"ccubing/internal/algs"
 	"ccubing/internal/refcube"
 )
 
@@ -234,15 +236,66 @@ func TestReadCSVRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAlgorithmStringParse pins the algorithm table against the constants:
+// cube snapshots store the constant's value, so each must keep its row.
 func TestAlgorithmStringParse(t *testing.T) {
-	for _, a := range []Algorithm{AlgAuto, AlgMM, AlgStar, AlgStarArray, AlgBUC, AlgQCDFS, AlgQCTree, AlgOBBUC} {
-		got, err := ParseAlgorithm(a.String())
-		if err != nil || got != a {
+	names := map[Algorithm]string{
+		AlgAuto: "Auto", AlgMM: "CC(MM)", AlgStar: "CC(Star)", AlgStarArray: "CC(StarArray)",
+		AlgBUC: "BUC", AlgQCDFS: "QC-DFS", AlgQCTree: "QC-Tree", AlgOBBUC: "OB-BUC",
+	}
+	if len(names) != len(algs.Table) {
+		t.Fatalf("%d Algorithm constants, %d table rows", len(names), len(algs.Table))
+	}
+	ds, err := Synthetic(SyntheticConfig{T: 50, D: 3, C: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a, name := range names {
+		if a.String() != name {
+			t.Errorf("Algorithm(%d).String() = %q, want %q", int(a), a.String(), name)
+		}
+		if got, err := ParseAlgorithm(name); err != nil || got != a {
 			t.Errorf("round trip %v: %v, %v", a, got, err)
+		}
+		for _, alias := range algs.Table[a].Aliases {
+			if got, err := ParseAlgorithm(alias); err != nil || got != a {
+				t.Errorf("alias %q of %v: %v, %v", alias, a, got, err)
+			}
+		}
+		if a == AlgAuto {
+			continue
+		}
+		eng, _, err := resolveEngine(ds, Options{MinSup: 1, Closed: algs.Table[a].Engine.Caps.Closed}, a)
+		if err != nil || eng.Name != name {
+			t.Errorf("resolveEngine(%v) = %v, %v", a, eng, err)
+		}
+	}
+	// The -alg help of ccube and of ccserve (closed-capable engines only), as
+	// hand-written before the table, and every name in it parses.
+	if got, want := algs.Usage(false), "auto|mm|star|stararray|buc|qcdfs|qctree|obbuc"; got != want {
+		t.Errorf("usage = %q, want %q", got, want)
+	}
+	if got, want := algs.Usage(true), "auto|mm|star|stararray|qcdfs|qctree|obbuc"; got != want {
+		t.Errorf("closed-capable usage = %q, want %q", got, want)
+	}
+	for _, alias := range strings.Split(algs.Usage(false), "|") {
+		if _, err := ParseAlgorithm(alias); err != nil {
+			t.Errorf("help name %q: %v", alias, err)
 		}
 	}
 	if _, err := ParseAlgorithm("nope"); err == nil {
 		t.Fatal("unknown algorithm must error")
+	}
+	for _, a := range []Algorithm{-1, Algorithm(len(algs.Table)), 200} {
+		if want := fmt.Sprintf("Algorithm(%d)", int(a)); a.String() != want {
+			t.Errorf("out-of-range String() = %q, want %q", a.String(), want)
+		}
+		if _, _, err := resolveEngine(ds, Options{MinSup: 1}, a); err == nil {
+			t.Errorf("resolveEngine(%v) accepted an unknown algorithm", a)
+		}
+	}
+	if _, _, err := resolveEngine(ds, Options{MinSup: 1}, AlgAuto); err == nil {
+		t.Error("resolveEngine(AlgAuto) must fail: the advisor resolves it first")
 	}
 }
 

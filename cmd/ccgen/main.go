@@ -12,11 +12,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"ccubing"
-	"ccubing/internal/gen"
 	"ccubing/internal/table"
 )
 
@@ -28,19 +25,11 @@ func main() {
 	)
 	flag.Parse()
 
-	var t *table.Table
-	var err error
-	switch {
-	case *synth != "" && *weather == "":
-		t, err = buildSynth(*synth)
-	case *weather != "" && *synth == "":
-		t, err = buildWeather(*weather)
-	default:
-		err = fmt.Errorf("exactly one of -synth, -weather is required")
-	}
+	ds, err := ccubing.OpenDataset("", *synth, *weather)
 	if err != nil {
 		fatal(err)
 	}
+	t := ds.Table()
 
 	w := os.Stdout
 	if *out != "-" {
@@ -59,31 +48,6 @@ func main() {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "ccgen: wrote %d tuples, %d dimensions\n", t.NumTuples(), t.NumDims())
-}
-
-func buildSynth(s string) (*table.Table, error) {
-	cfg, err := ccubing.ParseSyntheticSpec(s)
-	if err != nil {
-		return nil, err
-	}
-	ds, err := ccubing.Synthetic(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return ds.Table(), nil
-}
-
-func buildWeather(s string) (*table.Table, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 2 {
-		return nil, fmt.Errorf("-weather wants tuples,dims")
-	}
-	n, err1 := strconv.Atoi(parts[0])
-	d, err2 := strconv.Atoi(parts[1])
-	if err1 != nil || err2 != nil {
-		return nil, fmt.Errorf("-weather wants tuples,dims")
-	}
-	return gen.Weather(1, n, d)
 }
 
 func fatal(err error) {

@@ -1,34 +1,40 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"ccubing"
+)
+
+// The -synth and -weather flags mean what ccubing.OpenDataset makes of them.
 
 func TestBuildSynth(t *testing.T) {
-	tbl, err := buildSynth("T=500,D=4,C=6,S=1,R=1,seed=3")
+	ds, err := ccubing.OpenDataset("", "T=500,D=4,C=6,S=1,R=1,seed=3", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.NumTuples() != 500 || tbl.NumDims() != 4 {
-		t.Fatalf("shape %dx%d", tbl.NumDims(), tbl.NumTuples())
+	if ds.NumTuples() != 500 || ds.NumDims() != 4 {
+		t.Fatalf("shape %dx%d", ds.NumDims(), ds.NumTuples())
 	}
-	if _, err := buildSynth("T=bad"); err == nil {
+	if _, err := ccubing.OpenDataset("", "T=bad", ""); err == nil {
 		t.Fatal("bad spec should fail")
 	}
-	if _, err := buildSynth("X=1"); err == nil {
+	if _, err := ccubing.OpenDataset("", "X=1", ""); err == nil {
 		t.Fatal("unknown key should fail")
 	}
 }
 
 func TestBuildWeather(t *testing.T) {
-	tbl, err := buildWeather("300,6")
+	ds, err := ccubing.OpenDataset("", "", "300,6")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.NumTuples() != 300 || tbl.NumDims() != 6 {
-		t.Fatalf("shape %dx%d", tbl.NumDims(), tbl.NumTuples())
+	if ds.NumTuples() != 300 || ds.NumDims() != 6 {
+		t.Fatalf("shape %dx%d", ds.NumDims(), ds.NumTuples())
 	}
 	for _, bad := range []string{"300", "a,b", "300,6,7"} {
-		if _, err := buildWeather(bad); err == nil {
-			t.Errorf("buildWeather(%q) should fail", bad)
+		if _, err := ccubing.OpenDataset("", "", bad); err == nil {
+			t.Errorf("weather spec %q should fail", bad)
 		}
 	}
 }

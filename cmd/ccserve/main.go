@@ -59,7 +59,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -75,6 +74,7 @@ import (
 	"time"
 
 	"ccubing"
+	"ccubing/internal/algs"
 	"ccubing/internal/serve"
 )
 
@@ -103,7 +103,7 @@ func main() {
 		synth    = flag.String("synth", "", "synthetic dataset spec: T=..,D=..,C=..,S=..,seed=..")
 		weather  = flag.String("weather", "", "weather-like dataset: tuples,dims (e.g. 100000,8)")
 		snapshot = flag.String("snapshot", "", "load a cube snapshot written by ccube -store instead of computing")
-		algName  = flag.String("alg", "auto", "algorithm: auto|mm|star|stararray|qcdfs|qctree|obbuc")
+		algName  = flag.String("alg", "auto", "algorithm: "+algs.Usage(true))
 		minsup   = flag.Int64("minsup", 1, "iceberg threshold on count")
 		workers  = flag.Int("workers", 1, "engine goroutines (0/1 = sequential, n>1 = n workers, negative = all CPU cores)")
 
@@ -288,47 +288,13 @@ func parseShardSpec(spec string) (index, count int, err error) {
 // Snapshots are served as-is — save per-shard snapshots from shard workers
 // to restart a sharded topology from disk.
 func buildCube(snapshot, csvPath, synth, weather, algName string, minsup int64, workers, shardIdx, shardCnt int) (*ccubing.Cube, error) {
-	sources := 0
-	for _, s := range []string{snapshot, csvPath, synth, weather} {
-		if s != "" {
-			sources++
-		}
-	}
-	if sources != 1 {
-		return nil, fmt.Errorf("exactly one of -snapshot, -csv, -synth, -weather is required")
-	}
-	if snapshot != "" {
+	switch data := csvPath + synth + weather; {
+	case snapshot != "" && data == "":
 		return ccubing.LoadCubeFile(snapshot)
+	case snapshot != "" || data == "":
+		return nil, errors.New("exactly one of -snapshot, -csv, -synth, -weather is required")
 	}
-
-	var ds *ccubing.Dataset
-	var err error
-	switch {
-	case csvPath != "":
-		var f *os.File
-		if f, err = os.Open(csvPath); err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		ds, err = ccubing.ReadCSV(bufio.NewReader(f))
-	case synth != "":
-		var cfg ccubing.SyntheticConfig
-		if cfg, err = ccubing.ParseSyntheticSpec(synth); err != nil {
-			return nil, err
-		}
-		ds, err = ccubing.Synthetic(cfg)
-	default:
-		parts := strings.Split(weather, ",")
-		if len(parts) != 2 {
-			return nil, errors.New("-weather wants tuples,dims")
-		}
-		t, err1 := strconv.Atoi(parts[0])
-		d, err2 := strconv.Atoi(parts[1])
-		if err1 != nil || err2 != nil {
-			return nil, errors.New("-weather wants tuples,dims")
-		}
-		ds, err = ccubing.Weather(1, t, d)
-	}
+	ds, err := ccubing.OpenDataset(csvPath, synth, weather)
 	if err != nil {
 		return nil, err
 	}

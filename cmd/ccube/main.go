@@ -25,98 +25,118 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"ccubing"
+	"ccubing/internal/algs"
+	"ccubing/internal/order"
 )
 
 func main() {
-	var (
-		csvPath = flag.String("csv", "", "CSV input file (header row = dimension names)")
-		synth   = flag.String("synth", "", "synthetic dataset spec: T=..,D=..,C=..,S=..,R=..,seed=..")
-		weather = flag.String("weather", "", "weather-like dataset: tuples,dims (e.g. 100000,8)")
-		algName = flag.String("alg", "auto", "algorithm: auto|mm|star|stararray|buc|qcdfs|qctree|obbuc")
-		minsup  = flag.Int64("minsup", 1, "iceberg threshold on count")
-		closed  = flag.Bool("closed", false, "compute the closed iceberg cube")
-		ordName = flag.String("order", "Org", "dimension order: Org|Card|Entropy")
-		quiet   = flag.Bool("quiet", false, "suppress cell output (timing only)")
-		doRules = flag.Bool("rules", false, "mine closed rules from the result (closed mode)")
-		workers = flag.Int("workers", 1, "engine goroutines (0/1 = sequential, n>1 = n workers, negative = all CPU cores)")
-		store   = flag.String("store", "", "materialize the closed cube and write a snapshot to this path (implies -closed)")
-		appnd   = flag.String("append", "", "NDJSON file of rows to append and fold in with incremental refresh before output (implies -closed)")
-		del     = flag.String("delete", "", "NDJSON file of tombstones to fold in with incremental refresh before output (implies -closed; each tuple removes one matching occurrence)")
-		every   = flag.Int("refresh-every", 0, "with -append: refresh every N appended rows instead of once at the end")
-		sel     = flag.String("select", "", "sub-cube selection, one predicate per dimension: * | value | lo..hi | a|b|c (implies -closed; output is the matching closed cells, or aggregate rows with -groupby/-topk)")
-		groupBy = flag.String("groupby", "", "comma-separated dimension names (or indices) to group the -select result by")
-		topk    = flag.Int("topk", 0, "keep only the k best aggregate rows (with -select)")
-		byFlag  = flag.String("by", "count", "top-k ranking measure: count|aux")
-	)
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "ccube:", err)
+		os.Exit(1)
+	}
+}
 
-	ds, err := loadDataset(*csvPath, *synth, *weather)
-	if err != nil {
-		fatal(err)
+// run is the command: it parses args, rejects flag combinations before any
+// dataset is loaded, and streams the cells to stdout. Whatever it has written
+// when it fails is flushed before it returns the error.
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("ccube", flag.ExitOnError)
+	var (
+		csvPath = fs.String("csv", "", "CSV input file (header row = dimension names)")
+		synth   = fs.String("synth", "", "synthetic dataset spec: T=..,D=..,C=..,S=..,R=..,seed=..")
+		weather = fs.String("weather", "", "weather-like dataset: tuples,dims (e.g. 100000,8)")
+		algName = fs.String("alg", "auto", "algorithm: "+algs.Usage(false))
+		minsup  = fs.Int64("minsup", 1, "iceberg threshold on count")
+		closed  = fs.Bool("closed", false, "compute the closed iceberg cube")
+		ordName = fs.String("order", "Org", "dimension order: Org|Card|Entropy")
+		quiet   = fs.Bool("quiet", false, "suppress cell output (timing only)")
+		doRules = fs.Bool("rules", false, "mine closed rules from the result (closed mode)")
+		workers = fs.Int("workers", 1, "engine goroutines (0/1 = sequential, n>1 = n workers, negative = all CPU cores)")
+		store   = fs.String("store", "", "materialize the closed cube and write a snapshot to this path (implies -closed)")
+		appnd   = fs.String("append", "", "NDJSON file of rows to append and fold in with incremental refresh before output (implies -closed)")
+		del     = fs.String("delete", "", "NDJSON file of tombstones to fold in with incremental refresh before output (implies -closed; each tuple removes one matching occurrence)")
+		every   = fs.Int("refresh-every", 0, "with -append: refresh every N appended rows instead of once at the end")
+		sel     = fs.String("select", "", "sub-cube selection, one predicate per dimension: * | value | lo..hi | a|b|c (implies -closed; output is the matching closed cells, or aggregate rows with -groupby/-topk)")
+		groupBy = fs.String("groupby", "", "comma-separated dimension names (or indices) to group the -select result by")
+		topk    = fs.Int("topk", 0, "keep only the k best aggregate rows (with -select)")
+		byFlag  = fs.String("by", "count", "top-k ranking measure: count|aux")
+	)
+	fs.Parse(args) // ExitOnError: a bad flag has exited, nothing written yet
+	materialize := *store != "" || *sel != "" || *appnd != "" || *del != ""
+	switch {
+	case *doRules && !*closed && !materialize:
+		return fmt.Errorf("-rules requires -closed")
+	case *doRules && *sel != "":
+		return fmt.Errorf("-rules cannot combine with -select")
+	case *every != 0 && *appnd == "":
+		return fmt.Errorf("-refresh-every needs -append")
 	}
 	alg, err := ccubing.ParseAlgorithm(*algName)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	ord, err := parseOrder(*ordName)
+	ord, err := order.ParseStrategy(*ordName)
 	if err != nil {
-		fatal(err)
+		return err
+	}
+	ds, err := ccubing.OpenDataset(*csvPath, *synth, *weather)
+	if err != nil {
+		return err
 	}
 
-	if *every != 0 && *appnd == "" {
-		fatal(fmt.Errorf("-refresh-every needs -append"))
-	}
 	opt := ccubing.Options{
 		MinSup:    *minsup,
-		Closed:    *closed || *store != "" || *sel != "" || *appnd != "" || *del != "",
+		Closed:    *closed || materialize,
 		Algorithm: alg,
 		Order:     ord,
 		Workers:   *workers, // library convention: 0/1 sequential, negative = NumCPU
 	}
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
+	w := bufio.NewWriter(stdout)
+	defer func() {
+		if ferr := w.Flush(); err == nil {
+			err = ferr
+		}
+	}()
 
 	var cells []ccubing.Cell
 	var st ccubing.Stats
 	tuples := ds.NumTuples()
-	if *store != "" || *sel != "" || *appnd != "" || *del != "" {
+	if materialize {
 		// Materialize into the serving store; snapshot, query and the
 		// streamed output (and rule input) all derive from the stored cells.
 		cube, err := ccubing.Materialize(ds, opt)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if *appnd != "" {
 			// Fold the delta in before any output, so the snapshot and the
 			// streamed cells describe the refreshed cube.
-			if err := runMutate(cube, *appnd, *every, false); err != nil {
-				fatal(err)
+			if err := runMutate(stderr, cube, *appnd, *every, false); err != nil {
+				return err
 			}
 		}
 		if *del != "" {
-			if err := runMutate(cube, *del, *every, true); err != nil {
-				fatal(err)
+			if err := runMutate(stderr, cube, *del, *every, true); err != nil {
+				return err
 			}
 		}
 		if *store != "" {
 			if err := cube.SaveFile(*store); err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Fprintf(os.Stderr, "ccube: stored %d closed cells (%d cuboids, %d bytes in memory) in %s\n",
+			fmt.Fprintf(stderr, "ccube: stored %d closed cells (%d cuboids, %d bytes in memory) in %s\n",
 				cube.NumCells(), cube.NumCuboids(), cube.Bytes(), *store)
 		}
 		if *sel != "" {
-			if *doRules {
-				fatal(fmt.Errorf("-rules cannot combine with -select"))
-			}
-			if err := runSelect(w, cube, *sel, *groupBy, *topk, *byFlag, *quiet); err != nil {
-				fatal(err)
+			if err := runSelect(w, stderr, cube, *sel, *groupBy, *topk, *byFlag, *quiet); err != nil {
+				return err
 			}
 		} else {
 			cube.Cells(func(c ccubing.Cell) bool {
@@ -146,29 +166,25 @@ func main() {
 				cells = append(cells, ccubing.Cell{Values: vals, Count: c.Count})
 			}
 		}
-		var err error
-		st, err = ccubing.Compute(ds, opt, visit)
-		if err != nil {
-			fatal(err)
+		if st, err = ccubing.Compute(ds, opt, visit); err != nil {
+			return err
 		}
 	}
-	fmt.Fprintf(os.Stderr, "ccube: %s  tuples=%d dims=%d minsup=%d closed=%v  cells=%d size=%.2fMB elapsed=%s\n",
+	fmt.Fprintf(stderr, "ccube: %s  tuples=%d dims=%d minsup=%d closed=%v  cells=%d size=%.2fMB elapsed=%s\n",
 		st.Algorithm, tuples, ds.NumDims(), opt.MinSup, opt.Closed, st.Cells, st.MB(), st.Elapsed)
 
 	if *doRules {
-		if !opt.Closed {
-			fatal(fmt.Errorf("-rules requires -closed"))
-		}
 		rs, err := ccubing.MineRules(ds, cells)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "ccube: %d closed rules from %d closed cells (%.1f%%)\n",
+		fmt.Fprintf(stderr, "ccube: %d closed rules from %d closed cells (%.1f%%)\n",
 			len(rs), len(cells), 100*float64(len(rs))/float64(max(1, len(cells))))
 		for _, r := range rs {
 			fmt.Fprintln(w, "# rule:", r.String())
 		}
 	}
+	return nil
 }
 
 // runMutate streams the NDJSON delta file into the cube — appended tuples,
@@ -176,7 +192,7 @@ func main() {
 // refresh fires inside each batch that reaches that many buffered rows (the
 // incremental serving cadence); the final refresh folds the remainder.
 // Per-refresh stats go to stderr.
-func runMutate(cube *ccubing.Cube, path string, every int, tombstone bool) error {
+func runMutate(stderr io.Writer, cube *ccubing.Cube, path string, every int, tombstone bool) error {
 	if every < 0 {
 		return fmt.Errorf("negative -refresh-every %d", every)
 	}
@@ -206,7 +222,7 @@ func runMutate(cube *ccubing.Cube, path string, every int, tombstone bool) error
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "ccube: %s %d rows in %d refreshes; generation=%d partitions=%d/%d retained=%d rebuilt=%d last=%s\n",
+	fmt.Fprintf(stderr, "ccube: %s %d rows in %d refreshes; generation=%d partitions=%d/%d retained=%d rebuilt=%d last=%s\n",
 		verb, n, st.Generation-gen, st.Generation, st.PartitionsRecomputed, st.PartitionsTotal,
 		st.CellsRetained, st.CellsRebuilt, st.Elapsed.Round(time.Microsecond))
 	return nil
@@ -216,7 +232,7 @@ func runMutate(cube *ccubing.Cube, path string, every int, tombstone bool) error
 // predicate slice of the closed cells, or — with -groupby/-topk — a group-by
 // aggregation, streamed in the same "v0,v1,*,count" row format (suppressed
 // by -quiet, summary on stderr either way).
-func runSelect(w *bufio.Writer, cube *ccubing.Cube, sel, groupBy string, topk int, by string, quiet bool) error {
+func runSelect(w *bufio.Writer, stderr io.Writer, cube *ccubing.Cube, sel, groupBy string, topk int, by string, quiet bool) error {
 	spec, err := cube.ParseSpec(strings.Split(sel, ","))
 	if err != nil {
 		return err
@@ -237,7 +253,7 @@ func runSelect(w *bufio.Writer, cube *ccubing.Cube, sel, groupBy string, topk in
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "ccube: select matched %d closed cells\n", n)
+		fmt.Fprintf(stderr, "ccube: select matched %d closed cells\n", n)
 		return nil
 	}
 	opt := ccubing.AggregateOptions{TopK: topk, By: orderBy}
@@ -257,62 +273,8 @@ func runSelect(w *bufio.Writer, cube *ccubing.Cube, sel, groupBy string, topk in
 	if !exact {
 		note = " (iceberg cube: counts are lower bounds)"
 	}
-	fmt.Fprintf(os.Stderr, "ccube: aggregate produced %d rows%s\n", len(rows), note)
+	fmt.Fprintf(stderr, "ccube: aggregate produced %d rows%s\n", len(rows), note)
 	return nil
-}
-
-func loadDataset(csvPath, synth, weather string) (*ccubing.Dataset, error) {
-	n := 0
-	for _, s := range []string{csvPath, synth, weather} {
-		if s != "" {
-			n++
-		}
-	}
-	if n != 1 {
-		return nil, fmt.Errorf("exactly one of -csv, -synth, -weather is required")
-	}
-	switch {
-	case csvPath != "":
-		f, err := os.Open(csvPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return ccubing.ReadCSV(bufio.NewReader(f))
-	case synth != "":
-		cfg, err := parseSynth(synth)
-		if err != nil {
-			return nil, err
-		}
-		return ccubing.Synthetic(cfg)
-	default:
-		parts := strings.Split(weather, ",")
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("-weather wants tuples,dims")
-		}
-		t, err1 := strconv.Atoi(parts[0])
-		d, err2 := strconv.Atoi(parts[1])
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("-weather wants tuples,dims")
-		}
-		return ccubing.Weather(1, t, d)
-	}
-}
-
-func parseSynth(s string) (ccubing.SyntheticConfig, error) {
-	return ccubing.ParseSyntheticSpec(s)
-}
-
-func parseOrder(s string) (ccubing.OrderStrategy, error) {
-	switch strings.ToLower(s) {
-	case "org", "original":
-		return ccubing.OrderOriginal, nil
-	case "card", "cardinality":
-		return ccubing.OrderByCardinality, nil
-	case "entropy":
-		return ccubing.OrderByEntropy, nil
-	}
-	return ccubing.OrderOriginal, fmt.Errorf("unknown order %q", s)
 }
 
 func writeCell(w *bufio.Writer, c ccubing.Cell) {
@@ -326,9 +288,4 @@ func writeCell(w *bufio.Writer, c ccubing.Cell) {
 	}
 	w.WriteString(strconv.FormatInt(c.Count, 10))
 	w.WriteByte('\n')
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ccube:", err)
-	os.Exit(1)
 }

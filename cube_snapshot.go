@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"ccubing/internal/algs"
 	"ccubing/internal/cubestore"
 	"ccubing/internal/qcache"
 	"ccubing/internal/refresh"
@@ -282,7 +283,7 @@ func openCube(data []byte) (*Cube, error) {
 	switch {
 	case m.err != nil:
 		return nil, fmt.Errorf("header: %w", m.err)
-	case cube.alg > AlgOBBUC:
+	case int(cube.alg) >= len(algs.Table):
 		return nil, fmt.Errorf("unknown algorithm %d", cube.alg)
 	case cube.measure > MeasureAvg:
 		return nil, fmt.Errorf("unknown measure kind %d", cube.measure)

@@ -243,3 +243,28 @@ func TestSaveFileLoadCubeFile(t *testing.T) {
 		t.Fatalf("directory holds %d entries after a failed SaveFile, want 2", len(entries))
 	}
 }
+
+// TestLoadCubeFromParentCommit loads a snapshot written by the commit before
+// the algorithm table existed (ccube -synth T=200,D=3,C=4,S=0,seed=1 -alg
+// obbuc -minsup 2 -store): the stored algorithm number must still name the
+// same engine, and the cells must be the ones that build computes today.
+func TestLoadCubeFromParentCommit(t *testing.T) {
+	cube, err := LoadCubeFile(filepath.Join("testdata", "parent_obbuc.ccube"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cube.Algorithm() != AlgOBBUC || cube.Algorithm().String() != "OB-BUC" || cube.MinSup() != 2 {
+		t.Fatalf("algorithm %v, minsup %d; want OB-BUC at 2", cube.Algorithm(), cube.MinSup())
+	}
+	ds, err := OpenDataset("", "T=200,D=3,C=4,S=0,seed=1", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Materialize(ds, Options{MinSup: 2, Algorithm: AlgOBBUC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(cubeBytes(t, cube), cubeBytes(t, fresh)) {
+		t.Fatalf("the parent's snapshot (%d cells) differs from today's build (%d cells)", cube.NumCells(), fresh.NumCells())
+	}
+}

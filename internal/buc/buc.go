@@ -5,50 +5,31 @@
 package buc
 
 import (
-	"fmt"
-
 	"ccubing/internal/core"
+	"ccubing/internal/engine"
 	"ccubing/internal/psort"
 	"ccubing/internal/sink"
 	"ccubing/internal/table"
 )
 
-// Config parameterizes a BUC run.
-type Config struct {
-	// MinSup is the iceberg threshold on count; cells below it are pruned.
-	MinSup int64
-	// Measure optionally aggregates the table's Aux column per output cell
-	// into the stored aggregate every emission carries (paper Sec. 6.1). Avg
-	// is delivered as its algebraic pair: (stored sum, count).
-	Measure core.MeasureKind
-}
+// Engine is BUC. It prunes bottom-up on min_sup and has no closedness
+// checking, so it is iceberg-only.
+var Engine = engine.Engine{Name: "BUC", Caps: engine.Capabilities{Iceberg: true}, Cube: cube}
 
 type runner struct {
 	t     *table.Table
-	cfg   Config
+	cfg   engine.Config
 	out   sink.Sink
 	parts []psort.Partitioner // one per dimension: no reentrant reuse
 	tids  []core.TID
 	vals  []core.Value
 }
 
-// Run computes the iceberg cube of t and emits every cell with
+// cube computes the iceberg cube of t and emits every cell with
 // count >= MinSup into out. Cells arrive in bottom-up partition order, each
 // exactly once.
-func Run(t *table.Table, cfg Config, out sink.Sink) error {
-	if cfg.MinSup < 1 {
-		return fmt.Errorf("buc: min_sup %d < 1", cfg.MinSup)
-	}
-	if err := t.Validate(); err != nil {
-		return fmt.Errorf("buc: %w", err)
-	}
-	if cfg.Measure != core.MeasureNone && t.Aux == nil {
-		return fmt.Errorf("buc: measure %v requested but table has no aux column", cfg.Measure)
-	}
+func cube(t *table.Table, cfg engine.Config, out sink.Sink) error {
 	n := t.NumTuples()
-	if int64(n) < cfg.MinSup {
-		return nil
-	}
 	r := &runner{
 		t:     t,
 		cfg:   cfg,

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ccubing/internal/core"
+	"ccubing/internal/engine"
 	"ccubing/internal/gen"
 	"ccubing/internal/refcube"
 	"ccubing/internal/sink"
@@ -14,7 +15,7 @@ func run(t *testing.T, tb *table.Table, minsup int64) *sink.Collector {
 	t.Helper()
 	var c sink.Collector
 	d := &sink.Dedup{Next: &c}
-	if err := Run(tb, Config{MinSup: minsup}, d); err != nil {
+	if err := Engine.Run(tb, engine.Config{MinSup: minsup}, d); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if d.Dup != 0 {
@@ -96,15 +97,15 @@ func TestMinsupAboveTotal(t *testing.T) {
 func TestErrors(t *testing.T) {
 	tb := gen.MustSynthetic(gen.Config{T: 10, D: 2, C: 2, Seed: 1})
 	var c sink.Collector
-	if err := Run(tb, Config{MinSup: 0}, &c); err == nil {
+	if err := Engine.Run(tb, engine.Config{MinSup: 0}, &c); err == nil {
 		t.Fatal("min_sup 0 must error")
 	}
-	if err := Run(tb, Config{MinSup: 1, Measure: core.MeasureSum}, &c); err == nil {
+	if err := Engine.Run(tb, engine.Config{MinSup: 1, Measure: core.MeasureSum}, &c); err == nil {
 		t.Fatal("measure without aux column must error")
 	}
 	bad := table.New(1, 2)
 	bad.Cols[0][0] = 9 // out of card range
-	if err := Run(bad, Config{MinSup: 1}, &c); err == nil {
+	if err := Engine.Run(bad, engine.Config{MinSup: 1}, &c); err == nil {
 		t.Fatal("invalid table must error")
 	}
 }
@@ -116,7 +117,7 @@ func TestAuxMeasureSum(t *testing.T) {
 	}
 	tb.Aux = []float64{10, 20, 40}
 	var c sink.Collector
-	if err := Run(tb, Config{MinSup: 1, Measure: core.MeasureSum}, &c); err != nil {
+	if err := Engine.Run(tb, engine.Config{MinSup: 1, Measure: core.MeasureSum}, &c); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	byKey := map[string]float64{}
@@ -143,7 +144,7 @@ func TestAuxMeasureAvg(t *testing.T) {
 	}
 	tb.Aux = []float64{1, 3, 5}
 	var c sink.Collector
-	if err := Run(tb, Config{MinSup: 1, Measure: core.MeasureAvg}, &c); err != nil {
+	if err := Engine.Run(tb, engine.Config{MinSup: 1, Measure: core.MeasureAvg}, &c); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	// Avg is delivered as its algebraic pair: Aux carries the stored sum,

@@ -92,18 +92,6 @@ func (c Cell) String() string {
 	return b.String()
 }
 
-// Covers reports whether V(sub) <= V(c) in the paper's Def. 3 ordering: every
-// non-Star value of sub matches c. (Equality of value vectors also reports
-// true; callers needing strict refinement compare Dims too.)
-func (c Cell) Covers(sub Cell) bool {
-	for d, v := range sub.Values {
-		if v != Star && c.Values[d] != v {
-			return false
-		}
-	}
-	return true
-}
-
 // SortCells orders cells canonically: by number of fixed dimensions, then
 // lexicographically by values. Used to compare algorithm outputs in tests.
 func SortCells(cells []Cell) {

@@ -33,25 +33,6 @@ func TestCellString(t *testing.T) {
 	}
 }
 
-func TestCovers(t *testing.T) {
-	big := Cell{Values: []Value{1, 2, 3}}
-	sub := Cell{Values: []Value{1, Star, 3}}
-	if !big.Covers(sub) {
-		t.Fatal("big should cover sub")
-	}
-	if sub.Covers(big) {
-		t.Fatal("sub must not cover big (dim 1 fixed in big only)")
-	}
-	other := Cell{Values: []Value{2, Star, 3}}
-	if big.Covers(other) {
-		t.Fatal("value mismatch must not cover")
-	}
-	// Every cell covers itself under V(c) <= V(c').
-	if !big.Covers(big) {
-		t.Fatal("cell must cover itself")
-	}
-}
-
 func TestSortCellsDeterministic(t *testing.T) {
 	cells := []Cell{
 		{Values: []Value{2, 1}},

@@ -34,13 +34,6 @@ func (k MeasureKind) String() string {
 	}
 }
 
-// Distributive reports whether the measure of a whole can be computed solely
-// from the measures of its parts (paper Def. 4). Avg is algebraic (Def. 5):
-// it needs the bounded pair (sum, count).
-func (k MeasureKind) Distributive() bool {
-	return k == MeasureSum || k == MeasureMin || k == MeasureMax
-}
-
 // MeasureAgg incrementally aggregates one complex measure. The zero value is
 // not ready to use; construct with NewMeasureAgg.
 type MeasureAgg struct {

@@ -17,15 +17,6 @@ func TestMeasureKindString(t *testing.T) {
 	}
 }
 
-func TestDistributive(t *testing.T) {
-	if !MeasureSum.Distributive() || !MeasureMin.Distributive() || !MeasureMax.Distributive() {
-		t.Fatal("sum/min/max are distributive (paper Example 2)")
-	}
-	if MeasureAvg.Distributive() {
-		t.Fatal("avg is algebraic, not distributive (paper Example 2)")
-	}
-}
-
 func TestMeasureAggAdd(t *testing.T) {
 	for _, k := range []MeasureKind{MeasureSum, MeasureMin, MeasureMax, MeasureAvg} {
 		a := NewMeasureAgg(k)

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"ccubing/internal/core"
+	"ccubing/internal/engine"
 	"ccubing/internal/qcdfs"
 	"ccubing/internal/sink"
 )
@@ -75,7 +76,7 @@ func TestAggregateAllocs(t *testing.T) {
 	cards := []int{40, 30, 30, 20, 10}
 	tbl := testTable(t, 20000, cards, 1.0, 29)
 	col := &sink.Collector{}
-	if err := qcdfs.Run(tbl, qcdfs.Config{MinSup: 4}, col); err != nil {
+	if err := qcdfs.Engine.Run(tbl, engine.Config{MinSup: 4, Closed: true}, col); err != nil {
 		t.Fatal(err)
 	}
 	b := NewBuilder(tbl.NumDims(), false)

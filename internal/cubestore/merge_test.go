@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ccubing/internal/core"
+	"ccubing/internal/engine"
 	"ccubing/internal/qcdfs"
 	"ccubing/internal/sink"
 	"ccubing/internal/table"
@@ -15,7 +16,7 @@ import (
 func closedCells(t testing.TB, tbl *table.Table, minsup int64) []core.Cell {
 	t.Helper()
 	col := &sink.Collector{}
-	if err := qcdfs.Run(tbl, qcdfs.Config{MinSup: minsup}, col); err != nil {
+	if err := qcdfs.Engine.Run(tbl, engine.Config{MinSup: minsup, Closed: true}, col); err != nil {
 		t.Fatal(err)
 	}
 	return col.Cells
@@ -77,7 +78,8 @@ func TestMergePartitionsMatchesRebuild(t *testing.T) {
 					full.Cols[d][tid] = core.Value(rng.Intn(cards[d]))
 				}
 			}
-			full.Recount()
+			copy(full.Cards, cards)
+			full.Cards[dim]++ // room for the brand-new partition
 
 			// From-scratch store of the full relation: the reference.
 			fullCells := closedCells(t, full, minsup)

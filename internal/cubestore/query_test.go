@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ccubing/internal/core"
+	"ccubing/internal/engine"
 	"ccubing/internal/qcdfs"
 	"ccubing/internal/sink"
 	"ccubing/internal/table"
@@ -195,7 +196,7 @@ func scanStore(t *testing.T, tbl *table.Table, minsup int64, kind core.MeasureKi
 		}
 	}
 	col := &sink.Collector{}
-	if err := qcdfs.Run(tbl, qcdfs.Config{MinSup: minsup}, col); err != nil {
+	if err := qcdfs.Engine.Run(tbl, engine.Config{MinSup: minsup, Closed: true}, col); err != nil {
 		t.Fatal(err)
 	}
 	b := NewBuilder(nd, true)

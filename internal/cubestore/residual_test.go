@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ccubing/internal/core"
+	"ccubing/internal/engine"
 	"ccubing/internal/qcdfs"
 	"ccubing/internal/sink"
 	"ccubing/internal/table"
@@ -142,7 +143,7 @@ func TestComputeResidualBruteForce(t *testing.T) {
 func buildWithResidual(t testing.TB, tbl *table.Table, minsup int64, kind core.MeasureKind) *Store {
 	t.Helper()
 	col := &sink.Collector{}
-	if err := qcdfs.Run(tbl, qcdfs.Config{MinSup: minsup}, col); err != nil {
+	if err := qcdfs.Engine.Run(tbl, engine.Config{MinSup: minsup, Closed: true}, col); err != nil {
 		t.Fatal(err)
 	}
 	aux := auxColumn(tbl)
@@ -379,7 +380,7 @@ func TestMergePartitionsResidual(t *testing.T) {
 	// carries the full relation's cells restricted to both (as the facade's
 	// refresh does), with brute-force stored sums.
 	col := &sink.Collector{}
-	if err := qcdfs.Run(tbl, qcdfs.Config{MinSup: minsup}, col); err != nil {
+	if err := qcdfs.Engine.Run(tbl, engine.Config{MinSup: minsup, Closed: true}, col); err != nil {
 		t.Fatal(err)
 	}
 	var fresh []core.Cell

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"ccubing/internal/core"
+	"ccubing/internal/engine"
 	"ccubing/internal/fuzzbound"
 	"ccubing/internal/qcdfs"
 	"ccubing/internal/sink"
@@ -119,7 +120,7 @@ func randomStore(t *testing.T, rng *rand.Rand, hasAux bool, residual string) (*S
 			continue // every distinct tuple cleared the threshold: draw again
 		}
 		col := &sink.Collector{}
-		if err := qcdfs.Run(tbl, qcdfs.Config{MinSup: minsup}, col); err != nil {
+		if err := qcdfs.Engine.Run(tbl, engine.Config{MinSup: minsup, Closed: true}, col); err != nil {
 			t.Fatal(err)
 		}
 		b := NewBuilder(tbl.NumDims(), hasAux)

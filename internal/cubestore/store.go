@@ -503,44 +503,17 @@ func (s *Store) cellAt(g *group, i int) core.Cell {
 
 // Slice visits every stored closed cell inside the sub-cube the query pins
 // down: cells fixing a superset of the query's bound dimensions with matching
-// values. Visiting order is cuboid mask ascending, packed key ascending
-// within a cuboid. Each visited cell is freshly allocated; return false from
-// visit to stop early. It panics if vals does not have exactly NumDims
-// entries, like Query.
+// values. It is Select with an exact predicate on every bound dimension — a
+// slice is a selection with equality predicates — so visiting order, early
+// stop and the wrong-arity panic are Select's.
 func (s *Store) Slice(vals []core.Value, visit func(core.Cell) bool) {
-	q := s.queryMask(vals)
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	cands := s.candidates(q, &sc.cands)
-	sc.nCand += int64(len(cands))
-	for _, g := range cands {
-		if g.mask&q != q {
-			continue
-		}
-		sc.probes++
-		p := 0
-		for p < len(g.dims) && q.Has(g.dims[p]) {
-			p++
-		}
-		prefix := core.AppendValues(sc.key[:0], vals, g.dims[:p])
-		sc.key = prefix
-		lo, hi := g.prefixRange(prefix)
-	rows:
-		for i := lo; i < hi; i++ {
-			row := g.row(i)
-			for j := p; j < len(g.dims); j++ {
-				if !q.Has(g.dims[j]) {
-					continue
-				}
-				if core.DecodeValue(row[j*core.ValueWidth:]) != vals[g.dims[j]] {
-					continue rows
-				}
-			}
-			if !visit(s.cellAt(g, i)) {
-				return
-			}
+	spec := Spec{Preds: make([]Pred, len(vals))}
+	for d, v := range vals {
+		if v != core.Star {
+			spec.Preds[d] = Pred{Kind: PredEq, Val: v}
 		}
 	}
+	s.Select(spec, visit)
 }
 
 // Walk visits every stored cell (cuboid mask ascending, key ascending).

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ccubing/internal/core"
+	"ccubing/internal/engine"
 	"ccubing/internal/gen"
 	"ccubing/internal/qcdfs"
 	"ccubing/internal/sink"
@@ -20,7 +21,7 @@ import (
 func buildFromClosed(t testing.TB, tbl *table.Table, minsup int64) *Store {
 	t.Helper()
 	col := &sink.Collector{}
-	if err := qcdfs.Run(tbl, qcdfs.Config{MinSup: minsup}, col); err != nil {
+	if err := qcdfs.Engine.Run(tbl, engine.Config{MinSup: minsup, Closed: true}, col); err != nil {
 		t.Fatal(err)
 	}
 	b := NewBuilder(tbl.NumDims(), false)
@@ -146,6 +147,19 @@ func TestSliceMatchesWalkFilter(t *testing.T) {
 			}
 		}
 	}
+	// A bound value beyond the largest one stored on its dimension is no
+	// cell's: nothing is visited and nothing panics, on a leading dimension
+	// (the key prefix) and on a trailing one (the per-row filter) alike.
+	for d, card := range tbl.Cards {
+		for _, v := range []core.Value{core.Value(card), 1 << 30} {
+			q := []core.Value{core.Star, core.Star, core.Star}
+			q[d] = v
+			s.Slice(q, func(c core.Cell) bool {
+				t.Fatalf("slice %v visited %v", q, c.Values)
+				return false
+			})
+		}
+	}
 }
 
 // TestRowsFixingMatchesWalkFilter checks the refresh's row visitor against
@@ -230,7 +244,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	tbl := testTable(t, 700, []int{7, 6, 5, 4}, 1.2, 11)
 	// Include aux values to cover the measure arrays.
 	col := &sink.Collector{}
-	if err := qcdfs.Run(tbl, qcdfs.Config{MinSup: 2}, col); err != nil {
+	if err := qcdfs.Engine.Run(tbl, engine.Config{MinSup: 2, Closed: true}, col); err != nil {
 		t.Fatal(err)
 	}
 	b := NewBuilder(tbl.NumDims(), true)
@@ -361,7 +375,7 @@ func ExampleStore_Query() {
 		{1, 0, 1},
 	})
 	col := &sink.Collector{}
-	_ = qcdfs.Run(tbl, qcdfs.Config{MinSup: 1}, col)
+	_ = qcdfs.Engine.Run(tbl, engine.Config{MinSup: 1, Closed: true}, col)
 	b := NewBuilder(3, false)
 	for _, c := range col.Cells {
 		b.Add(c.Values, c.Count, 0)

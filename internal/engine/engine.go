@@ -1,8 +1,10 @@
-// Package engine defines the interface every cubing engine implements and a
-// registry the seven engine packages register into. The facade (package
-// ccubing) and the one driver that runs engines (internal/parallel) dispatch
-// through this registry instead of hard-coded switches, and validate requests
-// against declared capabilities instead of per-algorithm special cases.
+// Package engine defines what a cubing engine is: a declared value — name,
+// capabilities, cubing function — and the one Config every engine reads. Each
+// of the seven engine packages exports one such value; the facade (package
+// ccubing) lists them in its algorithm table, and every caller — the facade,
+// internal/parallel's shard jobs, internal/refresh, internal/expt — enters an
+// engine through Engine.Run, which holds the single copy of the checks they
+// all share.
 package engine
 
 import (
@@ -13,9 +15,8 @@ import (
 	"ccubing/internal/table"
 )
 
-// Config is the union of the per-engine knobs the facade exposes. Engines
-// read the fields they understand and ignore the rest; Validate rejects
-// combinations an engine's capabilities rule out before Run is called.
+// Config is the one parameter set of the paper's Sec. 5 comparison. Engines
+// read the fields they understand and ignore the rest.
 type Config struct {
 	// MinSup is the iceberg threshold on count; drivers default it to 1.
 	MinSup int64
@@ -23,21 +24,23 @@ type Config struct {
 	// iceberg cube.
 	Closed bool
 	// Measure optionally aggregates the table's Aux column during the cubing
-	// pass (paper Sec. 6.1); every engine delivers the stored aggregate with
-	// each emitted cell.
+	// pass (paper Sec. 6.1); every engine delivers the stored aggregate
+	// (core.MeasureAgg.Stored; avg as its running sum) with each emitted cell.
 	Measure core.MeasureKind
 	// DenseBudget overrides the MM-Cubing dense array budget, in cells.
 	DenseBudget int
 	// DisableLemma5, DisableLemma6 and DisableShortcut switch off individual
-	// closed-pruning devices for ablation studies.
+	// closed-pruning devices, NoStarReduction the star engine's star
+	// reduction, for ablation studies; outputs must not change.
 	DisableLemma5   bool
 	DisableLemma6   bool
 	DisableShortcut bool
+	NoStarReduction bool
 }
 
-// Capabilities declares what a registered engine can compute. Drivers use it
-// to validate options and to decide which transformations (dimension
-// reordering, parallel decomposition) apply.
+// Capabilities declares what an engine can compute. Run enforces Closed and
+// Iceberg; drivers read OrderSensitive to decide whether dimension reordering
+// applies.
 type Capabilities struct {
 	// Closed: the engine can compute closed (iceberg) cubes.
 	Closed bool
@@ -49,33 +52,47 @@ type Capabilities struct {
 	OrderSensitive bool
 }
 
-// Engine is one cubing algorithm. Run computes the cube of t under cfg and
-// emits every output cell into out; implementations must be safe for
-// concurrent Run calls on distinct tables (the parallel driver runs one
-// engine instance from many goroutines).
-type Engine interface {
+// Engine is one cubing algorithm. A test substitutes a fake by building one.
+type Engine struct {
 	// Name is the engine's display name, matching the paper's figures
 	// (e.g. "CC(Star)").
-	Name() string
-	// Capabilities declares what the engine supports.
-	Capabilities() Capabilities
-	// Run computes the cube. It must not retain t or out after returning.
-	Run(t *table.Table, cfg Config, out sink.Sink) error
+	Name string
+	Caps Capabilities
+	// Cube computes the cube of t under cfg and emits every output cell into
+	// out. Run has already checked cfg and t, and t holds at least cfg.MinSup
+	// tuples. It must not retain t or out after returning, and must be safe
+	// for concurrent calls on distinct tables (the parallel driver runs one
+	// engine from many goroutines).
+	Cube func(t *table.Table, cfg Config, out sink.Sink) error
 }
 
-// Validate checks cfg against e's capabilities and the table's shape,
-// returning a descriptive error for unsupported combinations. hasAux reports
-// whether the relation carries a measure column.
-func Validate(e Engine, hasAux bool, cfg Config) error {
-	caps := e.Capabilities()
-	if cfg.Closed && !caps.Closed {
-		return fmt.Errorf("%s computes iceberg cubes only; pick a closed-capable engine for closed cubes", e.Name())
-	}
-	if !cfg.Closed && !caps.Iceberg {
-		return fmt.Errorf("%s computes closed cubes only", e.Name())
-	}
-	if cfg.Measure != core.MeasureNone && !hasAux {
-		return fmt.Errorf("measure %v requested but dataset has no measure column", cfg.Measure)
+// Check reports why cfg cannot run on e over a relation with or without a
+// measure column. Run starts with it; the facade calls it first to reject a
+// request before any work is set up.
+func (e *Engine) Check(cfg Config, hasAux bool) error {
+	switch {
+	case cfg.MinSup < 1:
+		return fmt.Errorf("%s: min_sup %d < 1", e.Name, cfg.MinSup)
+	case cfg.Closed && !e.Caps.Closed:
+		return fmt.Errorf("%s computes iceberg cubes only; pick a closed-capable engine for closed cubes", e.Name)
+	case !cfg.Closed && !e.Caps.Iceberg:
+		return fmt.Errorf("%s computes closed cubes only", e.Name)
+	case cfg.Measure != core.MeasureNone && !hasAux:
+		return fmt.Errorf("%s: measure %v requested but dataset has no measure column", e.Name, cfg.Measure)
 	}
 	return nil
+}
+
+// Run checks cfg and t, then computes the cube of t into out.
+func (e *Engine) Run(t *table.Table, cfg Config, out sink.Sink) error {
+	if err := e.Check(cfg, t.Aux != nil); err != nil {
+		return err
+	}
+	if err := t.Validate(); err != nil {
+		return fmt.Errorf("%s: %w", e.Name, err)
+	}
+	if int64(t.NumTuples()) < cfg.MinSup {
+		return nil // no cell can reach min_sup
+	}
+	return e.Cube(t, cfg, out)
 }

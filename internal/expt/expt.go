@@ -13,18 +13,16 @@ import (
 
 	"ccubing/internal/engine"
 	"ccubing/internal/gen"
+	"ccubing/internal/mmcubing"
+	"ccubing/internal/obcheck"
 	"ccubing/internal/order"
 	"ccubing/internal/parallel"
+	"ccubing/internal/qcdfs"
+	"ccubing/internal/qctree"
 	"ccubing/internal/sink"
+	"ccubing/internal/stararray"
+	"ccubing/internal/startree"
 	"ccubing/internal/table"
-
-	_ "ccubing/internal/buc"
-	_ "ccubing/internal/mmcubing"
-	_ "ccubing/internal/obcheck"
-	_ "ccubing/internal/qcdfs"
-	_ "ccubing/internal/qctree"
-	_ "ccubing/internal/stararray"
-	_ "ccubing/internal/startree"
 )
 
 // Algo names an algorithm variant runnable over a table.
@@ -55,11 +53,9 @@ func SetWorkers(n int) int {
 	return workers
 }
 
-// runEngine builds an Algo body dispatching through the engine registry,
-// honoring the package worker count.
-func runEngine(engName string, cfg engine.Config) func(t *table.Table, out sink.Sink) error {
+// runEngine builds an Algo body running e, honoring the package worker count.
+func runEngine(e *engine.Engine, cfg engine.Config) func(t *table.Table, out sink.Sink) error {
 	return func(t *table.Table, out sink.Sink) error {
-		e := engine.MustLookup(engName)
 		if workers > 1 {
 			return parallel.Run(t, e, cfg, parallel.Config{Workers: workers, Dim: -1}, out)
 		}
@@ -67,46 +63,40 @@ func runEngine(engName string, cfg engine.Config) func(t *table.Table, out sink.
 	}
 }
 
+// closed is e computing the closed cube, under the name the paper's figures
+// give it.
+func closed(e *engine.Engine, minsup int64) Algo {
+	return Algo{e.Name, runEngine(e, engine.Config{MinSup: minsup, Closed: true})}
+}
+
 // Closed-cubing rosters.
-func ccMM(minsup int64) Algo {
-	return Algo{"CC(MM)", runEngine("CC(MM)", engine.Config{MinSup: minsup, Closed: true})}
-}
+func ccMM(minsup int64) Algo { return closed(&mmcubing.Engine, minsup) }
 
-func ccStar(minsup int64) Algo {
-	return Algo{"CC(Star)", runEngine("CC(Star)", engine.Config{MinSup: minsup, Closed: true})}
-}
+func ccStar(minsup int64) Algo { return closed(&startree.Engine, minsup) }
 
-func ccStarArray(minsup int64) Algo {
-	return Algo{"CC(StarArray)", runEngine("CC(StarArray)", engine.Config{MinSup: minsup, Closed: true})}
-}
+func ccStarArray(minsup int64) Algo { return closed(&stararray.Engine, minsup) }
 
-func qcDFS(minsup int64) Algo {
-	return Algo{"QC-DFS", runEngine("QC-DFS", engine.Config{MinSup: minsup, Closed: true})}
-}
+func qcDFS(minsup int64) Algo { return closed(&qcdfs.Engine, minsup) }
 
 // qcTree is QC-DFS plus QC-tree materialization: the full work of the
 // original Quotient Cube system (the binary the paper benchmarked).
-func qcTree(minsup int64) Algo {
-	return Algo{"QC-Tree", runEngine("QC-Tree", engine.Config{MinSup: minsup, Closed: true})}
-}
+func qcTree(minsup int64) Algo { return closed(&qctree.Engine, minsup) }
 
 // obBUC is output-based closedness checking (closed-pattern-mining style,
 // paper Sec. 2.2.2), an addition beyond the paper's roster that makes the
 // third checking approach measurable.
-func obBUC(minsup int64) Algo {
-	return Algo{"OB-BUC", runEngine("OB-BUC", engine.Config{MinSup: minsup, Closed: true})}
-}
+func obBUC(minsup int64) Algo { return closed(&obcheck.Engine, minsup) }
 
 func plainMM(minsup int64) Algo {
-	return Algo{"MM", runEngine("CC(MM)", engine.Config{MinSup: minsup})}
+	return Algo{"MM", runEngine(&mmcubing.Engine, engine.Config{MinSup: minsup})}
 }
 
 func plainStarArray(minsup int64) Algo {
-	return Algo{"StarArray", runEngine("CC(StarArray)", engine.Config{MinSup: minsup})}
+	return Algo{"StarArray", runEngine(&stararray.Engine, engine.Config{MinSup: minsup})}
 }
 
 func orderedStarArray(name string, s order.Strategy, minsup int64) Algo {
-	run := runEngine("CC(StarArray)", engine.Config{MinSup: minsup, Closed: true})
+	run := runEngine(&stararray.Engine, engine.Config{MinSup: minsup, Closed: true})
 	return Algo{name, func(t *table.Table, out sink.Sink) error {
 		ot, _, err := order.Apply(t, s)
 		if err != nil {

@@ -132,16 +132,3 @@ func SplitNames(args string) []string {
 	}
 	return out
 }
-
-// FileHas reports whether any comment in the file carries the directive with
-// the given argument (file-scope directives like //ccubing:mutates Store).
-func FileHas(f *ast.File, name, arg string) bool {
-	for _, cg := range f.Comments {
-		for _, got := range Directive(cg, name) {
-			if got == arg {
-				return true
-			}
-		}
-	}
-	return false
-}

@@ -20,10 +20,10 @@
 package mmcubing
 
 import (
-	"fmt"
 	"sort"
 
 	"ccubing/internal/core"
+	"ccubing/internal/engine"
 	"ccubing/internal/multiway"
 	"ccubing/internal/psort"
 	"ccubing/internal/sink"
@@ -35,27 +35,15 @@ import (
 // limited to 4MB".
 const DefaultDenseBudget = 200 << 10
 
-// Config parameterizes a run.
-type Config struct {
-	// MinSup is the iceberg threshold on count.
-	MinSup int64
-	// Closed selects C-Cubing(MM): emit only closed cells. False runs plain
-	// MM-Cubing (all iceberg cells).
-	Closed bool
-	// DenseBudget overrides DefaultDenseBudget when positive.
-	DenseBudget int
-	// DisableShortcut turns off the partition-size==min_sup closed-cell
-	// shortcut (ablation; Closed mode only).
-	DisableShortcut bool
-	// Measure optionally aggregates the table's Aux column per output cell
-	// during the dense-array and shortcut aggregation (paper Sec. 6.1); every
-	// emission carries the stored aggregate (core.MeasureAgg.Stored).
-	Measure core.MeasureKind
-}
+// Engine is MM-Cubing / C-Cubing(MM) (Config.Closed selects which). It
+// factorizes the lattice space and is insensitive to dimension order;
+// measures aggregate through the dense arrays and the shortcut (paper
+// Sec. 6.1).
+var Engine = engine.Engine{Name: "CC(MM)", Caps: engine.Capabilities{Closed: true, Iceberg: true}, Cube: cube}
 
 type runner struct {
 	t      *table.Table
-	cfg    Config
+	cfg    engine.Config
 	out    sink.Sink
 	nd     int
 	cols   core.Columns
@@ -75,21 +63,9 @@ type vf struct {
 	f int64
 }
 
-// Run computes the (closed) iceberg cube of t and emits cells into out.
-func Run(t *table.Table, cfg Config, out sink.Sink) error {
-	if cfg.MinSup < 1 {
-		return fmt.Errorf("mmcubing: min_sup %d < 1", cfg.MinSup)
-	}
-	if err := t.Validate(); err != nil {
-		return fmt.Errorf("mmcubing: %w", err)
-	}
-	if cfg.Measure != core.MeasureNone && t.Aux == nil {
-		return fmt.Errorf("mmcubing: measure %v requested but table has no aux column", cfg.Measure)
-	}
+// cube computes the (closed) iceberg cube of t and emits cells into out.
+func cube(t *table.Table, cfg engine.Config, out sink.Sink) error {
 	n := t.NumTuples()
-	if int64(n) < cfg.MinSup {
-		return nil
-	}
 	r := &runner{
 		t:      t,
 		cfg:    cfg,

@@ -4,17 +4,18 @@ import (
 	"testing"
 
 	"ccubing/internal/core"
+	"ccubing/internal/engine"
 	"ccubing/internal/gen"
 	"ccubing/internal/refcube"
 	"ccubing/internal/sink"
 	"ccubing/internal/table"
 )
 
-func run(t *testing.T, tb *table.Table, cfg Config) *sink.Collector {
+func run(t *testing.T, tb *table.Table, cfg engine.Config) *sink.Collector {
 	t.Helper()
 	var c sink.Collector
 	d := &sink.Dedup{Next: &c}
-	if err := Run(tb, cfg, d); err != nil {
+	if err := Engine.Run(tb, cfg, d); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if d.Dup != 0 {
@@ -59,7 +60,7 @@ func TestIcebergMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := run(t, tb, Config{MinSup: c.minsup})
+		got := run(t, tb, engine.Config{MinSup: c.minsup})
 		if diff := sink.DiffCells(got.Cells, want, 8); diff != "" {
 			t.Fatalf("case %d mismatch:\n%s", i, diff)
 		}
@@ -75,7 +76,7 @@ func TestClosedMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := run(t, tb, Config{MinSup: c.minsup, Closed: true})
+		got := run(t, tb, engine.Config{MinSup: c.minsup, Closed: true})
 		if diff := sink.DiffCells(got.Cells, want, 8); diff != "" {
 			t.Fatalf("case %d mismatch:\n%s", i, diff)
 		}
@@ -87,8 +88,8 @@ func TestClosedMatchesOracle(t *testing.T) {
 func TestClosedShortcutNeutral(t *testing.T) {
 	for i, c := range oracleCases {
 		tb := gen.MustSynthetic(c.cfg)
-		fast := run(t, tb, Config{MinSup: c.minsup, Closed: true})
-		slow := run(t, tb, Config{MinSup: c.minsup, Closed: true, DisableShortcut: true})
+		fast := run(t, tb, engine.Config{MinSup: c.minsup, Closed: true})
+		slow := run(t, tb, engine.Config{MinSup: c.minsup, Closed: true, DisableShortcut: true})
 		if diff := sink.DiffCells(fast.Cells, slow.Sorted(), 8); diff != "" {
 			t.Fatalf("case %d shortcut changed output:\n%s", i, diff)
 		}
@@ -104,7 +105,7 @@ func TestTinyDenseBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := run(t, tb, Config{MinSup: minsup, Closed: true, DenseBudget: 2})
+		got := run(t, tb, engine.Config{MinSup: minsup, Closed: true, DenseBudget: 2})
 		if diff := sink.DiffCells(got.Cells, want, 8); diff != "" {
 			t.Fatalf("min_sup %d mismatch:\n%s", minsup, diff)
 		}
@@ -112,7 +113,7 @@ func TestTinyDenseBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotIce := run(t, tb, Config{MinSup: minsup, DenseBudget: 2})
+		gotIce := run(t, tb, engine.Config{MinSup: minsup, DenseBudget: 2})
 		if diff := sink.DiffCells(gotIce.Cells, wantIce, 8); diff != "" {
 			t.Fatalf("iceberg min_sup %d mismatch:\n%s", minsup, diff)
 		}
@@ -126,14 +127,14 @@ func TestHugeDenseBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := run(t, tb, Config{MinSup: 1, Closed: true, DenseBudget: 1 << 22})
+	got := run(t, tb, engine.Config{MinSup: 1, Closed: true, DenseBudget: 1 << 22})
 	if diff := sink.DiffCells(got.Cells, want, 8); diff != "" {
 		t.Fatalf("mismatch:\n%s", diff)
 	}
 }
 
 func TestPaperExample1(t *testing.T) {
-	got := run(t, paperTable(t), Config{MinSup: 2, Closed: true})
+	got := run(t, paperTable(t), engine.Config{MinSup: 2, Closed: true})
 	if len(got.Cells) != 2 {
 		t.Fatalf("cells:\n%s", sink.FormatCells(got.Cells))
 	}
@@ -153,7 +154,7 @@ func TestDependenceData(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := run(t, tb, Config{MinSup: minsup, Closed: true})
+		got := run(t, tb, engine.Config{MinSup: minsup, Closed: true})
 		if diff := sink.DiffCells(got.Cells, want, 8); diff != "" {
 			t.Fatalf("min_sup %d:\n%s", minsup, diff)
 		}
@@ -163,18 +164,18 @@ func TestDependenceData(t *testing.T) {
 func TestErrors(t *testing.T) {
 	tb := paperTable(t)
 	var c sink.Collector
-	if err := Run(tb, Config{MinSup: 0}, &c); err == nil {
+	if err := Engine.Run(tb, engine.Config{MinSup: 0}, &c); err == nil {
 		t.Fatal("min_sup 0 must error")
 	}
 	bad := table.New(1, 2)
 	bad.Cols[0][0] = 9
-	if err := Run(bad, Config{MinSup: 1}, &c); err == nil {
+	if err := Engine.Run(bad, engine.Config{MinSup: 1}, &c); err == nil {
 		t.Fatal("invalid table must error")
 	}
 }
 
 func TestMinsupAboveTotal(t *testing.T) {
-	got := run(t, paperTable(t), Config{MinSup: 4, Closed: true})
+	got := run(t, paperTable(t), engine.Config{MinSup: 4, Closed: true})
 	if len(got.Cells) != 0 {
 		t.Fatalf("cells above T:\n%s", sink.FormatCells(got.Cells))
 	}

@@ -22,22 +22,16 @@
 package obcheck
 
 import (
-	"fmt"
-
 	"ccubing/internal/core"
+	"ccubing/internal/engine"
 	"ccubing/internal/psort"
 	"ccubing/internal/sink"
 	"ccubing/internal/table"
 )
 
-// Config parameterizes a run.
-type Config struct {
-	// MinSup is the iceberg threshold on count.
-	MinSup int64
-	// Measure optionally aggregates the table's Aux column per closed cell,
-	// folded over the partition the candidate already holds at emission.
-	Measure core.MeasureKind
-}
+// Engine is OB-BUC: BUC enumeration with output-based closedness checking,
+// closed mode only.
+var Engine = engine.Engine{Name: "OB-BUC", Caps: engine.Capabilities{Closed: true}, Cube: cube}
 
 // indexKey is the two-level probe key of CLOSET+-style subsumption indices:
 // a stored cover of a candidate must share the candidate's count and bind
@@ -53,7 +47,7 @@ type indexKey struct {
 
 type runner struct {
 	t     *table.Table
-	cfg   Config
+	cfg   engine.Config
 	out   sink.Sink
 	parts []psort.Partitioner
 	tids  []core.TID
@@ -61,43 +55,26 @@ type runner struct {
 	// index maps probe keys to previously-output closed cells (packed
 	// value vectors).
 	index map[indexKey][]string
-	// IndexedCells counts stored cells; IndexProbes counts cover tests;
-	// IndexEntries counts key postings (the memory driver).
-	IndexedCells int64
-	IndexProbes  int64
-	IndexEntries int64
+	stats
 }
 
-// Run computes the closed iceberg cube of t with output-based checking,
-// emitting every closed cell with count >= MinSup exactly once. It returns
-// the index statistics through RunStats.
-func Run(t *table.Table, cfg Config, out sink.Sink) error {
-	_, err := RunStats(t, cfg, out)
-	return err
+// cube computes the closed iceberg cube of t with output-based checking,
+// emitting every closed cell with count >= MinSup exactly once.
+func cube(t *table.Table, cfg engine.Config, out sink.Sink) error {
+	cubeStats(t, cfg, out)
+	return nil
 }
 
-// Stats reports the cost drivers of output-based checking.
-type Stats struct {
+// stats reports the cost drivers of output-based checking.
+type stats struct {
 	IndexedCells int64 // closed cells held in memory at the end
 	IndexProbes  int64 // subsumption tests performed
-	IndexEntries int64 // index postings (cells × bound dimensions)
+	IndexEntries int64 // index postings (cells × bound dimensions): the memory driver
 }
 
-// RunStats is Run, also returning index statistics.
-func RunStats(t *table.Table, cfg Config, out sink.Sink) (Stats, error) {
-	if cfg.MinSup < 1 {
-		return Stats{}, fmt.Errorf("obcheck: min_sup %d < 1", cfg.MinSup)
-	}
-	if err := t.Validate(); err != nil {
-		return Stats{}, fmt.Errorf("obcheck: %w", err)
-	}
-	if cfg.Measure != core.MeasureNone && t.Aux == nil {
-		return Stats{}, fmt.Errorf("obcheck: measure %v requested but table has no aux column", cfg.Measure)
-	}
+// cubeStats is cube, also returning index statistics.
+func cubeStats(t *table.Table, cfg engine.Config, out sink.Sink) stats {
 	n := t.NumTuples()
-	if int64(n) < cfg.MinSup {
-		return Stats{}, nil
-	}
 	r := &runner{
 		t:     t,
 		cfg:   cfg,
@@ -114,11 +91,7 @@ func RunStats(t *table.Table, cfg Config, out sink.Sink) (Stats, error) {
 		r.vals[d] = core.Star
 	}
 	r.recurse(0, n, 0)
-	return Stats{
-		IndexedCells: r.IndexedCells,
-		IndexProbes:  r.IndexProbes,
-		IndexEntries: r.IndexEntries,
-	}, nil
+	return r.stats
 }
 
 func (r *runner) recurse(lo, hi, dim int) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ccubing/internal/core"
+	"ccubing/internal/engine"
 	"ccubing/internal/gen"
 	"ccubing/internal/refcube"
 	"ccubing/internal/sink"
@@ -14,7 +15,7 @@ func run(t *testing.T, tb *table.Table, minsup int64) *sink.Collector {
 	t.Helper()
 	var c sink.Collector
 	d := &sink.Dedup{Next: &c}
-	if err := Run(tb, Config{MinSup: minsup}, d); err != nil {
+	if err := Engine.Run(tb, engine.Config{MinSup: minsup, Closed: true}, d); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if d.Dup != 0 {
@@ -71,10 +72,7 @@ func TestPaperExample1(t *testing.T) {
 func TestIndexGrowsWithOutput(t *testing.T) {
 	tb := gen.MustSynthetic(gen.Config{T: 200, D: 4, C: 4, S: 1, Seed: 9})
 	var c sink.Collector
-	st, err := RunStats(tb, Config{MinSup: 1}, &c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := cubeStats(tb, engine.Config{MinSup: 1, Closed: true}, &c)
 	if st.IndexedCells != int64(len(c.Cells)) {
 		t.Fatalf("indexed %d cells, emitted %d", st.IndexedCells, len(c.Cells))
 	}
@@ -86,7 +84,7 @@ func TestIndexGrowsWithOutput(t *testing.T) {
 func TestErrors(t *testing.T) {
 	tb := gen.MustSynthetic(gen.Config{T: 10, D: 2, C: 2, Seed: 1})
 	var c sink.Collector
-	if err := Run(tb, Config{MinSup: 0}, &c); err == nil {
+	if err := Engine.Run(tb, engine.Config{MinSup: 0, Closed: true}, &c); err == nil {
 		t.Fatal("min_sup 0 must error")
 	}
 	if got := run(t, tb, 11); len(got.Cells) != 0 {

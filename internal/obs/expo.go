@@ -3,12 +3,11 @@ package obs
 import (
 	"bufio"
 	"io"
-	"net/http"
 	"strconv"
 )
 
-// ContentType is the Prometheus text exposition content type served by
-// Handler.
+// ContentType is the Prometheus text exposition content type of WriteText's
+// output.
 const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // WriteText renders the registries' metrics in the Prometheus text format,
@@ -100,11 +99,3 @@ func formatInt(v int64) string { return strconv.FormatInt(v, 10) }
 // formatFloat uses the shortest round-trip form, like encoding/json — "0.25"
 // stays "0.25", integral floats render without an exponent where possible.
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// Handler serves the registries as a GET /metrics endpoint.
-func Handler(regs ...*Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", ContentType)
-		_ = WriteText(w, regs...)
-	})
-}

@@ -6,6 +6,7 @@ package order
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"ccubing/internal/stats"
 	"ccubing/internal/table"
@@ -40,15 +41,15 @@ func (s Strategy) String() string {
 	}
 }
 
-// ParseStrategy maps a name (case-sensitive, as printed by String) back to a
-// strategy.
+// ParseStrategy maps a name — as printed by String or spelled out, in any
+// case — back to a strategy.
 func ParseStrategy(s string) (Strategy, error) {
-	switch s {
-	case "Org", "org", "original":
+	switch strings.ToLower(s) {
+	case "org", "original":
 		return Original, nil
-	case "Card", "card", "cardinality":
+	case "card", "cardinality":
 		return ByCardinality, nil
-	case "Entropy", "entropy":
+	case "entropy":
 		return ByEntropy, nil
 	}
 	return Original, fmt.Errorf("order: unknown strategy %q", s)

@@ -124,7 +124,7 @@ type Stats struct {
 // are serialized (out need not be goroutine-safe) but arrive in
 // nondeterministic order. The emitted cell set is identical to
 // eng.Run(t, ecfg, out).
-func Run(t *table.Table, eng engine.Engine, ecfg engine.Config, cfg Config, out sink.Sink) error {
+func Run(t *table.Table, eng *engine.Engine, ecfg engine.Config, cfg Config, out sink.Sink) error {
 	_, err := RunSub(t, t, eng, ecfg, cfg, nil, out)
 	return err
 }
@@ -142,7 +142,7 @@ func Run(t *table.Table, eng engine.Engine, ecfg engine.Config, cfg Config, out 
 // must name the dimension when sub is a strict subset. A relation that cannot
 // be decomposed — fewer than two dimensions, or no tuples — is cubed whole,
 // which honours that contract only for sub == t.
-func RunSub(t, sub *table.Table, eng engine.Engine, ecfg engine.Config, cfg Config, retained iter.Seq2[[]core.Value, int64], out sink.Sink) (Stats, error) {
+func RunSub(t, sub *table.Table, eng *engine.Engine, ecfg engine.Config, cfg Config, retained iter.Seq2[[]core.Value, int64], out sink.Sink) (Stats, error) {
 	var st Stats
 	workers := max(cfg.Workers, 1)
 	nd := t.NumDims()

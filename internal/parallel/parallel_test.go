@@ -8,23 +8,20 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"ccubing/internal/algs"
+	"ccubing/internal/buc"
 	"ccubing/internal/core"
 	"ccubing/internal/engine"
 	"ccubing/internal/gen"
+	"ccubing/internal/qcdfs"
 	"ccubing/internal/sink"
+	"ccubing/internal/startree"
 	"ccubing/internal/table"
-
-	_ "ccubing/internal/buc"
-	_ "ccubing/internal/mmcubing"
-	_ "ccubing/internal/obcheck"
-	_ "ccubing/internal/qcdfs"
-	_ "ccubing/internal/qctree"
-	_ "ccubing/internal/stararray"
-	_ "ccubing/internal/startree"
 )
 
 // testTables builds the two regimes the closed-pruning machinery cares
@@ -75,7 +72,25 @@ var wantShards = map[string]struct{ heavy, buckets, subHeavy, subBuckets bool }{
 // a single heavy value.
 var spilledTables = map[string]bool{"zipf": true, "sparse": true, "onevalue": true}
 
-// engineModes lists every registered engine with the modes it supports.
+// engines lists the algorithm table's engines, sorted by name. The count is
+// asserted so that a row dropped from the table fails the every-engine suites
+// instead of shrinking them.
+func engines(t *testing.T) []*engine.Engine {
+	t.Helper()
+	var es []*engine.Engine
+	for _, r := range algs.Table {
+		if r.Engine != nil {
+			es = append(es, r.Engine)
+		}
+	}
+	if len(es) != 7 {
+		t.Fatalf("the algorithm table lists %d engines, want 7", len(es))
+	}
+	slices.SortFunc(es, func(a, b *engine.Engine) int { return strings.Compare(a.Name, b.Name) })
+	return es
+}
+
+// engineModes lists the modes an engine may support.
 func engineModes() []engine.Config {
 	return []engine.Config{
 		{MinSup: 1, Closed: true},
@@ -144,9 +159,8 @@ func checkWork(t *testing.T, st Stats, got []core.Cell, dim int) {
 func TestRunMatchesSequential(t *testing.T) {
 	for name, tbl := range testTables(t) {
 		shards := wantShards[name]
-		for _, engName := range engine.Names() {
-			eng := engine.MustLookup(engName)
-			caps := eng.Capabilities()
+		for _, eng := range engines(t) {
+			engName, caps := eng.Name, eng.Caps
 			for _, ecfg := range engineModes() {
 				if (ecfg.Closed && !caps.Closed) || (!ecfg.Closed && !caps.Iceberg) {
 					continue
@@ -238,12 +252,11 @@ func TestSeamRule(t *testing.T) {
 		}
 		return m
 	}
-	for _, engName := range engine.Names() {
-		eng := engine.MustLookup(engName)
-		if !eng.Capabilities().Closed {
+	for _, eng := range engines(t) {
+		if !eng.Caps.Closed {
 			continue
 		}
-		t.Run(engName, func(t *testing.T) {
+		t.Run(eng.Name, func(t *testing.T) {
 			var seq sink.Collector
 			if err := eng.Run(tbl, ecfg, &seq); err != nil {
 				t.Fatal(err)
@@ -287,7 +300,7 @@ func TestSeamRule(t *testing.T) {
 // filtered sequential cube.
 func TestRunRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260117))
-	names := engine.Names()
+	engs := engines(t)
 	tmp := t.TempDir()
 	for i := 0; i < 240; i++ {
 		cards := make([]int, 2+rng.Intn(4))
@@ -301,15 +314,15 @@ func TestRunRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := engine.MustLookup(names[i%len(names)])
-		caps := eng.Capabilities()
+		eng := engs[i%len(engs)]
+		caps := eng.Caps
 		ecfg := engine.Config{MinSup: 1 + rng.Int63n(4), Closed: caps.Closed && (!caps.Iceberg || rng.Intn(2) == 0)}
 		if rng.Intn(3) == 0 {
 			// Ablated: pruning is where single-value shards get their speed,
 			// never the correctness.
 			ecfg.DisableLemma5, ecfg.DisableLemma6, ecfg.DisableShortcut = rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(2) == 0
 		}
-		label := fmt.Sprintf("case %d: %s %+v cards %v T %d", i, eng.Name(), ecfg, cards, tbl.NumTuples())
+		label := fmt.Sprintf("case %d: %s %+v cards %v T %d", i, eng.Name, ecfg, cards, tbl.NumTuples())
 
 		var want sink.Collector
 		if err := eng.Run(tbl, ecfg, &want); err != nil {
@@ -356,7 +369,7 @@ func TestSeamWorkIgnoresTupleCount(t *testing.T) {
 	for tid := 0; tid < tbl.NumTuples(); tid++ {
 		tids = append(tids, core.TID(tid), core.TID(tid), core.TID(tid))
 	}
-	eng := engine.MustLookup("CC(Star)")
+	eng := &startree.Engine
 	work := func(tbl *table.Table, minsup int64) Stats {
 		st, err := RunSub(tbl, tbl, eng, engine.Config{MinSup: minsup, Closed: true}, Config{Workers: 2, Dim: -1}, nil, &sink.Null{})
 		if err != nil {
@@ -370,12 +383,11 @@ func TestSeamWorkIgnoresTupleCount(t *testing.T) {
 	}
 }
 
-// watchEngine wraps an engine to see what the driver hands it: the shape of
+// watch wraps CC(Star) to see what the driver hands an engine: the shape of
 // every run, how many full-width runs are in flight at once, and — through
 // before, called ahead of each run with the number of runs started so far —
 // the state of the spill directory while the pool works.
-type watchEngine struct {
-	engine.Engine
+type watch struct {
 	nd     int // the relation's dimensionality: shard runs have it, the projection pass one less
 	before func(started int)
 
@@ -384,7 +396,11 @@ type watchEngine struct {
 	inFlight, max int
 }
 
-func (w *watchEngine) Run(t *table.Table, cfg engine.Config, out sink.Sink) error {
+func (w *watch) engine() *engine.Engine {
+	return &engine.Engine{Name: "watch", Caps: startree.Engine.Caps, Cube: w.cube}
+}
+
+func (w *watch) cube(t *table.Table, cfg engine.Config, out sink.Sink) error {
 	w.mu.Lock()
 	started := len(w.runs)
 	w.runs = append(w.runs, [2]int{t.NumTuples(), t.NumDims()})
@@ -399,7 +415,7 @@ func (w *watchEngine) Run(t *table.Table, cfg engine.Config, out sink.Sink) erro
 	}
 	w.mu.Unlock()
 	w.before(started)
-	return w.Engine.Run(t, cfg, out)
+	return startree.Engine.Cube(t, cfg, out)
 }
 
 // bucketFiles lists the bucket files of every run in flight under tmp.
@@ -426,14 +442,16 @@ func TestSpilledWorkAndResidency(t *testing.T) {
 		tmp := t.TempDir()
 		var filesMu sync.Mutex
 		maxFiles := 0
-		w := &watchEngine{Engine: engine.MustLookup("CC(Star)"), nd: D, before: func(int) {
+		w := &watch{nd: D, before: func(int) {
 			n := len(bucketFiles(t, tmp))
 			filesMu.Lock()
 			maxFiles = max(maxFiles, n)
 			filesMu.Unlock()
 		}}
 		cfg := Config{Workers: workers, Dim: -1, Buckets: buckets, TempDir: tmp}
-		if err := Run(tbl, w, engine.Config{MinSup: 2, Closed: true}, cfg, &sink.Null{}); err != nil {
+		// MinSup 1: Engine.Run keeps a shard with fewer tuples than the
+		// threshold away from the cubing function, and the watch counts tuples.
+		if err := Run(tbl, w.engine(), engine.Config{MinSup: 1, Closed: true}, cfg, &sink.Null{}); err != nil {
 			t.Fatal(err)
 		}
 		whole, projections, shardTuples := 0, 0, 0
@@ -467,7 +485,7 @@ func TestSpilledWorkAndResidency(t *testing.T) {
 func TestSpilledLoadFailure(t *testing.T) {
 	tbl := testTables(t)["zipf"]
 	tmp := t.TempDir()
-	w := &watchEngine{Engine: engine.MustLookup("CC(Star)"), nd: tbl.NumDims(), before: func(started int) {
+	w := &watch{nd: tbl.NumDims(), before: func(started int) {
 		if started != 0 {
 			return
 		}
@@ -483,7 +501,7 @@ func TestSpilledLoadFailure(t *testing.T) {
 		}
 	}}
 	cfg := Config{Workers: 1, Dim: -1, Buckets: 5, TempDir: tmp}
-	err := Run(tbl, w, engine.Config{MinSup: 2, Closed: true}, cfg, &sink.Null{})
+	err := Run(tbl, w.engine(), engine.Config{MinSup: 2, Closed: true}, cfg, &sink.Null{})
 	if err == nil || !strings.Contains(err.Error(), "bucket-") {
 		t.Fatalf("truncated bucket: error %v", err)
 	}
@@ -507,17 +525,17 @@ func TestRunNativeMeasure(t *testing.T) {
 	defer func() { tbl.Aux = nil }()
 
 	cases := []struct {
-		engName string
-		ecfg    engine.Config
+		eng  *engine.Engine
+		ecfg engine.Config
 	}{
-		{"BUC", engine.Config{MinSup: 3, Measure: core.MeasureSum}},
-		{"BUC", engine.Config{MinSup: 3, Measure: core.MeasureAvg}},
-		{"QC-DFS", engine.Config{MinSup: 1, Closed: true, Measure: core.MeasureSum}},
-		{"QC-DFS", engine.Config{MinSup: 3, Closed: true, Measure: core.MeasureMax}},
+		{&buc.Engine, engine.Config{MinSup: 3, Measure: core.MeasureSum}},
+		{&buc.Engine, engine.Config{MinSup: 3, Measure: core.MeasureAvg}},
+		{&qcdfs.Engine, engine.Config{MinSup: 1, Closed: true, Measure: core.MeasureSum}},
+		{&qcdfs.Engine, engine.Config{MinSup: 3, Closed: true, Measure: core.MeasureMax}},
 	}
 	for _, c := range cases {
-		t.Run(fmt.Sprintf("%s/%v", c.engName, c.ecfg.Measure), func(t *testing.T) {
-			eng := engine.MustLookup(c.engName)
+		t.Run(fmt.Sprintf("%s/%v", c.eng.Name, c.ecfg.Measure), func(t *testing.T) {
+			eng := c.eng
 			var want sink.Collector
 			if err := eng.Run(tbl, c.ecfg, &want); err != nil {
 				t.Fatal(err)
@@ -557,24 +575,45 @@ func auxByKey(t *testing.T, cells []core.Cell) map[string]float64 {
 	return m
 }
 
-// errEngine fails on tables over a size threshold, so shard jobs succeed and
-// the final pass fails (or vice versa) depending on the threshold.
-type errEngine struct{ maxTuples int }
-
-func (errEngine) Name() string                      { return "err-engine" }
-func (errEngine) Capabilities() engine.Capabilities { return engine.Capabilities{Iceberg: true} }
-func (e errEngine) Run(t *table.Table, cfg engine.Config, out sink.Sink) error {
-	if t.NumTuples() > e.maxTuples {
-		return fmt.Errorf("table too large: %d tuples", t.NumTuples())
-	}
-	return nil
-}
-
+// TestRunPropagatesEngineError runs an engine that fails on tables over a
+// size threshold, so the shard jobs succeed and the final pass fails.
 func TestRunPropagatesEngineError(t *testing.T) {
 	tbl := testTables(t)["skewed"]
-	err := Run(tbl, errEngine{maxTuples: 10}, engine.Config{MinSup: 1}, Config{Workers: 3}, &sink.Null{})
+	errEngine := &engine.Engine{Name: "err-engine", Caps: engine.Capabilities{Iceberg: true},
+		Cube: func(t *table.Table, cfg engine.Config, out sink.Sink) error {
+			if t.NumTuples() > 10 {
+				return fmt.Errorf("table too large: %d tuples", t.NumTuples())
+			}
+			return nil
+		}}
+	err := Run(tbl, errEngine, engine.Config{MinSup: 1}, Config{Workers: 3}, &sink.Null{})
 	if err == nil {
 		t.Fatal("engine error did not propagate")
+	}
+}
+
+// TestRunEnforcesCapabilities: the mode an engine cannot compute is refused
+// by the engine itself, below the facade's check, and nothing is emitted.
+func TestRunEnforcesCapabilities(t *testing.T) {
+	tbl := testTables(t)["skewed"]
+	for _, c := range []struct {
+		eng    *engine.Engine
+		closed bool
+		want   string
+	}{
+		{&qcdfs.Engine, false, "QC-DFS computes closed cubes only"},
+		{&buc.Engine, true, "BUC computes iceberg cubes only"},
+	} {
+		for _, workers := range []int{1, 3} {
+			var got sink.Collector
+			err := Run(tbl, c.eng, engine.Config{MinSup: 1, Closed: c.closed}, Config{Workers: workers}, &got)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s closed=%v workers=%d: error %v, want %q", c.eng.Name, c.closed, workers, err, c.want)
+			}
+			if len(got.Cells) != 0 {
+				t.Errorf("%s closed=%v workers=%d: emitted %d cells", c.eng.Name, c.closed, workers, len(got.Cells))
+			}
+		}
 	}
 }
 
@@ -584,7 +623,7 @@ func TestRunSingleDim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := engine.MustLookup("CC(Star)")
+	eng := &startree.Engine
 	var want, got sink.Collector
 	if err := eng.Run(tbl, engine.Config{MinSup: 1, Closed: true}, &want); err != nil {
 		t.Fatal(err)

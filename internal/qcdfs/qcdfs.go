@@ -14,29 +14,21 @@
 package qcdfs
 
 import (
-	"fmt"
-
 	"ccubing/internal/core"
+	"ccubing/internal/engine"
 	"ccubing/internal/psort"
 	"ccubing/internal/sink"
 	"ccubing/internal/table"
 )
 
-// Config parameterizes a QC-DFS run.
-type Config struct {
-	// MinSup is the iceberg threshold on count. The original QC-DFS computes
-	// the full closed cube (MinSup 1); the threshold generalizes it to closed
-	// iceberg cubes for comparison at equal semantics.
-	MinSup int64
-	// Measure optionally aggregates the table's Aux column per closed cell
-	// into the stored aggregate every emission carries (avg arrives as its
-	// algebraic pair (stored sum, count)).
-	Measure core.MeasureKind
-}
+// Engine is QC-DFS. The original computes the full closed (quotient) cube;
+// the MinSup threshold generalizes it to closed iceberg cubes for comparison
+// at equal semantics. Closed mode only.
+var Engine = engine.Engine{Name: "QC-DFS", Caps: engine.Capabilities{Closed: true}, Cube: cube}
 
 type runner struct {
 	t     *table.Table
-	cfg   Config
+	cfg   engine.Config
 	out   sink.Sink
 	parts []psort.Partitioner
 	tids  []core.TID
@@ -44,22 +36,10 @@ type runner struct {
 	ext   []int // scratch: dimensions fixed by closure extension
 }
 
-// Run computes the closed iceberg cube of t, emitting every closed cell with
+// cube computes the closed iceberg cube of t, emitting every closed cell with
 // count >= MinSup exactly once.
-func Run(t *table.Table, cfg Config, out sink.Sink) error {
-	if cfg.MinSup < 1 {
-		return fmt.Errorf("qcdfs: min_sup %d < 1", cfg.MinSup)
-	}
-	if err := t.Validate(); err != nil {
-		return fmt.Errorf("qcdfs: %w", err)
-	}
-	if cfg.Measure != core.MeasureNone && t.Aux == nil {
-		return fmt.Errorf("qcdfs: measure %v requested but table has no aux column", cfg.Measure)
-	}
+func cube(t *table.Table, cfg engine.Config, out sink.Sink) error {
 	n := t.NumTuples()
-	if int64(n) < cfg.MinSup || n == 0 {
-		return nil
-	}
 	r := &runner{
 		t:     t,
 		cfg:   cfg,

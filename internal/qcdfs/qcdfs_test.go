@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ccubing/internal/core"
+	"ccubing/internal/engine"
 	"ccubing/internal/gen"
 	"ccubing/internal/refcube"
 	"ccubing/internal/sink"
@@ -14,7 +15,7 @@ func run(t *testing.T, tb *table.Table, minsup int64) *sink.Collector {
 	t.Helper()
 	var c sink.Collector
 	d := &sink.Dedup{Next: &c}
-	if err := Run(tb, Config{MinSup: minsup}, d); err != nil {
+	if err := Engine.Run(tb, engine.Config{MinSup: minsup, Closed: true}, d); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if d.Dup != 0 {
@@ -148,10 +149,10 @@ func TestOutputsAreUpperBounds(t *testing.T) {
 func TestErrors(t *testing.T) {
 	tb := paperTable(t)
 	var c sink.Collector
-	if err := Run(tb, Config{MinSup: 0}, &c); err == nil {
+	if err := Engine.Run(tb, engine.Config{MinSup: 0, Closed: true}, &c); err == nil {
 		t.Fatal("min_sup 0 must error")
 	}
-	if err := Run(tb, Config{MinSup: 1, Measure: core.MeasureSum}, &c); err == nil {
+	if err := Engine.Run(tb, engine.Config{MinSup: 1, Closed: true, Measure: core.MeasureSum}, &c); err == nil {
 		t.Fatal("measure without aux must error")
 	}
 }
@@ -160,7 +161,7 @@ func TestAuxMeasure(t *testing.T) {
 	tb := paperTable(t)
 	tb.Aux = []float64{2, 4, 8}
 	var c sink.Collector
-	if err := Run(tb, Config{MinSup: 2, Measure: core.MeasureSum}, &c); err != nil {
+	if err := Engine.Run(tb, engine.Config{MinSup: 2, Closed: true, Measure: core.MeasureSum}, &c); err != nil {
 		t.Fatal(err)
 	}
 	byKey := map[string]float64{}

@@ -11,6 +11,7 @@ import (
 
 	"ccubing/internal/core"
 	"ccubing/internal/cubestore"
+	"ccubing/internal/engine"
 	"ccubing/internal/gen"
 	"ccubing/internal/qcdfs"
 	"ccubing/internal/sink"
@@ -32,7 +33,7 @@ func BenchmarkBuildComparison(b *testing.B) {
 	tbl := gen.MustSynthetic(gen.Config{T: 30000, D: 6, C: 20, S: 1.1, Seed: 13})
 	for _, minsup := range []int64{32, 8} {
 		col := &sink.Collector{}
-		if err := qcdfs.Run(tbl, qcdfs.Config{MinSup: minsup}, col); err != nil {
+		if err := qcdfs.Engine.Run(tbl, engine.Config{MinSup: minsup, Closed: true}, col); err != nil {
 			b.Fatal(err)
 		}
 		cells := col.Cells

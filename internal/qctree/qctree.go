@@ -13,10 +13,10 @@
 package qctree
 
 import (
-	"fmt"
 	"sort"
 
 	"ccubing/internal/core"
+	"ccubing/internal/engine"
 	"ccubing/internal/qcdfs"
 	"ccubing/internal/sink"
 	"ccubing/internal/table"
@@ -41,17 +41,16 @@ type Tree struct {
 // Nodes returns the number of tree nodes, the structure-size metric.
 func (t *Tree) Nodes() int64 { return t.nodes }
 
-// Run computes the closed iceberg cube via QC-DFS while also materializing
-// the QC-tree — the full work the original Quotient Cube system performs —
-// forwarding every upper-bound cell (with the measure aggregate QC-DFS
-// computed for it) to out. This is the baseline variant labeled "QC-Tree" in
-// the experiment harness.
-func Run(tbl *table.Table, cfg qcdfs.Config, out sink.Sink) error {
+// Engine is the baseline variant labeled "QC-Tree" in the experiment harness:
+// the closed iceberg cube via QC-DFS while also materializing the QC-tree —
+// the full work the original Quotient Cube system performs — forwarding every
+// upper-bound cell (with the measure aggregate QC-DFS computed for it) to
+// out. Closed mode only.
+var Engine = engine.Engine{Name: "QC-Tree", Caps: engine.Capabilities{Closed: true}, Cube: cube}
+
+func cube(tbl *table.Table, cfg engine.Config, out sink.Sink) error {
 	ins := &inserter{t: &Tree{root: &node{dim: -1}}, next: out}
-	if err := qcdfs.Run(tbl, cfg, ins); err != nil {
-		return fmt.Errorf("qctree: %w", err)
-	}
-	return nil
+	return qcdfs.Engine.Cube(tbl, cfg, ins)
 }
 
 // inserter adapts the sink interface to tree insertion.

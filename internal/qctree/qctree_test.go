@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ccubing/internal/core"
+	"ccubing/internal/engine"
 	"ccubing/internal/gen"
 	"ccubing/internal/qcdfs"
 	"ccubing/internal/refcube"
@@ -29,7 +30,7 @@ func paperTable(t *testing.T) *table.Table {
 func buildTree(t *testing.T, tb *table.Table, minsup int64) *Tree {
 	t.Helper()
 	ins := &inserter{t: &Tree{root: &node{dim: -1}}, next: &sink.Null{}}
-	if err := qcdfs.Run(tb, qcdfs.Config{MinSup: minsup}, ins); err != nil {
+	if err := qcdfs.Engine.Run(tb, engine.Config{MinSup: minsup, Closed: true}, ins); err != nil {
 		t.Fatal(err)
 	}
 	return ins.t
@@ -56,7 +57,7 @@ func TestTreeSmallerThanClosedCells(t *testing.T) {
 func TestRunForwardsCells(t *testing.T) {
 	tb := paperTable(t)
 	var c sink.Collector
-	if err := Run(tb, qcdfs.Config{MinSup: 2}, &c); err != nil {
+	if err := Engine.Run(tb, engine.Config{MinSup: 2, Closed: true}, &c); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.Cells) != 2 {
@@ -66,7 +67,7 @@ func TestRunForwardsCells(t *testing.T) {
 
 func TestBuildErrors(t *testing.T) {
 	tb := paperTable(t)
-	if err := Run(tb, qcdfs.Config{MinSup: 0}, &sink.Null{}); err == nil {
+	if err := Engine.Run(tb, engine.Config{MinSup: 0, Closed: true}, &sink.Null{}); err == nil {
 		t.Fatal("min_sup 0 must error")
 	}
 }
@@ -77,7 +78,7 @@ func TestRunForwardsMeasure(t *testing.T) {
 	tb := paperTable(t)
 	tb.Aux = []float64{1, 2, 4}
 	var c sink.Collector
-	if err := Run(tb, qcdfs.Config{MinSup: 1, Measure: core.MeasureSum}, &c); err != nil {
+	if err := Engine.Run(tb, engine.Config{MinSup: 1, Closed: true, Measure: core.MeasureSum}, &c); err != nil {
 		t.Fatal(err)
 	}
 	for _, cell := range c.Cells {

@@ -10,6 +10,7 @@ import (
 	"ccubing/internal/core"
 	"ccubing/internal/engine"
 	"ccubing/internal/gen"
+	"ccubing/internal/qcdfs"
 	"ccubing/internal/table"
 )
 
@@ -302,7 +303,7 @@ func TestDeleteLabeledValidation(t *testing.T) {
 		table.DictFromNames([]string{"b0", "b1", "b2"}),
 	}
 	m, err := NewManager(tbl, buildStoreFor(t, tbl, 1), dicts, Config{
-		Eng: testEngine(t), ECfg: engine.Config{MinSup: 1, Closed: true},
+		Eng: &qcdfs.Engine, ECfg: engine.Config{MinSup: 1, Closed: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -362,7 +363,7 @@ func TestUpdateLabeledWALFailureNoPhantomLabels(t *testing.T) {
 				table.DictFromNames([]string{"b0", "b1", "b2"}),
 			}
 			m, err := NewManager(tbl, buildStoreFor(t, tbl, 1), dicts, Config{
-				Eng: testEngine(t), ECfg: engine.Config{MinSup: 1, Closed: true},
+				Eng: &qcdfs.Engine, ECfg: engine.Config{MinSup: 1, Closed: true},
 			})
 			if err != nil {
 				t.Fatal(err)

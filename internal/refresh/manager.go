@@ -47,7 +47,7 @@ type Config struct {
 	// Eng and ECfg run the recomputation; ECfg.Closed must be set (the
 	// serving store holds the closed cube). ECfg.Measure is the kind the
 	// store's aux values (cells and residual rows alike) aggregate with.
-	Eng  engine.Engine
+	Eng  *engine.Engine
 	ECfg engine.Config
 	// Workers bounds the recompute goroutines; values below 1 run
 	// sequentially.

@@ -12,27 +12,15 @@ import (
 	"ccubing/internal/cubestore"
 	"ccubing/internal/engine"
 	"ccubing/internal/gen"
+	"ccubing/internal/qcdfs"
 	"ccubing/internal/table"
-
-	_ "ccubing/internal/qcdfs" // closed-mode engine for the tests
 )
-
-// testEngine resolves the registered QC-DFS engine.
-func testEngine(t testing.TB) engine.Engine {
-	t.Helper()
-	eng, ok := engine.Lookup("QC-DFS")
-	if !ok {
-		t.Fatal("QC-DFS engine not registered")
-	}
-	return eng
-}
 
 // buildStoreFor computes the closed iceberg cube of tbl and freezes it.
 func buildStoreFor(t testing.TB, tbl *table.Table, minsup int64) *cubestore.Store {
 	t.Helper()
-	eng := testEngine(t)
 	b := cubestore.NewBuilder(tbl.NumDims(), false)
-	if err := eng.Run(tbl, engine.Config{MinSup: minsup, Closed: true}, &cubestore.BuilderSink{B: b}); err != nil {
+	if err := qcdfs.Engine.Run(tbl, engine.Config{MinSup: minsup, Closed: true}, &cubestore.BuilderSink{B: b}); err != nil {
 		t.Fatal(err)
 	}
 	s, err := b.Build()
@@ -44,7 +32,7 @@ func buildStoreFor(t testing.TB, tbl *table.Table, minsup int64) *cubestore.Stor
 
 func testManager(t testing.TB, tbl *table.Table, minsup int64, cfg Config) *Manager {
 	t.Helper()
-	cfg.Eng = testEngine(t)
+	cfg.Eng = &qcdfs.Engine
 	cfg.ECfg = engine.Config{MinSup: minsup, Closed: true}
 	m, err := NewManager(tbl, buildStoreFor(t, tbl, minsup), nil, cfg)
 	if err != nil {
@@ -352,7 +340,7 @@ func TestBatchShape(t *testing.T) {
 	}
 	dicts := []*table.Dict{table.DictFromNames([]string{"a0", "a1", "a2"}), table.DictFromNames([]string{"b0", "b1", "b2"})}
 	m, err := NewManager(tbl, buildStoreFor(t, tbl, 1), dicts, Config{
-		Eng: testEngine(t), ECfg: engine.Config{MinSup: 1, Closed: true},
+		Eng: &qcdfs.Engine, ECfg: engine.Config{MinSup: 1, Closed: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -402,9 +390,8 @@ func TestAppendLabeledValidatesBeforeCoding(t *testing.T) {
 		t.Fatal(err)
 	}
 	dicts := []*table.Dict{table.DictFromNames([]string{"a0", "a1", "a2"}), table.DictFromNames([]string{"b0", "b1", "b2"})}
-	eng := testEngine(t)
 	m, err := NewManager(tbl, buildStoreFor(t, tbl, 1), dicts, Config{
-		Eng: eng, ECfg: engine.Config{MinSup: 1, Closed: true},
+		Eng: &qcdfs.Engine, ECfg: engine.Config{MinSup: 1, Closed: true},
 	})
 	if err != nil {
 		t.Fatal(err)

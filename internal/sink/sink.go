@@ -10,9 +10,7 @@ package sink
 
 import (
 	"fmt"
-	"io"
 	"sort"
-	"strconv"
 
 	"ccubing/internal/core"
 )
@@ -75,47 +73,6 @@ func (c *Collector) ByKey() (map[string]int64, bool) {
 		m[k] = cell.Count
 	}
 	return m, true
-}
-
-// Writer streams cells as CSV-ish text rows ("v0,v1,*,v3,count"), for the
-// ccube command-line tool.
-type Writer struct {
-	W   io.Writer
-	err error
-	buf []byte
-}
-
-// Emit implements Sink; the text rows carry the count only.
-func (w *Writer) Emit(vals []core.Value, count int64, aux float64) {
-	if w.err != nil {
-		return
-	}
-	b := w.buf[:0]
-	for _, v := range vals {
-		if v == core.Star {
-			b = append(b, '*')
-		} else {
-			b = strconv.AppendInt(b, int64(v), 10)
-		}
-		b = append(b, ',')
-	}
-	b = strconv.AppendInt(b, count, 10)
-	b = append(b, '\n')
-	w.buf = b
-	_, w.err = w.W.Write(b)
-}
-
-// Err returns the first write error, if any.
-func (w *Writer) Err() error { return w.err }
-
-// Tee duplicates emissions to several sinks.
-type Tee []Sink
-
-// Emit implements Sink.
-func (t Tee) Emit(vals []core.Value, count int64, aux float64) {
-	for _, s := range t {
-		s.Emit(vals, count, aux)
-	}
 }
 
 // FixedDim forwards only the cells that fix dimension Dim: the filter of

@@ -50,48 +50,6 @@ func TestCollectorByKey(t *testing.T) {
 	}
 }
 
-func TestWriter(t *testing.T) {
-	var b strings.Builder
-	w := &Writer{W: &b}
-	w.Emit([]core.Value{3, core.Star}, 9, 0)
-	w.Emit([]core.Value{0, 1}, 2, 0)
-	if w.Err() != nil {
-		t.Fatalf("Err = %v", w.Err())
-	}
-	want := "3,*,9\n0,1,2\n"
-	if b.String() != want {
-		t.Fatalf("output = %q, want %q", b.String(), want)
-	}
-}
-
-type failWriter struct{}
-
-func (failWriter) Write([]byte) (int, error) { return 0, errFail }
-
-var errFail = &failErr{}
-
-type failErr struct{}
-
-func (*failErr) Error() string { return "fail" }
-
-func TestWriterError(t *testing.T) {
-	w := &Writer{W: failWriter{}}
-	w.Emit([]core.Value{1}, 1, 0)
-	if w.Err() == nil {
-		t.Fatal("write error must be surfaced")
-	}
-	w.Emit([]core.Value{2}, 2, 0) // must not panic after error
-}
-
-func TestTee(t *testing.T) {
-	var a, b Null
-	tee := Tee{&a, &b}
-	tee.Emit([]core.Value{1}, 1, 0)
-	if a.Cells != 1 || b.Cells != 1 {
-		t.Fatalf("tee did not fan out: %d, %d", a.Cells, b.Cells)
-	}
-}
-
 func TestDedup(t *testing.T) {
 	var c Collector
 	d := &Dedup{Next: &c}

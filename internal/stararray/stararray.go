@@ -18,34 +18,20 @@
 package stararray
 
 import (
-	"fmt"
-
 	"ccubing/internal/core"
+	"ccubing/internal/engine"
 	"ccubing/internal/sink"
 	"ccubing/internal/table"
 )
 
-// Config parameterizes a run.
-type Config struct {
-	// MinSup is the iceberg threshold on count.
-	MinSup int64
-	// Closed selects C-Cubing(StarArray); false runs the plain (non-closed)
-	// StarArray iceberg engine.
-	Closed bool
-	// DisableLemma5 and DisableLemma6 turn off the closed prunings
-	// (ablations; output must not change).
-	DisableLemma5 bool
-	DisableLemma6 bool
-	// Measure optionally aggregates the table's Aux column per output cell
-	// through the multiway traversal itself (paper Sec. 6.1): nodes and pool
-	// merges carry the stored aggregate (core.MeasureAgg.Stored), which
-	// every emission delivers.
-	Measure core.MeasureKind
-}
+// Engine is StarArray / C-Cubing(StarArray) (Config.Closed selects which).
+// Measures ride the multiway traversal: merged nodes and pool folds carry the
+// stored aggregate exactly like count.
+var Engine = engine.Engine{Name: "CC(StarArray)", Caps: engine.Capabilities{Closed: true, Iceberg: true, OrderSensitive: true}, Cube: cube}
 
 type runner struct {
 	t        *table.Table
-	cfg      Config
+	cfg      engine.Config
 	out      sink.Sink
 	cols     core.Columns
 	vals     []core.Value
@@ -58,23 +44,8 @@ func (r *runner) emit(n *saNode) {
 	r.out.Emit(r.vals, n.count, n.aux)
 }
 
-// Run computes the (closed) iceberg cube of t and emits cells into out.
-func Run(t *table.Table, cfg Config, out sink.Sink) error {
-	if cfg.MinSup < 1 {
-		return fmt.Errorf("stararray: min_sup %d < 1", cfg.MinSup)
-	}
-	if err := t.Validate(); err != nil {
-		return fmt.Errorf("stararray: %w", err)
-	}
-	if t.NumDims() < 1 {
-		return fmt.Errorf("stararray: table has no dimensions")
-	}
-	if cfg.Measure != core.MeasureNone && t.Aux == nil {
-		return fmt.Errorf("stararray: measure %v requested but table has no aux column", cfg.Measure)
-	}
-	if int64(t.NumTuples()) < cfg.MinSup {
-		return nil
-	}
+// cube computes the (closed) iceberg cube of t and emits cells into out.
+func cube(t *table.Table, cfg engine.Config, out sink.Sink) error {
 	r := &runner{
 		t:    t,
 		cfg:  cfg,

@@ -4,17 +4,18 @@ import (
 	"testing"
 
 	"ccubing/internal/core"
+	"ccubing/internal/engine"
 	"ccubing/internal/gen"
 	"ccubing/internal/refcube"
 	"ccubing/internal/sink"
 	"ccubing/internal/table"
 )
 
-func run(t *testing.T, tb *table.Table, cfg Config) *sink.Collector {
+func run(t *testing.T, tb *table.Table, cfg engine.Config) *sink.Collector {
 	t.Helper()
 	var c sink.Collector
 	d := &sink.Dedup{Next: &c}
-	if err := Run(tb, cfg, d); err != nil {
+	if err := Engine.Run(tb, cfg, d); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if d.Dup != 0 {
@@ -60,7 +61,7 @@ func TestIcebergMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := run(t, tb, Config{MinSup: c.minsup})
+		got := run(t, tb, engine.Config{MinSup: c.minsup})
 		if diff := sink.DiffCells(got.Cells, want, 8); diff != "" {
 			t.Fatalf("case %d mismatch:\n%s", i, diff)
 		}
@@ -74,7 +75,7 @@ func TestClosedMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := run(t, tb, Config{MinSup: c.minsup, Closed: true})
+		got := run(t, tb, engine.Config{MinSup: c.minsup, Closed: true})
 		if diff := sink.DiffCells(got.Cells, want, 8); diff != "" {
 			t.Fatalf("case %d mismatch:\n%s", i, diff)
 		}
@@ -82,14 +83,14 @@ func TestClosedMatchesOracle(t *testing.T) {
 }
 
 func TestPruningNeutral(t *testing.T) {
-	variants := []Config{
+	variants := []engine.Config{
 		{Closed: true, DisableLemma5: true},
 		{Closed: true, DisableLemma6: true},
 		{Closed: true, DisableLemma5: true, DisableLemma6: true},
 	}
 	for i, c := range oracleCases {
 		tb := gen.MustSynthetic(c.cfg)
-		baseline := run(t, tb, Config{MinSup: c.minsup, Closed: true})
+		baseline := run(t, tb, engine.Config{MinSup: c.minsup, Closed: true})
 		for vi, v := range variants {
 			v.MinSup = c.minsup
 			got := run(t, tb, v)
@@ -101,7 +102,7 @@ func TestPruningNeutral(t *testing.T) {
 }
 
 func TestPaperExample1(t *testing.T) {
-	got := run(t, paperTable(t), Config{MinSup: 2, Closed: true})
+	got := run(t, paperTable(t), engine.Config{MinSup: 2, Closed: true})
 	if len(got.Cells) != 2 {
 		t.Fatalf("cells:\n%s", sink.FormatCells(got.Cells))
 	}
@@ -194,7 +195,7 @@ func TestDependenceData(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := run(t, tb, Config{MinSup: minsup, Closed: true})
+		got := run(t, tb, engine.Config{MinSup: minsup, Closed: true})
 		if diff := sink.DiffCells(got.Cells, want, 8); diff != "" {
 			t.Fatalf("min_sup %d:\n%s", minsup, diff)
 		}
@@ -208,7 +209,7 @@ func TestSingleDimension(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := run(t, tb, Config{MinSup: minsup, Closed: true})
+		got := run(t, tb, engine.Config{MinSup: minsup, Closed: true})
 		if diff := sink.DiffCells(got.Cells, want, 8); diff != "" {
 			t.Fatalf("min_sup %d:\n%s", minsup, diff)
 		}
@@ -218,18 +219,18 @@ func TestSingleDimension(t *testing.T) {
 func TestErrors(t *testing.T) {
 	tb := paperTable(t)
 	var c sink.Collector
-	if err := Run(tb, Config{MinSup: 0}, &c); err == nil {
+	if err := Engine.Run(tb, engine.Config{MinSup: 0}, &c); err == nil {
 		t.Fatal("min_sup 0 must error")
 	}
 	bad := table.New(1, 2)
 	bad.Cols[0][0] = 9
-	if err := Run(bad, Config{MinSup: 1}, &c); err == nil {
+	if err := Engine.Run(bad, engine.Config{MinSup: 1}, &c); err == nil {
 		t.Fatal("invalid table must error")
 	}
 }
 
 func TestMinsupAboveTotal(t *testing.T) {
-	got := run(t, paperTable(t), Config{MinSup: 4, Closed: true})
+	got := run(t, paperTable(t), engine.Config{MinSup: 4, Closed: true})
 	if len(got.Cells) != 0 {
 		t.Fatalf("cells above T:\n%s", sink.FormatCells(got.Cells))
 	}
@@ -251,7 +252,7 @@ func TestAgreesWithDuplicates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := run(t, tb, Config{MinSup: minsup, Closed: true})
+		got := run(t, tb, engine.Config{MinSup: minsup, Closed: true})
 		if diff := sink.DiffCells(got.Cells, want, 8); diff != "" {
 			t.Fatalf("min_sup %d:\n%s", minsup, diff)
 		}

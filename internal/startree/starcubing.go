@@ -23,35 +23,20 @@
 package startree
 
 import (
-	"fmt"
-
 	"ccubing/internal/core"
+	"ccubing/internal/engine"
 	"ccubing/internal/sink"
 	"ccubing/internal/table"
 )
 
-// Config parameterizes a run.
-type Config struct {
-	// MinSup is the iceberg threshold on count.
-	MinSup int64
-	// Closed selects C-Cubing(Star); false runs plain Star-Cubing.
-	Closed bool
-	// DisableLemma5 and DisableLemma6 turn off the closed prunings
-	// (ablations; output must not change, only the work done).
-	DisableLemma5 bool
-	DisableLemma6 bool
-	// NoStarReduction disables star reduction (ablation).
-	NoStarReduction bool
-	// Measure optionally aggregates the table's Aux column per output cell
-	// through the tree aggregation itself (paper Sec. 6.1): nodes carry the
-	// stored aggregate (core.MeasureAgg.Stored) and child-tree merges combine
-	// it exactly like count; every emission delivers it.
-	Measure core.MeasureKind
-}
+// Engine is Star-Cubing / C-Cubing(Star) (Config.Closed selects which).
+// Measures ride the tree aggregation itself: nodes carry the stored aggregate
+// and child-tree merges combine it exactly like count.
+var Engine = engine.Engine{Name: "CC(Star)", Caps: engine.Capabilities{Closed: true, Iceberg: true, OrderSensitive: true}, Cube: cube}
 
 type runner struct {
 	t        *table.Table
-	cfg      Config
+	cfg      engine.Config
 	out      sink.Sink
 	cols     core.Columns
 	vals     []core.Value
@@ -107,23 +92,8 @@ func (r *runner) retireCT(ct *ctBuild) {
 	r.ctFree = append(r.ctFree, ct)
 }
 
-// Run computes the (closed) iceberg cube of t and emits cells into out.
-func Run(t *table.Table, cfg Config, out sink.Sink) error {
-	if cfg.MinSup < 1 {
-		return fmt.Errorf("startree: min_sup %d < 1", cfg.MinSup)
-	}
-	if err := t.Validate(); err != nil {
-		return fmt.Errorf("startree: %w", err)
-	}
-	if t.NumDims() < 1 {
-		return fmt.Errorf("startree: table has no dimensions")
-	}
-	if cfg.Measure != core.MeasureNone && t.Aux == nil {
-		return fmt.Errorf("startree: measure %v requested but table has no aux column", cfg.Measure)
-	}
-	if int64(t.NumTuples()) < cfg.MinSup {
-		return nil
-	}
+// cube computes the (closed) iceberg cube of t and emits cells into out.
+func cube(t *table.Table, cfg engine.Config, out sink.Sink) error {
 	r := &runner{
 		t:    t,
 		cfg:  cfg,

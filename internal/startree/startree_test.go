@@ -4,17 +4,18 @@ import (
 	"testing"
 
 	"ccubing/internal/core"
+	"ccubing/internal/engine"
 	"ccubing/internal/gen"
 	"ccubing/internal/refcube"
 	"ccubing/internal/sink"
 	"ccubing/internal/table"
 )
 
-func run(t *testing.T, tb *table.Table, cfg Config) *sink.Collector {
+func run(t *testing.T, tb *table.Table, cfg engine.Config) *sink.Collector {
 	t.Helper()
 	var c sink.Collector
 	d := &sink.Dedup{Next: &c}
-	if err := Run(tb, cfg, d); err != nil {
+	if err := Engine.Run(tb, cfg, d); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if d.Dup != 0 {
@@ -58,7 +59,7 @@ func TestIcebergMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := run(t, tb, Config{MinSup: c.minsup})
+		got := run(t, tb, engine.Config{MinSup: c.minsup})
 		if diff := sink.DiffCells(got.Cells, want, 8); diff != "" {
 			t.Fatalf("case %d mismatch:\n%s", i, diff)
 		}
@@ -72,7 +73,7 @@ func TestClosedMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := run(t, tb, Config{MinSup: c.minsup, Closed: true})
+		got := run(t, tb, engine.Config{MinSup: c.minsup, Closed: true})
 		if diff := sink.DiffCells(got.Cells, want, 8); diff != "" {
 			t.Fatalf("case %d mismatch:\n%s", i, diff)
 		}
@@ -82,7 +83,7 @@ func TestClosedMatchesOracle(t *testing.T) {
 // TestPruningNeutral: Lemma 5/6 pruning and star reduction must never change
 // the output, only the work performed.
 func TestPruningNeutral(t *testing.T) {
-	variants := []Config{
+	variants := []engine.Config{
 		{Closed: true, DisableLemma5: true},
 		{Closed: true, DisableLemma6: true},
 		{Closed: true, DisableLemma5: true, DisableLemma6: true},
@@ -90,7 +91,7 @@ func TestPruningNeutral(t *testing.T) {
 	}
 	for i, c := range oracleCases {
 		tb := gen.MustSynthetic(c.cfg)
-		baseline := run(t, tb, Config{MinSup: c.minsup, Closed: true})
+		baseline := run(t, tb, engine.Config{MinSup: c.minsup, Closed: true})
 		for vi, v := range variants {
 			v.MinSup = c.minsup
 			got := run(t, tb, v)
@@ -99,8 +100,8 @@ func TestPruningNeutral(t *testing.T) {
 			}
 		}
 		// Star reduction neutrality for plain iceberg cubing too.
-		icebergBase := run(t, tb, Config{MinSup: c.minsup})
-		icebergNoStar := run(t, tb, Config{MinSup: c.minsup, NoStarReduction: true})
+		icebergBase := run(t, tb, engine.Config{MinSup: c.minsup})
+		icebergNoStar := run(t, tb, engine.Config{MinSup: c.minsup, NoStarReduction: true})
 		if diff := sink.DiffCells(icebergNoStar.Cells, icebergBase.Cells, 8); diff != "" {
 			t.Fatalf("case %d star reduction changed iceberg output:\n%s", i, diff)
 		}
@@ -108,7 +109,7 @@ func TestPruningNeutral(t *testing.T) {
 }
 
 func TestPaperExample1(t *testing.T) {
-	got := run(t, paperTable(t), Config{MinSup: 2, Closed: true})
+	got := run(t, paperTable(t), engine.Config{MinSup: 2, Closed: true})
 	if len(got.Cells) != 2 {
 		t.Fatalf("cells:\n%s", sink.FormatCells(got.Cells))
 	}
@@ -128,7 +129,7 @@ func TestDependenceData(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := run(t, tb, Config{MinSup: minsup, Closed: true})
+		got := run(t, tb, engine.Config{MinSup: minsup, Closed: true})
 		if diff := sink.DiffCells(got.Cells, want, 8); diff != "" {
 			t.Fatalf("min_sup %d:\n%s", minsup, diff)
 		}
@@ -142,7 +143,7 @@ func TestSingleDimension(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := run(t, tb, Config{MinSup: minsup, Closed: true})
+		got := run(t, tb, engine.Config{MinSup: minsup, Closed: true})
 		if diff := sink.DiffCells(got.Cells, want, 8); diff != "" {
 			t.Fatalf("min_sup %d:\n%s", minsup, diff)
 		}
@@ -163,7 +164,7 @@ func TestDuplicateTuples(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := run(t, tb, Config{MinSup: minsup, Closed: true})
+		got := run(t, tb, engine.Config{MinSup: minsup, Closed: true})
 		if diff := sink.DiffCells(got.Cells, want, 8); diff != "" {
 			t.Fatalf("min_sup %d:\n%s", minsup, diff)
 		}
@@ -173,18 +174,18 @@ func TestDuplicateTuples(t *testing.T) {
 func TestErrors(t *testing.T) {
 	tb := paperTable(t)
 	var c sink.Collector
-	if err := Run(tb, Config{MinSup: 0}, &c); err == nil {
+	if err := Engine.Run(tb, engine.Config{MinSup: 0}, &c); err == nil {
 		t.Fatal("min_sup 0 must error")
 	}
 	bad := table.New(1, 2)
 	bad.Cols[0][0] = 9
-	if err := Run(bad, Config{MinSup: 1}, &c); err == nil {
+	if err := Engine.Run(bad, engine.Config{MinSup: 1}, &c); err == nil {
 		t.Fatal("invalid table must error")
 	}
 }
 
 func TestMinsupAboveTotal(t *testing.T) {
-	got := run(t, paperTable(t), Config{MinSup: 4, Closed: true})
+	got := run(t, paperTable(t), engine.Config{MinSup: 4, Closed: true})
 	if len(got.Cells) != 0 {
 		t.Fatalf("cells above T:\n%s", sink.FormatCells(got.Cells))
 	}
@@ -199,7 +200,7 @@ func TestHeavyStarReduction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotClosed := run(t, tb, Config{MinSup: minsup, Closed: true})
+		gotClosed := run(t, tb, engine.Config{MinSup: minsup, Closed: true})
 		if diff := sink.DiffCells(gotClosed.Cells, wantClosed, 8); diff != "" {
 			t.Fatalf("closed min_sup %d:\n%s", minsup, diff)
 		}
@@ -207,7 +208,7 @@ func TestHeavyStarReduction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotIce := run(t, tb, Config{MinSup: minsup})
+		gotIce := run(t, tb, engine.Config{MinSup: minsup})
 		if diff := sink.DiffCells(gotIce.Cells, wantIce, 8); diff != "" {
 			t.Fatalf("iceberg min_sup %d:\n%s", minsup, diff)
 		}

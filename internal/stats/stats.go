@@ -1,6 +1,6 @@
 // Package stats computes dataset properties used by the dimension-ordering
 // heuristics (paper Sec. 5.5) and the algorithm advisor: per-dimension value
-// histograms, entropy measures, sparsity, and a dependence estimate.
+// histograms, entropy measures and a dependence estimate.
 package stats
 
 import (
@@ -17,15 +17,6 @@ func Histogram(t *table.Table, d int) []int64 {
 		h[v]++
 	}
 	return h
-}
-
-// Histograms returns one histogram per dimension.
-func Histograms(t *table.Table) [][]int64 {
-	hs := make([][]int64, t.NumDims())
-	for d := range hs {
-		hs[d] = Histogram(t, d)
-	}
-	return hs
 }
 
 // Entropy computes the Shannon entropy of dimension d in nats:
@@ -71,18 +62,6 @@ func DistinctValues(t *table.Table, d int) int {
 		}
 	}
 	return n
-}
-
-// Sparsity returns log10(feature-space size) - log10(T): how many orders of
-// magnitude larger the cross-product of cardinalities is than the relation.
-// Positive values mean sparse data (paper Sec. 5.3: "the feature space size
-// is much larger than the number of tuples").
-func Sparsity(t *table.Table) float64 {
-	logSpace := 0.0
-	for d := range t.Cols {
-		logSpace += math.Log10(float64(max(1, DistinctValues(t, d))))
-	}
-	return logSpace - math.Log10(float64(max(1, t.NumTuples())))
 }
 
 // DependenceEstimate samples pairs of dimensions and estimates how

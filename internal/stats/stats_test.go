@@ -26,10 +26,6 @@ func TestHistogram(t *testing.T) {
 			t.Fatalf("histogram = %v, want %v", h, want)
 		}
 	}
-	hs := Histograms(tb)
-	if len(hs) != 1 || hs[0][1] != 2 {
-		t.Fatalf("Histograms = %v", hs)
-	}
 }
 
 func TestEntropyUniformVsConstant(t *testing.T) {
@@ -59,16 +55,6 @@ func TestDistinctValues(t *testing.T) {
 	tb := tbl(t, [][]core.Value{{0}, {5}})
 	if DistinctValues(tb, 0) != 2 {
 		t.Fatalf("distinct = %d", DistinctValues(tb, 0))
-	}
-}
-
-func TestSparsity(t *testing.T) {
-	// 4 tuples over a 4x4 space with all values distinct: space 16, T 4 ->
-	// sparsity log10(16/4) = log10(4).
-	tb := tbl(t, [][]core.Value{{0, 0}, {1, 1}, {2, 2}, {3, 3}})
-	got := Sparsity(tb)
-	if math.Abs(got-math.Log10(4)) > 1e-12 {
-		t.Fatalf("sparsity = %v", got)
 	}
 }
 

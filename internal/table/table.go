@@ -27,8 +27,8 @@ type Table struct {
 }
 
 // New allocates a table with nd dimensions and n tuples, all values zero.
-// Cards are initialized to 1 and must be raised by the caller (or use
-// Recount) before handing the table to an engine.
+// Cards are initialized to 1 and must be raised by the caller before handing
+// the table to an engine.
 func New(nd, n int) *Table {
 	t := &Table{
 		Names: make([]string, nd),
@@ -94,20 +94,6 @@ func (t *Table) Row(tid core.TID, dst []core.Value) []core.Value {
 		dst[d] = t.Cols[d][tid]
 	}
 	return dst
-}
-
-// Recount recomputes Cards as max value + 1 per dimension. Useful after
-// direct writes into Cols.
-func (t *Table) Recount() {
-	for d := range t.Cols {
-		max := core.Value(0)
-		for _, v := range t.Cols[d] {
-			if v > max {
-				max = v
-			}
-		}
-		t.Cards[d] = int(max) + 1
-	}
 }
 
 // Validate checks structural invariants: equal column lengths, values within

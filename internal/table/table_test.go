@@ -60,24 +60,15 @@ func TestRow(t *testing.T) {
 	}
 }
 
-func TestRecount(t *testing.T) {
-	tbl := New(2, 3)
-	tbl.Cols[0][2] = 5
-	tbl.Recount()
-	if tbl.Cards[0] != 6 || tbl.Cards[1] != 1 {
-		t.Fatalf("cards after Recount = %v", tbl.Cards)
-	}
-}
-
 func TestValidateCatchesOutOfRange(t *testing.T) {
 	tbl := New(1, 2)
 	tbl.Cols[0][0] = 4 // cards still 1
 	if err := tbl.Validate(); err == nil {
 		t.Fatal("Validate must reject value beyond cardinality")
 	}
-	tbl.Recount()
+	tbl.Cards[0] = 5
 	if err := tbl.Validate(); err != nil {
-		t.Fatalf("Validate after Recount: %v", err)
+		t.Fatalf("Validate after raising the cardinality: %v", err)
 	}
 }
 
