@@ -3,9 +3,9 @@ package ccubing
 // Regression tests for result aliasing: rows handed out by Lookup, Slice and
 // Aggregate must be private copies — never views of the pooled probe scratch
 // or of slices retained by the query cache. A caller that scribbles on its
-// result must not be able to corrupt a later answer. cclint's poolescape
-// analyzer guards the scratch side statically; these tests pin the cache
-// side end to end, with caching on and off.
+// result must not be able to corrupt a later answer. The store's
+// TestRetainedResults guards the scratch side (internal/cubestore); these
+// tests pin the cache side end to end, with caching on and off.
 
 import (
 	"reflect"

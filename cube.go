@@ -248,8 +248,6 @@ func (c *Cube) Bytes() int64 { return c.snap().Store.Bytes() }
 // probes of the covering cuboids — no base-relation rescan, no exponential
 // tree walk. Safe for concurrent use. Like Lookup and Slice, it panics when
 // vals does not have exactly NumDims entries (a shape bug, not a miss).
-//
-//ccubing:hotpath
 func (c *Cube) Query(vals []int32) (int64, bool) {
 	st := c.snap()
 	qc := c.cache.Load()
@@ -326,20 +324,22 @@ type lookupEntry struct {
 	ok    bool
 }
 
-// cacheKey starts a cache key: generation, kind byte, then the caller's
-// payload. The generation prefix is the invalidation mechanism — refreshed
-// cubes never see pre-refresh entries.
-func cacheKey(gen uint64, kind byte, payload int) []byte {
-	key := make([]byte, 0, 9+payload)
-	key = binary.BigEndian.AppendUint64(key, gen)
-	return append(key, kind)
+// appendCacheKey starts a cache key in dst: generation, kind byte, then the
+// caller's payload. The generation prefix is the invalidation mechanism —
+// refreshed cubes never see pre-refresh entries.
+func appendCacheKey(dst []byte, gen uint64, kind byte) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, gen)
+	return append(dst, kind)
 }
 
 // cachedLookup resolves vals through the cache, filling on miss. Negative
 // answers are cached too: an empty cell stays empty for the generation.
 func cachedLookup(qc *qcache.Cache, st *refresh.Snapshot, vals []int32) lookupEntry {
 	start := time.Now()
-	key := cacheKey(st.Generation, cacheKindLookup, 4*len(vals))
+	// The key lives on the stack: Get does not retain it and Put copies it,
+	// so a cache hit allocates nothing.
+	var buf [9 + 4*core.MaxDims]byte
+	key := appendCacheKey(buf[:0], st.Generation, cacheKindLookup)
 	for _, v := range vals {
 		key = binary.BigEndian.AppendUint32(key, uint32(v))
 	}

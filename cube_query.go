@@ -317,7 +317,7 @@ func (c *Cube) Aggregate(spec QuerySpec, opt AggregateOptions) (rows []Cell, exa
 	qc := c.cache.Load()
 	var key []byte
 	if qc != nil {
-		key = appendAggKey(cacheKey(st.Generation, cacheKindAgg, 8*c.NumDims()), ss, sopt)
+		key = appendAggKey(appendCacheKey(make([]byte, 0, 9+8*c.NumDims()), st.Generation, cacheKindAgg), ss, sopt)
 		if avgAux {
 			// The avg presentation changes the rows (and possibly the
 			// truncation), so it must not share entries with plain sum.

@@ -1,12 +1,14 @@
 package cubestore
 
-// Steady-state allocation regression tests for the probe path and the
-// aggregate engine: Query and the covering scan behind Lookup must not
-// allocate per operation, Aggregate not per row (scratch is pooled per
-// store). Bounds allow a fraction of an alloc per op because a GC pass can
-// empty the sync.Pool mid-measurement.
+// Steady-state allocation gates for the probe path and the aggregate engine:
+// Query and the covering scan behind Lookup must not allocate per operation,
+// Aggregate not per row (scratch is pooled per store). The collector is off
+// for each measured window, so no GC can empty a pool mid-measurement and the
+// counts are exact.
 
 import (
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"ccubing/internal/core"
@@ -15,24 +17,54 @@ import (
 	"ccubing/internal/sink"
 )
 
+// allocs is testing.AllocsPerRun with the garbage collector off.
+func allocs(runs int, f func()) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	return testing.AllocsPerRun(runs, f)
+}
+
+// probeQueries returns a store with three queries: a stored cell (a hit in
+// its own cuboid), a cell that only a more specific cell covers, and a miss.
+// The last two bind two dimensions, so they also take the candidate merge and
+// the covering probes.
+func probeQueries(t *testing.T) (*Store, map[string][]core.Value) {
+	t.Helper()
+	cards := []int{20, 20, 20, 20}
+	tbl := testTable(t, 3000, cards, 0.8, 11)
+	s := buildFromClosed(t, tbl, 2)
+	var own []core.Value
+	s.Walk(func(c core.Cell) bool {
+		if c.Values[1] != core.Star && c.Values[3] != core.Star {
+			own = c.Values
+		}
+		return own == nil
+	})
+	var covered []core.Value
+	for i := 0; covered == nil && i < tbl.NumTuples(); i++ {
+		q := []core.Value{core.Star, tbl.Cols[1][i], core.Star, tbl.Cols[3][i]}
+		if c, ok := s.Lookup(q); ok && !slices.Equal(c.Values, q) {
+			covered = q
+		}
+	}
+	if own == nil || covered == nil {
+		t.Fatal("fixture lost its shape: want a stored cell and a cell only a more specific one covers")
+	}
+	return s, map[string][]core.Value{
+		"own":     own,
+		"covered": covered,
+		"miss":    {core.Value(cards[0]), core.Star, 0, core.Star},
+	}
+}
+
 func TestQueryAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on the probe path; counts are not meaningful")
 	}
-	cards := []int{8, 6, 5, 4}
-	tbl := testTable(t, 3000, cards, 0.8, 11)
-	s := buildFromClosed(t, tbl, 2)
-
-	hit := []core.Value{tbl.Cols[0][0], core.Star, tbl.Cols[2][0], core.Star}
-	miss := []core.Value{core.Value(cards[0]), core.Star, core.Star, core.Star}
-	s.Query(hit)
-	s.Query(miss)
-
-	if n := testing.AllocsPerRun(1000, func() { s.Query(hit) }); n > 0.5 {
-		t.Fatalf("Query(hit) allocates %v per op; want 0", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() { s.Query(miss) }); n > 0.5 {
-		t.Fatalf("Query(miss) allocates %v per op; want 0", n)
+	s, queries := probeQueries(t)
+	for name, q := range queries {
+		if n := allocs(1000, func() { s.Query(q) }); n != 0 {
+			t.Fatalf("Query(%s) allocates %v per op; want 0", name, n)
+		}
 	}
 }
 
@@ -40,39 +72,76 @@ func TestLookupAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on the probe path; counts are not meaningful")
 	}
-	cards := []int{8, 6, 5, 4}
-	tbl := testTable(t, 3000, cards, 0.8, 11)
-	s := buildFromClosed(t, tbl, 2)
-
-	// A miss never materializes a result cell, so the whole covering scan
-	// must be allocation-free.
-	miss := []core.Value{core.Value(cards[0]), core.Star, core.Star, core.Star}
-	s.Lookup(miss)
-	if n := testing.AllocsPerRun(1000, func() { s.Lookup(miss) }); n > 0.5 {
-		t.Fatalf("Lookup(miss) allocates %v per op; want 0", n)
-	}
-
-	// A hit allocates only the returned closure cell (its values slice),
-	// which callers own — the probe machinery itself adds nothing.
-	hit := []core.Value{tbl.Cols[0][0], core.Star, core.Star, core.Star}
-	if _, ok := s.Lookup(hit); !ok {
-		t.Fatal("expected a stored covering cell")
-	}
-	if n := testing.AllocsPerRun(1000, func() { s.Lookup(hit) }); n > 2.5 {
-		t.Fatalf("Lookup(hit) allocates %v per op; want <= 2 (the returned cell)", n)
+	s, queries := probeQueries(t)
+	for name, q := range queries {
+		// A hit allocates only the returned closure cell's values slice,
+		// which callers own; a miss materializes nothing.
+		want := 1.0
+		if _, ok := s.Lookup(q); !ok {
+			want = 0
+		}
+		if n := allocs(1000, func() { s.Lookup(q) }); n != want {
+			t.Fatalf("Lookup(%s) allocates %v per op; want %v", name, n, want)
+		}
 	}
 }
 
-// TestAggregateAllocs bounds Aggregate's steady-state allocations at a
+// TestRowsFixingAllocs checks that the refresh's row visitor materializes
+// nothing per row: a pass allocates its values buffer and nothing else.
+func TestRowsFixingAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; counts are not meaningful")
+	}
+	tbl := testTable(t, 500, []int{6, 5, 4}, 0.8, 17)
+	s := buildFromClosed(t, tbl, 1)
+	keep := func(v core.Value) bool { return v%2 == 0 }
+	rows := 0
+	n := allocs(10, func() {
+		for range s.RowsFixing(0, keep) {
+			rows++
+		}
+	})
+	if n != 1 || rows < 100 {
+		t.Fatalf("RowsFixing allocates %v times per pass over %d rows; want 1, the values buffer", n, rows/11)
+	}
+}
+
+// TestAggregateAllocs pins Aggregate's steady-state allocations at a
 // constant: the tables, selection vector and keys live in pooled scratch, and
-// the result — however many rows — is one cell slice over one value slab. The
-// query has the load harness's shape on an iceberg store whose residual is
-// about the relation: a range keeping a slice of the tuples, two group-by
-// dimensions, hundreds of result rows.
+// the result — however many rows — is one cell slice over one value slab.
+// What remains is per call: the matchers (and a set predicate's bitmap), the
+// key-field plan, enumerate's row-scan slices, and the result. The query has
+// the load harness's shape on an iceberg store whose residual is about the
+// relation: a range keeping a slice of the tuples, two group-by dimensions,
+// hundreds of result rows. The second spec binds two dimensions, so the
+// residual selection filters one column by another's survivors.
 func TestAggregateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on the probe path; counts are not meaningful")
 	}
+	s := icebergStore(t)
+	for _, c := range []struct {
+		spec Spec
+		want float64
+	}{
+		{Spec{Preds: []Pred{{Kind: PredRange, Lo: 2, Hi: 6}, {}, {}, {}, {}}}, 8},
+		{Spec{Preds: []Pred{{Kind: PredIn, Set: []core.Value{1, 5, 9, 30}}, {}, {}, {Kind: PredRange, Lo: 2, Hi: 19}, {}}}, 10},
+	} {
+		opt := AggOptions{GroupBy: []int{1, 2}}
+		rows := len(s.Aggregate(c.spec, opt))
+		if rows < 300 {
+			t.Fatalf("only %d result rows; the gate below would not notice per-row allocations", rows)
+		}
+		if n := allocs(50, func() { s.Aggregate(c.spec, opt) }); n != c.want {
+			t.Fatalf("Aggregate allocates %v per op for %d rows; want %v", n, rows, c.want)
+		}
+	}
+}
+
+// icebergStore is a min_sup 4 closed store over 20 000 tuples, with the
+// residual attached.
+func icebergStore(t *testing.T) *Store {
+	t.Helper()
 	cards := []int{40, 30, 30, 20, 10}
 	tbl := testTable(t, 20000, cards, 1.0, 29)
 	col := &sink.Collector{}
@@ -90,17 +159,21 @@ func TestAggregateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, spec := range []Spec{
-		{Preds: []Pred{{Kind: PredRange, Lo: 2, Hi: 6}, {}, {}, {}, {}}},
-		{Preds: []Pred{{Kind: PredIn, Set: []core.Value{1, 5, 9, 30}}, {}, {}, {}, {}}},
-	} {
-		opt := AggOptions{GroupBy: []int{1, 2}}
-		rows := len(s.Aggregate(spec, opt))
-		if rows < 300 {
-			t.Fatalf("only %d result rows; the bound below would not notice per-row allocations", rows)
-		}
-		if n := testing.AllocsPerRun(50, func() { s.Aggregate(spec, opt) }); n > 16 {
-			t.Fatalf("Aggregate allocates %v per op for %d rows; want a constant (<= 16)", n, rows)
+	return s
+}
+
+// TestResidualMergeAllocs gates the per-row step of the residual merge and
+// retain loops: into an output sized up front, takeRow does not allocate.
+func TestResidualMergeAllocs(t *testing.T) {
+	src := icebergStore(t).res
+	for _, hasAux := range []bool{false, true} {
+		out := newResidual(src.nd, hasAux, src.NumRows())
+		i := 0
+		if n := allocs(src.NumRows()-1, func() {
+			out.takeRow(src, i)
+			i++
+		}); n != 0 {
+			t.Fatalf("hasAux=%v: takeRow allocates %v per row; want 0", hasAux, n)
 		}
 	}
 }

@@ -1,10 +1,7 @@
-// Builder-side mutation of the cubestore structures. Store and group are
-// //ccubing:freeze types: after Build (or Open, or MergePartitions) returns a
-// Store it is published to concurrent readers and never written again. Every
-// file that legitimately writes their fields carries a //ccubing:mutates
-// comment like this one; writes anywhere else are flagged by cclint.
-//
-//ccubing:mutates Store, group
+// Builder-side mutation of the cubestore structures: after Build (or Open, or
+// MergePartitions) returns a Store it is published to concurrent readers and
+// never written again. Only this file, snapshot.go, merge.go and residual.go
+// write Store and group fields.
 
 package cubestore
 

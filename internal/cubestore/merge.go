@@ -1,7 +1,5 @@
-// MergePartitions is a freeze-file: it assembles new Store and group values
-// that are immutable once the merged store is returned.
-//
-//ccubing:mutates Store, group
+// MergePartitions assembles new Store and group values that are immutable
+// once the merged store is returned.
 
 package cubestore
 

@@ -125,8 +125,6 @@ func newMatcher(p Pred, maxVal uint32) matcher {
 }
 
 // match reports whether v satisfies the predicate.
-//
-//ccubing:hotpath
 func (m *matcher) match(v core.Value) bool {
 	switch m.kind {
 	case matchAny:
@@ -147,8 +145,6 @@ func (m *matcher) match(v core.Value) bool {
 // full-column scan that seeds a selection vector. The range and bitmap loops
 // store every index and advance past the kept ones, so a selective predicate
 // costs no mispredicted branches.
-//
-//ccubing:hotpath
 func (m *matcher) selectRows(col []core.Value, buf []int32) []int32 {
 	n := 0
 	switch m.kind {
@@ -185,8 +181,6 @@ func (m *matcher) selectRows(col []core.Value, buf []int32) []int32 {
 
 // filterRows keeps, in place, the selected rows whose col value satisfies the
 // predicate.
-//
-//ccubing:hotpath
 func (m *matcher) filterRows(col []core.Value, sel []int32) []int32 {
 	kept := sel[:0]
 	for _, i := range sel {
@@ -515,8 +509,6 @@ func (t *aggTable[K]) reset() {
 }
 
 // slot returns the index slot a key's probe sequence starts at.
-//
-//ccubing:hotpath
 func (t *aggTable[K]) slot(k K) int {
 	// Fields fill words from the top, so a narrow key's low bits are zero:
 	// fold the halves together before the multiplicative mix.
@@ -528,8 +520,6 @@ func (t *aggTable[K]) slot(k K) int {
 }
 
 // find returns the key's entry, or nil.
-//
-//ccubing:hotpath
 func (t *aggTable[K]) find(k K) *aggEntry[K] {
 	for i := t.slot(k); ; i = (i + 1) & (len(t.idx) - 1) {
 		p := t.idx[i]
@@ -544,8 +534,6 @@ func (t *aggTable[K]) find(k K) *aggEntry[K] {
 
 // findOrAdd returns the key's entry, adding a zero one when absent. The
 // pointer is valid until the next findOrAdd.
-//
-//ccubing:hotpath
 func (t *aggTable[K]) findOrAdd(k K) (e *aggEntry[K], added bool) {
 	i := t.slot(k)
 	for ; t.idx[i] != 0; i = (i + 1) & (len(t.idx) - 1) {
@@ -580,8 +568,6 @@ func (t *aggTable[K]) grow() {
 }
 
 // fold accumulates one (count, measure) contribution into the key's entry.
-//
-//ccubing:hotpath
 func (t *aggTable[K]) fold(k K, count int64, aux float64, agg AuxAgg) {
 	e, added := t.findOrAdd(k)
 	e.count += count
@@ -710,8 +696,6 @@ func enumerate[K aggKey](a *aggCall, combos *aggTable[K], sc *probeScratch) {
 }
 
 // scanRows is the row loop of enumerate over one cuboid.
-//
-//ccubing:hotpath
 func scanRows[K aggKey](g *group, lo, hi int, scan *rowScan, spec uint8, combos *aggTable[K]) {
 rows:
 	for i := lo; i < hi; i++ {

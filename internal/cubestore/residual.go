@@ -1,8 +1,6 @@
 // Residual construction is builder-side mutation: a Residual is immutable
 // after build()/ComputeResidual return, and Store.res is only assigned by the
-// freeze files (Build, Open, MergePartitions).
-//
-//ccubing:mutates Store, group
+// builders (Build, Open, MergePartitions).
 
 package cubestore
 
@@ -200,8 +198,6 @@ func mergeResiduals(nd int, hasAux bool, a, b *Residual) (*Residual, error) {
 // merge and retain loops. Growth is amortized self-append (into
 // capacity newResidual sized up front where the caller knows it), so the
 // loops stay allocation-free in steady state.
-//
-//ccubing:hotpath
 func (out *Residual) takeRow(src *Residual, i int) {
 	for d := range out.cols {
 		out.cols[d] = append(out.cols[d], src.cols[d][i])
@@ -284,8 +280,6 @@ func (r *Residual) selectRows(ms []matcher, buf []int32) []int32 {
 // are all residual rows, so adding them row by row reconstructs the exact
 // aggregates. Only the key fields' columns are read. It returns the number of
 // rows folded.
-//
-//ccubing:hotpath
 func foldResidual[K aggKey](r *Residual, sel []int32, fields []keyField, gmask K, combos, groups *aggTable[K], agg AuxAgg) int {
 	folded := 0
 	for _, i := range sel {

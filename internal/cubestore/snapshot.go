@@ -1,7 +1,5 @@
-// Snapshot persistence: Open is a freeze-file — it assembles Store and group
-// values that are immutable once returned.
-//
-//ccubing:mutates Store, group
+// Snapshot persistence: Open assembles Store and group values that are
+// immutable once returned.
 
 package cubestore
 

@@ -48,8 +48,6 @@ import (
 // group holds one cuboid: all stored cells fixing exactly the dimensions in
 // mask. keys is the row-major packed-key matrix (rows() rows of width bytes),
 // sorted lexicographically; counts and aux are parallel to the rows.
-//
-//ccubing:freeze
 type group struct {
 	mask   core.Mask
 	dims   []int // mask's dimensions, ascending
@@ -59,15 +57,11 @@ type group struct {
 	aux    []float64 // nil when the store carries no measure
 }
 
-//ccubing:hotpath
 func (g *group) rows() int { return len(g.counts) }
 
-//ccubing:hotpath
 func (g *group) row(i int) []byte { return g.keys[i*g.width : (i+1)*g.width] }
 
 // find binary-searches for an exact key, returning its row or -1.
-//
-//ccubing:hotpath
 func (g *group) find(key []byte) int {
 	n := g.rows()
 	if g.width == 0 {
@@ -77,7 +71,6 @@ func (g *group) find(key []byte) int {
 		}
 		return -1
 	}
-	//ccubing:allow sort.Search callback is inlined and never escapes
 	i := sort.Search(n, func(i int) bool { return bytes.Compare(g.row(i), key) >= 0 })
 	if i < n && bytes.Equal(g.row(i), key) {
 		return i
@@ -86,17 +79,13 @@ func (g *group) find(key []byte) int {
 }
 
 // prefixRange returns the half-open row range whose keys start with prefix.
-//
-//ccubing:hotpath
 func (g *group) prefixRange(prefix []byte) (int, int) {
 	n := g.rows()
 	p := len(prefix)
 	if p == 0 {
 		return 0, n
 	}
-	//ccubing:allow sort.Search callback is inlined and never escapes
 	lo := sort.Search(n, func(i int) bool { return bytes.Compare(g.row(i)[:p], prefix) >= 0 })
-	//ccubing:allow sort.Search callback is inlined and never escapes
 	hi := sort.Search(n, func(i int) bool { return bytes.Compare(g.row(i)[:p], prefix) > 0 })
 	return lo, hi
 }
@@ -137,10 +126,10 @@ type fieldMatch struct {
 
 // Store is an immutable, concurrency-safe closed-cube query index. Frozen:
 // after Build/Open/MergePartitions publish a Store, its fields (and its
-// groups') are never written again — cclint's storemut analyzer enforces
-// this outside the //ccubing:mutates builder files.
-//
-//ccubing:freeze
+// groups') are never written again; only the builder files (builder.go,
+// snapshot.go, merge.go, residual.go) write them. TestConcurrentQueries holds
+// this under -race: concurrent readers over the whole read API leave the
+// store's Save image byte-identical.
 type Store struct {
 	nd     int
 	hasAux bool
@@ -172,8 +161,6 @@ type Store struct {
 
 // getScratch takes a probe scratch from the pool (allocating buffers sized
 // for this store on a pool miss, with stripes assigned round-robin).
-//
-//ccubing:hotpath
 func (s *Store) getScratch() *probeScratch {
 	if v := s.scratch.Get(); v != nil {
 		return v.(*probeScratch)
@@ -195,8 +182,6 @@ func (s *Store) newScratch() *probeScratch {
 // putScratch flushes the scratch's probe tallies into its stripe (the
 // store's own counter plus the package-wide totals) and returns the scratch
 // to the pool.
-//
-//ccubing:hotpath
 func (s *Store) putScratch(sc *probeScratch) {
 	if sc.probes != 0 {
 		s.probes[sc.stripe].n.Add(sc.probes)
@@ -271,8 +256,6 @@ func (s *Store) Probes() int64 {
 // dimension's list is returned directly; a fully-wildcard query is covered by
 // every group. The merge path writes into *buf (the caller's scratch,
 // regrown in place), so steady-state calls never allocate.
-//
-//ccubing:hotpath
 func (s *Store) candidates(q core.Mask, buf *[]*group) []*group {
 	if q == 0 {
 		return s.groups
@@ -328,11 +311,8 @@ func (s *Store) Bytes() int64 {
 // the wrong arity is a programmer error, not a miss: it panics (like an
 // out-of-range index) so shape bugs surface instead of reading as
 // below-threshold cells.
-//
-//ccubing:hotpath
 func (s *Store) queryMask(vals []core.Value) core.Mask {
 	if len(vals) != s.nd {
-		//ccubing:allow panic path only; a wrong-arity query is a shape bug, not a probe
 		panic(fmt.Sprintf("cubestore: query has %d dimensions, store has %d", len(vals), s.nd))
 	}
 	var q core.Mask
@@ -350,8 +330,6 @@ func (s *Store) queryMask(vals []core.Value) core.Mask {
 // tie-break policy in the floor they pass. q must be a subset of g.mask. The
 // scratch supplies the prefix and residual-filter buffers, keeping the probe
 // allocation-free.
-//
-//ccubing:hotpath
 func (g *group) probe(q core.Mask, vals []core.Value, floor int64, sc *probeScratch) (int, int64) {
 	// The leading run of g's dimensions that the query binds forms a key
 	// prefix, narrowing the scan by binary search.
@@ -402,8 +380,6 @@ func (g *group) probe(q core.Mask, vals []core.Value, floor int64, sc *probeScra
 // below the iceberg threshold of the stored cube. It panics if vals does not
 // have exactly NumDims entries. Unlike Lookup it never materializes the
 // closure cell, so steady-state calls are allocation-free.
-//
-//ccubing:hotpath
 func (s *Store) Query(vals []core.Value) (int64, bool) {
 	sc := s.getScratch()
 	g, row := s.lookupRow(vals, sc)
@@ -432,8 +408,6 @@ func (s *Store) Lookup(vals []core.Value) (core.Cell, bool) {
 
 // lookupRow locates the closure of an arbitrary cell as a (group, row) pair,
 // row -1 on a miss: the shared, allocation-free core of Query and Lookup.
-//
-//ccubing:hotpath
 func (s *Store) lookupRow(vals []core.Value, sc *probeScratch) (*group, int) {
 	sc.nOps++
 	q := s.queryMask(vals)

@@ -5,6 +5,10 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"reflect"
+	"runtime/debug"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -163,8 +167,7 @@ func TestSliceMatchesWalkFilter(t *testing.T) {
 }
 
 // TestRowsFixingMatchesWalkFilter checks the refresh's row visitor against
-// filtering a full Walk, for every dimension, and that it materializes
-// nothing per row.
+// filtering a full Walk, for every dimension.
 func TestRowsFixingMatchesWalkFilter(t *testing.T) {
 	tbl := testTable(t, 500, []int{6, 5, 4}, 0.8, 17)
 	s := buildFromClosed(t, tbl, 1)
@@ -185,25 +188,48 @@ func TestRowsFixingMatchesWalkFilter(t *testing.T) {
 			t.Fatalf("dimension %d: %d rows, want the %d cells Walk keeps", dim, len(got), len(want))
 		}
 	}
-	if raceEnabled {
-		return // race instrumentation allocates; counts are not meaningful
-	}
-	rows := 0
-	allocs := testing.AllocsPerRun(10, func() {
-		for range s.RowsFixing(0, keep) {
-			rows++
-		}
-	})
-	if allocs > 4 || rows < 100 {
-		t.Fatalf("RowsFixing allocates %v times per pass over %d rows; want a constant", allocs, rows/11)
-	}
 }
 
-// TestConcurrentQueries exercises the store from many goroutines; run under
-// -race this pins the immutability/concurrency-safety claim.
+// setReads is one draw of the set-valued reads — Slice, Select and
+// Aggregate — with their sequential answers.
+type setReads struct {
+	q    []core.Value
+	spec Spec
+	opt  AggOptions
+	want string
+}
+
+func (r *setReads) read(s *Store) string {
+	var b strings.Builder
+	visit := func(c core.Cell) bool {
+		fmt.Fprint(&b, c, ";")
+		return true
+	}
+	s.Slice(r.q, visit)
+	b.WriteString("|")
+	s.Select(r.spec, visit)
+	fmt.Fprint(&b, "|", s.Aggregate(r.spec, r.opt))
+	return b.String()
+}
+
+// TestConcurrentQueries runs the whole read API — Query, Lookup, Slice,
+// Select and Aggregate — from many goroutines on one store (measure and
+// residual attached) and checks every answer. Run under -race it pins the
+// concurrency-safety claim; the store's Save image must also be
+// byte-identical before and after, which pins the immutability claim.
 func TestConcurrentQueries(t *testing.T) {
-	tbl := testTable(t, 600, []int{8, 6, 5, 4}, 1.0, 3)
-	s := buildFromClosed(t, tbl, 2)
+	cards := []int{8, 6, 5, 4}
+	tbl := testTable(t, 600, cards, 1.0, 3)
+	s := buildWithResidual(t, tbl, 2, core.MeasureSum)
+	before := storeBytes(t, s)
+	rng := rand.New(rand.NewSource(99))
+	sets := make([]setReads, 40)
+	for i := range sets {
+		r := &sets[i]
+		r.q, r.spec = randomQuery(rng, tbl), randomSpec(rng, cards)
+		r.opt = AggOptions{GroupBy: drawGroupBy(rng, len(cards), nil, false)}
+		r.want = r.read(s)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -214,18 +240,75 @@ func TestConcurrentQueries(t *testing.T) {
 				q := randomQuery(rng, tbl)
 				want := bruteCount(tbl, q)
 				got, ok := s.Query(q)
-				if want >= 2 && (!ok || got != want) {
-					t.Errorf("query %v: got (%d,%v), want (%d,true)", q, got, ok, want)
+				c, found := s.Lookup(q)
+				if want >= 2 && (!ok || got != want || !found || c.Count != want) {
+					t.Errorf("query %v: Query (%d,%v), Lookup (%d,%v), want (%d,true)", q, got, ok, c.Count, found, want)
 					return
 				}
-				if want < 2 && ok {
-					t.Errorf("query %v: got (%d,true), want miss", q, got)
+				if want < 2 && (ok || found) {
+					t.Errorf("query %v: Query (%d,%v), Lookup (%d,%v), want a miss", q, got, ok, c.Count, found)
+					return
+				}
+				if r := &sets[rng.Intn(len(sets))]; r.read(s) != r.want {
+					t.Errorf("slice %v / select and aggregate %v group-by %v: concurrent answer differs from the sequential one", r.q, r.spec.Preds, r.opt.GroupBy)
 					return
 				}
 			}
 		}(int64(w))
 	}
 	wg.Wait()
+	if !bytes.Equal(storeBytes(t, s), before) {
+		t.Fatal("concurrent reads changed the store's Save image")
+	}
+}
+
+// TestRetainedResults checks that results already handed out are never
+// recycled: every result of Lookup, Slice, Select and Aggregate still equals
+// its first reading after many later calls on the same store. The collector
+// is off, so the store's pooled scratch survives between calls and each call
+// reuses the last one's; a result backed by it would be overwritten.
+func TestRetainedResults(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cards := []int{8, 6, 5, 4}
+	tbl := testTable(t, 600, cards, 1.0, 3)
+	s := buildWithResidual(t, tbl, 2, core.MeasureSum)
+	type reading struct {
+		call      string
+		got, want []core.Cell
+	}
+	var held []reading
+	hold := func(call string, got []core.Cell) {
+		want := slices.Clone(got)
+		for i := range want {
+			want[i].Values = slices.Clone(want[i].Values)
+		}
+		held = append(held, reading{call, got, want})
+	}
+	rng := rand.New(rand.NewSource(43))
+	for i := 0; i < 300; i++ {
+		q, spec := randomQuery(rng, tbl), randomSpec(rng, cards)
+		if c, ok := s.Lookup(q); ok {
+			hold("Lookup", []core.Cell{c})
+		}
+		var cells []core.Cell
+		s.Slice(q, func(c core.Cell) bool {
+			cells = append(cells, c)
+			return true
+		})
+		hold("Slice", cells)
+		cells = nil
+		s.Select(spec, func(c core.Cell) bool {
+			cells = append(cells, c)
+			return true
+		})
+		hold("Select", cells)
+		hold("Aggregate", s.Aggregate(spec, AggOptions{GroupBy: drawGroupBy(rng, len(cards), nil, false)}))
+	}
+	for i, r := range held {
+		if !reflect.DeepEqual(r.got, r.want) {
+			t.Fatalf("%s result %d of %d changed after later calls: now %v, first read %v", r.call, i, len(held), r.got, r.want)
+		}
+	}
 }
 
 // TestBuilderRejectsDuplicates pins the duplicate-cell error.

@@ -9,6 +9,11 @@ import (
 // serving hot paths pay: one counter increment plus one histogram
 // observation. Parallel, because striping exists exactly to keep concurrent
 // recorders off each other's cache lines.
+//
+// Its allocs/op is RunParallel's goroutine setup divided by b.N, not the
+// recording: on a 2-CPU Xeon it reads 7 allocs/op (~1 KB) at -benchtime 3x,
+// 4 (500-700 B) at 5x and 0 at 100000x. TestRecordAllocsSteadyState gates
+// the recording itself at exactly 0.
 func BenchmarkObsRecord(b *testing.B) {
 	r := NewRegistry()
 	c := r.Counter("bench_total", "help")

@@ -34,8 +34,6 @@ type Histogram struct {
 
 // bucketIndex maps a duration to its bucket: the smallest i with
 // d <= 1µs<<i, or the +Inf slot. Non-positive durations land in bucket 0.
-//
-//ccubing:hotpath
 func bucketIndex(d time.Duration) int {
 	if d <= time.Microsecond {
 		return 0
@@ -50,8 +48,6 @@ func bucketIndex(d time.Duration) int {
 
 // Observe records one duration: two atomic adds on a stack-picked stripe,
 // no allocation, no lock.
-//
-//ccubing:hotpath
 func (h *Histogram) Observe(d time.Duration) {
 	st := &h.s[stripeIndex()&(histStripes-1)]
 	st.counts[bucketIndex(d)].Add(1)

@@ -44,8 +44,6 @@ type counterStripe struct {
 // Fibonacci multiplier mixes all address bits into the top three, so stacks
 // allocated a power-of-two apart do not alias onto one stripe. Converting
 // the pointer TO uintptr is the safe direction; the address never escapes.
-//
-//ccubing:hotpath
 func stripeIndex() uint32 {
 	var b byte
 	p := uintptr(unsafe.Pointer(&b))
@@ -60,13 +58,9 @@ type Counter struct {
 }
 
 // Inc adds one.
-//
-//ccubing:hotpath
 func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n (callers keep counters monotonic; the registry does not check).
-//
-//ccubing:hotpath
 func (c *Counter) Add(n int64) {
 	c.s[stripeIndex()].n.Add(n)
 }
@@ -87,13 +81,9 @@ type Gauge struct {
 }
 
 // Set replaces the value.
-//
-//ccubing:hotpath
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Add moves the value by delta.
-//
-//ccubing:hotpath
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Value returns the current value.

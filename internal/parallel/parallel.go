@@ -236,7 +236,7 @@ func RunSub(t, sub *table.Table, eng *engine.Engine, ecfg engine.Config, cfg Con
 		if err := eng.Run(pt, ecfg, ins); err != nil {
 			return fmt.Errorf("parallel: final pass: %w", err)
 		}
-		w.Close()
+		w.Flush()
 		return nil
 	})
 	var recs []*recorder
@@ -264,7 +264,7 @@ func RunSub(t, sub *table.Table, eng *engine.Engine, ecfg engine.Config, cfg Con
 					return fmt.Errorf("parallel: shard: %w", err)
 				}
 			}
-			w.Close()
+			w.Flush()
 			shardNanos.Add(int64(time.Since(start)))
 			return nil
 		})
@@ -295,7 +295,7 @@ func RunSub(t, sub *table.Table, eng *engine.Engine, ecfg engine.Config, cfg Con
 	}
 	_ = runJobs(workers, jobs) // probe jobs cannot fail
 	st.Candidates, st.Probes = int64(len(sm.counts)), sm.probes.Load()
-	st.Killed = sm.emitSurvivors(out) // every worker handle is closed: out is ours
+	st.Killed = sm.emitSurvivors(out) // every worker handle is flushed: out is ours
 	st.Seam = time.Since(start)
 	return st, nil
 }
@@ -452,8 +452,6 @@ func runJobs(workers int, jobs []func() error) error {
 
 // widen copies a projected cell into dst, one value wider, with Star at the
 // removed partition dimension.
-//
-//ccubing:hotpath
 func widen(dst, proj []core.Value, dim int) {
 	copy(dst[:dim], proj[:dim])
 	dst[dim] = core.Star
@@ -468,7 +466,6 @@ type starInsert struct {
 	scratch []core.Value
 }
 
-//ccubing:hotpath
 func (s *starInsert) Emit(vals []core.Value, count int64, aux float64) {
 	widen(s.scratch, vals, s.dim)
 	s.next.Emit(s.scratch, count, aux)
@@ -500,7 +497,6 @@ type recorder struct {
 	dim  int
 }
 
-//ccubing:hotpath
 func (r *recorder) Emit(vals []core.Value, count int64, aux float64) {
 	r.next.Emit(vals, count, aux)
 	if len(r.counts) == cap(r.counts) {
@@ -528,8 +524,6 @@ type seam struct {
 }
 
 // Emit implements sink.Sink for the projection pass.
-//
-//ccubing:hotpath
 func (s *seam) Emit(vals []core.Value, count int64, aux float64) {
 	if len(s.counts) == cap(s.counts) {
 		s.grow()
@@ -557,7 +551,6 @@ func (s *seam) buildIndex() {
 	}
 }
 
-//ccubing:hotpath
 func hashVals(vals []core.Value) uint64 {
 	h := uint64(len(vals))
 	for _, v := range vals {
@@ -571,8 +564,6 @@ func hashVals(vals []core.Value) uint64 {
 // without dim and its count: the candidate with that value vector, if any, is
 // covered — hence not closed — iff the counts agree. Safe for concurrent use
 // once the index is built.
-//
-//ccubing:hotpath
 func (s *seam) probe(proj []core.Value, count int64) {
 	mask := uint64(len(s.slots) - 1)
 	for i := hashVals(proj) >> s.shift; ; i = (i + 1) & mask {
@@ -590,8 +581,6 @@ func (s *seam) probe(proj []core.Value, count int64) {
 }
 
 // probeAll probes one recorder's cells.
-//
-//ccubing:hotpath
 func (s *seam) probeAll(b *cellBuf) {
 	for i, count := range b.counts {
 		s.probe(b.vals[i*s.pw:(i+1)*s.pw], count)

@@ -55,8 +55,6 @@ func New(capacity int) *Cache {
 }
 
 // hash is FNV-1a over the key; only shard selection depends on it.
-//
-//ccubing:hotpath
 func hash(key []byte) uint32 {
 	h := uint32(2166136261)
 	for _, b := range key {
@@ -68,8 +66,6 @@ func hash(key []byte) uint32 {
 
 // Get returns the cached value for key, marking it most recently used. The
 // lookup does not retain or allocate from key.
-//
-//ccubing:hotpath
 func (c *Cache) Get(key []byte) (any, bool) {
 	if c == nil {
 		return nil, false

@@ -25,8 +25,6 @@ const (
 //
 // The hash is FNV-1a inlined to keep the routing fast path allocation-free
 // (hash/fnv forces the component through an io.Writer's []byte).
-//
-//ccubing:hotpath
 func Owner(component string, n int) int {
 	h := uint32(offset32)
 	for i := 0; i < len(component); i++ {

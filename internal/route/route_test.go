@@ -2,6 +2,7 @@ package route
 
 import (
 	"fmt"
+	"runtime/debug"
 	"testing"
 )
 
@@ -45,7 +46,17 @@ func TestOwnerRange(t *testing.T) {
 	}
 }
 
-// BenchmarkOwner guards the hotpath annotation: routing must not allocate.
+// TestOwnerAllocs gates the routing hash every routed request and shard-side
+// delta filter runs: it must not allocate (the collector is off, so the count
+// is exact).
+func TestOwnerAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	component, owners := "some-component-label", 0
+	if n := testing.AllocsPerRun(1000, func() { owners += Owner(component, 8) }); n != 0 {
+		t.Fatalf("Owner allocates %v per call; want 0", n)
+	}
+}
+
 func BenchmarkOwner(b *testing.B) {
 	b.ReportAllocs()
 	var sink int

@@ -321,8 +321,6 @@ func (m *partialMerger) fold(p *aggPartial) {
 
 // meet folds p's rows, keyed by m.keys, into the groups of out: a key seen
 // before combines into its row, a new one becomes the next row.
-//
-//ccubing:hotpath
 func (m *partialMerger) meet(p *aggPartial) {
 	out := &m.out
 	nd := len(p.dims)

@@ -26,19 +26,11 @@ func NewMerger(next Sink) *Merger {
 // enough to amortize the lock, small enough to keep buffers cache-resident.
 const flushBatch = 512
 
-// workerPool recycles MergeWorker handles (and their value/cell arenas)
-// across jobs and refreshes, so a steady stream of shard jobs stops paying an
-// arena allocation per job. Close returns a handle here.
-var workerPool = sync.Pool{New: func() any { return new(MergeWorker) }}
-
 // Worker returns a buffered emission handle for one goroutine. Handles are
-// not goroutine-safe themselves; the owner must call Flush (or Close, which
-// also recycles the handle's buffers) when done — cells still buffered at
-// that point would otherwise be lost.
+// not goroutine-safe themselves; the owner must call Flush when done — cells
+// still buffered at that point would otherwise be lost.
 func (m *Merger) Worker() *MergeWorker {
-	w := workerPool.Get().(*MergeWorker)
-	w.m = m
-	return w
+	return &MergeWorker{m: m}
 }
 
 // MergeWorker is a single-goroutine Sink handle produced by Merger.Worker.
@@ -58,8 +50,6 @@ type bufferedCell struct {
 }
 
 // Emit implements Sink.
-//
-//ccubing:hotpath
 func (w *MergeWorker) Emit(vals []core.Value, count int64, aux float64) {
 	w.cells = append(w.cells, bufferedCell{
 		off:   int32(len(w.vals)),
@@ -75,8 +65,6 @@ func (w *MergeWorker) Emit(vals []core.Value, count int64, aux float64) {
 
 // Flush drains the buffer into the downstream sink, cell by cell, under the
 // merger's lock.
-//
-//ccubing:hotpath
 func (w *MergeWorker) Flush() {
 	if len(w.cells) == 0 {
 		return
@@ -89,12 +77,4 @@ func (w *MergeWorker) Flush() {
 	m.mu.Unlock()
 	w.cells = w.cells[:0]
 	w.vals = w.vals[:0]
-}
-
-// Close flushes any buffered cells and returns the handle (with its arenas)
-// to the package pool for reuse. The handle must not be used afterwards.
-func (w *MergeWorker) Close() {
-	w.Flush()
-	w.m = nil
-	workerPool.Put(w)
 }

@@ -86,8 +86,6 @@ type FixedDim struct {
 }
 
 // Emit implements Sink.
-//
-//ccubing:hotpath
 func (f *FixedDim) Emit(vals []core.Value, count int64, aux float64) {
 	if vals[f.Dim] != core.Star {
 		f.Next.Emit(vals, count, aux)
