@@ -27,12 +27,16 @@ type editedRow struct {
 // TestDeleteUpdateMatchesMaterialize is the tentpole acceptance criterion at
 // the facade layer: random interleavings of AppendValues/Delete/Update,
 // refreshed, match a from-scratch Materialize of the edited relation byte
-// for byte — at minsup 1 and on iceberg cubes, with and without measures.
+// for byte — at minsup 1 and on iceberg cubes, without a measure and with
+// each measure kind (a deleted minimum or maximum must be refolded, not
+// patched). Measure values are multiples of 1/8, so sums are exact in any
+// order.
 func TestDeleteUpdateMatchesMaterialize(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	cards := []int{6, 5, 4}
 	for _, minsup := range []int64{1, 4} {
-		for _, withAux := range []bool{false, true} {
+		for _, kind := range []MeasureKind{MeasureNone, MeasureSum, MeasureMin, MeasureMax, MeasureAvg} {
+			withAux := kind != MeasureNone
 			for trial := 0; trial < 4; trial++ {
 				live := make([]editedRow, 0, 500)
 				for i := 0; i < 350+rng.Intn(150); i++ {
@@ -42,7 +46,7 @@ func TestDeleteUpdateMatchesMaterialize(t *testing.T) {
 					}
 					live = append(live, editedRow{vals: row, aux: float64(rng.Intn(1000)) / 8})
 				}
-				cube := materializeRows(t, live, withAux, minsup)
+				cube := materializeRows(t, live, kind, minsup)
 
 				nOps := 3 + rng.Intn(3)
 				for op := 0; op < nOps; op++ {
@@ -111,10 +115,10 @@ func TestDeleteUpdateMatchesMaterialize(t *testing.T) {
 				if _, err := cube.Refresh(); err != nil {
 					t.Fatal(err)
 				}
-				want := materializeRows(t, live, withAux, minsup)
+				want := materializeRows(t, live, kind, minsup)
 				if !bytes.Equal(refreshStoreBytes(t, cube), refreshStoreBytes(t, want)) {
-					t.Fatalf("minsup=%d aux=%v trial=%d: edited store differs from from-scratch materialize (%d vs %d cells)",
-						minsup, withAux, trial, cube.NumCells(), want.NumCells())
+					t.Fatalf("minsup=%d measure=%v trial=%d: edited store differs from from-scratch materialize (%d vs %d cells)",
+						minsup, kind, trial, cube.NumCells(), want.NumCells())
 				}
 				if cube.SourceRows() != int64(len(live)) {
 					t.Fatalf("source rows = %d, want %d", cube.SourceRows(), len(live))
@@ -124,7 +128,7 @@ func TestDeleteUpdateMatchesMaterialize(t *testing.T) {
 	}
 }
 
-func materializeRows(t *testing.T, rows []editedRow, withAux bool, minsup int64) *Cube {
+func materializeRows(t *testing.T, rows []editedRow, kind MeasureKind, minsup int64) *Cube {
 	t.Helper()
 	vals := make([][]int32, len(rows))
 	aux := make([]float64, len(rows))
@@ -136,12 +140,11 @@ func materializeRows(t *testing.T, rows []editedRow, withAux bool, minsup int64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{MinSup: minsup, Workers: 2}
-	if withAux {
+	opt := Options{MinSup: minsup, Workers: 2, Measure: kind}
+	if kind != MeasureNone {
 		if err := ds.SetMeasure(aux); err != nil {
 			t.Fatal(err)
 		}
-		opt.Measure = MeasureSum
 	}
 	cube, err := Materialize(ds, opt)
 	if err != nil {

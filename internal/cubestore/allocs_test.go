@@ -86,26 +86,6 @@ func TestLookupAllocsSteadyState(t *testing.T) {
 	}
 }
 
-// TestRowsFixingAllocs checks that the refresh's row visitor materializes
-// nothing per row: a pass allocates its values buffer and nothing else.
-func TestRowsFixingAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; counts are not meaningful")
-	}
-	tbl := testTable(t, 500, []int{6, 5, 4}, 0.8, 17)
-	s := buildFromClosed(t, tbl, 1)
-	keep := func(v core.Value) bool { return v%2 == 0 }
-	rows := 0
-	n := allocs(10, func() {
-		for range s.RowsFixing(0, keep) {
-			rows++
-		}
-	})
-	if n != 1 || rows < 100 {
-		t.Fatalf("RowsFixing allocates %v times per pass over %d rows; want 1, the values buffer", n, rows/11)
-	}
-}
-
 // TestAggregateAllocs pins Aggregate's steady-state allocations at a
 // constant: the tables, selection vector and keys live in pooled scratch, and
 // the result — however many rows — is one cell slice over one value slab.
@@ -162,18 +142,30 @@ func icebergStore(t *testing.T) *Store {
 	return s
 }
 
-// TestResidualMergeAllocs gates the per-row step of the residual merge and
-// retain loops: into an output sized up front, takeRow does not allocate.
+// TestResidualMergeAllocs gates the residual merge: it splices whole
+// partition runs, so merging a residual's partitions back together allocates
+// the output — the residual, its column list, nd value columns, counts and
+// aux — and nothing per row or per run.
 func TestResidualMergeAllocs(t *testing.T) {
 	src := icebergStore(t).res
+	odd := func(v core.Value) bool { return v%2 == 1 }
+	even := func(v core.Value) bool { return v%2 == 0 }
 	for _, hasAux := range []bool{false, true} {
-		out := newResidual(src.nd, hasAux, src.NumRows())
-		i := 0
-		if n := allocs(src.NumRows()-1, func() {
-			out.takeRow(src, i)
-			i++
-		}); n != 0 {
-			t.Fatalf("hasAux=%v: takeRow allocates %v per row; want 0", hasAux, n)
+		a, err := spliceResiduals(src.nd, hasAux, src, odd, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var merged *Residual
+		n := allocs(100, func() { merged, err = spliceResiduals(src.nd, hasAux, src, even, a) })
+		if err != nil || merged.NumRows() != src.NumRows() {
+			t.Fatalf("hasAux=%v: merged %d of %d rows, %v", hasAux, merged.NumRows(), src.NumRows(), err)
+		}
+		want := float64(src.nd + 3) // the residual, its column list, nd columns, counts
+		if hasAux {
+			want++
+		}
+		if n != want {
+			t.Fatalf("hasAux=%v: the merge allocates %v times; want %v", hasAux, n, want)
 		}
 	}
 }

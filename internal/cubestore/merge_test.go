@@ -44,8 +44,9 @@ func storeBytes(t testing.TB, s *Store) []byte {
 
 // TestMergePartitionsMatchesRebuild fuzzes the merge constructor: the closed
 // cube of a grown relation assembled by merging (retained cells of untouched
-// partitions + recomputed cells of touched partitions and the wildcard slice)
-// must be byte-identical to the store built from scratch.
+// partitions + recomputed cells of touched partitions and of the wildcard
+// slice, all of it or only the cells the appended rows match) must be
+// byte-identical to the store built from scratch.
 func TestMergePartitionsMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, minsup := range []int64{1, 3} {
@@ -93,21 +94,40 @@ func TestMergePartitionsMatchesRebuild(t *testing.T) {
 			}
 
 			// Merge path: old store + the full relation's cells restricted to
-			// replaced partitions and the wildcard slice.
-			old := buildFromClosed(t, base, minsup)
-			fresh := NewBuilder(nd, false)
-			for _, c := range fullCells {
-				if v := c.Values[dim]; v == core.Star || touched[v] {
-					fresh.Add(c.Values, c.Count, 0)
+			// replaced partitions and either the whole wildcard slice (nil
+			// delta) or its cells the appended rows match.
+			delta := make([]core.Value, 0, nDelta*nd)
+			for tid := base.NumTuples(); tid < full.NumTuples(); tid++ {
+				delta = append(delta, full.Row(core.TID(tid), nil)...)
+			}
+			matched := func(vals []core.Value) bool {
+				for r := 0; r < nDelta; r++ {
+					hit := true
+					for d, v := range vals {
+						hit = hit && (v == core.Star || v == delta[r*nd+d])
+					}
+					if hit {
+						return true
+					}
 				}
+				return false
 			}
-			got, err := old.MergePartitions(dim, func(v core.Value) bool { return touched[v] }, fresh, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(storeBytes(t, got), storeBytes(t, want)) {
-				t.Fatalf("minsup=%d trial %d: merged store differs from rebuild (%d vs %d cells)",
-					minsup, trial, got.NumCells(), want.NumCells())
+			for _, delta := range [][]core.Value{nil, delta} {
+				old := buildFromClosed(t, base, minsup)
+				fresh := NewBuilder(nd, false)
+				for _, c := range fullCells {
+					if v := c.Values[dim]; v == core.Star && (delta == nil || matched(c.Values)) || v != core.Star && touched[v] {
+						fresh.Add(c.Values, c.Count, 0)
+					}
+				}
+				got, err := old.MergePartitions(dim, func(v core.Value) bool { return touched[v] }, delta, fresh, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(storeBytes(t, got), storeBytes(t, want)) {
+					t.Fatalf("minsup=%d trial %d delta %v: merged store differs from rebuild (%d vs %d cells)",
+						minsup, trial, delta != nil, got.NumCells(), want.NumCells())
+				}
 			}
 		}
 	}
@@ -129,7 +149,7 @@ func TestMergePartitionsAux(t *testing.T) {
 		core.Cell{Values: []core.Value{1, 0}, Count: 1, Aux: 0.5},
 		core.Cell{Values: []core.Value{core.Star, 1}, Count: 6, Aux: 11.0},
 	)
-	m, err := s.MergePartitions(0, func(v core.Value) bool { return v == 1 }, fresh, nil)
+	m, err := s.MergePartitions(0, func(v core.Value) bool { return v == 1 }, nil, fresh, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +192,7 @@ func TestMergePartitionsEmptyReplacement(t *testing.T) {
 	// Partition 1 vanishes with no replacements; the wildcard slice shrinks
 	// to the surviving partition's projection.
 	fresh := freshBuilder(2, false, core.Cell{Values: []core.Value{core.Star, 1}, Count: 2})
-	m, err := s.MergePartitions(0, func(v core.Value) bool { return v == 1 }, fresh, nil)
+	m, err := s.MergePartitions(0, func(v core.Value) bool { return v == 1 }, nil, fresh, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +208,7 @@ func TestMergePartitionsEmptyReplacement(t *testing.T) {
 
 	// Degenerate total wipe: every partition replaced, nothing fresh. The
 	// merged store is empty but fully functional.
-	empty, err := s.MergePartitions(0, func(core.Value) bool { return true }, freshBuilder(2, false), nil)
+	empty, err := s.MergePartitions(0, func(core.Value) bool { return true }, nil, freshBuilder(2, false), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +231,8 @@ func TestMergePartitionsEmptyReplacement(t *testing.T) {
 
 // TestMergePartitionsRejects pins the misuse errors: wrong arity, a measure
 // flag the store does not share, a fresh cell fixing the partition dimension
-// to an unreplaced value, duplicates.
+// to an unreplaced value, duplicates, a fresh wildcard cell the delta does
+// not touch.
 func TestMergePartitionsRejects(t *testing.T) {
 	b := NewBuilder(2, false)
 	b.Add([]core.Value{0, 1}, 2, 0)
@@ -220,27 +241,31 @@ func TestMergePartitionsRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	replaced := func(v core.Value) bool { return v == 1 }
-	if _, err := s.MergePartitions(5, replaced, freshBuilder(2, false), nil); err == nil {
+	if _, err := s.MergePartitions(5, replaced, nil, freshBuilder(2, false), nil); err == nil {
 		t.Fatal("out-of-range dimension must fail")
 	}
-	if _, err := s.MergePartitions(0, replaced, freshBuilder(1, false, core.Cell{Values: []core.Value{1}}), nil); err == nil {
+	if _, err := s.MergePartitions(0, replaced, nil, freshBuilder(1, false, core.Cell{Values: []core.Value{1}}), nil); err == nil {
 		t.Fatal("wrong-arity fresh cell must fail")
 	}
-	if _, err := s.MergePartitions(0, replaced, freshBuilder(2, true, core.Cell{Values: []core.Value{1, 2}, Count: 1, Aux: 1}), nil); err == nil {
+	if _, err := s.MergePartitions(0, replaced, nil, freshBuilder(2, true, core.Cell{Values: []core.Value{1, 2}, Count: 1, Aux: 1}), nil); err == nil {
 		t.Fatal("fresh cells carrying a measure the store lacks must fail")
 	}
 	unreplaced := freshBuilder(2, false,
 		core.Cell{Values: []core.Value{1, 2}, Count: 1},
 		core.Cell{Values: []core.Value{0, 2}, Count: 1},
 	)
-	if _, err := s.MergePartitions(0, replaced, unreplaced, nil); err == nil {
+	if _, err := s.MergePartitions(0, replaced, nil, unreplaced, nil); err == nil {
 		t.Fatal("fresh cell in an unreplaced partition must fail")
 	}
 	dup := freshBuilder(2, false,
 		core.Cell{Values: []core.Value{1, 2}, Count: 1},
 		core.Cell{Values: []core.Value{1, 2}, Count: 1},
 	)
-	if _, err := s.MergePartitions(0, replaced, dup, nil); err == nil {
+	if _, err := s.MergePartitions(0, replaced, nil, dup, nil); err == nil {
 		t.Fatal("duplicate fresh cells must fail")
+	}
+	untouched := freshBuilder(2, false, core.Cell{Values: []core.Value{core.Star, 1}, Count: 2})
+	if _, err := s.MergePartitions(0, replaced, []core.Value{1, 2}, untouched, nil); err == nil {
+		t.Fatal("fresh wildcard cell no delta row matches must fail")
 	}
 }

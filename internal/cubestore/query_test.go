@@ -221,8 +221,8 @@ func scanStore(t *testing.T, tbl *table.Table, minsup int64, kind core.MeasureKi
 
 // shippedCopy sends a store through every layout-sensitive path of the
 // residual — a MergePartitions that replaces a third of the dimension-0
-// values with the store's own cells and residual rows (retain on both sides,
-// then the sorted merge), a snapshot save and load — and returns the
+// values with the store's own cells and residual rows (spliced runs on both
+// sides), a snapshot save and load — and returns the
 // reassembled store, whose snapshot must equal the original's byte for byte.
 func shippedCopy(t *testing.T, s *Store) *Store {
 	t.Helper()
@@ -234,7 +234,11 @@ func shippedCopy(t *testing.T, s *Store) *Store {
 		}
 		return true
 	})
-	merged, err := s.MergePartitions(0, replaced, fresh, s.res.retain(0, s.hasAux, replaced))
+	freshRes, err := spliceResiduals(s.nd, s.hasAux, s.res, replaced, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := s.MergePartitions(0, replaced, nil, fresh, freshRes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,10 +160,20 @@ func (r *Residual) appendPacked(key string, count int64, aux float64) {
 	}
 }
 
-// mergeResiduals merges two sorted residuals into one, rejecting duplicate
-// keys. Either side may be nil or empty; hasAux of the result follows the
-// arguments (they must agree when both carry rows).
+// mergeResiduals merges two sorted residuals that hold no dimension-0 value
+// in common (see spliceResiduals). Either side may be nil or empty; hasAux of
+// the result follows the arguments.
 func mergeResiduals(nd int, hasAux bool, a, b *Residual) (*Residual, error) {
+	return spliceResiduals(nd, hasAux, a, nil, b)
+}
+
+// spliceResiduals merges the rows of a whose dimension-0 value keep accepts
+// (all of them when keep is nil) with every row of b. Rows are sorted by
+// packed key, dimension 0 first, so each dimension-0 value's rows are one
+// contiguous run: the merge copies whole runs in key order, one append per
+// column, and never compares rows. A value whose rows both sides would
+// contribute is an error. Either side may be nil.
+func spliceResiduals(nd int, hasAux bool, a *Residual, keep func(core.Value) bool, b *Residual) (*Residual, error) {
 	an, bn := 0, 0
 	if a != nil {
 		an = a.NumRows()
@@ -173,51 +183,53 @@ func mergeResiduals(nd int, hasAux bool, a, b *Residual) (*Residual, error) {
 	}
 	out := newResidual(nd, hasAux, an+bn)
 	i, j := 0, 0
-	for i < an && j < bn {
-		switch compareRows(a, i, b, j) {
-		case -1:
-			out.takeRow(a, i)
-			i++
-		case 1:
-			out.takeRow(b, j)
-			j++
+	for i < an || j < bn {
+		switch {
+		case j == bn || i < an && keyOrder(a.cols[0][i]) < keyOrder(b.cols[0][j]):
+			e := a.runEnd(i)
+			if keep == nil || keep(a.cols[0][i]) {
+				out.takeRun(a, i, e)
+			}
+			i = e
+		case i == an || keyOrder(b.cols[0][j]) < keyOrder(a.cols[0][i]):
+			e := b.runEnd(j)
+			out.takeRun(b, j, e)
+			j = e
+		case keep != nil && !keep(a.cols[0][i]):
+			i = a.runEnd(i)
 		default:
-			return nil, fmt.Errorf("cubestore: merge: duplicate residual row")
+			return nil, fmt.Errorf("cubestore: merge: both residuals hold rows of dimension-0 value %d", a.cols[0][i])
 		}
-	}
-	for ; i < an; i++ {
-		out.takeRow(a, i)
-	}
-	for ; j < bn; j++ {
-		out.takeRow(b, j)
 	}
 	return out, nil
 }
 
-// takeRow appends row i of src to out, the per-row step of the residual
-// merge and retain loops. Growth is amortized self-append (into
-// capacity newResidual sized up front where the caller knows it), so the
-// loops stay allocation-free in steady state.
-func (out *Residual) takeRow(src *Residual, i int) {
-	for d := range out.cols {
-		out.cols[d] = append(out.cols[d], src.cols[d][i])
-	}
-	out.counts = append(out.counts, src.counts[i])
-	if out.hasAux {
-		out.aux = append(out.aux, src.auxAt(i))
-	}
+// runEnd returns the end of the run of rows starting at i that share row i's
+// dimension-0 value.
+func (r *Residual) runEnd(i int) int {
+	col := r.cols[0]
+	v := col[i]
+	return i + sort.Search(len(col)-i, func(x int) bool { return col[i+x] != v })
 }
 
-// retain returns the rows whose value on dimension dim satisfies keep, in
-// order, with aggregates kept iff hasAux.
-func (r *Residual) retain(dim int, hasAux bool, keep func(core.Value) bool) *Residual {
-	out := newResidual(r.nd, hasAux, 0)
-	for i, v := range r.cols[dim] {
-		if keep(v) {
-			out.takeRow(r, i)
-		}
+// takeRun appends rows [lo, hi) of src to out, one append per column. Growth
+// is amortized self-append (into capacity newResidual sized up front where
+// the caller knows it).
+func (out *Residual) takeRun(src *Residual, lo, hi int) {
+	for d := range out.cols {
+		out.cols[d] = append(out.cols[d], src.cols[d][lo:hi]...)
 	}
-	return out
+	out.counts = append(out.counts, src.counts[lo:hi]...)
+	if !out.hasAux {
+		return
+	}
+	if src.aux != nil {
+		out.aux = append(out.aux, src.aux[lo:hi]...)
+		return
+	}
+	for ; lo < hi; lo++ {
+		out.aux = append(out.aux, 0)
+	}
 }
 
 // firstFailing returns the first value on dimension dim failing ok, if any.

@@ -427,7 +427,7 @@ func TestMergePartitionsResidual(t *testing.T) {
 	}
 	freshRes := ComputeResidual(sub.Cols, subAux, minsup, core.MeasureSum)
 
-	merged, err := s.MergePartitions(0, func(v core.Value) bool { return v == 1 }, freshBuilder(tbl.NumDims(), true, fresh...), freshRes)
+	merged, err := s.MergePartitions(0, func(v core.Value) bool { return v == 1 }, nil, freshBuilder(tbl.NumDims(), true, fresh...), freshRes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +453,7 @@ func TestMergePartitionsResidual(t *testing.T) {
 		}
 	}
 	// Dropping freshRes must drop the residual — honesty over optimism.
-	bare, err := s.MergePartitions(0, func(v core.Value) bool { return v == 1 }, freshBuilder(tbl.NumDims(), true, fresh...), nil)
+	bare, err := s.MergePartitions(0, func(v core.Value) bool { return v == 1 }, nil, freshBuilder(tbl.NumDims(), true, fresh...), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,6 @@ package cubestore
 import (
 	"bytes"
 	"fmt"
-	"iter"
 	"math/bits"
 	"sort"
 	"sync"
@@ -496,32 +495,6 @@ func (s *Store) Walk(visit func(core.Cell) bool) {
 		for i := 0; i < g.rows(); i++ {
 			if !visit(s.cellAt(g, i)) {
 				return
-			}
-		}
-	}
-}
-
-// RowsFixing yields every stored cell that fixes dim to a value keep accepts,
-// as (full-width values, count), cuboid mask ascending, key ascending. Unlike
-// Walk it materializes nothing: the values slice is one scratch buffer, valid
-// until the next cell is yielded. Incremental refresh streams the partitions
-// it retains through it.
-func (s *Store) RowsFixing(dim int, keep func(core.Value) bool) iter.Seq2[[]core.Value, int64] {
-	return func(yield func([]core.Value, int64) bool) {
-		vals := make([]core.Value, s.nd)
-		for _, g := range s.byDim[dim] {
-			for d := range vals {
-				vals[d] = core.Star
-			}
-			off := g.dimOffset(dim)
-			for i := 0; i < g.rows(); i++ {
-				if !keep(core.DecodeValue(g.row(i)[off:])) {
-					continue
-				}
-				g.decode(i, vals)
-				if !yield(vals, g.counts[i]) {
-					return
-				}
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package cubestore
 import (
 	"bytes"
 	"fmt"
-	"maps"
 	"math/rand"
 	"reflect"
 	"runtime/debug"
@@ -162,30 +161,6 @@ func TestSliceMatchesWalkFilter(t *testing.T) {
 				t.Fatalf("slice %v visited %v", q, c.Values)
 				return false
 			})
-		}
-	}
-}
-
-// TestRowsFixingMatchesWalkFilter checks the refresh's row visitor against
-// filtering a full Walk, for every dimension.
-func TestRowsFixingMatchesWalkFilter(t *testing.T) {
-	tbl := testTable(t, 500, []int{6, 5, 4}, 0.8, 17)
-	s := buildFromClosed(t, tbl, 1)
-	keep := func(v core.Value) bool { return v%2 == 0 }
-	for dim := 0; dim < s.NumDims(); dim++ {
-		want := map[string]int64{}
-		s.Walk(func(c core.Cell) bool {
-			if v := c.Values[dim]; v != core.Star && keep(v) {
-				want[c.Key()] = c.Count
-			}
-			return true
-		})
-		got := map[string]int64{}
-		for vals, count := range s.RowsFixing(dim, keep) {
-			got[core.CellKey(vals)] = count
-		}
-		if len(want) == 0 || !maps.Equal(got, want) {
-			t.Fatalf("dimension %d: %d rows, want the %d cells Walk keeps", dim, len(got), len(want))
 		}
 	}
 }

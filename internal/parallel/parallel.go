@@ -27,11 +27,7 @@
 // a cell is non-closed exactly when a one-step specialisation has the same
 // count, decided from aggregates already held rather than from the tuples.
 // Shard jobs record the projection and count of what they forward; when the
-// pool has drained each record probes the candidate index once. A refresh
-// cubes only the touched partitions, so the covering cell of a candidate
-// whose tuples all sit in an untouched partition is not re-emitted: RunSub
-// takes those cells (the old store's retained rows) as an iterator and probes
-// them the same way, so the rule has one implementation.
+// pool has drained each record probes the candidate index once.
 //
 // Shards follow the data. A shard mixing several values of dim cubes its
 // whole wildcard-on-dim slice only for the fixed-dimension filter to drop
@@ -54,16 +50,16 @@
 // Workers bucket copies are resident. The relation itself, the projection
 // pass and the recorded cells stay in memory either way.
 //
-// The decomposition has one implementation, RunSub, and three callers: Run (a
-// Workers > 1 build: shard jobs over the whole relation), the facade's
-// ComputePartitioned (Run with Buckets set) and internal/refresh (shard jobs
-// over the partitions a delta touched, the projection pass over the whole
-// edited relation, the old store's retained cells into the seam).
+// The decomposition has one implementation, RunSub. Run is a Workers > 1
+// build (shard jobs over the whole relation, the projection pass and the
+// seam), also behind the facade's ComputePartitioned (Run with Buckets set).
+// internal/refresh runs the shard jobs over the partitions a delta touched
+// and hands RunSub a wildcard job in place of the projection pass and the
+// seam: it re-aggregates only the wildcard cells the delta falls in.
 package parallel
 
 import (
 	"fmt"
-	"iter"
 	"math/bits"
 	"os"
 	"slices"
@@ -113,10 +109,11 @@ type Stats struct {
 	// Candidates is the number of closed cells of the projection cube, Killed
 	// how many of them the seam dropped. Every probe is one cell fixing the
 	// partition dimension looked up among the candidates: Recorded such cells
-	// came from this run's shard jobs, Retained from the caller's iterator,
-	// and Probes == Recorded + Retained — the seam never touches a tuple.
-	Candidates, Killed         int64
-	Recorded, Retained, Probes int64
+	// came from this run's shard jobs, and Probes == Recorded — the seam never
+	// touches a tuple. A run given a wildcard job has neither projection pass
+	// nor seam, and all of these are zero.
+	Candidates, Killed int64
+	Recorded, Probes   int64
 }
 
 // Run computes the cube of t with eng under ecfg, distributing the work
@@ -133,16 +130,17 @@ func Run(t *table.Table, eng *engine.Engine, ecfg engine.Config, cfg Config, out
 // sub-relation: sub must hold, for every partition-dimension value it
 // mentions, all of t's tuples with that value (incremental refresh passes the
 // partitions a delta touched; Run passes t). The shard jobs cube sub and keep
-// the cells fixing the partition dimension, while the projection pass sees
-// all of t, so the emitted set is the cells of t's cube that fix the
-// partition dimension to a value present in sub, plus every cell with a
-// wildcard on it. In closed mode retained must yield the closed cells of t's
-// cube that fix the partition dimension to a value absent from sub (full
-// width, the slice valid during the call only); nil when sub is t. cfg.Dim
+// the cells fixing the partition dimension. The cells with a wildcard on it
+// come from wildcard when it is non-nil: a pool job beside the shard jobs,
+// handed a goroutine-safe sink, in place of the projection pass and the seam.
+// With wildcard nil the projection pass sees all of t, so the emitted set is
+// the cells of t's cube that fix the partition dimension to a value present
+// in sub, plus every cell with a wildcard on it — in closed mode only when
+// sub is t, since the seam needs every cell fixing the dimension. cfg.Dim
 // must name the dimension when sub is a strict subset. A relation that cannot
 // be decomposed — fewer than two dimensions, or no tuples — is cubed whole,
-// which honours that contract only for sub == t.
-func RunSub(t, sub *table.Table, eng *engine.Engine, ecfg engine.Config, cfg Config, retained iter.Seq2[[]core.Value, int64], out sink.Sink) (Stats, error) {
+// which honours that contract only for sub == t and wildcard nil.
+func RunSub(t, sub *table.Table, eng *engine.Engine, ecfg engine.Config, cfg Config, wildcard func(sink.Sink) error, out sink.Sink) (Stats, error) {
 	var st Stats
 	workers := max(cfg.Workers, 1)
 	nd := t.NumDims()
@@ -200,28 +198,40 @@ func RunSub(t, sub *table.Table, eng *engine.Engine, ecfg engine.Config, cfg Con
 		}
 	}
 	st.Split = time.Since(start)
-	projDims := make([]int, 0, nd-1)
-	for d := 0; d < nd; d++ {
-		if d != dim {
-			projDims = append(projDims, d)
+	var pt *table.Table // the projection without dim, when no wildcard job replaces its pass
+	if wildcard == nil {
+		projDims := make([]int, 0, nd-1)
+		for d := 0; d < nd; d++ {
+			if d != dim {
+				projDims = append(projDims, d)
+			}
 		}
-	}
-	pt, err := t.Project(projDims)
-	if err != nil {
-		return st, err
+		var err error
+		if pt, err = t.Project(projDims); err != nil {
+			return st, err
+		}
 	}
 
 	merger := sink.NewMerger(out)
 	var sm *seam
-	if ecfg.Closed {
+	if ecfg.Closed && wildcard == nil {
 		sm = &seam{cellBuf: cellBuf{pw: nd - 1}, dim: dim}
 	}
 
-	// The projection pass is usually the longest job, so it goes first;
-	// shards follow largest-first to keep the pool balanced under skew.
+	// The wildcard job — the projection pass unless the caller brings its
+	// own — is usually the longest, so it goes first; shards follow
+	// largest-first to keep the pool balanced under skew.
 	sort.Slice(shardJobs, func(i, j int) bool { return shardJobs[i].tuples > shardJobs[j].tuples })
 	jobs := make([]func() error, 0, 1+len(shardJobs))
 	jobs = append(jobs, func() error {
+		if wildcard != nil {
+			w := merger.Worker()
+			if err := wildcard(w); err != nil {
+				return fmt.Errorf("parallel: wildcard job: %w", err)
+			}
+			w.Flush()
+			return nil
+		}
 		start := time.Now()
 		defer func() { st.Projection = time.Since(start) }()
 		if sm != nil {
@@ -269,27 +279,21 @@ func RunSub(t, sub *table.Table, eng *engine.Engine, ecfg engine.Config, cfg Con
 			return nil
 		})
 	}
-	err = runJobs(workers, jobs)
+	err := runJobs(workers, jobs)
 	st.ShardJobs = time.Duration(shardNanos.Load())
 	st.HeavyShards, st.BucketShards = int(heavyShards.Load()), int(bucketShards.Load())
 	if err != nil || sm == nil {
 		return st, err
 	}
 
-	// The seam: every cell fixing dim — recorded by this run's shard jobs or
-	// retained by the caller — probes the candidate index once.
+	// The seam: every cell fixing dim recorded by this run's shard jobs
+	// probes the candidate index once.
 	start = time.Now()
 	jobs = jobs[:0]
 	for _, rec := range recs {
 		st.Recorded += int64(len(rec.counts))
 		jobs = append(jobs, func() error {
 			sm.probeAll(&rec.cellBuf)
-			return nil
-		})
-	}
-	if retained != nil {
-		jobs = append(jobs, func() error {
-			st.Retained = sm.probeRetained(retained)
 			return nil
 		})
 	}
@@ -586,21 +590,6 @@ func (s *seam) probeAll(b *cellBuf) {
 		s.probe(b.vals[i*s.pw:(i+1)*s.pw], count)
 	}
 	s.probes.Add(int64(len(b.counts)))
-}
-
-// probeRetained probes the caller's full-width cells fixing dim and returns
-// how many it saw.
-func (s *seam) probeRetained(retained iter.Seq2[[]core.Value, int64]) int64 {
-	proj := make([]core.Value, s.pw)
-	var n int64
-	for vals, count := range retained {
-		copy(proj[:s.dim], vals[:s.dim])
-		copy(proj[s.dim:], vals[s.dim+1:])
-		s.probe(proj, count)
-		n++
-	}
-	s.probes.Add(n)
-	return n
 }
 
 // emitSurvivors emits every candidate no probe killed, widened back to the

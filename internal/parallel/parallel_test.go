@@ -2,7 +2,6 @@ package parallel
 
 import (
 	"fmt"
-	"iter"
 	"maps"
 	"math"
 	"math/rand"
@@ -102,33 +101,34 @@ func engineModes() []engine.Config {
 
 // subRelation splits a sequential cube the way an incremental refresh does:
 // the tuples of the touched partitions, the cells RunSub must then emit, and
-// the closed cells of the untouched partitions it is handed instead.
-func subRelation(tbl *table.Table, cells []core.Cell, dim int, touched func(core.Value) bool) (sub *table.Table, want []core.Cell, retained iter.Seq2[[]core.Value, int64]) {
+// a wildcard job that emits the sequential cube's cells with a wildcard on
+// dim, as a refresh's delta pass and retained cells together stand for them.
+func subRelation(tbl *table.Table, cells []core.Cell, dim int, touched func(core.Value) bool) (sub *table.Table, want []core.Cell, wildcard func(sink.Sink) error) {
 	var tids []core.TID
 	for tid, v := range tbl.Cols[dim] {
 		if touched(v) {
 			tids = append(tids, core.TID(tid))
 		}
 	}
-	var kept []core.Cell
+	var wild []core.Cell
 	for _, c := range cells {
 		if v := c.Values[dim]; v == core.Star || touched(v) {
 			want = append(want, c)
-		} else {
-			kept = append(kept, c)
+		}
+		if c.Values[dim] == core.Star {
+			wild = append(wild, c)
 		}
 	}
-	return tbl.Subset(tids), want, func(yield func([]core.Value, int64) bool) {
-		for _, c := range kept {
-			if !yield(c.Values, c.Count) {
-				return
-			}
+	return tbl.Subset(tids), want, func(out sink.Sink) error {
+		for _, c := range wild {
+			out.Emit(c.Values, c.Count, c.Aux)
 		}
+		return nil
 	}
 }
 
 // checkWork asserts the machine-independent work bound of a closed run: the
-// seam probed exactly the cells fixing dim it was given, the recorded ones
+// seam probed exactly the cells fixing dim the shard jobs recorded, those
 // are the emitted ones, and the survivors are the emitted wildcard slice —
 // nothing proportional to the tuple count.
 func checkWork(t *testing.T, st Stats, got []core.Cell, dim int) {
@@ -141,21 +141,29 @@ func checkWork(t *testing.T, st Stats, got []core.Cell, dim int) {
 			fixed++
 		}
 	}
-	if st.Probes != st.Recorded+st.Retained {
-		t.Fatalf("probes %d != recorded %d + retained %d", st.Probes, st.Recorded, st.Retained)
+	if st.Probes != st.Recorded {
+		t.Fatalf("probes %d != recorded %d", st.Probes, st.Recorded)
 	}
 	if st.Recorded != fixed || st.Candidates-st.Killed != wild {
 		t.Fatalf("stats %+v: emitted %d cells fixing dim %d and %d wildcard ones", st, fixed, dim, wild)
 	}
 }
 
+// checkNoSeam asserts that a run handed a wildcard job ran neither the
+// projection pass nor the seam.
+func checkNoSeam(t *testing.T, st Stats) {
+	t.Helper()
+	if st.Candidates != 0 || st.Killed != 0 || st.Recorded != 0 || st.Probes != 0 || st.Projection != 0 || st.Seam != 0 {
+		t.Fatalf("stats %+v: a run with a wildcard job has no projection pass and no seam", st)
+	}
+}
+
 // TestRunMatchesSequential is the core equivalence property: for every
 // engine, mode and dataset, the parallel driver emits cell-for-cell the same
 // cube as a direct sequential run — and, handed a sub-relation (a third of
-// the partition values, the shape an incremental refresh passes) with the
-// other partitions' closed cells, exactly the sequential cells fixing the
-// partition dimension to a value present in the sub-relation plus every cell
-// with a wildcard on it.
+// the partition values, the shape an incremental refresh passes) with a
+// wildcard job, exactly the sequential cells fixing the partition dimension
+// to a value present in the sub-relation plus the job's cells.
 func TestRunMatchesSequential(t *testing.T) {
 	for name, tbl := range testTables(t) {
 		shards := wantShards[name]
@@ -201,10 +209,10 @@ func TestRunMatchesSequential(t *testing.T) {
 					}
 
 					const dim = 0
-					sub, wantSub, retained := subRelation(tbl, want.Cells, dim, func(v core.Value) bool { return v%3 == 1 })
+					sub, wantSub, wildcard := subRelation(tbl, want.Cells, dim, func(v core.Value) bool { return v%3 == 1 })
 					for _, workers := range []int{1, 4} {
 						var got sink.Collector
-						st, err := RunSub(tbl, sub, eng, ecfg, Config{Workers: workers, Dim: dim}, retained, &got)
+						st, err := RunSub(tbl, sub, eng, ecfg, Config{Workers: workers, Dim: dim}, wildcard, &got)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -214,9 +222,7 @@ func TestRunMatchesSequential(t *testing.T) {
 						if st.HeavyShards > 0 != shards.subHeavy || st.BucketShards > 0 != shards.subBuckets {
 							t.Fatalf("workers %d: %d heavy and %d bucketed shards over the sub-relation", workers, st.HeavyShards, st.BucketShards)
 						}
-						if ecfg.Closed {
-							checkWork(t, st, got.Cells, dim)
-						}
+						checkNoSeam(t, st)
 					}
 				})
 			}
@@ -226,11 +232,11 @@ func TestRunMatchesSequential(t *testing.T) {
 
 // TestSeamRule pins the seam rule on a hand-built relation whose second and
 // third dimensions move together, so the projection's closed cells are the
-// apex and one (*, k, k) per k. Partitions 0 and 2 are touched, 1 is not.
+// apex and one (*, k, k) per k.
 func TestSeamRule(t *testing.T) {
 	rows := [][3]core.Value{
-		{0, 0, 0}, {0, 0, 0}, // (*,0,0):2 = minsup, all in touched partition 0: covered by a recomputed cell
-		{1, 1, 1}, {1, 1, 1}, {1, 1, 1}, // (*,1,1):3, all in untouched partition 1: covered by a retained cell
+		{0, 0, 0}, {0, 0, 0}, // (*,0,0):2 = minsup, all in partition 0: covered by (0,0,0):2
+		{1, 1, 1}, {1, 1, 1}, {1, 1, 1}, // (*,1,1):3, all in partition 1: covered by (1,1,1):3
 		{0, 2, 2}, {0, 2, 2}, {2, 2, 2}, // (*,2,2):3, (0,2,2):2 projects onto it with a smaller count: survives
 		{0, 3, 3}, {1, 3, 3}, // (*,3,3):2 = minsup, no partition reaches minsup: survives
 	}
@@ -242,16 +248,6 @@ func TestSeamRule(t *testing.T) {
 		}
 	}
 	ecfg := engine.Config{MinSup: 2, Closed: true}
-	touched := func(v core.Value) bool { return v != 1 }
-	wildcards := func(cells []core.Cell) map[string]int64 {
-		m := map[string]int64{}
-		for _, c := range cells {
-			if c.Values[0] == core.Star {
-				m[c.String()] = c.Count
-			}
-		}
-		return m
-	}
 	for _, eng := range engines(t) {
 		if !eng.Caps.Closed {
 			continue
@@ -261,34 +257,28 @@ func TestSeamRule(t *testing.T) {
 			if err := eng.Run(tbl, ecfg, &seq); err != nil {
 				t.Fatal(err)
 			}
-			sub, want, retained := subRelation(tbl, seq.Cells, 0, touched)
 			var got sink.Collector
-			st, err := RunSub(tbl, sub, eng, ecfg, Config{Workers: 2, Dim: 0}, retained, &got)
+			st, err := RunSub(tbl, tbl, eng, ecfg, Config{Workers: 2, Dim: 0}, nil, &got)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if diff := sink.DiffCells(got.Cells, want, 10); diff != "" {
+			if diff := sink.DiffCells(got.Cells, seq.Cells, 10); diff != "" {
 				t.Fatalf("differs from the sequential cells:\n%s", diff)
 			}
-			wantWild := map[string]int64{"(*, *, * : 10)": 10, "(*, b2, c2 : 3)": 3, "(*, b3, c3 : 2)": 2}
-			if w := wildcards(got.Cells); !maps.Equal(w, wantWild) {
-				t.Fatalf("wildcard slice %v, want %v", w, wantWild)
+			wild := map[string]int64{}
+			for _, c := range got.Cells {
+				if c.Values[0] == core.Star {
+					wild[c.String()] = c.Count
+				}
 			}
-			if st.Candidates != 5 || st.Killed != 2 || st.Retained == 0 {
-				t.Fatalf("stats %+v, want 5 candidates, 2 killed, some retained cells probed", st)
+			wantWild := map[string]int64{"(*, *, * : 10)": 10, "(*, b2, c2 : 3)": 3, "(*, b3, c3 : 2)": 2}
+			if !maps.Equal(wild, wantWild) {
+				t.Fatalf("wildcard slice %v, want %v", wild, wantWild)
+			}
+			if st.Candidates != 5 || st.Killed != 2 {
+				t.Fatalf("stats %+v, want 5 candidates, 2 killed", st)
 			}
 			checkWork(t, st, got.Cells, 0)
-
-			// Withheld, the retained cells are missed: the candidate only an
-			// untouched partition covers comes back.
-			got = sink.Collector{}
-			if st, err = RunSub(tbl, sub, eng, ecfg, Config{Workers: 2, Dim: 0}, nil, &got); err != nil {
-				t.Fatal(err)
-			}
-			wantWild["(*, b1, c1 : 3)"] = 3
-			if w := wildcards(got.Cells); !maps.Equal(w, wantWild) || st.Killed != 1 {
-				t.Fatalf("without retained cells: wildcard slice %v (%d killed), want %v (1 killed)", w, st.Killed, wantWild)
-			}
 		})
 	}
 }
@@ -296,7 +286,7 @@ func TestSeamRule(t *testing.T) {
 // TestRunRandomized draws small relations — dimensionality, cardinalities,
 // skew, size, engine, mode, threshold, pruning ablations, workers and touched
 // set per case — and
-// checks Run against the engine and RunSub with retained cells against the
+// checks Run against the engine and RunSub with a wildcard job against the
 // filtered sequential cube.
 func TestRunRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260117))
@@ -341,20 +331,18 @@ func TestRunRandomized(t *testing.T) {
 		}
 
 		dim, mod := rng.Intn(len(cards)), core.Value(1+rng.Intn(4))
-		sub, wantSub, retained := subRelation(tbl, want.Cells, dim, func(v core.Value) bool { return v%mod == 0 })
+		sub, wantSub, wildcard := subRelation(tbl, want.Cells, dim, func(v core.Value) bool { return v%mod == 0 })
 		cfg = Config{Workers: 1 + rng.Intn(4), Dim: dim, TempDir: tmp}
 		for _, cfg.Buckets = range []int{0, 1 + i%5} {
 			var got sink.Collector
-			st, err := RunSub(tbl, sub, eng, ecfg, cfg, retained, &got)
+			st, err := RunSub(tbl, sub, eng, ecfg, cfg, wildcard, &got)
 			if err != nil {
 				t.Fatal(label, err)
 			}
 			if diff := sink.DiffCells(got.Cells, wantSub, 10); diff != "" {
 				t.Fatalf("%s: RunSub on dimension %d, values %% %d == 0, %d buckets, differs from the filtered cube:\n%s", label, dim, mod, cfg.Buckets, diff)
 			}
-			if ecfg.Closed && len(cards) > 1 {
-				checkWork(t, st, got.Cells, dim)
-			}
+			checkNoSeam(t, st)
 		}
 	}
 }

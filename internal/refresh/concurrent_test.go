@@ -23,9 +23,9 @@ type bag map[string]int
 func (b bag) apply(nd int, vals []core.Value, kinds []byte, sign int) {
 	for i, k := range kinds {
 		if isTombstone(k) {
-			b[flatKey(nil, nd, vals, nil, i)] -= sign
+			b[string(flatKey(nil, nd, vals, nil, i))] -= sign
 		} else {
-			b[flatKey(nil, nd, vals, nil, i)] += sign
+			b[string(flatKey(nil, nd, vals, nil, i))] += sign
 		}
 	}
 }

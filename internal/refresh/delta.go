@@ -35,7 +35,7 @@ func applyDelta(t *table.Table, rows []core.Value, aux []float64, kinds []byte, 
 		if dels == nil {
 			dels = make(map[string]int)
 		}
-		dels[flatKey(buf, nd, rows, aux, i)]++
+		dels[string(flatKey(buf, nd, rows, aux, i))]++
 		nDeleted++
 	}
 
@@ -50,8 +50,8 @@ func applyDelta(t *table.Table, rows []core.Value, aux []float64, kinds []byte, 
 				a = t.Aux[tid]
 			}
 			k := rowKey(buf, t.Row(core.TID(tid), row), a, hasAux)
-			if dels[k] > 0 {
-				dels[k]--
+			if dels[string(k)] > 0 {
+				dels[string(k)]--
 				continue
 			}
 		}
@@ -63,8 +63,8 @@ func applyDelta(t *table.Table, rows []core.Value, aux []float64, kinds []byte, 
 			continue
 		}
 		if dels != nil {
-			if k := flatKey(buf, nd, rows, aux, i); dels[k] > 0 {
-				dels[k]--
+			if k := flatKey(buf, nd, rows, aux, i); dels[string(k)] > 0 {
+				dels[string(k)]--
 				continue
 			}
 		}

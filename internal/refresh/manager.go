@@ -2,35 +2,36 @@
 // appended tuples, delete tombstones, and update pairs buffer in a
 // write-ahead delta log and, on trigger (row threshold, timer, or explicit
 // flush), a refresh recomputes only the partitions of the leading
-// (partition) dimension whose values appear in the delta, merges the
+// (partition) dimension whose values appear in the delta and the wildcard
+// cells some delta row falls in, merges the
 // rebuilt closed-cell groups with the untouched ones into a fresh
 // cubestore.Store, and publishes the result with an atomic pointer swap —
 // in-flight queries finish on the old store while new queries see the new
 // one.
 //
-// Correctness rests on the partition invariant internal/parallel is built
-// on (paper Sec. 6.3): a closed cell fixing the
-// partition dimension aggregates tuples of exactly one partition, so cells
-// of untouched partitions are byte-identical before and after the edit and
-// can be retained; cells of touched partitions are recomputed from those
-// partitions' (possibly smaller) tuple sets; and cells with a wildcard on
-// the partition dimension — which any edit may change — are rebuilt from
-// the projection cube, minus the ones a cell fixing the partition dimension
-// covers with equal count. All of that is parallel.RunSub, the decomposition
-// a Workers > 1 materialization runs, with its shard jobs restricted to the
-// touched partitions' tuples and the retained cells handed to its seam in
-// place of the ones not recomputed; the cells stream into a cubestore.Builder
-// exactly as a build's do. The check is direction-agnostic: it knows nothing
-// about whether the relation grew or shrank, so the same machinery serves
-// appends, deletes, and updates, including partitions that shrink to empty
-// (their cells simply vanish from the merge). The refreshed store is
-// canonical: byte-identical to a from-scratch materialization of the edited
-// relation.
+// Correctness rests on two facts. The partition invariant internal/parallel
+// is built on (paper Sec. 6.3): a closed cell fixing the partition dimension
+// aggregates tuples of exactly one partition, so cells of untouched
+// partitions are byte-identical before and after the edit and can be
+// retained, and cells of touched partitions are recomputed from those
+// partitions' (possibly smaller) tuple sets by the shard jobs of
+// parallel.RunSub, the decomposition a Workers > 1 materialization runs. And
+// closedness is an algebraic measure (paper Sec. 3): a cell with a wildcard
+// on the partition dimension that no delta row matches keeps its tuple set,
+// hence its count, measure and closedness, and is retained too; the ones a
+// delta row does match are re-aggregated from the edited relation by one
+// pass over their tuples (deltaPass, slice.go), which runs as RunSub's
+// wildcard job beside the shard jobs. The cells stream into a
+// cubestore.Builder exactly as a build's do, and MergePartitions splices
+// them between the retained ones. Nothing here depends on whether the
+// relation grew or shrank, so the same machinery serves appends, deletes, and
+// updates, including partitions that shrink to empty (their cells simply
+// vanish from the merge). The refreshed store is canonical: byte-identical to
+// a from-scratch materialization of the edited relation.
 package refresh
 
 import (
 	"fmt"
-	"iter"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,6 +40,7 @@ import (
 	"ccubing/internal/cubestore"
 	"ccubing/internal/engine"
 	"ccubing/internal/parallel"
+	"ccubing/internal/sink"
 	"ccubing/internal/table"
 )
 
@@ -272,8 +274,9 @@ func (m *Manager) Metrics() Metrics {
 }
 
 // Flush folds the buffered delta — appends, tombstones, and update pairs —
-// into the relation, recomputes the touched partitions and the wildcard
-// slice, merges with the untouched cells, and publishes the new snapshot. An
+// into the relation, recomputes the touched partitions and the wildcard cells
+// the delta falls in, merges with the untouched cells, and publishes the new
+// snapshot. An
 // empty delta is a no-op that keeps the current generation. On error the
 // delta is returned to the buffer for a later retry and the published
 // snapshot is unchanged.
@@ -293,7 +296,7 @@ func (m *Manager) Flush() (Stats, error) {
 	fold := time.Since(start)
 	if err == nil {
 		// Dense over the partition dimension's values: it is consulted once per
-		// tuple, per retained store row, per residual row and per probed cell.
+		// tuple, per retained store row and per residual row.
 		affected := make([]bool, newBase.Cards[partitionDim])
 		touched := 0
 		for i := 0; i < n; i++ {
@@ -304,7 +307,7 @@ func (m *Manager) Flush() (Stats, error) {
 		}
 		var newStore *cubestore.Store
 		var rebuilt int64
-		newStore, rebuilt, err = m.rebuild(cur.Store, newBase, affected)
+		newStore, rebuilt, err = m.rebuild(cur.Store, newBase, rows, affected)
 		if err == nil {
 			publish := time.Now()
 			next := &Snapshot{
@@ -358,28 +361,34 @@ func (m *Manager) finishFlush(st Stats, werr error) (Stats, error) {
 	return st, nil
 }
 
-// rebuild computes the new store for the edited relation: the touched
-// partitions' cells and the wildcard slice are recomputed by the shared
-// decomposition straight into a builder, whose groups MergePartitions splices
-// between the old store's untouched ones. A relation that cannot be
-// decomposed (fewer than two dimensions) replaces every partition instead,
-// and one whose every tuple was deleted has no cells at all — the engines
-// assume at least one tuple, so nothing is run for it.
+// rebuild computes the new store for the edited relation t from the old one
+// and the delta rows that edited it (nd values each; affected marks their
+// partition-dimension values). The touched partitions' cells are recomputed
+// by the shared decomposition over those partitions' tuples, and the wildcard
+// cells the delta falls in by deltaPass, a pool job beside the shard jobs;
+// both stream into a builder whose groups MergePartitions splices between
+// the old store's untouched partitions and the wildcard cells no delta row
+// matches. A relation that cannot be decomposed (fewer than two dimensions)
+// replaces every cell instead, and one whose every tuple was deleted has no
+// cells at all — the engines assume at least one tuple, so nothing is run
+// for it.
 //
 // The iceberg residual follows the store: when the old store carries one, the
 // replacement partitions' residual is recomputed from their tuples and merged
 // group-style. When the old store lacks one — it was built without
 // SetResidual — the refreshed store stays residual-free, so it never claims
 // an exactness it cannot prove.
-func (m *Manager) rebuild(old *cubestore.Store, t *table.Table, affected []bool) (*cubestore.Store, int64, error) {
+func (m *Manager) rebuild(old *cubestore.Store, t *table.Table, delta []core.Value, affected []bool) (*cubestore.Store, int64, error) {
 	start := time.Now()
 	replaced := func(v core.Value) bool { return affected[v] }
 	sub := t
-	// The cells the seam needs besides the ones recomputed here: the old
-	// store's rows of untouched partitions, exactly those the merge retains.
-	var retained iter.Seq2[[]core.Value, int64]
+	var wildcard func(sink.Sink) error
+	var passTime time.Duration
+	var visits int64
 	if t.NumTuples() == 0 || m.nd < 2 {
-		replaced = func(core.Value) bool { return true }
+		// RunSub cubes the whole relation: every cell is replaced, and a nil
+		// delta tells MergePartitions the wildcard slice is whole too.
+		replaced, delta = func(core.Value) bool { return true }, nil
 	} else {
 		// Sub-relation: every tuple of a touched partition. Cells fixing the
 		// partition dimension to a touched value aggregate only these tuples,
@@ -392,7 +401,12 @@ func (m *Manager) rebuild(old *cubestore.Store, t *table.Table, affected []bool)
 			}
 		}
 		sub = t.Subset(tids)
-		retained = old.RowsFixing(partitionDim, func(v core.Value) bool { return !affected[v] })
+		pass := newDeltaPass(t, delta, m.cfg.ECfg)
+		wildcard = func(out sink.Sink) error {
+			start := time.Now()
+			defer func() { passTime, visits = time.Since(start), pass.visits }()
+			return pass.run(out)
+		}
 	}
 	selected := time.Since(start)
 	fresh := &cubestore.BuilderSink{B: cubestore.NewBuilder(m.nd, old.HasAux())}
@@ -400,7 +414,7 @@ func (m *Manager) rebuild(old *cubestore.Store, t *table.Table, affected []bool)
 	if t.NumTuples() > 0 {
 		var err error
 		pcfg := parallel.Config{Workers: m.cfg.Workers, Dim: partitionDim}
-		if pst, err = parallel.RunSub(t, sub, m.cfg.Eng, m.cfg.ECfg, pcfg, retained, fresh); err != nil {
+		if pst, err = parallel.RunSub(t, sub, m.cfg.Eng, m.cfg.ECfg, pcfg, wildcard, fresh); err != nil {
 			return nil, 0, fmt.Errorf("refresh: %w", err)
 		}
 	}
@@ -411,15 +425,13 @@ func (m *Manager) rebuild(old *cubestore.Store, t *table.Table, affected []bool)
 		// touched partitions' tuples are already globally correct.
 		freshRes = cubestore.ComputeResidual(sub.Cols, sub.Aux, m.cfg.ECfg.MinSup, m.cfg.ECfg.Measure)
 	}
-	s, err := old.MergePartitions(partitionDim, replaced, fresh.B, freshRes)
+	s, err := old.MergePartitions(partitionDim, replaced, delta, fresh.B, freshRes)
 	if err == nil {
 		// A store that merged is a store Flush publishes.
 		phaseShard.Observe(selected + pst.Split + pst.ShardJobs)
-		phaseFinalPass.Observe(pst.Projection)
-		phaseSeam.Observe(pst.Seam)
+		phaseDelta.Observe(passTime)
 		phaseMerge.Observe(time.Since(start))
-		seamProbes.Add(pst.Probes)
-		seamKilled.Add(pst.Killed)
+		deltaVisits.Add(visits)
 	}
 	return s, fresh.Cells, err
 }

@@ -179,11 +179,13 @@ func (m *Manager) validateAux(rows int, aux []float64) error {
 	return nil
 }
 
-// rowKey packs one tuple into a multiset key. On measure relations the
-// measure value participates: two tuples agreeing on every dimension but
-// carrying different measures are distinct occurrences, and a tombstone
-// names exactly which one leaves.
-func rowKey(buf []byte, vals []core.Value, aux float64, hasAux bool) string {
+// rowKey packs one tuple into a multiset key, in buf's storage. On measure
+// relations the measure value participates: two tuples agreeing on every
+// dimension but carrying different measures are distinct occurrences, and a
+// tombstone names exactly which one leaves. A lookup indexes with
+// m[string(key)], which does not allocate; only a key that is stored is
+// converted to a string.
+func rowKey(buf []byte, vals []core.Value, aux float64, hasAux bool) []byte {
 	buf = buf[:0]
 	for _, v := range vals {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
@@ -191,12 +193,12 @@ func rowKey(buf []byte, vals []core.Value, aux float64, hasAux bool) string {
 	if hasAux {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(aux))
 	}
-	return string(buf)
+	return buf
 }
 
 // flatKey is rowKey of row i of a flattened delta (nd values per row; aux is
 // nil on a relation without a measure).
-func flatKey(buf []byte, nd int, vals []core.Value, aux []float64, i int) string {
+func flatKey(buf []byte, nd int, vals []core.Value, aux []float64, i int) []byte {
 	if aux == nil {
 		return rowKey(buf, vals[i*nd:(i+1)*nd], 0, false)
 	}
@@ -217,7 +219,7 @@ func (m *Manager) baseTuples() map[string]int {
 		if m.hasAux {
 			aux = m.base.Aux[tid]
 		}
-		counts[rowKey(buf, m.base.Row(core.TID(tid), row), aux, m.hasAux)]++
+		counts[string(rowKey(buf, m.base.Row(core.TID(tid), row), aux, m.hasAux))]++
 	}
 	m.baseCounts = counts
 	return counts

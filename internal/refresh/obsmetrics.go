@@ -20,25 +20,20 @@ var (
 )
 
 // The phases of a published refresh, in order: the delta applied to the
-// relation; the touched tuples selected, split and cubed; the projection cube
-// of the whole relation; the seam's probes and the surviving wildcard cells;
-// the touched partitions' residual and MergePartitions; the snapshot swap and
-// WAL rewrite. shard, final_pass and seam are the decomposition's
-// (parallel.Stats): with Workers > 1 shard is summed over concurrent jobs and
-// overlaps final_pass, so the phases add up to ccubing_refresh_seconds only at
-// one worker.
+// relation; the touched tuples selected, split and cubed; the wildcard cells
+// the delta falls in, re-aggregated by deltaPass; the touched partitions'
+// residual and MergePartitions; the snapshot swap and WAL rewrite. shard and
+// delta are concurrent pool jobs of the decomposition (shard summed over its
+// jobs), so the phases add up to ccubing_refresh_seconds only at one worker.
 var (
-	phaseFold      = refreshPhase("fold")
-	phaseShard     = refreshPhase("shard")
-	phaseFinalPass = refreshPhase("final_pass")
-	phaseSeam      = refreshPhase("seam")
-	phaseMerge     = refreshPhase("merge")
-	phasePublish   = refreshPhase("publish")
+	phaseFold    = refreshPhase("fold")
+	phaseShard   = refreshPhase("shard")
+	phaseDelta   = refreshPhase("delta")
+	phaseMerge   = refreshPhase("merge")
+	phasePublish = refreshPhase("publish")
 
-	seamProbes = obs.Default.Counter("ccubing_refresh_seam_probes_total",
-		"Cells fixing the partition dimension (recomputed or retained) probed against the projection cube's candidates.")
-	seamKilled = obs.Default.Counter("ccubing_refresh_seam_killed_total",
-		"Projection-cube candidates the seam dropped: covered with equal count by a cell fixing the partition dimension.")
+	deltaVisits = obs.Default.Counter("ccubing_refresh_delta_visits_total",
+		"Tuple reads of the refresh's wildcard delta pass: one per tuple of each cell it folds, two per tuple and dimension it splits on.")
 )
 
 func refreshPhase(name string) *obs.Histogram {

@@ -260,20 +260,20 @@ func (s *staged) checkAvailable(b Batch, flat []core.Value, base map[string]int)
 	// tombstones touch (the log is a bounded backlog; one linear scan).
 	net := make(map[string]int)
 	for i, k := range b.Kinds {
-		keys[i] = flatKey(buf, nd, flat, b.Aux, i)
+		keys[i] = string(flatKey(buf, nd, flat, b.Aux, i))
 		if isTombstone(k) {
 			net[keys[i]] = 0
 		}
 	}
 	for i, k := range s.log.kinds {
 		key := flatKey(buf, nd, s.log.vals, s.log.aux, i)
-		if _, want := net[key]; !want {
+		if _, want := net[string(key)]; !want {
 			continue
 		}
 		if isTombstone(k) {
-			net[key]--
+			net[string(key)]--
 		} else {
-			net[key]++
+			net[string(key)]++
 		}
 	}
 	for i, k := range b.Kinds {

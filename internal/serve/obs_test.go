@@ -460,17 +460,15 @@ func TestStageHistogramsPopulated(t *testing.T) {
 		"ccubing_refresh_seconds_count",
 		`ccubing_refresh_phase_seconds_count{phase="fold"}`,
 		`ccubing_refresh_phase_seconds_count{phase="shard"}`,
-		`ccubing_refresh_phase_seconds_count{phase="final_pass"}`,
-		`ccubing_refresh_phase_seconds_count{phase="seam"}`,
+		`ccubing_refresh_phase_seconds_count{phase="delta"}`,
 		`ccubing_refresh_phase_seconds_count{phase="merge"}`,
 		`ccubing_refresh_phase_seconds_count{phase="publish"}`,
-		"ccubing_refresh_seam_probes_total",
+		"ccubing_refresh_delta_visits_total",
 	} {
 		if v := metricValue(t, text, series); v <= 0 {
 			t.Fatalf("%s = %g, want > 0", series, v)
 		}
 	}
-	metricValue(t, text, "ccubing_refresh_seam_killed_total") // present; this delta kills nothing
 
 	// Router stages: one scattered query populates scatter, merge and the
 	// per-worker histograms on the router's own registry.
