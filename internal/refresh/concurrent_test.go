@@ -206,7 +206,7 @@ func TestConcurrentWriters(t *testing.T) {
 		if got.Rows != int64(len(rows)) {
 			t.Fatalf("%s: snapshot has %d rows, want %d", what, got.Rows, len(rows))
 		}
-		if !bytes.Equal(snapshotBytes(t, got.Store), snapshotBytes(t, buildStoreFor(t, tableFromRows(t, rows, cards), 1))) {
+		if !bytes.Equal(snapshotBytes(t, got.Store), snapshotBytes(t, buildStoreFor(t, tableFromRows(t, rows, cards), 1, core.MeasureNone, false))) {
 			t.Fatalf("%s: published store differs from a from-scratch build of the acknowledged edits", what)
 		}
 	}

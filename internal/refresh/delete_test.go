@@ -133,7 +133,7 @@ func TestFlushDeleteUpdateMatchesRebuild(t *testing.T) {
 				if st.Appended+st.Deleted == 0 {
 					continue
 				}
-				want := buildStoreFor(t, tableFromRows(t, live, cards), minsup)
+				want := buildStoreFor(t, tableFromRows(t, live, cards), minsup, core.MeasureNone, false)
 				got := m.Snapshot().Store
 				if !bytes.Equal(snapshotBytes(t, got), snapshotBytes(t, want)) {
 					t.Fatalf("minsup=%d workers=%d trial=%d: edited store differs from rebuild (%d vs %d cells)",
@@ -179,7 +179,7 @@ func TestFlushPartitionShrinksToEmpty(t *testing.T) {
 		t.Fatalf("stats = %+v, want %d deleted", st, len(dels))
 	}
 	got := m.Snapshot().Store
-	want := buildStoreFor(t, tableFromRows(t, live, cards), 1)
+	want := buildStoreFor(t, tableFromRows(t, live, cards), 1, core.MeasureNone, false)
 	if !bytes.Equal(snapshotBytes(t, got), snapshotBytes(t, want)) {
 		t.Fatal("partition-shrinks-to-empty store differs from rebuild")
 	}
@@ -222,7 +222,7 @@ func TestFlushDeleteEverything(t *testing.T) {
 	if _, err := m.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	want := buildStoreFor(t, tableFromRows(t, delta, cards), 1)
+	want := buildStoreFor(t, tableFromRows(t, delta, cards), 1, core.MeasureNone, false)
 	if !bytes.Equal(snapshotBytes(t, m.Snapshot().Store), snapshotBytes(t, want)) {
 		t.Fatal("refresh from an emptied relation differs from rebuild")
 	}
@@ -265,7 +265,7 @@ func TestDeleteValidation(t *testing.T) {
 	if _, err := m.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	want := buildStoreFor(t, tableFromRows(t, [][]core.Value{{0, 0}, {0, 0}}, base.Cards), 1)
+	want := buildStoreFor(t, tableFromRows(t, [][]core.Value{{0, 0}, {0, 0}}, base.Cards), 1, core.MeasureNone, false)
 	if !bytes.Equal(snapshotBytes(t, m.Snapshot().Store), snapshotBytes(t, want)) {
 		t.Fatal("cancelled append+delete store differs from rebuild")
 	}
@@ -284,7 +284,7 @@ func TestDeleteValidation(t *testing.T) {
 	if _, err := m.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	want = buildStoreFor(t, tableFromRows(t, [][]core.Value{{0, 0}, {1, 1}}, base.Cards), 1)
+	want = buildStoreFor(t, tableFromRows(t, [][]core.Value{{0, 0}, {1, 1}}, base.Cards), 1, core.MeasureNone, false)
 	if !bytes.Equal(snapshotBytes(t, m.Snapshot().Store), snapshotBytes(t, want)) {
 		t.Fatal("update-chain store differs from rebuild")
 	}
@@ -302,7 +302,7 @@ func TestDeleteLabeledValidation(t *testing.T) {
 		table.DictFromNames([]string{"a0", "a1", "a2"}),
 		table.DictFromNames([]string{"b0", "b1", "b2"}),
 	}
-	m, err := NewManager(tbl, buildStoreFor(t, tbl, 1), dicts, Config{
+	m, err := NewManager(tbl, buildStoreFor(t, tbl, 1, core.MeasureNone, false), dicts, Config{
 		Eng: &qcdfs.Engine, ECfg: engine.Config{MinSup: 1, Closed: true},
 	})
 	if err != nil {
@@ -362,7 +362,7 @@ func TestUpdateLabeledWALFailureNoPhantomLabels(t *testing.T) {
 				table.DictFromNames([]string{"a0", "a1", "a2"}),
 				table.DictFromNames([]string{"b0", "b1", "b2"}),
 			}
-			m, err := NewManager(tbl, buildStoreFor(t, tbl, 1), dicts, Config{
+			m, err := NewManager(tbl, buildStoreFor(t, tbl, 1, core.MeasureNone, false), dicts, Config{
 				Eng: &qcdfs.Engine, ECfg: engine.Config{MinSup: 1, Closed: true},
 			})
 			if err != nil {
@@ -428,7 +428,7 @@ func TestWALReplayWithTombstones(t *testing.T) {
 	if st.Deleted != 3 || st.Appended != 3 {
 		t.Fatalf("stats = %+v, want 3 appended, 3 deleted", st)
 	}
-	want := buildStoreFor(t, tableFromRows(t, live, cards), 1)
+	want := buildStoreFor(t, tableFromRows(t, live, cards), 1, core.MeasureNone, false)
 	if !bytes.Equal(snapshotBytes(t, m2.Snapshot().Store), snapshotBytes(t, want)) {
 		t.Fatal("replayed tombstone refresh differs from rebuild")
 	}
@@ -454,7 +454,7 @@ func TestMergeToleratesEmptyPartitionReplacement(t *testing.T) {
 	if _, err := m.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	want := buildStoreFor(t, tableFromRows(t, rows[1:], base.Cards), 2)
+	want := buildStoreFor(t, tableFromRows(t, rows[1:], base.Cards), 2, core.MeasureNone, false)
 	if !bytes.Equal(snapshotBytes(t, m.Snapshot().Store), snapshotBytes(t, want)) {
 		t.Fatal("empty-replacement merge differs from rebuild")
 	}

@@ -16,12 +16,19 @@ import (
 	"ccubing/internal/table"
 )
 
-// buildStoreFor computes the closed iceberg cube of tbl and freezes it.
-func buildStoreFor(t testing.TB, tbl *table.Table, minsup int64) *cubestore.Store {
+// buildStoreFor computes the closed iceberg cube of tbl, storing the measure
+// kind folds over tbl.Aux (none: no measure), and freezes it — with the
+// residual of the iceberg pruning attached when residual is set.
+func buildStoreFor(t testing.TB, tbl *table.Table, minsup int64, kind core.MeasureKind, residual bool) *cubestore.Store {
 	t.Helper()
-	b := cubestore.NewBuilder(tbl.NumDims(), false)
-	if err := qcdfs.Engine.Run(tbl, engine.Config{MinSup: minsup, Closed: true}, &cubestore.BuilderSink{B: b}); err != nil {
+	b := cubestore.NewBuilder(tbl.NumDims(), kind != core.MeasureNone)
+	if err := qcdfs.Engine.Run(tbl, engine.Config{MinSup: minsup, Closed: true, Measure: kind}, &cubestore.BuilderSink{B: b}); err != nil {
 		t.Fatal(err)
+	}
+	if residual {
+		if err := b.SetResidual(cubestore.ComputeResidual(tbl.Cols, tbl.Aux, minsup, kind)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s, err := b.Build()
 	if err != nil {
@@ -34,7 +41,7 @@ func testManager(t testing.TB, tbl *table.Table, minsup int64, cfg Config) *Mana
 	t.Helper()
 	cfg.Eng = &qcdfs.Engine
 	cfg.ECfg = engine.Config{MinSup: minsup, Closed: true}
-	m, err := NewManager(tbl, buildStoreFor(t, tbl, minsup), nil, cfg)
+	m, err := NewManager(tbl, buildStoreFor(t, tbl, minsup, core.MeasureNone, false), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +138,7 @@ func TestFlushMatchesRebuild(t *testing.T) {
 				}
 
 				full := appendRows(base, flatten(delta), nil, nil)
-				want := buildStoreFor(t, full, minsup)
+				want := buildStoreFor(t, full, minsup, core.MeasureNone, false)
 				got := m.Snapshot().Store
 				if !bytes.Equal(snapshotBytes(t, got), snapshotBytes(t, want)) {
 					t.Fatalf("minsup=%d workers=%d trial=%d: refreshed store differs from rebuild (%d vs %d cells)",
@@ -248,7 +255,7 @@ func TestWALReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := appendRows(base, flatten(delta), nil, nil)
-	want := buildStoreFor(t, full, 1)
+	want := buildStoreFor(t, full, 1, core.MeasureNone, false)
 	if !bytes.Equal(snapshotBytes(t, m2.Snapshot().Store), snapshotBytes(t, want)) {
 		t.Fatal("replayed refresh differs from rebuild")
 	}
@@ -339,7 +346,7 @@ func TestBatchShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	dicts := []*table.Dict{table.DictFromNames([]string{"a0", "a1", "a2"}), table.DictFromNames([]string{"b0", "b1", "b2"})}
-	m, err := NewManager(tbl, buildStoreFor(t, tbl, 1), dicts, Config{
+	m, err := NewManager(tbl, buildStoreFor(t, tbl, 1, core.MeasureNone, false), dicts, Config{
 		Eng: &qcdfs.Engine, ECfg: engine.Config{MinSup: 1, Closed: true},
 	})
 	if err != nil {
@@ -390,7 +397,7 @@ func TestAppendLabeledValidatesBeforeCoding(t *testing.T) {
 		t.Fatal(err)
 	}
 	dicts := []*table.Dict{table.DictFromNames([]string{"a0", "a1", "a2"}), table.DictFromNames([]string{"b0", "b1", "b2"})}
-	m, err := NewManager(tbl, buildStoreFor(t, tbl, 1), dicts, Config{
+	m, err := NewManager(tbl, buildStoreFor(t, tbl, 1, core.MeasureNone, false), dicts, Config{
 		Eng: &qcdfs.Engine, ECfg: engine.Config{MinSup: 1, Closed: true},
 	})
 	if err != nil {
@@ -426,7 +433,7 @@ func TestSequentialRefreshes(t *testing.T) {
 		}
 		full = appendRows(full, flatten(delta), nil, nil)
 	}
-	want := buildStoreFor(t, full, 2)
+	want := buildStoreFor(t, full, 2, core.MeasureNone, false)
 	if !bytes.Equal(snapshotBytes(t, m.Snapshot().Store), snapshotBytes(t, want)) {
 		t.Fatal("chained refreshes diverge from rebuild")
 	}

@@ -107,7 +107,7 @@ func TestFlushWildcardTransitions(t *testing.T) {
 					}
 				}
 			}
-			want := buildStoreFor(t, tableFromRows(t, live, cards), minsup)
+			want := buildStoreFor(t, tableFromRows(t, live, cards), minsup, core.MeasureNone, false)
 			if !bytes.Equal(snapshotBytes(t, got), snapshotBytes(t, want)) {
 				t.Fatalf("refreshed store differs from rebuild: %v, want %v", storeCells(got), storeCells(want))
 			}

@@ -203,7 +203,7 @@ func TestRejectedWALStaysDetached(t *testing.T) {
 				table.DictFromNames([]string{"a0", "a1", "a2"}),
 				table.DictFromNames([]string{"b0", "b1", "b2"}),
 			}
-			m, err := NewManager(tbl, buildStoreFor(t, tbl, 1), dicts, Config{
+			m, err := NewManager(tbl, buildStoreFor(t, tbl, 1, core.MeasureNone, false), dicts, Config{
 				Eng: &qcdfs.Engine, ECfg: engine.Config{MinSup: 1, Closed: true},
 			})
 			if err != nil {
