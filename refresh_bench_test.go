@@ -58,24 +58,7 @@ func BenchmarkRefresh(b *testing.B) {
 	}
 
 	b.Run(fmt.Sprintf("incremental/delta=%d", len(delta)), func(b *testing.B) {
-		b.ReportAllocs()
-		var last RefreshStats
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			cube, err := Materialize(baseDS, Options{MinSup: minsup, Workers: workers})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := cube.AppendValues(delta, nil); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			if last, err = cube.Refresh(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(last.PartitionsRecomputed), "parts-recomputed/op")
-		b.ReportMetric(float64(last.PartitionsTotal), "parts-total/op")
+		benchAppendRefresh(b, baseDS, delta, Options{MinSup: minsup, Workers: workers})
 	})
 	b.Run(fmt.Sprintf("rebuild/delta=%d", len(delta)), func(b *testing.B) {
 		b.ReportAllocs()
@@ -85,6 +68,46 @@ func BenchmarkRefresh(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkRefreshSpread measures one incremental refresh of a 200-row append
+// spread over every one of the 64 leading-dimension partitions of
+// BenchmarkRefresh's relation: the scatter shape, where a refresh that recubed
+// each touched partition whole would recube the whole relation.
+func BenchmarkRefreshSpread(b *testing.B) {
+	base, delta := benchRefreshSetup(b, 64)
+	delta = delta[:200]
+	for i, row := range delta {
+		row[0] = int32(i % 64)
+	}
+	baseDS, err := NewDatasetFromValues(nil, base)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchAppendRefresh(b, baseDS, delta, Options{MinSup: 4, Workers: 4})
+}
+
+// benchAppendRefresh times one Refresh folding delta, appended to a cube
+// freshly materialized from base before each iteration.
+func benchAppendRefresh(b *testing.B, base *Dataset, delta [][]int32, opt Options) {
+	b.ReportAllocs()
+	var last RefreshStats
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cube, err := Materialize(base, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := cube.AppendValues(delta, nil); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if last, err = cube.Refresh(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(last.PartitionsRecomputed), "parts-recomputed/op")
+	b.ReportMetric(float64(last.PartitionsTotal), "parts-total/op")
 }
 
 // BenchmarkRefreshDelete measures a delete-heavy refresh: tombstones for
