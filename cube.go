@@ -169,15 +169,12 @@ func Materialize(ds *Dataset, opt Options) (*Cube, error) {
 			dicts[d] = table.DictFromNames(dict.Names())
 		}
 	}
-	// Attach the live-refresh manager: the cube keeps the relation so appends
-	// can fold in incrementally. The refresh recompute reuses the engine and
-	// config the build resolved to, so a refreshed store is byte-identical to
-	// a from-scratch rebuild.
-	cube.mgr, err = refresh.NewManager(ds.t, store, dicts, refresh.Config{
-		Eng:     plan.eng,
-		ECfg:    plan.ecfg,
-		Workers: plan.workers,
-	})
+	// Attach the live-refresh manager: the cube keeps the relation so edits
+	// can fold in incrementally. A refresh re-aggregates the cells the edits
+	// fall in at the build's minsup and measure, with no engine: the closed
+	// iceberg cube of a relation is unique, so a refreshed store is
+	// byte-identical to a from-scratch rebuild, whichever engine built it.
+	cube.mgr, err = refresh.NewManager(ds.t, store, dicts, plan.ecfg)
 	if err != nil {
 		return nil, fmt.Errorf("ccubing: materialize: %w", err)
 	}

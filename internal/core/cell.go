@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -63,6 +64,10 @@ func AppendValues(dst []byte, vals []Value, dims []int) []byte {
 	}
 	return dst
 }
+
+// KeyOrder maps a value to an integer that compares like the value's packed
+// (little-endian) key bytes: sorting values by it sorts their keys.
+func KeyOrder(v Value) uint32 { return bits.ReverseBytes32(uint32(v)) }
 
 // DecodeValue reads the value encoded at the start of b, inverting
 // AppendValue. It panics when b holds fewer than ValueWidth bytes.

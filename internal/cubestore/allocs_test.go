@@ -142,21 +142,21 @@ func icebergStore(t *testing.T) *Store {
 	return s
 }
 
-// TestResidualMergeAllocs gates the residual merge: it splices whole
-// partition runs, so merging a residual's partitions back together allocates
-// the output — the residual, its column list, nd value columns, counts and
-// aux — and nothing per row or per run.
+// TestResidualMergeAllocs gates the residual merge: it splices the runs
+// between the delta's keys, so merging half of a residual's rows back in as
+// fresh rows at their keys allocates the output — the residual, its column
+// list, nd value columns, counts and aux — and nothing per row or per run.
 func TestResidualMergeAllocs(t *testing.T) {
 	src := icebergStore(t).res
-	odd := func(v core.Value) bool { return v%2 == 1 }
-	even := func(v core.Value) bool { return v%2 == 0 }
+	var keys [][]byte
+	for i := 0; i < src.NumRows(); i += 2 {
+		keys = append(keys, src.key(i))
+	}
+	fresh := src.subset(func(i int) bool { return i%2 == 0 })
 	for _, hasAux := range []bool{false, true} {
-		a, err := spliceResiduals(src.nd, hasAux, src, odd, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var merged *Residual
-		n := allocs(100, func() { merged, err = spliceResiduals(src.nd, hasAux, src, even, a) })
+		var err error
+		n := allocs(100, func() { merged, err = spliceResidual(src.nd, hasAux, src, fresh, keys) })
 		if err != nil || merged.NumRows() != src.NumRows() {
 			t.Fatalf("hasAux=%v: merged %d of %d rows, %v", hasAux, merged.NumRows(), src.NumRows(), err)
 		}

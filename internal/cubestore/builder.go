@@ -1,5 +1,5 @@
 // Builder-side mutation of the cubestore structures: after Build (or Open, or
-// MergePartitions) returns a Store it is published to concurrent readers and
+// MergeDelta) returns a Store it is published to concurrent readers and
 // never written again. Only this file, snapshot.go, merge.go and residual.go
 // write Store and group fields.
 
@@ -16,7 +16,7 @@ import (
 
 // buildIndex derives the cuboid-lattice index from the sorted group list and
 // the per-dimension value bounds from every stored key and residual row;
-// called by Build, Open and MergePartitions once groups and res are final.
+// called by Build, Open and MergeDelta once groups and res are final.
 func (s *Store) buildIndex() {
 	s.byDim = make([][]*group, s.nd)
 	s.maxVal = make([]uint32, s.nd)
@@ -128,13 +128,22 @@ func sortGroups(groups []*group) {
 	sort.Slice(groups, func(i, j int) bool { return groups[i].mask < groups[j].mask })
 }
 
-// sortRows orders the group's rows by packed key and rejects duplicates.
+// sortRows orders the group's rows by packed key and rejects duplicates. Rows
+// already strictly ascending — a refresh's delta pass emits each cuboid in
+// key order — are left in place.
 func (g *group) sortRows() error {
 	n := g.rows()
 	if g.width == 0 {
 		if n > 1 {
 			return fmt.Errorf("cubestore: duplicate apex cell")
 		}
+		return nil
+	}
+	sorted := true
+	for i := 1; i < n && sorted; i++ {
+		sorted = bytes.Compare(g.row(i-1), g.row(i)) < 0
+	}
+	if sorted {
 		return nil
 	}
 	idx := make([]int, n)

@@ -1,65 +1,51 @@
-// MergePartitions assembles new Store and group values that are immutable
-// once the merged store is returned.
+// MergeDelta assembles new Store and group values that are immutable once the
+// merged store is returned.
 
 package cubestore
 
 import (
 	"bytes"
 	"fmt"
+	"hash/maphash"
+	"math/bits"
 	"slices"
 	"sort"
 
 	"ccubing/internal/core"
 )
 
-// This file implements the group-level merge constructor behind incremental
-// refresh (internal/refresh): a new store assembled from the cells of an
-// existing store that a delta left unchanged, plus freshly recomputed cells
-// for the ones it may have changed.
-//
-// The partition argument mirrors the sharded-computation invariant of
-// internal/parallel (paper Sec. 6.3): a closed cell fixing the partition
-// dimension aggregates tuples of exactly one partition, so its count, measure
-// and closedness are unaffected by edits to other partitions. A cell with a
-// wildcard on the partition dimension may aggregate tuples of any partition;
-// it is unchanged exactly when no edited row matches it on its fixed
-// dimensions, since count, measure and closedness are aggregates of its tuple
-// set.
+// This file implements the merge behind incremental refresh
+// (internal/refresh): a new store assembled from the cells of an existing
+// store that a delta left unchanged, plus freshly recomputed cells for the
+// ones it may have changed. A cell's count, measure and closedness are
+// aggregates of its tuple set, which changes exactly when an edited row
+// matches the cell on its fixed dimensions; the same holds for a residual row,
+// which fixes every dimension.
 
-// MergePartitions builds a new store from s by splitting its cells on dim:
+// MergeDelta builds a new store from s, edited by the rows of delta (nd values
+// each, appends and tombstones alike):
 //
-//   - cells fixing dim to a value for which replaced reports false are
-//     retained (copied group-wise, keeping their sorted order — no re-sort);
-//   - cells fixing dim to a replaced value are dropped;
-//   - a cell with a wildcard on dim is retained iff no row of delta (the
-//     edited rows, nd values each) matches it on the cell's fixed dimensions;
-//     a nil delta drops every such cell, for a fresh builder that holds the
-//     whole recomputed wildcard slice;
-//   - the cells accumulated in fresh are added in place of the dropped ones.
+//   - a cell of s is retained iff no delta row matches it on the cell's fixed
+//     dimensions (retained rows are copied in runs, keeping their sorted
+//     order);
+//   - the cells accumulated in fresh are added in place of the dropped ones;
+//   - a residual row of s is retained iff no delta row equals it, and the rows
+//     of freshRes are added in place of the dropped ones.
 //
 // fresh is consumed (like Build, it leaves the builder unusable): its cuboid
 // groups are sorted and spliced in directly, so the replacement cells are
 // never materialized one by one. It must match s's dimensionality and
-// measure flag, and each of its cells must take the place of a dropped one —
-// fix dim to a replaced value, or leave dim wildcard and be matched by a
-// delta row — otherwise a fresh cell could silently coexist with a retained
-// cell of the same tuple set, breaking the closed cube's one-cell-per-group-by
-// invariant; such cells are rejected. Duplicate keys (within the fresh cells,
-// or between fresh and retained cells) are also an error. The merged store is
-// canonical: its snapshot is byte-identical to one built from scratch over
-// the same cell set.
+// measure flag, and every fresh cell and residual row must take the place of
+// a dropped one — be matched by a delta row — otherwise it could silently
+// coexist with a retained one of the same tuple set, breaking the closed
+// cube's one-cell-per-group-by invariant; such rows are rejected, as are
+// duplicate fresh cells. The merged store is canonical: its snapshot is
+// byte-identical to one built from scratch over the same cell set.
 //
-// freshRes carries the residual of the replaced partitions' recomputation.
-// Residual rows fix every dimension, so they partition cleanly on dim: rows
-// of s's residual whose dim value is not replaced are retained, and
-// freshRes's rows (which must fix dim to replaced values) take the place of
-// the dropped ones. Passing freshRes nil produces a store without a residual
-// — callers must do so whenever s lacks one (the retained partitions' pruned
-// mass is unknown, so claiming exactness would be dishonest).
-func (s *Store) MergePartitions(dim int, replaced func(core.Value) bool, delta []core.Value, fresh *Builder, freshRes *Residual) (*Store, error) {
-	if dim < 0 || dim >= s.nd {
-		return nil, fmt.Errorf("cubestore: merge: dimension %d out of range (store has %d)", dim, s.nd)
-	}
+// Passing freshRes nil produces a store without a residual — callers must do
+// so whenever s lacks one (the unedited rows' pruned mass is unknown, so
+// claiming exactness would be dishonest).
+func (s *Store) MergeDelta(delta []core.Value, fresh *Builder, freshRes *Residual) (*Store, error) {
 	if fresh.nd != s.nd {
 		return nil, fmt.Errorf("cubestore: merge: fresh cells have %d dimensions, store has %d", fresh.nd, s.nd)
 	}
@@ -70,9 +56,6 @@ func (s *Store) MergePartitions(dim int, replaced func(core.Value) bool, delta [
 	freshGroups := fresh.groups
 	fresh.groups = nil
 	for _, g := range freshGroups {
-		if v, bad := g.firstFailing(dim, replaced); bad {
-			return nil, fmt.Errorf("cubestore: merge: fresh cell fixes dimension %d to unreplaced value %d", dim, v)
-		}
 		if err := g.sortRows(); err != nil {
 			return nil, fmt.Errorf("cubestore: merge: %w", err)
 		}
@@ -85,42 +68,27 @@ func (s *Store) MergePartitions(dim int, replaced func(core.Value) bool, delta [
 	}
 	// merge combines one cuboid's old rows (nil when s lacks the cuboid) with
 	// its fresh ones (nil when none were recomputed).
-	merge := func(g, fg *group) (*group, error) {
+	merge := func(g, fg *group) error {
 		like := g
 		if like == nil {
 			like = fg
 		}
-		switch {
-		case like.mask.Has(dim):
-			var kept *group
-			if g != nil {
-				kept = retainRows(g, dim, replaced)
-			}
-			return mergeGroupPair(kept, fg)
-		case delta == nil:
-			return fg, nil // the whole wildcard slice was recomputed
-		default:
-			return spliceTouched(g, fg, touchedKeys(delta, s.nd, like.dims), s.hasAux)
+		merged, err := spliceTouched(g, fg, touchedKeys(delta, s.nd, like.dims), s.hasAux)
+		if err == nil && merged.rows() > 0 {
+			out.groups = append(out.groups, merged)
 		}
+		return err
 	}
 	for _, g := range s.groups {
 		fg := freshGroups[g.mask]
 		delete(freshGroups, g.mask)
-		merged, err := merge(g, fg)
-		if err != nil {
+		if err := merge(g, fg); err != nil {
 			return nil, err
-		}
-		if merged != nil && merged.rows() > 0 {
-			out.groups = append(out.groups, merged)
 		}
 	}
 	for _, fg := range freshGroups {
-		merged, err := merge(nil, fg)
-		if err != nil {
+		if err := merge(nil, fg); err != nil {
 			return nil, err
-		}
-		if merged.rows() > 0 {
-			out.groups = append(out.groups, merged)
 		}
 	}
 	sortGroups(out.groups)
@@ -129,7 +97,10 @@ func (s *Store) MergePartitions(dim int, replaced func(core.Value) bool, delta [
 		out.cells += int64(g.rows())
 	}
 	if freshRes != nil {
-		res, err := s.mergeResidual(dim, replaced, freshRes)
+		if freshRes.nd != s.nd {
+			return nil, fmt.Errorf("cubestore: merge: fresh residual has %d dimensions, store has %d", freshRes.nd, s.nd)
+		}
+		res, err := spliceResidual(s.nd, s.hasAux, s.res, freshRes, touchedKeys(delta, s.nd, core.LowBits(s.nd).Dims(nil)))
 		if err != nil {
 			return nil, err
 		}
@@ -139,39 +110,39 @@ func (s *Store) MergePartitions(dim int, replaced func(core.Value) bool, delta [
 	return out, nil
 }
 
-// mergeResidual splits s's residual on dim like MergePartitions splits
-// cells: retained rows (dim value not replaced) plus freshRes's rows, which
-// must all fix dim to replaced values. Each partition is one run of rows, so
-// the merge splices runs (see spliceResiduals); that needs dim to be the
-// leading dimension of the residual's sort order.
-func (s *Store) mergeResidual(dim int, replaced func(core.Value) bool, freshRes *Residual) (*Residual, error) {
-	if freshRes.nd != s.nd {
-		return nil, fmt.Errorf("cubestore: merge: fresh residual has %d dimensions, store has %d", freshRes.nd, s.nd)
-	}
-	if dim != 0 {
-		return nil, fmt.Errorf("cubestore: merge: a residual splits on dimension 0 only, not %d", dim)
-	}
-	if v, bad := freshRes.firstFailing(dim, replaced); bad {
-		return nil, fmt.Errorf("cubestore: merge: fresh residual row fixes dimension %d to unreplaced value %d", dim, v)
-	}
-	return spliceResiduals(s.nd, s.hasAux, s.res, func(v core.Value) bool { return !replaced(v) }, freshRes)
-}
-
 // touchedKeys returns the keys the delta rows (nd values each) have in the
-// cuboid fixing dims: each row's values on dims in the packed codec, sorted
-// and deduplicated.
+// cuboid fixing dims: each row's values on dims in the packed codec,
+// deduplicated — low-dimensional cuboids give many rows few keys — then
+// sorted.
 func touchedKeys(delta []core.Value, nd int, dims []int) [][]byte {
 	n := len(delta) / nd
 	w := core.ValueWidth * len(dims)
-	flat := make([]byte, 0, n*w)
-	keys := make([][]byte, n)
-	for r := range keys {
+	flat := make([]byte, 0, n*w) // never regrown: the keys alias it
+	keys := make([][]byte, 0, n)
+	// Open addressing at a load factor below one half: key index + 1, 0 empty.
+	slots := make([]int32, 1<<bits.Len(uint(2*n)))
+	mask := uint64(len(slots) - 1)
+	for r := 0; r < n; r++ {
 		flat = core.AppendValues(flat, delta[r*nd:(r+1)*nd], dims)
-		keys[r] = flat[r*w : (r+1)*w]
+		key := flat[len(flat)-w:]
+		for i := maphash.Bytes(keySeed, key) & mask; ; i = (i + 1) & mask {
+			if slots[i] == 0 {
+				keys = append(keys, key)
+				slots[i] = int32(len(keys))
+				break
+			}
+			if bytes.Equal(keys[slots[i]-1], key) {
+				flat = flat[:len(flat)-w]
+				break
+			}
+		}
 	}
 	slices.SortFunc(keys, bytes.Compare)
-	return slices.CompactFunc(keys, bytes.Equal)
+	return keys
 }
+
+// keySeed seeds touchedKeys' hash.
+var keySeed = maphash.MakeSeed()
 
 // spliceTouched merges one wildcard cuboid: the rows of g (nil for none)
 // whose key is not among keys, the sorted delta keys, and the sorted fresh
@@ -225,92 +196,4 @@ func (g *group) take(src *group, lo, hi int) {
 	if g.aux != nil {
 		g.aux = append(g.aux, src.aux[lo:hi]...)
 	}
-}
-
-// dimOffset returns the byte offset of dimension dim's value within g's
-// packed rows, or -1 when g leaves dim wildcard.
-func (g *group) dimOffset(dim int) int {
-	for k, d := range g.dims {
-		if d == dim {
-			return k * core.ValueWidth
-		}
-	}
-	return -1
-}
-
-// firstFailing returns the first value a row of g fixes dim to that fails
-// ok, if any; a group with a wildcard on dim has none.
-func (g *group) firstFailing(dim int, ok func(core.Value) bool) (core.Value, bool) {
-	off := g.dimOffset(dim)
-	if off < 0 {
-		return 0, false
-	}
-	for i := 0; i < g.rows(); i++ {
-		if v := core.DecodeValue(g.row(i)[off:]); !ok(v) {
-			return v, true
-		}
-	}
-	return 0, false
-}
-
-// retainRows copies the rows of g whose value on dim is not replaced,
-// preserving their sorted order. g must fix dim. Returns nil when nothing
-// survives.
-func retainRows(g *group, dim int, replaced func(core.Value) bool) *group {
-	off := g.dimOffset(dim)
-	kept := &group{mask: g.mask, dims: g.dims, width: g.width}
-	for i := 0; i < g.rows(); i++ {
-		row := g.row(i)
-		if replaced(core.DecodeValue(row[off:])) {
-			continue
-		}
-		kept.keys = append(kept.keys, row...)
-		kept.counts = append(kept.counts, g.counts[i])
-		if g.aux != nil {
-			kept.aux = append(kept.aux, g.aux[i])
-		}
-	}
-	if kept.rows() == 0 {
-		return nil
-	}
-	return kept
-}
-
-// mergeGroupPair linearly merges two sorted groups of the same cuboid into
-// one, rejecting duplicate keys. Either side may be nil.
-func mergeGroupPair(a, b *group) (*group, error) {
-	if a == nil {
-		return b, nil
-	}
-	if b == nil {
-		return a, nil
-	}
-	if a.width == 0 {
-		// The apex cuboid holds at most one row; both sides non-empty means a
-		// duplicate (retainRows and Builder never emit empty groups).
-		return nil, fmt.Errorf("cubestore: merge: duplicate apex cell")
-	}
-	n, m := a.rows(), b.rows()
-	out := &group{mask: a.mask, dims: a.dims, width: a.width}
-	out.keys = make([]byte, 0, len(a.keys)+len(b.keys))
-	out.counts = make([]int64, 0, n+m)
-	if a.aux != nil {
-		out.aux = make([]float64, 0, n+m)
-	}
-	i, j := 0, 0
-	for i < n && j < m {
-		switch bytes.Compare(a.row(i), b.row(j)) {
-		case -1:
-			out.take(a, i, i+1)
-			i++
-		case 1:
-			out.take(b, j, j+1)
-			j++
-		default:
-			return nil, fmt.Errorf("cubestore: merge: duplicate cell in cuboid mask %#x", uint64(a.mask))
-		}
-	}
-	out.take(a, i, n)
-	out.take(b, j, m)
-	return out, nil
 }

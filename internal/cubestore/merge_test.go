@@ -23,7 +23,7 @@ func closedCells(t testing.TB, tbl *table.Table, minsup int64) []core.Cell {
 }
 
 // freshBuilder accumulates replacement cells the way a refresh does: straight
-// into a Builder, which MergePartitions consumes.
+// into a Builder, which MergeDelta consumes.
 func freshBuilder(nd int, hasAux bool, cells ...core.Cell) *Builder {
 	b := NewBuilder(nd, hasAux)
 	for _, c := range cells {
@@ -42,99 +42,88 @@ func storeBytes(t testing.TB, s *Store) []byte {
 	return buf.Bytes()
 }
 
-// TestMergePartitionsMatchesRebuild fuzzes the merge constructor: the closed
-// cube of a grown relation assembled by merging (retained cells of untouched
-// partitions + recomputed cells of touched partitions and of the wildcard
-// slice, all of it or only the cells the appended rows match) must be
-// byte-identical to the store built from scratch.
-func TestMergePartitionsMatchesRebuild(t *testing.T) {
+// matchedBy reports whether some row of delta (nd values each) matches the
+// cell vals on its fixed dimensions.
+func matchedBy(delta, vals []core.Value) bool {
+	nd := len(vals)
+	for r := 0; r < len(delta)/nd; r++ {
+		hit := true
+		for d, v := range vals {
+			hit = hit && (v == core.Star || v == delta[r*nd+d])
+		}
+		if hit {
+			return true
+		}
+	}
+	return false
+}
+
+// TestMergeDeltaMatchesRebuild fuzzes the merge constructor: the closed cube
+// of an edited relation assembled by merging (the old store's cells no edited
+// row matches + the new relation's cells that one does) must be
+// byte-identical to the store built from scratch. Each trial runs both ways:
+// the rows appended (old = base, new = base + rows) and deleted again (old =
+// base + rows, new = base).
+func TestMergeDeltaMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, minsup := range []int64{1, 3} {
 		for trial := 0; trial < 10; trial++ {
 			cards := []int{4 + rng.Intn(5), 5, 4, 3}
 			nd := len(cards)
-			dim := 0
 			base := testTable(t, 300+rng.Intn(200), cards, 0.8, int64(trial+10*int(minsup)))
 
-			// Grow the relation: appended tuples touch a strict subset of the
-			// leading-dimension partitions (including possibly a new value).
-			touched := map[core.Value]bool{core.Value(rng.Intn(cards[dim])): true}
-			if rng.Intn(2) == 0 {
-				touched[core.Value(cards[dim])] = true // brand-new partition
-			}
-			var touchedVals []core.Value
-			for v := range touched {
-				touchedVals = append(touchedVals, v)
-			}
+			// The edited rows: anywhere in the relation, a brand-new value of
+			// dimension 0 included.
 			nDelta := 30 + rng.Intn(40)
 			full := table.New(nd, base.NumTuples()+nDelta)
 			copy(full.Names, base.Names)
 			for d := 0; d < nd; d++ {
 				copy(full.Cols[d], base.Cols[d])
 			}
+			delta := make([]core.Value, 0, nDelta*nd)
 			for i := 0; i < nDelta; i++ {
 				tid := base.NumTuples() + i
-				full.Cols[dim][tid] = touchedVals[rng.Intn(len(touchedVals))]
-				for d := 1; d < nd; d++ {
-					full.Cols[d][tid] = core.Value(rng.Intn(cards[d]))
+				for d := 0; d < nd; d++ {
+					full.Cols[d][tid] = core.Value(rng.Intn(cards[d] + 1))
 				}
-			}
-			copy(full.Cards, cards)
-			full.Cards[dim]++ // room for the brand-new partition
-
-			// From-scratch store of the full relation: the reference.
-			fullCells := closedCells(t, full, minsup)
-			rb := NewBuilder(nd, false)
-			for _, c := range fullCells {
-				rb.Add(c.Values, c.Count, 0)
-			}
-			want, err := rb.Build()
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Merge path: old store + the full relation's cells restricted to
-			// replaced partitions and either the whole wildcard slice (nil
-			// delta) or its cells the appended rows match.
-			delta := make([]core.Value, 0, nDelta*nd)
-			for tid := base.NumTuples(); tid < full.NumTuples(); tid++ {
 				delta = append(delta, full.Row(core.TID(tid), nil)...)
 			}
-			matched := func(vals []core.Value) bool {
-				for r := 0; r < nDelta; r++ {
-					hit := true
-					for d, v := range vals {
-						hit = hit && (v == core.Star || v == delta[r*nd+d])
-					}
-					if hit {
-						return true
-					}
-				}
-				return false
+			for d := range cards {
+				full.Cards[d] = cards[d] + 1
 			}
-			for _, delta := range [][]core.Value{nil, delta} {
-				old := buildFromClosed(t, base, minsup)
+
+			for _, edit := range []struct {
+				name          string
+				before, after *table.Table
+			}{{"append", base, full}, {"delete", full, base}} {
+				newCells := closedCells(t, edit.after, minsup)
+				rb := NewBuilder(nd, false)
 				fresh := NewBuilder(nd, false)
-				for _, c := range fullCells {
-					if v := c.Values[dim]; v == core.Star && (delta == nil || matched(c.Values)) || v != core.Star && touched[v] {
+				for _, c := range newCells {
+					rb.Add(c.Values, c.Count, 0)
+					if matchedBy(delta, c.Values) {
 						fresh.Add(c.Values, c.Count, 0)
 					}
 				}
-				got, err := old.MergePartitions(dim, func(v core.Value) bool { return touched[v] }, delta, fresh, nil)
+				want, err := rb.Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := buildFromClosed(t, edit.before, minsup).MergeDelta(delta, fresh, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(storeBytes(t, got), storeBytes(t, want)) {
-					t.Fatalf("minsup=%d trial %d delta %v: merged store differs from rebuild (%d vs %d cells)",
-						minsup, trial, delta != nil, got.NumCells(), want.NumCells())
+					t.Fatalf("minsup=%d trial %d %s: merged store differs from rebuild (%d vs %d cells)",
+						minsup, trial, edit.name, got.NumCells(), want.NumCells())
 				}
 			}
 		}
 	}
 }
 
-// TestMergePartitionsAux checks measure values survive retention and merge.
-func TestMergePartitionsAux(t *testing.T) {
+// TestMergeDeltaAux checks measure values survive retention and merge.
+func TestMergeDeltaAux(t *testing.T) {
 	b := NewBuilder(2, true)
 	b.Add([]core.Value{0, 1}, 2, 1.5)
 	b.Add([]core.Value{1, 1}, 3, 2.5)
@@ -149,7 +138,7 @@ func TestMergePartitionsAux(t *testing.T) {
 		core.Cell{Values: []core.Value{1, 0}, Count: 1, Aux: 0.5},
 		core.Cell{Values: []core.Value{core.Star, 1}, Count: 6, Aux: 11.0},
 	)
-	m, err := s.MergePartitions(0, func(v core.Value) bool { return v == 1 }, nil, fresh, nil)
+	m, err := s.MergeDelta([]core.Value{1, 1, 1, 0}, fresh, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +149,8 @@ func TestMergePartitionsAux(t *testing.T) {
 	}{
 		{[]core.Value{0, 1}, 2, 1.5},          // retained
 		{[]core.Value{1, 1}, 4, 9.5},          // replaced
-		{[]core.Value{1, 0}, 1, 0.5},          // new cell in a replaced partition
-		{[]core.Value{core.Star, 1}, 6, 11.0}, // wildcard slice rebuilt
+		{[]core.Value{1, 0}, 1, 0.5},          // new cell
+		{[]core.Value{core.Star, 1}, 6, 11.0}, // replaced wildcard cell
 	} {
 		c, ok := m.Lookup(tc.q)
 		if !ok || c.Count != tc.count || c.Aux != tc.aux {
@@ -174,12 +163,12 @@ func TestMergePartitionsAux(t *testing.T) {
 	}
 }
 
-// TestMergePartitionsEmptyReplacement pins the tombstone regime: a replaced
-// partition may contribute no fresh cells at all (every tuple of it was
-// deleted, or iceberg pruning removed the survivors) — its old cells simply
+// TestMergeDeltaEmptyReplacement pins the tombstone regime: the cells a delta
+// matches may have no fresh replacement at all (every tuple of them was
+// deleted, or iceberg pruning removed the survivors) — the old cells simply
 // vanish, cuboid groups that empty out are dropped, and the merge may even
 // produce a store with zero cells.
-func TestMergePartitionsEmptyReplacement(t *testing.T) {
+func TestMergeDeltaEmptyReplacement(t *testing.T) {
 	b := NewBuilder(2, false)
 	b.Add([]core.Value{0, 1}, 2, 0)
 	b.Add([]core.Value{1, 1}, 3, 0)
@@ -189,10 +178,11 @@ func TestMergePartitionsEmptyReplacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Partition 1 vanishes with no replacements; the wildcard slice shrinks
-	// to the surviving partition's projection.
+	// Partition 1's tuples are deleted with no replacements; the wildcard
+	// cell shrinks to the surviving partition's tuples.
+	partition1 := []core.Value{1, 1, 1, 1, 1, 1, 1, 2}
 	fresh := freshBuilder(2, false, core.Cell{Values: []core.Value{core.Star, 1}, Count: 2})
-	m, err := s.MergePartitions(0, func(v core.Value) bool { return v == 1 }, nil, fresh, nil)
+	m, err := s.MergeDelta(partition1, fresh, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,12 +193,12 @@ func TestMergePartitionsEmptyReplacement(t *testing.T) {
 		t.Fatal("vanished partition still answers")
 	}
 	if c, ok := m.Lookup([]core.Value{core.Star, 1}); !ok || c.Count != 2 {
-		t.Fatalf("wildcard slice = (%v, %v), want count 2", c, ok)
+		t.Fatalf("wildcard cell = (%v, %v), want count 2", c, ok)
 	}
 
-	// Degenerate total wipe: every partition replaced, nothing fresh. The
-	// merged store is empty but fully functional.
-	empty, err := s.MergePartitions(0, func(core.Value) bool { return true }, nil, freshBuilder(2, false), nil)
+	// Degenerate total wipe: every tuple deleted, nothing fresh. The merged
+	// store is empty but fully functional.
+	empty, err := s.MergeDelta(append([]core.Value{0, 1, 0, 1}, partition1...), freshBuilder(2, false), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,43 +219,44 @@ func TestMergePartitionsEmptyReplacement(t *testing.T) {
 	}
 }
 
-// TestMergePartitionsRejects pins the misuse errors: wrong arity, a measure
-// flag the store does not share, a fresh cell fixing the partition dimension
-// to an unreplaced value, duplicates, a fresh wildcard cell the delta does
-// not touch.
-func TestMergePartitionsRejects(t *testing.T) {
+// TestMergeDeltaRejects pins the misuse errors: wrong arity, a measure flag
+// the store does not share, a fresh cell — fixing the leading dimension or
+// leaving it wildcard — or a fresh residual row that no delta row matches,
+// duplicates.
+func TestMergeDeltaRejects(t *testing.T) {
 	b := NewBuilder(2, false)
 	b.Add([]core.Value{0, 1}, 2, 0)
 	s, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	replaced := func(v core.Value) bool { return v == 1 }
-	if _, err := s.MergePartitions(5, replaced, nil, freshBuilder(2, false), nil); err == nil {
-		t.Fatal("out-of-range dimension must fail")
-	}
-	if _, err := s.MergePartitions(0, replaced, nil, freshBuilder(1, false, core.Cell{Values: []core.Value{1}}), nil); err == nil {
+	delta := []core.Value{1, 2}
+	if _, err := s.MergeDelta(delta, freshBuilder(1, false, core.Cell{Values: []core.Value{1}}), nil); err == nil {
 		t.Fatal("wrong-arity fresh cell must fail")
 	}
-	if _, err := s.MergePartitions(0, replaced, nil, freshBuilder(2, true, core.Cell{Values: []core.Value{1, 2}, Count: 1, Aux: 1}), nil); err == nil {
+	if _, err := s.MergeDelta(delta, freshBuilder(2, true, core.Cell{Values: []core.Value{1, 2}, Count: 1, Aux: 1}), nil); err == nil {
 		t.Fatal("fresh cells carrying a measure the store lacks must fail")
 	}
-	unreplaced := freshBuilder(2, false,
+	unmatched := freshBuilder(2, false,
 		core.Cell{Values: []core.Value{1, 2}, Count: 1},
 		core.Cell{Values: []core.Value{0, 2}, Count: 1},
 	)
-	if _, err := s.MergePartitions(0, replaced, nil, unreplaced, nil); err == nil {
-		t.Fatal("fresh cell in an unreplaced partition must fail")
+	if _, err := s.MergeDelta(delta, unmatched, nil); err == nil {
+		t.Fatal("fresh cell fixing dimension 0 to a value no delta row carries must fail")
 	}
 	dup := freshBuilder(2, false,
 		core.Cell{Values: []core.Value{1, 2}, Count: 1},
 		core.Cell{Values: []core.Value{1, 2}, Count: 1},
 	)
-	if _, err := s.MergePartitions(0, replaced, nil, dup, nil); err == nil {
+	if _, err := s.MergeDelta(delta, dup, nil); err == nil {
 		t.Fatal("duplicate fresh cells must fail")
 	}
 	untouched := freshBuilder(2, false, core.Cell{Values: []core.Value{core.Star, 1}, Count: 2})
-	if _, err := s.MergePartitions(0, replaced, []core.Value{1, 2}, untouched, nil); err == nil {
+	if _, err := s.MergeDelta(delta, untouched, nil); err == nil {
 		t.Fatal("fresh wildcard cell no delta row matches must fail")
+	}
+	stray := ComputeResidual(core.Columns{{0}, {2}}, nil, 2, core.MeasureNone)
+	if _, err := s.MergeDelta(delta, freshBuilder(2, false), stray); err == nil {
+		t.Fatal("fresh residual row no delta row equals must fail")
 	}
 }

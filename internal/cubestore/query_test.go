@@ -220,25 +220,37 @@ func scanStore(t *testing.T, tbl *table.Table, minsup int64, kind core.MeasureKi
 }
 
 // shippedCopy sends a store through every layout-sensitive path of the
-// residual — a MergePartitions that replaces a third of the dimension-0
-// values with the store's own cells and residual rows (spliced runs on both
-// sides), a snapshot save and load — and returns the
-// reassembled store, whose snapshot must equal the original's byte for byte.
+// residual — a MergeDelta whose delta is the full tuples of a third of the
+// dimension-0 values (its residual rows and fully fixed cells), replacing
+// every cell and residual row they match with the store's own (spliced runs
+// on both sides), a snapshot save and load — and returns the reassembled
+// store, whose snapshot must equal the original's byte for byte.
 func shippedCopy(t *testing.T, s *Store) *Store {
 	t.Helper()
-	replaced := func(v core.Value) bool { return uint32(v)%3 == 1 }
+	chosen := func(v core.Value) bool { return uint32(v)%3 == 1 }
+	var delta []core.Value
+	for i := 0; i < s.res.NumRows(); i++ {
+		if chosen(s.res.cols[0][i]) {
+			for _, col := range s.res.cols {
+				delta = append(delta, col[i])
+			}
+		}
+	}
+	s.Walk(func(c core.Cell) bool {
+		if core.AllMask(c.Values) == 0 && chosen(c.Values[0]) {
+			delta = append(delta, c.Values...)
+		}
+		return true
+	})
 	fresh := NewBuilder(s.NumDims(), s.HasAux())
 	s.Walk(func(c core.Cell) bool {
-		if v := c.Values[0]; v == core.Star || replaced(v) {
+		if matchedBy(delta, c.Values) {
 			fresh.Add(c.Values, c.Count, c.Aux)
 		}
 		return true
 	})
-	freshRes, err := spliceResiduals(s.nd, s.hasAux, s.res, replaced, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := s.MergePartitions(0, replaced, nil, fresh, freshRes)
+	freshRes := s.res.subset(func(i int) bool { return chosen(s.res.cols[0][i]) })
+	merged, err := s.MergeDelta(delta, fresh, freshRes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +277,7 @@ func shippedCopy(t *testing.T, s *Store) *Store {
 // relation — groups, counts, measures, rank order and the TopK prefix. It
 // runs on a store whose keys fit one word and on one whose value bounds
 // overflow 64 bits (three dimensions with values >= 2^22), each also after a
-// MergePartitions / snapshot round trip of the columnar residual.
+// MergeDelta / snapshot round trip of the columnar residual.
 func TestAggregateMatchesRelationScan(t *testing.T) {
 	cards := []int{9, 7, 6, 5, 4}
 	tbl := testTable(t, 1200, cards, 1.0, 77)

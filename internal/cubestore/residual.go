@@ -1,12 +1,11 @@
 // Residual construction is builder-side mutation: a Residual is immutable
 // after build()/ComputeResidual return, and Store.res is only assigned by the
-// builders (Build, Open, MergePartitions).
+// builders (Build, Open, MergeDelta).
 
 package cubestore
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 
@@ -64,15 +63,11 @@ func (r *Residual) auxAt(i int) float64 {
 	return r.aux[i]
 }
 
-// keyOrder maps a value to an integer that compares like the value's packed
-// (little-endian) key bytes.
-func keyOrder(v core.Value) uint32 { return bits.ReverseBytes32(uint32(v)) }
-
 // compareRows orders row i of a against row j of b by packed key.
 func compareRows(a *Residual, i int, b *Residual, j int) int {
 	for d := range a.cols {
 		if x, y := a.cols[d][i], b.cols[d][j]; x != y {
-			if keyOrder(x) < keyOrder(y) {
+			if core.KeyOrder(x) < core.KeyOrder(y) {
 				return -1
 			}
 			return 1
@@ -160,62 +155,56 @@ func (r *Residual) appendPacked(key string, count int64, aux float64) {
 	}
 }
 
-// mergeResiduals merges two sorted residuals that hold no dimension-0 value
-// in common (see spliceResiduals). Either side may be nil or empty; hasAux of
-// the result follows the arguments.
-func mergeResiduals(nd int, hasAux bool, a, b *Residual) (*Residual, error) {
-	return spliceResiduals(nd, hasAux, a, nil, b)
-}
-
-// spliceResiduals merges the rows of a whose dimension-0 value keep accepts
-// (all of them when keep is nil) with every row of b. Rows are sorted by
-// packed key, dimension 0 first, so each dimension-0 value's rows are one
-// contiguous run: the merge copies whole runs in key order, one append per
-// column, and never compares rows. A value whose rows both sides would
-// contribute is an error. Either side may be nil.
-func spliceResiduals(nd int, hasAux bool, a *Residual, keep func(core.Value) bool, b *Residual) (*Residual, error) {
-	an, bn := 0, 0
-	if a != nil {
-		an = a.NumRows()
+// spliceResidual merges the rows of r (nil for none) whose key is not among
+// keys — sorted full-width packed keys — with the sorted rows of fr, every one
+// of which must be among keys. The rows between two keys are copied as one
+// run, one append per column.
+func spliceResidual(nd int, hasAux bool, r, fr *Residual, keys [][]byte) (*Residual, error) {
+	n, m := 0, fr.NumRows()
+	if r != nil {
+		n = r.NumRows()
 	}
-	if b != nil {
-		bn = b.NumRows()
-	}
-	out := newResidual(nd, hasAux, an+bn)
+	out := newResidual(nd, hasAux, n+m)
 	i, j := 0, 0
-	for i < an || j < bn {
-		switch {
-		case j == bn || i < an && keyOrder(a.cols[0][i]) < keyOrder(b.cols[0][j]):
-			e := a.runEnd(i)
-			if keep == nil || keep(a.cols[0][i]) {
-				out.takeRun(a, i, e)
-			}
-			i = e
-		case i == an || keyOrder(b.cols[0][j]) < keyOrder(a.cols[0][i]):
-			e := b.runEnd(j)
-			out.takeRun(b, j, e)
-			j = e
-		case keep != nil && !keep(a.cols[0][i]):
-			i = a.runEnd(i)
-		default:
-			return nil, fmt.Errorf("cubestore: merge: both residuals hold rows of dimension-0 value %d", a.cols[0][i])
+	for _, key := range keys {
+		p := i + sort.Search(n-i, func(x int) bool { return r.compareKey(i+x, key) >= 0 })
+		out.takeRun(r, i, p)
+		i = p
+		if i < n && r.compareKey(i, key) == 0 {
+			i++ // its multiplicity changed: dropped, and replaced by the fresh row if it is still below minsup
 		}
+		if j < m && fr.compareKey(j, key) == 0 {
+			out.takeRun(fr, j, j+1)
+			j++
+		}
+	}
+	out.takeRun(r, i, n)
+	if j < m {
+		return nil, fmt.Errorf("cubestore: merge: fresh residual row %d matches no delta row", j)
 	}
 	return out, nil
 }
 
-// runEnd returns the end of the run of rows starting at i that share row i's
-// dimension-0 value.
-func (r *Residual) runEnd(i int) int {
-	col := r.cols[0]
-	v := col[i]
-	return i + sort.Search(len(col)-i, func(x int) bool { return col[i+x] != v })
+// compareKey orders row i against a full-width packed key.
+func (r *Residual) compareKey(i int, key []byte) int {
+	for d, col := range r.cols {
+		if x, y := core.KeyOrder(col[i]), core.KeyOrder(core.DecodeValue(key[d*core.ValueWidth:])); x != y {
+			if x < y {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
 }
 
 // takeRun appends rows [lo, hi) of src to out, one append per column. Growth
 // is amortized self-append (into capacity newResidual sized up front where
 // the caller knows it).
 func (out *Residual) takeRun(src *Residual, lo, hi int) {
+	if lo == hi {
+		return
+	}
 	for d := range out.cols {
 		out.cols[d] = append(out.cols[d], src.cols[d][lo:hi]...)
 	}
@@ -230,16 +219,6 @@ func (out *Residual) takeRun(src *Residual, lo, hi int) {
 	for ; lo < hi; lo++ {
 		out.aux = append(out.aux, 0)
 	}
-}
-
-// firstFailing returns the first value on dimension dim failing ok, if any.
-func (r *Residual) firstFailing(dim int, ok func(core.Value) bool) (core.Value, bool) {
-	for _, v := range r.cols[dim] {
-		if !ok(v) {
-			return v, true
-		}
-	}
-	return 0, false
 }
 
 // selectivitySample is how many evenly spaced rows selectRows tests a
@@ -297,7 +276,7 @@ func foldResidual[K aggKey](r *Residual, sel []int32, fields []keyField, gmask K
 	for _, i := range sel {
 		var key K
 		for _, f := range fields {
-			putField(&key, f, keyOrder(r.cols[f.dim][i]))
+			putField(&key, f, core.KeyOrder(r.cols[f.dim][i]))
 		}
 		if combos.find(key) != nil {
 			continue

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -333,59 +334,71 @@ func TestResidualSnapshotEveryByteFlip(t *testing.T) {
 	rejectEveryCorruption(t, storeBytes(t, buildWithResidual(t, tbl, 3, core.MeasureSum)))
 }
 
-// TestMergeResiduals checks the sorted-merge constructor: disjoint unions
-// merge in key order, duplicates are rejected, nil sides are fine.
-func TestMergeResiduals(t *testing.T) {
+// TestSpliceResidual checks the residual's key splice: old rows whose key is
+// among the delta's keys are dropped, fresh rows are taken in key order, a
+// fresh row no key names is rejected, and a nil old residual is fine.
+func TestSpliceResidual(t *testing.T) {
 	// Rows (1,1)x1 sum 2 and (3,0)x2 sum 4; then (0,5)x1 sum 1 and (2,2)x1 sum 9.
 	a := ComputeResidual(core.Columns{{3, 1, 3}, {0, 1, 0}}, []float64{1, 2, 3}, 3, core.MeasureSum)
 	b := ComputeResidual(core.Columns{{2, 0}, {2, 5}}, []float64{9, 1}, 3, core.MeasureSum)
-	m, err := mergeResiduals(2, true, a, b)
+	keys := [][]byte{b.key(0), b.key(1), a.key(1)} // (0,5), (2,2), (3,0)
+	m, err := spliceResidual(2, true, a, b, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rows := m.Rows()
-	if len(rows) != 4 {
-		t.Fatalf("merged %d rows, want 4", len(rows))
+	want := []ResidualRow{{[]core.Value{0, 5}, 1, 1}, {[]core.Value{1, 1}, 1, 2}, {[]core.Value{2, 2}, 1, 9}}
+	if len(rows) != len(want) {
+		t.Fatalf("spliced %d rows, want %d", len(rows), len(want))
 	}
-	wantFirst := []core.Value{0, 5}
-	for d, v := range wantFirst {
-		if rows[0].Values[d] != v {
-			t.Fatalf("merge not in key order: first row %v", rows[0].Values)
+	for i, r := range rows {
+		if !slices.Equal(r.Values, want[i].Values) || r.Count != want[i].Count || r.Aux != want[i].Aux {
+			t.Fatalf("row %d = %+v, want %+v", i, r, want[i])
 		}
 	}
-	if _, err := mergeResiduals(2, true, a, a); err == nil {
-		t.Fatal("merging overlapping residuals must fail")
+	if _, err := spliceResidual(2, true, a, b, keys[:1]); err == nil {
+		t.Fatal("a fresh row no key names must fail")
 	}
-	onlyA, err := mergeResiduals(2, true, a, nil)
-	if err != nil || onlyA.NumRows() != a.NumRows() {
-		t.Fatalf("nil side must pass through, got (%d rows, %v)", onlyA.NumRows(), err)
-	}
-	neither, err := mergeResiduals(2, true, nil, nil)
-	if err != nil || neither.NumRows() != 0 {
-		t.Fatalf("nil merge must yield empty residual, got (%v, %v)", neither, err)
+	onlyB, err := spliceResidual(2, true, nil, b, keys)
+	if err != nil || onlyB.NumRows() != b.NumRows() {
+		t.Fatalf("nil old residual must pass the fresh rows through, got (%d rows, %v)", onlyB.NumRows(), err)
 	}
 }
 
-// TestMergePartitionsResidual checks the refresh path end to end at the store
-// layer: replacing one partition with freshly recomputed cells plus the
-// partition's fresh residual yields the same residual — and the same exact
-// aggregates — as rebuilding from scratch over the updated relation.
-func TestMergePartitionsResidual(t *testing.T) {
+// TestMergeDeltaResidual checks the refresh path end to end at the store
+// layer: re-applying one partition's tuples as a delta, with the cells they
+// match and the residual at their keys freshly recomputed, yields the same
+// residual — and the same exact aggregates — as the store it started from.
+func TestMergeDeltaResidual(t *testing.T) {
 	const minsup = 3
 	tbl := testTable(t, 500, []int{5, 6, 4}, 1.0, 47)
 	s := buildWithResidual(t, tbl, minsup, core.MeasureSum)
 
-	// "Refresh" partition dim0==1 with the same data. MergePartitions drops
-	// replaced-partition cells AND the whole wildcard-on-dim slice, so fresh
-	// carries the full relation's cells restricted to both (as the facade's
-	// refresh does), with brute-force stored sums.
+	// The delta: every tuple of partition dim0 == 1, its data unchanged.
+	// MergeDelta drops every cell a delta row matches, so fresh carries the
+	// relation's cells those rows match (as a refresh's delta pass does), with
+	// brute-force stored sums.
+	var delta []core.Value
+	var subRows [][]core.Value
+	var subAux []float64
+	for tid := 0; tid < tbl.NumTuples(); tid++ {
+		if tbl.Cols[0][tid] == 1 {
+			row := tbl.Row(core.TID(tid), nil)
+			delta = append(delta, row...)
+			subRows = append(subRows, row)
+			subAux = append(subAux, tupleAux(tbl, tid))
+		}
+	}
+	if len(subRows) == 0 {
+		t.Fatal("test table has no tuples in the replaced partition")
+	}
 	col := &sink.Collector{}
 	if err := qcdfs.Engine.Run(tbl, engine.Config{MinSup: minsup, Closed: true}, col); err != nil {
 		t.Fatal(err)
 	}
 	var fresh []core.Cell
 	for _, c := range col.Cells {
-		if v := c.Values[0]; v != core.Star && v != 1 {
+		if !matchedBy(delta, c.Values) {
 			continue
 		}
 		a := core.StoredIdentity(core.MeasureSum)
@@ -403,39 +416,24 @@ func TestMergePartitionsResidual(t *testing.T) {
 		}
 		fresh = append(fresh, core.Cell{Values: c.Values, Count: c.Count, Aux: a})
 	}
-	// The fresh residual comes from the replaced partition's sub-relation
-	// alone: residual rows fix every dimension, so the dim0==1 groups of the
-	// full relation are exactly the sub-relation's groups.
-	var subRows [][]core.Value
-	var subAux []float64
-	for tid := 0; tid < tbl.NumTuples(); tid++ {
-		if tbl.Cols[0][tid] == 1 {
-			row := make([]core.Value, tbl.NumDims())
-			for d := range row {
-				row[d] = tbl.Cols[d][tid]
-			}
-			subRows = append(subRows, row)
-			subAux = append(subAux, tupleAux(tbl, tid))
-		}
-	}
-	if len(subRows) == 0 {
-		t.Fatal("test table has no tuples in the replaced partition")
-	}
+	// The fresh residual comes from the delta's partition alone: residual rows
+	// fix every dimension, so the rows at the delta's keys are exactly that
+	// partition's groups.
 	sub, err := table.FromRows(subRows)
 	if err != nil {
 		t.Fatal(err)
 	}
 	freshRes := ComputeResidual(sub.Cols, subAux, minsup, core.MeasureSum)
 
-	merged, err := s.MergePartitions(0, func(v core.Value) bool { return v == 1 }, nil, freshBuilder(tbl.NumDims(), true, fresh...), freshRes)
+	merged, err := s.MergeDelta(delta, freshBuilder(tbl.NumDims(), true, fresh...), freshRes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !merged.HasResidual() {
 		t.Fatal("merge with freshRes must carry a residual")
 	}
-	// The residual is engine-independent: merging the partition recomputation
-	// must reproduce the full-relation residual exactly.
+	// The residual is engine-independent: merging the recomputed rows must
+	// reproduce the full-relation residual exactly.
 	wantRows := s.Residual().Rows()
 	gotRows := merged.Residual().Rows()
 	if len(gotRows) != len(wantRows) {
@@ -453,7 +451,7 @@ func TestMergePartitionsResidual(t *testing.T) {
 		}
 	}
 	// Dropping freshRes must drop the residual — honesty over optimism.
-	bare, err := s.MergePartitions(0, func(v core.Value) bool { return v == 1 }, nil, freshBuilder(tbl.NumDims(), true, fresh...), nil)
+	bare, err := s.MergeDelta(delta, freshBuilder(tbl.NumDims(), true, fresh...), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,3 +505,23 @@ func (r *Residual) Rows() []ResidualRow {
 
 // Residual returns the attached residual summary, or nil.
 func (s *Store) Residual() *Residual { return s.res }
+
+// key returns row i's full-width packed key.
+func (r *Residual) key(i int) []byte {
+	var key []byte
+	for _, col := range r.cols {
+		key = core.AppendValue(key, col[i])
+	}
+	return key
+}
+
+// subset returns the rows keep accepts, in order.
+func (r *Residual) subset(keep func(row int) bool) *Residual {
+	out := newResidual(r.nd, r.hasAux, 0)
+	for i := 0; i < r.NumRows(); i++ {
+		if keep(i) {
+			out.takeRun(r, i, i+1)
+		}
+	}
+	return out
+}

@@ -124,7 +124,7 @@ type fieldMatch struct {
 }
 
 // Store is an immutable, concurrency-safe closed-cube query index. Frozen:
-// after Build/Open/MergePartitions publish a Store, its fields (and its
+// after Build/Open/MergeDelta publish a Store, its fields (and its
 // groups') are never written again; only the builder files (builder.go,
 // snapshot.go, merge.go, residual.go) write them. TestConcurrentQueries holds
 // this under -race: concurrent readers over the whole read API leave the

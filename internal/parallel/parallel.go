@@ -37,25 +37,21 @@
 // (1.17 s -> 0.62 s). But every engine run pays set-up proportional to the
 // cardinalities, so a shard per value loses when values are many and small
 // (2.2 s against 0.93 s hashed at 120k tuples over 20 000 values). The rule,
-// computed from the sub-relation: a value holding at least Cards[dim] tuples
+// computed from the relation: a value holding at least Cards[dim] tuples
 // is a shard by itself, the light tail is hashed into 4×Workers buckets.
 //
 // Where a shard's tuples sit is a property of the shard job, not a second
-// driver. In memory, one scatter groups the sub-relation by shard and each job
-// is handed its view. With Config.Buckets set the sub-relation is spilled
-// instead (internal/partition: at most Buckets files, value modulo the count,
-// since every file is open during the scan) and each job loads one file, cuts
+// driver. In memory, one scatter groups the relation by shard and each job is
+// handed its view. With Config.Buckets set the relation is spilled instead
+// (internal/partition: at most Buckets files, value modulo the count, since
+// every file is open during the scan) and each job loads one file, cuts
 // it by the same rule — a heavy value hashed in with others would lose its
 // Lemma 5 pruning — cubes the pieces and lets the bucket go, so at most
 // Workers bucket copies are resident. The relation itself, the projection
 // pass and the recorded cells stay in memory either way.
 //
-// The decomposition has one implementation, RunSub. Run is a Workers > 1
-// build (shard jobs over the whole relation, the projection pass and the
-// seam), also behind the facade's ComputePartitioned (Run with Buckets set).
-// internal/refresh runs the shard jobs over the partitions a delta touched
-// and hands RunSub a wildcard job in place of the projection pass and the
-// seam: it re-aggregates only the wildcard cells the delta falls in.
+// Run is the decomposition, behind a Workers > 1 build and the facade's
+// ComputePartitioned (Run with Buckets set).
 package parallel
 
 import (
@@ -84,7 +80,7 @@ type Config struct {
 	// the highest cardinality (whose fixed cells — the bulk of the cube —
 	// then spread across the most shards).
 	Dim int
-	// Buckets above zero runs the shard jobs out of core: the sub-relation is
+	// Buckets above zero runs the shard jobs out of core: the relation is
 	// spilled into at most that many bucket files in a directory created
 	// under TempDir (the system one when empty) and removed on return, and
 	// each shard job loads one file, so at most Workers bucket copies are
@@ -98,7 +94,7 @@ type Config struct {
 // reports.
 type Stats struct {
 	// Split, Projection and Seam are wall times: assigning and scattering the
-	// sub-relation into shards (or spilling it), cubing the projection without
+	// relation into shards (or spilling it), cubing the projection without
 	// the partition dimension (with the candidate index, in closed mode), and
 	// probing that index then emitting the survivors. ShardJobs is summed over
 	// the shard jobs — their busy time, equal to wall time at one worker.
@@ -110,8 +106,7 @@ type Stats struct {
 	// how many of them the seam dropped. Every probe is one cell fixing the
 	// partition dimension looked up among the candidates: Recorded such cells
 	// came from this run's shard jobs, and Probes == Recorded — the seam never
-	// touches a tuple. A run given a wildcard job has neither projection pass
-	// nor seam, and all of these are zero.
+	// touches a tuple.
 	Candidates, Killed int64
 	Recorded, Probes   int64
 }
@@ -122,25 +117,13 @@ type Stats struct {
 // nondeterministic order. The emitted cell set is identical to
 // eng.Run(t, ecfg, out).
 func Run(t *table.Table, eng *engine.Engine, ecfg engine.Config, cfg Config, out sink.Sink) error {
-	_, err := RunSub(t, t, eng, ecfg, cfg, nil, out)
+	_, err := run(t, eng, ecfg, cfg, out)
 	return err
 }
 
-// RunSub is the decomposition itself, with the shard jobs restricted to a
-// sub-relation: sub must hold, for every partition-dimension value it
-// mentions, all of t's tuples with that value (incremental refresh passes the
-// partitions a delta touched; Run passes t). The shard jobs cube sub and keep
-// the cells fixing the partition dimension. The cells with a wildcard on it
-// come from wildcard when it is non-nil: a pool job beside the shard jobs,
-// handed a goroutine-safe sink, in place of the projection pass and the seam.
-// With wildcard nil the projection pass sees all of t, so the emitted set is
-// the cells of t's cube that fix the partition dimension to a value present
-// in sub, plus every cell with a wildcard on it — in closed mode only when
-// sub is t, since the seam needs every cell fixing the dimension. cfg.Dim
-// must name the dimension when sub is a strict subset. A relation that cannot
-// be decomposed — fewer than two dimensions, or no tuples — is cubed whole,
-// which honours that contract only for sub == t and wildcard nil.
-func RunSub(t, sub *table.Table, eng *engine.Engine, ecfg engine.Config, cfg Config, wildcard func(sink.Sink) error, out sink.Sink) (Stats, error) {
+// run is Run, reporting the decomposition's Stats. A relation that cannot be
+// decomposed — fewer than two dimensions, or no tuples — is cubed whole.
+func run(t *table.Table, eng *engine.Engine, ecfg engine.Config, cfg Config, out sink.Sink) (Stats, error) {
 	var st Stats
 	workers := max(cfg.Workers, 1)
 	nd := t.NumDims()
@@ -170,14 +153,14 @@ func RunSub(t, sub *table.Table, eng *engine.Engine, ecfg engine.Config, cfg Con
 			return st, fmt.Errorf("parallel: %w", err)
 		}
 		defer os.RemoveAll(dir)
-		nb := min(cfg.Buckets, sub.Cards[dim])
-		buckets, err := partition.Spill(sub, dim, modShards(sub.Cards[dim], nb), nb, dir)
+		nb := min(cfg.Buckets, t.Cards[dim])
+		buckets, err := partition.Spill(t, dim, modShards(t.Cards[dim], nb), nb, dir)
 		if err != nil {
 			return st, err
 		}
 		for _, b := range buckets {
 			shardJobs = append(shardJobs, shardJob{b.Tuples, func() ([]*table.Table, error) {
-				bt, err := partition.Load(b, sub)
+				bt, err := partition.Load(b, t)
 				if err != nil {
 					return nil, err
 				}
@@ -188,7 +171,7 @@ func RunSub(t, sub *table.Table, eng *engine.Engine, ecfg engine.Config, cfg Con
 			}})
 		}
 	} else {
-		shards, heavy := cut(sub, dim, workers)
+		shards, heavy := cut(t, dim, workers)
 		heavyShards.Store(int64(heavy))
 		bucketShards.Store(int64(len(shards) - heavy))
 		for _, shard := range shards {
@@ -198,40 +181,28 @@ func RunSub(t, sub *table.Table, eng *engine.Engine, ecfg engine.Config, cfg Con
 		}
 	}
 	st.Split = time.Since(start)
-	var pt *table.Table // the projection without dim, when no wildcard job replaces its pass
-	if wildcard == nil {
-		projDims := make([]int, 0, nd-1)
-		for d := 0; d < nd; d++ {
-			if d != dim {
-				projDims = append(projDims, d)
-			}
+	projDims := make([]int, 0, nd-1)
+	for d := 0; d < nd; d++ {
+		if d != dim {
+			projDims = append(projDims, d)
 		}
-		var err error
-		if pt, err = t.Project(projDims); err != nil {
-			return st, err
-		}
+	}
+	pt, err := t.Project(projDims) // the projection without dim
+	if err != nil {
+		return st, err
 	}
 
 	merger := sink.NewMerger(out)
 	var sm *seam
-	if ecfg.Closed && wildcard == nil {
+	if ecfg.Closed {
 		sm = &seam{cellBuf: cellBuf{pw: nd - 1}, dim: dim}
 	}
 
-	// The wildcard job — the projection pass unless the caller brings its
-	// own — is usually the longest, so it goes first; shards follow
-	// largest-first to keep the pool balanced under skew.
+	// The projection pass is usually the longest job, so it goes first;
+	// shards follow largest-first to keep the pool balanced under skew.
 	sort.Slice(shardJobs, func(i, j int) bool { return shardJobs[i].tuples > shardJobs[j].tuples })
 	jobs := make([]func() error, 0, 1+len(shardJobs))
 	jobs = append(jobs, func() error {
-		if wildcard != nil {
-			w := merger.Worker()
-			if err := wildcard(w); err != nil {
-				return fmt.Errorf("parallel: wildcard job: %w", err)
-			}
-			w.Flush()
-			return nil
-		}
 		start := time.Now()
 		defer func() { st.Projection = time.Since(start) }()
 		if sm != nil {
@@ -279,7 +250,7 @@ func RunSub(t, sub *table.Table, eng *engine.Engine, ecfg engine.Config, cfg Con
 			return nil
 		})
 	}
-	err := runJobs(workers, jobs)
+	err = runJobs(workers, jobs)
 	st.ShardJobs = time.Duration(shardNanos.Load())
 	st.HeavyShards, st.BucketShards = int(heavyShards.Load()), int(bucketShards.Load())
 	if err != nil || sm == nil {
@@ -311,22 +282,22 @@ type shardJob struct {
 	load   func() ([]*table.Table, error)
 }
 
-// cut splits sub — the sub-relation, or one loaded bucket of it — into its
+// cut splits t — the relation, or one loaded bucket of it — into its
 // non-empty shards by the rule of assignShards.
-func cut(sub *table.Table, dim, workers int) (shards []*table.Table, heavy int) {
-	shardOf, ns, heavy := assignShards(sub, dim, workers)
-	return splitShards(sub, dim, shardOf, ns), heavy
+func cut(t *table.Table, dim, workers int) (shards []*table.Table, heavy int) {
+	shardOf, ns, heavy := assignShards(t, dim, workers)
+	return splitShards(t, dim, shardOf, ns), heavy
 }
 
-// assignShards maps every value of sub's partition dimension to one of ns
+// assignShards maps every value of t's partition dimension to one of ns
 // shards, from the value counts alone: a value holding at least Cards[dim]
 // tuples is a shard by itself (the last heavy of the ns), the rest are hashed
 // into min(4×workers, Cards[dim]) buckets. See the package comment for why
 // the threshold is the cardinality.
-func assignShards(sub *table.Table, dim, workers int) (shardOf []int32, ns, heavy int) {
-	card := sub.Cards[dim]
+func assignShards(t *table.Table, dim, workers int) (shardOf []int32, ns, heavy int) {
+	card := t.Cards[dim]
 	counts := make([]int, card)
-	for _, v := range sub.Cols[dim] {
+	for _, v := range t.Cols[dim] {
 		counts[v]++
 	}
 	buckets := max(min(4*workers, card), 1)
@@ -350,7 +321,7 @@ func modShards(card, ns int) []int32 {
 }
 
 // ShardTables splits t into ns sub-tables on dimension dim, value % ns
-// picking the shard: the all-bucketed case of the assignment RunSub computes.
+// picking the shard: the all-bucketed case of the assignment Run computes.
 func ShardTables(t *table.Table, dim, ns int) []*table.Table {
 	return splitShards(t, dim, modShards(t.Cards[dim], ns), ns)
 }

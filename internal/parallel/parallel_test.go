@@ -28,7 +28,7 @@ import (
 // relation per shard kind of the assignment: Zipf-skewed over more values
 // than the light ones hold tuples (heavy and bucketed shards coexist), more
 // values than tuples (no heavy value), and one value holding every tuple (one
-// heavy shard, and an empty sub-relation once that value is left untouched).
+// heavy shard).
 func testTables(t *testing.T) map[string]*table.Table {
 	t.Helper()
 	synth := func(cfg gen.Config) *table.Table {
@@ -55,15 +55,15 @@ func testTables(t *testing.T) map[string]*table.Table {
 	}
 }
 
-// wantShards is what the assignment must produce on each test table, whole
-// and restricted to the partition values v%3 == 1: the tables exist to force
-// each shard kind, so a drifting generator or rule fails here.
-var wantShards = map[string]struct{ heavy, buckets, subHeavy, subBuckets bool }{
-	"skewed":    {true, true, true, true},
-	"dependent": {true, true, true, true},
-	"zipf":      {true, true, true, true},
-	"sparse":    {false, true, false, true},
-	"onevalue":  {true, false, false, false},
+// wantShards is what the assignment must produce on each test table: the
+// tables exist to force each shard kind, so a drifting generator or rule
+// fails here.
+var wantShards = map[string]struct{ heavy, buckets bool }{
+	"skewed":    {true, true},
+	"dependent": {true, true},
+	"zipf":      {true, true},
+	"sparse":    {false, true},
+	"onevalue":  {true, false},
 }
 
 // spilledTables are the relations the suites also run out of core, one per
@@ -99,34 +99,6 @@ func engineModes() []engine.Config {
 	}
 }
 
-// subRelation splits a sequential cube the way an incremental refresh does:
-// the tuples of the touched partitions, the cells RunSub must then emit, and
-// a wildcard job that emits the sequential cube's cells with a wildcard on
-// dim, as a refresh's delta pass and retained cells together stand for them.
-func subRelation(tbl *table.Table, cells []core.Cell, dim int, touched func(core.Value) bool) (sub *table.Table, want []core.Cell, wildcard func(sink.Sink) error) {
-	var tids []core.TID
-	for tid, v := range tbl.Cols[dim] {
-		if touched(v) {
-			tids = append(tids, core.TID(tid))
-		}
-	}
-	var wild []core.Cell
-	for _, c := range cells {
-		if v := c.Values[dim]; v == core.Star || touched(v) {
-			want = append(want, c)
-		}
-		if c.Values[dim] == core.Star {
-			wild = append(wild, c)
-		}
-	}
-	return tbl.Subset(tids), want, func(out sink.Sink) error {
-		for _, c := range wild {
-			out.Emit(c.Values, c.Count, c.Aux)
-		}
-		return nil
-	}
-}
-
 // checkWork asserts the machine-independent work bound of a closed run: the
 // seam probed exactly the cells fixing dim the shard jobs recorded, those
 // are the emitted ones, and the survivors are the emitted wildcard slice —
@@ -149,21 +121,9 @@ func checkWork(t *testing.T, st Stats, got []core.Cell, dim int) {
 	}
 }
 
-// checkNoSeam asserts that a run handed a wildcard job ran neither the
-// projection pass nor the seam.
-func checkNoSeam(t *testing.T, st Stats) {
-	t.Helper()
-	if st.Candidates != 0 || st.Killed != 0 || st.Recorded != 0 || st.Probes != 0 || st.Projection != 0 || st.Seam != 0 {
-		t.Fatalf("stats %+v: a run with a wildcard job has no projection pass and no seam", st)
-	}
-}
-
 // TestRunMatchesSequential is the core equivalence property: for every
 // engine, mode and dataset, the parallel driver emits cell-for-cell the same
-// cube as a direct sequential run — and, handed a sub-relation (a third of
-// the partition values, the shape an incremental refresh passes) with a
-// wildcard job, exactly the sequential cells fixing the partition dimension
-// to a value present in the sub-relation plus the job's cells.
+// cube as a direct sequential run.
 func TestRunMatchesSequential(t *testing.T) {
 	for name, tbl := range testTables(t) {
 		shards := wantShards[name]
@@ -193,7 +153,7 @@ func TestRunMatchesSequential(t *testing.T) {
 					}
 					for _, cfg := range cfgs {
 						var got sink.Collector
-						st, err := RunSub(tbl, tbl, eng, ecfg, cfg, nil, &got)
+						st, err := run(tbl, eng, ecfg, cfg, &got)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -206,23 +166,6 @@ func TestRunMatchesSequential(t *testing.T) {
 						if ecfg.Closed {
 							checkWork(t, st, got.Cells, max(cfg.Dim, 0))
 						}
-					}
-
-					const dim = 0
-					sub, wantSub, wildcard := subRelation(tbl, want.Cells, dim, func(v core.Value) bool { return v%3 == 1 })
-					for _, workers := range []int{1, 4} {
-						var got sink.Collector
-						st, err := RunSub(tbl, sub, eng, ecfg, Config{Workers: workers, Dim: dim}, wildcard, &got)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if diff := sink.DiffCells(got.Cells, wantSub, 10); diff != "" {
-							t.Fatalf("workers %d: sub-relation output differs from the sequential cells it should keep:\n%s", workers, diff)
-						}
-						if st.HeavyShards > 0 != shards.subHeavy || st.BucketShards > 0 != shards.subBuckets {
-							t.Fatalf("workers %d: %d heavy and %d bucketed shards over the sub-relation", workers, st.HeavyShards, st.BucketShards)
-						}
-						checkNoSeam(t, st)
 					}
 				})
 			}
@@ -258,7 +201,7 @@ func TestSeamRule(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got sink.Collector
-			st, err := RunSub(tbl, tbl, eng, ecfg, Config{Workers: 2, Dim: 0}, nil, &got)
+			st, err := run(tbl, eng, ecfg, Config{Workers: 2, Dim: 0}, &got)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -284,10 +227,8 @@ func TestSeamRule(t *testing.T) {
 }
 
 // TestRunRandomized draws small relations — dimensionality, cardinalities,
-// skew, size, engine, mode, threshold, pruning ablations, workers and touched
-// set per case — and
-// checks Run against the engine and RunSub with a wildcard job against the
-// filtered sequential cube.
+// skew, size, engine, mode, threshold, pruning ablations and workers per
+// case — and checks Run against the engine.
 func TestRunRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260117))
 	engs := engines(t)
@@ -329,21 +270,6 @@ func TestRunRandomized(t *testing.T) {
 				t.Fatalf("%s: Run with %d buckets differs from the engine:\n%s", label, cfg.Buckets, diff)
 			}
 		}
-
-		dim, mod := rng.Intn(len(cards)), core.Value(1+rng.Intn(4))
-		sub, wantSub, wildcard := subRelation(tbl, want.Cells, dim, func(v core.Value) bool { return v%mod == 0 })
-		cfg = Config{Workers: 1 + rng.Intn(4), Dim: dim, TempDir: tmp}
-		for _, cfg.Buckets = range []int{0, 1 + i%5} {
-			var got sink.Collector
-			st, err := RunSub(tbl, sub, eng, ecfg, cfg, wildcard, &got)
-			if err != nil {
-				t.Fatal(label, err)
-			}
-			if diff := sink.DiffCells(got.Cells, wantSub, 10); diff != "" {
-				t.Fatalf("%s: RunSub on dimension %d, values %% %d == 0, %d buckets, differs from the filtered cube:\n%s", label, dim, mod, cfg.Buckets, diff)
-			}
-			checkNoSeam(t, st)
-		}
 	}
 }
 
@@ -353,19 +279,23 @@ func TestRunRandomized(t *testing.T) {
 // it joins cells, it does not scan tuples.
 func TestSeamWorkIgnoresTupleCount(t *testing.T) {
 	tbl := testTables(t)["zipf"]
-	var tids []core.TID
-	for tid := 0; tid < tbl.NumTuples(); tid++ {
-		tids = append(tids, core.TID(tid), core.TID(tid), core.TID(tid))
+	n := tbl.NumTuples()
+	triple := table.New(tbl.NumDims(), 3*n)
+	copy(triple.Cards, tbl.Cards)
+	for d, col := range tbl.Cols {
+		for k := 0; k < 3; k++ {
+			copy(triple.Cols[d][k*n:], col)
+		}
 	}
 	eng := &startree.Engine
 	work := func(tbl *table.Table, minsup int64) Stats {
-		st, err := RunSub(tbl, tbl, eng, engine.Config{MinSup: minsup, Closed: true}, Config{Workers: 2, Dim: -1}, nil, &sink.Null{})
+		st, err := run(tbl, eng, engine.Config{MinSup: minsup, Closed: true}, Config{Workers: 2, Dim: -1}, &sink.Null{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return Stats{Candidates: st.Candidates, Killed: st.Killed, Recorded: st.Recorded, Probes: st.Probes}
 	}
-	once, thrice := work(tbl, 2), work(tbl.Subset(tids), 6)
+	once, thrice := work(tbl, 2), work(triple, 6)
 	if once != thrice || once.Probes == 0 || once.Killed == 0 {
 		t.Fatalf("seam work %+v on the relation, %+v on its triple", once, thrice)
 	}

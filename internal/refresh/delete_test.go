@@ -10,7 +10,6 @@ import (
 	"ccubing/internal/core"
 	"ccubing/internal/engine"
 	"ccubing/internal/gen"
-	"ccubing/internal/qcdfs"
 	"ccubing/internal/table"
 )
 
@@ -46,102 +45,100 @@ func TestFlushDeleteUpdateMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	cards := []int{6, 5, 4}
 	for _, minsup := range []int64{1, 3} {
-		for _, workers := range []int{1, 4} {
-			for trial := 0; trial < 6; trial++ {
-				base := randomTable(t, 250+rng.Intn(200), cards, int64(trial)+31*minsup)
-				m := testManager(t, base, minsup, Config{Workers: workers})
-				live := tableRows(base) // the expected multiset, kept in sync
+		for trial := 0; trial < 12; trial++ {
+			base := randomTable(t, 250+rng.Intn(200), cards, int64(trial)+31*minsup)
+			m := testManager(t, base, minsup)
+			live := tableRows(base) // the expected multiset, kept in sync
 
-				randomRow := func() []core.Value {
-					row := make([]core.Value, len(cards))
-					for d := range cards {
-						row[d] = core.Value(rng.Intn(cards[d]))
-					}
-					return row
+			randomRow := func() []core.Value {
+				row := make([]core.Value, len(cards))
+				for d := range cards {
+					row[d] = core.Value(rng.Intn(cards[d]))
 				}
-				nOps := 3 + rng.Intn(4)
-				for op := 0; op < nOps; op++ {
-					switch rng.Intn(3) {
-					case 0: // append batch
-						delta := randomDelta(rng, cards, 5+rng.Intn(15))
-						if _, _, err := m.Append(delta, nil); err != nil {
-							t.Fatal(err)
-						}
-						live = append(live, delta...)
-					case 1: // delete batch: existing tuples, multiset semantics
-						if len(live) == 0 {
-							continue
-						}
-						k := 1 + rng.Intn(min(8, len(live)))
-						dels := make([][]core.Value, 0, k)
-						for j := 0; j < k && len(live) > 0; j++ {
-							i := rng.Intn(len(live))
-							dels = append(dels, live[i])
-							live = append(live[:i], live[i+1:]...)
-						}
-						if _, _, err := m.Delete(dels, nil); err != nil {
-							t.Fatal(err)
-						}
-					case 2: // update batch
-						if len(live) == 0 {
-							continue
-						}
-						k := 1 + rng.Intn(min(5, len(live)))
-						olds := make([][]core.Value, 0, k)
-						news := make([][]core.Value, 0, k)
-						for j := 0; j < k && len(live) > 0; j++ {
-							i := rng.Intn(len(live))
-							olds = append(olds, live[i])
-							live = append(live[:i], live[i+1:]...)
-							nr := randomRow()
-							news = append(news, nr)
-							live = append(live, nr)
-						}
-						if _, _, err := m.Update(olds, news, nil, nil); err != nil {
-							t.Fatal(err)
-						}
+				return row
+			}
+			nOps := 3 + rng.Intn(4)
+			for op := 0; op < nOps; op++ {
+				switch rng.Intn(3) {
+				case 0: // append batch
+					delta := randomDelta(rng, cards, 5+rng.Intn(15))
+					if _, _, err := m.Append(delta, nil); err != nil {
+						t.Fatal(err)
 					}
-				}
-				// One batch interleaving all three: each op draws on the relation
-				// as the ops before it left it, in-batch appends included.
-				var mixed Batch
-				for op := 0; op < 4+rng.Intn(8); op++ {
-					kind := byte(rng.Intn(3)) // OpAppend, OpDelete, or an update pair
-					if kind != OpAppend {
-						if len(live) == 0 {
-							continue
-						}
+					live = append(live, delta...)
+				case 1: // delete batch: existing tuples, multiset semantics
+					if len(live) == 0 {
+						continue
+					}
+					k := 1 + rng.Intn(min(8, len(live)))
+					dels := make([][]core.Value, 0, k)
+					for j := 0; j < k && len(live) > 0; j++ {
 						i := rng.Intn(len(live))
-						mixed.Values = append(mixed.Values, live[i])
-						mixed.Kinds = append(mixed.Kinds, kind)
+						dels = append(dels, live[i])
 						live = append(live[:i], live[i+1:]...)
 					}
-					if kind != OpDelete {
+					if _, _, err := m.Delete(dels, nil); err != nil {
+						t.Fatal(err)
+					}
+				case 2: // update batch
+					if len(live) == 0 {
+						continue
+					}
+					k := 1 + rng.Intn(min(5, len(live)))
+					olds := make([][]core.Value, 0, k)
+					news := make([][]core.Value, 0, k)
+					for j := 0; j < k && len(live) > 0; j++ {
+						i := rng.Intn(len(live))
+						olds = append(olds, live[i])
+						live = append(live[:i], live[i+1:]...)
 						nr := randomRow()
-						mixed.Values = append(mixed.Values, nr)
-						mixed.Kinds = append(mixed.Kinds, kind+kind/2) // OpAppend, or OpUpdateNew after its OpUpdateOld
+						news = append(news, nr)
 						live = append(live, nr)
 					}
+					if _, _, err := m.Update(olds, news, nil, nil); err != nil {
+						t.Fatal(err)
+					}
 				}
-				if n, _, err := m.Apply(mixed); err != nil || n != mixed.Row(mixed.Len()) {
-					t.Fatalf("mixed batch %v: applied %d rows, %v", mixed.Kinds, n, err)
+			}
+			// One batch interleaving all three: each op draws on the relation
+			// as the ops before it left it, in-batch appends included.
+			var mixed Batch
+			for op := 0; op < 4+rng.Intn(8); op++ {
+				kind := byte(rng.Intn(3)) // OpAppend, OpDelete, or an update pair
+				if kind != OpAppend {
+					if len(live) == 0 {
+						continue
+					}
+					i := rng.Intn(len(live))
+					mixed.Values = append(mixed.Values, live[i])
+					mixed.Kinds = append(mixed.Kinds, kind)
+					live = append(live[:i], live[i+1:]...)
 				}
-				st, err := m.Flush()
-				if err != nil {
-					t.Fatal(err)
+				if kind != OpDelete {
+					nr := randomRow()
+					mixed.Values = append(mixed.Values, nr)
+					mixed.Kinds = append(mixed.Kinds, kind+kind/2) // OpAppend, or OpUpdateNew after its OpUpdateOld
+					live = append(live, nr)
 				}
-				if st.Appended+st.Deleted == 0 {
-					continue
-				}
-				want := buildStoreFor(t, tableFromRows(t, live, cards), minsup, core.MeasureNone, false)
-				got := m.Snapshot().Store
-				if !bytes.Equal(snapshotBytes(t, got), snapshotBytes(t, want)) {
-					t.Fatalf("minsup=%d workers=%d trial=%d: edited store differs from rebuild (%d vs %d cells)",
-						minsup, workers, trial, got.NumCells(), want.NumCells())
-				}
-				if m.Snapshot().Rows != int64(len(live)) {
-					t.Fatalf("snapshot rows = %d, want %d", m.Snapshot().Rows, len(live))
-				}
+			}
+			if n, _, err := m.Apply(mixed); err != nil || n != mixed.Row(mixed.Len()) {
+				t.Fatalf("mixed batch %v: applied %d rows, %v", mixed.Kinds, n, err)
+			}
+			st, err := m.Flush()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Appended+st.Deleted == 0 {
+				continue
+			}
+			want := buildStoreFor(t, tableFromRows(t, live, cards), minsup, core.MeasureNone, false)
+			got := m.Snapshot().Store
+			if !bytes.Equal(snapshotBytes(t, got), snapshotBytes(t, want)) {
+				t.Fatalf("minsup=%d trial=%d: edited store differs from rebuild (%d vs %d cells)",
+					minsup, trial, got.NumCells(), want.NumCells())
+			}
+			if m.Snapshot().Rows != int64(len(live)) {
+				t.Fatalf("snapshot rows = %d, want %d", m.Snapshot().Rows, len(live))
 			}
 		}
 	}
@@ -153,7 +150,7 @@ func TestFlushDeleteUpdateMatchesRebuild(t *testing.T) {
 func TestFlushPartitionShrinksToEmpty(t *testing.T) {
 	cards := []int{5, 4, 3}
 	base := randomTable(t, 300, cards, 51)
-	m := testManager(t, base, 1, Config{Workers: 2})
+	m := testManager(t, base, 1)
 
 	victim := base.Cols[0][0]
 	var dels [][]core.Value
@@ -196,7 +193,7 @@ func TestFlushPartitionShrinksToEmpty(t *testing.T) {
 func TestFlushDeleteEverything(t *testing.T) {
 	cards := []int{4, 3, 3}
 	base := randomTable(t, 120, cards, 53)
-	m := testManager(t, base, 1, Config{})
+	m := testManager(t, base, 1)
 	if _, _, err := m.Delete(tableRows(base), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +231,7 @@ func TestFlushDeleteEverything(t *testing.T) {
 func TestDeleteValidation(t *testing.T) {
 	rows := [][]core.Value{{0, 0}, {0, 0}, {1, 2}}
 	base := tableFromRows(t, rows, nil)
-	m := testManager(t, base, 1, Config{})
+	m := testManager(t, base, 1)
 
 	if _, _, err := m.Delete([][]core.Value{{3, 3}}, nil); err == nil || !strings.Contains(err.Error(), "not present") {
 		t.Fatalf("deleting an absent tuple: err = %v", err)
@@ -302,9 +299,7 @@ func TestDeleteLabeledValidation(t *testing.T) {
 		table.DictFromNames([]string{"a0", "a1", "a2"}),
 		table.DictFromNames([]string{"b0", "b1", "b2"}),
 	}
-	m, err := NewManager(tbl, buildStoreFor(t, tbl, 1, core.MeasureNone, false), dicts, Config{
-		Eng: &qcdfs.Engine, ECfg: engine.Config{MinSup: 1, Closed: true},
-	})
+	m, err := NewManager(tbl, buildStoreFor(t, tbl, 1, core.MeasureNone, false), dicts, engine.Config{MinSup: 1, Closed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,9 +357,7 @@ func TestUpdateLabeledWALFailureNoPhantomLabels(t *testing.T) {
 				table.DictFromNames([]string{"a0", "a1", "a2"}),
 				table.DictFromNames([]string{"b0", "b1", "b2"}),
 			}
-			m, err := NewManager(tbl, buildStoreFor(t, tbl, 1, core.MeasureNone, false), dicts, Config{
-				Eng: &qcdfs.Engine, ECfg: engine.Config{MinSup: 1, Closed: true},
-			})
+			m, err := NewManager(tbl, buildStoreFor(t, tbl, 1, core.MeasureNone, false), dicts, engine.Config{MinSup: 1, Closed: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -434,9 +427,9 @@ func TestWALReplayWithTombstones(t *testing.T) {
 	}
 }
 
-// TestMergeToleratesEmptyPartitionReplacement drives MergePartitions through
-// the manager in the regime the tentpole names: a replaced partition with no
-// fresh cells at all (every tuple deleted, iceberg pruning the rest).
+// TestMergeToleratesEmptyPartitionReplacement drives MergeDelta through the
+// manager with a partition that empties: the delta's cells fixing it have no
+// fresh replacement at all (every tuple deleted, iceberg pruning the rest).
 func TestMergeToleratesEmptyPartitionReplacement(t *testing.T) {
 	// Partition 0 holds a single tuple; minsup 2 means even before the
 	// delete, no cell fixes partition 0. Deleting the tuple leaves the
@@ -447,7 +440,7 @@ func TestMergeToleratesEmptyPartitionReplacement(t *testing.T) {
 		{2, 0, 1}, {2, 0, 1}, {2, 2, 2},
 	}
 	base := tableFromRows(t, rows, nil)
-	m := testManager(t, base, 2, Config{})
+	m := testManager(t, base, 2)
 	if _, _, err := m.Delete([][]core.Value{{0, 1, 1}}, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"ccubing/internal/core"
 	"ccubing/internal/engine"
 	"ccubing/internal/fuzzbound"
-	"ccubing/internal/qcdfs"
 	"ccubing/internal/table"
 )
 
@@ -171,7 +170,7 @@ func FuzzRefresh(f *testing.F) {
 		live, liveAux := c.rows, c.aux
 		ecfg := engine.Config{MinSup: c.minsup, Closed: true, Measure: c.kind}
 		base := c.relation(live, liveAux)
-		m, err := NewManager(base, buildStoreFor(t, base, c.minsup, c.kind, c.residual), nil, Config{Eng: &qcdfs.Engine, ECfg: ecfg})
+		m, err := NewManager(base, buildStoreFor(t, base, c.minsup, c.kind, c.residual), nil, ecfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,33 +1,24 @@
 // Package refresh keeps a served closed cube fresh as its relation mutates:
 // appended tuples, delete tombstones, and update pairs buffer in a
 // write-ahead delta log and, on trigger (row threshold, timer, or explicit
-// flush), a refresh recomputes only the partitions of the leading
-// (partition) dimension whose values appear in the delta and the wildcard
-// cells some delta row falls in, merges the
-// rebuilt closed-cell groups with the untouched ones into a fresh
-// cubestore.Store, and publishes the result with an atomic pointer swap —
-// in-flight queries finish on the old store while new queries see the new
-// one.
+// flush), a refresh re-aggregates only the cells some delta row falls in,
+// merges them with the untouched ones into a fresh cubestore.Store, and
+// publishes the result with an atomic pointer swap — in-flight queries finish
+// on the old store while new queries see the new one.
 //
-// Correctness rests on two facts. The partition invariant internal/parallel
-// is built on (paper Sec. 6.3): a closed cell fixing the partition dimension
-// aggregates tuples of exactly one partition, so cells of untouched
-// partitions are byte-identical before and after the edit and can be
-// retained, and cells of touched partitions are recomputed from those
-// partitions' (possibly smaller) tuple sets by the shard jobs of
-// parallel.RunSub, the decomposition a Workers > 1 materialization runs. And
-// closedness is an algebraic measure (paper Sec. 3): a cell with a wildcard
-// on the partition dimension that no delta row matches keeps its tuple set,
-// hence its count, measure and closedness, and is retained too; the ones a
-// delta row does match are re-aggregated from the edited relation by one
-// pass over their tuples (deltaPass, slice.go), which runs as RunSub's
-// wildcard job beside the shard jobs. The cells stream into a
-// cubestore.Builder exactly as a build's do, and MergePartitions splices
-// them between the retained ones. Nothing here depends on whether the
-// relation grew or shrank, so the same machinery serves appends, deletes, and
-// updates, including partitions that shrink to empty (their cells simply
-// vanish from the merge). The refreshed store is canonical: byte-identical to
-// a from-scratch materialization of the edited relation.
+// Correctness rests on one fact: closedness is an algebraic measure (paper
+// Sec. 3). A cell no delta row matches on its fixed dimensions keeps its
+// tuple set, hence its count, measure and closedness, and is retained; the
+// ones a delta row does match are re-aggregated from the edited relation by
+// one pass over their tuples (deltaPass, slice.go), whose cells stream into a
+// cubestore.Builder; and cubestore.MergeDelta splices them between the
+// retained ones. The iceberg residual follows the same rule at full width.
+// Nothing here depends on whether the relation grew or shrank, so the same
+// pass serves appends, deletes, and updates, including partitions that shrink
+// to empty and a relation whose every tuple is deleted (every old cell is
+// then matched by a tombstone). The closed iceberg cube of a relation is
+// unique, so the refreshed store is canonical: byte-identical to a
+// from-scratch materialization of the edited relation, by whichever engine.
 package refresh
 
 import (
@@ -39,26 +30,11 @@ import (
 	"ccubing/internal/core"
 	"ccubing/internal/cubestore"
 	"ccubing/internal/engine"
-	"ccubing/internal/parallel"
-	"ccubing/internal/sink"
 	"ccubing/internal/table"
 )
 
-// Config parameterizes a Manager.
-type Config struct {
-	// Eng and ECfg run the recomputation; ECfg.Closed must be set (the
-	// serving store holds the closed cube). ECfg.Measure is the kind the
-	// store's aux values (cells and residual rows alike) aggregate with.
-	Eng  *engine.Engine
-	ECfg engine.Config
-	// Workers bounds the recompute goroutines; values below 1 run
-	// sequentially.
-	Workers int
-}
-
-// partitionDim is the partition dimension: refreshes recompute only the
-// partitions (values of the leading dimension) the delta touches. The shard
-// topology hashes the same dimension.
+// partitionDim is the partition dimension: the shard topology hashes it, and
+// Stats counts the partitions (its values) a refresh touched.
 const partitionDim = 0
 
 // cardSlack bounds how far a coded append may grow a dimension's domain
@@ -91,9 +67,8 @@ type Stats struct {
 	// Deleted is the number of tombstones folded in: tuples removed from the
 	// relation (an update contributes its old tuple here).
 	Deleted int
-	// PartitionsRecomputed and PartitionsTotal count the touched and total
-	// distinct partition-dimension values; their ratio is the work saved
-	// versus a full rebuild.
+	// PartitionsRecomputed and PartitionsTotal count the distinct
+	// partition-dimension values the delta carries and the relation holds.
 	PartitionsRecomputed int
 	PartitionsTotal      int
 	// CellsRetained and CellsRebuilt split the published store's cells into
@@ -123,7 +98,7 @@ type Metrics struct {
 // flushMu is the only lock held across calls; the staged delta's own lock is
 // a leaf (see staged), so the two cannot be taken in the wrong order.
 type Manager struct {
-	cfg    Config
+	ecfg   engine.Config
 	nd     int
 	hasAux bool // the relation carries a measure column
 
@@ -151,20 +126,23 @@ type Manager struct {
 // NewManager wraps a materialized store and its source relation. base is
 // retained (appends never mutate it — refreshes copy); dicts, when the
 // relation is labeled, become the published snapshot's frozen dictionaries
-// and must not be mutated by the caller afterwards. The delta log lives in
-// memory until EnableWAL attaches a file.
-func NewManager(base *table.Table, store *cubestore.Store, dicts []*table.Dict, cfg Config) (*Manager, error) {
+// and must not be mutated by the caller afterwards. ecfg is the
+// configuration store was built with: it must be closed (the serving store
+// holds the closed cube), and its minsup and measure kind are what refreshes
+// recompute cells and residual rows at. The delta log lives in memory until
+// EnableWAL attaches a file.
+func NewManager(base *table.Table, store *cubestore.Store, dicts []*table.Dict, ecfg engine.Config) (*Manager, error) {
 	if base == nil || store == nil {
 		return nil, fmt.Errorf("refresh: nil relation or store")
 	}
 	if base.NumDims() != store.NumDims() {
 		return nil, fmt.Errorf("refresh: relation has %d dimensions, store %d", base.NumDims(), store.NumDims())
 	}
-	if cfg.Eng == nil || !cfg.ECfg.Closed {
-		return nil, fmt.Errorf("refresh: a closed-mode engine is required")
+	if !ecfg.Closed {
+		return nil, fmt.Errorf("refresh: a closed-mode configuration is required")
 	}
 	m := &Manager{
-		cfg:    cfg,
+		ecfg:   ecfg,
 		nd:     base.NumDims(),
 		hasAux: base.Aux != nil,
 		base:   base,
@@ -274,12 +252,10 @@ func (m *Manager) Metrics() Metrics {
 }
 
 // Flush folds the buffered delta — appends, tombstones, and update pairs —
-// into the relation, recomputes the touched partitions and the wildcard cells
-// the delta falls in, merges with the untouched cells, and publishes the new
-// snapshot. An
-// empty delta is a no-op that keeps the current generation. On error the
-// delta is returned to the buffer for a later retry and the published
-// snapshot is unchanged.
+// into the relation, re-aggregates the cells the delta falls in, merges them
+// with the untouched cells, and publishes the new snapshot. An empty delta is
+// a no-op that keeps the current generation. On error the delta is returned
+// to the buffer for a later retry and the published snapshot is unchanged.
 func (m *Manager) Flush() (Stats, error) {
 	m.flushMu.Lock()
 	defer m.flushMu.Unlock()
@@ -287,27 +263,16 @@ func (m *Manager) Flush() (Stats, error) {
 
 	rows, aux, kinds, frozen := m.delta.steal()
 	cur := m.snap.Load()
-	n := len(rows) / m.nd
-	if n == 0 {
+	if len(rows) == 0 {
 		return Stats{Generation: cur.Generation}, nil
 	}
 
 	newBase, nAppended, nDeleted, err := applyDelta(m.base, rows, aux, kinds, frozen)
 	fold := time.Since(start)
 	if err == nil {
-		// Dense over the partition dimension's values: it is consulted once per
-		// tuple, per retained store row and per residual row.
-		affected := make([]bool, newBase.Cards[partitionDim])
-		touched := 0
-		for i := 0; i < n; i++ {
-			if v := rows[i*m.nd+partitionDim]; !affected[v] {
-				affected[v] = true
-				touched++
-			}
-		}
 		var newStore *cubestore.Store
 		var rebuilt int64
-		newStore, rebuilt, err = m.rebuild(cur.Store, newBase, rows, affected)
+		newStore, rebuilt, err = m.rebuild(cur.Store, newBase, rows)
 		if err == nil {
 			publish := time.Now()
 			next := &Snapshot{
@@ -326,8 +291,8 @@ func (m *Manager) Flush() (Stats, error) {
 				Generation:           next.Generation,
 				Appended:             nAppended,
 				Deleted:              nDeleted,
-				PartitionsRecomputed: touched,
-				PartitionsTotal:      distinctValues(newBase, partitionDim),
+				PartitionsRecomputed: distinctValues(rows[partitionDim:], m.nd, newBase.Cards[partitionDim]),
+				PartitionsTotal:      distinctValues(newBase.Cols[partitionDim], 1, newBase.Cards[partitionDim]),
 				CellsRetained:        newStore.NumCells() - rebuilt,
 				CellsRebuilt:         rebuilt,
 				Elapsed:              time.Since(start),
@@ -362,86 +327,40 @@ func (m *Manager) finishFlush(st Stats, werr error) (Stats, error) {
 }
 
 // rebuild computes the new store for the edited relation t from the old one
-// and the delta rows that edited it (nd values each; affected marks their
-// partition-dimension values). The touched partitions' cells are recomputed
-// by the shared decomposition over those partitions' tuples, and the wildcard
-// cells the delta falls in by deltaPass, a pool job beside the shard jobs;
-// both stream into a builder whose groups MergePartitions splices between
-// the old store's untouched partitions and the wildcard cells no delta row
-// matches. A relation that cannot be decomposed (fewer than two dimensions)
-// replaces every cell instead, and one whose every tuple was deleted has no
-// cells at all — the engines assume at least one tuple, so nothing is run
-// for it.
+// and the delta rows that edited it (nd values each): one deltaPass
+// re-aggregates every cell a delta row matches into a builder, and MergeDelta
+// splices those cells between the old store's unmatched ones.
 //
 // The iceberg residual follows the store: when the old store carries one, the
-// replacement partitions' residual is recomputed from their tuples and merged
-// group-style. When the old store lacks one — it was built without
-// SetResidual — the refreshed store stays residual-free, so it never claims
-// an exactness it cannot prove.
-func (m *Manager) rebuild(old *cubestore.Store, t *table.Table, delta []core.Value, affected []bool) (*cubestore.Store, int64, error) {
+// pass also recomputes the residual rows at the delta's full keys. When the
+// old store lacks one — it was built without SetResidual — the refreshed
+// store stays residual-free, so it never claims an exactness it cannot prove.
+func (m *Manager) rebuild(old *cubestore.Store, t *table.Table, delta []core.Value) (*cubestore.Store, int64, error) {
 	start := time.Now()
-	replaced := func(v core.Value) bool { return affected[v] }
-	sub := t
-	var wildcard func(sink.Sink) error
-	var passTime time.Duration
-	var visits int64
-	if t.NumTuples() == 0 || m.nd < 2 {
-		// RunSub cubes the whole relation: every cell is replaced, and a nil
-		// delta tells MergePartitions the wildcard slice is whole too.
-		replaced, delta = func(core.Value) bool { return true }, nil
-	} else {
-		// Sub-relation: every tuple of a touched partition. Cells fixing the
-		// partition dimension to a touched value aggregate only these tuples,
-		// so cubing the sub-relation yields their globally correct counts and
-		// closedness.
-		var tids []core.TID
-		for tid, v := range t.Cols[partitionDim] {
-			if affected[v] {
-				tids = append(tids, core.TID(tid))
-			}
-		}
-		sub = t.Subset(tids)
-		pass := newDeltaPass(t, delta, m.cfg.ECfg)
-		wildcard = func(out sink.Sink) error {
-			start := time.Now()
-			defer func() { passTime, visits = time.Since(start), pass.visits }()
-			return pass.run(out)
-		}
-	}
-	selected := time.Since(start)
 	fresh := &cubestore.BuilderSink{B: cubestore.NewBuilder(m.nd, old.HasAux())}
-	var pst parallel.Stats
-	if t.NumTuples() > 0 {
-		var err error
-		pcfg := parallel.Config{Workers: m.cfg.Workers, Dim: partitionDim}
-		if pst, err = parallel.RunSub(t, sub, m.cfg.Eng, m.cfg.ECfg, pcfg, wildcard, fresh); err != nil {
-			return nil, 0, fmt.Errorf("refresh: %w", err)
-		}
-	}
+	pass := newDeltaPass(t, delta, m.ecfg, old.HasResidual())
+	pass.run(fresh)
+	freshRes := pass.residual()
+	passTime := time.Since(start)
 	start = time.Now()
-	var freshRes *cubestore.Residual
-	if old.HasResidual() {
-		// Residual rows fix every dimension, so their multiplicities within the
-		// touched partitions' tuples are already globally correct.
-		freshRes = cubestore.ComputeResidual(sub.Cols, sub.Aux, m.cfg.ECfg.MinSup, m.cfg.ECfg.Measure)
+	s, err := old.MergeDelta(delta, fresh.B, freshRes)
+	if err != nil {
+		return nil, 0, fmt.Errorf("refresh: %w", err)
 	}
-	s, err := old.MergePartitions(partitionDim, replaced, delta, fresh.B, freshRes)
-	if err == nil {
-		// A store that merged is a store Flush publishes.
-		phaseShard.Observe(selected + pst.Split + pst.ShardJobs)
-		phaseDelta.Observe(passTime)
-		phaseMerge.Observe(time.Since(start))
-		deltaVisits.Add(visits)
-	}
-	return s, fresh.Cells, err
+	// A store that merged is a store Flush publishes.
+	phaseDelta.Observe(passTime)
+	phaseMerge.Observe(time.Since(start))
+	deltaVisits.Add(pass.visits)
+	return s, fresh.Cells, nil
 }
 
-// distinctValues counts the distinct values of one dimension.
-func distinctValues(t *table.Table, dim int) int {
-	seen := make([]bool, t.Cards[dim])
+// distinctValues counts the distinct values among vals[0], vals[stride],
+// vals[2·stride], ..., all of them below card.
+func distinctValues(vals []core.Value, stride, card int) int {
+	seen := make([]bool, card)
 	n := 0
-	for _, v := range t.Cols[dim] {
-		if !seen[v] {
+	for i := 0; i < len(vals); i += stride {
+		if v := vals[i]; !seen[v] {
 			seen[v] = true
 			n++
 		}

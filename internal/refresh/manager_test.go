@@ -37,11 +37,9 @@ func buildStoreFor(t testing.TB, tbl *table.Table, minsup int64, kind core.Measu
 	return s
 }
 
-func testManager(t testing.TB, tbl *table.Table, minsup int64, cfg Config) *Manager {
+func testManager(t testing.TB, tbl *table.Table, minsup int64) *Manager {
 	t.Helper()
-	cfg.Eng = &qcdfs.Engine
-	cfg.ECfg = engine.Config{MinSup: minsup, Closed: true}
-	m, err := NewManager(tbl, buildStoreFor(t, tbl, minsup, core.MeasureNone, false), nil, cfg)
+	m, err := NewManager(tbl, buildStoreFor(t, tbl, minsup, core.MeasureNone, false), nil, engine.Config{MinSup: minsup, Closed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +49,7 @@ func testManager(t testing.TB, tbl *table.Table, minsup int64, cfg Config) *Mana
 // walManager is testManager with the write-ahead log at path attached.
 func walManager(t testing.TB, tbl *table.Table, minsup int64, path string) *Manager {
 	t.Helper()
-	m := testManager(t, tbl, minsup, Config{})
+	m := testManager(t, tbl, minsup)
 	if err := m.EnableWAL(path); err != nil {
 		t.Fatal(err)
 	}
@@ -112,41 +110,39 @@ func snapshotBytes(t testing.TB, s *cubestore.Store) []byte {
 func TestFlushMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, minsup := range []int64{1, 3} {
-		for _, workers := range []int{1, 4} {
-			for trial := 0; trial < 6; trial++ {
-				cards := []int{5 + rng.Intn(4), 5, 4, 3}
-				base := randomTable(t, 250+rng.Intn(250), cards, int64(trial)+17*minsup)
-				m := testManager(t, base, minsup, Config{Workers: workers})
-				delta := randomDelta(rng, cards, 20+rng.Intn(40))
-				if _, _, err := m.Append(delta, nil); err != nil {
-					t.Fatal(err)
-				}
-				st, err := m.Flush()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if st.Generation != 1 || st.Appended != len(delta) {
-					t.Fatalf("stats = %+v, want generation 1 appending %d", st, len(delta))
-				}
-				distinct := map[core.Value]bool{}
-				for _, row := range delta {
-					distinct[row[0]] = true
-				}
-				if st.PartitionsRecomputed != len(distinct) || st.PartitionsRecomputed >= st.PartitionsTotal {
-					t.Fatalf("recomputed %d of %d partitions: the delta names %d",
-						st.PartitionsRecomputed, st.PartitionsTotal, len(distinct))
-				}
+		for trial := 0; trial < 12; trial++ {
+			cards := []int{5 + rng.Intn(4), 5, 4, 3}
+			base := randomTable(t, 250+rng.Intn(250), cards, int64(trial)+17*minsup)
+			m := testManager(t, base, minsup)
+			delta := randomDelta(rng, cards, 20+rng.Intn(40))
+			if _, _, err := m.Append(delta, nil); err != nil {
+				t.Fatal(err)
+			}
+			st, err := m.Flush()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Generation != 1 || st.Appended != len(delta) {
+				t.Fatalf("stats = %+v, want generation 1 appending %d", st, len(delta))
+			}
+			distinct := map[core.Value]bool{}
+			for _, row := range delta {
+				distinct[row[0]] = true
+			}
+			if st.PartitionsRecomputed != len(distinct) || st.PartitionsRecomputed >= st.PartitionsTotal {
+				t.Fatalf("recomputed %d of %d partitions: the delta names %d",
+					st.PartitionsRecomputed, st.PartitionsTotal, len(distinct))
+			}
 
-				full := appendRows(base, flatten(delta), nil, nil)
-				want := buildStoreFor(t, full, minsup, core.MeasureNone, false)
-				got := m.Snapshot().Store
-				if !bytes.Equal(snapshotBytes(t, got), snapshotBytes(t, want)) {
-					t.Fatalf("minsup=%d workers=%d trial=%d: refreshed store differs from rebuild (%d vs %d cells)",
-						minsup, workers, trial, got.NumCells(), want.NumCells())
-				}
-				if m.Snapshot().Rows != int64(full.NumTuples()) {
-					t.Fatalf("snapshot rows = %d, want %d", m.Snapshot().Rows, full.NumTuples())
-				}
+			full := appendRows(base, flatten(delta), nil, nil)
+			want := buildStoreFor(t, full, minsup, core.MeasureNone, false)
+			got := m.Snapshot().Store
+			if !bytes.Equal(snapshotBytes(t, got), snapshotBytes(t, want)) {
+				t.Fatalf("minsup=%d trial=%d: refreshed store differs from rebuild (%d vs %d cells)",
+					minsup, trial, got.NumCells(), want.NumCells())
+			}
+			if m.Snapshot().Rows != int64(full.NumTuples()) {
+				t.Fatalf("snapshot rows = %d, want %d", m.Snapshot().Rows, full.NumTuples())
 			}
 		}
 	}
@@ -164,7 +160,7 @@ func flatten(rows [][]core.Value) []core.Value {
 // generation.
 func TestFlushEmptyDelta(t *testing.T) {
 	base := randomTable(t, 200, []int{5, 4, 3}, 3)
-	m := testManager(t, base, 1, Config{})
+	m := testManager(t, base, 1)
 	before := m.Snapshot()
 	st, err := m.Flush()
 	if err != nil {
@@ -182,7 +178,7 @@ func TestFlushEmptyDelta(t *testing.T) {
 // append crossing the threshold refreshes before returning.
 func TestRowThresholdTrigger(t *testing.T) {
 	base := randomTable(t, 200, []int{5, 4, 3}, 5)
-	m := testManager(t, base, 1, Config{})
+	m := testManager(t, base, 1)
 	if err := m.AutoRefresh(10, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +203,7 @@ func TestRowThresholdTrigger(t *testing.T) {
 // TestTimerTrigger checks the background interval trigger.
 func TestTimerTrigger(t *testing.T) {
 	base := randomTable(t, 150, []int{4, 4, 3}, 11)
-	m := testManager(t, base, 1, Config{})
+	m := testManager(t, base, 1)
 	rng := rand.New(rand.NewSource(13))
 	if _, _, err := m.Append(randomDelta(rng, []int{4, 4, 3}, 8), nil); err != nil {
 		t.Fatal(err)
@@ -270,7 +266,7 @@ func TestWALReplay(t *testing.T) {
 // TestAppendValidation pins the append error contract.
 func TestAppendValidation(t *testing.T) {
 	base := randomTable(t, 100, []int{4, 3}, 31)
-	m := testManager(t, base, 1, Config{})
+	m := testManager(t, base, 1)
 	if _, _, err := m.Append([][]core.Value{{1}}, nil); err == nil {
 		t.Fatal("wrong arity must fail")
 	}
@@ -303,7 +299,7 @@ func TestAppendValidation(t *testing.T) {
 // tombstone reads the base relation and must wait.
 func TestAppendsFlowDuringRefresh(t *testing.T) {
 	base := randomTable(t, 100, []int{4, 3}, 33)
-	m := testManager(t, base, 1, Config{})
+	m := testManager(t, base, 1)
 	tuple := base.Row(0, nil)
 	apply := func(b Batch) chan error {
 		done := make(chan error, 1)
@@ -346,9 +342,7 @@ func TestBatchShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	dicts := []*table.Dict{table.DictFromNames([]string{"a0", "a1", "a2"}), table.DictFromNames([]string{"b0", "b1", "b2"})}
-	m, err := NewManager(tbl, buildStoreFor(t, tbl, 1, core.MeasureNone, false), dicts, Config{
-		Eng: &qcdfs.Engine, ECfg: engine.Config{MinSup: 1, Closed: true},
-	})
+	m, err := NewManager(tbl, buildStoreFor(t, tbl, 1, core.MeasureNone, false), dicts, engine.Config{MinSup: 1, Closed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,9 +391,7 @@ func TestAppendLabeledValidatesBeforeCoding(t *testing.T) {
 		t.Fatal(err)
 	}
 	dicts := []*table.Dict{table.DictFromNames([]string{"a0", "a1", "a2"}), table.DictFromNames([]string{"b0", "b1", "b2"})}
-	m, err := NewManager(tbl, buildStoreFor(t, tbl, 1, core.MeasureNone, false), dicts, Config{
-		Eng: &qcdfs.Engine, ECfg: engine.Config{MinSup: 1, Closed: true},
-	})
+	m, err := NewManager(tbl, buildStoreFor(t, tbl, 1, core.MeasureNone, false), dicts, engine.Config{MinSup: 1, Closed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +408,7 @@ func TestAppendLabeledValidatesBeforeCoding(t *testing.T) {
 func TestSequentialRefreshes(t *testing.T) {
 	cards := []int{6, 5, 4}
 	base := randomTable(t, 300, cards, 37)
-	m := testManager(t, base, 2, Config{Workers: 2})
+	m := testManager(t, base, 2)
 	rng := rand.New(rand.NewSource(39))
 	full := base
 	for k := 0; k < 4; k++ {

@@ -16,24 +16,20 @@ var (
 	walRewriteSeconds = obs.Default.Histogram("ccubing_wal_rewrite_seconds",
 		"Latency of the post-refresh WAL rewrite that drops the folded prefix.")
 	refreshSeconds = obs.Default.Histogram("ccubing_refresh_seconds",
-		"Wall-clock duration of a refresh: delta fold, partition recompute, merge and publish.")
+		"Wall-clock duration of a refresh: delta fold, delta pass, merge and publish.")
 )
 
-// The phases of a published refresh, in order: the delta applied to the
-// relation; the touched tuples selected, split and cubed; the wildcard cells
-// the delta falls in, re-aggregated by deltaPass; the touched partitions'
-// residual and MergePartitions; the snapshot swap and WAL rewrite. shard and
-// delta are concurrent pool jobs of the decomposition (shard summed over its
-// jobs), so the phases add up to ccubing_refresh_seconds only at one worker.
+// The phases of a published refresh, one after another: the delta applied to the relation; the cells and
+// residual rows the delta falls in, re-aggregated by deltaPass; MergeDelta;
+// the snapshot swap and WAL rewrite.
 var (
 	phaseFold    = refreshPhase("fold")
-	phaseShard   = refreshPhase("shard")
 	phaseDelta   = refreshPhase("delta")
 	phaseMerge   = refreshPhase("merge")
 	phasePublish = refreshPhase("publish")
 
 	deltaVisits = obs.Default.Counter("ccubing_refresh_delta_visits_total",
-		"Tuple reads of the refresh's wildcard delta pass: one per tuple of each cell it folds, two per tuple and dimension it splits on.")
+		"Tuple reads of the refresh's delta pass: one per tuple of each cell it folds, two per tuple and dimension it splits on.")
 )
 
 func refreshPhase(name string) *obs.Histogram {

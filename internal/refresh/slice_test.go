@@ -2,8 +2,10 @@ package refresh
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -28,7 +30,7 @@ func storeCells(s *cubestore.Store) map[string]int64 {
 // TestFlushWildcardTransitions pins, one hand-built relation each, the ways a
 // delta changes a wildcard cell's membership in the closed cube — the
 // decisions the partition seam used to make and the delta pass plus
-// MergePartitions make now. Every refreshed store must be byte-identical to a
+// MergeDelta make now. Every refreshed store must be byte-identical to a
 // rebuild, and the named cell must enter or leave as the case says.
 func TestFlushWildcardTransitions(t *testing.T) {
 	for _, tc := range []struct {
@@ -76,7 +78,7 @@ func TestFlushWildcardTransitions(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			const minsup = 2
 			cards := []int{3, 3, 3}
-			m := testManager(t, tableFromRows(t, tc.base, cards), minsup, Config{Workers: 2})
+			m := testManager(t, tableFromRows(t, tc.base, cards), minsup)
 			if _, in := storeCells(m.Snapshot().Store)[tc.cell]; in != tc.before {
 				t.Fatalf("before the edit: %s in the cube = %v, want %v", tc.cell, in, tc.before)
 			}
@@ -117,10 +119,12 @@ func TestFlushWildcardTransitions(t *testing.T) {
 
 // TestDeltaPassWork checks the pass against the closed cube of the edited
 // relation and holds it to its work bound. It must emit exactly the closed
-// cells with a wildcard on the partition dimension that some delta row
-// matches — counts and stored measures bit for bit, min and max included —
-// in at most (2·nd − 1)·Σ|c| visits, the sum over every cell c a delta row
-// matches that clears minsup, and the same number of visits on every run.
+// cells that some delta row matches — counts and stored measures bit for bit,
+// min and max included — in at most (2·nd + 1)·Σ|c| visits, the sum over
+// every cell c a delta row matches that clears minsup, and the same number of
+// visits on every run. Two delta sizes: 30 rows, and as many rows as the
+// relation has tuples, where the pass is held to the same bound rather than
+// handed to a second code path.
 func TestDeltaPassWork(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	cards := []int{6, 5, 4, 3}
@@ -132,100 +136,101 @@ func TestDeltaPassWork(t *testing.T) {
 			for i := range tbl.Aux {
 				tbl.Aux[i] = float64(rng.Intn(800)) / 8
 			}
-			// Appends anywhere, tombstones of existing tuples.
-			var delta []core.Value
-			var aux []float64
-			var kinds []byte
-			for i := 0; i < 30; i++ {
-				if i%3 == 0 {
-					tid := core.TID(i * 7) // distinct tuples: each tombstone has its own match
-					delta = append(delta, tbl.Row(tid, nil)...)
-					aux = append(aux, tbl.Aux[tid])
-					kinds = append(kinds, OpDelete)
-					continue
-				}
-				for d := range cards {
-					delta = append(delta, core.Value(rng.Intn(cards[d])))
-				}
-				aux = append(aux, float64(rng.Intn(800))/8)
-				kinds = append(kinds, OpAppend)
-			}
-			edited, _, _, err := applyDelta(tbl, delta, aux, kinds, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ecfg := engine.Config{MinSup: minsup, Closed: true, Measure: kind}
-			if kind == core.MeasureNone {
-				edited.Aux = nil
-			}
-
-			matched := func(vals []core.Value) bool {
-				for r := 0; r < len(delta)/nd; r++ {
-					if matches(vals, delta[r*nd:(r+1)*nd]) {
-						return true
-					}
-				}
-				return false
-			}
-			var oracle sink.Collector
-			if err := qcdfs.Engine.Run(edited, ecfg, &oracle); err != nil {
-				t.Fatal(err)
-			}
-			var want []core.Cell
-			wantAux := map[string]float64{}
-			for _, c := range oracle.Cells {
-				if c.Values[partitionDim] == core.Star && matched(c.Values) {
-					want = append(want, c)
-					wantAux[c.Key()] = c.Aux
-				}
-			}
-			// Σ|c| over the matched cells that clear minsup, each cell once.
-			var sum int64
-			seen := map[string]bool{}
-			for r := 0; r < len(delta)/nd; r++ {
-				for sub := 0; sub < 1<<(nd-1); sub++ {
-					c := make([]core.Value, nd)
-					for d := range c {
-						c[d] = core.Star
-						if d > 0 && sub&(1<<(d-1)) != 0 {
-							c[d] = delta[r*nd+d]
-						}
-					}
-					if seen[core.CellKey(c)] {
+			for _, size := range []int{30, tbl.NumTuples()} {
+				// Appends anywhere, tombstones of existing tuples.
+				var delta []core.Value
+				var aux []float64
+				var kinds []byte
+				for i := 0; i < size; i++ {
+					if i%3 == 0 {
+						tid := core.TID(i * 7 % tbl.NumTuples()) // distinct tuples: each tombstone has its own match
+						delta = append(delta, tbl.Row(tid, nil)...)
+						aux = append(aux, tbl.Aux[tid])
+						kinds = append(kinds, OpDelete)
 						continue
 					}
-					seen[core.CellKey(c)] = true
-					var n int64
-					for tid := 0; tid < edited.NumTuples(); tid++ {
-						if matches(c, edited.Row(core.TID(tid), nil)) {
-							n++
-						}
+					for d := range cards {
+						delta = append(delta, core.Value(rng.Intn(cards[d])))
 					}
-					if n >= minsup {
-						sum += n
-					}
+					aux = append(aux, float64(rng.Intn(800))/8)
+					kinds = append(kinds, OpAppend)
 				}
-			}
-
-			var visits []int64
-			for run := 0; run < 2; run++ {
-				p := newDeltaPass(edited, delta, ecfg)
-				var got sink.Collector
-				if err := p.run(&got); err != nil {
+				edited, _, _, err := applyDelta(tbl, delta, aux, kinds, nil)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if diff := sink.DiffCells(got.Cells, want, 10); diff != "" {
-					t.Fatalf("%v minsup %d: the pass differs from the matched wildcard cells of the closed cube:\n%s", kind, minsup, diff)
+				ecfg := engine.Config{MinSup: minsup, Closed: true, Measure: kind}
+				if kind == core.MeasureNone {
+					edited.Aux = nil
 				}
-				for _, c := range got.Cells {
-					if w := wantAux[c.Key()]; math.Float64bits(c.Aux) != math.Float64bits(w) {
-						t.Fatalf("%v minsup %d: %s stores %v, want %v", kind, minsup, c, c.Aux, w)
+				label := fmt.Sprintf("%v minsup %d |Δ| %d", kind, minsup, size)
+
+				matched := func(vals []core.Value) bool {
+					for r := 0; r < len(delta)/nd; r++ {
+						if matches(vals, delta[r*nd:(r+1)*nd]) {
+							return true
+						}
+					}
+					return false
+				}
+				var oracle sink.Collector
+				if err := qcdfs.Engine.Run(edited, ecfg, &oracle); err != nil {
+					t.Fatal(err)
+				}
+				var want []core.Cell
+				wantAux := map[string]float64{}
+				for _, c := range oracle.Cells {
+					if matched(c.Values) {
+						want = append(want, c)
+						wantAux[c.Key()] = c.Aux
 					}
 				}
-				visits = append(visits, p.visits)
-			}
-			if bound := int64(2*nd-1) * sum; visits[0] != visits[1] || visits[0] == 0 || visits[0] > bound {
-				t.Fatalf("%v minsup %d: visits %v, want two equal counts in (0, %d]", kind, minsup, visits, bound)
+				// Σ|c| over the matched cells that clear minsup, each cell once.
+				var sum int64
+				seen := map[string]bool{}
+				for r := 0; r < len(delta)/nd; r++ {
+					for sub := 0; sub < 1<<nd; sub++ {
+						c := make([]core.Value, nd)
+						for d := range c {
+							c[d] = core.Star
+							if sub&(1<<d) != 0 {
+								c[d] = delta[r*nd+d]
+							}
+						}
+						if seen[core.CellKey(c)] {
+							continue
+						}
+						seen[core.CellKey(c)] = true
+						var n int64
+						for tid := 0; tid < edited.NumTuples(); tid++ {
+							if matches(c, edited.Row(core.TID(tid), nil)) {
+								n++
+							}
+						}
+						if n >= minsup {
+							sum += n
+						}
+					}
+				}
+
+				var visits []int64
+				for run := 0; run < 2; run++ {
+					p := newDeltaPass(edited, delta, ecfg, false)
+					var got sink.Collector
+					p.run(&got)
+					if diff := sink.DiffCells(got.Cells, want, 10); diff != "" {
+						t.Fatalf("%s: the pass differs from the matched cells of the closed cube:\n%s", label, diff)
+					}
+					for _, c := range got.Cells {
+						if w := wantAux[c.Key()]; math.Float64bits(c.Aux) != math.Float64bits(w) {
+							t.Fatalf("%s: %s stores %v, want %v", label, c, c.Aux, w)
+						}
+					}
+					visits = append(visits, p.visits)
+				}
+				if bound := int64(2*nd+1) * sum; visits[0] != visits[1] || visits[0] == 0 || visits[0] > bound {
+					t.Fatalf("%s: visits %v, want two equal counts in (0, %d]", label, visits, bound)
+				}
 			}
 		}
 	}
@@ -278,3 +283,46 @@ func TestApplyDeltaAllocs(t *testing.T) {
 
 // applyDeltaAllocs is the exact count TestApplyDeltaAllocs pins.
 const applyDeltaAllocs = 24
+
+// TestFlushAllocs is the exact allocation gate of a whole refresh at a fixed
+// input: appends and tombstones over a seeded relation, an iceberg cube with
+// its residual. A refresh is one goroutine with no pool, so the count repeats
+// exactly; two identical managers must both allocate flushAllocs times.
+func TestFlushAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; counts are not meaningful")
+	}
+	cards := []int{8, 6, 5, 4}
+	flush := func() uint64 {
+		base := randomTable(t, 2000, cards, 41)
+		m, err := NewManager(base, buildStoreFor(t, base, 3, core.MeasureNone, true), nil, engine.Config{MinSup: 3, Closed: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(43))
+		if _, _, err := m.Append(randomDelta(rng, cards, 40), nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := m.Delete(tableRows(base)[:10], nil); err != nil {
+			t.Fatal(err)
+		}
+		// As testing.AllocsPerRun: one P, so nothing else runs in the window,
+		// and no collection in flight.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := m.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	if a, b := flush(), flush(); a != b || a != flushAllocs {
+		t.Fatalf("a refresh allocates %d and %d times; want %d both", a, b, flushAllocs)
+	}
+}
+
+// flushAllocs is the exact count TestFlushAllocs pins.
+const flushAllocs = 517

@@ -11,7 +11,6 @@ import (
 	"ccubing/internal/core"
 	"ccubing/internal/engine"
 	"ccubing/internal/gen"
-	"ccubing/internal/qcdfs"
 	"ccubing/internal/table"
 )
 
@@ -56,7 +55,7 @@ func (w *memWAL) Close() error { w.closed = true; return nil }
 // memManager is testManager with w attached as its write-ahead log.
 func memManager(t testing.TB, tbl *table.Table, w *memWAL) *Manager {
 	t.Helper()
-	m := testManager(t, tbl, 1, Config{})
+	m := testManager(t, tbl, 1)
 	if err := m.delta.attach(w); err != nil {
 		t.Fatal(err)
 	}
@@ -203,9 +202,7 @@ func TestRejectedWALStaysDetached(t *testing.T) {
 				table.DictFromNames([]string{"a0", "a1", "a2"}),
 				table.DictFromNames([]string{"b0", "b1", "b2"}),
 			}
-			m, err := NewManager(tbl, buildStoreFor(t, tbl, 1, core.MeasureNone, false), dicts, Config{
-				Eng: &qcdfs.Engine, ECfg: engine.Config{MinSup: 1, Closed: true},
-			})
+			m, err := NewManager(tbl, buildStoreFor(t, tbl, 1, core.MeasureNone, false), dicts, engine.Config{MinSup: 1, Closed: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -180,23 +180,3 @@ func (t *Table) SelectDims(nd int) (*Table, error) {
 	}
 	return t.Project(dims)
 }
-
-// Subset returns a new table holding only the given tuples (copied):
-// internal/refresh builds the touched partitions' sub-relation with it.
-func (t *Table) Subset(tids []core.TID) *Table {
-	nt := New(t.NumDims(), len(tids))
-	copy(nt.Names, t.Names)
-	copy(nt.Cards, t.Cards)
-	for d := range t.Cols {
-		for i, tid := range tids {
-			nt.Cols[d][i] = t.Cols[d][tid]
-		}
-	}
-	if t.Aux != nil {
-		nt.Aux = make([]float64, len(tids))
-		for i, tid := range tids {
-			nt.Aux[i] = t.Aux[tid]
-		}
-	}
-	return nt
-}

@@ -117,20 +117,3 @@ func TestSelectDims(t *testing.T) {
 		t.Fatal("SelectDims beyond dims must error")
 	}
 }
-
-func TestSubset(t *testing.T) {
-	tbl := mustFromRows(t, [][]core.Value{{0, 0}, {1, 1}, {2, 2}})
-	tbl.Aux = []float64{10, 20, 30}
-	s := tbl.Subset([]core.TID{2, 0})
-	if s.NumTuples() != 2 || s.Value(0, 0) != 2 || s.Value(1, 0) != 0 {
-		t.Fatalf("subset = %v", s.Cols)
-	}
-	if s.Aux[0] != 30 || s.Aux[1] != 10 {
-		t.Fatalf("subset aux = %v", s.Aux)
-	}
-	// Mutating the subset must not touch the parent.
-	s.Cols[0][0] = 0
-	if tbl.Value(2, 0) != 2 {
-		t.Fatal("Subset must copy columns")
-	}
-}
