@@ -144,9 +144,9 @@ func touchedKeys(delta []core.Value, nd int, dims []int) [][]byte {
 // keySeed seeds touchedKeys' hash.
 var keySeed = maphash.MakeSeed()
 
-// spliceTouched merges one wildcard cuboid: the rows of g (nil for none)
-// whose key is not among keys, the sorted delta keys, and the sorted fresh
-// rows fg (nil for none), every one of which must be among keys. The rows
+// spliceTouched merges one cuboid: the rows of g (nil for none) whose key is
+// not among keys, the sorted delta keys, and the sorted fresh rows fg (nil for
+// none), every one of which must be among keys. The rows
 // between two keys are copied as one run.
 func spliceTouched(g, fg *group, keys [][]byte, hasAux bool) (*group, error) {
 	like := g

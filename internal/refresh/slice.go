@@ -60,7 +60,7 @@ type deltaPass struct {
 	visits int64
 
 	withResidual bool
-	sparse       []core.TID // tuples below minsup whose full key a delta row carries, in key-grouped runs
+	sparse       []core.TID // tuples below minsup whose full key a delta row carries; a key's occurrences in ascending order
 }
 
 // level is the scratch of one split: the delta's values on the split
