@@ -122,28 +122,30 @@ func (b *Builder) Build() (*Store, error) {
 	return s, nil
 }
 
+// ascending reports whether the group's rows are strictly ascending by packed
+// key: sorted, and free of duplicates.
+func (g *group) ascending() bool {
+	for i := 1; i < g.rows(); i++ {
+		if bytes.Compare(g.row(i-1), g.row(i)) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // sortGroups orders a group list into the store's canonical order, masks
 // ascending.
 func sortGroups(groups []*group) {
 	sort.Slice(groups, func(i, j int) bool { return groups[i].mask < groups[j].mask })
 }
 
-// sortRows orders the group's rows by packed key and rejects duplicates. Rows
-// already strictly ascending — a refresh's delta pass emits each cuboid in
-// key order — are left in place.
+// sortRows orders the group's rows by packed key and rejects duplicates.
 func (g *group) sortRows() error {
 	n := g.rows()
 	if g.width == 0 {
 		if n > 1 {
 			return fmt.Errorf("cubestore: duplicate apex cell")
 		}
-		return nil
-	}
-	sorted := true
-	for i := 1; i < n && sorted; i++ {
-		sorted = bytes.Compare(g.row(i-1), g.row(i)) < 0
-	}
-	if sorted {
 		return nil
 	}
 	idx := make([]int, n)

@@ -53,9 +53,14 @@ func (s *Store) MergeDelta(delta []core.Value, fresh *Builder, freshRes *Residua
 		return nil, fmt.Errorf("cubestore: merge: fresh cells and store disagree on carrying a measure")
 	}
 	// Sort each fresh cuboid group, the same canonicalization Build performs.
+	// A refresh's delta pass emits every cuboid in key order, so its groups
+	// need only the check; spliceTouched copies them out either way.
 	freshGroups := fresh.groups
 	fresh.groups = nil
 	for _, g := range freshGroups {
+		if g.ascending() {
+			continue
+		}
 		if err := g.sortRows(); err != nil {
 			return nil, fmt.Errorf("cubestore: merge: %w", err)
 		}
