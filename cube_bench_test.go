@@ -186,6 +186,34 @@ func BenchmarkMaterialize(b *testing.B) {
 			}
 		})
 	}
+	// The build-mm regime of cmd/ccload: 120k tuples, 8 dimensions of
+	// cardinality 50, Zipf 1, an integer sum measure, minsup 64 — AlgAuto
+	// picks CC(MM), so the MultiWay kernel does most of the work.
+	b.Run("build-mm", func(b *testing.B) {
+		mm, err := Synthetic(SyntheticConfig{T: 120_000, D: 8, C: 50, Skew: 1, Seed: benchSeed()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(benchSeed()))
+		aux := make([]float64, mm.NumTuples())
+		for i := range aux {
+			aux[i] = float64(1 + rng.Intn(100))
+		}
+		if err := mm.SetMeasure(aux); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c, err := Materialize(mm, Options{MinSup: 64, Measure: MeasureSum, Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if c.Algorithm() != AlgMM {
+				b.Fatalf("AlgAuto picked %v, want CC(MM)", c.Algorithm())
+			}
+		}
+	})
 }
 
 // BenchmarkMaterializeNativeMeasure compares Materialize's measure path

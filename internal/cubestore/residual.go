@@ -5,11 +5,13 @@
 package cubestore
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
 
 	"ccubing/internal/core"
+	"ccubing/internal/psort"
 )
 
 // Residual summarizes the mass an iceberg cube pruned away: the distinct
@@ -96,63 +98,100 @@ func (r *Residual) maxValues(maxVal []uint32) {
 	}
 }
 
-// ComputeResidual scans a relation once and returns the residual of an
-// iceberg computation at minSup over it: one row per distinct full-width
-// tuple with multiplicity < minSup, counts and (when aux is non-nil) stored
-// measure aggregates of kind. The result is engine-independent — it depends
-// only on the relation and the threshold — and never nil; minSup <= 1 yields
-// zero rows (nothing is pruned).
+// ComputeResidual returns the residual of an iceberg computation at minSup
+// over a relation: one row per distinct full-width tuple with multiplicity <
+// minSup, counts and (when aux is non-nil) stored measure aggregates of kind.
+// The result is engine-independent — it depends only on the relation and the
+// threshold — and never nil; minSup <= 1 yields zero rows (nothing is
+// pruned).
+//
+// The tuple IDs are radix-sorted once by packed key, so equal tuples form
+// runs; a run shorter than minSup is a row. The sort is stable, so a run's
+// measure folds in ascending tuple order.
 func ComputeResidual(cols core.Columns, aux []float64, minSup int64, kind core.MeasureKind) *Residual {
 	nd := len(cols)
 	if nd == 0 || len(cols[0]) == 0 || minSup <= 1 {
 		return newResidual(nd, aux != nil, 0)
 	}
 	n := len(cols[0])
-	type acc struct {
-		count int64
-		aux   float64
+	tids := make([]core.TID, n)
+	for i := range tids {
+		tids[i] = core.TID(i)
 	}
-	groups := make(map[string]*acc)
-	key := make([]byte, 0, nd*core.ValueWidth)
-	for tid := 0; tid < n; tid++ {
-		key = key[:0]
-		for d := 0; d < nd; d++ {
-			key = core.AppendValue(key, cols[d][tid])
+	dims, cards := make([]int, nd), make([]int, nd)
+	var ranks [][]core.Value // per dimension, a value's rank in key order; nil where that is value order
+	for d, col := range cols {
+		dims[d], cards[d] = d, int(slices.Max(col))+1
+		if cards[d] > 256 {
+			if ranks == nil {
+				ranks = make([][]core.Value, nd)
+			}
+			ranks[d] = keyRanks(cards[d])
 		}
-		a := groups[string(key)]
-		if a == nil {
-			a = &acc{aux: core.StoredIdentity(kind)}
-			groups[string(key)] = a
+	}
+	var view func(d int, v core.Value) core.Value
+	if ranks != nil {
+		view = func(d int, v core.Value) core.Value {
+			if r := ranks[d]; r != nil {
+				return r[v]
+			}
+			return v
 		}
-		a.count++
+	}
+	psort.LexSort(tids, cols, dims, cards, view)
+
+	// runEnd returns the end of the run of tuples equal to tids[lo].
+	runEnd := func(lo int) int {
+		hi := lo + 1
+		for ; hi < n; hi++ {
+			for _, col := range cols {
+				if col[tids[hi]] != col[tids[lo]] {
+					return hi
+				}
+			}
+		}
+		return hi
+	}
+	rows := 0
+	for lo, hi := 0, 0; lo < n; lo = hi {
+		if hi = runEnd(lo); int64(hi-lo) < minSup {
+			rows++
+		}
+	}
+	res := newResidual(nd, aux != nil, rows)
+	for lo, hi := 0, 0; lo < n; lo = hi {
+		if hi = runEnd(lo); int64(hi-lo) >= minSup {
+			continue
+		}
+		for d, col := range cols {
+			res.cols[d] = append(res.cols[d], col[tids[lo]])
+		}
+		res.counts = append(res.counts, int64(hi-lo))
 		if aux != nil {
-			a.aux = core.CombineStored(kind, a.aux, aux[tid])
+			a := core.StoredIdentity(kind)
+			for _, t := range tids[lo:hi] {
+				a = core.CombineStored(kind, a, aux[t])
+			}
+			res.aux = append(res.aux, a)
 		}
-	}
-	keys := make([]string, 0, len(groups))
-	for k, a := range groups {
-		if a.count < minSup {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	res := newResidual(nd, aux != nil, len(keys))
-	for _, k := range keys {
-		a := groups[k]
-		res.appendPacked(k, a.count, a.aux)
 	}
 	return res
 }
 
-// appendPacked appends one row given as a packed full-width key.
-func (r *Residual) appendPacked(key string, count int64, aux float64) {
-	for d := range r.cols {
-		r.cols[d] = append(r.cols[d], core.DecodeValue([]byte(key[d*core.ValueWidth:(d+1)*core.ValueWidth])))
+// keyRanks returns, for every value below card, its rank among them in
+// packed-key order (core.KeyOrder), which is not value order once a value
+// reaches 256.
+func keyRanks(card int) []core.Value {
+	order := make([]core.Value, card)
+	for i := range order {
+		order[i] = core.Value(i)
 	}
-	r.counts = append(r.counts, count)
-	if r.hasAux {
-		r.aux = append(r.aux, aux)
+	slices.SortFunc(order, func(a, b core.Value) int { return cmp.Compare(core.KeyOrder(a), core.KeyOrder(b)) })
+	ranks := make([]core.Value, card)
+	for r, v := range order {
+		ranks[v] = core.Value(r)
 	}
+	return ranks
 }
 
 // spliceResidual merges the rows of r (nil for none) whose key is not among

@@ -85,10 +85,31 @@ func auxColumn(tbl *table.Table) []float64 {
 }
 
 // TestComputeResidualBruteForce checks ComputeResidual against independent
-// tuple grouping for every measure kind and several thresholds.
+// tuple grouping for every measure kind and several thresholds, on narrow
+// codes and on codes past 256, where packed-key order is not value order.
 func TestComputeResidualBruteForce(t *testing.T) {
-	tbl := testTable(t, 500, []int{8, 6, 5, 4}, 1.0, 23)
+	for _, tbl := range []*table.Table{
+		testTable(t, 500, []int{8, 6, 5, 4}, 1.0, 23),
+		testTable(t, 3000, []int{700, 3, 300}, 1.5, 29),
+	} {
+		checkResidualBruteForce(t, tbl)
+	}
+}
+
+func checkResidualBruteForce(t *testing.T, tbl *table.Table) {
+	t.Helper()
 	aux := auxColumn(tbl)
+	if tbl.Cards[0] > 256 {
+		wide := 0
+		for _, row := range ComputeResidual(tbl.Cols, nil, 3, core.MeasureNone).Rows() {
+			if row.Values[0] >= 256 {
+				wide++
+			}
+		}
+		if wide == 0 {
+			t.Fatal("no residual row carries a code past 256")
+		}
+	}
 	kinds := []core.MeasureKind{core.MeasureSum, core.MeasureMin, core.MeasureMax, core.MeasureAvg}
 	for _, minsup := range []int64{0, 1, 2, 3, 5} {
 		for _, kind := range kinds {

@@ -17,10 +17,15 @@
 // credits for its low-min_sup wins: when a partition's size equals min_sup,
 // the only possible closed iceberg output is the closure of the whole
 // partition, which is emitted directly without enumerating the subspace.
+//
+// One run owns one multiway.Arena and one scratch frame per recursion depth:
+// the dense phases run one at a time and reuse the arrays of the phase
+// before, so a run's allocations do not grow with its number of subspaces.
 package mmcubing
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"ccubing/internal/core"
 	"ccubing/internal/engine"
@@ -55,6 +60,26 @@ type runner struct {
 	masked    [][]bool  // the Value Mask table: [dim][value]
 	freq      [][]int64 // per-dim counting scratch, kept all-zero between uses
 	part      psort.Partitioner
+
+	// arena holds every dense phase's arrays: the phases run one at a time,
+	// so each reuses the previous one's.
+	arena multiway.Arena
+	dims  []multiway.Dim
+	// frames[depth] is the scratch of the mm call at that recursion depth
+	// (the number of fixed dimensions); calls at one depth never overlap.
+	frames []frame
+}
+
+// frame is one mm call's scratch, reused by every call at its depth.
+type frame struct {
+	dvals     [][]vf         // per active dimension, distinct values with frequencies
+	cands     []cand         // dense candidates
+	denseVals [][]core.Value // per active dimension, the chosen dense values
+	sparse    []core.Value
+	bVals     []core.Value // a copy of the partition boundaries
+	bOff      []int
+	child     []int // the child's active dimensions
+	masked    []dv  // values this call masked
 }
 
 // vf pairs a distinct value with its frequency in the current partition.
@@ -63,9 +88,29 @@ type vf struct {
 	f int64
 }
 
+// cand is a dense-value candidate: value v of active dimension ai, with
+// frequency f.
+type cand struct {
+	ai int
+	v  core.Value
+	f  int64
+}
+
+// dv is a masked value v of dimension d.
+type dv struct {
+	d int
+	v core.Value
+}
+
 // cube computes the (closed) iceberg cube of t and emits cells into out.
 func cube(t *table.Table, cfg engine.Config, out sink.Sink) error {
-	n := t.NumTuples()
+	newRunner(t, cfg, out).run()
+	return nil
+}
+
+// newRunner returns the state of one run; the Arena and the frames belong to
+// it alone (every parallel shard job builds its own).
+func newRunner(t *table.Table, cfg engine.Config, out sink.Sink) *runner {
 	r := &runner{
 		t:      t,
 		cfg:    cfg,
@@ -77,6 +122,7 @@ func cube(t *table.Table, cfg engine.Config, out sink.Sink) error {
 		vals:   make([]core.Value, t.NumDims()),
 		masked: make([][]bool, t.NumDims()),
 		freq:   make([][]int64, t.NumDims()),
+		frames: make([]frame, t.NumDims()+1),
 	}
 	if r.budget <= 0 {
 		r.budget = DefaultDenseBudget
@@ -89,7 +135,17 @@ func cube(t *table.Table, cfg engine.Config, out sink.Sink) error {
 		r.masked[d] = make([]bool, t.Cards[d])
 		r.freq[d] = make([]int64, t.Cards[d])
 	}
-	tids := make([]core.TID, n)
+	for depth := range r.frames {
+		na := r.nd - depth
+		r.frames[depth].dvals = make([][]vf, na)
+		r.frames[depth].denseVals = make([][]core.Value, na)
+	}
+	return r
+}
+
+// run cubes the whole relation.
+func (r *runner) run() {
+	tids := make([]core.TID, r.t.NumTuples())
 	for i := range tids {
 		tids[i] = core.TID(i)
 	}
@@ -98,7 +154,6 @@ func cube(t *table.Table, cfg engine.Config, out sink.Sink) error {
 		active[i] = i
 	}
 	r.mm(tids, active)
-	return nil
 }
 
 // mm processes one subspace: the tuples in tids with the dimensions in
@@ -108,27 +163,28 @@ func (r *runner) mm(tids []core.TID, active []int) {
 		r.shortcut(tids, active)
 		return
 	}
+	f := &r.frames[r.nd-len(active)]
 
 	// Frequencies per active dimension: count into the pooled per-dim
 	// arrays (all-zero between uses), then move the distinct (value, freq)
 	// pairs out, restoring the zeros. Cost is O(|tids| · |active|),
 	// independent of cardinalities.
-	dvals := make([][]vf, len(active))
+	dvals := f.dvals
 	for ai, d := range active {
-		f := r.freq[d]
+		freq := r.freq[d]
 		col := r.cols[d]
 		for _, tid := range tids {
-			f[col[tid]]++
+			freq[col[tid]]++
 		}
-		list := make([]vf, 0, 16)
+		list := dvals[ai][:0]
 		for _, tid := range tids {
 			v := col[tid]
-			if f[v] > 0 {
-				list = append(list, vf{v, f[v]})
-				f[v] = 0
+			if freq[v] > 0 {
+				list = append(list, vf{v, freq[v]})
+				freq[v] = 0
 			}
 		}
-		sort.Slice(list, func(i, j int) bool { return list[i].v < list[j].v })
+		slices.SortFunc(list, func(a, b vf) int { return cmp.Compare(a.v, b.v) })
 		dvals[ai] = list
 	}
 
@@ -136,12 +192,7 @@ func (r *runner) mm(tids []core.TID, active []int) {
 	// while the array space fits both the configured budget and a bound
 	// proportional to the partition (a dense array far larger than the data
 	// cannot pay for its own initialization).
-	type cand struct {
-		ai int
-		v  core.Value
-		f  int64
-	}
-	var cands []cand
+	cands := f.cands[:0]
 	for ai, d := range active {
 		for _, e := range dvals[ai] {
 			if e.f >= r.cfg.MinSup && !r.masked[d][e.v] {
@@ -149,15 +200,16 @@ func (r *runner) mm(tids []core.TID, active []int) {
 			}
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].f != cands[j].f {
-			return cands[i].f > cands[j].f
+	slices.SortFunc(cands, func(a, b cand) int {
+		if a.f != b.f {
+			return cmp.Compare(b.f, a.f)
 		}
-		if cands[i].ai != cands[j].ai {
-			return cands[i].ai < cands[j].ai
+		if a.ai != b.ai {
+			return cmp.Compare(a.ai, b.ai)
 		}
-		return cands[i].v < cands[j].v
+		return cmp.Compare(a.v, b.v)
 	})
+	f.cands = cands
 	budget := r.budget
 	if rel := 8 * len(tids); rel < budget {
 		budget = rel
@@ -165,7 +217,10 @@ func (r *runner) mm(tids []core.TID, active []int) {
 	if budget < 2 {
 		budget = 2
 	}
-	denseVals := make([][]core.Value, len(active))
+	denseVals := f.denseVals
+	for ai := range denseVals {
+		denseVals[ai] = denseVals[ai][:0]
+	}
 	size := 1
 	for _, c := range cands {
 		cur := len(denseVals[c.ai])
@@ -187,29 +242,24 @@ func (r *runner) mm(tids []core.TID, active []int) {
 
 	// Sparse phase: one partition per frequent non-dense unmasked value,
 	// masking each dimension's sparse values before later dimensions run.
-	type dv struct {
-		d int
-		v core.Value
-	}
-	var maskedHere []dv
+	f.masked = f.masked[:0]
 	for ai, d := range active {
-		var sparse []core.Value
+		sparse := f.sparse[:0]
 		dense := denseVals[ai] // sorted by densePhase
 		for _, e := range dvals[ai] {
 			if e.f >= r.cfg.MinSup && !r.masked[d][e.v] && !containsValue(dense, e.v) {
 				sparse = append(sparse, e.v)
 			}
 		}
+		f.sparse = sparse
 		if len(sparse) > 0 {
 			b := r.part.Partition(tids, r.cols[d], r.t.Cards[d])
 			// Copy boundaries: nested recursion reuses the partitioner.
-			bVals := append([]core.Value(nil), b.Vals...)
-			bOff := append([]int(nil), b.Off...)
-			childActive := make([]int, 0, len(active)-1)
-			childActive = append(childActive, active[:ai]...)
-			childActive = append(childActive, active[ai+1:]...)
+			f.bVals = append(f.bVals[:0], b.Vals...)
+			f.bOff = append(f.bOff[:0], b.Off...)
+			f.child = append(append(f.child[:0], active[:ai]...), active[ai+1:]...)
 			si := 0
-			for i, v := range bVals {
+			for i, v := range f.bVals {
 				for si < len(sparse) && sparse[si] < v {
 					si++
 				}
@@ -218,7 +268,7 @@ func (r *runner) mm(tids []core.TID, active []int) {
 				}
 				r.vals[d] = v
 				r.fixedMask = r.fixedMask.With(d)
-				r.mm(tids[bOff[i]:bOff[i+1]], childActive)
+				r.mm(tids[f.bOff[i]:f.bOff[i+1]], f.child)
 				r.vals[d] = core.Star
 				r.fixedMask = r.fixedMask.Without(d)
 			}
@@ -226,10 +276,10 @@ func (r *runner) mm(tids []core.TID, active []int) {
 		// Mask this dimension's sparse values for the later dimensions.
 		for _, v := range sparse {
 			r.masked[d][v] = true
-			maskedHere = append(maskedHere, dv{d, v})
+			f.masked = append(f.masked, dv{d, v})
 		}
 	}
-	for _, m := range maskedHere {
+	for _, m := range f.masked {
 		r.masked[m.d][m.v] = false
 	}
 }
@@ -250,15 +300,16 @@ func containsValue(sorted []core.Value, v core.Value) bool {
 
 // densePhase aggregates the dense subspace and emits its qualifying cells.
 func (r *runner) densePhase(tids []core.TID, active []int, denseVals [][]core.Value) {
-	var dims []multiway.Dim
+	dims := r.dims[:0]
 	for ai, dvs := range denseVals {
 		if len(dvs) == 0 {
 			continue
 		}
-		sort.Slice(dvs, func(i, j int) bool { return dvs[i] < dvs[j] })
+		slices.Sort(dvs)
 		dims = append(dims, multiway.Dim{D: active[ai], Vals: dvs})
 	}
-	space, err := multiway.NewSpace(dims, r.t.Cards, r.cfg.Closed, r.cols, r.budget)
+	r.dims = dims
+	space, err := multiway.NewSpace(&r.arena, dims, r.t.Cards, r.cfg.Closed, r.cols, r.budget)
 	if err != nil {
 		// The greedy selection respects the budget; any failure here is a
 		// programming error.

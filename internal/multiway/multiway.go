@@ -10,6 +10,17 @@
 // so each array cell is touched a bounded number of times. Count and, when
 // requested, the closedness measure (Representative Tuple ID + Closed Mask)
 // aggregate identically.
+//
+// The first dimension of a cuboid is innermost, so summing out member m reads
+// the parent as [outer][size of m][inner] and adds each contiguous inner run
+// into child row outer: the child starts as a copy of the parent's first run
+// and the others are added to it in parent order, which is the order a
+// per-cell walk would add them in.
+//
+// The arrays live in an Arena, one set per lattice level. The walk is depth
+// first, so at most one cuboid per level is live at a time, and every space
+// built on one Arena reuses the arrays of the spaces before it. An Arena is
+// owned by one engine run and never shared.
 package multiway
 
 import (
@@ -27,12 +38,34 @@ type Dim struct {
 	Vals []core.Value
 }
 
+// Arena holds the arrays of the spaces one engine run builds: per lattice
+// level (the number of member dimensions) one cuboid's counts, closedness,
+// stored measure and member list, plus the space's own scratch. A space
+// built on an Arena is valid until the next NewSpace on it. An Arena is not
+// safe for concurrent use.
+type Arena struct {
+	space  Space
+	levels []level
+}
+
+// level is the cuboid of one lattice level currently being walked.
+type level struct {
+	members []int // positions into Space.dims, ascending
+	mask    uint64
+	counts  []int64
+	cls     []core.Closedness
+	aux     []float64
+}
+
 // Space is a dense aggregation space. Build one with NewSpace, fill it with
 // Add, then walk the cuboid lattice with Process.
 type Space struct {
+	a       *Arena
+	base    *level // the base cuboid, a.levels[len(dims)]
 	dims    []Dim
-	sizes   []int // len(Vals)+1 per dim
-	strides []int
+	sizes   []int    // len(Vals)+1 per dim
+	strides []int    // of the base cuboid: the first dim is innermost
+	before  []uint64 // per dim, the dims that order strictly before it
 	total   int
 
 	closed bool
@@ -42,20 +75,42 @@ type Space struct {
 	kind  core.MeasureKind
 	auxIn []float64 // per-tuple measure input; nil when kind is MeasureNone
 
-	counts []int64
-	cls    []core.Closedness
-	aux    []float64 // per-cell stored measure aggregate; nil without a measure
+	// emitCuboid's scratch.
+	mdims   []Dim
+	coords  []int
+	dimVals []core.Value
 }
 
-// NewSpace allocates a dense space over the given dimensions, whose Vals
-// must be sorted ascending (coordinates are resolved by binary search, so
-// construction cost is independent of the relation's cardinalities). cards
-// is retained in the signature for validation only. When closed is true the
+// grow returns s resized to n, reallocated only when its capacity is short.
+// The contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// NewSpace builds a dense space over the given dimensions in a's arrays (a
+// fresh Arena when a is nil). The dims' Vals must be sorted ascending
+// (coordinates are resolved by binary search, so construction cost is
+// independent of the relation's cardinalities); cards is used for validation
+// only. dims[0] is the innermost array dimension. When closed is true the
 // space also aggregates closedness measures, using cols for representative-
 // value comparisons. The product of (len(Vals)+1) must stay within maxCells.
 // SetMeasure optionally attaches a complex measure before the first Add.
-func NewSpace(dims []Dim, cards []int, closed bool, cols core.Columns, maxCells int) (*Space, error) {
-	s := &Space{dims: dims, closed: closed, cols: cols, check: ^core.Mask(0)}
+func NewSpace(a *Arena, dims []Dim, cards []int, closed bool, cols core.Columns, maxCells int) (*Space, error) {
+	if a == nil {
+		a = new(Arena)
+	}
+	if len(dims) > 64 {
+		return nil, fmt.Errorf("multiway: %d dimensions exceed 64", len(dims))
+	}
+	s := &a.space
+	*s = Space{
+		a: a, dims: dims, closed: closed, cols: cols, check: ^core.Mask(0),
+		sizes: s.sizes[:0], strides: s.strides[:0], before: s.before[:0],
+		mdims: s.mdims, coords: s.coords, dimVals: s.dimVals,
+	}
 	total := 1
 	for _, dm := range dims {
 		if len(dm.Vals) == 0 {
@@ -78,11 +133,33 @@ func NewSpace(dims []Dim, cards []int, closed bool, cols core.Columns, maxCells 
 		s.sizes = append(s.sizes, size)
 	}
 	s.total = total
-	s.counts = make([]int64, total)
+	for j, sj := range s.sizes {
+		var b uint64
+		for o, so := range s.sizes {
+			if so < sj || (so == sj && o < j) {
+				b |= 1 << o
+			}
+		}
+		s.before = append(s.before, b)
+	}
+
+	k := len(dims)
+	for len(a.levels) <= k {
+		a.levels = append(a.levels, level{})
+	}
+	base := &a.levels[k]
+	s.base = base
+	base.members = base.members[:0]
+	for i := range dims {
+		base.members = append(base.members, i)
+	}
+	base.mask = 1<<k - 1
+	base.counts = grow(base.counts, total)
+	clear(base.counts)
 	if closed {
-		s.cls = make([]core.Closedness, total)
-		for i := range s.cls {
-			s.cls[i] = core.EmptyClosedness()
+		base.cls = grow(base.cls, total)
+		for i := range base.cls {
+			base.cls[i] = core.EmptyClosedness()
 		}
 	}
 	return s, nil
@@ -97,11 +174,11 @@ func (s *Space) SetMeasure(kind core.MeasureKind, auxIn []float64) {
 		return
 	}
 	s.kind, s.auxIn = kind, auxIn
-	s.aux = make([]float64, s.total)
-	if id := core.StoredIdentity(kind); id != 0 {
-		for i := range s.aux {
-			s.aux[i] = id
-		}
+	base := s.base
+	base.aux = grow(base.aux, s.total)
+	id := core.StoredIdentity(kind)
+	for i := range base.aux {
+		base.aux[i] = id
 	}
 }
 
@@ -130,12 +207,13 @@ func (s *Space) Add(tid core.TID) {
 	for i, dm := range s.dims {
 		idx += s.coord(i, s.cols[dm.D][tid]) * s.strides[i]
 	}
-	s.counts[idx]++
+	base := s.base
+	base.counts[idx]++
 	if s.closed {
-		s.cls[idx].MergeTuple(tid, s.check, s.cols)
+		base.cls[idx].MergeTuple(tid, s.check, s.cols)
 	}
-	if s.aux != nil {
-		s.aux[idx] = core.CombineStored(s.kind, s.aux[idx], s.auxIn[tid])
+	if s.auxIn != nil {
+		base.aux[idx] = core.CombineStored(s.kind, base.aux[idx], s.auxIn[tid])
 	}
 }
 
@@ -144,9 +222,10 @@ func (s *Space) Cells() int { return s.total }
 
 // Emit is called by Process for every array cell whose coordinates are all
 // dense (no "other" bucket): dimVals pairs each Dim.D in the cuboid's
-// member set with its concrete value. cls is the zero Closedness unless the
-// space aggregates closedness; aux is the cell's stored measure aggregate
-// (0 unless SetMeasure was called).
+// member set with its concrete value. members and dimVals are reused between
+// calls. cls is the zero Closedness unless the space aggregates closedness;
+// aux is the cell's stored measure aggregate (0 unless SetMeasure was
+// called).
 type Emit func(members []Dim, dimVals []core.Value, count int64, cls core.Closedness, aux float64)
 
 // Process walks the cuboid lattice: it emits the base cuboid and every
@@ -154,99 +233,66 @@ type Emit func(members []Dim, dimVals []core.Value, count int64, cls core.Closed
 // summing out one dimension. Cells are emitted at most once per cuboid; the
 // caller applies its own min_sup and closedness filters in emit.
 func (s *Space) Process(emit Emit) {
-	members := make([]int, len(s.dims))
-	for i := range members {
-		members[i] = i
-	}
-	s.process(members, s.counts, s.cls, s.aux, emit)
+	s.process(len(s.dims), emit)
 }
 
-// process handles the cuboid whose member dimension positions (into s.dims)
-// are members, with the given aggregate arrays.
-func (s *Space) process(members []int, counts []int64, cls []core.Closedness, aux []float64, emit Emit) {
-	s.emitCuboid(members, counts, cls, aux, emit)
-	outside := s.outside(members)
-	for mi, j := range members {
-		if !s.designated(j, outside) {
+// process emits the cuboid of level k and walks its children: a child drops
+// member j when j is designated, the cheapest way back into the parent
+// lattice from members∖{j} — j orders strictly before every position outside
+// the member set (by size, then index). This makes the parent relation a
+// spanning tree: every cuboid is computed from exactly one parent.
+func (s *Space) process(k int, emit Emit) {
+	lv := &s.a.levels[k]
+	s.emitCuboid(lv, emit)
+	for mi, j := range lv.members {
+		if s.before[j]&^lv.mask != 0 {
 			continue
 		}
-		ccounts, ccls, caux := s.sumOut(members, mi, counts, cls, aux)
-		child := make([]int, 0, len(members)-1)
-		child = append(child, members[:mi]...)
-		child = append(child, members[mi+1:]...)
-		s.process(child, ccounts, ccls, caux, emit)
+		s.sumOut(k, mi)
+		s.process(k-1, emit)
 	}
-}
-
-// designated reports whether dimension position j is the cheapest way back
-// into the parent lattice from members∖{j}: j must order strictly before
-// every position outside the current member set (by size, then index). This
-// makes the parent relation a spanning tree: every cuboid is computed from
-// exactly one parent.
-func (s *Space) designated(j int, outside []int) bool {
-	for _, o := range outside {
-		if s.sizes[o] < s.sizes[j] || (s.sizes[o] == s.sizes[j] && o < j) {
-			return false
-		}
-	}
-	return true
-}
-
-func (s *Space) outside(members []int) []int {
-	in := make([]bool, len(s.dims))
-	for _, m := range members {
-		in[m] = true
-	}
-	var out []int
-	for i := range s.dims {
-		if !in[i] {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // emitCuboid walks one cuboid array, emitting cells without "other"
 // coordinates.
-func (s *Space) emitCuboid(members []int, counts []int64, cls []core.Closedness, aux []float64, emit Emit) {
-	k := len(members)
+func (s *Space) emitCuboid(lv *level, emit Emit) {
+	var cls core.Closedness
+	var aux float64
+	k := len(lv.members)
 	if k == 0 {
-		var c core.Closedness
 		if s.closed {
-			c = cls[0]
+			cls = lv.cls[0]
 		}
-		var a float64
-		if aux != nil {
-			a = aux[0]
+		if s.auxIn != nil {
+			aux = lv.aux[0]
 		}
-		emit(nil, nil, counts[0], c, a)
+		emit(nil, nil, lv.counts[0], cls, aux)
 		return
 	}
-	mdims := make([]Dim, k)
-	for i, m := range members {
-		mdims[i] = s.dims[m]
+	s.mdims = s.mdims[:0]
+	for _, m := range lv.members {
+		s.mdims = append(s.mdims, s.dims[m])
 	}
-	coords := make([]int, k)
-	dimVals := make([]core.Value, k)
+	s.coords = grow(s.coords, k)
+	clear(s.coords)
+	s.dimVals = grow(s.dimVals, k)
+	coords, dimVals := s.coords, s.dimVals
 	others := 0 // how many coords sit on the "other" bucket
-	for idx := range counts {
-		if others == 0 && counts[idx] > 0 {
-			for i, m := range members {
+	for idx, n := range lv.counts {
+		if others == 0 && n > 0 {
+			for i, m := range lv.members {
 				dimVals[i] = s.dims[m].Vals[coords[i]]
 			}
-			var c core.Closedness
 			if s.closed {
-				c = cls[idx]
+				cls = lv.cls[idx]
 			}
-			var a float64
-			if aux != nil {
-				a = aux[idx]
+			if s.auxIn != nil {
+				aux = lv.aux[idx]
 			}
-			emit(mdims, dimVals, counts[idx], c, a)
+			emit(s.mdims, dimVals, n, cls, aux)
 		}
 		// Advance the odometer, tracking "other" occupancy.
-		for i := 0; i < k; i++ {
-			m := members[i]
+		for i, m := range lv.members {
 			coords[i]++
 			if coords[i] == s.sizes[m]-1 {
 				others++ // entered the other bucket
@@ -261,60 +307,79 @@ func (s *Space) emitCuboid(members []int, counts []int64, cls []core.Closedness,
 	}
 }
 
-// sumOut computes the child cuboid dropping members[mi], merging counts,
-// closedness and the stored measure aggregate cell-wise.
-func (s *Space) sumOut(members []int, mi int, counts []int64, cls []core.Closedness, aux []float64) ([]int64, []core.Closedness, []float64) {
-	k := len(members)
-	childTotal := 1
-	cstride := make([]int, k) // contribution of each member coord to child idx
-	for i, m := range members {
-		if i == mi {
-			cstride[i] = 0
-			continue
-		}
-		cstride[i] = childTotal
-		childTotal *= s.sizes[m]
+// sumOut computes, into level k-1, the child of level k's cuboid that drops
+// members[mi], merging counts, closedness and the stored measure aggregate.
+// The parent is [outer][size][inner] with size the dropped member's extent;
+// each child row o is the parent's first inner run of block o, then every
+// later run added to it.
+func (s *Space) sumOut(k, mi int) {
+	p, c := &s.a.levels[k], &s.a.levels[k-1]
+	m := p.members[mi]
+	c.members = append(append(c.members[:0], p.members[:mi]...), p.members[mi+1:]...)
+	c.mask = p.mask &^ (1 << m)
+	inner := 1
+	for _, x := range p.members[:mi] {
+		inner *= s.sizes[x]
 	}
-	ccounts := make([]int64, childTotal)
-	var ccls []core.Closedness
+	block := inner * s.sizes[m]
+	n := len(p.counts) / s.sizes[m]
+
+	c.counts = grow(c.counts, n)
+	for o, q := 0, 0; o < n; o, q = o+inner, q+block {
+		dst, src := c.counts[o:o+inner], p.counts[q:q+block]
+		copy(dst, src)
+		for j := inner; j < block; j += inner {
+			for i, v := range src[j : j+inner] {
+				dst[i] += v
+			}
+		}
+	}
 	if s.closed {
-		ccls = make([]core.Closedness, childTotal)
-		for i := range ccls {
-			ccls[i] = core.EmptyClosedness()
-		}
-	}
-	var caux []float64
-	if aux != nil {
-		caux = make([]float64, childTotal)
-		if id := core.StoredIdentity(s.kind); id != 0 {
-			for i := range caux {
-				caux[i] = id
+		c.cls = grow(c.cls, n)
+		for o, q := 0, 0; o < n; o, q = o+inner, q+block {
+			dst, src := c.cls[o:o+inner], p.cls[q:q+block]
+			copy(dst, src)
+			for j := inner; j < block; j += inner {
+				for i, x := range src[j : j+inner] {
+					if x.Rep != core.NilTID {
+						dst[i].Merge(x, s.check, s.cols)
+					}
+				}
 			}
 		}
 	}
-	coords := make([]int, k)
-	cidx := 0
-	for idx := range counts {
-		if counts[idx] > 0 {
-			ccounts[cidx] += counts[idx]
-			if s.closed {
-				ccls[cidx].Merge(cls[idx], s.check, s.cols)
+	if s.auxIn != nil {
+		c.aux = grow(c.aux, n)
+		for o, q := 0, 0; o < n; o, q = o+inner, q+block {
+			dst, src := c.aux[o:o+inner], p.aux[q:q+block]
+			copy(dst, src)
+			for j := inner; j < block; j += inner {
+				combine(s.kind, dst, src[j:j+inner])
 			}
-			if caux != nil {
-				caux[cidx] = core.CombineStored(s.kind, caux[cidx], aux[idx])
-			}
-		}
-		for i := 0; i < k; i++ {
-			m := members[i]
-			coords[i]++
-			cidx += cstride[i]
-			if coords[i] == s.sizes[m] {
-				coords[i] = 0
-				cidx -= s.sizes[m] * cstride[i]
-				continue
-			}
-			break
 		}
 	}
-	return ccounts, ccls, caux
+}
+
+// combine folds src into dst element-wise with core.CombineStored's rule.
+// An empty cell's aggregate is the kind's identity, so it folds as a no-op.
+func combine(kind core.MeasureKind, dst, src []float64) {
+	dst = dst[:len(src)]
+	switch kind {
+	case core.MeasureMin:
+		for i, v := range src {
+			if v < dst[i] {
+				dst[i] = v
+			}
+		}
+	case core.MeasureMax:
+		for i, v := range src {
+			if v > dst[i] {
+				dst[i] = v
+			}
+		}
+	default:
+		for i, v := range src {
+			dst[i] += v
+		}
+	}
 }

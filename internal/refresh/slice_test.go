@@ -325,4 +325,4 @@ func TestFlushAllocs(t *testing.T) {
 }
 
 // flushAllocs is the exact count TestFlushAllocs pins.
-const flushAllocs = 517
+const flushAllocs = 509

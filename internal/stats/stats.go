@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"ccubing/internal/core"
+	"ccubing/internal/psort"
 	"ccubing/internal/table"
 )
 
@@ -69,22 +70,35 @@ func DistinctValues(t *table.Table, d int) int {
 // it measures 1 - H(B|A)/H(B), averaged. 0 means independent, 1 means B is a
 // function of A for all sampled pairs. It is a cheap proxy for the paper's
 // rule-count dependence R, used only by the advisor.
+//
+// Each H(B) is computed once; per A the tuples are counting-sorted by A once,
+// and every H(B|A) reads the groups with one dense histogram of B.
 func DependenceEstimate(t *table.Table) float64 {
 	nd := t.NumDims()
-	if nd < 2 || t.NumTuples() == 0 {
+	n := t.NumTuples()
+	if nd < 2 || n == 0 {
 		return 0
 	}
+	h := make([]float64, nd)
+	maxCard := 0
+	for d := range h {
+		h[d] = Entropy(t, d)
+		maxCard = max(maxCard, t.Cards[d])
+	}
+	tids := make([]core.TID, n)
+	for i := range tids {
+		tids[i] = core.TID(i)
+	}
+	hist := make([]int64, maxCard)
+	var p psort.Partitioner
 	total, pairs := 0.0, 0
 	for a := 0; a < nd; a++ {
+		groups := p.Partition(tids, t.Cols[a], t.Cards[a])
 		for b := 0; b < nd; b++ {
-			if a == b {
+			if a == b || h[b] == 0 {
 				continue
 			}
-			hb := Entropy(t, b)
-			if hb == 0 {
-				continue
-			}
-			total += 1 - conditionalEntropy(t, b, a)/hb
+			total += 1 - conditionalEntropy(t.Cols[b], tids, groups, hist)/h[b]
 			pairs++
 		}
 	}
@@ -94,25 +108,24 @@ func DependenceEstimate(t *table.Table) float64 {
 	return total / float64(pairs)
 }
 
-// conditionalEntropy computes H(B|A) in nats.
-func conditionalEntropy(t *table.Table, b, a int) float64 {
-	n := t.NumTuples()
-	joint := make(map[[2]core.Value]int64, 64)
-	for i := 0; i < n; i++ {
-		joint[[2]core.Value{t.Cols[a][i], t.Cols[b][i]}]++
-	}
-	ha := Histogram(t, a)
+// conditionalEntropy computes H(B|A) in nats, where col is B's column and
+// groups the runs of tids (sorted by A) sharing one value of A. hist is an
+// all-zero histogram over B's values, and is left all-zero.
+func conditionalEntropy(col []core.Value, tids []core.TID, groups psort.Buckets, hist []int64) float64 {
+	n := float64(len(tids))
 	e := 0.0
-	for k, c := range joint {
-		pa := float64(ha[k[0]])
-		e -= float64(c) / float64(n) * math.Log(float64(c)/pa)
+	for g := range groups.Vals {
+		group := tids[groups.Off[g]:groups.Off[g+1]]
+		pa := float64(len(group))
+		for _, tid := range group {
+			hist[col[tid]]++
+		}
+		for _, tid := range group {
+			if c := hist[col[tid]]; c > 0 {
+				e -= float64(c) / n * math.Log(float64(c)/pa)
+				hist[col[tid]] = 0
+			}
+		}
 	}
 	return e
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
