@@ -94,16 +94,14 @@ func grow[T any](s []T, n int) []T {
 // fresh Arena when a is nil). The dims' Vals must be sorted ascending
 // (coordinates are resolved by binary search, so construction cost is
 // independent of the relation's cardinalities); cards is used for validation
-// only. dims[0] is the innermost array dimension. When closed is true the
-// space also aggregates closedness measures, using cols for representative-
-// value comparisons. The product of (len(Vals)+1) must stay within maxCells.
-// SetMeasure optionally attaches a complex measure before the first Add.
+// only. There are at most core.MaxDims dims, and dims[0] is the innermost
+// array dimension. When closed is true the space also aggregates closedness
+// measures, using cols for representative-value comparisons. The product of
+// (len(Vals)+1) must stay within maxCells. SetMeasure optionally attaches a
+// complex measure before the first Add.
 func NewSpace(a *Arena, dims []Dim, cards []int, closed bool, cols core.Columns, maxCells int) (*Space, error) {
 	if a == nil {
 		a = new(Arena)
-	}
-	if len(dims) > 64 {
-		return nil, fmt.Errorf("multiway: %d dimensions exceed 64", len(dims))
 	}
 	s := &a.space
 	*s = Space{
